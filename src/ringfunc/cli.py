@@ -421,15 +421,21 @@ def _check_local_criterion(p: int, n: int, cap) -> list[tuple[str, bool]]:
     return [(f"dual[local-criterion:zpn:{p},{n}]", ok)]
 
 
-def _check_axioms(base: Ring, seed: int, cap) -> list[tuple[str, bool]]:
+def _check_axioms(base: Ring, cap) -> list[tuple[str, bool]]:
     group = gr.semidirect_group(base, cap=cap)
-    report = gr.verify_group_axioms(group, seed=seed)
+    report = gr.verify_group_axioms(group)
     return [(f"groups[axioms:{base.descriptor}]", report.passed)]
 
 
-def _check_embedding(base: Ring, seed: int, cap) -> list[tuple[str, bool]]:
-    report = gr.verify_embedding(base, seed=seed, cap=cap)
-    ok = report.passed and (report.surjective == base.is_field)
+def _check_embedding(base: Ring, cap) -> list[tuple[str, bool]]:
+    report = gr.verify_embedding(base, cap=cap)
+    # onto over every field; in general onto exactly when the stabilizer
+    # holds every unit table (image = stabilizer x permutations)
+    ok = (
+        report.passed
+        and (report.surjective or not base.is_field)
+        and report.surjective == (report.stabilizer_size == report.unit_table_count)
+    )
     return [(f"groups[embedding:{base.descriptor}]", ok)]
 
 
@@ -506,8 +512,8 @@ def cmd_verify(args) -> int:
                         checks.extend(_check_local_criterion(p, n, cap))
         elif suite == "groups":
             for base in _grid_bases(args, cap):
-                checks.extend(_check_axioms(base, args.seed, cap))
-                checks.extend(_check_embedding(base, args.seed, cap))
+                checks.extend(_check_axioms(base, cap))
+                checks.extend(_check_embedding(base, cap))
         elif suite == "canonical":
             checks.extend(_check_canonical(args.seed, cap))
         else:  # counting

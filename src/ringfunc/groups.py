@@ -10,13 +10,15 @@ stabilizer of the base points, and the ambient product, and ships the
 verification routines that check the group axioms and the embedding.
 
 Group elements here hold index tables (tuples of element indices) rather than
-raw encodings; composition is then pure integer indexing, which keeps the
-exhaustive closure and associativity sweeps fast enough for the q = 4 cases.
+raw encodings; composition is then pure integer indexing.  Every element type
+multiplies as a composition of permutations of R[al] (a pair (G, F) acts as
+(a, b) -> (G(a), F(a) * b)), so associativity holds by construction, and the
+verification routines check closure and the homomorphism law exactly from a
+greedy generating set S with |G| * |S| products instead of |G|^2.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import product
 
@@ -501,6 +503,48 @@ def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[Stabiliz
     return out
 
 
+def _generate(elements, visit=None) -> tuple[list, bool]:
+    """Greedy generating set of a finite pool, and whether the pool is closed.
+
+    Walks the pool in order and makes each element not yet reached a new
+    generator; the breadth-first closure under right multiplication by the
+    generators then forms x * s exactly once for every reached x and every
+    generator s, calling visit(x, s, x * s) on each.  A product outside the
+    pool marks it not closed and is not expanded further, so every pool
+    element ends up reached and inside the group the generators generate.
+
+    For associative products a closed pool is the group generated: each
+    element is a product of generators, so right multiplication by the
+    generators alone keeps every product in the pool.  A group of order n
+    needs at most log2(n) + 1 greedy generators (each new one at least
+    doubles the subgroup reached), so the walk costs O(n log n) products.
+    """
+    pool = set(elements)
+    gens: list = []
+    reached: set = set()
+    closed = True
+    for g in elements:
+        if g in reached:
+            continue
+        queue = [(x, (g,)) for x in reached]
+        gens.append(g)
+        reached.add(g)
+        queue.append((g, tuple(gens)))
+        for x, ss in queue:
+            for s in ss:
+                y = x * s
+                if visit is not None:
+                    visit(x, s, y)
+                if y in reached:
+                    continue
+                if y in pool:
+                    reached.add(y)
+                    queue.append((y, tuple(gens)))
+                else:
+                    closed = False
+    return gens, closed
+
+
 @dataclass(frozen=True)
 class GroupAxiomsReport:
     size: int
@@ -517,34 +561,26 @@ class GroupAxiomsReport:
         return self.closed and self.has_identity and self.inverses_ok and self.associative
 
 
-def verify_group_axioms(
-    elements,
-    *,
-    seed: int = 0,
-    exhaustive_limit: int = 64,
-    samples: int = 10_000,
-) -> GroupAxiomsReport:
-    """Check the group axioms on a finite list of elements.
+def verify_group_axioms(elements) -> GroupAxiomsReport:
+    """Check the group axioms on a finite list of elements, exactly.
 
-    Closure and the identity and inverse axioms are checked in full.
-    Associativity is exhaustive up to exhaustive_limit elements and sampled
-    on seeded random triples beyond that; commutativity is probed the same
-    way and reported alongside.
+    The elements must multiply as compositions of permutations of R[al]
+    (semidirect elements, dual permutations), so associativity holds by
+    construction and is reported with mode "composition".  Closure is
+    decided from a greedy generating set S of the list: the list is closed
+    under all products iff right multiplication by S never leaves it.  The
+    identity and inverse axioms are checked on every element.  The list is
+    abelian iff the elements of S commute pairwise, since every element lies
+    in the group S generates; abelian_mode is "generators:<|S|>".
     """
     els = list(elements)
     n = len(els)
     if n == 0:
-        return GroupAxiomsReport(0, False, False, False, False, "exhaustive", True, "exhaustive")
+        return GroupAxiomsReport(
+            0, False, False, False, False, "composition", True, "generators:0"
+        )
     pool = set(els)
-
-    closed = True
-    for a in els:
-        for b in els:
-            if a * b not in pool:
-                closed = False
-                break
-        if not closed:
-            break
+    gens, closed = _generate(els)
 
     identity = None
     probe = els[0]
@@ -561,39 +597,11 @@ def verify_group_axioms(
         for x in els
     )
 
-    rng = random.Random(seed)
-    if n <= exhaustive_limit:
-        associative = all(
-            (a * b) * c == a * (b * c) for a in els for b in els for c in els
-        )
-        associativity_mode = "exhaustive"
-    else:
-        associative = True
-        for _ in range(samples):
-            a = els[rng.randrange(n)]
-            b = els[rng.randrange(n)]
-            c = els[rng.randrange(n)]
-            if (a * b) * c != a * (b * c):
-                associative = False
-                break
-        associativity_mode = f"sampled:{samples}"
-
-    if n * n <= samples:
-        abelian = all(a * b == b * a for a in els for b in els)
-        abelian_mode = "exhaustive"
-    else:
-        abelian = True
-        for _ in range(samples):
-            a = els[rng.randrange(n)]
-            b = els[rng.randrange(n)]
-            if a * b != b * a:
-                abelian = False
-                break
-        abelian_mode = f"sampled:{samples}"
+    abelian = all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
 
     return GroupAxiomsReport(
-        n, closed, has_identity, inverses_ok, associative, associativity_mode,
-        abelian, abelian_mode,
+        n, closed, has_identity, inverses_ok, True, "composition",
+        abelian, f"generators:{len(gens)}",
     )
 
 
@@ -619,55 +627,47 @@ class EmbeddingReport:
         return ok and self.factorization_ok
 
 
-def verify_embedding(
-    base: Ring,
-    *,
-    seed: int = 0,
-    full_limit: int = 4_200_000,
-    samples: int = 10_000,
-    cap: int | None = None,
-) -> EmbeddingReport:
+def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     """Check that reading off base pairs embeds the dual permutations into
     the semidirect product.
 
     Injectivity and membership of the image are exhaustive.  The
-    homomorphism law embed(d1 * d2) = embed(d1) * embed(d2) is exhaustive
-    when the number of pairs stays below full_limit, sampled otherwise.
-    Surjectivity holds exactly over fields; otherwise the image size is
-    compared against the stabilizer-permutation factorization.
+    homomorphism law pair(d * s) = pair(d) * pair(s) is checked for every
+    dual permutation d and every s in a greedy generating set S of them,
+    while the closure from S is built; the enumerated set must be closed
+    under those products, or homomorphism_ok is False.  This is exact: with
+    d * g = d * s1 * ... * sk the law for all pairs follows by induction on
+    k, since both products are compositions and hence associative.  The
+    mode is "generators:<|S|>".  Surjectivity is the set comparison of the
+    image with the ambient product; the image size is also compared against
+    the stabilizer-permutation factorization.
     """
     perms = enumerate_dual_permutations(base, cap=cap)
-    embedded = [embed_dual_permutation(dp) for dp in perms]
-    image = set(embedded)
+    pairs = {dp: dp.base_pair() for dp in perms}
+    image = {SemidirectElement(base, G, F) for G, F in pairs.values()}
     injective = len(image) == len(perms)
 
     ambient = semidirect_group(base, cap=cap)
     ambient_set = set(ambient)
     image_in_ambient = image <= ambient_set
 
-    n = len(perms)
-    pairs = [dp.base_pair() for dp in perms]
     mul_t = base.index_op_tables()[1]
+    law_ok = True
 
-    def law_holds(i: int, j: int) -> bool:
+    def law(d, s, ds):
         # compare the pair of the composed dual permutation against the
         # twisted product of the pairs, all on raw index tuples
-        G1, F1 = pairs[i]
-        G2, F2 = pairs[j]
-        Gc, Fc = (perms[i] * perms[j]).base_pair()
-        if Gc != tuple(G1[a] for a in G2):
-            return False
-        return Fc == tuple(mul_t[F1[a]][b] for a, b in zip(G2, F2))
+        nonlocal law_ok
+        G1, F1 = pairs[d]
+        G2, F2 = pairs[s]
+        Gc, Fc = ds.base_pair()
+        if Gc != tuple(G1[a] for a in G2) or Fc != tuple(
+            mul_t[F1[a]][b] for a, b in zip(G2, F2)
+        ):
+            law_ok = False
 
-    if n * n <= full_limit:
-        homomorphism_ok = all(law_holds(i, j) for i in range(n) for j in range(n))
-        homomorphism_mode = "exhaustive"
-    else:
-        rng = random.Random(seed)
-        homomorphism_ok = all(
-            law_holds(rng.randrange(n), rng.randrange(n)) for _ in range(samples)
-        )
-        homomorphism_mode = f"sampled:{samples}"
+    gens, closed = _generate(perms, law)
+    homomorphism_ok = law_ok and closed
 
     stab = enumerate_stabilizer(base, cap=cap)
     perm_count = len(permutation_tables(base, cap=cap))
@@ -688,7 +688,7 @@ def verify_embedding(
         stabilizer_size=len(stab),
         injective=injective,
         homomorphism_ok=homomorphism_ok,
-        homomorphism_mode=homomorphism_mode,
+        homomorphism_mode=f"generators:{len(gens)}",
         image_in_ambient=image_in_ambient,
         surjective=surjective,
         factorization_ok=factorization_ok,

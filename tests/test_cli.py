@@ -1,5 +1,6 @@
 """Command line surface: verbs, output shapes, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -348,6 +349,35 @@ def test_verify_groups_grid_respects_max_size(capsys):
         "groups[embedding:fq:3]: pass",
         "4/4 checks passed",
     ]
+
+
+def test_verify_groups_passes_over_z6(capsys):
+    # Z_6 = F_2 x F_3 is no field, yet its embedding is onto (96 = 12 * 8)
+    code, out, _ = run(capsys, "verify", "--suite", "groups", "--ring", "zm:6", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "checks": [
+            {"name": "groups[axioms:zm:6]", "passed": True},
+            {"name": "groups[embedding:zm:6]", "passed": True},
+        ],
+        "failed": 0,
+    }
+
+
+@pytest.mark.parametrize("ring, changes", [
+    ("fq:3", {"surjective": False, "stabilizer_size": 4}),  # a field not onto
+    ("zm:6", {"surjective": False}),  # not onto, yet the stabilizer is full
+    ("zpn:2,2", {"surjective": True}),  # onto, yet the stabilizer is short
+])
+def test_verify_groups_fails_an_inconsistent_embedding(capsys, monkeypatch, ring, changes):
+    real = cli.gr.verify_embedding
+    monkeypatch.setattr(
+        cli.gr, "verify_embedding",
+        lambda base, cap: dataclasses.replace(real(base, cap=cap), **changes),
+    )
+    code, out, _ = run(capsys, "verify", "--suite", "groups", "--ring", ring)
+    assert code == 4
+    assert f"groups[embedding:{ring}]: FAIL" in out
 
 
 def test_verify_failure_exits_four(capsys, monkeypatch):

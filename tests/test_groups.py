@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ringfunc import groups
 from ringfunc.dual import DualPolynomial, dual_ring, horner_dual
 from ringfunc.funcspace import (
     FunctionTable,
@@ -184,20 +185,120 @@ def test_unit_tables_form_a_normal_complement(desc):
             assert h * u * hinv in unit_subgroup
 
 
+# Brute-force oracles: all pairs for closure and commutativity, all triples
+# for associativity, all pairs for the homomorphism law.
+
+
+def _cayley(els):
+    """Index of a * b in els for every pair, None where a product leaves it."""
+    index = {el: i for i, el in enumerate(els)}
+    return [[index.get(a * b) for b in els] for a in els]
+
+
+def _brute_axioms(els):
+    """(closed, associative, abelian) from every pair and every triple;
+    associativity is None for a set that is not closed."""
+    table = _cayley(els)
+    r = range(len(els))
+    abelian = all(els[a] * els[b] == els[b] * els[a] for a in r for b in r)
+    if any(None in row for row in table):
+        return False, None, abelian
+    associative = all(
+        table[table[a][b]][c] == table[a][table[b][c]] for a in r for b in r for c in r
+    )
+    return True, associative, abelian
+
+
+def _brute_homomorphism(base, dps):
+    """Whether the dual permutations are closed under products and the pair
+    of d1 * d2 is the twisted product of the pairs, for all pairs."""
+    if not _brute_axioms(dps)[0]:
+        return False
+    mul_t = base.index_op_tables()[1]
+    for d1 in dps:
+        G1, F1 = d1.base_pair()
+        for d2 in dps:
+            G2, F2 = d2.base_pair()
+            Gc, Fc = (d1 * d2).base_pair()
+            if Gc != tuple(G1[a] for a in G2):
+                return False
+            if Fc != tuple(mul_t[F1[a]][b] for a, b in zip(G2, F2)):
+                return False
+    return True
+
+
+def _foreign_perm(ring):
+    """A bijection of the ring that no polynomial induces."""
+    induced = permutation_tables(ring)
+    return next(
+        p for p in itertools.permutations(range(ring.size))
+        if tuple(ring.elements[i] for i in p) not in induced
+    )
+
+
 def test_axiom_report_on_small_groups():
     f3 = make_ring("fq:3")
     rep = verify_group_axioms(semidirect_group(f3))
     assert rep.passed
     assert rep.size == 48
-    assert rep.associativity_mode == "exhaustive"
+    assert rep.associativity_mode == "composition"
     assert not rep.abelian
-    assert rep.abelian_mode == "exhaustive"
+    assert rep.abelian_mode.startswith("generators:")
 
     z4 = make_ring("zpn:2,2")
     rep4 = verify_group_axioms(semidirect_group(z4))
     assert rep4.passed
     assert not rep4.abelian
-    assert rep4.associativity_mode == "sampled:10000"
+    assert rep4.associativity_mode == "composition"
+
+
+def test_axiom_report_uses_few_generators():
+    # a greedy generating set of a group of order n has at most log2(n) + 1
+    # elements, so the closure costs O(n log n) products
+    for desc in ("fq:3", "zpn:2,2", "fq:4"):
+        group = semidirect_group(make_ring(desc))
+        k = int(verify_group_axioms(group).abelian_mode.split(":")[1])
+        assert 2 <= k <= len(group).bit_length()
+
+
+def _axiom_pools():
+    f3 = make_ring("fq:3")
+    z4 = make_ring("zpn:2,2")
+    f3_group = semidirect_group(f3)
+    z4_group = semidirect_group(z4)
+    z4_stab = [st.as_semidirect() for st in enumerate_stabilizer(z4)]
+    one = (z4.index(z4.one),) * z4.size
+    return {
+        "fq:3": f3_group,
+        "zpn:2,2": z4_group,
+        "zpn:2,2-stabilizer": z4_stab,
+        "fq:3-permutations": [el for el in f3_group if el.unit == (1, 1, 1)],
+        "fq:3-no-identity": f3_group[1:],
+        "fq:3-truncated": f3_group[:10],
+        # the stabilizer plus a unit table outside the induced [1 + g'] set
+        "zpn:2,2-stabilizer-foreign-unit": z4_stab + [
+            SemidirectElement(z4, tuple(range(4)), (1, 1, 1, 3))
+        ],
+        # the whole product plus a permutation no polynomial induces
+        "zpn:2,2-foreign-perm": z4_group + [
+            SemidirectElement(z4, _foreign_perm(z4), one)
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "fq:3", "zpn:2,2", "zpn:2,2-stabilizer", "fq:3-permutations",
+    "fq:3-no-identity", "fq:3-truncated",
+    "zpn:2,2-stabilizer-foreign-unit", "zpn:2,2-foreign-perm",
+])
+def test_axiom_report_matches_brute_force(name):
+    pool = _axiom_pools()[name]
+    rep = verify_group_axioms(pool)
+    closed, associative, abelian = _brute_axioms(pool)
+    assert (rep.closed, rep.abelian) == (closed, abelian)
+    if associative is not None:
+        assert rep.associative == associative
+    assert rep.associativity_mode == "composition"
 
 
 def test_axiom_report_flags_broken_sets():
@@ -211,6 +312,15 @@ def test_axiom_report_flags_broken_sets():
     singleton = verify_group_axioms([SemidirectElement.identity(f3)])
     assert singleton.passed
     assert singleton.abelian
+
+
+@pytest.mark.parametrize("name", [
+    "zpn:2,2-stabilizer-foreign-unit", "zpn:2,2-foreign-perm",
+])
+def test_axiom_report_rejects_a_foreign_pair(name):
+    rep = verify_group_axioms(_axiom_pools()[name])
+    assert not rep.closed
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +524,7 @@ def test_embedding_report_over_fields():
     assert rep2.passed
     assert rep2.surjective
     assert (rep2.dual_perm_count, rep2.image_size, rep2.ambient_size) == (2, 2, 2)
-    assert rep2.homomorphism_mode == "exhaustive"
+    assert rep2.homomorphism_mode.startswith("generators:")
 
     rep3 = verify_embedding(make_ring("fq:3"))
     assert rep3.passed
@@ -429,7 +539,7 @@ def test_embedding_report_over_the_four_element_ring():
     assert not rep.surjective
     assert rep.injective
     assert rep.homomorphism_ok
-    assert rep.homomorphism_mode == "exhaustive"
+    assert rep.homomorphism_mode.startswith("generators:")
     assert (rep.dual_perm_count, rep.image_size, rep.ambient_size) == (32, 32, 128)
     assert (rep.perm_count, rep.unit_table_count, rep.stabilizer_size) == (8, 16, 4)
     assert rep.image_size == rep.stabilizer_size * rep.perm_count
@@ -446,3 +556,64 @@ def test_embedding_respects_products_directly():
         lhs = embed_dual_permutation(d1 * d2)
         rhs = embed_dual_permutation(d1) * embed_dual_permutation(d2)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
+def test_embedding_report_matches_brute_force(desc):
+    base = make_ring(desc)
+    rep = verify_embedding(base)
+    assert rep.homomorphism_ok == _brute_homomorphism(base, enumerate_dual_permutations(base))
+    assert rep.homomorphism_ok
+    assert rep.passed
+
+
+def _swap_two_entries(dp, i, j):
+    table = list(dp.table)
+    table[i], table[j] = table[j], table[i]
+    return DualPermutation(dp.dual, table)
+
+
+@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2"])
+def test_embedding_report_rejects_a_corrupted_enumeration(monkeypatch, desc):
+    # swap the images of (a, 0) and (a, b) for a b other than 1: the base
+    # pair read off the (a, 1) entries is unchanged, so only the closure and
+    # the homomorphism law can notice
+    base = make_ring(desc)
+    nb = base.size
+    b = next(i for i in range(1, nb) if i != base.index(base.one))
+    real = groups.enumerate_dual_permutations
+
+    def corrupted(ring, *, cap=None):
+        dps = real(ring, cap=cap)
+        return dps[:-1] + [_swap_two_entries(dps[-1], 0, b)]
+
+    monkeypatch.setattr(groups, "enumerate_dual_permutations", corrupted)
+    dps = corrupted(base)
+    assert len(set(dps)) == len(dps)
+    assert not _brute_homomorphism(base, dps)
+    rep = verify_embedding(base)
+    assert rep.injective and rep.image_in_ambient and rep.factorization_ok
+    assert not rep.homomorphism_ok
+    assert not rep.passed
+
+
+def test_embedding_report_rejects_a_conjugated_enumeration(monkeypatch):
+    # conjugating every dual permutation by a swap of two dual elements keeps
+    # a closed group, but the pairs read off it no longer multiply by the
+    # semidirect law
+    base = make_ring("zpn:2,2")
+    swap = list(range(16))
+    swap[1], swap[9] = 9, 1  # (0, 1) and (2, 1)
+    real = groups.enumerate_dual_permutations
+
+    def conjugated(ring, *, cap=None):
+        return [
+            DualPermutation(dp.dual, [swap[dp.table[swap[k]]] for k in range(16)])
+            for dp in real(ring, cap=cap)
+        ]
+
+    monkeypatch.setattr(groups, "enumerate_dual_permutations", conjugated)
+    dps = conjugated(base)
+    assert _brute_axioms(dps)[0]
+    assert not _brute_homomorphism(base, dps)
+    assert not verify_embedding(base).homomorphism_ok
