@@ -139,20 +139,11 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _brute_beta(p: int, n: int) -> int:
-    target = p**n
-    fact = 1
-    k = 0
-    while fact % target:
-        k += 1
-        fact *= k
-    return k
-
-
 def _brute_count(what: str, p: int, n: int, cap) -> int:
-    if what == "beta":
-        return _brute_beta(p, n)
     ring = PrimePowerRing(p, n)
+    if what == "beta":
+        # the least k with p^n | k!, by search rather than Legendre's formula
+        return fs.null_degree_bound(ring)
     if what == "polyfun":
         return len(fs.induced_tables(ring, cap=cap))
     if what == "uvpf":
@@ -378,16 +369,22 @@ def _check_dual_criterion(base: Ring, seed: int, cap) -> list[tuple[str, bool]]:
     D = gr.dual_degree_bound(base, cap=cap)
     dual = dual_ring(base, size_cap=cap)
     mask = base.unit_index_mask()
+    els = base.elements
     size = base.size
-    candidates = []
-    for ftab, dtab, coeffs in gr.pair_table_sweep(base, D, cap=cap):
-        verdict = len(set(ftab)) == size and all(mask[i] for i in dtab)
-        candidates.append((coeffs, verdict))
+    # the criterion's verdict does not depend on the constant term
+    blocks = [
+        (rest, len(set(ftab0)) == size and all(mask[i] for i in dtab))
+        for ftab0, dtab, rest in gr.pair_table_blocks(base, D, cap=cap)
+    ]
+    # candidate i of the sweep is block i // |base| with constant term
+    # elements[i % |base|], the order of gr.pair_table_sweep
+    count = len(blocks) * size
     rng = random.Random(seed)
-    sample = candidates if len(candidates) <= 400 else rng.sample(candidates, 400)
+    sample = range(count) if count <= 400 else rng.sample(range(count), 400)
     ok = True
-    for coeffs, verdict in sample:
-        f = Polynomial(coeffs, None if base.integer_encoded else base)
+    for i in sample:
+        rest, verdict = blocks[i // size]
+        f = Polynomial((els[i % size],) + rest, None if base.integer_encoded else base)
         seen = set()
         bijective = True
         for a in base.elements:
@@ -410,9 +407,11 @@ def _check_local_criterion(p: int, n: int, cap) -> list[tuple[str, bool]]:
     D = fs.null_degree_bound(ring)
     residues = set(range(p))
     ok = True
-    for ftab, dtab, _ in gr.pair_table_sweep(ring, D, cap=cap):
-        brute = len(set(ftab)) == ring.size
-        local = {v % p for v in ftab[:p]} == residues and (
+    # adding a constant translates [f] and its residues mod p and keeps [f'],
+    # so both verdicts are those of the block's member with constant term 0
+    for ftab0, dtab, _ in gr.pair_table_blocks(ring, D, cap=cap):
+        brute = len(set(ftab0)) == ring.size
+        local = {v % p for v in ftab0[:p]} == residues and (
             n == 1 or all(dtab[a] % p for a in range(p))
         )
         if brute != local:

@@ -313,9 +313,13 @@ def induced_tables(
     """All distinct value tables induced by polynomials of degree < D.
 
     Candidates range over coefficient vectors from coeff_elements (default:
-    the whole ring).  The sweep is incremental: stepping one coefficient
-    adjusts every table entry by a precomputed delta term, so the cost per
-    candidate is O(|ring|) additions rather than a full re-evaluation.
+    the whole ring).  Adding a constant c translates a table by c, so the
+    sweep steps only the coefficients of degree 1 .. D-1 with the constant
+    term zero (whether or not zero is in the domain), and the distinct
+    tables found are then translated by each constant of the domain.
+    Stepping one coefficient adjusts every table entry by a precomputed
+    delta row, so a table costs O(|ring|) lookups and no ring arithmetic.
+    The cap counts every candidate, |domain|^D.
     """
     D = null_degree_bound(ring) if degree_bound is None else degree_bound
     domain = list(ring.elements if coeff_elements is None else coeff_elements)
@@ -330,52 +334,42 @@ def induced_tables(
     dom_idx = [ring.index(e) for e in domain]
     ndom = len(dom_idx)
     els = ring.elements
+    zero_idx = ring.index(ring.zero)
 
     def delta_row(d: int, from_idx: int, to_idx: int) -> list[int]:
         diff = ring.index(ring.sub(els[to_idx], els[from_idx]))
         row = mul_t[diff]
         return [row[pw[d][pt]] for pt in range(size)]
 
+    # step[d - 1][k]: coefficient d moves from domain[k] to the next, cyclically
     step = [
-        [delta_row(d, dom_idx[k], dom_idx[k + 1]) for k in range(ndom - 1)]
-        for d in range(D)
+        [delta_row(d, dom_idx[k], dom_idx[(k + 1) % ndom]) for k in range(ndom)]
+        for d in range(1, D)
     ]
-    wrap = [delta_row(d, dom_idx[-1], dom_idx[0]) for d in range(D)]
 
-    # start at the candidate with every coefficient equal to domain[0]
-    c0 = dom_idx[0]
-    table = []
-    zero_idx = ring.index(ring.zero)
-    for pt in range(size):
-        acc = zero_idx
-        for d in range(D):
-            acc = add_t[acc][mul_t[c0][pw[d][pt]]]
-        table.append(acc)
+    # start with every coefficient of degree >= 1 equal to domain[0]
+    table = [zero_idx] * size
+    for d in range(1, D):
+        term = delta_row(d, zero_idx, dom_idx[0])
+        table = [add_t[a][b] for a, b in zip(table, term)]
 
-    digits = [0] * D
+    digits = [0] * (D - 1)
     found = set()
-    points = range(size)
     while True:
         found.add(tuple(table))
-        pos = 0
-        while pos < D:
-            k = digits[pos]
-            if k + 1 < ndom:
-                term = step[pos][k]
-                for pt in points:
-                    table[pt] = add_t[table[pt]][term[pt]]
-                digits[pos] = k + 1
+        for pos, k in enumerate(digits):
+            term = step[pos][k]
+            table = [add_t[a][b] for a, b in zip(table, term)]
+            digits[pos] = (k + 1) % ndom
+            if digits[pos]:
                 break
-            term = wrap[pos]
-            for pt in points:
-                table[pt] = add_t[table[pt]][term[pt]]
-            digits[pos] = 0
-            pos += 1
         else:
             break
+    shifts = [add_t[i].__getitem__ for i in dom_idx]
+    tables = {tuple(map(shift, t)) for t in found for shift in shifts}
     if ring.integer_encoded:
-        return frozenset(found)
-    return frozenset(tuple(els[i] for i in t) for t in found)
+        return frozenset(tables)
+    return frozenset(tuple(els[i] for i in t) for t in tables)
 
 
 def permutation_tables(

@@ -246,6 +246,87 @@ def _pair_to_dual_table(dual: DualRing, G, F) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _translations(base: Ring, domain) -> list:
+    """(c, i -> index of elements[i] + c) for each constant c of the domain."""
+    add_t = base.index_op_tables()[0]
+    els = base.elements
+    return [(els[i], add_t[i].__getitem__) for i in map(base.index, domain)]
+
+
+def pair_table_blocks(
+    base: Ring,
+    degree_bound: int,
+    *,
+    coeff_elements=None,
+    cap: int | None = None,
+):
+    """Sweep coefficient vectors of degree < degree_bound over the base ring
+    by blocks, yielding (f0_table, derivative_table, rest) once per block.
+
+    A block is the candidates that share rest, the coefficients of degree
+    1 .. D-1 as base encodings; f0_table is the table of its member with
+    constant term zero, which need not be in the domain.  Adding a constant c
+    translates [f] by c and leaves [f'] unchanged, so the member with
+    constant c has the table f0_table + c and the same derivative table, and
+    a verdict invariant under translation holds for the whole block or for
+    none of it.  Blocks come in sweep order, degree 1 fastest and each digit
+    in domain order; tables are index tuples over the base.  Both tables are
+    stepped incrementally, so one block costs O(|base|) table lookups.  The
+    cap counts every candidate, |domain|^D.  Needs D >= 1.
+    """
+    D = degree_bound
+    domain = list(base.elements if coeff_elements is None else coeff_elements)
+    if not domain:
+        raise ValueError("empty coefficient domain")
+    if D < 1:
+        raise ValueError("a block sweep needs a degree bound of at least 1")
+    check_cap(len(domain) ** D, cap, "pair sweep")
+    size = base.size
+    zero_idx = base.index(base.zero)
+    add_t, mul_t = base.index_op_tables()
+    pw = base.power_index_table(D - 1)
+    els = base.elements
+    dom_idx = [base.index(e) for e in domain]
+    ndom = len(dom_idx)
+    points = range(size)
+
+    def value_rows(d: int, from_idx: int, to_idx: int):
+        # the change of [c x^d] and of [d c x^(d-1)] when c steps
+        delta = base.sub(els[to_idx], els[from_idx])
+        drow = mul_t[base.index(delta)]
+        srow = mul_t[base.index(base.mul(base.from_int(d), delta))]
+        return [drow[pw[d][pt]] for pt in points], [srow[pw[d - 1][pt]] for pt in points]
+
+    # step[d - 1][k]: coefficient d moves from domain[k] to the next, cyclically
+    step = [
+        [value_rows(d, dom_idx[k], dom_idx[(k + 1) % ndom]) for k in range(ndom)]
+        for d in range(1, D)
+    ]
+
+    ftab = [zero_idx] * size
+    dtab = [zero_idx] * size
+    for d in range(1, D):
+        frow, drow = value_rows(d, zero_idx, dom_idx[0])
+        ftab = [add_t[a][b] for a, b in zip(ftab, frow)]
+        dtab = [add_t[a][b] for a, b in zip(dtab, drow)]
+
+    digits = [0] * (D - 1)
+    dom_els = [els[i] for i in dom_idx]
+    rest = [dom_els[0]] * (D - 1)
+    while True:
+        yield tuple(ftab), tuple(dtab), tuple(rest)
+        for pos, k in enumerate(digits):
+            frow, drow = step[pos][k]
+            ftab = [add_t[a][b] for a, b in zip(ftab, frow)]
+            dtab = [add_t[a][b] for a, b in zip(dtab, drow)]
+            k = digits[pos] = (k + 1) % ndom
+            rest[pos] = dom_els[k]
+            if k:
+                break
+        else:
+            return
+
+
 def pair_table_sweep(
     base: Ring,
     degree_bound: int,
@@ -257,78 +338,26 @@ def pair_table_sweep(
     yielding (f_table, derivative_table, coefficients) per candidate.
 
     Tables are index tuples over the base; coefficients come back as a tuple
-    of base encodings, constant term first.  Both tables are maintained
-    incrementally, so one candidate costs O(|base|) ring operations.
+    of base encodings, constant term first, and the constant term steps
+    fastest, in domain order.  Each candidate is one translation of its
+    block's table from pair_table_blocks: O(|base|) table lookups and no
+    ring arithmetic.
     """
-    D = degree_bound
     domain = list(base.elements if coeff_elements is None else coeff_elements)
-    if not domain:
-        raise ValueError("empty coefficient domain")
-    check_cap(len(domain) ** D, cap, "pair sweep")
-    size = base.size
-    zero_idx = base.index(base.zero)
-    if D <= 0:
-        yield (zero_idx,) * size, (zero_idx,) * size, ()
+    if degree_bound <= 0:
+        # no coefficients at all: the one candidate is the zero polynomial
+        if not domain:
+            raise ValueError("empty coefficient domain")
+        check_cap(1, cap, "pair sweep")
+        zero_tab = (base.index(base.zero),) * base.size
+        yield zero_tab, zero_tab, ()
         return
-    add_t, mul_t = base.index_op_tables()
-    pw = base.power_index_table(D - 1)
-    els = base.elements
-    dom_idx = [base.index(e) for e in domain]
-    ndom = len(dom_idx)
-
-    def value_rows(d: int, from_idx: int, to_idx: int):
-        delta = base.sub(els[to_idx], els[from_idx])
-        drow = mul_t[base.index(delta)]
-        frow = [drow[pw[d][pt]] for pt in range(size)]
-        if d == 0:
-            return frow, None
-        scaled = base.mul(base.from_int(d), delta)
-        srow = mul_t[base.index(scaled)]
-        return frow, [srow[pw[d - 1][pt]] for pt in range(size)]
-
-    step = [
-        [value_rows(d, dom_idx[k], dom_idx[k + 1]) for k in range(ndom - 1)]
-        for d in range(D)
-    ]
-    wrap = [value_rows(d, dom_idx[-1], dom_idx[0]) for d in range(D)]
-
-    c0 = dom_idx[0]
-    ftab = []
-    dtab = []
-    for pt in range(size):
-        acc = zero_idx
-        for d in range(D):
-            acc = add_t[acc][mul_t[c0][pw[d][pt]]]
-        ftab.append(acc)
-        acc = zero_idx
-        for d in range(1, D):
-            scaled = base.mul(base.from_int(d), els[c0])
-            acc = add_t[acc][mul_t[base.index(scaled)][pw[d - 1][pt]]]
-        dtab.append(acc)
-
-    digits = [0] * D
-    points = range(size)
-    while True:
-        yield tuple(ftab), tuple(dtab), tuple(els[dom_idx[k]] for k in digits)
-        pos = 0
-        while pos < D:
-            k = digits[pos]
-            if k + 1 < ndom:
-                frow, drow = step[pos][k]
-                digits[pos] = k + 1
-            else:
-                frow, drow = wrap[pos]
-                digits[pos] = 0
-            for pt in points:
-                ftab[pt] = add_t[ftab[pt]][frow[pt]]
-            if drow is not None:
-                for pt in points:
-                    dtab[pt] = add_t[dtab[pt]][drow[pt]]
-            if digits[pos]:
-                break
-            pos += 1
-        else:
-            return
+    shifts = _translations(base, domain)
+    for ftab0, dtab, rest in pair_table_blocks(
+        base, degree_bound, coeff_elements=coeff_elements, cap=cap
+    ):
+        for c, shift in shifts:
+            yield tuple(map(shift, ftab0)), dtab, (c,) + rest
 
 
 _BOUND_CACHE: dict[str, int] = {}
@@ -394,21 +423,26 @@ def enumerate_dual_permutations(
     Sweeps every coefficient vector below the dual degree bound, keeps the
     ones whose base table is a bijection and whose derivative table is
     unit-valued, and dedups by the pair, recording the first witness for
-    each.  Sorted by table for deterministic output.
+    each.  Both conditions are invariant under adding a constant, so they
+    are tested once per block of pair_table_blocks, and only the blocks that
+    pass are expanded, in sweep order.  Sorted by table for deterministic
+    output.
     """
     D = dual_degree_bound(base, cap=cap)
     dual = dual_ring(base)
     size = base.size
     mask = base.unit_index_mask()
+    shifts = _translations(base, base.elements)
     seen: dict[tuple, tuple] = {}
-    for ftab, dtab, coeffs in pair_table_sweep(base, D, cap=cap):
+    for ftab0, dtab, rest in pair_table_blocks(base, D, cap=cap):
         if not all(mask[i] for i in dtab):
             continue
-        if len(set(ftab)) != size:
+        if len(set(ftab0)) != size:
             continue
-        key = (ftab, dtab)
-        if key not in seen:
-            seen[key] = coeffs
+        for c, shift in shifts:
+            key = (tuple(map(shift, ftab0)), dtab)
+            if key not in seen:
+                seen[key] = (c,) + rest
     out = []
     for (ftab, dtab), coeffs in seen.items():
         table = _pair_to_dual_table(dual, ftab, dtab)
@@ -463,15 +497,20 @@ def null_polynomials(
 
     The default bound is the dual degree bound, deep enough that the listed
     polynomials realize every derivative table a null polynomial can have.
+    A block of pair_table_blocks has at most one null member: its table
+    f0 + c vanishes only if f0 is the constant -c, and f0 vanishes at 0, so
+    c = 0 and f0 is the zero table.
     """
     D = dual_degree_bound(base, cap=cap) if degree_bound is None else degree_bound
-    zero_idx = base.index(base.zero)
-    zero_tab = (zero_idx,) * base.size
-    out = []
-    for ftab, _, coeffs in pair_table_sweep(base, D, cap=cap):
-        if ftab == zero_tab:
-            out.append(Polynomial(coeffs, None if base.integer_encoded else base))
-    return out
+    ring_arg = None if base.integer_encoded else base
+    if D <= 0:
+        return [Polynomial((), ring_arg)]
+    zero_tab = (base.index(base.zero),) * base.size
+    return [
+        Polynomial((base.zero,) + rest, ring_arg)
+        for ftab0, _, rest in pair_table_blocks(base, D, cap=cap)
+        if ftab0 == zero_tab
+    ]
 
 
 def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[StabilizerElement]:
@@ -479,22 +518,22 @@ def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[Stabiliz
 
     Elements come from x + g with g null on the base; the dual action scales
     the infinitesimal part by 1 + g'(a), so the element is the unit table
-    [1 + g'] and only null parts with that table unit-valued qualify.
+    [1 + g'] and only null parts with that table unit-valued qualify.  The
+    null parts have constant term 0 (see null_polynomials), so one member
+    per block of pair_table_blocks is looked at.
     """
     D = dual_degree_bound(base, cap=cap)
-    size = base.size
     add_t = base.index_op_tables()[0]
     mask = base.unit_index_mask()
     one_idx = base.index(base.one)
-    zero_idx = base.index(base.zero)
-    zero_tab = (zero_idx,) * size
+    zero_tab = (base.index(base.zero),) * base.size
     seen: dict[tuple, tuple] = {}
-    for ftab, dtab, coeffs in pair_table_sweep(base, D, cap=cap):
-        if ftab != zero_tab:
+    for ftab0, dtab, rest in pair_table_blocks(base, D, cap=cap):
+        if ftab0 != zero_tab:
             continue
         unit = tuple(add_t[one_idx][i] for i in dtab)
         if all(mask[i] for i in unit) and unit not in seen:
-            seen[unit] = coeffs
+            seen[unit] = (base.zero,) + rest
     out = [
         StabilizerElement(base, unit, Polynomial(coeffs, None if base.integer_encoded else base))
         for unit, coeffs in seen.items()
@@ -513,6 +552,12 @@ def _generate(elements, visit=None) -> tuple[list, bool]:
     pool marks it not closed and is not expanded further, so every pool
     element ends up reached and inside the group the generators generate.
 
+    The identity is never made a generator unless it is the whole pool: it
+    would cost |G| products and add nothing, and a closed pool reaches it
+    as a power of any generator.  For compositions of permutations the
+    idempotents are exactly the identity, so g * g == g detects it.  A pool
+    that never reaches its identity is not closed.
+
     For associative products a closed pool is the group generated: each
     element is a product of generators, so right multiplication by the
     generators alone keeps every product in the pool.  A group of order n
@@ -524,7 +569,7 @@ def _generate(elements, visit=None) -> tuple[list, bool]:
     reached: set = set()
     closed = True
     for g in elements:
-        if g in reached:
+        if g in reached or (len(pool) > 1 and g * g == g):
             continue
         queue = [(x, (g,)) for x in reached]
         gens.append(g)

@@ -1,13 +1,18 @@
 """Command line surface: verbs, output shapes, exit codes."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
+from ringfunc import canonical as canon
 from ringfunc import cli
+from ringfunc import groups as gr
 from ringfunc.cli import main
-from ringfunc.rings import CAP_ENV_VAR
+from ringfunc.rings import CAP_ENV_VAR, make_ring
 
 
 def run(capsys, *argv):
@@ -97,6 +102,24 @@ def test_count_brute_force_agrees(capsys, what, p, n, value):
     assert doc["formula"] == value
     assert doc["brute_force"] == value
     assert doc["agreement"] is True
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 2)])
+def test_count_beta_brute_force_matches_legendre(capsys, p, n):
+    code, out, _ = run(
+        capsys, "count", "--what", "beta", "--p", str(p), "--n", str(n), "--brute-force"
+    )
+    assert code == 0
+    assert json.loads(out)["brute_force"] == canon.beta(p, n)
+
+
+def test_count_beta_brute_force_respects_the_ring_size_cap(capsys):
+    # the search runs on the ring Z_{p^n}, which 2^17 > 65536 exceeds
+    code, _, err = run(
+        capsys, "count", "--what", "beta", "--p", "2", "--n", "17", "--brute-force"
+    )
+    assert code == 3
+    assert "size cap" in err
 
 
 def test_count_kernel_rejects_n_below_two(capsys):
@@ -297,6 +320,88 @@ def test_export_unit_valued_forms_csv(capsys):
     )
     assert code == 0
     assert out == "index,s,polynomial\n0,1,1\n"
+
+
+# ---------------------------------------------------------------------------
+# outputs built from the coefficient sweeps, pinned byte for byte
+
+
+SWEEP_OUTPUT_SHA256 = {
+    ("enumerate", "--what", "group", "--dual", "--ring", "fq:4"):
+        "782a680a40720f4d99d6e3a8ce8aca0d48dfd03908cd69d5d3bbb845e8c8b111",
+    ("enumerate", "--what", "group", "--dual", "--ring", "zm:6"):
+        "54508c9c676eebd8f37e6489edc430ebe8d28e33120bae114639e340e9c30664",
+    ("enumerate", "--what", "stabilizer", "--ring", "fq:4"):
+        "ad9f0bbd750a748754ed6015498b15027b5d62179be3aae94637de7d304e6fb6",
+    ("enumerate", "--what", "stabilizer", "--ring", "zm:6"):
+        "dfc1a2b4d480b4402cc87c7f8bcf757ddf0dca356763ba862ece115138954770",
+    ("count", "--what", "uvpf", "--p", "3", "--n", "2", "--brute-force"):
+        "ddd9f0d8bd4ee92ccd51639b6247a92e46eafd456ecf58b1a0b21381d613d54d",
+    ("count", "--what", "kernel", "--p", "3", "--n", "2", "--brute-force"):
+        "79468ceb93d0f0f88e0a232bd90ad33b9a5c2471f4cd0f99dbba1ec7e4bc630c",
+    ("count", "--what", "polyfun", "--p", "3", "--n", "2", "--brute-force"):
+        "0e19da0f1c320115d6c99c67df7b9e77f2724a462553a632111c9b476e011e87",
+    ("count", "--what", "uvpf", "--p", "2", "--n", "3", "--brute-force"):
+        "c4c01f21a32886d32e5940a82a2401b3d1dfc1b1461d372468eb02ba7a880267",
+    ("count", "--what", "kernel", "--p", "2", "--n", "3", "--brute-force"):
+        "9ad1eb395789797b3510663c9a8fea8f936647b801a3e0eca313a19a552351d7",
+    ("count", "--what", "polyfun", "--p", "2", "--n", "3", "--brute-force"):
+        "bee5a958ea5cc10ce9849e6bd87a7dd4d43c3de6d1b6a7c59eb31bfc308935e2",
+}
+
+
+@pytest.mark.parametrize("argv", list(SWEEP_OUTPUT_SHA256))
+def test_sweep_outputs_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_OUTPUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dual_criterion_samples_like_a_candidate_list(monkeypatch, seed):
+    # the sample drawn from the list of every candidate, constant term fastest
+    base = make_ring("fq:4")
+    D = gr.dual_degree_bound(base)
+    candidates = [
+        tuple(reversed(t)) for t in itertools.product(base.elements, repeat=D)
+    ]
+    expected = random.Random(seed).sample(candidates, 400)
+    sampled = []
+    real = cli.Polynomial
+
+    def recording(coeffs, ring=None):
+        sampled.append(tuple(coeffs))
+        return real(coeffs, ring)
+
+    monkeypatch.setattr(cli, "Polynomial", recording)
+    assert cli._check_dual_criterion(base, seed, None) == [
+        (f"dual[criterion:{base.descriptor}]", True)
+    ]
+    assert sampled == expected
+
+
+def test_dual_criterion_fails_on_a_wrong_unit_mask(monkeypatch):
+    # zero marked a unit: x^3 and the like pass the criterion, not the oracle
+    base = make_ring("fq:3")
+    monkeypatch.setattr(type(base), "unit_index_mask", lambda self: [True] * self.size)
+    assert cli._check_dual_criterion(base, 0, None) == [("dual[criterion:fq:3]", False)]
+
+
+def test_local_criterion_checks_the_last_block(monkeypatch):
+    # the last block alone gets a bijective table whose derivative vanishes
+    # mod p, so only a check that reaches it can FAIL
+    real = gr.pair_table_blocks
+
+    def corrupted(ring, D, **kwargs):
+        blocks = list(real(ring, D, **kwargs))
+        rest = blocks[-1][2]
+        blocks[-1] = (tuple(range(ring.size)), (0,) * ring.size, rest)
+        return iter(blocks)
+
+    monkeypatch.setattr(gr, "pair_table_blocks", corrupted)
+    assert cli._check_local_criterion(3, 2, None) == [
+        ("dual[local-criterion:zpn:3,2]", False)
+    ]
 
 
 # ---------------------------------------------------------------------------

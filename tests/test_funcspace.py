@@ -354,6 +354,22 @@ def test_incremental_sweep_matches_per_polynomial_induction():
     assert induced_tables(f4) == naive4
 
 
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zpn:2,3", "zm:6"])
+def test_induced_tables_match_per_candidate_induction(desc):
+    # the sweep steps degrees 1 .. D-1 only and translates by the constants;
+    # the second domain has no zero, so the untranslated tables are not
+    # candidates themselves
+    ring = make_ring(desc)
+    ring_arg = None if ring.integer_encoded else ring
+    for domain in (ring.elements, ring.elements[1:3]):
+        for D in range(4):
+            naive = {
+                induce(Polynomial(c, ring_arg), ring).values
+                for c in itertools.product(domain, repeat=D)
+            }
+            assert induced_tables(ring, D, coeff_elements=domain) == naive
+
+
 def test_degree_bound_and_coefficient_restriction():
     z4 = make_ring("zpn:2,2")
     assert len(induced_tables(z4, 2)) == 16

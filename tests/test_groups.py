@@ -22,6 +22,7 @@ from ringfunc.groups import (
     enumerate_dual_permutations,
     enumerate_stabilizer,
     null_polynomials,
+    pair_table_blocks,
     pair_table_sweep,
     precompose_units,
     semidirect_group,
@@ -29,7 +30,7 @@ from ringfunc.groups import (
     verify_group_axioms,
 )
 from ringfunc.poly import Polynomial, X, parse
-from ringfunc.rings import make_ring
+from ringfunc.rings import SizeCapError, make_ring
 
 
 def _dp_from_poly(base, f):
@@ -261,6 +262,31 @@ def test_axiom_report_uses_few_generators():
         assert 2 <= k <= len(group).bit_length()
 
 
+def test_generating_set_leaves_out_the_identity():
+    # the sorted enumerations list the identity first; making it a generator
+    # would cost |G| products and generate nothing
+    f3 = make_ring("fq:3")
+    dps = enumerate_dual_permutations(f3)
+    for pool, identity in (
+        (semidirect_group(f3), SemidirectElement.identity(f3)),
+        (semidirect_group(make_ring("zpn:2,2")),
+         SemidirectElement.identity(make_ring("zpn:2,2"))),
+        (dps, DualPermutation.identity(dps[0].dual)),
+    ):
+        assert pool[0] == identity
+        products = []
+        gens, closed = groups._generate(pool, lambda x, s, y: products.append(y))
+        assert closed
+        assert identity not in gens
+        assert len(products) == len(pool) * len(gens)
+    # a one-element pool still takes its element as the generator
+    e = SemidirectElement.identity(f3)
+    assert groups._generate([e]) == ([e], True)
+    # the identity and an involution: the involution generates both
+    swap = SemidirectElement(f3, (1, 0, 2), (1, 1, 1))
+    assert groups._generate([e, swap]) == ([swap], True)
+
+
 def _axiom_pools():
     f3 = make_ring("fq:3")
     z4 = make_ring("zpn:2,2")
@@ -417,6 +443,110 @@ def test_sweep_tables_match_direct_induction():
         f = Polynomial(coeffs)
         assert ftab == induce(f, z4).values
         assert dtab == induce(f.derive(), z4).values
+
+
+# per-candidate oracles for the block sweep: every coefficient vector in turn
+
+ORACLE_RINGS = ("fq:2", "fq:3", "fq:4", "zpn:2,2", "zpn:2,3", "zm:6")
+
+
+def _domains(base):
+    # the whole ring, and two nonzero elements: a domain without zero
+    return [None, base.elements[1:3]]
+
+
+def _candidates(base, D, domain=None):
+    """Coefficient vectors of degree < D, constant term fastest, each
+    coefficient in domain order."""
+    domain = base.elements if domain is None else domain
+    return [tuple(reversed(t)) for t in itertools.product(domain, repeat=D)]
+
+
+def _poly(base, coeffs):
+    return Polynomial(coeffs, None if base.integer_encoded else base)
+
+
+def _index_table(base, f):
+    return tuple(base.index(v) for v in induce(f, base).values)
+
+
+@pytest.mark.parametrize("desc", ORACLE_RINGS)
+def test_pair_sweep_matches_per_candidate_induction(desc):
+    base = make_ring(desc)
+    for domain in _domains(base):
+        for D in range(4):
+            expected = []
+            for coeffs in _candidates(base, D, domain):
+                f = _poly(base, coeffs)
+                expected.append(
+                    (_index_table(base, f), _index_table(base, f.derive()), coeffs)
+                )
+            assert list(pair_table_sweep(base, D, coeff_elements=domain)) == expected
+
+
+@pytest.mark.parametrize("desc", ORACLE_RINGS)
+def test_pair_blocks_carry_the_member_with_constant_zero(desc):
+    base = make_ring(desc)
+    for domain in _domains(base):
+        for D in range(1, 4):
+            blocks = list(pair_table_blocks(base, D, coeff_elements=domain))
+            assert [rest for _, _, rest in blocks] == _candidates(base, D - 1, domain)
+            for ftab0, dtab, rest in blocks:
+                f = _poly(base, (base.zero,) + rest)
+                assert ftab0 == _index_table(base, f)
+                assert dtab == _index_table(base, f.derive())
+
+
+def test_pair_sweeps_reject_bad_arguments():
+    z4 = make_ring("zpn:2,2")
+    with pytest.raises(ValueError):
+        list(pair_table_blocks(z4, 0))
+    for sweep in (pair_table_sweep, pair_table_blocks):
+        with pytest.raises(ValueError):
+            list(sweep(z4, 2, coeff_elements=()))
+        with pytest.raises(SizeCapError):
+            list(sweep(z4, 3, cap=63))
+    assert len(list(pair_table_sweep(z4, 3, cap=64))) == 64
+
+
+@pytest.mark.parametrize("desc", ORACLE_RINGS)
+def test_null_polynomials_match_a_per_candidate_filter(desc):
+    base = make_ring(desc)
+    for D in range(4):
+        expected = [
+            _poly(base, c) for c in _candidates(base, D)
+            if induce(_poly(base, c), base).is_zero()
+        ]
+        assert null_polynomials(base, D) == expected
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "zm:6"])
+def test_enumerations_match_a_per_candidate_filter(desc):
+    # the filters before the block sweep, on every candidate of pair_table_sweep
+    base = make_ring(desc)
+    mask = base.unit_index_mask()
+    add_t = base.index_op_tables()[0]
+    one = base.index(base.one)
+    zero_tab = (base.index(base.zero),) * base.size
+    pairs, units, nulls = {}, {}, []
+    for ftab, dtab, coeffs in pair_table_sweep(base, dual_degree_bound(base)):
+        if len(set(ftab)) == base.size and all(mask[i] for i in dtab):
+            pairs.setdefault((ftab, dtab), coeffs)
+        if ftab == zero_tab:
+            nulls.append(_poly(base, coeffs))
+            unit = tuple(add_t[one][i] for i in dtab)
+            if all(mask[i] for i in unit):
+                units.setdefault(unit, coeffs)
+    dps = enumerate_dual_permutations(base)
+    assert [(dp.base_pair(), dp.witness) for dp in dps] == sorted(
+        ((k, _poly(base, c)) for k, c in pairs.items()),
+        key=lambda item: groups._pair_to_dual_table(dps[0].dual, *item[0]),
+    )
+    stab = enumerate_stabilizer(base)
+    assert [(st.unit, st.null_part) for st in stab] == sorted(
+        (u, _poly(base, c)) for u, c in units.items()
+    )
+    assert null_polynomials(base) == nulls
 
 
 @pytest.mark.parametrize("desc,count", [("fq:2", 2), ("fq:3", 48), ("zpn:2,2", 32)])
