@@ -402,18 +402,35 @@ def _check_dual_criterion(base: Ring, seed: int, cap) -> list[tuple[str, bool]]:
     return [(f"dual[criterion:{base.descriptor}]", ok)]
 
 
+def _local_verdicts(key, p: int, n: int) -> tuple[bool, bool]:
+    """(brute force, local criterion) on the key [f] ++ [p^(n-1) f'(a) for
+    a < p] of a polynomial f over Z_{p^n}: whether [f] is a bijection, and
+    whether the residues of f permute Z_p with f' nonzero mod p at each."""
+    size = len(key) - p
+    brute = len(set(key[:size])) == size
+    local = {v % p for v in key[:p]} == set(range(p)) and (n == 1 or all(key[size:]))
+    return brute, local
+
+
 def _check_local_criterion(p: int, n: int, cap) -> list[tuple[str, bool]]:
     ring = PrimePowerRing(p, n)
     D = fs.null_degree_bound(ring)
-    residues = set(range(p))
-    ok = True
+    check_cap(ring.size ** D, cap, "pair sweep")
     # adding a constant translates [f] and its residues mod p and keeps [f'],
-    # so both verdicts are those of the block's member with constant term 0
-    for ftab0, dtab, _ in gr.pair_table_blocks(ring, D, cap=cap):
-        brute = len(set(ftab0)) == ring.size
-        local = {v % p for v in ftab0[:p]} == residues and (
-            n == 1 or all(dtab[a] % p for a in range(p))
-        )
+    # so both verdicts are those of the member with constant term 0; they
+    # depend only on the key, which is additive in the coefficients, so
+    # checking every distinct key is as strong as checking every candidate
+    stages = fs.monomial_stages(
+        ring, D, ring.elements, derivative_points=range(p), derivative_scale=p ** (n - 1)
+    )
+    zero = (0,) * (ring.size + p)
+    seen = set()
+    ok = True
+    for key, _ in fs.coefficient_sums(ring.index_op_tables()[0], zero, stages):
+        if key in seen:
+            continue
+        seen.add(key)
+        brute, local = _local_verdicts(key, p, n)
         if brute != local:
             ok = False
             break

@@ -148,23 +148,6 @@ def horner_dual(g, dual: DualRing, a, b) -> DualElement:
     return DualElement(*acc)
 
 
-def null_lift_holds(g: Polynomial, base: Ring) -> bool:
-    """Whether [g] = 0 on the base iff [g*al] = 0 on the dual ring.
-
-    Both sides are checked exhaustively; they always agree ([g*al] sends
-    a+b*al to g(a)*al, which vanishes for every a exactly when [g] = 0).
-    Exposed as a verification operation.
-    """
-    dual = dual_ring(base)
-    null_on_base = all(g.eval(base, r) == base.zero for r in base.elements)
-    lifted = DualPolynomial(Polynomial.zero(), g)
-    null_on_dual = all(
-        horner_dual(lifted, dual, a, b).as_pair() == dual.zero
-        for (a, b) in dual.elements
-    )
-    return null_on_base == null_on_dual
-
-
 def format_dual_element(dual: DualRing, x) -> str:
     """Serialize a dual element as 'a+b*al'.
 

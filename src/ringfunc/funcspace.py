@@ -4,8 +4,9 @@ A FunctionTable is the explicit value list of an induced function [f], indexed
 by the ring's canonical element order.  This module carries the pointwise ring
 structure on tables, the predicates (null, unit-valued, permutation) in both
 brute-force and criterion form, Lagrange interpolation over fields, the
-pair-realization construction for dual permutations, and the exhaustive
-enumeration core used by the counting and group modules.
+pair-realization construction for dual permutations, and the enumeration
+engine, distinct coefficient sums built degree by degree, used by the
+counting and group modules.
 
 The brute-force predicates are the oracles; the criteria are the products.
 Keeping both first-class means every fast path can be cross-checked against
@@ -15,6 +16,7 @@ plain evaluation at any time.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import getitem
 
 from .poly import Polynomial
 from .rings import PrimePowerRing, Ring, check_cap
@@ -189,14 +191,6 @@ def permutes_dual(f: Polynomial, base: Ring) -> bool:
     return is_permutation(f, base) and is_unit_valued(f.derive(), base)
 
 
-def pointwise_add(F: FunctionTable, G: FunctionTable) -> FunctionTable:
-    return F.pointwise_add(G)
-
-
-def pointwise_mul(F: FunctionTable, G: FunctionTable) -> FunctionTable:
-    return F.pointwise_mul(G)
-
-
 def invert_unit_table(F: FunctionTable) -> FunctionTable:
     """Pointwise multiplicative inverse; fails if any value is a non-unit."""
     ring = F.ring
@@ -303,6 +297,84 @@ def null_degree_bound(ring: Ring) -> int:
     return k
 
 
+def monomial_stages(
+    ring: Ring,
+    degree_bound: int,
+    domain,
+    *,
+    derivative_points=(),
+    derivative_scale=None,
+) -> list[list[tuple]]:
+    """The stages of coefficient_sums for the degrees 1 .. D-1.
+
+    Stage d - 1 lists, for each c of the domain in order, (c, term): term is
+    the index table of [c x^d] on the whole ring, followed by the values of
+    s * d * c x^(d-1) at the element indices derivative_points, s being
+    derivative_scale (default one).  With every point there, the term is the
+    pair ([c x^d], [(c x^d)']); with none, it is [c x^d] alone.
+    """
+    _, mul_t = ring.index_op_tables()
+    pw = ring.power_index_table(max(degree_bound - 1, 0))
+    points = range(ring.size)
+    scale = ring.one if derivative_scale is None else derivative_scale
+    stages = []
+    for d in range(1, degree_bound):
+        power, dpower = pw[d], pw[d - 1]
+        dscale = ring.mul(scale, ring.from_int(d))
+        terms = []
+        for c in domain:
+            row = mul_t[ring.index(c)]
+            drow = mul_t[ring.index(ring.mul(dscale, c))]
+            terms.append((c, tuple(
+                [row[power[pt]] for pt in points]
+                + [drow[dpower[pt]] for pt in derivative_points]
+            )))
+        stages.append(terms)
+    return stages
+
+
+def coefficient_sums(add_t, zero_table, stages):
+    """Distinct sums of one term from each stage, with the first coefficient
+    vector reaching each, in the order of a sweep that steps stage 0 fastest.
+
+    stages[i] lists (coefficient, term table) for degree i + 1 in domain
+    order (see monomial_stages); tables are index tuples added entrywise by
+    the index addition table add_t.  A table is additive in the
+    coefficients, [sum c_d x^d] = sum [c_d x^d], so the sums of the first k
+    stages are the tables of the coefficient vectors of degree 1 .. k.
+
+    Each stage is built with the new coefficient in domain order as the
+    outer loop and the stored sums, in the order they were first reached, as
+    the inner loop; the first write wins.  The first vector reaching s + t,
+    for t the term of c, is then c after the first vector reaching s, for
+    the first c for which s is reached: the same witness a per-candidate
+    sweep keeps, and sums come out in the order it first reaches them.
+
+    Every stage but the last is deduplicated.  The last is streamed as
+    (table, coefficients) in sweep order, repeats included, so a consumer
+    keeping the first of each sees the per-candidate sweep's witnesses,
+    without holding the last stage's sums as well.  With no stages the
+    zero table is yielded once, with no coefficients.
+    """
+    sums = {tuple(zero_table): ()}
+    if not stages:
+        yield from sums.items()
+        return
+    for terms in stages[:-1]:
+        grown = {}
+        for c, term in terms:
+            rows = [add_t[b] for b in term]
+            for s, coeffs in sums.items():
+                t = tuple(map(getitem, rows, s))
+                if t not in grown:
+                    grown[t] = coeffs + (c,)
+        sums = grown
+    for c, term in stages[-1]:
+        rows = [add_t[b] for b in term]
+        for s, coeffs in sums.items():
+            yield tuple(map(getitem, rows, s)), coeffs + (c,)
+
+
 def induced_tables(
     ring: Ring,
     degree_bound: int | None = None,
@@ -314,11 +386,9 @@ def induced_tables(
 
     Candidates range over coefficient vectors from coeff_elements (default:
     the whole ring).  Adding a constant c translates a table by c, so the
-    sweep steps only the coefficients of degree 1 .. D-1 with the constant
-    term zero (whether or not zero is in the domain), and the distinct
-    tables found are then translated by each constant of the domain.
-    Stepping one coefficient adjusts every table entry by a precomputed
-    delta row, so a table costs O(|ring|) lookups and no ring arithmetic.
+    tables with constant term zero (whether or not zero is in the domain)
+    are built first, degree by degree from their distinct partial sums by
+    coefficient_sums, and then translated by each constant of the domain.
     The cap counts every candidate, |domain|^D.
     """
     D = null_degree_bound(ring) if degree_bound is None else degree_bound
@@ -329,46 +399,16 @@ def induced_tables(
     size = ring.size
     if D <= 0:
         return frozenset({(ring.zero,) * size})
-    add_t, mul_t = ring.index_op_tables()
-    pw = ring.power_index_table(D - 1)
-    dom_idx = [ring.index(e) for e in domain]
-    ndom = len(dom_idx)
-    els = ring.elements
-    zero_idx = ring.index(ring.zero)
-
-    def delta_row(d: int, from_idx: int, to_idx: int) -> list[int]:
-        diff = ring.index(ring.sub(els[to_idx], els[from_idx]))
-        row = mul_t[diff]
-        return [row[pw[d][pt]] for pt in range(size)]
-
-    # step[d - 1][k]: coefficient d moves from domain[k] to the next, cyclically
-    step = [
-        [delta_row(d, dom_idx[k], dom_idx[(k + 1) % ndom]) for k in range(ndom)]
-        for d in range(1, D)
-    ]
-
-    # start with every coefficient of degree >= 1 equal to domain[0]
-    table = [zero_idx] * size
-    for d in range(1, D):
-        term = delta_row(d, zero_idx, dom_idx[0])
-        table = [add_t[a][b] for a, b in zip(table, term)]
-
-    digits = [0] * (D - 1)
-    found = set()
-    while True:
-        found.add(tuple(table))
-        for pos, k in enumerate(digits):
-            term = step[pos][k]
-            table = [add_t[a][b] for a, b in zip(table, term)]
-            digits[pos] = (k + 1) % ndom
-            if digits[pos]:
-                break
-        else:
-            break
-    shifts = [add_t[i].__getitem__ for i in dom_idx]
+    add_t = ring.index_op_tables()[0]
+    zero = (ring.index(ring.zero),) * size
+    found = {
+        t for t, _ in coefficient_sums(add_t, zero, monomial_stages(ring, D, domain))
+    }
+    shifts = [add_t[ring.index(c)].__getitem__ for c in domain]
     tables = {tuple(map(shift, t)) for t in found for shift in shifts}
     if ring.integer_encoded:
         return frozenset(tables)
+    els = ring.elements
     return frozenset(tuple(els[i] for i in t) for t in tables)
 
 

@@ -25,6 +25,8 @@ from itertools import product
 from .dual import DualRing, dual_ring
 from .funcspace import (
     FunctionTable,
+    coefficient_sums,
+    monomial_stages,
     null_degree_bound,
     permutation_tables,
     unit_valued_tables,
@@ -273,6 +275,12 @@ def pair_table_blocks(
     in domain order; tables are index tuples over the base.  Both tables are
     stepped incrementally, so one block costs O(|base|) table lookups.  The
     cap counts every candidate, |domain|^D.  Needs D >= 1.
+
+    Consumers that only need each distinct pair once use _pair_sums instead,
+    which builds the pairs from distinct partial sums.  Those that must see
+    every block stay here: null_polynomials lists every null candidate, the
+    CLI's dual criterion check samples candidates by their index in the
+    sweep, and pair_table_sweep is the per-candidate oracle.
     """
     D = degree_bound
     domain = list(base.elements if coeff_elements is None else coeff_elements)
@@ -360,6 +368,25 @@ def pair_table_sweep(
             yield tuple(map(shift, ftab0)), dtab, (c,) + rest
 
 
+def _pair_sums(base: Ring, degree_bound: int, *, cap: int | None = None):
+    """The pairs ([f0], [f0']) of the polynomials f0 of degree < D with
+    constant term zero and base coefficients, by coefficient_sums.
+
+    Yields (f0_table + derivative_table, rest), both tables as index tuples
+    and rest the coefficients of degree 1 .. D-1.  Every pair comes at least
+    once, and its first occurrence carries the first block of
+    pair_table_blocks with that pair.  The cap counts every candidate,
+    |base|^D, and is checked before any work.
+    """
+    check_cap(base.size ** degree_bound, cap, "pair sweep")
+    add_t = base.index_op_tables()[0]
+    stages = monomial_stages(
+        base, degree_bound, base.elements, derivative_points=range(base.size)
+    )
+    zero = (base.index(base.zero),) * (2 * base.size)
+    return coefficient_sums(add_t, zero, stages)
+
+
 _BOUND_CACHE: dict[str, int] = {}
 
 
@@ -420,34 +447,33 @@ def enumerate_dual_permutations(
 ) -> list[DualPermutation]:
     """All permutations of base[al] induced by base-coefficient polynomials.
 
-    Sweeps every coefficient vector below the dual degree bound, keeps the
+    Covers every coefficient vector below the dual degree bound, keeps the
     ones whose base table is a bijection and whose derivative table is
-    unit-valued, and dedups by the pair, recording the first witness for
-    each.  Both conditions are invariant under adding a constant, so they
-    are tested once per block of pair_table_blocks, and only the blocks that
-    pass are expanded, in sweep order.  Sorted by table for deterministic
-    output.
+    unit-valued, and dedups by the pair, recording the first witness in
+    sweep order for each.  Adding a constant c translates [f] by c and keeps
+    [f'], and both conditions are invariant under it.  So the pairs with
+    constant term zero from _pair_sums are tested, and each passing one is
+    translated by every constant; no two translations meet, since f0
+    vanishes at 0 and c is the value of the pair's table there.  Sorted by
+    table for deterministic output.
     """
     D = dual_degree_bound(base, cap=cap)
     dual = dual_ring(base)
     size = base.size
     mask = base.unit_index_mask()
+    passing: dict[tuple, tuple] = {}
+    for pair, rest in _pair_sums(base, D, cap=cap):
+        if all(map(mask.__getitem__, pair[size:])) and len(set(pair[:size])) == size:
+            passing.setdefault(pair, rest)
     shifts = _translations(base, base.elements)
-    seen: dict[tuple, tuple] = {}
-    for ftab0, dtab, rest in pair_table_blocks(base, D, cap=cap):
-        if not all(mask[i] for i in dtab):
-            continue
-        if len(set(ftab0)) != size:
-            continue
-        for c, shift in shifts:
-            key = (tuple(map(shift, ftab0)), dtab)
-            if key not in seen:
-                seen[key] = (c,) + rest
+    ring_arg = None if base.integer_encoded else base
     out = []
-    for (ftab, dtab), coeffs in seen.items():
-        table = _pair_to_dual_table(dual, ftab, dtab)
-        witness = Polynomial(coeffs, None if base.integer_encoded else base)
-        out.append(DualPermutation._make(dual, table, witness))
+    for pair, rest in passing.items():
+        dtab = pair[size:]
+        for c, shift in shifts:
+            table = _pair_to_dual_table(dual, tuple(map(shift, pair[:size])), dtab)
+            witness = Polynomial((c,) + rest, ring_arg)
+            out.append(DualPermutation._make(dual, table, witness))
     out.sort(key=lambda dp: dp.table)
     return out
 
@@ -497,7 +523,8 @@ def null_polynomials(
 
     The default bound is the dual degree bound, deep enough that the listed
     polynomials realize every derivative table a null polynomial can have.
-    A block of pair_table_blocks has at most one null member: its table
+    Every null candidate is listed, not one per table, so this sweeps every
+    block of pair_table_blocks.  A block has at most one null member: its table
     f0 + c vanishes only if f0 is the constant -c, and f0 vanishes at 0, so
     c = 0 and f0 is the zero table.
     """
@@ -519,21 +546,21 @@ def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[Stabiliz
     Elements come from x + g with g null on the base; the dual action scales
     the infinitesimal part by 1 + g'(a), so the element is the unit table
     [1 + g'] and only null parts with that table unit-valued qualify.  The
-    null parts have constant term 0 (see null_polynomials), so one member
-    per block of pair_table_blocks is looked at.
+    null parts have constant term 0 (see null_polynomials), so they are the
+    pairs from _pair_sums with a zero first table.
     """
     D = dual_degree_bound(base, cap=cap)
-    add_t = base.index_op_tables()[0]
+    size = base.size
+    one_row = base.index_op_tables()[0][base.index(base.one)]
     mask = base.unit_index_mask()
-    one_idx = base.index(base.one)
-    zero_tab = (base.index(base.zero),) * base.size
+    zero_tab = (base.index(base.zero),) * size
     seen: dict[tuple, tuple] = {}
-    for ftab0, dtab, rest in pair_table_blocks(base, D, cap=cap):
-        if ftab0 != zero_tab:
+    for pair, rest in _pair_sums(base, D, cap=cap):
+        if pair[:size] != zero_tab:
             continue
-        unit = tuple(add_t[one_idx][i] for i in dtab)
-        if all(mask[i] for i in unit) and unit not in seen:
-            seen[unit] = (base.zero,) + rest
+        unit = tuple(map(one_row.__getitem__, pair[size:]))
+        if all(map(mask.__getitem__, unit)):
+            seen.setdefault(unit, (base.zero,) + rest)
     out = [
         StabilizerElement(base, unit, Polynomial(coeffs, None if base.integer_encoded else base))
         for unit, coeffs in seen.items()
@@ -687,6 +714,9 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     image with the ambient product; the image size is also compared against
     the stabilizer-permutation factorization.
     """
+    # the stabilizer first, so that its sweep's partial sums are freed
+    # before the dual permutations and the ambient product are held
+    stab = enumerate_stabilizer(base, cap=cap)
     perms = enumerate_dual_permutations(base, cap=cap)
     pairs = {dp: dp.base_pair() for dp in perms}
     image = {SemidirectElement(base, G, F) for G, F in pairs.values()}
@@ -714,7 +744,6 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     gens, closed = _generate(perms, law)
     homomorphism_ok = law_ok and closed
 
-    stab = enumerate_stabilizer(base, cap=cap)
     perm_count = len(permutation_tables(base, cap=cap))
     unit_count = len(unit_valued_tables(base, cap=cap))
     surjective = image == ambient_set

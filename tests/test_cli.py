@@ -10,9 +10,10 @@ import pytest
 
 from ringfunc import canonical as canon
 from ringfunc import cli
+from ringfunc import funcspace as fs
 from ringfunc import groups as gr
 from ringfunc.cli import main
-from ringfunc.rings import CAP_ENV_VAR, make_ring
+from ringfunc.rings import CAP_ENV_VAR, SizeCapError, make_ring
 
 
 def run(capsys, *argv):
@@ -387,21 +388,59 @@ def test_dual_criterion_fails_on_a_wrong_unit_mask(monkeypatch):
     assert cli._check_dual_criterion(base, 0, None) == [("dual[criterion:fq:3]", False)]
 
 
-def test_local_criterion_checks_the_last_block(monkeypatch):
-    # the last block alone gets a bijective table whose derivative vanishes
+def test_local_criterion_checks_the_last_key(monkeypatch):
+    # the last key alone gets a bijective table whose derivative vanishes
     # mod p, so only a check that reaches it can FAIL
-    real = gr.pair_table_blocks
+    real = fs.coefficient_sums
 
-    def corrupted(ring, D, **kwargs):
-        blocks = list(real(ring, D, **kwargs))
-        rest = blocks[-1][2]
-        blocks[-1] = (tuple(range(ring.size)), (0,) * ring.size, rest)
-        return iter(blocks)
+    def corrupted(add_t, zero_table, stages):
+        sums = list(real(add_t, zero_table, stages))
+        size = len(zero_table) - 3
+        sums[-1] = (tuple(range(size)) + (0,) * 3, sums[-1][1])
+        return iter(sums)
 
-    monkeypatch.setattr(gr, "pair_table_blocks", corrupted)
+    monkeypatch.setattr(fs, "coefficient_sums", corrupted)
     assert cli._check_local_criterion(3, 2, None) == [
         ("dual[local-criterion:zpn:3,2]", False)
     ]
+
+
+def test_local_criterion_caps_every_candidate():
+    # the cap counts |Z_9|^6 coefficient vectors, not the keys walked
+    with pytest.raises(SizeCapError, match="pair sweep: 531441 exceeds cap 531440"):
+        cli._check_local_criterion(3, 2, 9**6 - 1)
+    assert cli._check_local_criterion(3, 2, 9**6) == [
+        ("dual[local-criterion:zpn:3,2]", True)
+    ]
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
+def test_local_verdicts_per_key_match_every_block(p, n):
+    # every block of the candidate sweep, against the distinct keys the
+    # check walks: the same keys, and the same verdicts from either side
+    ring = make_ring(f"zpn:{p},{n}")
+    D = fs.null_degree_bound(ring)
+    scale = p ** (n - 1)
+    per_block = {}
+    for ftab0, dtab, _ in gr.pair_table_blocks(ring, D):
+        key = ftab0 + tuple(scale * dtab[a] % ring.size for a in range(p))
+        verdicts = (
+            len(set(ftab0)) == ring.size,
+            {v % p for v in ftab0[:p]} == set(range(p))
+            and (n == 1 or all(dtab[a] % p for a in range(p))),
+        )
+        assert per_block.setdefault(key, verdicts) == verdicts
+    stages = fs.monomial_stages(
+        ring, D, ring.elements, derivative_points=range(p), derivative_scale=scale
+    )
+    zero = (0,) * (ring.size + p)
+    per_key = {
+        key: cli._local_verdicts(key, p, n)
+        for key, _ in fs.coefficient_sums(ring.index_op_tables()[0], zero, stages)
+    }
+    assert per_key == per_block
+    assert any(brute for brute, _ in per_key.values())
+    assert not all(brute for brute, _ in per_key.values())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from ringfunc.dual import (
     eval_dual_poly,
     format_dual_element,
     horner_dual,
-    null_lift_holds,
     parse_dual_element,
 )
 from ringfunc.poly import Polynomial, X, parse
@@ -154,20 +153,6 @@ def test_evaluation_at_embedded_points_restricts_to_the_base(base):
 def test_shortcut_accepts_wrapped_elements():
     z4 = make_ring("zpn:2,2")
     assert eval_dual(X**2, z4, z4.element(1), z4.element(2)) == DualElement(1, 0)
-
-
-def test_null_lift_equivalence(base):
-    rng = random.Random(404)
-    for _ in range(20):
-        assert null_lift_holds(_random_poly(rng, max_degree=6), base)
-
-
-def test_null_lift_on_known_null_and_non_null_polynomials():
-    z4 = make_ring("zpn:2,2")
-    assert null_lift_holds(parse("(x^2-x)^2"), z4)
-    assert null_lift_holds(X, z4)
-    z2 = make_ring("zpn:2,1")
-    assert null_lift_holds(X**2 + X, z2)
 
 
 @pytest.mark.parametrize("desc", ["dual:zpn:2,2", "dual:fq:4"])

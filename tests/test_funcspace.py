@@ -5,10 +5,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringfunc.dual import dual_ring
 from ringfunc.funcspace import (
     FunctionTable,
+    coefficient_sums,
     induce,
     induced_tables,
     invert_unit_table,
@@ -16,6 +18,7 @@ from ringfunc.funcspace import (
     is_permutation,
     is_unit_valued,
     lagrange,
+    monomial_stages,
     null_degree_bound,
     permutation_tables,
     permutes_dual,
@@ -368,6 +371,91 @@ def test_induced_tables_match_per_candidate_induction(desc):
                 for c in itertools.product(domain, repeat=D)
             }
             assert induced_tables(ring, D, coeff_elements=domain) == naive
+
+
+# the coefficient-sum engine against a per-candidate first-seen map
+
+
+def _first_seen(ring, D, domain, with_derivative):
+    """Each distinct table of a constant-free candidate of degree < D (with
+    its derivative's table appended when asked) and the first coefficient
+    vector reaching it, degree 1 fastest and each digit in domain order."""
+    ring_arg = None if ring.integer_encoded else ring
+    seen = {}
+    for digits in itertools.product(domain, repeat=max(D - 1, 0)):
+        rest = tuple(reversed(digits))
+        f = Polynomial((ring.zero,) + rest, ring_arg)
+        key = tuple(ring.index(v) for v in induce(f, ring).values)
+        if with_derivative:
+            key += tuple(ring.index(v) for v in induce(f.derive(), ring).values)
+        seen.setdefault(key, rest)
+    return seen
+
+
+def _engine_first_seen(ring, D, domain, with_derivative):
+    points = range(ring.size) if with_derivative else ()
+    stages = monomial_stages(ring, D, domain, derivative_points=points)
+    zero = (ring.index(ring.zero),) * (ring.size + len(points))
+    seen = {}
+    for table, coeffs in coefficient_sums(ring.index_op_tables()[0], zero, stages):
+        seen.setdefault(table, coeffs)
+    return seen
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zpn:2,3", "zm:6"])
+@pytest.mark.parametrize("with_derivative", [False, True])
+def test_coefficient_sums_keep_the_first_witness_of_every_table(desc, with_derivative):
+    # the same tables, witnesses and first-seen order as every candidate in
+    # turn; the second domain has no zero
+    ring = make_ring(desc)
+    for domain in (ring.elements, ring.elements[1:3]):
+        for D in range(1, 5):
+            expected = _first_seen(ring, D, domain, with_derivative)
+            got = _engine_first_seen(ring, D, domain, with_derivative)
+            assert list(got.items()) == list(expected.items())
+
+
+def test_coefficient_sums_stream_only_the_last_stage():
+    # stage 1 of Z_4 has the four tables of c x, stage 2 adds c x^2 to each
+    # of them: 16 sums streamed, of which 8 distinct
+    z4 = make_ring("zpn:2,2")
+    stages = monomial_stages(z4, 3, z4.elements)
+    stream = list(coefficient_sums(z4.index_op_tables()[0], (0,) * 4, stages))
+    assert len(stream) == 16
+    assert len(dict(stream)) == 8
+    assert list(coefficient_sums(None, (0, 0), [])) == [((0, 0), ())]
+
+
+SMALL_RINGS = (
+    "fq:2", "fq:3", "fq:4", "fq:5", "fq:7", "fq:8", "fq:9",
+    "zm:4", "zm:6", "zm:8", "zm:9", "zpn:2,2", "zpn:2,3", "zpn:3,2",
+    "dual:fq:2", "dual:fq:3",
+)
+
+
+@st.composite
+def _sweep_cases(draw):
+    ring = make_ring(draw(st.sampled_from(SMALL_RINGS)))
+    domain = draw(st.lists(
+        st.sampled_from(ring.elements), min_size=1, max_size=ring.size, unique=True
+    ))
+    return ring, domain, draw(st.integers(0, 3)), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sweep_cases())
+def test_engine_agrees_with_the_per_candidate_sweep_on_small_rings(case):
+    ring, domain, D, with_derivative = case
+    expected = _first_seen(ring, D, domain, with_derivative)
+    assert list(_engine_first_seen(ring, D, domain, with_derivative).items()) == list(
+        expected.items()
+    )
+    ring_arg = None if ring.integer_encoded else ring
+    naive = {
+        induce(Polynomial(c, ring_arg), ring).values
+        for c in itertools.product(domain, repeat=D)
+    }
+    assert induced_tables(ring, D, coeff_elements=domain) == naive
 
 
 def test_degree_bound_and_coefficient_restriction():

@@ -509,6 +509,28 @@ def test_pair_sweeps_reject_bad_arguments():
     assert len(list(pair_table_sweep(z4, 3, cap=64))) == 64
 
 
+@pytest.mark.parametrize("desc", ["fq:3", "fq:4", "zm:6", "zpn:2,2"])
+def test_pair_sums_keep_the_first_block_of_every_pair(desc):
+    # at the dual bound: the distinct pairs, their witnesses and their
+    # first-seen order, against every block of the sweep
+    base = make_ring(desc)
+    D = dual_degree_bound(base)
+    expected = {}
+    for ftab0, dtab, rest in pair_table_blocks(base, D):
+        expected.setdefault(ftab0 + dtab, rest)
+    got = {}
+    for pair, rest in groups._pair_sums(base, D):
+        got.setdefault(pair, rest)
+    assert list(got.items()) == list(expected.items())
+
+
+def test_pair_sums_check_the_cap_before_any_work():
+    z4 = make_ring("zpn:2,2")
+    with pytest.raises(SizeCapError):
+        groups._pair_sums(z4, 3, cap=63)
+    assert len(dict(groups._pair_sums(z4, 3, cap=64))) == 16
+
+
 @pytest.mark.parametrize("desc", ORACLE_RINGS)
 def test_null_polynomials_match_a_per_candidate_filter(desc):
     base = make_ring(desc)
