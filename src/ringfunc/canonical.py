@@ -9,10 +9,11 @@ leading mod-p unit table is refined layer by layer through the powers of p.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .funcspace import FunctionTable, induce, lagrange
+from .funcspace import induce
 from .poly import Polynomial, X
 from .rings import PrimePowerRing, check_cap, is_prime
 
@@ -52,6 +53,21 @@ def falling_factorial(j: int) -> Polynomial:
     return falling_factorial(j - 1) * (X - (j - 1))
 
 
+def _falling_combination(p: int, n: int, terms, start=()) -> Polynomial:
+    """start + sum of a * p^i * (x)_j over the (i, j, a) terms, reduced mod
+    p^n: coefficient lists are added and one Polynomial is built."""
+    acc = list(start)
+    for i, j, a in terms:
+        c = a * p**i
+        ff = falling_factorial(j).coeffs
+        if len(acc) < len(ff):
+            acc.extend([0] * (len(ff) - len(acc)))
+        for k, e in enumerate(ff):
+            acc[k] += c * e
+    m = p**n
+    return Polynomial([c % m for c in acc])
+
+
 def kernel_basis(p: int, n: int) -> list[tuple[int, int]]:
     """Exponent pairs (i, j) for the null-function kernel mod p^n.
 
@@ -78,22 +94,8 @@ def enumerate_kernel(p: int, n: int, cap: int | None = None):
     """
     basis = kernel_basis(p, n)
     check_cap(p ** len(basis), cap, "kernel enumeration")
-    polys = [falling_factorial(j) * p**i for i, j in basis]
-    m = p**n
-    digits = [0] * len(basis)
-    while True:
-        f = Polynomial.zero()
-        for c, g in zip(digits, polys):
-            if c:
-                f = f + g * c
-        yield f.reduced_mod(m)
-        pos = len(digits) - 1
-        while pos >= 0 and digits[pos] == p - 1:
-            digits[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        digits[pos] += 1
+    for digits in itertools.product(range(p), repeat=len(basis)):
+        yield _falling_combination(p, n, [(i, j, a) for (i, j), a in zip(basis, digits) if a])
 
 
 def _divide_linear(coeffs: list[int], s: int) -> tuple[list[int], int]:
@@ -162,10 +164,7 @@ class CanonicalForm:
             prev = (j, i)
 
     def to_polynomial(self) -> Polynomial:
-        f = Polynomial.zero()
-        for i, j, a in self.terms:
-            f = f + falling_factorial(j) * (a * self.p**i)
-        return f.reduced_mod(self.p**self.n)
+        return _falling_combination(self.p, self.n, self.terms)
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "n": self.n, "terms": [list(t) for t in self.terms]}
@@ -211,21 +210,10 @@ def canonicalize(f: Polynomial, p: int, n: int) -> CanonicalForm:
 def enumerate_canonical_forms(p: int, n: int, cap: int | None = None):
     """Yield the canonical forms of all polynomial functions mod p^n."""
     check_cap(count_polynomial_functions(p, n), cap, "canonical form enumeration")
-    slots = [(j, n - vp_factorial(p, j)) for j in range(beta(p, n))]
-    radices = [p**e for _, e in slots]
-    digits = [0] * len(slots)
-    while True:
-        terms = []
-        for (j, _), c in zip(slots, digits):
-            terms.extend(_digit_terms(p, n, j, c))
+    radices = [p ** (n - vp_factorial(p, j)) for j in range(beta(p, n))]
+    for digits in itertools.product(*map(range, radices)):
+        terms = [t for j, c in enumerate(digits) for t in _digit_terms(p, n, j, c)]
         yield CanonicalForm(p, n, tuple(terms))
-        pos = len(digits) - 1
-        while pos >= 0 and digits[pos] == radices[pos] - 1:
-            digits[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        digits[pos] += 1
 
 
 def count_polynomial_functions(p: int, n: int) -> int:
@@ -271,10 +259,24 @@ def uv_table_from_index(s: int, p: int) -> tuple[int, ...]:
 
 
 def leading_representative(p: int, s: int) -> Polynomial:
-    """Canonical integer polynomial inducing the s-th unit table mod p."""
-    table = uv_table_from_index(s, p)
-    interp = lagrange(FunctionTable(PrimePowerRing(p, 1), table))
-    return canonicalize(interp, p, 1).to_polynomial()
+    """Canonical integer polynomial inducing the s-th unit table T mod p.
+
+    This is the canonical form mod p of any interpolant of T: the sum of
+    b_j (x)_j over j < p, reduced mod p.  By Newton's forward-difference
+    formula b_j = Delta^j T(0) / j!, read mod p since j! is a unit for j < p;
+    the differences at 0 use only T(0), ..., T(j), so they are taken on the
+    table itself.
+    """
+    diffs = list(uv_table_from_index(s, p))
+    terms = []
+    fact = 1
+    for j in range(p):
+        fact *= j or 1
+        b = diffs[0] * pow(fact, -1, p) % p
+        if b:
+            terms.append((0, j, b))
+        diffs = [(v - u) % p for u, v in zip(diffs, diffs[1:])]
+    return _falling_combination(p, 1, terms)
 
 
 @dataclass(frozen=True)
@@ -313,11 +315,9 @@ class UnitValuedCanonicalForm:
                 prev = (j, i)
 
     def to_polynomial(self) -> Polynomial:
-        f = leading_representative(self.p, self.s)
-        for _, terms in self.layers:
-            for i, j, a in terms:
-                f = f + falling_factorial(j) * (a * self.p**i)
-        return f.reduced_mod(self.p**self.n)
+        lead = leading_representative(self.p, self.s).coeffs
+        terms = (t for _, layer in self.layers for t in layer)
+        return _falling_combination(self.p, self.n, terms, lead)
 
     def to_json_dict(self) -> dict:
         # layers keyed by stringified level so the object round-trips as JSON
@@ -330,34 +330,42 @@ class UnitValuedCanonicalForm:
 
 
 def canonicalize_unit_valued(f: Polynomial, p: int, n: int) -> UnitValuedCanonicalForm:
-    """Layered normal form of a unit-valued [f] mod p^n.
+    """Layered normal form of a unit-valued [f] mod p^n, in one pass.
 
-    The residue table mod p fixes the leading index; each subsequent layer is
-    the canonical form of the deficit f - h mod p^k, whose terms all sit at
-    depth i + v_p(j!) = k - 1 because the deficit is null mod p^{k-1}.
+    The table of [f] on Z_{p^n} decides that f is unit-valued, and its first
+    p values mod p are the unit table that fixes the leading index s and
+    the leading representative h.  The deficit f - h is null mod p, so its
+    canonical form mod p^n has no term of depth i + v_p(j!) = 0; a term of
+    depth k - 1 goes to layer k.
+
+    The split is exact: the layers are the forms the per-level deficits
+    canonicalize(f - h_{k-1}, p, k) would give, h_{k-1} being h plus the
+    layers below k.  At level k the coefficient b_j of (x)_j is read mod
+    p^(k - v_p(j!)), which keeps the low digits of its residue mod
+    p^(n - v_p(j!)); the layers below k have removed exactly the digits
+    below position k - 1 - v_p(j!), and removing a digit whose lower digits
+    are zero borrows nothing, so the digit left at that position is the one
+    the single form has.  The form is re-induced and compared with the table.
     """
     if f.ring is not None:
         raise ValueError("expected integer coefficients")
     ring = PrimePowerRing(p, n)
-    if not induce(f, ring).is_unit_valued():
+    table = induce(f, ring)
+    if not table.is_unit_valued():
         raise ValueError(f"polynomial is not unit-valued mod {p}^{n}")
-    table = induce(f, PrimePowerRing(p, 1)).values
-    s = uv_table_index(table, p)
-    h = leading_representative(p, s)
-    layers = []
-    for k in range(2, n + 1):
-        form_k = canonicalize(f - h, p, k)
-        for i, j, _ in form_k.terms:
-            if i + vp_factorial(p, j) != k - 1:
-                raise RuntimeError("deficit was not null at the previous level")
-        layers.append((k, form_k.terms))
-        # accumulate the raw terms, not the mod-p^k reduction: the layers must
-        # add up to the function mod p^n, not just mod their own level
-        for i, j, a in form_k.terms:
-            h = h + falling_factorial(j) * (a * p**i)
-    if induce(h, ring) != induce(f, ring):
+    s = uv_table_index([v % p for v in table.values[:p]], p)
+    layers = [[] for _ in range(n - 1)]
+    for i, j, a in canonicalize(f - leading_representative(p, s), p, n).terms:
+        depth = i + vp_factorial(p, j)
+        if depth == 0:
+            raise RuntimeError("deficit was not null mod p")
+        layers[depth - 1].append((i, j, a))
+    form = UnitValuedCanonicalForm(
+        p, n, s, tuple((k, tuple(terms)) for k, terms in enumerate(layers, 2))
+    )
+    if induce(form.to_polynomial(), ring) != table:
         raise RuntimeError("layered form failed re-induction check")
-    return UnitValuedCanonicalForm(p, n, s, tuple(layers))
+    return form
 
 
 def _layer_slots(p: int, k: int) -> list[tuple[int, int]]:
@@ -368,26 +376,11 @@ def _layer_slots(p: int, k: int) -> list[tuple[int, int]]:
 def enumerate_unit_valued_forms(p: int, n: int, cap: int | None = None):
     """Yield the normal forms of all unit-valued polynomial functions mod p^n."""
     check_cap(count_unit_valued_functions(p, n), cap, "unit-valued form enumeration")
-    slot_lists = {k: _layer_slots(p, k) for k in range(2, n + 1)}
-    width = sum(len(v) for v in slot_lists.values())
+    slots = [(k, i, j) for k in range(2, n + 1) for i, j in _layer_slots(p, k)]
     for s in range(1, (p - 1) ** p + 1):
-        digits = [0] * width
-        while True:
-            layers = []
-            pos = 0
-            for k in range(2, n + 1):
-                terms = []
-                for i, j in slot_lists[k]:
-                    a = digits[pos]
-                    pos += 1
-                    if a:
-                        terms.append((i, j, a))
-                layers.append((k, tuple(terms)))
-            yield UnitValuedCanonicalForm(p, n, s, tuple(layers))
-            pos = width - 1
-            while pos >= 0 and digits[pos] == p - 1:
-                digits[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
-            digits[pos] += 1
+        for digits in itertools.product(range(p), repeat=len(slots)):
+            layers = tuple(
+                (k, tuple((i, j, a) for (lk, i, j), a in zip(slots, digits) if lk == k and a))
+                for k in range(2, n + 1)
+            )
+            yield UnitValuedCanonicalForm(p, n, s, layers)

@@ -371,20 +371,21 @@ def _check_dual_criterion(base: Ring, seed: int, cap) -> list[tuple[str, bool]]:
     mask = base.unit_index_mask()
     els = base.elements
     size = base.size
-    # the criterion's verdict does not depend on the constant term
-    blocks = [
-        (rest, len(set(ftab0)) == size and all(mask[i] for i in dtab))
-        for ftab0, dtab, rest in gr.pair_table_blocks(base, D, cap=cap)
-    ]
-    # candidate i of the sweep is block i // |base| with constant term
-    # elements[i % |base|], the order of gr.pair_table_sweep
-    count = len(blocks) * size
+    count = size**D
+    check_cap(count, cap, "pair sweep")
     rng = random.Random(seed)
     sample = range(count) if count <= 400 else rng.sample(range(count), 400)
     ok = True
     for i in sample:
-        rest, verdict = blocks[i // size]
-        f = Polynomial((els[i % size],) + rest, None if base.integer_encoded else base)
+        # candidate i in the order of gr.pair_table_sweep (constant term
+        # fastest) has coefficient elements[(i // |base|^d) % |base|] at x^d
+        f = Polynomial(
+            tuple(els[i // size**d % size] for d in range(D)),
+            None if base.integer_encoded else base,
+        )
+        verdict = len(set(fs.induce(f, base).values)) == size and all(
+            mask[base.index(v)] for v in fs.induce(f.derive(), base).values
+        )
         seen = set()
         bijective = True
         for a in base.elements:

@@ -160,20 +160,14 @@ def _zpn(p: int, n: int) -> PrimePowerRing:
     return PrimePowerRing(p, n)
 
 
-def permutes_prime_power(
-    f: Polynomial, p: int, n: int, *, derivative_on_ideal_only: bool = False
-) -> bool:
+def permutes_prime_power(f: Polynomial, p: int, n: int) -> bool:
     """Local criterion: does f permute Z_{p^n}, decided from mod-p data only.
 
     True iff the residue table [f]_p permutes Z_p and (for n >= 2) the
     derivative is nonzero mod p at every point.  For n = 1 the residue check
     is the whole story; a derivative condition would wrongly reject
-    permutations like x^2 on Z_2.
-
-    derivative_on_ideal_only restricts the derivative check to the points of
-    the maximal ideal (residue 0).  That reading is demonstrably weaker: it
-    accepts x^3 + x^2 + x mod 4, which does not permute Z_4.  It is exposed
-    so the discrepancy can be shown, not used.
+    permutations like x^2 on Z_2.  Checking the derivative at 0 alone is not
+    enough: x^3 + x^2 + x has f'(0) = 1 and permutes Z_2, yet not Z_4.
     """
     zp = _zpn(p, 1)
     if not induce(f, zp).is_bijection():
@@ -181,8 +175,7 @@ def permutes_prime_power(
     if n == 1:
         return True
     df = f.derive()
-    points = (zp.zero,) if derivative_on_ideal_only else zp.elements
-    return all(df.eval(zp, a) != zp.zero for a in points)
+    return all(df.eval(zp, a) != zp.zero for a in zp.elements)
 
 
 def permutes_dual(f: Polynomial, base: Ring) -> bool:

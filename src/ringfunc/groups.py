@@ -278,9 +278,8 @@ def pair_table_blocks(
 
     Consumers that only need each distinct pair once use _pair_sums instead,
     which builds the pairs from distinct partial sums.  Those that must see
-    every block stay here: null_polynomials lists every null candidate, the
-    CLI's dual criterion check samples candidates by their index in the
-    sweep, and pair_table_sweep is the per-candidate oracle.
+    every block stay here: null_polynomials lists every null candidate and
+    pair_table_sweep is the per-candidate oracle.
     """
     D = degree_bound
     domain = list(base.elements if coeff_elements is None else coeff_elements)

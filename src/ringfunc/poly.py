@@ -296,37 +296,137 @@ def format_polynomial(f: Polynomial) -> str:
     return " ".join(parts)
 
 
-class _Scanner:
+def _tokens(text: str) -> list[tuple[int, str]]:
+    """(position, token) pairs: maximal runs of digits and single other
+    characters, whitespace dropped, then (len(text), "") to mark the end."""
+    out = []
+    run = -1  # start of the digit run being read, or -1
+    for pos, ch in enumerate(text):
+        if ch.isdigit():
+            if run < 0:
+                run = pos
+            continue
+        if run >= 0:
+            out.append((run, text[run:pos]))
+            run = -1
+        if not ch.isspace():
+            out.append((pos, ch))
+    if run >= 0:
+        out.append((run, text[run:]))
+    out.append((len(text), ""))
+    return out
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists without trailing zeros."""
+    if not a or not b:
+        return []
+    if len(a) == 1:
+        c = a[0]
+        return [c * v for v in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b, i):
+                out[j] += u * v
+    return out
+
+
+def _pow(base: list[int], k: int) -> list[int]:
+    """base^k: directly for zero and for monomials, else by squaring."""
+    if not k:
+        return [1]
+    if not base:
+        return []
+    if not any(base[:-1]):  # (c x^d)^k = c^k x^(dk)
+        return [0] * ((len(base) - 1) * k) + [base[-1] ** k]
+    result = [1]
+    while True:
+        if k & 1:
+            result = _mul(result, base)
+        k >>= 1
+        if not k:
+            return result
+        base = _mul(base, base)
+
+
+class _ListParser:
+    """Recursive descent over the token list, computing on coefficient lists
+    (lowest degree first, no trailing zeros); every error is reported at the
+    position of the next token."""
+
+    __slots__ = ("toks", "i")
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.toks = _tokens(text)
+        self.i = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+    def take(self, tok: str) -> bool:
+        if self.toks[self.i][1] == tok:
+            self.i += 1
             return True
         return False
 
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise ParseError(f"expected {ch!r}", self.pos)
-
     def natural(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a number", start)
-        return int(self.text[start:self.pos])
+        pos, tok = self.toks[self.i]
+        if not tok[:1].isdigit():
+            raise ParseError("expected a number", pos)
+        self.i += 1
+        return int(tok)
+
+    def expr(self) -> list[int]:
+        negative = self.take("-")
+        if not negative:
+            self.take("+")
+        acc = self.term()
+        if negative:
+            acc = [-c for c in acc]
+        while True:
+            tok = self.toks[self.i][1]
+            if tok != "+" and tok != "-":
+                while acc and not acc[-1]:
+                    acc.pop()
+                return acc
+            self.i += 1
+            term = self.term()
+            if len(acc) < len(term):
+                acc.extend([0] * (len(term) - len(acc)))
+            if tok == "+":
+                for k, c in enumerate(term):
+                    acc[k] += c
+            else:
+                for k, c in enumerate(term):
+                    acc[k] -= c
+
+    def term(self) -> list[int]:
+        acc = self.factor()
+        while True:
+            tok = self.toks[self.i][1]
+            if tok == "*":
+                self.i += 1
+            elif tok != "x" and tok != "(" and not tok[:1].isdigit():
+                return acc
+            acc = _mul(acc, self.factor())
+
+    def factor(self) -> list[int]:
+        pos, tok = self.toks[self.i]
+        if tok == "x":
+            self.i += 1
+            base = [0, 1]
+        elif tok == "(":
+            self.i += 1
+            base = self.expr()
+            if not self.take(")"):
+                raise ParseError("expected ')'", self.toks[self.i][0])
+        elif tok[:1].isdigit():
+            self.i += 1
+            c = int(tok)
+            base = [c] if c else []
+        else:
+            raise ParseError("expected a coefficient, x or (", pos)
+        if self.take("^"):
+            return _pow(base, self.natural())
+        return base
 
 
 def parse(text: str) -> Polynomial:
@@ -335,57 +435,16 @@ def parse(text: str) -> Polynomial:
     Grammar: terms joined by + and -, each term a product of factors
     (juxtaposition or *), each factor an integer, x, or a parenthesized
     expression, optionally raised with ^ to a nonnegative integer power.
-    Whitespace is insignificant.  Examples: "x^2 - x", "2x^3+2x",
-    "(x^2-x)^2", "-3*x + 1".
+    Whitespace is insignificant, except that it ends a number.  Examples:
+    "x^2 - x", "2x^3+2x", "(x^2-x)^2", "-3*x + 1".
+
+    The text is split into tokens once and parsed by recursive descent on
+    plain integer coefficient lists: a power of x, or of any monomial, is
+    written down directly, and one Polynomial is built at the end.  A ParseError carries the position of the offending token.
     """
-    sc = _Scanner(text)
-    poly = _parse_expr(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ParseError(f"unexpected {sc.text[sc.pos]!r}", sc.pos)
-    return poly
-
-
-def _parse_expr(sc: _Scanner) -> Polynomial:
-    sign = -1 if sc.take("-") else 1
-    if sign == 1:
-        sc.take("+")
-    acc = _parse_term(sc) * sign
-    while True:
-        if sc.take("+"):
-            acc = acc + _parse_term(sc)
-        elif sc.take("-"):
-            acc = acc - _parse_term(sc)
-        else:
-            return acc
-
-
-def _parse_term(sc: _Scanner) -> Polynomial:
-    acc = _parse_factor(sc)
-    while True:
-        ch = sc.peek()
-        if ch == "*":
-            sc.take("*")
-            acc = acc * _parse_factor(sc)
-        elif ch.isdigit() or ch == "x" or ch == "(":
-            acc = acc * _parse_factor(sc)
-        else:
-            return acc
-
-
-def _parse_factor(sc: _Scanner) -> Polynomial:
-    ch = sc.peek()
-    if ch.isdigit():
-        base = Polynomial.constant(sc.natural())
-    elif ch == "x":
-        sc.take("x")
-        base = Polynomial.x()
-    elif ch == "(":
-        sc.take("(")
-        base = _parse_expr(sc)
-        sc.expect(")")
-    else:
-        raise ParseError("expected a coefficient, x or (", sc.pos)
-    if sc.take("^"):
-        return base ** sc.natural()
-    return base
+    ps = _ListParser(text)
+    coeffs = ps.expr()
+    pos, tok = ps.toks[ps.i]
+    if tok:
+        raise ParseError(f"unexpected {tok[0]!r}", pos)
+    return Polynomial(coeffs)

@@ -26,9 +26,10 @@ from ringfunc.canonical import (
     uv_table_index,
     vp_factorial,
 )
-from ringfunc.funcspace import induce, induced_tables, unit_valued_tables
+from ringfunc import canonical
+from ringfunc.funcspace import FunctionTable, induce, induced_tables, lagrange, unit_valued_tables
 from ringfunc.poly import Polynomial, X
-from ringfunc.rings import SizeCapError, make_ring
+from ringfunc.rings import PrimePowerRing, SizeCapError, make_ring
 
 
 def _naive_valuation(p, j):
@@ -362,3 +363,108 @@ def test_layered_form_validation():
 def test_layered_form_json_shape():
     form = canonicalize_unit_valued(Polynomial.constant(3), 2, 2)
     assert form.to_json_dict() == {"p": 2, "n": 2, "s": 1, "layers": {"2": [[1, 0, 1]]}}
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-level layered construction and Lagrange leading terms
+
+
+def _lagrange_leading(p, s):
+    """The leading representative as Lagrange interpolation of the s-th unit
+    table, canonicalized mod p."""
+    table = FunctionTable(PrimePowerRing(p, 1), uv_table_from_index(s, p))
+    return canonicalize(lagrange(table), p, 1).to_polynomial()
+
+
+def _falling_sum(p, n, terms, start=Polynomial.zero()):
+    """start + sum of a * p^i * (x)_j, reduced mod p^n, by Polynomial arithmetic."""
+    f = start
+    for i, j, a in terms:
+        f = f + falling_factorial(j) * (a * p**i)
+    return f.reduced_mod(p**n)
+
+
+def _per_level_form(f, p, n):
+    """The layered form level by level: for k = 2 .. n the deficit f - h is
+    canonicalized mod p^k, its terms must sit at depth k - 1, and they are
+    added to h unreduced."""
+    ring = PrimePowerRing(p, n)
+    assert induce(f, ring).is_unit_valued()
+    s = uv_table_index(induce(f, PrimePowerRing(p, 1)).values, p)
+    h = _lagrange_leading(p, s)
+    layers = []
+    for k in range(2, n + 1):
+        terms = canonicalize(f - h, p, k).terms
+        assert all(i + vp_factorial(p, j) == k - 1 for i, j, _ in terms)
+        layers.append((k, terms))
+        for i, j, a in terms:
+            h = h + falling_factorial(j) * (a * p**i)
+    assert induce(h, ring) == induce(f, ring)
+    return UnitValuedCanonicalForm(p, n, s, tuple(layers))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_leading_representative_matches_lagrange_for_every_table(p):
+    for s in range(1, (p - 1) ** p + 1):
+        assert leading_representative(p, s) == _lagrange_leading(p, s)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+def test_layered_form_matches_the_per_level_oracle_on_every_form(p, n):
+    # each form's polynomial plus a seeded multiple of p^n and of (x)_beta,
+    # both null mod p^n, so the input is not already reduced
+    rng = random.Random(10 * p + n)
+    null = falling_factorial(beta(p, n))
+    for form in enumerate_unit_valued_forms(p, n):
+        f = form.to_polynomial() + null * rng.randrange(-3, 4) + p**n * rng.randrange(-3, 4)
+        assert canonicalize_unit_valued(f, p, n) == _per_level_form(f, p, n) == form
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 2)])
+def test_layered_form_matches_the_per_level_oracle_on_seeded_inputs(p, n):
+    # u + (x^p - x) g + p h is unit-valued mod p^n, u a leading representative
+    m = p**n
+    fermat = X**p - X
+    rng = random.Random(1000 * p + n)
+    for _ in range(60):
+        u = leading_representative(p, rng.randrange(1, (p - 1) ** p + 1))
+        g = Polynomial([rng.randrange(-m, 3 * m) for _ in range(rng.randrange(6))])
+        h = Polynomial([rng.randrange(-m, 3 * m) for _ in range(rng.randrange(9))])
+        f = u + fermat * g + h * p
+        assert canonicalize_unit_valued(f, p, n) == _per_level_form(f, p, n)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (2, 5)])
+def test_to_polynomial_matches_polynomial_arithmetic(p, n):
+    # seeded digits in every slot of the form and of each layer
+    rng = random.Random(p + n)
+    for _ in range(100):
+        terms = [
+            (i, j, rng.randrange(1, p))
+            for j in range(beta(p, n))
+            for i in range(n - vp_factorial(p, j))
+            if rng.random() < 0.5
+        ]
+        form = CanonicalForm(p, n, tuple(terms))
+        assert form.to_polynomial() == _falling_sum(p, n, terms)
+        layers = tuple(
+            (k, tuple((k - 1 - vp_factorial(p, j), j, rng.randrange(1, p))
+                      for j in range(beta(p, k)) if rng.random() < 0.5))
+            for k in range(2, n + 1)
+        )
+        uv = UnitValuedCanonicalForm(p, n, rng.randrange(1, (p - 1) ** p + 1), layers)
+        terms = [t for _, layer in layers for t in layer]
+        assert uv.to_polynomial() == _falling_sum(p, n, terms, _lagrange_leading(p, uv.s))
+
+
+def test_layered_form_refuses_a_deficit_with_a_depth_zero_term(monkeypatch):
+    # a leading term for the wrong table leaves f - h not null mod p
+    monkeypatch.setattr(canonical, "leading_representative", lambda p, s: Polynomial((2,)))
+    with pytest.raises(RuntimeError, match="not null mod p"):
+        canonicalize_unit_valued(Polynomial.constant(1), 3, 2)
+
+
+def test_layered_form_refuses_a_form_that_fails_re_induction(monkeypatch):
+    monkeypatch.setattr(UnitValuedCanonicalForm, "to_polynomial", lambda self: Polynomial((1,)))
+    with pytest.raises(RuntimeError, match="re-induction"):
+        canonicalize_unit_valued(Polynomial((1, 2)), 2, 2)

@@ -192,6 +192,99 @@ def test_canonical_input_errors_exit_one(capsys, argv, fragment):
     assert fragment in err
 
 
+# (ring, poly, mode flags...) -> exit code and sha256 of stdout, recorded from
+# the per-level layered construction this one-pass form replaced
+CANONICAL_OUTPUT_SHA256 = [
+    (("zpn:2,2", "--poly", "x^4"), 0,
+     "1c8ec9d690b701ba15e14c88bf2c950c68f4914ef2b570ce66d78d32ad8ae836"),
+    (("zpn:2,2", "--poly", "x^4", "--json"), 0,
+     "55bedd23e75447f979286f52212d43321f5b0345cd292c57b1a2461e02cc7481"),
+    (("zpn:2,2", "--poly", "x^4", "--unit-valued"), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("zpn:2,2", "--poly", "x^4", "--unit-valued", "--json"), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("zpn:2,3", "--poly", "x^6 + 8*x^5 + 2*x^4 + 5*x^3 - 6*x + 3"), 0,
+     "53e3948e343a5ad0592f8332b44c3a5d9b8f7dcac51c2512c72cedc20c1bb801"),
+    (("zpn:2,3", "--poly", "x^6 + 8*x^5 + 2*x^4 + 5*x^3 - 6*x + 3", "--json"), 0,
+     "db0da33b6a6ea4b5313eadd88a1827e02e664f872802ca607d96c0836134b255"),
+    (("zpn:2,3", "--poly", "x^6 + 8*x^5 + 2*x^4 + 5*x^3 - 6*x + 3", "--unit-valued"), 0,
+     "c0edd622cc5add2feb8bde00961f73266f4caca005bb66cd58562c93531c4daf"),
+    (("zpn:2,3", "--poly", "x^6 + 8*x^5 + 2*x^4 + 5*x^3 - 6*x + 3", "--unit-valued", "--json"), 0,
+     "d9bdfc828853c153cf26b11df421b673437fdd452f4cd466674eb6be56ee4e7e"),
+    (("zpn:2,4", "--poly", "7x^7 + x^2 + 2x - 1"), 0,
+     "5517d98611956fc6c86b4bc2aa1f59ecb1e336fb1eb9f4ae6dcbf7f12906a70b"),
+    (("zpn:2,4", "--poly", "7x^7 + x^2 + 2x - 1", "--json"), 0,
+     "b70b9e9a524b646071172eab19fad1361f972d7de7c5618522229b604c0199bb"),
+    (("zpn:2,4", "--poly", "7x^7 + x^2 + 2x - 1", "--unit-valued"), 0,
+     "3b7cade3dfce3617fd803930da4021dedf5f9786bb7ab41c9fc8d68d387ec113"),
+    (("zpn:2,4", "--poly", "7x^7 + x^2 + 2x - 1", "--unit-valued", "--json"), 0,
+     "448904bf9b3a532a1e28c35f784e3a0d4a776755a81db1ad398bdd29fe16d28b"),
+    (("zpn:2,5", "--poly", "(x^2 - x)^3 + 3x^2 + 3x + 5"), 0,
+     "e0e5c7a840a93c54ba341a1b003b48b998b6960c366f88a26c025b93b6a85b05"),
+    (("zpn:2,5", "--poly", "(x^2 - x)^3 + 3x^2 + 3x + 5", "--json"), 0,
+     "ccb09d84ee2c608c6d9b31cc0fd47ef1530b1e2617bd458c13629bce199de1cb"),
+    (("zpn:2,5", "--poly", "(x^2 - x)^3 + 3x^2 + 3x + 5", "--unit-valued"), 0,
+     "a095fcef370c15e1b6648349daa220f16421eb163f98afcf144d548d5cb30cb1"),
+    (("zpn:2,5", "--poly", "(x^2 - x)^3 + 3x^2 + 3x + 5", "--unit-valued", "--json"), 0,
+     "7f3534e571b8df008ffae064f230c7fb5b897d320c25f8578e803b2b2fe101f8"),
+    (("zpn:3,2", "--poly", "x^4 + 2*x + 5"), 0,
+     "276bf5521b62d6c70d290cf99a6b13b686c47751e50989d03555df859d2b8fd5"),
+    (("zpn:3,2", "--poly", "x^4 + 2*x + 5", "--json"), 0,
+     "0b6e9b1205cec8c4cc596601ce010286889314887dffd08557c601743de73708"),
+    (("zpn:3,2", "--poly", "x^4 + 2*x + 5", "--unit-valued"), 0,
+     "830da40e3db89d44c92d587844974a47cb2f529c57c141260c44f212ba8b22f4"),
+    (("zpn:3,2", "--poly", "x^4 + 2*x + 5", "--unit-valued", "--json"), 0,
+     "0e9298f6c3efc00ab4fbcb4133648be82b3f0fe7b02f06a73df3724bc914bca5"),
+    (("zpn:3,3", "--poly", "-x^9 + 4x^3 + 10"), 0,
+     "b265ba4231e76ca5be59bacf40c63284dd8d56b7a705503d2b5bbc7b01382dfe"),
+    (("zpn:3,3", "--poly", "-x^9 + 4x^3 + 10", "--json"), 0,
+     "9b33f138741e816f9802b866edfacaad7c94a08c05d556055503923758472758"),
+    (("zpn:3,3", "--poly", "-x^9 + 4x^3 + 10", "--unit-valued"), 0,
+     "0e91f0f2fd3c5e066a992725fa9c51ed15959c9d2d06f4c3a317bebe34969465"),
+    (("zpn:3,3", "--poly", "-x^9 + 4x^3 + 10", "--unit-valued", "--json"), 0,
+     "842bce8f89654f808f242e0d5e42647cc80bece300c387a9f5362c4ca327b83f"),
+    (("zpn:5,2", "--poly", "x^4 + 5x^3 - 3"), 0,
+     "c0f4967bcd8b790b6ca554ee890217b1e6a82476a26a278179de4f48ecc39053"),
+    (("zpn:5,2", "--poly", "x^4 + 5x^3 - 3", "--json"), 0,
+     "17e3055d3bed6b16d12c69cb1f1ad40540020933109c075337098356a329d241"),
+    (("zpn:5,2", "--poly", "x^4 + 5x^3 - 3", "--unit-valued"), 0,
+     "b8d34033151de3d7639b30723e37b3d55bd1a54d8289a023c61727837db328df"),
+    (("zpn:5,2", "--poly", "x^4 + 5x^3 - 3", "--unit-valued", "--json"), 0,
+     "fcac808c9a8b0b14a55431a03bec37c95b8d2886c083b694ad77a95e2072cfbf"),
+    (("zpn:7,2", "--poly", "2x^6 + 7x + 1"), 0,
+     "d689613ec85a2ea17376c8e5edabbfd39f1d7b20566cf96c1d43f59ae753e700"),
+    (("zpn:7,2", "--poly", "2x^6 + 7x + 1", "--json"), 0,
+     "6f7fc8bc5f4fc92844fb2447e632e288c6bfd06c5526be6696595c72fece096d"),
+    (("zpn:7,2", "--poly", "2x^6 + 7x + 1", "--unit-valued"), 0,
+     "89e8afa128ba1ef2ad1349fae96cb629f1df75a39f048cdc86566ef25ebfea81"),
+    (("zpn:7,2", "--poly", "2x^6 + 7x + 1", "--unit-valued", "--json"), 0,
+     "17eac0d2bbe8218de9f0fb69b8dc34bc1518be5a2047f196e0e22c903cf528af"),
+    (("fq:3", "--poly", "x^2 + 1"), 0,
+     "52c626d7e3574e0c639f1ab5696523580a972fa90be82479f1af2aa0362a7971"),
+    (("fq:3", "--poly", "x^2 + 1", "--json"), 0,
+     "69278aa245d9b0a64b0f7ae5a769f40cacd189c6bfab203b90f3401a85c96f5e"),
+    (("fq:3", "--poly", "x^2 + 1", "--unit-valued"), 0,
+     "8bb61c8e0321404b5decaec57949487f77a97fe2644d38fa075f79ad0c55cbd6"),
+    (("fq:3", "--poly", "x^2 + 1", "--unit-valued", "--json"), 0,
+     "4b5d238fef5858671e66304d815fed161850b7f1d34341795952888dfb4a4581"),
+    (("zm:8", "--poly", "x^2 + x + 1"), 0,
+     "0ae3a3dbb84958004cb51cd40835e500849c4bc1d32309ce5c9a67f3e8448be8"),
+    (("zm:8", "--poly", "x^2 + x + 1", "--json"), 0,
+     "9ffc828cac23868d8e6cd8f6886f08e19da65f783dad4e5ee64d33f7289681f5"),
+    (("zm:8", "--poly", "x^2 + x + 1", "--unit-valued"), 0,
+     "1679c051de462e473c27013d041518395202571fd947b1fed96c3be545b8ba44"),
+    (("zm:8", "--poly", "x^2 + x + 1", "--unit-valued", "--json"), 0,
+     "865f1c1cec630bccd1dc237a6d41edd7569a8b57f886671a25ca5527f6086d3f"),
+]
+
+
+@pytest.mark.parametrize("args,code,digest", CANONICAL_OUTPUT_SHA256)
+def test_canonical_outputs_are_pinned(capsys, args, code, digest):
+    ring, *rest = args
+    got, out, _ = run(capsys, "canonical", "--ring", ring, *rest)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 # ---------------------------------------------------------------------------
 # enumerate: groups, stabilizers, kernels, forms
 

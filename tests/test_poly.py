@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ringfunc.funcspace import induce
 from ringfunc.poly import ParseError, Polynomial, X, format_polynomial, parse
@@ -225,6 +225,124 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse("x + )")
     assert err.value.position == 4
+
+
+# ParseError message and position for each malformed input, as recorded from
+# the token-by-token scanner this parser replaced
+MALFORMED = [
+    ('', 'expected a coefficient, x or ( (at position 0)', 0),
+    (' ', 'expected a coefficient, x or ( (at position 1)', 1),
+    ('+', 'expected a coefficient, x or ( (at position 1)', 1),
+    ('-', 'expected a coefficient, x or ( (at position 1)', 1),
+    ('--x', 'expected a coefficient, x or ( (at position 1)', 1),
+    ('+-x', 'expected a coefficient, x or ( (at position 1)', 1),
+    ('-+x', 'expected a coefficient, x or ( (at position 1)', 1),
+    ('x +', 'expected a coefficient, x or ( (at position 3)', 3),
+    ('x -', 'expected a coefficient, x or ( (at position 3)', 3),
+    ('x*', 'expected a coefficient, x or ( (at position 2)', 2),
+    ('x * * 2', 'expected a coefficient, x or ( (at position 4)', 4),
+    ('*x', 'expected a coefficient, x or ( (at position 0)', 0),
+    ('x^', 'expected a number (at position 2)', 2),
+    ('x^ ', 'expected a number (at position 3)', 3),
+    ('x^-1', 'expected a number (at position 2)', 2),
+    ('x^x', 'expected a number (at position 2)', 2),
+    ('x ^ (2)', 'expected a number (at position 4)', 4),
+    ('x^2^3', "unexpected '^' (at position 3)", 3),
+    ('2^^3', 'expected a number (at position 2)', 2),
+    ('(', 'expected a coefficient, x or ( (at position 1)', 1),
+    ('(x', "expected ')' (at position 2)", 2),
+    ('( x + 1', "expected ')' (at position 7)", 7),
+    ('(x + 1))', "unexpected ')' (at position 7)", 7),
+    (')', 'expected a coefficient, x or ( (at position 0)', 0),
+    ('x)', "unexpected ')' (at position 1)", 1),
+    ('()', 'expected a coefficient, x or ( (at position 1)', 1),
+    ('(x)(', 'expected a coefficient, x or ( (at position 4)', 4),
+    ('x + (', 'expected a coefficient, x or ( (at position 5)', 5),
+    ('3 x ^', 'expected a number (at position 5)', 5),
+    ('x y', "unexpected 'y' (at position 2)", 2),
+    ('X', 'expected a coefficient, x or ( (at position 0)', 0),
+    ('2.5x', "unexpected '.' (at position 1)", 1),
+    ('x/2', "unexpected '/' (at position 1)", 1),
+    ('1 + 2 - ', 'expected a coefficient, x or ( (at position 8)', 8),
+    ('x^2 +\t', 'expected a coefficient, x or ( (at position 6)', 6),
+    ('\tx\n^\n', 'expected a number (at position 5)', 5),
+    ('(x+1)^2 3^', 'expected a number (at position 10)', 10),
+    ('((x)', "expected ')' (at position 4)", 4),
+    ('x + 1 = 0', "unexpected '=' (at position 6)", 6),
+    ('7 7 7 ^ x', 'expected a number (at position 8)', 8),
+    ('x^2 - x)', "unexpected ')' (at position 7)", 7),
+    ('  -  ', 'expected a coefficient, x or ( (at position 5)', 5),
+    ('x + + x', 'expected a coefficient, x or ( (at position 4)', 4),
+    ('(-)', 'expected a coefficient, x or ( (at position 2)', 2),
+    ('(+x', "expected ')' (at position 3)", 3),
+    ('x**2', 'expected a coefficient, x or ( (at position 2)', 2),
+    ('4*(x - 1', "expected ')' (at position 8)", 8),
+    ('x^(2)', 'expected a number (at position 2)', 2),
+    ('12 + ^3', 'expected a coefficient, x or ( (at position 5)', 5),
+]
+
+
+@pytest.mark.parametrize("text,message,position", MALFORMED)
+def test_parse_errors_keep_their_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.position) == (message, position)
+
+
+def test_parse_reports_a_non_decimal_digit_as_the_scanner_did():
+    # str.isdigit() accepts a superscript digit; int() then rejects it
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse("x^2²")
+    assert parse("3٣").coeffs == (33,)  # an Arabic-Indic three
+
+
+_WS = st.sampled_from(["", " ", "  ", "\t", " \n"])
+
+
+@st.composite
+def _expressions(draw, depth=2):
+    """(text, polynomial) for a random expression tree, the text rendered with
+    random signs, whitespace, juxtaposition, * and ^, and the polynomial
+    built from the same tree with Polynomial arithmetic."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(("number", "x", "parens")[: 3 if depth else 2]))
+            if kind == "number":
+                c = draw(st.integers(0, 40))
+                text, value = str(c), Polynomial.constant(c)
+            elif kind == "x":
+                text, value = "x", X
+            else:
+                inner, value = draw(_expressions(depth - 1))
+                text = f"({draw(_WS)}{inner}{draw(_WS)})"
+            if draw(st.booleans()):
+                k = draw(st.integers(0, 5))
+                text, value = f"{text}{draw(_WS)}^{draw(_WS)}{k}", value**k
+            factors.append((text, value))
+        text, value = factors[0]
+        for t, v in factors[1:]:
+            sep = draw(st.sampled_from(["", " ", "*", " * "]))
+            if not sep and text[-1].isdigit() and t[0].isdigit():
+                sep = " "  # juxtaposed digits would read as one number
+            text, value = text + sep + t, value * v
+        terms.append((text, value))
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    text = f"{sign}{draw(_WS)}{terms[0][0]}" if sign else terms[0][0]
+    value = -terms[0][1] if sign == "-" else terms[0][1]
+    for t, v in terms[1:]:
+        op = draw(st.sampled_from("+-"))
+        text += f"{draw(_WS)}{op}{draw(_WS)}{t}"
+        value = value + v if op == "+" else value - v
+    return text, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions(), _WS, _WS)
+def test_parse_matches_polynomial_arithmetic_on_expression_trees(expr, lead, trail):
+    text, value = expr
+    assert parse(lead + text + trail) == value
 
 
 def test_format_examples():
