@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .funcspace import induce
+from .funcspace import _zpn, induce
 from .poly import Polynomial, X
-from .rings import PrimePowerRing, check_cap, is_prime
+from .rings import check_cap, is_prime
 
 
 def vp_factorial(p: int, j: int) -> int:
@@ -201,7 +201,7 @@ def canonicalize(f: Polynomial, p: int, n: int) -> CanonicalForm:
     for j, coeff in enumerate(b):
         terms.extend(_digit_terms(p, n, j, coeff))
     form = CanonicalForm(p, n, tuple(terms))
-    ring = PrimePowerRing(p, n)
+    ring = _zpn(p, n)
     if induce(form.to_polynomial(), ring) != induce(f, ring):
         raise RuntimeError("canonical form failed re-induction check")
     return form
@@ -349,7 +349,7 @@ def canonicalize_unit_valued(f: Polynomial, p: int, n: int) -> UnitValuedCanonic
     """
     if f.ring is not None:
         raise ValueError("expected integer coefficients")
-    ring = PrimePowerRing(p, n)
+    ring = _zpn(p, n)
     table = induce(f, ring)
     if not table.is_unit_valued():
         raise ValueError(f"polynomial is not unit-valued mod {p}^{n}")

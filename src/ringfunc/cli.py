@@ -561,8 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--allow-large", action="store_true",
                         help="lift the size and enumeration caps")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (evaluation is currently single process)")
         sp.add_argument("--out", help="write output to a file instead of stdout")
 
     sp = sub.add_parser("test", help="evaluate a predicate on one polynomial")
@@ -634,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except SizeCapError as exc:

@@ -125,16 +125,7 @@ def render_value(ring: Ring, v) -> object:
 
 def induce(f: Polynomial, ring: Ring) -> FunctionTable:
     """The table of [f] on the ring, by Horner evaluation at every element."""
-    coeffs = f._coeffs_for(ring)
-    add, mul = ring.add, ring.mul
-    rev = coeffs[::-1]
-    values = []
-    for r in ring.elements:
-        acc = ring.zero
-        for c in rev:
-            acc = add(mul(acc, r), c)
-        values.append(acc)
-    return FunctionTable(ring, values)
+    return FunctionTable(ring, ring.horner(f._coeffs_for(ring), ring.elements))
 
 
 def is_null(f: Polynomial, ring: Ring) -> bool:

@@ -213,7 +213,7 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------
 
     def eval(self, ring, point):
-        """Horner evaluation in `ring`, reducing at every step.
+        """Horner evaluation in `ring`, by ring.horner.
 
         Integer coefficients are reduced through ring.from_int.  A polynomial
         tagged with ring K can be evaluated in K itself or in the dual
@@ -221,11 +221,7 @@ class Polynomial:
         is a mismatch.
         """
         enc = getattr(point, "encoding", point)
-        coeffs = self._coeffs_for(ring)
-        acc = ring.zero
-        for c in reversed(coeffs):
-            acc = ring.add(ring.mul(acc, enc), c)
-        return acc
+        return ring.horner(self._coeffs_for(ring), (enc,))[0]
 
     def _coeffs_for(self, ring):
         if self.ring is None or getattr(self.ring, "integer_encoded", False):

@@ -7,6 +7,12 @@ canonical data, not symbols: residues are ints in [0, m-1], field elements of
 degree m >= 2 are coefficient vectors of length m over [0, p-1], dual elements
 are pairs.  Enumeration order is fixed and documented per kind because value
 tables, serializations and test vectors all index into it.
+
+Polynomials are evaluated by Ring.horner.  Residue rings do plain integer
+Horner with one reduction per step.  F_q with m >= 2 adds, multiplies,
+negates, inverts and evaluates on Zech-log tables of O(q) entries, built on
+first use; the convolution product of coefficient vectors reduced by the
+modulus is the definition they are built from and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from functools import cached_property
 
 from .poly import Polynomial
 
@@ -79,6 +86,18 @@ def prime_power_decomposition(m: int) -> tuple[int, int] | None:
                 n += 1
             return (p, n) if q == 1 else None
     return None
+
+
+def _residue_horner(coeffs, points, m: int) -> list:
+    """Ring.horner mod m, one reduction per step; coefficients are any ints."""
+    rev = coeffs[::-1]
+    out = []
+    for r in points:
+        acc = 0
+        for c in rev:
+            acc = (acc * r + c) % m
+        out.append(acc)
+    return out
 
 
 class RingElement:
@@ -180,6 +199,21 @@ class Ring:
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
+    def horner(self, coeffs, points) -> list:
+        """The values of sum_k coeffs[k] x^k at each of the points, by
+        Horner's rule; coeffs are encodings, lowest degree first.  Residue
+        rings and extension fields replace this add/mul loop with their own
+        arithmetic."""
+        add, mul, zero = self.add, self.mul, self.zero
+        rev = coeffs[::-1]
+        out = []
+        for r in points:
+            acc = zero
+            for c in rev:
+                acc = add(mul(acc, r), c)
+            out.append(acc)
+        return out
+
     def from_int(self, k: int):
         """The canonical image of the integer k."""
         raise NotImplementedError
@@ -192,13 +226,7 @@ class Ring:
         raise NotImplementedError
 
     def inverse(self, x):
-        """Multiplicative inverse by exhaustive search; subclasses add fast paths."""
-        if not self.is_unit(x):
-            raise ValueError(f"{x!r} is not a unit in {self.descriptor}")
-        for y in self.elements:
-            if self.mul(x, y) == self.one:
-                return y
-        raise AssertionError("unit without inverse in a finite ring")
+        raise NotImplementedError
 
     @property
     def is_field(self) -> bool:
@@ -229,21 +257,21 @@ class Ring:
             if not 0 <= x < self.size:
                 raise ValueError(f"index {x} out of range for {self.descriptor}")
             return RingElement(self, self.elements[x])
-        if x in self._element_set():
+        if x in self._index:
             return RingElement(self, x)
         raise ValueError(f"{x!r} is not an element of {self.descriptor}")
 
-    def _element_set(self):
-        if "eset" not in self._tables:
-            self._tables["eset"] = frozenset(self.elements)
-        return self._tables["eset"]
+    @cached_property
+    def _index(self) -> dict:
+        """The enumeration index of each encoding."""
+        return {e: i for i, e in enumerate(self.elements)}
 
     # -- index-based tables for enumeration-heavy callers -------------
 
     def index_op_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """(add, mul) tables on element indices; cached."""
         if "ops" not in self._tables:
-            idx = {e: i for i, e in enumerate(self.elements)}
+            idx = self._index
             els = self.elements
             add_t = [[idx[self.add(a, b)] for b in els] for a in els]
             mul_t = [[idx[self.mul(a, b)] for b in els] for a in els]
@@ -314,6 +342,9 @@ class ModularRing(Ring):
 
     def mul(self, x, y):
         return (x * y) % self.m
+
+    def horner(self, coeffs, points) -> list:
+        return _residue_horner(coeffs, points, self.m)
 
     def from_int(self, k: int):
         return k % self.m
@@ -446,58 +477,94 @@ class FiniteField(Ring):
             self.zero = 0
             self.one = 1 % p
         else:
-            self.elements = tuple(self._decode(k) for k in range(q))
+            # c_0 fastest: the element at index k has the base-p digits of k
+            self.elements = tuple(e[::-1] for e in itertools.product(range(p), repeat=m))
             self.zero = (0,) * m
             self.one = (1,) + (0,) * (m - 1)
-            # t^k reduced by the modulus, for k = m .. 2m-2
-            self._red = self._high_power_reductions()
+            self._zero_log = 2 * (q - 1)  # the log of zero in _zech_tables
 
-    def _decode(self, k: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.extension_degree):
-            digits.append(k % self.p)
-            k //= self.p
-        return tuple(digits)
+    def _conv_mul(self, x, y):
+        """x*y for m >= 2 by convolution and reduction by the modulus: the
+        definition _zech_tables is built from, and the tests' oracle."""
+        out = _pp_mod(_pp_mul(x, y, self.p), self.modulus, self.p)
+        return out + (0,) * (self.extension_degree - len(out))
 
-    def _high_power_reductions(self):
-        """Vectors for t^k mod modulus, k = m .. 2m-2."""
-        p, m = self.p, self.extension_degree
-        red = []
-        current = _pp_mod((0,) * m + (1,), self.modulus, p)
-        for _ in range(m, 2 * m - 1):
-            vec = tuple(current) + (0,) * (m - len(current))
-            red.append(vec)
-            shifted = (0,) + vec
-            current = _pp_mod(shifted, self.modulus, p)
-        return red
+    def _conv_pow(self, x, k: int):
+        acc = self.one
+        while k:
+            if k & 1:
+                acc = self._conv_mul(acc, x)
+            x = self._conv_mul(x, x)
+            k >>= 1
+        return acc
+
+    @cached_property
+    def _zech_tables(self) -> tuple[dict, list, list]:
+        """(log, exp, zech) for m >= 2, built on first use from _conv_mul:
+        log maps each element to its logarithm to g, the first primitive
+        element in enumeration order, and zero to Z = 2(q - 1); exp lists
+        g^0 .. g^(q-2) twice, then zero up to 2Z, so x*y = exp[log x + log y];
+        zech[k] = log(1 + g^k), so g^a + g^b = exp[a + zech[b - a]]."""
+        p, n1 = self.p, self.size - 1
+        primes = [r for r in range(2, n1 + 1) if n1 % r == 0 and is_prime(r)]
+        g = next(
+            x for x in self.elements[p:]
+            if all(self._conv_pow(x, n1 // r) != self.one for r in primes)
+        )
+        g = _pp_normalize(g, p)  # trimmed, so a product with g costs O(m deg g)
+        powers = [self.one]
+        for _ in range(n1 - 1):
+            powers.append(self._conv_mul(g, powers[-1]))
+        exp = powers * 2 + [self.zero] * (self._zero_log + 1)
+        log = {x: k for k, x in enumerate(powers)}
+        log[self.zero] = self._zero_log
+        zech = [log[((x[0] + 1) % p,) + x[1:]] for x in powers]
+        return log, exp, zech
 
     def add(self, x, y):
         if self.extension_degree == 1:
             return (x + y) % self.p
-        return tuple((a + b) % self.p for a, b in zip(x, y))
+        log, exp, zech = self._zech_tables
+        a, b = log[x], log[y]
+        if a == self._zero_log:
+            return y
+        if b == self._zero_log:
+            return x
+        return exp[a + zech[b - a]]
 
     def neg(self, x):
         if self.extension_degree == 1:
             return (-x) % self.p
-        return tuple((-a) % self.p for a in x)
+        log, exp, _ = self._zech_tables
+        # -1 is g^((q-1)/2) for odd q and g^0 for even q
+        return exp[log[x] + (self.size - 1) // 2 * (self.p % 2)]
 
     def mul(self, x, y):
-        p, m = self.p, self.extension_degree
-        if m == 1:
-            return (x * y) % p
-        conv = [0] * (2 * m - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    conv[i + j] += a * b
-        out = [c % p for c in conv[:m]]
-        for k in range(m, 2 * m - 1):
-            c = conv[k] % p
-            if c:
-                vec = self._red[k - m]
-                for i in range(m):
-                    out[i] = (out[i] + c * vec[i]) % p
-        return tuple(out)
+        if self.extension_degree == 1:
+            return (x * y) % self.p
+        log, exp, _ = self._zech_tables
+        return exp[log[x] + log[y]]
+
+    def horner(self, coeffs, points) -> list:
+        if self.extension_degree == 1:
+            return _residue_horner(coeffs, points, self.p)
+        log, exp, zech = self._zech_tables
+        n1, Z = self.size - 1, self._zero_log
+        rev = [log[c] for c in reversed(coeffs)]
+        out = []
+        for r in points:
+            lr, acc = log[r], Z
+            for lc in rev:
+                # acc <- acc * r + c on logarithms, kept below q - 1 or at Z
+                if acc == Z or lr == Z:
+                    acc = lc
+                    continue
+                acc = (acc + lr) % n1
+                if lc != Z:
+                    acc += zech[lc - acc]
+                    acc = Z if acc >= Z else acc % n1
+            out.append(exp[acc])
+        return out
 
     def from_int(self, k: int):
         if self.extension_degree == 1:
@@ -507,10 +574,7 @@ class FiniteField(Ring):
     def index(self, x) -> int:
         if self.extension_degree == 1:
             return x
-        acc = 0
-        for c in reversed(x):
-            acc = acc * self.p + c
-        return acc
+        return self._index[x]
 
     def is_unit(self, x) -> bool:
         return x != self.zero
@@ -520,16 +584,8 @@ class FiniteField(Ring):
             raise ValueError(f"0 is not a unit in {self.descriptor}")
         if self.extension_degree == 1:
             return pow(x, -1, self.p)
-        acc = self.one
-        k = self.size - 2
-        base = x
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return acc
+        log, exp, _ = self._zech_tables
+        return exp[self.size - 1 - log[x]]
 
     @property
     def is_field(self) -> bool:
@@ -578,12 +634,3 @@ def make_ring(spec: str, *, size_cap: int | None = None) -> Ring:
         raise ValueError(f"fq takes one or two parameters, got {spec!r}")
     raise ValueError(f"unknown ring kind {head!r} in {spec!r}")
 
-
-def is_unit(r: RingElement) -> bool:
-    """Unit test for a wrapped element; units are exactly the non-zero-divisors."""
-    return r.ring.is_unit(r.encoding)
-
-
-def units(ring: Ring) -> tuple:
-    """Unit encodings of the ring, in enumeration order."""
-    return ring.units()

@@ -676,22 +676,6 @@ def test_input_errors_exit_one(capsys, argv, fragment):
     assert fragment in err
 
 
-def test_jobs_must_be_positive(capsys):
-    code, _, err = run(
-        capsys, "test", "--ring", "zm:4", "--poly", "x", "--prop", "null", "--jobs", "0"
-    )
-    assert code == 1
-    assert "--jobs" in err
-
-
-def test_jobs_above_one_accepted(capsys):
-    code, out, _ = run(
-        capsys, "test", "--ring", "zm:4", "--poly", "x", "--prop", "null", "--jobs", "2"
-    )
-    assert code == 0
-    assert json.loads(out) == {"result": False}
-
-
 def test_size_cap_exits_three(capsys):
     code, _, err = run(capsys, "test", "--ring", "zm:70000", "--poly", "x", "--prop", "null")
     assert code == 3

@@ -1,6 +1,7 @@
 """Ring layer: construction, axioms, units, descriptors, caps."""
 
 import itertools
+import random
 
 import pytest
 
@@ -14,10 +15,8 @@ from ringfunc.rings import (
     enumeration_cap,
     find_irreducible,
     is_prime,
-    is_unit,
     make_ring,
     prime_power_decomposition,
-    units,
 )
 
 DESCRIPTORS = (
@@ -99,8 +98,8 @@ def test_unit_exactly_when_multiplication_permutes(ring):
 
 
 def test_units_form_a_group(ring):
-    us = units(ring)
-    assert ring.units() == us
+    us = ring.units()
+    assert us == tuple(a for a in ring.elements if ring.is_unit(a))
     unit_set = set(us)
     assert ring.one in unit_set
     for a in us:
@@ -278,7 +277,7 @@ def test_element_wrapper_arithmetic():
     assert (x**2).encoding == 4
     assert x + 2 == zn.element(0)
     assert x.is_unit()
-    assert is_unit(x)
+    assert zn.is_unit(x.encoding)
     assert x.inverse() * x == zn.element(1)
 
 
@@ -323,3 +322,90 @@ def test_finite_field_one_parameter_requires_prime_power():
         FiniteField(6, 1)
     f8 = make_ring("fq:8")
     assert (f8.p, f8.extension_degree) == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# extension-field arithmetic against the convolution definition, and the
+# Horner evaluation of each ring kind against a per-point add/mul Horner
+
+
+def _vector_add(field, x, y):
+    return tuple((a + b) % field.p for a, b in zip(x, y))
+
+
+def _check_field_ops(field, x, y):
+    p = field.p
+    assert field.index(x) == sum(c * p**i for i, c in enumerate(x))
+    assert field.neg(x) == tuple((-a) % p for a in x)
+    if x != field.zero:
+        assert field._conv_mul(x, field.inverse(x)) == field.one
+    assert field.add(x, y) == _vector_add(field, x, y)
+    assert field.mul(x, y) == field._conv_mul(x, y)
+
+
+# t is not primitive modulo the moduli of fq:9, fq:25 and fq:49 (x^2 + 1,
+# x^2 + x + 1, x^2 + 1), so their logarithms are taken to another base
+@pytest.mark.parametrize(
+    "desc", ["fq:4", "fq:8", "fq:9", "fq:16", "fq:25", "fq:27", "fq:32", "fq:49"]
+)
+def test_field_arithmetic_matches_the_convolution_on_every_pair(desc):
+    field = make_ring(desc)
+    for x in field.elements:
+        for y in field.elements:
+            _check_field_ops(field, x, y)
+
+
+def test_field_arithmetic_matches_the_convolution_on_sampled_pairs():
+    field = make_ring("fq:2,12")
+    rng = random.Random(2012)
+    els = field.elements
+    pairs = [(field.zero, field.zero), (field.zero, els[-1]), (els[-1], field.zero)]
+    pairs += [(rng.choice(els), rng.choice(els)) for _ in range(2000)]
+    for x, y in pairs:
+        _check_field_ops(field, x, y)
+
+
+def test_field_tables_are_built_on_first_arithmetic():
+    field = make_ring("fq:2,8")
+    assert "_zech_tables" not in vars(field)
+    field.mul(field.one, field.one)
+    assert "_zech_tables" in vars(field)
+
+
+def _add_mul_horner(ring, coeffs, r):
+    acc = ring.zero
+    for c in reversed(coeffs):
+        acc = ring.add(ring.mul(acc, r), c)
+    return acc
+
+
+@pytest.mark.parametrize("desc", ["zm:12", "zpn:7,2", "fq:7"])
+def test_residue_horner_matches_a_per_point_add_mul_horner(desc):
+    ring = make_ring(desc)
+    rng = random.Random(desc)
+    m = ring.size
+    cases = [[], [-1], [m], [-m - 1, 2 * m + 3, -5]]
+    cases += [[rng.randrange(-3 * m, 3 * m) for _ in range(rng.randrange(1, 10))]
+              for _ in range(60)]
+    for coeffs in cases:
+        reduced = [ring.from_int(c) for c in coeffs]
+        expected = [_add_mul_horner(ring, reduced, r) for r in ring.elements]
+        assert ring.horner(coeffs, ring.elements) == expected
+
+
+@pytest.mark.parametrize("desc", ["fq:4", "fq:8", "fq:9", "fq:25", "fq:27"])
+def test_field_horner_matches_a_convolution_horner(desc):
+    field = make_ring(desc)
+    rng = random.Random(desc)
+    zero = field.zero
+    choices = (zero,) * 4 + field.elements  # zero terms take the zero branches
+    for _ in range(60):
+        coeffs = [rng.choice(choices) for _ in range(rng.randrange(10))]
+        expected = []
+        for r in field.elements:
+            acc = zero
+            for c in reversed(coeffs):
+                acc = _vector_add(field, field._conv_mul(acc, r), c)
+            expected.append(acc)
+        assert field.horner(coeffs, field.elements) == expected
+        assert field.horner(coeffs, field.elements[::-1]) == expected[::-1]
