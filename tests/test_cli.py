@@ -451,6 +451,95 @@ def test_sweep_outputs_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_OUTPUT_SHA256[argv]
 
 
+# outputs that go through the group elements: products, read-back pairs and
+# the verify suite; exit code and sha256 of stdout, recorded before the three
+# element classes became one permutation class
+GROUP_OUTPUT_SHA256 = [
+    (("enumerate", "--what", "group", "--ring", "fq:3"), 0,
+     "a0e9085232bc3d1ac858b61fec8aa6279c475428f21d7792ebc0523f475e1e79"),
+    (("enumerate", "--what", "group", "--ring", "zpn:2,2"), 0,
+     "4e6ba1f0d9f9656ee8607f7695a5e88ee4569a533ffe2ee3bf1d9f363bfc7acf"),
+    (("enumerate", "--what", "group", "--ring", "zm:6"), 0,
+     "5715640646044e5b80c4a88a26e2b15463241d886626735c13185efcb3496114"),
+    (("enumerate", "--what", "group", "--ring", "fq:4"), 0,
+     "4950854be9e1d2f575177160009b4b03547a1c27d7983738f23fc112dd6e12b6"),
+    (("export", "--what", "group", "--ring", "fq:3", "--table"), 0,
+     "e8d11d4e1aacbc75792b1446b7d3b36d4ad981e43a2f30c60461f8c76c375a92"),
+    (("export", "--what", "group", "--ring", "fq:3", "--format", "csv"), 0,
+     "a8c29db6739b980687432ec9b160f014e03644e78c3fecc7ee9e6bc60fb2d255"),
+    (("export", "--what", "group", "--dual", "--ring", "fq:3", "--table"), 0,
+     "712cb7c53aa35300255471fc5e0332f6f2c77afe7d76acdc24348405afa4b20b"),
+    (("export", "--what", "group", "--dual", "--ring", "fq:3", "--format", "csv"), 0,
+     "6500477e8380e7c6627bfcdb8cfbc9197fd87d859fb08ac65b8d13daf052bd70"),
+    (("export", "--what", "stabilizer", "--ring", "fq:3", "--table"), 0,
+     "787ebdb17ffe1293ef082e00514b3f14571213d3ff797ffa0a05771a5747ebca"),
+    (("export", "--what", "stabilizer", "--ring", "fq:3", "--format", "csv"), 0,
+     "914fe09d8fe6b3c330d8b061f7dfaedf267f889c16e0f59bb50583c62df290ac"),
+    (("export", "--what", "group", "--ring", "zpn:2,2", "--table"), 0,
+     "e33fc34b960532dd7b5d6d6628a66d5275486e963f89ad73e4b92c8ce3a5bc99"),
+    (("export", "--what", "group", "--ring", "zpn:2,2", "--format", "csv"), 0,
+     "896bec227838693ea71f9f12a3fcaa0b9763eaf2ac10030bc0c47582abd7014b"),
+    (("export", "--what", "group", "--dual", "--ring", "zpn:2,2", "--table"), 0,
+     "aac5da9cc608f095730e8aafef7e6d445dcae10a14f9ebd3f33bbb363531bd0e"),
+    (("export", "--what", "group", "--dual", "--ring", "zpn:2,2", "--format", "csv"), 0,
+     "7cc16aaa32b484eb4195a51a3f5c632125e2d239fb7b4afac604c84806552977"),
+    (("export", "--what", "stabilizer", "--ring", "zpn:2,2", "--table"), 0,
+     "fceb5f708520bd04238ebb46504811dc731a365c04eece4a610f454424c8b701"),
+    (("export", "--what", "stabilizer", "--ring", "zpn:2,2", "--format", "csv"), 0,
+     "a3c2b42b6d5f539d0b173c6c84f2bd9f9b4c800ce1b66818a2fd261831c1e71a"),
+    (("export", "--what", "group", "--ring", "zm:6", "--table"), 0,
+     "f851cb55431f53d05cf43d7472ef95af9a548c556d9da10da3646fbfdc7da62f"),
+    (("export", "--what", "group", "--ring", "zm:6", "--format", "csv"), 0,
+     "d9e7a35adc60e6171380c2b22fc474b54d58115ed14bd358a76344360fb7e570"),
+    (("export", "--what", "group", "--dual", "--ring", "zm:6", "--table"), 0,
+     "c0b774e36a7ba1ccaef7cb3a4b9303830bcdd869ef0a28849e0854a4655fe09d"),
+    (("export", "--what", "group", "--dual", "--ring", "zm:6", "--format", "csv"), 0,
+     "4266023fa80086f28233744d9bf3399d280002a16db137114a197d8be0b329c5"),
+    (("export", "--what", "stabilizer", "--ring", "zm:6", "--table"), 0,
+     "ea3fb1178d1ac3cb4fe2f56aff5e4f8a9730cb637447f107af5b620620f5383e"),
+    (("export", "--what", "stabilizer", "--ring", "zm:6", "--format", "csv"), 0,
+     "914fe09d8fe6b3c330d8b061f7dfaedf267f889c16e0f59bb50583c62df290ac"),
+    (("verify", "--suite", "groups", "--ring", "fq:2"), 0,
+     "136b229d5c983db4fff9507d26b54e921a7ec7dab1cb60045a5394f2d0bc3960"),
+    (("verify", "--suite", "groups", "--ring", "fq:2", "--json"), 0,
+     "146ae359dddd44be0a38d5cb3fc14435526ab3e316c2a7816287dfd6205ee78d"),
+    (("verify", "--suite", "groups", "--ring", "fq:3"), 0,
+     "2181f53afd4deb44d45f5dec388962a426feb64c6ad30c228a0ff6854302ce1d"),
+    (("verify", "--suite", "groups", "--ring", "fq:3", "--json"), 0,
+     "5fcecfa488221efa1c6eff9bb85d02a6fca9cf79f59d59a9e10fa9fe18030dc2"),
+    (("verify", "--suite", "groups", "--ring", "zpn:2,2"), 0,
+     "dff72ae3f7ace4adb4dc19d533e56e62668840d1ab5315f2e8f1d1e09d0c98f4"),
+    (("verify", "--suite", "groups", "--ring", "zpn:2,2", "--json"), 0,
+     "d36233cb2d8a1ccc40f0faa19cf38d040808ce9f94c9c5cf3436566cd7c117ff"),
+    (("verify", "--suite", "groups", "--ring", "fq:4"), 0,
+     "b7b9d6d45d60e003ddc147726736d464247346770036f105a794e62e386738ef"),
+    (("verify", "--suite", "groups", "--ring", "fq:4", "--json"), 0,
+     "8fa62e8685832223007155687aa4a639139d722a1c51acd11040ef5b23681817"),
+    (("verify", "--suite", "groups", "--ring", "zm:6"), 0,
+     "d71eab5dcf37cc79e767c70cab22d4f031467af4793330bc1df948e0fcdd071a"),
+    (("verify", "--suite", "groups", "--ring", "zm:6", "--json"), 0,
+     "7971905b168760af61ac35b5e0386af90e0cfc8a2139714312248c73a9fa06ec"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GROUP_OUTPUT_SHA256)
+def test_group_outputs_are_pinned(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("enumerate", "--what", "group", "--dual", "--ring", "zpn:2,3"),
+     "error: pair sweep: 16777216 exceeds cap 10000000\n"),
+    (("enumerate", "--what", "stabilizer", "--ring", "zpn:2,3"),
+     "error: pair sweep: 16777216 exceeds cap 10000000\n"),
+    (("export", "--what", "group", "--ring", "fq:5", "--table"),
+     "error: multiplication table: 15099494400 exceeds cap 10000000\n"),
+])
+def test_group_refusals_are_pinned(capsys, argv, err):
+    assert run(capsys, *argv) == (3, "", err)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dual_criterion_samples_like_a_candidate_list(monkeypatch, seed):
     # the sample drawn from the list of every candidate, constant term fastest
