@@ -126,12 +126,7 @@ def cmd_test(args) -> int:
         result = fs.permutes_dual(f, base)
         if args.oracle:
             dual = dual_ring(base, size_cap=_cap(args))
-            seen = {
-                horner_dual(f, dual, a, b)
-                for a in base.elements
-                for b in base.elements
-            }
-            oracle = len(seen) == dual.size
+            oracle = len(set(horner_dual(f, dual, dual.elements))) == dual.size
     doc: dict = {"result": result}
     if args.oracle:
         doc["oracle_agrees"] = oracle == result
@@ -212,15 +207,23 @@ def cmd_canonical(args) -> int:
 
 
 def _group_elements(args, cap):
-    """Resolve --what group/stabilizer into (base, elements, item dicts)."""
+    """Resolve --what group/stabilizer into (base, item dicts, elements).
+
+    The semidirect product lists its items from its two factors and returns
+    no elements: each is a whole dual table, built only for a product table.
+    """
     base = _base_of(_ring(args))
     if args.what == "stabilizer":
         els = gr.enumerate_stabilizer(base, cap=cap)
+        # a stabilizer element is x + g for its null part g
         items = [
-            {"null_part": format_polynomial(st.null_part), "unit": list(st.unit)}
+            {
+                "null_part": format_polynomial(st.witness - Polynomial.x()),
+                "unit": list(st.base_pair()[1]),
+            }
             for st in els
         ]
-        return base, els, items
+        return base, items, els
     if args.dual:
         els = gr.enumerate_dual_permutations(base, cap=cap)
         items = []
@@ -231,17 +234,17 @@ def _group_elements(args, cap):
                 "unit": list(F),
                 "witness": format_polynomial(dp.witness),
             })
-        return base, els, items
-    els = gr.semidirect_group(base, cap=cap)
-    items = [{"perm": list(el.perm), "unit": list(el.unit)} for el in els]
-    return base, els, items
+        return base, items, els
+    perms, units = gr.semidirect_pairs(base, cap=cap)
+    items = [{"perm": list(G), "unit": list(F)} for G in perms for F in units]
+    return base, items, None
 
 
 def cmd_enumerate(args) -> int:
     cap = _cap(args)
     what = args.what
     if what in ("group", "stabilizer"):
-        base, _, items = _group_elements(args, cap)
+        base, items, _ = _group_elements(args, cap)
         doc = {"count": len(items), "ring": base.descriptor, "what": what}
         if what == "group":
             doc["dual"] = bool(args.dual)
@@ -280,13 +283,14 @@ def cmd_export(args) -> int:
     cap = _cap(args)
     what = args.what
     if what in ("group", "stabilizer"):
-        base, els, items = _group_elements(args, cap)
-        # stabilizer elements multiply through their semidirect form
-        prods = [st.as_semidirect() for st in els] if what == "stabilizer" else els
+        base, items, els = _group_elements(args, cap)
+        if args.format == "csv" or args.table:
+            check_cap(len(items) ** 2, cap, "multiplication table")
+            if els is None:
+                els = gr.semidirect_group(base, cap=cap)
+            table = _multiplication_table(els)
         if args.format == "csv":
-            check_cap(len(prods) ** 2, cap, "multiplication table")
-            table = _multiplication_table(prods)
-            rows = [[""] + list(range(len(prods)))]
+            rows = [[""] + list(range(len(items)))]
             rows += [[i] + row for i, row in enumerate(table)]
             _emit(args, _csv_text(rows))
             return 0
@@ -294,8 +298,7 @@ def cmd_export(args) -> int:
         if what == "group":
             doc["dual"] = bool(args.dual)
         if args.table:
-            check_cap(len(prods) ** 2, cap, "multiplication table")
-            doc["table"] = _multiplication_table(prods)
+            doc["table"] = table
         _emit(args, _json_dumps(doc))
         return 0
     p, n = _pn(args)
@@ -353,13 +356,10 @@ def _check_dual_law(base: Ring, seed: int, cap) -> list[tuple[str, bool]]:
     ok = True
     for _ in range(30):
         f = _random_poly(rng, base, 2 * base.size)
-        for a in base.elements:
-            for b in base.elements:
-                if horner_dual(f, dual, a, b) != eval_dual(f, base, a, b):
-                    ok = False
-                    break
-            if not ok:
-                break
+        ok = all(
+            v == eval_dual(f, base, a, b)
+            for (a, b), v in zip(dual.elements, horner_dual(f, dual, dual.elements))
+        )
         if not ok:
             break
     return [(f"dual[law:{base.descriptor}]", ok)]
@@ -388,15 +388,11 @@ def _check_dual_criterion(base: Ring, seed: int, cap) -> list[tuple[str, bool]]:
         )
         seen = set()
         bijective = True
-        for a in base.elements:
-            for b in base.elements:
-                v = horner_dual(f, dual, a, b)
-                if v in seen:
-                    bijective = False
-                    break
-                seen.add(v)
-            if not bijective:
+        for v in horner_dual(f, dual, dual.elements):
+            if v in seen:
+                bijective = False
                 break
+            seen.add(v)
         if bijective != verdict:
             ok = False
             break

@@ -125,11 +125,15 @@ def eval_dual_poly(g: DualPolynomial, base: Ring, a, b) -> DualElement:
     return DualElement(g1a, base.add(base.mul(b, d1a), g2a))
 
 
-def horner_dual(g, dual: DualRing, a, b) -> DualElement:
-    """Straight Horner evaluation in the dual ring.
+def horner_dual(g, dual: DualRing, points):
+    """Straight Horner evaluation in the dual ring at each (a, b) of points.
 
     Takes a DualPolynomial g1 + g2*al or a plain base-coefficient Polynomial.
-    Independent of the shortcut laws; used as their oracle.
+    Its coefficients are read once, as dual elements from the top degree
+    down; each point then costs one dual multiply and one dual add per
+    coefficient.  Yields a DualElement per point, in order and lazily, so a
+    caller may stop at the first value it needs.  Independent of the
+    shortcut laws; used as their oracle.
     """
     base = dual.base
     if isinstance(g, DualPolynomial):
@@ -138,14 +142,17 @@ def horner_dual(g, dual: DualRing, a, b) -> DualElement:
     else:
         c1s = g._coeffs_for(base)
         c2s = ()
-    n = max(len(c1s), len(c2s))
-    acc = dual.zero
-    point = (a, b)
-    for k in range(n - 1, -1, -1):
-        c1 = c1s[k] if k < len(c1s) else base.zero
-        c2 = c2s[k] if k < len(c2s) else base.zero
-        acc = dual.add(dual.mul(acc, point), (c1, c2))
-    return DualElement(*acc)
+    zero = base.zero
+    coeffs = [
+        (c1s[k] if k < len(c1s) else zero, c2s[k] if k < len(c2s) else zero)
+        for k in range(max(len(c1s), len(c2s)) - 1, -1, -1)
+    ]
+    add, mul = dual.add, dual.mul
+    for point in points:
+        acc = dual.zero
+        for c in coeffs:
+            acc = add(mul(acc, point), c)
+        yield DualElement(*acc)
 
 
 def format_dual_element(dual: DualRing, x) -> str:

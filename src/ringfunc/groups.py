@@ -1,26 +1,41 @@
 """Permutation groups of dual rings and the semidirect product they embed in.
 
-A base-coefficient polynomial permutes R[al] exactly when it permutes R and
-its derivative is unit-valued, so each dual permutation is pinned down by the
-pair of base tables ([f], [f']).  Pairs multiply by the twisted law
-(G1, F1) * (G2, F2) = (G1 o G2, (F1 o G2) . F2), which is the semidirect
-product of the induced permutation group with the pointwise unit group acting
-by precomposition.  This module enumerates the dual permutations, the
-stabilizer of the base points, and the ambient product, and ships the
-verification routines that check the group axioms and the embedding.
+Every group element here is one kind of object: a DualPermutation, the
+permutation of R[al] it is, stored as a table on dual element indices
+(a * |R| + b for a + b*al).  A pair of base tables (G, F), G a bijection
+and F unit-valued, acts on R[al] as (a, b) -> (G(a), F(a) * b).  The image
+of (a, 1) is then (G(a), F(a)), so the row b = 1 of the table reads the pair
+back.  Composing two such tables gives the table of the twisted product
+(G1, F1) * (G2, F2) = (G1 o G2, (F1 o G2) . F2), the semidirect product of
+the induced permutations with the pointwise unit group acting by
+precomposition.  Products are compositions of tables, so associativity holds
+by construction.
 
-Group elements here hold index tables (tuples of element indices) rather than
-raw encodings; composition is then pure integer indexing.  Every element type
-multiplies as a composition of permutations of R[al] (a pair (G, F) acts as
-(a, b) -> (G(a), F(a) * b)), so associativity holds by construction, and the
-verification routines check closure and the homomorphism law exactly from a
-greedy generating set S with |G| * |S| products instead of |G|^2.
+Three sets of elements come out of this module:
+- the semidirect product F(R)^x ⋊ P(R): every pair of an induced permutation
+  and an induced unit-valued table;
+- the dual permutations: a base-coefficient polynomial f permutes R[al]
+  exactly when it permutes R and f' is unit-valued, and it acts by the pair
+  ([f], [f']);
+- the stabilizer of the base points: the dual permutations with G = id,
+  x + g for a null polynomial g, acting by the pair (id, [1 + g']).
+
+verify_group_axioms checks closure exactly from a greedy generating set S,
+with |G| * |S| products instead of |G|^2, and the identity and inverses on
+every element.  verify_embedding sweeps the coefficients once for both the
+dual permutations and the stabilizer.  It checks the homomorphism law by
+comparing the pair read back from d * s with the twisted product of the
+pairs of d and s, for every d and every generator s.  It decides membership
+of the image in the semidirect product per element: G among the induced
+permutations and F among the induced unit-valued tables.  Surjectivity then
+is |image| = |P(R)| * |F(R)^x|; the product itself is never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import getitem, itemgetter
 
 from .dual import DualRing, dual_ring
 from .funcspace import (
@@ -35,135 +50,12 @@ from .poly import Polynomial
 from .rings import Ring, check_cap
 
 
-def _index_table(F: FunctionTable) -> tuple[int, ...]:
-    ring = F.ring
-    return tuple(ring.index(v) for v in F.values)
-
-
-def _unit_inverse_row(ring: Ring) -> dict[int, int]:
-    key = "unit_inverse_row"
-    tables = ring._tables
-    if key not in tables:
-        tables[key] = {
-            ring.index(u): ring.index(ring.inverse(u)) for u in ring.units()
-        }
-    return tables[key]
-
-
-class SemidirectElement:
-    """Pair (permutation, unit table) over one ring, in index form.
-
-    perm maps element index to element index and must be a bijection; unit
-    maps element index to the index of a unit.  The product twists the second
-    unit table by precomposition with the first permutation's partner.
-    """
-
-    __slots__ = ("ring", "perm", "unit")
-
-    def __init__(self, ring: Ring, perm, unit):
-        perm = tuple(perm)
-        unit = tuple(unit)
-        size = ring.size
-        if len(perm) != size or len(unit) != size:
-            raise ValueError("tables must cover the whole ring")
-        if set(perm) != set(range(size)):
-            raise ValueError("first component is not a permutation")
-        mask = ring.unit_index_mask()
-        if not all(mask[i] for i in unit):
-            raise ValueError("second component is not unit-valued")
-        self.ring = ring
-        self.perm = perm
-        self.unit = unit
-
-    @classmethod
-    def _make(cls, ring, perm, unit):
-        el = object.__new__(cls)
-        el.ring = ring
-        el.perm = perm
-        el.unit = unit
-        return el
-
-    @classmethod
-    def identity(cls, ring: Ring) -> "SemidirectElement":
-        one = ring.index(ring.one)
-        return cls._make(ring, tuple(range(ring.size)), (one,) * ring.size)
-
-    @classmethod
-    def from_tables(cls, G: FunctionTable, F: FunctionTable) -> "SemidirectElement":
-        if G.ring != F.ring:
-            raise ValueError("components live over different rings")
-        return cls(G.ring, _index_table(G), _index_table(F))
-
-    def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
-        if self.ring != other.ring:
-            raise ValueError("elements live over different rings")
-        mul_t = self.ring.index_op_tables()[1]
-        p1, p2 = self.perm, other.perm
-        f1, f2 = self.unit, other.unit
-        perm = tuple(p1[j] for j in p2)
-        unit = tuple(mul_t[f1[j]][b] for j, b in zip(p2, f2))
-        return SemidirectElement._make(self.ring, perm, unit)
-
-    def inverse(self) -> "SemidirectElement":
-        size = self.ring.size
-        inv_perm = [0] * size
-        for i, j in enumerate(self.perm):
-            inv_perm[j] = i
-        inv_row = _unit_inverse_row(self.ring)
-        unit = tuple(inv_row[self.unit[inv_perm[a]]] for a in range(size))
-        return SemidirectElement._make(self.ring, tuple(inv_perm), unit)
-
-    def perm_table(self) -> FunctionTable:
-        els = self.ring.elements
-        return FunctionTable(self.ring, (els[i] for i in self.perm))
-
-    def unit_table(self) -> FunctionTable:
-        els = self.ring.elements
-        return FunctionTable(self.ring, (els[i] for i in self.unit))
-
-    def __eq__(self, other):
-        if not isinstance(other, SemidirectElement):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.perm == other.perm
-            and self.unit == other.unit
-        )
-
-    def __hash__(self):
-        return hash((self.perm, self.unit))
-
-    def __repr__(self):
-        return f"SemidirectElement({self.ring.descriptor}, {self.perm}, {self.unit})"
-
-
-def precompose_units(F: FunctionTable, G: FunctionTable) -> FunctionTable:
-    """Action of a permutation G on a unit table F: the table F o G."""
-    if not G.is_bijection():
-        raise ValueError("action requires a bijection")
-    return F.compose(G)
-
-
-def semidirect_group(ring: Ring, *, cap: int | None = None) -> list[SemidirectElement]:
-    """Every (induced permutation, induced unit table) pair over the ring."""
-    perms = sorted(
-        _index_table(FunctionTable(ring, t)) for t in permutation_tables(ring, cap=cap)
-    )
-    units = sorted(
-        _index_table(FunctionTable(ring, t)) for t in unit_valued_tables(ring, cap=cap)
-    )
-    check_cap(len(perms) * len(units), cap, "semidirect product")
-    return [
-        SemidirectElement._make(ring, p, u) for p in perms for u in units
-    ]
-
-
 class DualPermutation:
-    """A permutation of R[al] induced by a base-coefficient polynomial.
+    """A permutation of R[al] of the form (a, b) -> (G(a), F(a) * b).
 
     table maps dual element index to dual element index.  witness is a
     polynomial inducing the permutation when one is known; products and
-    inverses drop it since composition leaves the polynomial implicit.
+    inverses drop it, and equality ignores it.
     """
 
     __slots__ = ("dual", "table", "witness")
@@ -177,7 +69,7 @@ class DualPermutation:
         self.witness = witness
 
     @classmethod
-    def _make(cls, dual, table, witness):
+    def _make(cls, dual, table, witness=None):
         el = object.__new__(cls)
         el.dual = dual
         el.table = table
@@ -188,38 +80,44 @@ class DualPermutation:
     def identity(cls, dual: DualRing) -> "DualPermutation":
         return cls._make(dual, tuple(range(dual.size)), Polynomial.x())
 
+    @classmethod
+    def from_pair(cls, dual: DualRing, G, F) -> "DualPermutation":
+        """The element of the base pair (G, F), both index tables over the
+        base: G must be a bijection and F unit-valued."""
+        base = dual.base
+        G, F = tuple(G), tuple(F)
+        if len(G) != base.size or len(F) != base.size:
+            raise ValueError("tables must cover the whole ring")
+        if set(G) != set(range(base.size)):
+            raise ValueError("first component is not a permutation")
+        mask = base.unit_index_mask()
+        if not all(mask[i] for i in F):
+            raise ValueError("second component is not unit-valued")
+        return cls._make(dual, _pair_table(base, G, F))
+
     def __mul__(self, other: "DualPermutation") -> "DualPermutation":
-        if self.dual != other.dual:
+        if self.dual is not other.dual and self.dual != other.dual:
             raise ValueError("permutations live over different dual rings")
-        t1 = self.table
-        return DualPermutation._make(self.dual, tuple(t1[j] for j in other.table), None)
+        return DualPermutation._make(self.dual, itemgetter(*other.table)(self.table))
 
     def inverse(self) -> "DualPermutation":
         out = [0] * len(self.table)
         for i, j in enumerate(self.table):
             out[j] = i
-        return DualPermutation._make(self.dual, tuple(out), None)
+        return DualPermutation._make(self.dual, tuple(out))
 
     def base_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Index tables of ([f], [f']) on the base, read off the dual table.
-
-        The image of (a, 1) is (f(a), f'(a)), so one row recovers both.
-        """
+        """Index tables (G, F) on the base, read off the row b = 1, whose
+        entry a is the index G(a) * |R| + F(a) of (G(a), F(a))."""
         base = self.dual.base
         nb = base.size
-        ib1 = base.index(base.one)
-        G = []
-        F = []
-        for ia in range(nb):
-            va, vb = divmod(self.table[ia * nb + ib1], nb)
-            G.append(va)
-            F.append(vb)
-        return tuple(G), tuple(F)
+        row = self.table[base.index(base.one)::nb]
+        return tuple(map(nb.__rfloordiv__, row)), tuple(map(nb.__rmod__, row))
 
     def __eq__(self, other):
         if not isinstance(other, DualPermutation):
             return NotImplemented
-        return self.dual == other.dual and self.table == other.table
+        return self.table == other.table and self.dual == other.dual
 
     def __hash__(self):
         return hash(self.table)
@@ -228,24 +126,42 @@ class DualPermutation:
         return f"DualPermutation({self.dual.descriptor}, {self.table})"
 
 
-def embed_dual_permutation(dp: DualPermutation) -> SemidirectElement:
-    """The pair ([f], [f']) of a dual permutation, as a semidirect element."""
-    G, F = dp.base_pair()
-    return SemidirectElement(dp.dual.base, G, F)
-
-
-def _pair_to_dual_table(dual: DualRing, G, F) -> tuple[int, ...]:
-    """Dual permutation table of the pair: (a, b) -> (G(a), F(a) * b)."""
-    base = dual.base
+def _pair_table(base: Ring, G, F) -> tuple[int, ...]:
+    """Dual table of the base pair: (a, b) -> (G(a), F(a) * b)."""
     nb = base.size
     mul_t = base.index_op_tables()[1]
     out = []
-    for ia in range(nb):
-        row = mul_t[F[ia]]
-        shift = G[ia] * nb
-        for ib in range(nb):
-            out.append(shift + row[ib])
+    for g, f in zip(G, F):
+        shift = g * nb
+        out += [shift + v for v in mul_t[f]]
     return tuple(out)
+
+
+def precompose_units(F: FunctionTable, G: FunctionTable) -> FunctionTable:
+    """Action of a permutation G on a unit table F: the table F o G."""
+    if not G.is_bijection():
+        raise ValueError("action requires a bijection")
+    return F.compose(G)
+
+
+def semidirect_pairs(ring: Ring, *, cap: int | None = None) -> tuple[list, list]:
+    """The induced permutations and the induced unit-valued tables of the
+    ring, each as sorted index tables: the two factors of the semidirect
+    product.  The cap also bounds the product's size."""
+    perms = sorted(tuple(map(ring.index, t)) for t in permutation_tables(ring, cap=cap))
+    units = sorted(tuple(map(ring.index, t)) for t in unit_valued_tables(ring, cap=cap))
+    check_cap(len(perms) * len(units), cap, "semidirect product")
+    return perms, units
+
+
+def semidirect_group(ring: Ring, *, cap: int | None = None) -> list[DualPermutation]:
+    """Every (induced permutation, induced unit table) pair over the ring,
+    as a permutation of R[al]; permutation-major, each factor in table order."""
+    perms, units = semidirect_pairs(ring, cap=cap)
+    dual = dual_ring(ring)
+    return [
+        DualPermutation._make(dual, _pair_table(ring, G, F)) for G in perms for F in units
+    ]
 
 
 def _translations(base: Ring, domain) -> list:
@@ -441,6 +357,58 @@ def _is_null_pair(coeffs, m: int) -> bool:
     return True
 
 
+def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
+    """One _pair_sums pass at the dual degree bound, for the dual
+    permutations and the stabilizer together.
+
+    Returns (passing, units), each mapping to the coefficients rest of the
+    first block of the sweep that reaches it, in first-seen order.  passing
+    holds the pairs ([f0], [f0']) with [f0] a bijection and [f0'] unit-valued.
+    units holds the unit-valued tables [1 + g'] of the null g, that is of
+    the pairs with a zero first table.  Both tests are invariant under
+    adding a constant, so the member with constant term zero decides a
+    block.
+    """
+    D = dual_degree_bound(base, cap=cap)
+    size = base.size
+    mask = base.unit_index_mask()
+    one_row = base.index_op_tables()[0][base.index(base.one)]
+    zero_tab = (base.index(base.zero),) * size
+    passing: dict[tuple, tuple] = {}
+    units: dict[tuple, tuple] = {}
+    for pair, rest in _pair_sums(base, D, cap=cap):
+        ftab = pair[:size]
+        if ftab == zero_tab:
+            unit = tuple(map(one_row.__getitem__, pair[size:]))
+            if all(map(mask.__getitem__, unit)):
+                units.setdefault(unit, rest)
+        elif len(set(ftab)) == size and all(map(mask.__getitem__, pair[size:])):
+            passing.setdefault(pair, rest)
+    return passing, units
+
+
+def _dual_elements(base: Ring, passing: dict) -> list[DualPermutation]:
+    """The dual permutations of the passing pairs of _dual_sweep.
+
+    Each pair is translated by every constant c, which gives the members of
+    its block; no two translations meet, since f0 vanishes at 0 and c is the
+    value of the translated table there.  The witness is the block's first
+    member with constant term c.  Sorted by table.
+    """
+    dual = dual_ring(base)
+    size = base.size
+    shifts = _translations(base, base.elements)
+    ring_arg = None if base.integer_encoded else base
+    out = []
+    for pair, rest in passing.items():
+        dtab = pair[size:]
+        for c, shift in shifts:
+            table = _pair_table(base, map(shift, pair[:size]), dtab)
+            out.append(DualPermutation._make(dual, table, Polynomial((c,) + rest, ring_arg)))
+    out.sort(key=lambda dp: dp.table)
+    return out
+
+
 def enumerate_dual_permutations(
     base: Ring, *, cap: int | None = None
 ) -> list[DualPermutation]:
@@ -449,70 +417,37 @@ def enumerate_dual_permutations(
     Covers every coefficient vector below the dual degree bound, keeps the
     ones whose base table is a bijection and whose derivative table is
     unit-valued, and dedups by the pair, recording the first witness in
-    sweep order for each.  Adding a constant c translates [f] by c and keeps
-    [f'], and both conditions are invariant under it.  So the pairs with
-    constant term zero from _pair_sums are tested, and each passing one is
-    translated by every constant; no two translations meet, since f0
-    vanishes at 0 and c is the value of the pair's table there.  Sorted by
-    table for deterministic output.
+    sweep order for each.  Sorted by table for deterministic output.
     """
-    D = dual_degree_bound(base, cap=cap)
+    return _dual_elements(base, _dual_sweep(base, cap=cap)[0])
+
+
+def _stabilizer_elements(base: Ring, units: dict) -> list[DualPermutation]:
+    """The elements (id, unit) of the stabilizer units of _dual_sweep,
+    sorted by unit table; the witness is x + g for the first null g."""
     dual = dual_ring(base)
-    size = base.size
-    mask = base.unit_index_mask()
-    passing: dict[tuple, tuple] = {}
-    for pair, rest in _pair_sums(base, D, cap=cap):
-        if all(map(mask.__getitem__, pair[size:])) and len(set(pair[:size])) == size:
-            passing.setdefault(pair, rest)
-    shifts = _translations(base, base.elements)
+    ident = range(base.size)
     ring_arg = None if base.integer_encoded else base
-    out = []
-    for pair, rest in passing.items():
-        dtab = pair[size:]
-        for c, shift in shifts:
-            table = _pair_to_dual_table(dual, tuple(map(shift, pair[:size])), dtab)
-            witness = Polynomial((c,) + rest, ring_arg)
-            out.append(DualPermutation._make(dual, table, witness))
-    out.sort(key=lambda dp: dp.table)
-    return out
+    return [
+        DualPermutation._make(
+            dual,
+            _pair_table(base, ident, unit),
+            Polynomial((base.zero,) + rest, ring_arg) + Polynomial.x(),
+        )
+        for unit, rest in sorted(units.items())
+    ]
 
 
-class StabilizerElement:
-    """A dual permutation fixing every base point: x + g with [g] = 0.
+def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[DualPermutation]:
+    """The pointwise stabilizer of the base inside the dual permutations.
 
-    Determined by the unit table [1 + g']; null_part records the first null
-    polynomial found inducing it.
+    Elements come from x + g with g null on the base; the dual action scales
+    the infinitesimal part by 1 + g'(a), so the element is the pair
+    (id, [1 + g']) and only null parts with that table unit-valued qualify.
+    The witness is x + g for the first null g in sweep order, and the
+    elements are sorted by unit table.
     """
-
-    __slots__ = ("ring", "unit", "null_part")
-
-    def __init__(self, ring: Ring, unit, null_part: Polynomial):
-        self.ring = ring
-        self.unit = tuple(unit)
-        self.null_part = null_part
-
-    def unit_table(self) -> FunctionTable:
-        els = self.ring.elements
-        return FunctionTable(self.ring, (els[i] for i in self.unit))
-
-    def as_semidirect(self) -> SemidirectElement:
-        return SemidirectElement(self.ring, tuple(range(self.ring.size)), self.unit)
-
-    def dual_permutation(self) -> DualPermutation:
-        dual = dual_ring(self.ring)
-        table = _pair_to_dual_table(dual, tuple(range(self.ring.size)), self.unit)
-        return DualPermutation(dual, table, self.null_part + Polynomial.x())
-
-    def __eq__(self, other):
-        if not isinstance(other, StabilizerElement):
-            return NotImplemented
-        return self.ring == other.ring and self.unit == other.unit
-
-    def __hash__(self):
-        return hash(self.unit)
-
-    def __repr__(self):
-        return f"StabilizerElement({self.ring.descriptor}, {self.unit})"
+    return _stabilizer_elements(base, _dual_sweep(base, cap=cap)[1])
 
 
 def null_polynomials(
@@ -537,35 +472,6 @@ def null_polynomials(
         for ftab0, _, rest in pair_table_blocks(base, D, cap=cap)
         if ftab0 == zero_tab
     ]
-
-
-def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[StabilizerElement]:
-    """The pointwise stabilizer of the base inside the dual permutations.
-
-    Elements come from x + g with g null on the base; the dual action scales
-    the infinitesimal part by 1 + g'(a), so the element is the unit table
-    [1 + g'] and only null parts with that table unit-valued qualify.  The
-    null parts have constant term 0 (see null_polynomials), so they are the
-    pairs from _pair_sums with a zero first table.
-    """
-    D = dual_degree_bound(base, cap=cap)
-    size = base.size
-    one_row = base.index_op_tables()[0][base.index(base.one)]
-    mask = base.unit_index_mask()
-    zero_tab = (base.index(base.zero),) * size
-    seen: dict[tuple, tuple] = {}
-    for pair, rest in _pair_sums(base, D, cap=cap):
-        if pair[:size] != zero_tab:
-            continue
-        unit = tuple(map(one_row.__getitem__, pair[size:]))
-        if all(map(mask.__getitem__, unit)):
-            seen.setdefault(unit, (base.zero,) + rest)
-    out = [
-        StabilizerElement(base, unit, Polynomial(coeffs, None if base.integer_encoded else base))
-        for unit, coeffs in seen.items()
-    ]
-    out.sort(key=lambda st: st.unit)
-    return out
 
 
 def _generate(elements, visit=None) -> tuple[list, bool]:
@@ -635,9 +541,8 @@ class GroupAxiomsReport:
 def verify_group_axioms(elements) -> GroupAxiomsReport:
     """Check the group axioms on a finite list of elements, exactly.
 
-    The elements must multiply as compositions of permutations of R[al]
-    (semidirect elements, dual permutations), so associativity holds by
-    construction and is reported with mode "composition".  Closure is
+    The elements must multiply as compositions of permutations, as
+    DualPermutation does, so associativity holds by construction and is reported with mode "composition".  Closure is
     decided from a greedy generating set S of the list: the list is closed
     under all products iff right multiplication by S never leaves it.  The
     identity and inverse axioms are checked on every element.  The list is
@@ -702,67 +607,65 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     """Check that reading off base pairs embeds the dual permutations into
     the semidirect product.
 
-    Injectivity and membership of the image are exhaustive.  The
-    homomorphism law pair(d * s) = pair(d) * pair(s) is checked for every
-    dual permutation d and every s in a greedy generating set S of them,
-    while the closure from S is built; the enumerated set must be closed
-    under those products, or homomorphism_ok is False.  This is exact: with
-    d * g = d * s1 * ... * sk the law for all pairs follows by induction on
-    k, since both products are compositions and hence associative.  The
-    mode is "generators:<|S|>".  Surjectivity is the set comparison of the
-    image with the ambient product; the image size is also compared against
-    the stabilizer-permutation factorization.
+    One coefficient sweep yields the dual permutations and the stabilizer.
+    Injectivity and membership of the image are exhaustive; membership is
+    decided per element, G among the induced permutations and F among the
+    induced unit-valued tables.  The homomorphism law
+    pair(d * s) = pair(d) * pair(s) compares the pair read back from the
+    composed table with the twisted product (G1 o G2, (F1 o G2) . F2) of the
+    pairs, for every dual permutation d and every s in a greedy generating
+    set S of them, while the closure from S is built; the enumerated set
+    must be closed under those products, or homomorphism_ok is False.  This
+    is exact: with d * g = d * s1 * ... * sk the law for all pairs follows by
+    induction on k, since both products are compositions and hence
+    associative.  The mode is "generators:<|S|>".  The image is onto iff it
+    lies in the product and has its size |P(R)| * |F(R)^x|; its size is
+    also compared against the stabilizer-permutation factorization.
     """
-    # the stabilizer first, so that its sweep's partial sums are freed
-    # before the dual permutations and the ambient product are held
-    stab = enumerate_stabilizer(base, cap=cap)
-    perms = enumerate_dual_permutations(base, cap=cap)
+    passing, units = _dual_sweep(base, cap=cap)
+    perms = _dual_elements(base, passing)
     pairs = {dp: dp.base_pair() for dp in perms}
-    image = {SemidirectElement(base, G, F) for G, F in pairs.values()}
+    image = set(pairs.values())
     injective = len(image) == len(perms)
 
-    ambient = semidirect_group(base, cap=cap)
-    ambient_set = set(ambient)
-    image_in_ambient = image <= ambient_set
+    perm_tables, unit_tables = semidirect_pairs(base, cap=cap)
+    perm_set, unit_set = set(perm_tables), set(unit_tables)
+    image_in_ambient = all(G in perm_set and F in unit_set for G, F in image)
 
+    # the law reads pairs packed as the row b = 1 of a table, entry a being
+    # G(a) * nb + F(a); scale[v][f] multiplies the F part of packed v by f
+    nb = base.size
+    i1 = base.index(base.one)
     mul_t = base.index_op_tables()[1]
+    scale = [[v - v % nb + mul_t[v % nb][f] for f in range(nb)] for v in range(nb * nb)]
     law_ok = True
 
     def law(d, s, ds):
-        # compare the pair of the composed dual permutation against the
-        # twisted product of the pairs, all on raw index tuples
+        # the pair read back from d * s against the twisted product
+        # (G1 o G2, (F1 o G2) . F2): at a, the pair of d at G2(a) with its
+        # F part multiplied by F2(a)
         nonlocal law_ok
-        G1, F1 = pairs[d]
         G2, F2 = pairs[s]
-        Gc, Fc = ds.base_pair()
-        if Gc != tuple(G1[a] for a in G2) or Fc != tuple(
-            mul_t[F1[a]][b] for a, b in zip(G2, F2)
-        ):
+        row1 = d.table[i1::nb]
+        twisted = tuple(map(getitem, map(scale.__getitem__, map(row1.__getitem__, G2)), F2))
+        if ds.table[i1::nb] != twisted:
             law_ok = False
 
     gens, closed = _generate(perms, law)
-    homomorphism_ok = law_ok and closed
 
-    perm_count = len(permutation_tables(base, cap=cap))
-    unit_count = len(unit_valued_tables(base, cap=cap))
-    surjective = image == ambient_set
-    factorization_ok = (
-        len(image) == len(stab) * perm_count
-        and len(ambient) == unit_count * perm_count
-    )
-
+    ambient_size = len(perm_set) * len(unit_set)
     return EmbeddingReport(
         base=base.descriptor,
         dual_perm_count=len(perms),
         image_size=len(image),
-        ambient_size=len(ambient),
-        perm_count=perm_count,
-        unit_table_count=unit_count,
-        stabilizer_size=len(stab),
+        ambient_size=ambient_size,
+        perm_count=len(perm_set),
+        unit_table_count=len(unit_set),
+        stabilizer_size=len(units),
         injective=injective,
-        homomorphism_ok=homomorphism_ok,
+        homomorphism_ok=law_ok and closed,
         homomorphism_mode=f"generators:{len(gens)}",
         image_in_ambient=image_in_ambient,
-        surjective=surjective,
-        factorization_ok=factorization_ok,
+        surjective=image_in_ambient and len(image) == ambient_size,
+        factorization_ok=len(image) == len(units) * len(perm_set),
     )

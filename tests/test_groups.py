@@ -15,10 +15,7 @@ from ringfunc.funcspace import (
 )
 from ringfunc.groups import (
     DualPermutation,
-    SemidirectElement,
-    StabilizerElement,
     dual_degree_bound,
-    embed_dual_permutation,
     enumerate_dual_permutations,
     enumerate_stabilizer,
     null_polynomials,
@@ -26,6 +23,7 @@ from ringfunc.groups import (
     pair_table_sweep,
     precompose_units,
     semidirect_group,
+    semidirect_pairs,
     verify_embedding,
     verify_group_axioms,
 )
@@ -36,10 +34,23 @@ from ringfunc.rings import SizeCapError, make_ring
 def _dp_from_poly(base, f):
     """Dual permutation table of f computed point by point in the dual ring."""
     d = dual_ring(base)
-    table = [None] * d.size
-    for i, (a, b) in enumerate(d.elements):
-        table[i] = d.index(horner_dual(f, d, a, b).as_pair())
+    table = [d.index(v.as_pair()) for v in horner_dual(f, d, d.elements)]
     return DualPermutation(d, table, f)
+
+
+def _pair_of(ring, el):
+    """The base pair of an element as FunctionTables of ring encodings."""
+    els = ring.elements
+    G, F = el.base_pair()
+    return FunctionTable(ring, (els[i] for i in G)), FunctionTable(ring, (els[i] for i in F))
+
+
+def _twisted(ring, pair1, pair2):
+    """(G1 o G2, (F1 o G2) . F2) by FunctionTable arithmetic, as index tables."""
+    (G1, F1), (G2, F2) = pair1, pair2
+    G = G1.compose(G2)
+    F = precompose_units(F1, G2).pointwise_mul(F2)
+    return tuple(map(ring.index, G.values)), tuple(map(ring.index, F.values))
 
 
 # ---------------------------------------------------------------------------
@@ -103,41 +114,47 @@ def test_action_permutes_the_unit_tables(desc):
 
 
 def test_semidirect_element_validation():
-    z4 = make_ring("zpn:2,2")
-    SemidirectElement(z4, (0, 1, 2, 3), (1, 3, 1, 3))
+    d4 = dual_ring(make_ring("zpn:2,2"))
+    DualPermutation.from_pair(d4, (0, 1, 2, 3), (1, 3, 1, 3))
     with pytest.raises(ValueError):
-        SemidirectElement(z4, (0, 0, 2, 3), (1, 1, 1, 1))
+        DualPermutation.from_pair(d4, (0, 0, 2, 3), (1, 1, 1, 1))
     with pytest.raises(ValueError):
-        SemidirectElement(z4, (0, 1, 2, 3), (1, 2, 1, 1))  # 2 is not a unit
+        DualPermutation.from_pair(d4, (0, 1, 2, 3), (1, 2, 1, 1))  # 2 is not a unit
     with pytest.raises(ValueError):
-        SemidirectElement(z4, (0, 1, 2), (1, 1, 1, 1))
+        DualPermutation.from_pair(d4, (0, 1, 2), (1, 1, 1, 1))
 
 
 def test_semidirect_product_example():
-    f3 = make_ring("fq:3")
-    e1 = SemidirectElement.from_tables(
-        FunctionTable.identity(f3), FunctionTable(f3, (1, 1, 2))
-    )
-    e2 = SemidirectElement.from_tables(
-        FunctionTable(f3, (1, 0, 2)), FunctionTable.one(f3)
-    )
-    prod = e1 * e2
-    assert prod.perm == (1, 0, 2)
-    assert prod.unit == (1, 1, 2)
+    d3 = dual_ring(make_ring("fq:3"))
+    e1 = DualPermutation.from_pair(d3, (0, 1, 2), (1, 1, 2))
+    e2 = DualPermutation.from_pair(d3, (1, 0, 2), (1, 1, 1))
+    assert (e1 * e2).base_pair() == ((1, 0, 2), (1, 1, 2))
+
+
+def test_pair_table_is_the_action_on_the_dual_ring():
+    # (a, b) -> (G(a), F(a) * b), entry by entry in the dual ring
+    base = make_ring("zm:6")
+    d = dual_ring(base)
+    perms, units = semidirect_pairs(base)
+    for G, F in ((perms[3], units[5]), (perms[-1], units[-1])):
+        el = DualPermutation.from_pair(d, G, F)
+        assert el.base_pair() == (G, F)
+        for (a, b), image in zip(d.elements, el.table):
+            ia = base.index(a)
+            expected = (base.elements[G[ia]], base.mul(base.elements[F[ia]], b))
+            assert d.elements[image] == expected
 
 
 def test_product_law_matches_table_construction():
-    f3 = make_ring("fq:3")
-    group = semidirect_group(f3)
-    rng = random.Random(21)
-    for _ in range(80):
-        e1 = group[rng.randrange(len(group))]
-        e2 = group[rng.randrange(len(group))]
-        expected = SemidirectElement.from_tables(
-            e1.perm_table().compose(e2.perm_table()),
-            precompose_units(e1.unit_table(), e2.perm_table()).pointwise_mul(e2.unit_table()),
-        )
-        assert e1 * e2 == expected
+    # every pair of the semidirect product: the pair read back from the
+    # composed table is the twisted product of FunctionTable arithmetic
+    for desc in ("fq:3", "zpn:2,2", "zm:6"):
+        ring = make_ring(desc)
+        group = semidirect_group(ring)
+        pairs = [_pair_of(ring, el) for el in group]
+        for e1, p1 in zip(group, pairs):
+            for e2, p2 in zip(group, pairs):
+                assert (e1 * e2).base_pair() == _twisted(ring, p1, p2)
 
 
 @pytest.mark.parametrize("desc,order", [("fq:2", 2), ("fq:3", 48), ("zpn:2,2", 128)])
@@ -146,16 +163,49 @@ def test_group_order_and_inverses(desc, order):
     group = semidirect_group(ring)
     assert len(group) == order
     assert len(set(group)) == order
-    ident = SemidirectElement.identity(ring)
+    ident = DualPermutation.identity(dual_ring(ring))
     assert group[0] == ident
     for el in group:
         assert el * el.inverse() == ident
         assert el.inverse() * el == ident
 
 
+@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
+def test_inverse_matches_a_brute_force_inverse_table(desc):
+    base = make_ring(desc)
+    for el in semidirect_group(base) + enumerate_dual_permutations(base):
+        table = el.table
+        brute = tuple(table.index(j) for j in range(len(table)))
+        assert el.inverse().table == brute
+
+
+def test_dual_rings_beyond_256_elements():
+    # zm:17 has a dual ring of 289 elements: tables are not capped at 256
+    base = make_ring("zm:17")
+    d = dual_ring(base)
+    assert d.size == 289
+    units = [i for i in range(17) if base.unit_index_mask()[i]]
+    rng = random.Random(17)
+    els = []
+    for _ in range(4):
+        G = list(range(17))
+        rng.shuffle(G)
+        F = [rng.choice(units) for _ in range(17)]
+        els.append(DualPermutation.from_pair(d, G, F))
+    ident = DualPermutation.identity(d)
+    for e1 in els:
+        assert e1 * e1.inverse() == ident == e1.inverse() * e1
+        for e2 in els:
+            prod = e1 * e2
+            assert prod.table == tuple(e1.table[j] for j in e2.table)
+            assert prod.base_pair() == _twisted(
+                base, _pair_of(base, e1), _pair_of(base, e2)
+            )
+
+
 def test_mixed_ring_products_are_rejected():
-    a = SemidirectElement.identity(make_ring("fq:2"))
-    b = SemidirectElement.identity(make_ring("fq:3"))
+    a = DualPermutation.identity(dual_ring(make_ring("fq:2")))
+    b = DualPermutation.identity(dual_ring(make_ring("fq:3")))
     with pytest.raises(ValueError):
         a * b
 
@@ -163,23 +213,25 @@ def test_mixed_ring_products_are_rejected():
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2"])
 def test_every_element_splits_into_permutation_and_unit_parts(desc):
     ring = make_ring(desc)
-    one = ring.index(ring.one)
+    d = dual_ring(ring)
+    one = (ring.index(ring.one),) * ring.size
     ident_perm = tuple(range(ring.size))
     for el in semidirect_group(ring):
-        g_part = SemidirectElement(ring, el.perm, (one,) * ring.size)
-        f_part = SemidirectElement(ring, ident_perm, el.unit)
+        G, F = el.base_pair()
+        g_part = DualPermutation.from_pair(d, G, one)
+        f_part = DualPermutation.from_pair(d, ident_perm, F)
         assert g_part * f_part == el
 
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2"])
 def test_unit_tables_form_a_normal_complement(desc):
     ring = make_ring(desc)
-    one = ring.index(ring.one)
+    one = (ring.index(ring.one),) * ring.size
     ident_perm = tuple(range(ring.size))
     group = semidirect_group(ring)
-    unit_subgroup = {el for el in group if el.perm == ident_perm}
-    perm_subgroup = {el for el in group if el.unit == (one,) * ring.size}
-    assert unit_subgroup & perm_subgroup == {SemidirectElement.identity(ring)}
+    unit_subgroup = {el for el in group if el.base_pair()[0] == ident_perm}
+    perm_subgroup = {el for el in group if el.base_pair()[1] == one}
+    assert unit_subgroup & perm_subgroup == {DualPermutation.identity(dual_ring(ring))}
     for h in group:
         hinv = h.inverse()
         for u in unit_subgroup:
@@ -266,12 +318,13 @@ def test_generating_set_leaves_out_the_identity():
     # the sorted enumerations list the identity first; making it a generator
     # would cost |G| products and generate nothing
     f3 = make_ring("fq:3")
+    d3 = dual_ring(f3)
     dps = enumerate_dual_permutations(f3)
     for pool, identity in (
-        (semidirect_group(f3), SemidirectElement.identity(f3)),
+        (semidirect_group(f3), DualPermutation.identity(d3)),
         (semidirect_group(make_ring("zpn:2,2")),
-         SemidirectElement.identity(make_ring("zpn:2,2"))),
-        (dps, DualPermutation.identity(dps[0].dual)),
+         DualPermutation.identity(dual_ring(make_ring("zpn:2,2")))),
+        (dps, DualPermutation.identity(d3)),
     ):
         assert pool[0] == identity
         products = []
@@ -280,34 +333,35 @@ def test_generating_set_leaves_out_the_identity():
         assert identity not in gens
         assert len(products) == len(pool) * len(gens)
     # a one-element pool still takes its element as the generator
-    e = SemidirectElement.identity(f3)
+    e = DualPermutation.identity(d3)
     assert groups._generate([e]) == ([e], True)
     # the identity and an involution: the involution generates both
-    swap = SemidirectElement(f3, (1, 0, 2), (1, 1, 1))
+    swap = DualPermutation.from_pair(d3, (1, 0, 2), (1, 1, 1))
     assert groups._generate([e, swap]) == ([swap], True)
 
 
 def _axiom_pools():
     f3 = make_ring("fq:3")
     z4 = make_ring("zpn:2,2")
+    d4 = dual_ring(z4)
     f3_group = semidirect_group(f3)
     z4_group = semidirect_group(z4)
-    z4_stab = [st.as_semidirect() for st in enumerate_stabilizer(z4)]
+    z4_stab = enumerate_stabilizer(z4)
     one = (z4.index(z4.one),) * z4.size
     return {
         "fq:3": f3_group,
         "zpn:2,2": z4_group,
         "zpn:2,2-stabilizer": z4_stab,
-        "fq:3-permutations": [el for el in f3_group if el.unit == (1, 1, 1)],
+        "fq:3-permutations": [el for el in f3_group if el.base_pair()[1] == (1, 1, 1)],
         "fq:3-no-identity": f3_group[1:],
         "fq:3-truncated": f3_group[:10],
         # the stabilizer plus a unit table outside the induced [1 + g'] set
         "zpn:2,2-stabilizer-foreign-unit": z4_stab + [
-            SemidirectElement(z4, tuple(range(4)), (1, 1, 1, 3))
+            DualPermutation.from_pair(d4, tuple(range(4)), (1, 1, 1, 3))
         ],
         # the whole product plus a permutation no polynomial induces
         "zpn:2,2-foreign-perm": z4_group + [
-            SemidirectElement(z4, _foreign_perm(z4), one)
+            DualPermutation.from_pair(d4, _foreign_perm(z4), one)
         ],
     }
 
@@ -335,7 +389,7 @@ def test_axiom_report_flags_broken_sets():
     assert not truncated.closed
     assert not truncated.passed
     assert verify_group_axioms([]).size == 0
-    singleton = verify_group_axioms([SemidirectElement.identity(f3)])
+    singleton = verify_group_axioms([DualPermutation.identity(dual_ring(f3))])
     assert singleton.passed
     assert singleton.abelian
 
@@ -370,9 +424,8 @@ def test_base_pair_example_over_the_four_element_ring():
     G, F = dp.base_pair()
     assert G == (0, 3, 2, 1)
     assert F == (1, 1, 1, 1)
-    el = embed_dual_permutation(dp)
-    assert el.perm == (0, 3, 2, 1)
-    assert el.unit == (1, 1, 1, 1)
+    # the pair determines the whole table
+    assert DualPermutation.from_pair(dp.dual, G, F) == dp
 
 
 def test_base_pair_example_over_the_three_element_field():
@@ -562,10 +615,10 @@ def test_enumerations_match_a_per_candidate_filter(desc):
     dps = enumerate_dual_permutations(base)
     assert [(dp.base_pair(), dp.witness) for dp in dps] == sorted(
         ((k, _poly(base, c)) for k, c in pairs.items()),
-        key=lambda item: groups._pair_to_dual_table(dps[0].dual, *item[0]),
+        key=lambda item: groups._pair_table(base, *item[0]),
     )
     stab = enumerate_stabilizer(base)
-    assert [(st.unit, st.null_part) for st in stab] == sorted(
+    assert [(st.base_pair()[1], st.witness - X) for st in stab] == sorted(
         (u, _poly(base, c)) for u, c in units.items()
     )
     assert null_polynomials(base) == nulls
@@ -604,8 +657,12 @@ def test_null_polynomials_of_the_two_element_field():
 def test_stabilizer_of_the_four_element_ring():
     z4 = make_ring("zpn:2,2")
     stab = enumerate_stabilizer(z4)
-    assert [st.unit for st in stab] == [(1, 1, 1, 1), (1, 3, 1, 3), (3, 1, 3, 1), (3, 3, 3, 3)]
-    by_unit = {st.unit: st.null_part.coeffs for st in stab}
+    assert [st.base_pair() for st in stab] == [
+        ((0, 1, 2, 3), unit)
+        for unit in [(1, 1, 1, 1), (1, 3, 1, 3), (3, 1, 3, 1), (3, 3, 3, 3)]
+    ]
+    # each element is x + g for its null part g
+    by_unit = {st.base_pair()[1]: (st.witness - X).coeffs for st in stab}
     assert by_unit[(1, 1, 1, 1)] == ()
     assert by_unit[(1, 3, 1, 3)] == (0, 0, 2, 2)  # 2x^3 + 2x^2
     assert by_unit[(3, 1, 3, 1)] == (0, 2, 0, 2)  # 2x^3 + 2x
@@ -616,7 +673,7 @@ def test_stabilizer_orders():
     assert len(enumerate_stabilizer(make_ring("fq:2"))) == 1
     assert len(enumerate_stabilizer(make_ring("fq:3"))) == 8
     f3 = make_ring("fq:3")
-    units = {st.unit for st in enumerate_stabilizer(f3)}
+    units = {st.base_pair()[1] for st in enumerate_stabilizer(f3)}
     assert units == {tuple(t) for t in unit_valued_tables(f3)}
 
 
@@ -625,13 +682,14 @@ def test_stabilizer_null_parts_really_stabilize():
         base = make_ring(desc)
         d = dual_ring(base)
         for st in enumerate_stabilizer(base):
-            assert induce(st.null_part, base).is_zero()
-            dp = st.dual_permutation()
+            g = st.witness - X
+            assert induce(g, base).is_zero()
+            assert _dp_from_poly(base, st.witness) == st
             for a in base.elements:
                 i = d.index((a, base.zero))
-                assert dp.table[i] == i  # fixes every embedded base point
-            expected_unit = induce(st.null_part.derive() + 1, base).values
-            assert st.unit_table().values == expected_unit
+                assert st.table[i] == i  # fixes every embedded base point
+            expected_unit = induce(g.derive() + 1, base).values
+            assert st.base_pair()[1] == tuple(map(base.index, expected_unit))
 
 
 def test_stabilizer_products_multiply_unit_tables_pointwise():
@@ -641,28 +699,30 @@ def test_stabilizer_products_multiply_unit_tables_pointwise():
         mul_t = base.index_op_tables()[1]
         for s1 in stab:
             for s2 in stab:
-                prod = s1.as_semidirect() * s2.as_semidirect()
-                assert prod.perm == tuple(range(base.size))
-                assert prod.unit == tuple(mul_t[a][b] for a, b in zip(s1.unit, s2.unit))
-                dprod = s1.dual_permutation() * s2.dual_permutation()
-                assert dprod.base_pair()[1] == prod.unit
+                (_, u1), (_, u2) = s1.base_pair(), s2.base_pair()
+                assert (s1 * s2).base_pair() == (
+                    tuple(range(base.size)),
+                    tuple(mul_t[a][b] for a, b in zip(u1, u2)),
+                )
 
 
 def test_stabilizer_of_the_four_element_ring_is_elementary_abelian():
     z4 = make_ring("zpn:2,2")
-    stab = [st.as_semidirect() for st in enumerate_stabilizer(z4)]
+    stab = enumerate_stabilizer(z4)
     rep = verify_group_axioms(stab)
     assert rep.passed
     assert rep.abelian
-    ident = SemidirectElement.identity(z4)
+    ident = DualPermutation.identity(dual_ring(z4))
     for el in stab:
         assert el * el == ident
 
 
 def test_stabilizer_equality_is_by_unit_table():
-    z4 = make_ring("zpn:2,2")
-    a = StabilizerElement(z4, (1, 1, 1, 1), Polynomial.zero())
-    b = StabilizerElement(z4, (1, 1, 1, 1), parse("(x^2-x)^2"))
+    # the same unit table from two null parts: the witness does not count
+    d4 = dual_ring(make_ring("zpn:2,2"))
+    table = DualPermutation.from_pair(d4, range(4), (1, 1, 1, 1)).table
+    a = DualPermutation(d4, table, X)
+    b = DualPermutation(d4, table, X + parse("(x^2-x)^2"))
     assert a == b
     assert hash(a) == hash(b)
 
@@ -699,15 +759,15 @@ def test_embedding_report_over_the_four_element_ring():
 
 
 def test_embedding_respects_products_directly():
-    f3 = make_ring("fq:3")
-    dps = enumerate_dual_permutations(f3)
-    rng = random.Random(77)
-    for _ in range(60):
-        d1 = dps[rng.randrange(len(dps))]
-        d2 = dps[rng.randrange(len(dps))]
-        lhs = embed_dual_permutation(d1 * d2)
-        rhs = embed_dual_permutation(d1) * embed_dual_permutation(d2)
-        assert lhs == rhs
+    # every pair of dual permutations: the pair read back from the product
+    # is the twisted product of FunctionTable arithmetic
+    for desc in ("fq:3", "zpn:2,2", "zm:6"):
+        base = make_ring(desc)
+        dps = enumerate_dual_permutations(base)
+        pairs = [_pair_of(base, dp) for dp in dps]
+        for d1, p1 in zip(dps, pairs):
+            for d2, p2 in zip(dps, pairs):
+                assert (d1 * d2).base_pair() == _twisted(base, p1, p2)
 
 
 @pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
@@ -733,14 +793,14 @@ def test_embedding_report_rejects_a_corrupted_enumeration(monkeypatch, desc):
     base = make_ring(desc)
     nb = base.size
     b = next(i for i in range(1, nb) if i != base.index(base.one))
-    real = groups.enumerate_dual_permutations
+    real = groups._dual_elements
 
-    def corrupted(ring, *, cap=None):
-        dps = real(ring, cap=cap)
+    def corrupted(ring, passing):
+        dps = real(ring, passing)
         return dps[:-1] + [_swap_two_entries(dps[-1], 0, b)]
 
-    monkeypatch.setattr(groups, "enumerate_dual_permutations", corrupted)
-    dps = corrupted(base)
+    monkeypatch.setattr(groups, "_dual_elements", corrupted)
+    dps = enumerate_dual_permutations(base)
     assert len(set(dps)) == len(dps)
     assert not _brute_homomorphism(base, dps)
     rep = verify_embedding(base)
@@ -756,16 +816,43 @@ def test_embedding_report_rejects_a_conjugated_enumeration(monkeypatch):
     base = make_ring("zpn:2,2")
     swap = list(range(16))
     swap[1], swap[9] = 9, 1  # (0, 1) and (2, 1)
-    real = groups.enumerate_dual_permutations
+    real = groups._dual_elements
 
-    def conjugated(ring, *, cap=None):
+    def conjugated(ring, passing):
         return [
             DualPermutation(dp.dual, [swap[dp.table[swap[k]]] for k in range(16)])
-            for dp in real(ring, cap=cap)
+            for dp in real(ring, passing)
         ]
 
-    monkeypatch.setattr(groups, "enumerate_dual_permutations", conjugated)
-    dps = conjugated(base)
+    monkeypatch.setattr(groups, "_dual_elements", conjugated)
+    dps = enumerate_dual_permutations(base)
     assert _brute_axioms(dps)[0]
     assert not _brute_homomorphism(base, dps)
     assert not verify_embedding(base).homomorphism_ok
+
+
+@pytest.mark.parametrize("part", ["perm", "unit"])
+def test_embedding_report_rejects_a_pair_outside_the_product(monkeypatch, part):
+    # over Z_6 only 12 of 720 bijections and 8 of 64 unit-valued tables are
+    # induced: an extra element with a foreign G or a foreign F has a pair
+    # outside the semidirect product, and membership is checked per element
+    base = make_ring("zm:6")
+    perms, units = semidirect_pairs(base)
+    unit_idx = [i for i in range(6) if base.unit_index_mask()[i]]
+    if part == "perm":
+        G, F = _foreign_perm(base), units[0]
+    else:
+        G, induced = perms[0], set(units)
+        F = next(t for t in itertools.product(unit_idx, repeat=6) if t not in induced)
+    real = groups._dual_elements
+
+    def extended(ring, passing):
+        dps = real(ring, passing)
+        return dps + [DualPermutation.from_pair(dps[0].dual, G, F)]
+
+    monkeypatch.setattr(groups, "_dual_elements", extended)
+    rep = verify_embedding(base)
+    assert rep.injective
+    assert not rep.image_in_ambient
+    assert not rep.surjective
+    assert not rep.passed
