@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ringfunc import groups
-from ringfunc.dual import DualPolynomial, dual_ring, horner_dual
+from ringfunc.dual import dual_ring, horner_dual
 from ringfunc.funcspace import (
     FunctionTable,
     induce,
