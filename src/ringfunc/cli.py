@@ -206,11 +206,13 @@ def cmd_canonical(args) -> int:
     return 0
 
 
-def _group_elements(args, cap):
-    """Resolve --what group/stabilizer into (base, item dicts, elements).
+def _group_elements(args, cap, keep=slice(None)):
+    """Resolve --what group/stabilizer into (base, count, item dicts,
+    elements), with the item dicts of the positions keep selects only.
 
-    The semidirect product lists its items from its two factors and returns
-    no elements: each is a whole dual table, built only for a product table.
+    The semidirect product lists its items from its two factors,
+    permutation-major, and returns no elements: each is a whole dual table,
+    built only for a product table.
     """
     base = _base_of(_ring(args))
     if args.what == "stabilizer":
@@ -221,47 +223,46 @@ def _group_elements(args, cap):
                 "null_part": format_polynomial(st.witness - Polynomial.x()),
                 "unit": list(st.base_pair()[1]),
             }
-            for st in els
+            for st in els[keep]
         ]
-        return base, items, els
+        return base, len(els), items, els
     if args.dual:
         els = gr.enumerate_dual_permutations(base, cap=cap)
         items = []
-        for dp in els:
+        for dp in els[keep]:
             G, F = dp.base_pair()
-            items.append({
-                "perm": list(G),
-                "unit": list(F),
-                "witness": format_polynomial(dp.witness),
-            })
-        return base, items, els
+            items.append({"perm": list(G), "unit": list(F), "witness": format_polynomial(dp.witness)})
+        return base, len(els), items, els
     perms, units = gr.semidirect_pairs(base, cap=cap)
-    items = [{"perm": list(G), "unit": list(F)} for G in perms for F in units]
-    return base, items, None
+    nu = len(units)
+    count = len(perms) * nu
+    items = [
+        {"perm": list(perms[k // nu]), "unit": list(units[k % nu])}
+        for k in range(count)[keep]
+    ]
+    return base, count, items, None
 
 
 def cmd_enumerate(args) -> int:
     cap = _cap(args)
     what = args.what
+    keep = slice(args.limit)
     if what in ("group", "stabilizer"):
-        base, items, _ = _group_elements(args, cap)
-        doc = {"count": len(items), "ring": base.descriptor, "what": what}
+        base, count, items, _ = _group_elements(args, cap, keep)
+        doc = {"count": count, "ring": base.descriptor, "what": what}
         if what == "group":
             doc["dual"] = bool(args.dual)
     elif what == "kernel":
         p, n = _pn(args)
-        items = [
-            {"poly": format_polynomial(g)}
-            for g in canon.enumerate_kernel(p, n, cap=cap)
-        ]
-        doc = {"count": len(items), "n": n, "p": p, "what": what}
+        polys = list(canon.enumerate_kernel(p, n, cap=cap))
+        items = [{"poly": format_polynomial(g)} for g in polys[keep]]
+        doc = {"count": len(polys), "n": n, "p": p, "what": what}
     else:  # uvpf-forms
         p, n = _pn(args)
-        items = [
-            f.to_json_dict() for f in canon.enumerate_unit_valued_forms(p, n, cap=cap)
-        ]
-        doc = {"count": len(items), "n": n, "p": p, "what": what}
-    doc["items"] = items if args.limit is None else items[: args.limit]
+        forms = list(canon.enumerate_unit_valued_forms(p, n, cap=cap))
+        items = [f.to_json_dict() for f in forms[keep]]
+        doc = {"count": len(forms), "n": n, "p": p, "what": what}
+    doc["items"] = items
     _emit(args, _json_dumps(doc))
     return 0
 
@@ -283,7 +284,7 @@ def cmd_export(args) -> int:
     cap = _cap(args)
     what = args.what
     if what in ("group", "stabilizer"):
-        base, items, els = _group_elements(args, cap)
+        base, _, items, els = _group_elements(args, cap)
         if args.format == "csv" or args.table:
             check_cap(len(items) ** 2, cap, "multiplication table")
             if els is None:

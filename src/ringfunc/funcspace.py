@@ -359,14 +359,11 @@ def coefficient_sums(add_t, zero_table, stages):
             yield tuple(map(getitem, rows, s)), coeffs + (c,)
 
 
-def induced_tables(
-    ring: Ring,
-    degree_bound: int | None = None,
-    *,
-    coeff_elements=None,
-    cap: int | None = None,
-) -> frozenset:
-    """All distinct value tables induced by polynomials of degree < D.
+def induced_index_tables(
+    ring: Ring, degree_bound: int | None = None, *, coeff_elements=None, cap: int | None = None
+) -> set:
+    """All distinct value tables induced by polynomials of degree < D, as
+    index tuples.
 
     Candidates range over coefficient vectors from coeff_elements (default:
     the whole ring).  Adding a constant c translates a table by c, so the
@@ -380,20 +377,26 @@ def induced_tables(
     if not domain:
         raise ValueError("empty coefficient domain")
     check_cap(len(domain) ** D, cap, "polynomial enumeration")
-    size = ring.size
+    zero = (ring.index(ring.zero),) * ring.size
     if D <= 0:
-        return frozenset({(ring.zero,) * size})
+        return {zero}
     add_t = ring.index_op_tables()[0]
-    zero = (ring.index(ring.zero),) * size
     found = {
         t for t, _ in coefficient_sums(add_t, zero, monomial_stages(ring, D, domain))
     }
     shifts = [add_t[ring.index(c)].__getitem__ for c in domain]
-    tables = {tuple(map(shift, t)) for t in found for shift in shifts}
+    return {tuple(map(shift, t)) for t in found for shift in shifts}
+
+
+def induced_tables(
+    ring: Ring, degree_bound: int | None = None, *, coeff_elements=None, cap: int | None = None
+) -> frozenset:
+    """The tables of induced_index_tables as tuples of encodings."""
+    tables = induced_index_tables(ring, degree_bound, coeff_elements=coeff_elements, cap=cap)
     if ring.integer_encoded:
         return frozenset(tables)
     els = ring.elements
-    return frozenset(tuple(els[i] for i in t) for t in tables)
+    return frozenset(tuple(map(els.__getitem__, t)) for t in tables)
 
 
 def permutation_tables(

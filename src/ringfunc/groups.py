@@ -41,10 +41,9 @@ from .dual import DualRing, dual_ring
 from .funcspace import (
     FunctionTable,
     coefficient_sums,
+    induced_index_tables,
     monomial_stages,
     null_degree_bound,
-    permutation_tables,
-    unit_valued_tables,
 )
 from .poly import Polynomial
 from .rings import Ring, check_cap
@@ -147,9 +146,13 @@ def precompose_units(F: FunctionTable, G: FunctionTable) -> FunctionTable:
 def semidirect_pairs(ring: Ring, *, cap: int | None = None) -> tuple[list, list]:
     """The induced permutations and the induced unit-valued tables of the
     ring, each as sorted index tables: the two factors of the semidirect
-    product.  The cap also bounds the product's size."""
-    perms = sorted(tuple(map(ring.index, t)) for t in permutation_tables(ring, cap=cap))
-    units = sorted(tuple(map(ring.index, t)) for t in unit_valued_tables(ring, cap=cap))
+    product, filtered from one pass of induced_index_tables.  The cap also
+    bounds the product's size."""
+    tables = induced_index_tables(ring, cap=cap)
+    size = ring.size
+    mask = ring.unit_index_mask()
+    perms = sorted(t for t in tables if len(set(t)) == size)
+    units = sorted(t for t in tables if all(map(mask.__getitem__, t)))
     check_cap(len(perms) * len(units), cap, "semidirect product")
     return perms, units
 
@@ -164,123 +167,38 @@ def semidirect_group(ring: Ring, *, cap: int | None = None) -> list[DualPermutat
     ]
 
 
-def _translations(base: Ring, domain) -> list:
-    """(c, i -> index of elements[i] + c) for each constant c of the domain."""
-    add_t = base.index_op_tables()[0]
-    els = base.elements
-    return [(els[i], add_t[i].__getitem__) for i in map(base.index, domain)]
-
-
-def pair_table_blocks(
-    base: Ring,
-    degree_bound: int,
-    *,
-    coeff_elements=None,
-    cap: int | None = None,
+def pair_table_sweep(
+    base: Ring, degree_bound: int, *, coeff_elements=None, cap: int | None = None
 ):
-    """Sweep coefficient vectors of degree < degree_bound over the base ring
-    by blocks, yielding (f0_table, derivative_table, rest) once per block.
+    """The per-candidate oracle: sweep the coefficient vectors of degree <
+    degree_bound over the base ring, yielding (f_table, derivative_table,
+    coefficients) for each.
 
-    A block is the candidates that share rest, the coefficients of degree
-    1 .. D-1 as base encodings; f0_table is the table of its member with
-    constant term zero, which need not be in the domain.  Adding a constant c
-    translates [f] by c and leaves [f'] unchanged, so the member with
-    constant c has the table f0_table + c and the same derivative table, and
-    a verdict invariant under translation holds for the whole block or for
-    none of it.  Blocks come in sweep order, degree 1 fastest and each digit
-    in domain order; tables are index tuples over the base.  Both tables are
-    stepped incrementally, so one block costs O(|base|) table lookups.  The
-    cap counts every candidate, |domain|^D.  Needs D >= 1.
+    Tables are index tuples over the base, from straight Horner evaluation
+    of f and f' at every point; coefficients come back as a tuple of base
+    encodings, constant term first, and the constant term steps fastest, in
+    domain order.  A degree bound of 0 or less yields the zero polynomial
+    alone.  The cap counts every candidate, |domain|^D.
 
-    Consumers that only need each distinct pair once use _pair_sums instead,
-    which builds the pairs from distinct partial sums.  Those that must see
-    every block stay here: null_polynomials lists every null candidate and
-    pair_table_sweep is the per-candidate oracle.
+    No library code sweeps this way: coefficient_sums is the engine.  This
+    stays in the package because perfbench/test_perfbench.py and
+    perfbench/spans.py call and trace it by name.
     """
-    D = degree_bound
     domain = list(base.elements if coeff_elements is None else coeff_elements)
     if not domain:
         raise ValueError("empty coefficient domain")
-    if D < 1:
-        raise ValueError("a block sweep needs a degree bound of at least 1")
+    D = max(degree_bound, 0)
     check_cap(len(domain) ** D, cap, "pair sweep")
-    size = base.size
-    zero_idx = base.index(base.zero)
-    add_t, mul_t = base.index_op_tables()
-    pw = base.power_index_table(D - 1)
     els = base.elements
-    dom_idx = [base.index(e) for e in domain]
-    ndom = len(dom_idx)
-    points = range(size)
-
-    def value_rows(d: int, from_idx: int, to_idx: int):
-        # the change of [c x^d] and of [d c x^(d-1)] when c steps
-        delta = base.sub(els[to_idx], els[from_idx])
-        drow = mul_t[base.index(delta)]
-        srow = mul_t[base.index(base.mul(base.from_int(d), delta))]
-        return [drow[pw[d][pt]] for pt in points], [srow[pw[d - 1][pt]] for pt in points]
-
-    # step[d - 1][k]: coefficient d moves from domain[k] to the next, cyclically
-    step = [
-        [value_rows(d, dom_idx[k], dom_idx[(k + 1) % ndom]) for k in range(ndom)]
-        for d in range(1, D)
-    ]
-
-    ftab = [zero_idx] * size
-    dtab = [zero_idx] * size
-    for d in range(1, D):
-        frow, drow = value_rows(d, zero_idx, dom_idx[0])
-        ftab = [add_t[a][b] for a, b in zip(ftab, frow)]
-        dtab = [add_t[a][b] for a, b in zip(dtab, drow)]
-
-    digits = [0] * (D - 1)
-    dom_els = [els[i] for i in dom_idx]
-    rest = [dom_els[0]] * (D - 1)
-    while True:
-        yield tuple(ftab), tuple(dtab), tuple(rest)
-        for pos, k in enumerate(digits):
-            frow, drow = step[pos][k]
-            ftab = [add_t[a][b] for a, b in zip(ftab, frow)]
-            dtab = [add_t[a][b] for a, b in zip(dtab, drow)]
-            k = digits[pos] = (k + 1) % ndom
-            rest[pos] = dom_els[k]
-            if k:
-                break
-        else:
-            return
-
-
-def pair_table_sweep(
-    base: Ring,
-    degree_bound: int,
-    *,
-    coeff_elements=None,
-    cap: int | None = None,
-):
-    """Sweep coefficient vectors of degree < degree_bound over the base ring,
-    yielding (f_table, derivative_table, coefficients) per candidate.
-
-    Tables are index tuples over the base; coefficients come back as a tuple
-    of base encodings, constant term first, and the constant term steps
-    fastest, in domain order.  Each candidate is one translation of its
-    block's table from pair_table_blocks: O(|base|) table lookups and no
-    ring arithmetic.
-    """
-    domain = list(base.elements if coeff_elements is None else coeff_elements)
-    if degree_bound <= 0:
-        # no coefficients at all: the one candidate is the zero polynomial
-        if not domain:
-            raise ValueError("empty coefficient domain")
-        check_cap(1, cap, "pair sweep")
-        zero_tab = (base.index(base.zero),) * base.size
-        yield zero_tab, zero_tab, ()
-        return
-    shifts = _translations(base, domain)
-    for ftab0, dtab, rest in pair_table_blocks(
-        base, degree_bound, coeff_elements=coeff_elements, cap=cap
-    ):
-        for c, shift in shifts:
-            yield tuple(map(shift, ftab0)), dtab, (c,) + rest
+    scales = [base.from_int(k) for k in range(1, D)]
+    for vec in product(domain, repeat=D):
+        coeffs = vec[::-1]
+        dcoeffs = list(map(base.mul, scales, coeffs[1:]))
+        yield (
+            tuple(map(base.index, base.horner(coeffs, els))),
+            tuple(map(base.index, base.horner(dcoeffs, els))),
+            coeffs,
+        )
 
 
 def _pair_sums(base: Ring, degree_bound: int, *, cap: int | None = None):
@@ -289,9 +207,9 @@ def _pair_sums(base: Ring, degree_bound: int, *, cap: int | None = None):
 
     Yields (f0_table + derivative_table, rest), both tables as index tuples
     and rest the coefficients of degree 1 .. D-1.  Every pair comes at least
-    once, and its first occurrence carries the first block of
-    pair_table_blocks with that pair.  The cap counts every candidate,
-    |base|^D, and is checked before any work.
+    once, and its first occurrence carries the first candidate of
+    pair_table_sweep with constant term zero and that pair.  The cap counts
+    every candidate, |base|^D, and is checked before any work.
     """
     check_cap(base.size ** degree_bound, cap, "pair sweep")
     add_t = base.index_op_tables()[0]
@@ -361,13 +279,14 @@ def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
     """One _pair_sums pass at the dual degree bound, for the dual
     permutations and the stabilizer together.
 
-    Returns (passing, units), each mapping to the coefficients rest of the
-    first block of the sweep that reaches it, in first-seen order.  passing
-    holds the pairs ([f0], [f0']) with [f0] a bijection and [f0'] unit-valued.
-    units holds the unit-valued tables [1 + g'] of the null g, that is of
-    the pairs with a zero first table.  Both tests are invariant under
-    adding a constant, so the member with constant term zero decides a
-    block.
+    Returns (passing, units), each mapping to the coefficients rest, of
+    degree 1 .. D-1, of the first candidate with constant term zero that
+    reaches it, in first-seen order.  passing holds the pairs ([f0], [f0'])
+    with [f0] a bijection and [f0'] unit-valued.  units holds the
+    unit-valued tables [1 + g'] of the null g, that is of the pairs with a
+    zero first table.  Both tests are invariant under adding a constant c,
+    which translates [f0] by c and leaves [f0'] unchanged, so f0 decides
+    for every f0 + c.
     """
     D = dual_degree_bound(base, cap=cap)
     size = base.size
@@ -390,20 +309,21 @@ def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
 def _dual_elements(base: Ring, passing: dict) -> list[DualPermutation]:
     """The dual permutations of the passing pairs of _dual_sweep.
 
-    Each pair is translated by every constant c, which gives the members of
-    its block; no two translations meet, since f0 vanishes at 0 and c is the
-    value of the translated table there.  The witness is the block's first
-    member with constant term c.  Sorted by table.
+    Each pair is translated by every constant c, by the row of c in the
+    addition table, which gives the pairs of the f0 + c; no two translations
+    meet, since f0 vanishes at 0 and c is the value of the translated table
+    there.  The witness is f0 + c for the first f0 reaching the pair.
+    Sorted by table.
     """
     dual = dual_ring(base)
     size = base.size
-    shifts = _translations(base, base.elements)
+    add_t = base.index_op_tables()[0]
     ring_arg = None if base.integer_encoded else base
     out = []
     for pair, rest in passing.items():
-        dtab = pair[size:]
-        for c, shift in shifts:
-            table = _pair_table(base, map(shift, pair[:size]), dtab)
+        ftab, dtab = pair[:size], pair[size:]
+        for c, row in zip(base.elements, add_t):
+            table = _pair_table(base, map(row.__getitem__, ftab), dtab)
             out.append(DualPermutation._make(dual, table, Polynomial((c,) + rest, ring_arg)))
     out.sort(key=lambda dp: dp.table)
     return out
@@ -457,21 +377,23 @@ def null_polynomials(
 
     The default bound is the dual degree bound, deep enough that the listed
     polynomials realize every derivative table a null polynomial can have.
-    Every null candidate is listed, not one per table, so this sweeps every
-    block of pair_table_blocks.  A block has at most one null member: its table
-    f0 + c vanishes only if f0 is the constant -c, and f0 vanishes at 0, so
-    c = 0 and f0 is the zero table.
+    Every null candidate is listed, not one per table, in the order of
+    pair_table_sweep.  A null f has f(0) = c0 = 0, so only the vectors with
+    constant term zero are evaluated.  The cap counts every candidate,
+    |base|^D.
     """
     D = dual_degree_bound(base, cap=cap) if degree_bound is None else degree_bound
     ring_arg = None if base.integer_encoded else base
     if D <= 0:
         return [Polynomial((), ring_arg)]
-    zero_tab = (base.index(base.zero),) * base.size
-    return [
-        Polynomial((base.zero,) + rest, ring_arg)
-        for ftab0, _, rest in pair_table_blocks(base, D, cap=cap)
-        if ftab0 == zero_tab
-    ]
+    check_cap(base.size ** D, cap, "pair sweep")
+    els, zero = base.elements, base.zero
+    out = []
+    for vec in product(els, repeat=D - 1):
+        coeffs = (zero,) + vec[::-1]
+        if all(v == zero for v in base.horner(coeffs, els)):
+            out.append(Polynomial(coeffs, ring_arg))
+    return out
 
 
 def _generate(elements, visit=None) -> tuple[list, bool]:

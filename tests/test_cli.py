@@ -13,6 +13,7 @@ from ringfunc import cli
 from ringfunc import funcspace as fs
 from ringfunc import groups as gr
 from ringfunc.cli import main
+from ringfunc.poly import Polynomial
 from ringfunc.rings import CAP_ENV_VAR, SizeCapError, make_ring
 
 
@@ -357,6 +358,22 @@ def test_enumerate_limit_truncates_items_not_count(capsys):
     assert json.loads(out) == {"count": 16, "items": [], "n": 2, "p": 2, "what": "kernel"}
 
 
+def test_enumerate_group_limit_builds_only_the_kept_items(capsys):
+    # 2,592 x 5,832 = 15,116,544 items: only the two kept ones are built
+    code, out, _ = run(
+        capsys, "enumerate", "--what", "group", "--ring", "zm:18", "--allow-large",
+        "--limit", "2",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    perms, units = gr.semidirect_pairs(make_ring("zm:18"), cap=cli._LARGE)
+    assert doc["count"] == len(perms) * len(units) == 15116544
+    assert doc["items"] == [
+        {"perm": list(perms[0]), "unit": list(units[0])},
+        {"perm": list(perms[0]), "unit": list(units[1])},
+    ]
+
+
 # ---------------------------------------------------------------------------
 # export: CSV tables and JSON documents
 
@@ -461,6 +478,19 @@ GROUP_OUTPUT_SHA256 = [
      "4e6ba1f0d9f9656ee8607f7695a5e88ee4569a533ffe2ee3bf1d9f363bfc7acf"),
     (("enumerate", "--what", "group", "--ring", "zm:6"), 0,
      "5715640646044e5b80c4a88a26e2b15463241d886626735c13185efcb3496114"),
+    # --limit, recorded when every item was built before the slice
+    (("enumerate", "--what", "group", "--ring", "zpn:2,2", "--limit", "0"), 0,
+     "b277d5360fa3bb94556225ac040da6c5f5a71f85fa6a4048f20c14248e48e70b"),
+    (("enumerate", "--what", "group", "--ring", "zpn:2,2", "--limit", "3"), 0,
+     "7ce93a54ba80ac731dda1214cd6aa5f5c6620aa93383eee7cc45d51878d8ef84"),
+    (("enumerate", "--what", "group", "--ring", "zpn:2,2", "--limit", "-1"), 0,
+     "e60eeec9a52b2a68d09ec0d6053b5aee71fe1cb5e0d6935e66fb580a60ad2d31"),
+    (("enumerate", "--what", "group", "--ring", "fq:3", "--limit", "0"), 0,
+     "a2caa609d4ad329103b99f01bac90edec1e73a867b37f3d89276ec20f257129b"),
+    (("enumerate", "--what", "group", "--ring", "fq:3", "--limit", "3"), 0,
+     "39ac9bb8f1f58eda4f01fb1feb3c54991d764dea6dbfdc45d5b31ff63a86943f"),
+    (("enumerate", "--what", "group", "--ring", "fq:3", "--limit", "-1"), 0,
+     "6927b3d00cb02e1e4479d392fc9e0420e2a6edc6175d89aa3255d61661c80dd6"),
     (("enumerate", "--what", "group", "--ring", "fq:4"), 0,
      "4950854be9e1d2f575177160009b4b03547a1c27d7983738f23fc112dd6e12b6"),
     (("export", "--what", "group", "--ring", "fq:3", "--table"), 0,
@@ -598,20 +628,24 @@ def test_local_criterion_caps_every_candidate():
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
 def test_local_verdicts_per_key_match_every_block(p, n):
-    # every block of the candidate sweep, against the distinct keys the
-    # check walks: the same keys, and the same verdicts from either side
+    # every candidate with constant term zero, induced point by point,
+    # against the distinct keys the check walks: the same keys, and the
+    # same verdicts from either side; a constant term changes neither
     ring = make_ring(f"zpn:{p},{n}")
     D = fs.null_degree_bound(ring)
     scale = p ** (n - 1)
-    per_block = {}
-    for ftab0, dtab, _ in gr.pair_table_blocks(ring, D):
+    per_candidate = {}
+    for rest in itertools.product(ring.elements, repeat=D - 1):
+        f0 = Polynomial((0,) + rest)
+        ftab0 = fs.induce(f0, ring).values
+        dtab = fs.induce(f0.derive(), ring).values
         key = ftab0 + tuple(scale * dtab[a] % ring.size for a in range(p))
         verdicts = (
             len(set(ftab0)) == ring.size,
             {v % p for v in ftab0[:p]} == set(range(p))
             and (n == 1 or all(dtab[a] % p for a in range(p))),
         )
-        assert per_block.setdefault(key, verdicts) == verdicts
+        assert per_candidate.setdefault(key, verdicts) == verdicts
     stages = fs.monomial_stages(
         ring, D, ring.elements, derivative_points=range(p), derivative_scale=scale
     )
@@ -620,7 +654,7 @@ def test_local_verdicts_per_key_match_every_block(p, n):
         key: cli._local_verdicts(key, p, n)
         for key, _ in fs.coefficient_sums(ring.index_op_tables()[0], zero, stages)
     }
-    assert per_key == per_block
+    assert per_key == per_candidate
     assert any(brute for brute, _ in per_key.values())
     assert not all(brute for brute, _ in per_key.values())
 

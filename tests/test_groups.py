@@ -19,7 +19,6 @@ from ringfunc.groups import (
     enumerate_dual_permutations,
     enumerate_stabilizer,
     null_polynomials,
-    pair_table_blocks,
     pair_table_sweep,
     precompose_units,
     semidirect_group,
@@ -498,7 +497,7 @@ def test_sweep_tables_match_direct_induction():
         assert dtab == induce(f.derive(), z4).values
 
 
-# per-candidate oracles for the block sweep: every coefficient vector in turn
+# per-candidate oracles for the sweeps: every coefficient vector in turn
 
 ORACLE_RINGS = ("fq:2", "fq:3", "fq:4", "zpn:2,2", "zpn:2,3", "zm:6")
 
@@ -537,40 +536,45 @@ def test_pair_sweep_matches_per_candidate_induction(desc):
             assert list(pair_table_sweep(base, D, coeff_elements=domain)) == expected
 
 
-@pytest.mark.parametrize("desc", ORACLE_RINGS)
-def test_pair_blocks_carry_the_member_with_constant_zero(desc):
-    base = make_ring(desc)
-    for domain in _domains(base):
-        for D in range(1, 4):
-            blocks = list(pair_table_blocks(base, D, coeff_elements=domain))
-            assert [rest for _, _, rest in blocks] == _candidates(base, D - 1, domain)
-            for ftab0, dtab, rest in blocks:
-                f = _poly(base, (base.zero,) + rest)
-                assert ftab0 == _index_table(base, f)
-                assert dtab == _index_table(base, f.derive())
-
-
 def test_pair_sweeps_reject_bad_arguments():
     z4 = make_ring("zpn:2,2")
-    with pytest.raises(ValueError):
-        list(pair_table_blocks(z4, 0))
-    for sweep in (pair_table_sweep, pair_table_blocks):
-        with pytest.raises(ValueError):
-            list(sweep(z4, 2, coeff_elements=()))
-        with pytest.raises(SizeCapError):
-            list(sweep(z4, 3, cap=63))
+    # the empty domain is refused before the cap is looked at
+    with pytest.raises(ValueError, match="empty coefficient domain"):
+        list(pair_table_sweep(z4, 2, coeff_elements=(), cap=0))
+    with pytest.raises(SizeCapError, match="pair sweep: 64 exceeds cap 63"):
+        list(pair_table_sweep(z4, 3, cap=63))
     assert len(list(pair_table_sweep(z4, 3, cap=64))) == 64
+
+
+@pytest.mark.parametrize("D", [0, -1])
+def test_pair_sweep_below_degree_one_yields_the_zero_candidate(D):
+    z4 = make_ring("zpn:2,2")
+    zero = (0, 0, 0, 0)
+    for domain in (None, (1, 3)):
+        assert list(pair_table_sweep(z4, D, coeff_elements=domain, cap=1)) == [
+            (zero, zero, ())
+        ]
+    with pytest.raises(ValueError, match="empty coefficient domain"):
+        list(pair_table_sweep(z4, D, coeff_elements=()))
+
+
+def test_null_polynomials_cap_every_candidate():
+    z4 = make_ring("zpn:2,2")
+    with pytest.raises(SizeCapError, match="pair sweep: 64 exceeds cap 63"):
+        null_polynomials(z4, 3, cap=63)
+    assert [f.coeffs for f in null_polynomials(z4, 3, cap=64)] == [(), (0, 2, 2)]
 
 
 @pytest.mark.parametrize("desc", ["fq:3", "fq:4", "zm:6", "zpn:2,2"])
 def test_pair_sums_keep_the_first_block_of_every_pair(desc):
     # at the dual bound: the distinct pairs, their witnesses and their
-    # first-seen order, against every block of the sweep
+    # first-seen order, against every candidate with constant term zero
     base = make_ring(desc)
     D = dual_degree_bound(base)
     expected = {}
-    for ftab0, dtab, rest in pair_table_blocks(base, D):
-        expected.setdefault(ftab0 + dtab, rest)
+    for rest in _candidates(base, D - 1):
+        f = _poly(base, (base.zero,) + rest)
+        expected.setdefault(_index_table(base, f) + _index_table(base, f.derive()), rest)
     got = {}
     for pair, rest in groups._pair_sums(base, D):
         got.setdefault(pair, rest)
@@ -597,7 +601,7 @@ def test_null_polynomials_match_a_per_candidate_filter(desc):
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "zm:6"])
 def test_enumerations_match_a_per_candidate_filter(desc):
-    # the filters before the block sweep, on every candidate of pair_table_sweep
+    # the filters on every candidate of the per-candidate oracle
     base = make_ring(desc)
     mask = base.unit_index_mask()
     add_t = base.index_op_tables()[0]
