@@ -391,12 +391,13 @@ def induced_index_tables(
 def induced_tables(
     ring: Ring, degree_bound: int | None = None, *, coeff_elements=None, cap: int | None = None
 ) -> frozenset:
-    """The tables of induced_index_tables as tuples of encodings."""
+    """All distinct value tables induced by polynomials of degree < D, as
+    tuples of encodings: the tables of induced_index_tables."""
     tables = induced_index_tables(ring, degree_bound, coeff_elements=coeff_elements, cap=cap)
     if ring.integer_encoded:
         return frozenset(tables)
     els = ring.elements
-    return frozenset(tuple(map(els.__getitem__, t)) for t in tables)
+    return frozenset(tuple(els[i] for i in t) for t in tables)
 
 
 def permutation_tables(

@@ -358,16 +358,26 @@ def test_enumerate_limit_truncates_items_not_count(capsys):
     assert json.loads(out) == {"count": 16, "items": [], "n": 2, "p": 2, "what": "kernel"}
 
 
-def test_enumerate_group_limit_builds_only_the_kept_items(capsys):
-    # 2,592 x 5,832 = 15,116,544 items: only the two kept ones are built
+def test_enumerate_group_limit_builds_only_the_kept_items(capsys, monkeypatch):
+    # 2,592 x 5,832 = 15,116,544 items: only the two kept ones are built,
+    # from the factors the command computed
+    factors = []
+    real = gr.semidirect_pairs
+
+    def spy(*args, **kwargs):
+        factors.append(real(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(gr, "semidirect_pairs", spy)
     code, out, _ = run(
         capsys, "enumerate", "--what", "group", "--ring", "zm:18", "--allow-large",
         "--limit", "2",
     )
     assert code == 0
     doc = json.loads(out)
-    perms, units = gr.semidirect_pairs(make_ring("zm:18"), cap=cli._LARGE)
-    assert doc["count"] == len(perms) * len(units) == 15116544
+    [(perms, units)] = factors
+    assert (len(perms), len(units)) == (2592, 5832)
+    assert doc["count"] == len(perms) * len(units)
     assert doc["items"] == [
         {"perm": list(perms[0]), "unit": list(units[0])},
         {"perm": list(perms[0]), "unit": list(units[1])},
