@@ -488,19 +488,6 @@ GROUP_OUTPUT_SHA256 = [
      "4e6ba1f0d9f9656ee8607f7695a5e88ee4569a533ffe2ee3bf1d9f363bfc7acf"),
     (("enumerate", "--what", "group", "--ring", "zm:6"), 0,
      "5715640646044e5b80c4a88a26e2b15463241d886626735c13185efcb3496114"),
-    # --limit, recorded when every item was built before the slice
-    (("enumerate", "--what", "group", "--ring", "zpn:2,2", "--limit", "0"), 0,
-     "b277d5360fa3bb94556225ac040da6c5f5a71f85fa6a4048f20c14248e48e70b"),
-    (("enumerate", "--what", "group", "--ring", "zpn:2,2", "--limit", "3"), 0,
-     "7ce93a54ba80ac731dda1214cd6aa5f5c6620aa93383eee7cc45d51878d8ef84"),
-    (("enumerate", "--what", "group", "--ring", "zpn:2,2", "--limit", "-1"), 0,
-     "e60eeec9a52b2a68d09ec0d6053b5aee71fe1cb5e0d6935e66fb580a60ad2d31"),
-    (("enumerate", "--what", "group", "--ring", "fq:3", "--limit", "0"), 0,
-     "a2caa609d4ad329103b99f01bac90edec1e73a867b37f3d89276ec20f257129b"),
-    (("enumerate", "--what", "group", "--ring", "fq:3", "--limit", "3"), 0,
-     "39ac9bb8f1f58eda4f01fb1feb3c54991d764dea6dbfdc45d5b31ff63a86943f"),
-    (("enumerate", "--what", "group", "--ring", "fq:3", "--limit", "-1"), 0,
-     "6927b3d00cb02e1e4479d392fc9e0420e2a6edc6175d89aa3255d61661c80dd6"),
     (("enumerate", "--what", "group", "--ring", "fq:4"), 0,
      "4950854be9e1d2f575177160009b4b03547a1c27d7983738f23fc112dd6e12b6"),
     (("export", "--what", "group", "--ring", "fq:3", "--table"), 0,
@@ -559,6 +546,19 @@ GROUP_OUTPUT_SHA256 = [
      "d71eab5dcf37cc79e767c70cab22d4f031467af4793330bc1df948e0fcdd071a"),
     (("verify", "--suite", "groups", "--ring", "zm:6", "--json"), 0,
      "7971905b168760af61ac35b5e0386af90e0cfc8a2139714312248c73a9fa06ec"),
+    # --limit, recorded when every item was built before the slice
+    (("enumerate", "--what", "group", "--ring", "zpn:2,2", "--limit", "0"), 0,
+     "b277d5360fa3bb94556225ac040da6c5f5a71f85fa6a4048f20c14248e48e70b"),
+    (("enumerate", "--what", "group", "--ring", "zpn:2,2", "--limit", "3"), 0,
+     "7ce93a54ba80ac731dda1214cd6aa5f5c6620aa93383eee7cc45d51878d8ef84"),
+    (("enumerate", "--what", "group", "--ring", "zpn:2,2", "--limit", "-1"), 0,
+     "e60eeec9a52b2a68d09ec0d6053b5aee71fe1cb5e0d6935e66fb580a60ad2d31"),
+    (("enumerate", "--what", "group", "--ring", "fq:3", "--limit", "0"), 0,
+     "a2caa609d4ad329103b99f01bac90edec1e73a867b37f3d89276ec20f257129b"),
+    (("enumerate", "--what", "group", "--ring", "fq:3", "--limit", "3"), 0,
+     "39ac9bb8f1f58eda4f01fb1feb3c54991d764dea6dbfdc45d5b31ff63a86943f"),
+    (("enumerate", "--what", "group", "--ring", "fq:3", "--limit", "-1"), 0,
+     "6927b3d00cb02e1e4479d392fc9e0420e2a6edc6175d89aa3255d61661c80dd6"),
 ]
 
 
