@@ -25,7 +25,6 @@ from .dual import DualRing, dual_ring, eval_dual, horner_dual
 from .poly import ParseError, Polynomial, format_polynomial, parse
 from .rings import (
     CAP_ENV_VAR,
-    FiniteField,
     PrimePowerRing,
     Ring,
     SizeCapError,
@@ -73,8 +72,6 @@ def _base_of(ring: Ring) -> Ring:
 
 def _require_prime_power(ring: Ring) -> tuple[int, int]:
     pp = getattr(ring, "prime_power", None)
-    if pp is None and isinstance(ring, FiniteField) and ring.extension_degree == 1:
-        pp = (ring.p, 1)
     if pp is None:
         raise ValueError(f"{ring.descriptor} is not a prime power ring")
     return pp
@@ -134,19 +131,19 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _brute_count(what: str, p: int, n: int, cap) -> int:
+def _brute_counts(p: int, n: int, cap) -> dict[str, int]:
+    """The polyfun, uvpf and kernel counts mod p^n by enumeration: every
+    induced table, then those of units only and those of multiples of
+    p^(n-1) only."""
     ring = PrimePowerRing(p, n)
-    if what == "beta":
-        # the least k with p^n | k!, by search rather than Legendre's formula
-        return fs.null_degree_bound(ring)
-    if what == "polyfun":
-        return len(fs.induced_tables(ring, cap=cap))
-    if what == "uvpf":
-        return len(fs.unit_valued_tables(ring, cap=cap))
-    q = p ** (n - 1)
-    return sum(
-        1 for t in fs.induced_tables(ring, cap=cap) if all(v % q == 0 for v in t)
-    )
+    tables = fs.induced_tables(ring, cap=cap)
+    unit = ring.unit_index_mask()
+    kernel = [v % p ** (n - 1) == 0 for v in ring.elements]
+    return {
+        "polyfun": len(tables),
+        "uvpf": sum(all(map(unit.__getitem__, t)) for t in tables),
+        "kernel": sum(all(map(kernel.__getitem__, t)) for t in tables),
+    }
 
 
 def cmd_count(args) -> int:
@@ -164,7 +161,11 @@ def cmd_count(args) -> int:
         formula = canon.kernel_count(p, n)
     doc = {"formula": formula, "n": n, "p": p, "what": what}
     if args.brute_force:
-        value = _brute_count(what, p, n, _cap(args))
+        if what == "beta":
+            # the least k with p^n | k!, by search rather than Legendre's formula
+            value = fs.null_degree_bound(PrimePowerRing(p, n))
+        else:
+            value = _brute_counts(p, n, _cap(args))[what]
         doc["brute_force"] = value
         doc["agreement"] = value == formula
     _emit(args, _json_dumps(doc))
@@ -493,17 +494,13 @@ def _check_canonical(seed: int, cap) -> list[tuple[str, bool]]:
 
 
 def _check_counting(p: int, n: int, cap) -> list[tuple[str, bool]]:
-    ring = PrimePowerRing(p, n)
-    tables = fs.induced_tables(ring, cap=cap)
-    mask = ring.unit_index_mask()
-    uv = sum(1 for t in tables if all(mask[v] for v in t))
-    q = p ** (n - 1)
-    kernel = sum(1 for t in tables if all(v % q == 0 for v in t))
+    counts = _brute_counts(p, n, cap)
     return [
         (f"counting[polyfun:{p},{n}]",
-         len(tables) == canon.count_polynomial_functions(p, n)),
-        (f"counting[uvpf:{p},{n}]", uv == canon.count_unit_valued_functions(p, n)),
-        (f"counting[kernel:{p},{n}]", kernel == canon.kernel_count(p, n)),
+         counts["polyfun"] == canon.count_polynomial_functions(p, n)),
+        (f"counting[uvpf:{p},{n}]",
+         counts["uvpf"] == canon.count_unit_valued_functions(p, n)),
+        (f"counting[kernel:{p},{n}]", counts["kernel"] == canon.kernel_count(p, n)),
     ]
 
 

@@ -16,17 +16,6 @@ from .poly import Polynomial
 from .rings import DEFAULT_RING_SIZE_CAP, Ring, SizeCapError
 
 
-@dataclass(frozen=True)
-class DualElement:
-    """a + b*al with both parts canonical in the base ring."""
-
-    a: object
-    b: object
-
-    def as_pair(self) -> tuple:
-        return (self.a, self.b)
-
-
 class DualRing(Ring):
     """R[al] over an enumerable base; |R|^2 elements as (a, b) pairs.
 
@@ -101,28 +90,22 @@ class DualPolynomial:
     g2: Polynomial
 
 
-def _enc(x):
-    return getattr(x, "encoding", x)
-
-
-def eval_dual(g: Polynomial, base: Ring, a, b) -> DualElement:
+def eval_dual(g: Polynomial, base: Ring, a, b) -> tuple:
     """Evaluate the base-coefficient polynomial g at a + b*al.
 
-    Returns (g(a), b*g'(a)) without touching the dual ring.
+    Returns the dual encoding (g(a), b*g'(a)) without touching the dual ring.
     """
-    a, b = _enc(a), _enc(b)
     ga = g.eval(base, a)
     da = g.derive().eval(base, a)
-    return DualElement(ga, base.mul(b, da))
+    return (ga, base.mul(b, da))
 
 
-def eval_dual_poly(g: DualPolynomial, base: Ring, a, b) -> DualElement:
+def eval_dual_poly(g: DualPolynomial, base: Ring, a, b) -> tuple:
     """Evaluate g = g1 + g2*al at a + b*al: (g1(a), b*g1'(a) + g2(a))."""
-    a, b = _enc(a), _enc(b)
     g1a = g.g1.eval(base, a)
     d1a = g.g1.derive().eval(base, a)
     g2a = g.g2.eval(base, a)
-    return DualElement(g1a, base.add(base.mul(b, d1a), g2a))
+    return (g1a, base.add(base.mul(b, d1a), g2a))
 
 
 def horner_dual(g, dual: DualRing, points):
@@ -131,9 +114,9 @@ def horner_dual(g, dual: DualRing, points):
     Takes a DualPolynomial g1 + g2*al or a plain base-coefficient Polynomial.
     Its coefficients are read once, as dual elements from the top degree
     down; each point then costs one dual multiply and one dual add per
-    coefficient.  Yields a DualElement per point, in order and lazily, so a
-    caller may stop at the first value it needs.  Independent of the
-    shortcut laws; used as their oracle.
+    coefficient.  Yields the (a, b) encoding of each value, in point order
+    and lazily, so a caller may stop at the first value it needs.
+    Independent of the shortcut laws; used as their oracle.
     """
     base = dual.base
     if isinstance(g, DualPolynomial):
@@ -152,7 +135,7 @@ def horner_dual(g, dual: DualRing, points):
         acc = dual.zero
         for c in coeffs:
             acc = add(mul(acc, point), c)
-        yield DualElement(*acc)
+        yield acc
 
 
 def format_dual_element(dual: DualRing, x) -> str:
@@ -161,8 +144,6 @@ def format_dual_element(dual: DualRing, x) -> str:
     Base parts are written as residues for integer-encoded bases and as
     enumeration indices otherwise.
     """
-    if isinstance(x, DualElement):
-        x = x.as_pair()
     a, b = x
     base = dual.base
     return f"{base.index(a)}+{base.index(b)}*al"

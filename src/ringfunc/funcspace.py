@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import getitem
 
+from .dual import DualRing, format_dual_element
 from .poly import Polynomial
 from .rings import PrimePowerRing, Ring, check_cap
 
@@ -56,7 +57,7 @@ class FunctionTable:
         return cls.constant(ring, ring.one)
 
     def value_at(self, x):
-        return self.values[self.ring.index(getattr(x, "encoding", x))]
+        return self.values[self.ring.index(x)]
 
     def is_zero(self) -> bool:
         return all(v == self.ring.zero for v in self.values)
@@ -116,10 +117,8 @@ class FunctionTable:
 
 def render_value(ring: Ring, v) -> object:
     """JSON rendering of one element: residue int, field index, or 'a+b*al'."""
-    base = getattr(ring, "base", None)
-    if base is not None:
-        a, b = v
-        return f"{base.index(a)}+{base.index(b)}*al"
+    if isinstance(ring, DualRing):
+        return format_dual_element(ring, v)
     return ring.index(v)
 
 

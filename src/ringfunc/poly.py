@@ -220,8 +220,7 @@ class Polynomial:
         extension of K (coefficients embed as alpha-part zero); anything else
         is a mismatch.
         """
-        enc = getattr(point, "encoding", point)
-        return ring.horner(self._coeffs_for(ring), (enc,))[0]
+        return ring.horner(self._coeffs_for(ring), (point,))[0]
 
     def _coeffs_for(self, ring):
         if self.ring is None or getattr(self.ring, "integer_encoded", False):

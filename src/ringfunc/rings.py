@@ -1,16 +1,18 @@
 """Finite commutative rings with explicit element enumeration.
 
 Supported kinds: Z_m (modular residues, prime powers recorded as such), the
-fields F_q = F_p[t]/(modulus) with a deterministically chosen modulus, and the
-dual-number extension built in the dual module.  Element encodings are
-canonical data, not symbols: residues are ints in [0, m-1], field elements of
-degree m >= 2 are coefficient vectors of length m over [0, p-1], dual elements
+extension fields F_q = F_p[t]/(modulus), q = p^m with m >= 2 and a
+deterministically chosen modulus, and the dual-number extension built in the
+dual module.  The prime field F_p is the residue ring Z_p under the
+descriptor fq:p, one implementation for both.  Element encodings are
+canonical data, not symbols: residues are ints in [0, m-1], extension field
+elements are coefficient vectors of length m over [0, p-1], dual elements
 are pairs.  Enumeration order is fixed and documented per kind because value
 tables, serializations and test vectors all index into it.
 
 Polynomials are evaluated by Ring.horner.  Residue rings do plain integer
-Horner with one reduction per step.  F_q with m >= 2 adds, multiplies,
-negates, inverts and evaluates on Zech-log tables of O(q) entries, built on
+Horner with one reduction per step.  Extension fields add, multiply,
+negate, invert and evaluate on Zech-log tables of O(q) entries, built on
 first use; the convolution product of coefficient vectors reduced by the
 modulus is the definition they are built from and the tests' oracle.
 """
@@ -88,90 +90,6 @@ def prime_power_decomposition(m: int) -> tuple[int, int] | None:
     return None
 
 
-def _residue_horner(coeffs, points, m: int) -> list:
-    """Ring.horner mod m, one reduction per step; coefficients are any ints."""
-    rev = coeffs[::-1]
-    out = []
-    for r in points:
-        acc = 0
-        for c in rev:
-            acc = (acc * r + c) % m
-        out.append(acc)
-    return out
-
-
-class RingElement:
-    """A ring element bundled with its ring, for ergonomic arithmetic."""
-
-    __slots__ = ("ring", "encoding")
-
-    def __init__(self, ring: "Ring", encoding):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "encoding", encoding)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingElement is immutable")
-
-    def _enc(self, other):
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                raise ValueError("elements of different rings")
-            return other.encoding
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        enc = self._enc(other)
-        if enc is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.add(self.encoding, enc))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        enc = self._enc(other)
-        if enc is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.mul(self.encoding, enc))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.encoding))
-
-    def __sub__(self, other):
-        enc = self._enc(other)
-        if enc is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.add(self.encoding, self.ring.neg(enc)))
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        acc = self.ring.one
-        for _ in range(k):
-            acc = self.ring.mul(acc, self.encoding)
-        return RingElement(self.ring, acc)
-
-    def __eq__(self, other):
-        if isinstance(other, RingElement):
-            return self.ring == other.ring and self.encoding == other.encoding
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, self.encoding))
-
-    def __repr__(self):
-        return f"RingElement({self.encoding!r} in {self.ring.descriptor})"
-
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.encoding)
-
-    def inverse(self) -> "RingElement":
-        return RingElement(self.ring, self.ring.inverse(self.encoding))
-
-
 class Ring:
     """Base class: a finite commutative ring with enumerated elements.
 
@@ -238,29 +156,6 @@ class Ring:
             self._tables["units"] = tuple(x for x in self.elements if self.is_unit(x))
         return self._tables["units"]
 
-    def element(self, x) -> RingElement:
-        """Wrap x as a RingElement.
-
-        Bare ints are taken as enumeration indices for non-integer-encoded
-        rings and as residues (reduced) for integer-encoded ones; canonical
-        encodings pass through.
-        """
-        if isinstance(x, RingElement):
-            if x.ring != self:
-                raise ValueError("element of a different ring")
-            return x
-        if self.integer_encoded:
-            if not isinstance(x, int):
-                raise ValueError(f"expected an integer for {self.descriptor}")
-            return RingElement(self, self.from_int(x))
-        if isinstance(x, int):
-            if not 0 <= x < self.size:
-                raise ValueError(f"index {x} out of range for {self.descriptor}")
-            return RingElement(self, self.elements[x])
-        if x in self._index:
-            return RingElement(self, x)
-        raise ValueError(f"{x!r} is not an element of {self.descriptor}")
-
     @cached_property
     def _index(self) -> dict:
         """The enumeration index of each encoding."""
@@ -314,7 +209,8 @@ class Ring:
 
 
 class ModularRing(Ring):
-    """Z_m with canonical residues 0..m-1, enumerated in that order."""
+    """Z_m with canonical residues 0..m-1, enumerated in that order; for a
+    prime m under the descriptor fq:m, the prime field F_m."""
 
     kind = "modular"
     integer_encoded = True
@@ -344,7 +240,16 @@ class ModularRing(Ring):
         return (x * y) % self.m
 
     def horner(self, coeffs, points) -> list:
-        return _residue_horner(coeffs, points, self.m)
+        # one reduction per step; coefficients may be any ints
+        m = self.m
+        rev = coeffs[::-1]
+        out = []
+        for r in points:
+            acc = 0
+            for c in rev:
+                acc = (acc * r + c) % m
+            out.append(acc)
+        return out
 
     def from_int(self, k: int):
         return k % self.m
@@ -446,22 +351,27 @@ def find_irreducible(p: int, m: int) -> Polynomial:
 
 
 class FiniteField(Ring):
-    """F_q with q = p**m.
+    """The extension field F_q with q = p**m, m >= 2.
 
-    Degree 1 uses plain residues (so F_p and Z_p enumerate identically).  For
-    m >= 2, elements are coefficient vectors (c_0, ..., c_{m-1}) meaning
-    sum c_i t^i, enumerated by the integer value sum c_i p^i; the element at
-    index k < p is then the image of the integer k.
+    Elements are coefficient vectors (c_0, ..., c_{m-1}) meaning sum c_i t^i,
+    enumerated by the integer value sum c_i p^i; the element at index k < p
+    is then the image of the integer k.  The prime field F_p is the residue
+    ring Z/p: make_ring("fq:p") builds it as a ModularRing.
     """
 
     kind = "finite-field"
 
-    def __init__(self, p: int, m: int = 1, *, size_cap: int | None = None):
+    def __init__(self, p: int, m: int, *, size_cap: int | None = None):
         super().__init__()
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if m < 1:
             raise ValueError(f"extension degree must be at least 1, got {m}")
+        if m == 1:
+            raise ValueError(
+                f"FiniteField holds extension fields only; make_ring('fq:{p}') "
+                f"builds F_{p} as the residue ring"
+            )
         q = p ** m
         cap = DEFAULT_RING_SIZE_CAP if size_cap is None else size_cap
         if q > cap:
@@ -469,23 +379,17 @@ class FiniteField(Ring):
         self.p = p
         self.extension_degree = m
         self.size = q
-        self.descriptor = f"fq:{p}" if m == 1 else f"fq:{p},{m}"
+        self.descriptor = f"fq:{p},{m}"
         self.modulus = tuple(find_irreducible(p, m).coeffs)
-        if m == 1:
-            self.integer_encoded = True
-            self.elements = tuple(range(p))
-            self.zero = 0
-            self.one = 1 % p
-        else:
-            # c_0 fastest: the element at index k has the base-p digits of k
-            self.elements = tuple(e[::-1] for e in itertools.product(range(p), repeat=m))
-            self.zero = (0,) * m
-            self.one = (1,) + (0,) * (m - 1)
-            self._zero_log = 2 * (q - 1)  # the log of zero in _zech_tables
+        # c_0 fastest: the element at index k has the base-p digits of k
+        self.elements = tuple(e[::-1] for e in itertools.product(range(p), repeat=m))
+        self.zero = (0,) * m
+        self.one = (1,) + (0,) * (m - 1)
+        self._zero_log = 2 * (q - 1)  # the log of zero in _zech_tables
 
     def _conv_mul(self, x, y):
-        """x*y for m >= 2 by convolution and reduction by the modulus: the
-        definition _zech_tables is built from, and the tests' oracle."""
+        """x*y by convolution and reduction by the modulus: the definition
+        _zech_tables is built from, and the tests' oracle."""
         out = _pp_mod(_pp_mul(x, y, self.p), self.modulus, self.p)
         return out + (0,) * (self.extension_degree - len(out))
 
@@ -500,7 +404,7 @@ class FiniteField(Ring):
 
     @cached_property
     def _zech_tables(self) -> tuple[dict, list, list]:
-        """(log, exp, zech) for m >= 2, built on first use from _conv_mul:
+        """(log, exp, zech), built on first use from _conv_mul:
         log maps each element to its logarithm to g, the first primitive
         element in enumeration order, and zero to Z = 2(q - 1); exp lists
         g^0 .. g^(q-2) twice, then zero up to 2Z, so x*y = exp[log x + log y];
@@ -522,8 +426,6 @@ class FiniteField(Ring):
         return log, exp, zech
 
     def add(self, x, y):
-        if self.extension_degree == 1:
-            return (x + y) % self.p
         log, exp, zech = self._zech_tables
         a, b = log[x], log[y]
         if a == self._zero_log:
@@ -533,21 +435,15 @@ class FiniteField(Ring):
         return exp[a + zech[b - a]]
 
     def neg(self, x):
-        if self.extension_degree == 1:
-            return (-x) % self.p
         log, exp, _ = self._zech_tables
         # -1 is g^((q-1)/2) for odd q and g^0 for even q
         return exp[log[x] + (self.size - 1) // 2 * (self.p % 2)]
 
     def mul(self, x, y):
-        if self.extension_degree == 1:
-            return (x * y) % self.p
         log, exp, _ = self._zech_tables
         return exp[log[x] + log[y]]
 
     def horner(self, coeffs, points) -> list:
-        if self.extension_degree == 1:
-            return _residue_horner(coeffs, points, self.p)
         log, exp, zech = self._zech_tables
         n1, Z = self.size - 1, self._zero_log
         rev = [log[c] for c in reversed(coeffs)]
@@ -567,13 +463,9 @@ class FiniteField(Ring):
         return out
 
     def from_int(self, k: int):
-        if self.extension_degree == 1:
-            return k % self.p
         return ((k % self.p),) + (0,) * (self.extension_degree - 1)
 
     def index(self, x) -> int:
-        if self.extension_degree == 1:
-            return x
         return self._index[x]
 
     def is_unit(self, x) -> bool:
@@ -582,8 +474,6 @@ class FiniteField(Ring):
     def inverse(self, x):
         if x == self.zero:
             raise ValueError(f"0 is not a unit in {self.descriptor}")
-        if self.extension_degree == 1:
-            return pow(x, -1, self.p)
         log, exp, _ = self._zech_tables
         return exp[self.size - 1 - log[x]]
 
@@ -628,9 +518,16 @@ def make_ring(spec: str, *, size_cap: int | None = None) -> Ring:
             pp = prime_power_decomposition(params[0])
             if pp is None:
                 raise ValueError(f"field order must be a prime power, got {spec!r}")
-            return FiniteField(pp[0], pp[1], size_cap=size_cap)
-        if len(params) == 2:
-            return FiniteField(params[0], params[1], size_cap=size_cap)
-        raise ValueError(f"fq takes one or two parameters, got {spec!r}")
+            p, m = pp
+        elif len(params) == 2:
+            p, m = params
+        else:
+            raise ValueError(f"fq takes one or two parameters, got {spec!r}")
+        if m != 1:
+            return FiniteField(p, m, size_cap=size_cap)
+        # the prime field is the residue ring Z/p
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        return ModularRing(p, descriptor=f"fq:{p}", size_cap=size_cap)
     raise ValueError(f"unknown ring kind {head!r} in {spec!r}")
 

@@ -49,7 +49,6 @@ def test_table_constructors_and_value_access():
     assert FunctionTable.zero(z4).is_zero()
     assert FunctionTable.one(z4).values == (1, 1, 1, 1)
     assert ident.value_at(2) == 2
-    assert ident.value_at(z4.element(2)) == 2
     with pytest.raises(ValueError):
         FunctionTable(z4, (0, 1))
     with pytest.raises(AttributeError):

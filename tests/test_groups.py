@@ -33,7 +33,7 @@ from ringfunc.rings import SizeCapError, make_ring
 def _dp_from_poly(base, f):
     """Dual permutation table of f computed point by point in the dual ring."""
     d = dual_ring(base)
-    table = [d.index(v.as_pair()) for v in horner_dual(f, d, d.elements)]
+    table = [d.index(v) for v in horner_dual(f, d, d.elements)]
     return DualPermutation(d, table, f)
 
 

@@ -132,7 +132,7 @@ def test_composition_examples():
 
 def test_eval_int_on_ring_tagged_polynomial_raises():
     f4 = make_ring("fq:4")
-    f = Polynomial((f4.element(1).encoding, f4.element(2).encoding), ring=f4)
+    f = Polynomial((f4.elements[1], f4.elements[2]), ring=f4)
     with pytest.raises(ValueError):
         f.eval_int(1)
     with pytest.raises(ValueError):

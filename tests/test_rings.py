@@ -10,7 +10,6 @@ from ringfunc.rings import (
     FiniteField,
     ModularRing,
     PrimePowerRing,
-    RingElement,
     SizeCapError,
     enumeration_cap,
     find_irreducible,
@@ -154,6 +153,7 @@ def test_field_descriptor_normalization():
 
 def test_prime_field_uses_integer_encoding():
     f5 = make_ring("fq:5")
+    assert isinstance(f5, ModularRing)
     assert f5.integer_encoded
     assert f5.elements == (0, 1, 2, 3, 4)
     f4 = make_ring("fq:4")
@@ -266,55 +266,39 @@ def test_enumeration_cap_environment_override(monkeypatch):
         enumeration_cap()
 
 
-def test_element_wrapper_arithmetic():
+def test_residue_arithmetic_examples():
     zn = make_ring("zpn:3,2")
-    x = zn.element(7)
-    y = zn.element(5)
-    assert (x + y).encoding == 3
-    assert (x - y).encoding == 2
-    assert (x * y).encoding == 8
-    assert (-x).encoding == 2
-    assert (x**2).encoding == 4
-    assert x + 2 == zn.element(0)
-    assert x.is_unit()
-    assert zn.is_unit(x.encoding)
-    assert x.inverse() * x == zn.element(1)
+    assert zn.add(7, 5) == 3
+    assert zn.sub(7, 5) == 2
+    assert zn.mul(7, 5) == 8
+    assert zn.neg(7) == 2
+    assert zn.mul(7, 7) == 4
+    assert zn.add(7, zn.from_int(2)) == zn.zero
+    assert zn.is_unit(7)
+    assert zn.mul(zn.inverse(7), 7) == zn.one
 
 
-def test_element_wrapper_on_extension_field():
+def test_extension_field_arithmetic_examples():
     f4 = make_ring("fq:4")
-    t = f4.element(2)
-    assert t.encoding == (0, 1)
-    assert (t * t).encoding == (1, 1)
-    assert (t * t * t) == f4.element(1)
-    with pytest.raises(ValueError):
-        f4.element((5, 0))
-
-
-def test_element_rejects_foreign_input():
-    zn = make_ring("zpn:3,2")
-    f4 = make_ring("fq:4")
-    with pytest.raises(ValueError):
-        zn.element(f4.element(1))
-    with pytest.raises(ValueError):
-        f4.element(17)
+    t = f4.elements[2]
+    assert t == (0, 1)
+    assert f4.mul(t, t) == (1, 1)
+    assert f4.mul(f4.mul(t, t), t) == f4.one
 
 
 def test_modular_ring_reduces_out_of_range_ints():
     z6 = ModularRing(6)
-    assert z6.element(-1).encoding == 5
-    assert z6.element(13).encoding == 1
+    assert z6.from_int(-1) == 5
+    assert z6.from_int(13) == 1
 
 
 def test_element_power_matches_repeated_multiplication(ring):
-    for a in ring.elements:
-        w = RingElement(ring, a)
+    pw = ring.power_index_table(4)
+    for i, a in enumerate(ring.elements):
         acc = ring.one
         for k in range(5):
-            assert (w**k).encoding == acc
+            assert ring.elements[pw[k][i]] == acc
             acc = ring.mul(acc, a)
-    with pytest.raises(ValueError):
-        RingElement(ring, ring.one) ** -1
 
 
 def test_finite_field_one_parameter_requires_prime_power():
@@ -322,6 +306,34 @@ def test_finite_field_one_parameter_requires_prime_power():
         FiniteField(6, 1)
     f8 = make_ring("fq:8")
     assert (f8.p, f8.extension_degree) == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the prime field F_p is the residue ring Z/p under another descriptor
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_prime_field_agrees_with_the_residue_ring(p):
+    fq, zm = make_ring(f"fq:{p}"), make_ring(f"zm:{p}")
+    assert fq.descriptor == f"fq:{p}" and fq.prime_power == (p, 1)
+    assert fq.index_op_tables() == zm.index_op_tables()
+    assert [fq.neg(a) for a in fq.elements] == [zm.neg(a) for a in zm.elements]
+    assert [fq.inverse(a) for a in fq.elements[1:]] == [zm.inverse(a) for a in zm.elements[1:]]
+    rng = random.Random(p)
+    for _ in range(30):
+        # negative coefficients and coefficients >= p alike
+        coeffs = [rng.randrange(-3 * p, 3 * p) for _ in range(rng.randrange(1, 9))]
+        assert fq.horner(coeffs, fq.elements) == zm.horner(coeffs, zm.elements)
+
+
+def test_degree_one_field_descriptor_is_the_prime_field():
+    assert make_ring("fq:5,1").descriptor == "fq:5"
+    assert make_ring("fq:5,1") == make_ring("fq:5")
+
+
+def test_finite_field_refuses_degree_one():
+    with pytest.raises(ValueError, match="fq:5"):
+        FiniteField(5, 1)
 
 
 # ---------------------------------------------------------------------------
