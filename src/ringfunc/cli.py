@@ -232,7 +232,9 @@ def _group_elements(args, cap, keep=slice(None)):
         items = []
         for dp in els[keep]:
             G, F = dp.base_pair()
-            items.append({"perm": list(G), "unit": list(F), "witness": format_polynomial(dp.witness)})
+            items.append(
+                {"perm": list(G), "unit": list(F), "witness": format_polynomial(dp.witness)}
+            )
         return base, len(els), items, els
     perms, units = gr.semidirect_pairs(base, cap=cap)
     nu = len(units)

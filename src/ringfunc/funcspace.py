@@ -112,7 +112,8 @@ class FunctionTable:
         return f"FunctionTable({self.ring.descriptor}, {self.values!r})"
 
     def to_json_dict(self) -> dict:
-        return {"ring": self.ring.descriptor, "values": [render_value(self.ring, v) for v in self.values]}
+        values = [render_value(self.ring, v) for v in self.values]
+        return {"ring": self.ring.descriptor, "values": values}
 
 
 def render_value(ring: Ring, v) -> object:

@@ -22,7 +22,8 @@ Three sets of elements come out of this module:
 
 verify_group_axioms checks closure exactly from a greedy generating set S,
 with |G| * |S| products instead of |G|^2, and the identity and inverses on
-every element.  verify_embedding sweeps the coefficients once for both the
+every element, all on the elements' index tables; on fq:4, of order 1944,
+|S| is 3.  verify_embedding sweeps the coefficients once for both the
 dual permutations and the stabilizer.  It checks the homomorphism law by
 comparing the pair read back from d * s with the twisted product of the
 pairs of d and s, for every d and every generator s.  It decides membership
@@ -34,7 +35,8 @@ is |image| = |P(R)| * |F(R)^x|; the product itself is never built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
+from math import gcd
 from operator import getitem, itemgetter
 
 from .dual import DualRing, dual_ring
@@ -399,18 +401,27 @@ def null_polynomials(
 def _generate(elements, visit=None) -> tuple[list, bool]:
     """Greedy generating set of a finite pool, and whether the pool is closed.
 
-    Walks the pool in order and makes each element not yet reached a new
-    generator; the breadth-first closure under right multiplication by the
-    generators then forms x * s exactly once for every reached x and every
-    generator s, calling visit(x, s, x * s) on each.  A product outside the
-    pool marks it not closed and is not expanded further, so every pool
-    element ends up reached and inside the group the generators generate.
+    Works on the elements' index tables.  The walk visits the pool at
+    positions i * step mod n, step the first of r, r + 1, r - 1, r + 2, ...
+    coprime to n for r nearest 0.618 * n, and makes each element not yet
+    reached a new generator.  The sorted enumerations begin with the
+    identity and elements fixing most points, which lie in small subgroups;
+    a few elements spread over the pool usually generate a permutation group
+    (Seress, Permutation Group Algorithms, 2003).  On the fq:4 semidirect
+    group and dual permutations (order 1944) that is 3 generators, where the
+    sorted walk takes 7.
 
-    The identity is never made a generator unless it is the whole pool: it
-    would cost |G| products and add nothing, and a closed pool reaches it
-    as a power of any generator.  For compositions of permutations the
-    idempotents are exactly the identity, so g * g == g detects it.  A pool
-    that never reaches its identity is not closed.
+    The closure under right multiplication by the generators S forms x * s
+    once for every reached x and every s in S, |G| * |S| products, each one
+    itemgetter call on a tuple, and calls visit(x, s, y) on each, x and
+    y = x * s being tables and s the generator.  The products by one
+    generator run together, over the tables it has not met yet.  A product
+    outside the pool marks it not closed and is not expanded further, so
+    every pool element ends up reached and inside the group the generators
+    generate.  The identity is never made a generator unless it is the whole
+    pool: it would cost |G| products and add nothing, and a closed pool
+    reaches it as a power of any generator.  Raises ValueError unless every
+    element acts on one dual ring.
 
     For associative products a closed pool is the group generated: each
     element is a product of generators, so right multiplication by the
@@ -418,29 +429,46 @@ def _generate(elements, visit=None) -> tuple[list, bool]:
     needs at most log2(n) + 1 greedy generators (each new one at least
     doubles the subgroup reached), so the walk costs O(n log n) products.
     """
-    pool = set(elements)
+    els = list(elements)
+    n = len(els)
+    if n == 0:
+        return [], True
+    dual = els[0].dual
+    if any(e.dual is not dual and e.dual != dual for e in els):
+        raise ValueError("permutations live over different dual rings")
+    pool = {e.table for e in els}
+    ident = tuple(range(dual.size))
+    r = round(0.618 * n)
+    step = next(k for d in range(n) for k in (r + d, r - d) if 0 < k <= n and gcd(k, n) == 1)
     gens: list = []
+    muls: list = []
+    done: list[int] = []
     reached: set = set()
+    order: list = []
     closed = True
-    for g in elements:
-        if g in reached or (len(pool) > 1 and g * g == g):
+    for i in range(n):
+        g = els[i * step % n]
+        if g.table in reached or (len(pool) > 1 and g.table == ident):
             continue
-        queue = [(x, (g,)) for x in reached]
         gens.append(g)
-        reached.add(g)
-        queue.append((g, tuple(gens)))
-        for x, ss in queue:
-            for s in ss:
-                y = x * s
-                if visit is not None:
-                    visit(x, s, y)
-                if y in reached:
-                    continue
-                if y in pool:
-                    reached.add(y)
-                    queue.append((y, tuple(gens)))
-                else:
-                    closed = False
+        muls.append(itemgetter(*g.table))
+        done.append(0)
+        reached.add(g.table)
+        order.append(g.table)
+        while any(k < len(order) for k in done):
+            for j, (s, mul) in enumerate(zip(gens, muls)):
+                # a list iterator also yields what is appended while it runs
+                for x in islice(order, done[j], None):
+                    y = mul(x)
+                    if visit is not None:
+                        visit(x, s, y)
+                    if y not in reached:
+                        if y in pool:
+                            reached.add(y)
+                            order.append(y)
+                        else:
+                            closed = False
+                done[j] = len(order)
     return gens, closed
 
 
@@ -464,12 +492,16 @@ def verify_group_axioms(elements) -> GroupAxiomsReport:
     """Check the group axioms on a finite list of elements, exactly.
 
     The elements must multiply as compositions of permutations, as
-    DualPermutation does, so associativity holds by construction and is reported with mode "composition".  Closure is
-    decided from a greedy generating set S of the list: the list is closed
-    under all products iff right multiplication by S never leaves it.  The
-    identity and inverse axioms are checked on every element.  The list is
-    abelian iff the elements of S commute pairwise, since every element lies
-    in the group S generates; abelian_mode is "generators:<|S|>".
+    DualPermutation does, so associativity holds by construction and is
+    reported with mode "composition".  Every check works on the index
+    tables.  Closure is decided from a greedy generating set S (_generate):
+    the list is closed under all products iff right multiplication by S
+    never leaves it.  The identity table is composed with every element on
+    both sides, and every element's inverse table must lie in the list and
+    compose with it to the identity on both sides.  The list is abelian iff
+    the elements of S commute pairwise, since every element lies in the
+    group S generates; abelian_mode is "generators:<|S|>".  Raises
+    ValueError unless every element acts on one dual ring.
     """
     els = list(elements)
     n = len(els)
@@ -477,25 +509,24 @@ def verify_group_axioms(elements) -> GroupAxiomsReport:
         return GroupAxiomsReport(
             0, False, False, False, False, "composition", True, "generators:0"
         )
-    pool = set(els)
     gens, closed = _generate(els)
+    tables = [e.table for e in els]
+    pool = set(tables)
+    ident = tuple(range(len(tables[0])))
 
-    identity = None
-    probe = els[0]
-    for e in els:
-        if e * probe == probe and probe * e == probe:
-            identity = e
-            break
-    has_identity = identity is not None and all(
-        identity * x == x and x * identity == x for x in els
+    has_identity = ident in pool and all(
+        tuple(map(t.__getitem__, ident)) == t == tuple(map(ident.__getitem__, t)) for t in tables
     )
-
+    # a permutation table sorts the positions into its inverse
     inverses_ok = has_identity and all(
-        (inv := x.inverse()) in pool and x * inv == identity and inv * x == identity
-        for x in els
+        (inv := tuple(sorted(ident, key=t.__getitem__))) in pool
+        and itemgetter(*inv)(t) == ident == itemgetter(*t)(inv)
+        for t in tables
     )
-
-    abelian = all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
+    abelian = all(
+        itemgetter(*b.table)(a.table) == itemgetter(*a.table)(b.table)
+        for i, a in enumerate(gens) for b in gens[i + 1:]
+    )
 
     return GroupAxiomsReport(
         n, closed, has_identity, inverses_ok, True, "composition",
@@ -546,8 +577,7 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     """
     passing, units = _dual_sweep(base, cap=cap)
     perms = _dual_elements(base, passing)
-    pairs = {dp: dp.base_pair() for dp in perms}
-    image = set(pairs.values())
+    image = {dp.base_pair() for dp in perms}
     injective = len(image) == len(perms)
 
     perm_tables, unit_tables = semidirect_pairs(base, cap=cap)
@@ -555,22 +585,27 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     image_in_ambient = all(G in perm_set and F in unit_set for G, F in image)
 
     # the law reads pairs packed as the row b = 1 of a table, entry a being
-    # G(a) * nb + F(a); scale[v][f] multiplies the F part of packed v by f
+    # G(a) * nb + F(a); scale[f][v] multiplies the F part of packed v by f
     nb = base.size
     i1 = base.index(base.one)
     mul_t = base.index_op_tables()[1]
-    scale = [[v - v % nb + mul_t[v % nb][f] for f in range(nb)] for v in range(nb * nb)]
+    scale = [[v - v % nb + mul_t[v % nb][f] for v in range(nb * nb)] for f in range(nb)]
     law_ok = True
+    gen = pick = cols = None
 
     def law(d, s, ds):
         # the pair read back from d * s against the twisted product
-        # (G1 o G2, (F1 o G2) . F2): at a, the pair of d at G2(a) with its
-        # F part multiplied by F2(a)
-        nonlocal law_ok
-        G2, F2 = pairs[s]
-        row1 = d.table[i1::nb]
-        twisted = tuple(map(getitem, map(scale.__getitem__, map(row1.__getitem__, G2)), F2))
-        if ds.table[i1::nb] != twisted:
+        # (G1 o G2, (F1 o G2) . F2): at a, the packed pair of d at G2(a),
+        # entry i1 + nb * G2(a) of its table, with the F part multiplied by
+        # F2(a).  The products by one generator come together, so its pair
+        # is read when they start.
+        nonlocal law_ok, gen, pick, cols
+        if s is not gen:
+            G2, F2 = s.base_pair()
+            gen = s
+            pick = itemgetter(*[i1 + nb * g for g in G2])
+            cols = [scale[f] for f in F2]
+        if ds[i1::nb] != tuple(map(getitem, cols, pick(d))):
             law_ok = False
 
     gens, closed = _generate(perms, law)

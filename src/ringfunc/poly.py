@@ -435,7 +435,8 @@ def parse(text: str) -> Polynomial:
 
     The text is split into tokens once and parsed by recursive descent on
     plain integer coefficient lists: a power of x, or of any monomial, is
-    written down directly, and one Polynomial is built at the end.  A ParseError carries the position of the offending token.
+    written down directly, and one Polynomial is built at the end.  A
+    ParseError carries the position of the offending token.
     """
     ps = _ListParser(text)
     coeffs = ps.expr()

@@ -323,14 +323,50 @@ def _pp_mod(a, b, p):
     return _pp_normalize(a, p)
 
 
+def _pp_powmod(a, e: int, f, p):
+    """a^e modulo monic f over F_p, by square and multiply."""
+    out = (1,)
+    while e:
+        if e & 1:
+            out = _pp_mod(_pp_mul(out, a, p), f, p)
+        e >>= 1
+        if e:
+            a = _pp_mod(_pp_mul(a, a, p), f, p)
+    return out
+
+
+def _pp_coprime(a, b, p) -> bool:
+    """Whether gcd(a, b) over F_p is a nonzero constant."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = b, _pp_mod(a, _pp_normalize([c * inv for c in b], p), p)
+    return len(a) == 1
+
+
 def _pp_is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    d = len(f) - 1
-    for e in range(1, d // 2 + 1):
-        for tail in itertools.product(range(p), repeat=e):
-            g = tail + (1,)
-            if not _pp_mod(f, g, p):
+    """Rabin's test for monic f of degree m over F_p: f is irreducible iff
+    x^(p^m) = x mod f and gcd(x^(p^(m/r)) - x, f) = 1 for every prime r
+    dividing m.  The powers x^(p^k) mod f come from k Frobenius steps.
+
+    A root a in F_p gives the linear factor x - a, so a candidate of degree
+    2 or more with one is rejected first; in find_irreducible's order that
+    settles the first p^(m-1) candidates, which have constant term zero, at
+    once.
+    """
+    m = len(f) - 1
+    if m > 1 and (not f[0] or any(not _pp_mod(f, (p - a, 1), p) for a in range(1, p))):
+        return False
+    x = _pp_mod((0, 1), f, p)
+    cuts = {m // r for r in range(2, m + 1) if m % r == 0 and is_prime(r)}
+    h = x
+    for k in range(1, m + 1):
+        h = _pp_powmod(h, p, f, p)
+        if k in cuts:
+            diff = list(h) + [0, 0]
+            diff[1] -= 1
+            if not _pp_coprime(f, _pp_normalize(diff, p), p):
                 return False
-    return True
+    return h == x
 
 
 def find_irreducible(p: int, m: int) -> Polynomial:
@@ -394,13 +430,8 @@ class FiniteField(Ring):
         return out + (0,) * (self.extension_degree - len(out))
 
     def _conv_pow(self, x, k: int):
-        acc = self.one
-        while k:
-            if k & 1:
-                acc = self._conv_mul(acc, x)
-            x = self._conv_mul(x, x)
-            k >>= 1
-        return acc
+        out = _pp_powmod(x, k, self.modulus, self.p)
+        return out + (0,) * (self.extension_degree - len(out))
 
     @cached_property
     def _zech_tables(self) -> tuple[dict, list, list]:

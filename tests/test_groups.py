@@ -261,6 +261,16 @@ def _brute_axioms(els):
     return True, associative, abelian
 
 
+def _brute_identity_inverses(els):
+    """(has_identity, inverses_ok) by search over the elements: some e with
+    e * x == x == x * e for every x, and for every x some y with
+    x * y == e == y * x."""
+    e = next((e for e in els if all(e * x == x == x * e for x in els)), None)
+    if e is None:
+        return False, False
+    return True, all(any(x * y == e == y * x for y in els) for x in els)
+
+
 def _brute_homomorphism(base, dps):
     """Whether the dual permutations are closed under products and the pair
     of d1 * d2 is the twisted product of the pairs, for all pairs."""
@@ -339,6 +349,22 @@ def test_generating_set_leaves_out_the_identity():
     assert groups._generate([e, swap]) == ([swap], True)
 
 
+@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "fq:4", "zm:6"])
+def test_generating_set_pins_the_product_count(desc):
+    # the walk picks at most 3 generators, so the closure makes |G| * |S|
+    # products, each x * s once, with x and y = x * s as tables
+    base = make_ring(desc)
+    for pool in (semidirect_group(base), enumerate_dual_permutations(base)):
+        products = []
+        gens, closed = groups._generate(pool, lambda x, s, y: products.append((x, s, y)))
+        assert closed
+        assert len(products) == len(pool) * len(gens)
+        assert len(gens) <= 3
+        assert {x for x, _, _ in products} == {el.table for el in pool}
+        assert len({(x, s.table) for x, s, _ in products}) == len(products)
+        assert all(s in gens and y == tuple(x[i] for i in s.table) for x, s, y in products)
+
+
 def _axiom_pools():
     f3 = make_ring("fq:3")
     z4 = make_ring("zpn:2,2")
@@ -375,6 +401,7 @@ def test_axiom_report_matches_brute_force(name):
     rep = verify_group_axioms(pool)
     closed, associative, abelian = _brute_axioms(pool)
     assert (rep.closed, rep.abelian) == (closed, abelian)
+    assert (rep.has_identity, rep.inverses_ok) == _brute_identity_inverses(pool)
     if associative is not None:
         assert rep.associative == associative
     assert rep.associativity_mode == "composition"
@@ -400,6 +427,18 @@ def test_axiom_report_rejects_a_foreign_pair(name):
     rep = verify_group_axioms(_axiom_pools()[name])
     assert not rep.closed
     assert not rep.passed
+
+
+def test_group_checks_reject_a_pool_over_two_dual_rings():
+    # the identity of dual:zm:4 has the same table as that of dual:zpn:2,2,
+    # so only the ring tells the pool apart from a group
+    z4 = make_ring("zpn:2,2")
+    mixed = semidirect_group(z4)[1:] + [DualPermutation.identity(dual_ring(make_ring("zm:4")))]
+    assert _brute_axioms([DualPermutation(dual_ring(z4), el.table) for el in mixed])[0]
+    with pytest.raises(ValueError):
+        verify_group_axioms(mixed)
+    with pytest.raises(ValueError):
+        groups._generate(mixed)
 
 
 # ---------------------------------------------------------------------------

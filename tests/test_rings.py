@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ringfunc import rings
 from ringfunc.rings import (
     DEFAULT_ENUMERATION_CAP,
     FiniteField,
@@ -176,19 +177,20 @@ def _poly_rem(a, b, p):
     return a
 
 
+def _trial_irreducible(f, p):
+    # no monic divisor of degree 1 .. deg f // 2
+    return all(
+        _poly_rem(f, list(dtail) + [1], p)
+        for d in range(1, (len(f) - 1) // 2 + 1)
+        for dtail in itertools.product(range(p), repeat=d)
+    )
+
+
 def _first_irreducible(p, m):
     # scan monic degree-m candidates in lexicographic order of the constant-first tail
     for tail in itertools.product(range(p), repeat=m):
         f = list(tail) + [1]
-        divisible = False
-        for d in range(1, m // 2 + 1):
-            for dtail in itertools.product(range(p), repeat=d):
-                if not _poly_rem(f, list(dtail) + [1], p):
-                    divisible = True
-                    break
-            if divisible:
-                break
-        if not divisible:
+        if _trial_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible candidate found")
 
@@ -196,6 +198,26 @@ def _first_irreducible(p, m):
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2)])
 def test_find_irreducible_matches_naive_scan(p, m):
     assert tuple(find_irreducible(p, m).coeffs) == _first_irreducible(p, m)
+
+
+# monic irreducibles of degree 1, 2, ... by Gauss's formula
+# (1/m) * sum over d | m of mu(d) * p^(m/d)
+IRREDUCIBLE_COUNTS = {2: (2, 1, 2, 3, 6, 9), 3: (3, 3, 8, 18)}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rabin_test_matches_trial_division(p):
+    # every monic polynomial of degree <= 6 over F_2 and <= 4 over F_3,
+    # reducible ones without roots among them (such as (x^2 + x + 1)^2 and
+    # products of two irreducible cubics over F_2)
+    for m, count in enumerate(IRREDUCIBLE_COUNTS[p], start=1):
+        found = 0
+        for tail in itertools.product(range(p), repeat=m):
+            f = tail + (1,)
+            verdict = rings._pp_is_irreducible(f, p)
+            assert verdict == _trial_irreducible(list(f), p), f
+            found += verdict
+        assert found == count
 
 
 def test_extension_field_moduli():
