@@ -17,6 +17,10 @@ import io
 import json
 import random
 import sys
+from collections import Counter
+from functools import reduce
+from itertools import product
+from operator import getitem, or_
 
 from . import canonical as canon
 from . import funcspace as fs
@@ -132,18 +136,35 @@ def cmd_test(args) -> int:
 
 
 def _brute_counts(p: int, n: int, cap) -> dict[str, int]:
-    """The polyfun, uvpf and kernel counts mod p^n by enumeration: every
-    induced table, then those of units only and those of multiples of
-    p^(n-1) only."""
+    """The polyfun, uvpf and kernel counts mod p^n by enumeration: the
+    induced tables, those of units only and those of multiples of p^(n-1)
+    only.
+
+    f = f0 + c has f(0) = c, so the induced tables are the translates t + c
+    of the distinct tables t of constant term zero, and no two translates
+    coincide.  So they are counted per t: all |R| of them, and the c with
+    t + c inside each mask, through a bitmask per value of the constants
+    that take it outside.
+    """
     ring = PrimePowerRing(p, n)
-    tables = fs.induced_tables(ring, cap=cap)
+    size = ring.size
+    D = fs.null_degree_bound(ring)
+    check_cap(size ** D, cap, "polynomial enumeration")
+    add_t = ring.index_op_tables()[0]
+    stages = fs.monomial_stages(ring, D, ring.elements)
+    found = {t for t, _ in fs.coefficient_sums(add_t, (0,) * size, stages)}
+    counts = {"polyfun": len(found) * size}
+    # whether t + c lies inside a mask depends on the values of t only
+    value_sets = Counter(map(frozenset, found))
     unit = ring.unit_index_mask()
     kernel = [v % p ** (n - 1) == 0 for v in ring.elements]
-    return {
-        "polyfun": len(tables),
-        "uvpf": sum(all(map(unit.__getitem__, t)) for t in tables),
-        "kernel": sum(all(map(kernel.__getitem__, t)) for t in tables),
-    }
+    for what, mask in (("uvpf", unit), ("kernel", kernel)):
+        bad = [sum(1 << c for c, w in enumerate(row) if not mask[w]) for row in add_t]
+        counts[what] = sum(
+            k * (size - reduce(or_, map(bad.__getitem__, vs)).bit_count())
+            for vs, k in value_sets.items()
+        )
+    return counts
 
 
 def cmd_count(args) -> int:
@@ -209,13 +230,19 @@ def cmd_canonical(args) -> int:
 
 def _group_elements(args, cap, keep=slice(None)):
     """Resolve --what group/stabilizer into (base, count, item dicts,
-    elements), with the item dicts of the positions keep selects only.
+    elements), with the item dicts of the positions keep selects only;
+    elements() builds the listed group elements in listed order, which only
+    a product table needs.
 
     The semidirect product lists its items from its two factors,
-    permutation-major, and returns no elements: each is a whole dual table,
-    built only for a product table.
+    permutation-major.  Over a field so do the dual permutations and the
+    stabilizer (_field_elements), with no coefficient sweep; elsewhere they
+    come from the sweep of gr.enumerate_dual_permutations and
+    gr.enumerate_stabilizer.
     """
     base = _base_of(_ring(args))
+    if base.is_field and (args.dual or args.what == "stabilizer"):
+        return _field_elements(base, args.what == "stabilizer", cap, keep)
     if args.what == "stabilizer":
         els = gr.enumerate_stabilizer(base, cap=cap)
         # a stabilizer element is x + g for its null part g
@@ -226,7 +253,7 @@ def _group_elements(args, cap, keep=slice(None)):
             }
             for st in els[keep]
         ]
-        return base, len(els), items, els
+        return base, len(els), items, lambda: els
     if args.dual:
         els = gr.enumerate_dual_permutations(base, cap=cap)
         items = []
@@ -235,7 +262,7 @@ def _group_elements(args, cap, keep=slice(None)):
             items.append(
                 {"perm": list(G), "unit": list(F), "witness": format_polynomial(dp.witness)}
             )
-        return base, len(els), items, els
+        return base, len(els), items, lambda: els
     perms, units = gr.semidirect_pairs(base, cap=cap)
     nu = len(units)
     count = len(perms) * nu
@@ -243,7 +270,63 @@ def _group_elements(args, cap, keep=slice(None)):
         {"perm": list(perms[k // nu]), "unit": list(units[k % nu])}
         for k in range(count)[keep]
     ]
-    return base, count, items, None
+    return base, count, items, lambda: gr.pair_elements(base, product(perms, units))
+
+
+def _field_elements(base: Ring, stabilizer: bool, cap, keep):
+    """_group_elements for the dual permutations or the stabilizer over a
+    field F_q, from the factors (perms, units) of the semidirect product.
+
+    By the field theorem the dual permutations are the pairs (G, F) of all
+    of P(F_q) x F(F_q)^x, listed in table order (gr.dual_table_order), and
+    the stabilizer is the pairs (id, F), in unit table order.  Each pair has
+    exactly one witness of degree < 2q, the one the sweep finds first: the
+    Hermite form A_G + B_F, with A_G = sum_a G(a) H_a computed once per G
+    and B_F = sum_a F(a) K_a once per F (fs.hermite_basis).  A stabilizer
+    element's null part is A_id + B_F - x.
+    """
+    q = base.size
+    H, K = fs.hermite_basis(base)
+    add_t = base.index_op_tables()[0]
+    els = base.elements
+    ident = tuple(range(q))
+
+    def rows(A):
+        # entry b of row d is the element A[d] + b: a witness coefficient of
+        # A + B is then one lookup
+        return [[els[s] for s in add_t[a]] for a in A]
+
+    def witness(A_rows, B):
+        return format_polynomial(fs.ring_polynomial(base, list(map(getitem, A_rows, B))))
+
+    if stabilizer:
+        check_cap((q - 1) ** q, cap, "stabilizer")
+        units = gr.semidirect_factors(base, cap=cap)[1]
+        # A_id - x: subtract one from the coefficient of x
+        A = fs.hermite_sum(base, H, ident)
+        A[1] = add_t[A[1]][base.index(base.neg(base.one))]
+        A_rows = rows(A)
+        items = [
+            {"null_part": witness(A_rows, fs.hermite_sum(base, K, F)), "unit": list(F)}
+            for F in units[keep]
+        ]
+        return base, len(units), items, lambda: gr.pair_elements(
+            base, ((ident, F) for F in units)
+        )
+    perms, units = gr.semidirect_pairs(base, cap=cap)
+    nu = len(units)
+    order = gr.dual_table_order(base, perms, units)
+    A = [rows(fs.hermite_sum(base, H, G)) for G in perms]
+    B = [fs.hermite_sum(base, K, F) for F in units]
+    items = []
+    for k in order[keep]:
+        i, j = divmod(k, nu)
+        items.append(
+            {"perm": list(perms[i]), "unit": list(units[j]), "witness": witness(A[i], B[j])}
+        )
+    return base, len(order), items, lambda: gr.pair_elements(
+        base, ((perms[k // nu], units[k % nu]) for k in order)
+    )
 
 
 def cmd_enumerate(args) -> int:
@@ -287,12 +370,10 @@ def cmd_export(args) -> int:
     cap = _cap(args)
     what = args.what
     if what in ("group", "stabilizer"):
-        base, _, items, els = _group_elements(args, cap)
+        base, _, items, elements = _group_elements(args, cap)
         if args.format == "csv" or args.table:
             check_cap(len(items) ** 2, cap, "multiplication table")
-            if els is None:
-                els = gr.semidirect_group(base, cap=cap)
-            table = _multiplication_table(els)
+            table = _multiplication_table(elements())
         if args.format == "csv":
             rows = [[""] + list(range(len(items)))]
             rows += [[i] + row for i, row in enumerate(table)]

@@ -193,48 +193,91 @@ def lagrange(F: FunctionTable) -> Polynomial:
     an extension field the coefficients are field elements.
     """
     ring = F.ring
+    coeffs = _interpolate(ring, list(map(ring.index, F.values)))
+    return ring_polynomial(ring, map(ring.elements.__getitem__, coeffs))
+
+
+def _interpolate(ring: Ring, values) -> list[int]:
+    """The coefficient indices, q of them, of the polynomial of degree < q
+    with the value indices values, by the Lagrange basis
+    prod_{b != a} (x - b) / (a - b) on index vectors."""
     if not ring.is_field:
         raise ValueError(f"{ring.descriptor} is not a field")
-    if ring.integer_encoded:
-        p = ring.size
-        result = Polynomial.zero()
-        for a in ring.elements:
-            y = F.values[a]
-            if y == 0:
-                continue
-            basis = Polynomial((1,))
-            denom = 1
-            for b in ring.elements:
-                if b != a:
-                    basis = basis * Polynomial((-b, 1))
-                    denom *= a - b
-            result = result + basis * (y * pow(denom % p, -1, p))
-        return result.reduced_mod(p)
-    result = Polynomial.zero(ring)
-    xs = ring.elements
-    for i, a in enumerate(xs):
-        y = F.values[i]
-        if y == ring.zero:
+    q = ring.size
+    add_t, mul_t = ring.index_op_tables()
+    zero, one = ring.index(ring.zero), ring.index(ring.one)
+    neg = [row.index(zero) for row in add_t]
+    acc = [zero] * q
+    for a, y in enumerate(values):
+        if y == zero:
             continue
-        basis = Polynomial((ring.one,), ring)
-        denom = ring.one
-        for b in xs:
+        basis, denom = [one], one
+        for b in range(q):
             if b != a:
-                basis = basis * Polynomial((ring.neg(b), ring.one), ring)
-                denom = ring.mul(denom, ring.sub(a, b))
-        scale = ring.mul(y, ring.inverse(denom))
-        result = result + basis * Polynomial((scale,), ring)
-    return result
+                # basis * (x - b), and denom * (a - b)
+                basis = [
+                    add_t[s][mul_t[neg[b]][t]] for s, t in zip([zero] + basis, basis + [zero])
+                ]
+                denom = mul_t[denom][add_t[a][neg[b]]]
+        scale = mul_t[y][mul_t[denom].index(one)]
+        acc = [add_t[s][mul_t[scale][t]] for s, t in zip(acc, basis)]
+    return acc
+
+
+def hermite_basis(ring: Ring) -> tuple[list[list[int]], list[list[int]]]:
+    """The Hermite basis (H, K) of a field F_q, as index vectors of the 2q
+    coefficients, constant term first, one H_a and one K_a per element
+    index a.
+
+    From the Lagrange basis L_a: H_a = L_a + L_a'(x^q - x) and
+    K_a = -L_a (x^q - x).  On the field x^q - x vanishes and its derivative
+    is -1, so [H_a] = [K_a'] is the indicator of a and [H_a'] = [K_a] = 0.
+    Then g = sum_a G(a) H_a + F(a) K_a has [g] = G and [g'] = F, and it is
+    the only such g of degree < 2q: (x^q - x)^2 divides the difference of
+    two.  Built on each call; L_a is interpolated as lagrange does.
+    """
+    q = ring.size
+    add_t, mul_t = ring.index_op_tables()
+    zero, one = ring.index(ring.zero), ring.index(ring.one)
+    neg = [row.index(zero) for row in add_t]
+    scales = [ring.index(ring.from_int(k)) for k in range(1, q)]
+
+    def times_vanishing(v):
+        # v * (x^q - x) for v of degree < q: +v shifted up by q, -v by one
+        out = [zero] + [neg[c] for c in v] + [zero] * (q - 1)
+        for k, c in enumerate(v):
+            out[q + k] = add_t[out[q + k]][c]
+        return out
+
+    H, K = [], []
+    for a in range(q):
+        la = _interpolate(ring, [one if b == a else zero for b in range(q)])
+        dla = [mul_t[s][c] for s, c in zip(scales, la[1:])] + [zero]
+        H.append([add_t[u][v] for u, v in zip(la + [zero] * q, times_vanishing(dla))])
+        K.append([neg[v] for v in times_vanishing(la)])
+    return H, K
+
+
+def hermite_sum(ring: Ring, basis, table) -> list[int]:
+    """sum_a table[a] * basis[a] on index vectors, table an index table."""
+    add_t, mul_t = ring.index_op_tables()
+    acc = [ring.index(ring.zero)] * len(basis[0])
+    for t, vec in zip(table, basis):
+        row = mul_t[t]
+        acc = [add_t[s][row[v]] for s, v in zip(acc, vec)]
+    return acc
+
+
+def ring_polynomial(ring: Ring, coeffs) -> Polynomial:
+    """The polynomial over the ring with the element encodings coeffs,
+    constant term first: integer coefficients on a residue ring, whose
+    encodings are integers, and ring-tagged elsewhere."""
+    return Polynomial(coeffs, None if ring.integer_encoded else ring)
 
 
 def realize_pair(G: FunctionTable, F: FunctionTable) -> Polynomial:
-    """A polynomial g over a field with [g] = G and [g'] = F, degree <= 2q-1.
-
-    Interpolate f0 for G and f1 for F, then correct with a multiple of the
-    vanishing polynomial x^q - x: g = f0 + (f0' - f1)(x^q - x).  On field
-    points the correction term vanishes and its derivative contributes
-    f1 - f0', so the pair comes out exactly.
-    """
+    """The polynomial g over a field with [g] = G and [g'] = F of degree
+    <= 2q-1, from the Hermite basis: sum_a G(a) H_a + F(a) K_a."""
     ring = G.ring
     G._require_same_ring(F)
     if not ring.is_field:
@@ -243,15 +286,11 @@ def realize_pair(G: FunctionTable, F: FunctionTable) -> Polynomial:
         raise ValueError("first table must be a bijection")
     if not F.is_unit_valued():
         raise ValueError("second table must be unit-valued")
-    q = ring.size
-    f0 = lagrange(G)
-    f1 = lagrange(F)
-    if ring.integer_encoded:
-        vanish = Polynomial.monomial(1, q) - Polynomial.x()
-        g = (f0 + (f0.derive() - f1) * vanish).reduced_mod(q)
-    else:
-        xpoly = Polynomial((ring.zero, ring.one), ring)
-        g = f0 + (f0.derive() - f1) * (xpoly ** q - xpoly)
+    H, K = hermite_basis(ring)
+    add_t = ring.index_op_tables()[0]
+    A = hermite_sum(ring, H, map(ring.index, G.values))
+    B = hermite_sum(ring, K, map(ring.index, F.values))
+    g = ring_polynomial(ring, [ring.elements[add_t[a][b]] for a, b in zip(A, B)])
     if induce(g, ring) != G or induce(g.derive(), ring) != F:
         raise RuntimeError("pair realization failed its postcondition")
     return g

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
-from math import gcd
+from math import factorial, gcd
 from operator import getitem, itemgetter
 
 from .dual import DualRing, dual_ring
@@ -46,6 +46,7 @@ from .funcspace import (
     induced_index_tables,
     monomial_stages,
     null_degree_bound,
+    ring_polynomial,
 )
 from .poly import Polynomial
 from .rings import Ring, check_cap
@@ -145,28 +146,61 @@ def precompose_units(F: FunctionTable, G: FunctionTable) -> FunctionTable:
     return F.compose(G)
 
 
-def semidirect_pairs(ring: Ring, *, cap: int | None = None) -> tuple[list, list]:
+def semidirect_factors(ring: Ring, *, cap: int | None = None) -> tuple[list, list]:
     """The induced permutations and the induced unit-valued tables of the
-    ring, each as sorted index tables: the two factors of the semidirect
-    product, filtered from one pass of induced_index_tables.  The cap also
-    bounds the product's size."""
+    ring, each as sorted index tables, filtered from one pass of
+    induced_index_tables; the cap bounds that pass only."""
     tables = induced_index_tables(ring, cap=cap)
     size = ring.size
     mask = ring.unit_index_mask()
     perms = sorted(t for t in tables if len(set(t)) == size)
     units = sorted(t for t in tables if all(map(mask.__getitem__, t)))
+    return perms, units
+
+
+def semidirect_pairs(ring: Ring, *, cap: int | None = None) -> tuple[list, list]:
+    """The two factors of the semidirect product (semidirect_factors), with
+    the cap also bounding the product's size.  Over a field F_q every
+    function is induced, so the factors have q! and (q - 1)^q elements and
+    the product is capped before the sweep."""
+    if ring.is_field:
+        q = ring.size
+        check_cap(factorial(q) * (q - 1) ** q, cap, "semidirect product")
+    perms, units = semidirect_factors(ring, cap=cap)
     check_cap(len(perms) * len(units), cap, "semidirect product")
     return perms, units
+
+
+def pair_elements(base: Ring, pairs) -> list[DualPermutation]:
+    """The elements of the base pairs (G, F), index tables, in the given
+    order."""
+    dual = dual_ring(base)
+    return [DualPermutation._make(dual, _pair_table(base, G, F)) for G, F in pairs]
 
 
 def semidirect_group(ring: Ring, *, cap: int | None = None) -> list[DualPermutation]:
     """Every (induced permutation, induced unit table) pair over the ring,
     as a permutation of R[al]; permutation-major, each factor in table order."""
-    perms, units = semidirect_pairs(ring, cap=cap)
-    dual = dual_ring(ring)
-    return [
-        DualPermutation._make(dual, _pair_table(ring, G, F)) for G in perms for F in units
+    return pair_elements(ring, product(*semidirect_pairs(ring, cap=cap)))
+
+
+def dual_table_order(base: Ring, perms, units) -> list[int]:
+    """The positions k of the pairs (perms[k // |units|], units[k % |units|])
+    sorted by the dual table, on a base whose element index 0 is zero and
+    index 1 is one, as on a field.
+
+    The entries (a, 0) and (a, 1) of the table are G(a) * |R| and
+    G(a) * |R| + F(a), and the rest of the block of a follows from them, so
+    the table sorts as the packed row (G(0) * |R| + F(0), G(1) * |R| + F(1),
+    ...) does.
+    """
+    nb = base.size
+    packed = [
+        tuple(map(int.__add__, row, F))
+        for row in ([nb * g for g in G] for G in perms)
+        for F in units
     ]
+    return sorted(range(len(packed)), key=packed.__getitem__)
 
 
 def pair_table_sweep(
@@ -309,24 +343,23 @@ def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
 
 
 def _dual_elements(base: Ring, passing: dict) -> list[DualPermutation]:
-    """The dual permutations of the passing pairs of _dual_sweep.
+    """The dual permutations of the passing pairs of _dual_sweep, with no
+    witnesses.
 
     Each pair is translated by every constant c, by the row of c in the
     addition table, which gives the pairs of the f0 + c; no two translations
     meet, since f0 vanishes at 0 and c is the value of the translated table
-    there.  The witness is f0 + c for the first f0 reaching the pair.
-    Sorted by table.
+    there.  Sorted by table.
     """
     dual = dual_ring(base)
     size = base.size
     add_t = base.index_op_tables()[0]
-    ring_arg = None if base.integer_encoded else base
     out = []
-    for pair, rest in passing.items():
+    for pair in passing:
         ftab, dtab = pair[:size], pair[size:]
-        for c, row in zip(base.elements, add_t):
+        for row in add_t:
             table = _pair_table(base, map(row.__getitem__, ftab), dtab)
-            out.append(DualPermutation._make(dual, table, Polynomial((c,) + rest, ring_arg)))
+            out.append(DualPermutation._make(dual, table))
     out.sort(key=lambda dp: dp.table)
     return out
 
@@ -341,7 +374,20 @@ def enumerate_dual_permutations(
     unit-valued, and dedups by the pair, recording the first witness in
     sweep order for each.  Sorted by table for deterministic output.
     """
-    return _dual_elements(base, _dual_sweep(base, cap=cap)[0])
+    passing = _dual_sweep(base, cap=cap)[0]
+    els = _dual_elements(base, passing)
+    # the witness is f0 + c, c = G(0) since f0(0) = 0, for the first f0
+    # reaching the pair (G - c, F); an element no f0 reaches keeps none
+    add_t = base.index_op_tables()[0]
+    zero = base.index(base.zero)
+    neg = [row.index(zero) for row in add_t]
+    for dp in els:
+        G, F = dp.base_pair()
+        c = G[zero]
+        rest = passing.get(tuple(add_t[neg[c]][g] for g in G) + F)
+        if rest is not None:
+            dp.witness = ring_polynomial(base, (base.elements[c],) + rest)
+    return els
 
 
 def _stabilizer_elements(base: Ring, units: dict) -> list[DualPermutation]:
@@ -349,12 +395,11 @@ def _stabilizer_elements(base: Ring, units: dict) -> list[DualPermutation]:
     sorted by unit table; the witness is x + g for the first null g."""
     dual = dual_ring(base)
     ident = range(base.size)
-    ring_arg = None if base.integer_encoded else base
     return [
         DualPermutation._make(
             dual,
             _pair_table(base, ident, unit),
-            Polynomial((base.zero,) + rest, ring_arg) + Polynomial.x(),
+            ring_polynomial(base, (base.zero,) + rest) + Polynomial.x(),
         )
         for unit, rest in sorted(units.items())
     ]
@@ -385,16 +430,15 @@ def null_polynomials(
     |base|^D.
     """
     D = dual_degree_bound(base, cap=cap) if degree_bound is None else degree_bound
-    ring_arg = None if base.integer_encoded else base
     if D <= 0:
-        return [Polynomial((), ring_arg)]
+        return [ring_polynomial(base, ())]
     check_cap(base.size ** D, cap, "pair sweep")
     els, zero = base.elements, base.zero
     out = []
     for vec in product(els, repeat=D - 1):
         coeffs = (zero,) + vec[::-1]
         if all(v == zero for v in base.horner(coeffs, els)):
-            out.append(Polynomial(coeffs, ring_arg))
+            out.append(ring_polynomial(base, coeffs))
     return out
 
 
@@ -496,9 +540,10 @@ def verify_group_axioms(elements) -> GroupAxiomsReport:
     reported with mode "composition".  Every check works on the index
     tables.  Closure is decided from a greedy generating set S (_generate):
     the list is closed under all products iff right multiplication by S
-    never leaves it.  The identity table is composed with every element on
-    both sides, and every element's inverse table must lie in the list and
-    compose with it to the identity on both sides.  The list is abelian iff
+    never leaves it.  The identity table must lie in the list (composing it
+    with a table on either side gives that table back), and every element's
+    inverse table must lie in the list and compose with it to the identity
+    on both sides.  The list is abelian iff
     the elements of S commute pairwise, since every element lies in the
     group S generates; abelian_mode is "generators:<|S|>".  Raises
     ValueError unless every element acts on one dual ring.
@@ -514,9 +559,7 @@ def verify_group_axioms(elements) -> GroupAxiomsReport:
     pool = set(tables)
     ident = tuple(range(len(tables[0])))
 
-    has_identity = ident in pool and all(
-        tuple(map(t.__getitem__, ident)) == t == tuple(map(ident.__getitem__, t)) for t in tables
-    )
+    has_identity = ident in pool
     # a permutation table sorts the positions into its inverse
     inverses_ok = has_identity and all(
         (inv := tuple(sorted(ident, key=t.__getitem__))) in pool

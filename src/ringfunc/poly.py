@@ -268,16 +268,16 @@ def format_polynomial(f: Polynomial) -> str:
     if f.is_zero():
         return "0"
     ring = f.ring
+    coeffs = f.coeffs
+    zero = 0 if ring is None else ring.zero
     parts = []
-    for k in range(f.degree, -1, -1):
-        c = f.coefficient(k)
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == zero:
+            continue
         if ring is None:
-            if c == 0:
-                continue
             mag, negative = abs(c), c < 0
         else:
-            if c == ring.zero:
-                continue
             mag, negative = ring.index(c), False
         if k == 0:
             body = str(mag)

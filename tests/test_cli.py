@@ -13,8 +13,8 @@ from ringfunc import cli
 from ringfunc import funcspace as fs
 from ringfunc import groups as gr
 from ringfunc.cli import main
-from ringfunc.poly import Polynomial
-from ringfunc.rings import CAP_ENV_VAR, SizeCapError, make_ring
+from ringfunc.poly import Polynomial, format_polynomial
+from ringfunc.rings import CAP_ENV_VAR, PrimePowerRing, SizeCapError, make_ring
 
 
 def run(capsys, *argv):
@@ -113,6 +113,19 @@ def test_count_beta_brute_force_matches_legendre(capsys, p, n):
     )
     assert code == 0
     assert json.loads(out)["brute_force"] == canon.beta(p, n)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2)])
+def test_brute_counts_match_a_filter_over_every_induced_table(p, n):
+    # the oracle: build every induced table and filter it by the masks
+    ring = PrimePowerRing(p, n)
+    tables = fs.induced_tables(ring)
+    unit = ring.unit_index_mask()
+    assert cli._brute_counts(p, n, None) == {
+        "polyfun": len(tables),
+        "uvpf": sum(all(unit[v] for v in t) for t in tables),
+        "kernel": sum(all(v % p ** (n - 1) == 0 for v in t) for t in tables),
+    }
 
 
 def test_count_beta_brute_force_respects_the_ring_size_cap(capsys):
@@ -559,6 +572,11 @@ GROUP_OUTPUT_SHA256 = [
      "39ac9bb8f1f58eda4f01fb1feb3c54991d764dea6dbfdc45d5b31ff63a86943f"),
     (("enumerate", "--what", "group", "--ring", "fq:3", "--limit", "-1"), 0,
      "6927b3d00cb02e1e4479d392fc9e0420e2a6edc6175d89aa3255d61661c80dd6"),
+    # recorded from the coefficient sweep, before the field listing
+    (("enumerate", "--what", "group", "--dual", "--ring", "fq:5", "--limit", "3"), 0,
+     "c650f23e96261e9033d1180f74321e9673ad5519066c875db5f58590a145ad40"),
+    (("enumerate", "--what", "group", "--dual", "--ring", "fq:5", "--limit", "-1"), 0,
+     "bd1cb70aa842a4db44f90d29689b88984d32bf9f3b2fedf1a5970e2542aae629"),
 ]
 
 
@@ -568,6 +586,51 @@ def test_group_outputs_are_pinned(capsys, argv, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+def _group_args(desc, what, dual):
+    return cli.build_parser().parse_args(
+        ["enumerate", "--what", what, "--ring", desc] + (["--dual"] if dual else [])
+    )
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4"])
+def test_field_dual_listing_matches_the_sweep(desc):
+    # the listing from the factors, with Hermite witnesses, against the
+    # coefficient sweep: order, pairs, witness strings and elements
+    base = make_ring(desc)
+    dps = gr.enumerate_dual_permutations(base)
+    _, count, items, elements = cli._group_elements(_group_args(desc, "group", True), None)
+    assert count == len(dps)
+    assert items == [
+        {"perm": list(dp.base_pair()[0]), "unit": list(dp.base_pair()[1]),
+         "witness": format_polynomial(dp.witness)}
+        for dp in dps
+    ]
+    assert [e.table for e in elements()] == [dp.table for dp in dps]
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4"])
+def test_field_stabilizer_listing_matches_the_sweep(desc):
+    base = make_ring(desc)
+    sts = gr.enumerate_stabilizer(base)
+    _, count, items, elements = cli._group_elements(
+        _group_args(desc, "stabilizer", False), None
+    )
+    assert count == len(sts)
+    assert items == [
+        {"null_part": format_polynomial(st.witness - Polynomial.x()),
+         "unit": list(st.base_pair()[1])}
+        for st in sts
+    ]
+    assert [e.table for e in elements()] == [st.table for st in sts]
+
+
+def test_field_listing_builds_only_the_kept_items():
+    args = _group_args("fq:4", "group", True)
+    _, count, items, _ = cli._group_elements(args, None, slice(5))
+    _, _, every, _ = cli._group_elements(args, None)
+    assert (count, items) == (1944, every[:5])
+
+
 @pytest.mark.parametrize("argv,err", [
     (("enumerate", "--what", "group", "--dual", "--ring", "zpn:2,3"),
      "error: pair sweep: 16777216 exceeds cap 10000000\n"),
@@ -575,6 +638,12 @@ def test_group_outputs_are_pinned(capsys, argv, code, digest):
      "error: pair sweep: 16777216 exceeds cap 10000000\n"),
     (("export", "--what", "group", "--ring", "fq:5", "--table"),
      "error: multiplication table: 15099494400 exceeds cap 10000000\n"),
+    (("enumerate", "--what", "group", "--ring", "fq:7"),
+     "error: semidirect product: 1410877440 exceeds cap 10000000\n"),
+    (("enumerate", "--what", "group", "--dual", "--ring", "fq:7"),
+     "error: semidirect product: 1410877440 exceeds cap 10000000\n"),
+    (("enumerate", "--what", "stabilizer", "--ring", "fq:9"),
+     "error: stabilizer: 134217728 exceeds cap 10000000\n"),
 ])
 def test_group_refusals_are_pinned(capsys, argv, err):
     assert run(capsys, *argv) == (3, "", err)

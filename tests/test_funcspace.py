@@ -11,6 +11,7 @@ from ringfunc.dual import dual_ring
 from ringfunc.funcspace import (
     FunctionTable,
     coefficient_sums,
+    hermite_basis,
     induce,
     induced_tables,
     invert_unit_table,
@@ -24,6 +25,7 @@ from ringfunc.funcspace import (
     permutes_dual,
     permutes_prime_power,
     realize_pair,
+    ring_polynomial,
     render_value,
     unit_valued_tables,
 )
@@ -277,6 +279,26 @@ def test_realize_pair_sampled_over_the_four_element_field():
         fv = uvs[rng.randrange(len(uvs))]
         g = realize_pair(FunctionTable(f4, gv), FunctionTable(f4, fv))
         assert g.degree <= 7
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "fq:5", "fq:7", "fq:8", "fq:9"])
+def test_hermite_basis_interpolates_values_and_derivatives(desc):
+    # [H_a] = [K_a'] = indicator of a, [H_a'] = [K_a] = 0, degree < 2q
+    ring = make_ring(desc)
+    q = ring.size
+    H, K = hermite_basis(ring)
+    zero = (ring.zero,) * q
+    for a in range(q):
+        indicator = tuple(ring.one if b == a else ring.zero for b in range(q))
+        h, k = (ring_polynomial(ring, [ring.elements[i] for i in v]) for v in (H[a], K[a]))
+        assert len(H[a]) == len(K[a]) == 2 * q
+        assert induce(h, ring).values == indicator == induce(k.derive(), ring).values
+        assert induce(h.derive(), ring).values == zero == induce(k, ring).values
+
+
+def test_hermite_basis_rejects_a_non_field():
+    with pytest.raises(ValueError):
+        hermite_basis(make_ring("zpn:2,2"))
 
 
 def test_realize_pair_input_validation():

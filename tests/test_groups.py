@@ -667,6 +667,52 @@ def test_enumerations_match_a_per_candidate_filter(desc):
     assert null_polynomials(base) == nulls
 
 
+@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
+def test_witnesses_are_attached_by_the_enumeration_only(desc):
+    # verify_embedding reads tables alone, so _dual_elements builds none
+    base = make_ring(desc)
+    passing = groups._dual_sweep(base)[0]
+    bare = groups._dual_elements(base, passing)
+    assert all(dp.witness is None for dp in bare)
+    dps = enumerate_dual_permutations(base)
+    assert [dp.table for dp in dps] == [dp.table for dp in bare]
+    assert all(_dp_from_poly(base, dp.witness) == dp for dp in dps)
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "fq:5"])
+def test_dual_table_order_sorts_by_the_table(desc):
+    base = make_ring(desc)
+    perms, units = groups.semidirect_factors(base)
+    if len(perms) * len(units) > 5000:  # a seeded sample of the factors
+        rng = random.Random(3)
+        perms, units = rng.sample(perms, 6), rng.sample(units, 40)
+    nu = len(units)
+    expected = sorted(
+        range(len(perms) * nu),
+        key=lambda k: groups._pair_table(base, perms[k // nu], units[k % nu]),
+    )
+    assert groups.dual_table_order(base, perms, units) == expected
+
+
+def test_field_product_is_capped_before_the_sweep(monkeypatch):
+    # q! (q - 1)^q on fq:5 is 122880: refused without listing a table
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(groups, "induced_index_tables", no_sweep)
+    with pytest.raises(SizeCapError, match="semidirect product: 122880 exceeds cap 122879"):
+        semidirect_pairs(make_ring("fq:5"), cap=122879)
+    with pytest.raises(AssertionError):
+        semidirect_pairs(make_ring("fq:5"), cap=122880)
+
+
+def test_factors_carry_no_product_cap():
+    perms, units = groups.semidirect_factors(make_ring("fq:4"), cap=256)
+    assert (len(perms), len(units)) == (24, 81)
+    with pytest.raises(SizeCapError, match="semidirect product: 1944 exceeds cap 1943"):
+        semidirect_pairs(make_ring("fq:4"), cap=1943)
+
+
 @pytest.mark.parametrize("desc,count", [("fq:2", 2), ("fq:3", 48), ("zpn:2,2", 32)])
 def test_dual_permutation_enumeration(desc, count):
     base = make_ring(desc)
