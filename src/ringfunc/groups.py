@@ -24,7 +24,11 @@ verify_group_axioms checks closure exactly from a greedy generating set S,
 with |G| * |S| products instead of |G|^2, and the identity and inverses on
 every element, all on the elements' index tables; on fq:4, of order 1944,
 |S| is 3.  verify_embedding sweeps the coefficients once for both the
-dual permutations and the stabilizer.  It checks the homomorphism law by
+dual permutations and the stabilizer (_dual_sweep).  The sweep splits the
+monomials at the middle degree into low and high sums and builds a pair
+only where the first tables of the two halves add to a bijection or to
+zero; taking the high sums in the order a per-candidate sweep first reaches
+them keeps its witnesses and its order.  It checks the homomorphism law by
 comparing the pair read back from d * s with the twisted product of the
 pairs of d and s, for every d and every generator s.  It decides membership
 of the image in the semidirect product per element: G among the induced
@@ -35,7 +39,7 @@ is |image| = |P(R)| * |F(R)^x|; the product itself is never built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, permutations, product
 from math import factorial, gcd
 from operator import getitem, itemgetter
 
@@ -129,14 +133,17 @@ class DualPermutation:
 
 
 def _pair_table(base: Ring, G, F) -> tuple[int, ...]:
-    """Dual table of the base pair: (a, b) -> (G(a), F(a) * b)."""
-    nb = base.size
-    mul_t = base.index_op_tables()[1]
-    out = []
-    for g, f in zip(G, F):
-        shift = g * nb
-        out += [shift + v for v in mul_t[f]]
-    return tuple(out)
+    """Dual table of the base pair: (a, b) -> (G(a), F(a) * b), the blocks
+    (g, f) = (g * |R| + f * b for each b) of the G(a), F(a) joined; the
+    blocks are cached with the ring's other index tables."""
+    blocks = base._tables.get("pair_blocks")
+    if blocks is None:
+        nb = base.size
+        mul_t = base.index_op_tables()[1]
+        blocks = base._tables["pair_blocks"] = [
+            [tuple(g * nb + v for v in row) for row in mul_t] for g in range(nb)
+        ]
+    return tuple(chain.from_iterable(map(getitem, map(blocks.__getitem__, G), F)))
 
 
 def precompose_units(F: FunctionTable, G: FunctionTable) -> FunctionTable:
@@ -149,10 +156,18 @@ def precompose_units(F: FunctionTable, G: FunctionTable) -> FunctionTable:
 def semidirect_factors(ring: Ring, *, cap: int | None = None) -> tuple[list, list]:
     """The induced permutations and the induced unit-valued tables of the
     ring, each as sorted index tables, filtered from one pass of
-    induced_index_tables; the cap bounds that pass only."""
-    tables = induced_index_tables(ring, cap=cap)
+    induced_index_tables; the cap bounds that pass only.
+
+    Over a field every function is induced (Lagrange), so the factors are
+    all q! permutations and all tables into the units, listed directly, in
+    sorted order, under the cap of the pass they replace."""
     size = ring.size
     mask = ring.unit_index_mask()
+    if ring.is_field:
+        check_cap(size**size, cap, "polynomial enumeration")
+        unit_idx = [i for i in range(size) if mask[i]]
+        return list(permutations(range(size))), list(product(unit_idx, repeat=size))
+    tables = induced_index_tables(ring, cap=cap)
     perms = sorted(t for t in tables if len(set(t)) == size)
     units = sorted(t for t in tables if all(map(mask.__getitem__, t)))
     return perms, units
@@ -162,7 +177,7 @@ def semidirect_pairs(ring: Ring, *, cap: int | None = None) -> tuple[list, list]
     """The two factors of the semidirect product (semidirect_factors), with
     the cap also bounding the product's size.  Over a field F_q every
     function is induced, so the factors have q! and (q - 1)^q elements and
-    the product is capped before the sweep."""
+    the product is capped before they are listed."""
     if ring.is_field:
         q = ring.size
         check_cap(factorial(q) * (q - 1) ** q, cap, "semidirect product")
@@ -237,25 +252,6 @@ def pair_table_sweep(
         )
 
 
-def _pair_sums(base: Ring, degree_bound: int, *, cap: int | None = None):
-    """The pairs ([f0], [f0']) of the polynomials f0 of degree < D with
-    constant term zero and base coefficients, by coefficient_sums.
-
-    Yields (f0_table + derivative_table, rest), both tables as index tuples
-    and rest the coefficients of degree 1 .. D-1.  Every pair comes at least
-    once, and its first occurrence carries the first candidate of
-    pair_table_sweep with constant term zero and that pair.  The cap counts
-    every candidate, |base|^D, and is checked before any work.
-    """
-    check_cap(base.size ** degree_bound, cap, "pair sweep")
-    add_t = base.index_op_tables()[0]
-    stages = monomial_stages(
-        base, degree_bound, base.elements, derivative_points=range(base.size)
-    )
-    zero = (base.index(base.zero),) * (2 * base.size)
-    return coefficient_sums(add_t, zero, stages)
-
-
 _BOUND_CACHE: dict[str, int] = {}
 
 
@@ -312,33 +308,70 @@ def _is_null_pair(coeffs, m: int) -> bool:
 
 
 def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
-    """One _pair_sums pass at the dual degree bound, for the dual
-    permutations and the stabilizer together.
+    """The pairs ([f0], [f0']) of the polynomials f0 of degree < D, the dual
+    degree bound, with constant term zero, for the dual permutations and the
+    stabilizer together.
 
     Returns (passing, units), each mapping to the coefficients rest, of
     degree 1 .. D-1, of the first candidate with constant term zero that
-    reaches it, in first-seen order.  passing holds the pairs ([f0], [f0'])
-    with [f0] a bijection and [f0'] unit-valued.  units holds the
-    unit-valued tables [1 + g'] of the null g, that is of the pairs with a
-    zero first table.  Both tests are invariant under adding a constant c,
-    which translates [f0] by c and leaves [f0'] unchanged, so f0 decides
-    for every f0 + c.
+    reaches it in pair_table_sweep, in first-seen order.  passing holds the
+    pairs with [f0] a bijection and [f0'] unit-valued.  units holds the
+    unit-valued tables [1 + g'] of the null g, the pairs with a zero first
+    table.  Adding a constant c translates [f0] by c and leaves [f0']
+    unchanged, so f0 decides for every f0 + c.  The cap counts every
+    candidate, |base|^D, and is checked before any work.
+
+    The stages split at k = len(stages) // 2 into the distinct low sums
+    (degrees 1 .. k) and high sums (k + 1 .. D-1) of coefficient_sums, each
+    with its first witness.  Only the first table of a pair, low plus high,
+    decides which dict it may enter, so for each distinct high first table
+    the low sums making it a bijection or zero are found once, and the pair
+    is built only for those.  The sweep steps the high coefficients slowest,
+    and a pair has at most one low sum per high sum, so taking the high sums
+    in first-reached order and the low sums in theirs keeps the sweep's
+    witnesses, low coefficients then high, and its first-seen order.
     """
     D = dual_degree_bound(base, cap=cap)
+    check_cap(base.size**D, cap, "pair sweep")
     size = base.size
     mask = base.unit_index_mask()
-    one_row = base.index_op_tables()[0][base.index(base.one)]
-    zero_tab = (base.index(base.zero),) * size
+    add_t = base.index_op_tables()[0]
+    one_row = add_t[base.index(base.one)]
+    zero = base.index(base.zero)
+    neg = [row.index(zero) for row in add_t]
+    stages = monomial_stages(base, D, base.elements, derivative_points=range(size))
+    k = len(stages) // 2
+    low: dict[tuple, tuple] = {}
+    high: dict[tuple, tuple] = {}
+    for sums, part in ((low, stages[:k]), (high, stages[k:])):
+        for t, coeffs in coefficient_sums(add_t, (zero,) * (2 * size), part):
+            sums.setdefault(t, coeffs)
+    by_first: dict[tuple, list] = {}
+    for pos, (t, coeffs) in enumerate(low.items()):
+        by_first.setdefault(t[:size], []).append((pos, t, coeffs))
+    slices: dict[tuple, tuple] = {}
     passing: dict[tuple, tuple] = {}
     units: dict[tuple, tuple] = {}
-    for pair, rest in _pair_sums(base, D, cap=cap):
-        ftab = pair[:size]
-        if ftab == zero_tab:
-            unit = tuple(map(one_row.__getitem__, pair[size:]))
+    for h, hc in high.items():
+        h1 = h[:size]
+        if h1 not in slices:
+            rows = [add_t[b] for b in h1]
+            bijective = sorted(
+                item for a1, items in by_first.items()
+                if len(set(map(getitem, rows, a1))) == size for item in items
+            )
+            # a1 + h1 = 0 only for a1 = -h1
+            slices[h1] = bijective, by_first.get(tuple(neg[b] for b in h1), [])
+        bijective, null = slices[h1]
+        rows = [add_t[b] for b in h]
+        for _, t, coeffs in bijective:
+            pair = tuple(map(getitem, rows, t))
+            if all(map(mask.__getitem__, pair[size:])):
+                passing.setdefault(pair, coeffs + hc)
+        for _, t, coeffs in null:
+            unit = tuple(one_row[v] for v in map(getitem, rows[size:], t[size:]))
             if all(map(mask.__getitem__, unit)):
-                units.setdefault(unit, rest)
-        elif len(set(ftab)) == size and all(map(mask.__getitem__, pair[size:])):
-            passing.setdefault(pair, rest)
+                units.setdefault(unit, coeffs + hc)
     return passing, units
 
 

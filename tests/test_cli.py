@@ -13,6 +13,7 @@ from ringfunc import cli
 from ringfunc import funcspace as fs
 from ringfunc import groups as gr
 from ringfunc.cli import main
+from ringfunc.dual import DualRing, dual_ring
 from ringfunc.poly import Polynomial, format_polynomial
 from ringfunc.rings import CAP_ENV_VAR, PrimePowerRing, SizeCapError, make_ring
 
@@ -469,6 +470,10 @@ SWEEP_OUTPUT_SHA256 = {
         "ad9f0bbd750a748754ed6015498b15027b5d62179be3aae94637de7d304e6fb6",
     ("enumerate", "--what", "stabilizer", "--ring", "zm:6"):
         "dfc1a2b4d480b4402cc87c7f8bcf757ddf0dca356763ba862ece115138954770",
+    ("enumerate", "--what", "group", "--dual", "--ring", "zm:12"):
+        "5b2f606bc30eb14e2e1f2e0e9a03642c69b40acb46c82f91262dcfa2d6e18382",
+    ("enumerate", "--what", "stabilizer", "--ring", "zm:12"):
+        "ee35a2afdc96f18237adbc4d9b868c55e994dd6326236ce69eae62cce2c9c1b3",
     ("count", "--what", "uvpf", "--p", "3", "--n", "2", "--brute-force"):
         "ddd9f0d8bd4ee92ccd51639b6247a92e46eafd456ecf58b1a0b21381d613d54d",
     ("count", "--what", "kernel", "--p", "3", "--n", "2", "--brute-force"):
@@ -677,6 +682,43 @@ def test_dual_criterion_fails_on_a_wrong_unit_mask(monkeypatch):
     base = make_ring("fq:3")
     monkeypatch.setattr(type(base), "unit_index_mask", lambda self: [True] * self.size)
     assert cli._check_dual_criterion(base, 0, None) == [("dual[criterion:fq:3]", False)]
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "fq:4"])
+def test_dual_law_fails_on_a_dropped_cross_term(capsys, monkeypatch, desc):
+    # (a + b al)(c + d al) without the b c term: x^2 gives (a^2, a b)
+    base = make_ring(desc)
+    assert cli._check_dual_law(base, None) == [(f"dual[law:{base.descriptor}]", True)]
+
+    def mul(self, x, y):
+        return (self.base.mul(x[0], y[0]), self.base.mul(x[0], y[1]))
+
+    monkeypatch.setattr(DualRing, "mul", mul)
+    assert cli._check_dual_law(base, None) == [(f"dual[law:{base.descriptor}]", False)]
+    code, out, _ = run(capsys, "verify", "--suite", "dual", "--ring", desc)
+    assert code == 4
+    assert out.splitlines()[0] == f"dual[law:{base.descriptor}]: FAIL"
+
+
+@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6", "fq:4"])
+def test_dual_law_reaches_the_last_monomial_before_a_repeat(monkeypatch, desc):
+    # the first repeat of the powers z^k over R[al], found directly; a wrong
+    # value at the monomial just before it must FAIL
+    base = make_ring(desc)
+    dual = dual_ring(base)
+    states, power = [], [dual.one] * dual.size
+    while power not in states:
+        states.append(power)
+        power = [dual.mul(p, z) for p, z in zip(power, dual.elements)]
+    last = len(states) - 1
+    real = cli.eval_dual
+
+    def wrong_at_last(f, ring, a, b):
+        ga, db = real(f, ring, a, b)
+        return (ga, ring.add(db, ring.one)) if f.degree == last else (ga, db)
+
+    monkeypatch.setattr(cli, "eval_dual", wrong_at_last)
+    assert cli._check_dual_law(base, None) == [(f"dual[law:{base.descriptor}]", False)]
 
 
 def test_local_criterion_checks_the_last_key(monkeypatch):

@@ -9,7 +9,9 @@ from ringfunc import groups
 from ringfunc.dual import dual_ring, horner_dual
 from ringfunc.funcspace import (
     FunctionTable,
+    coefficient_sums,
     induce,
+    monomial_stages,
     permutation_tables,
     unit_valued_tables,
 )
@@ -27,7 +29,7 @@ from ringfunc.groups import (
     verify_group_axioms,
 )
 from ringfunc.poly import Polynomial, X, parse
-from ringfunc.rings import SizeCapError, make_ring
+from ringfunc.rings import SizeCapError, check_cap, make_ring
 
 
 def _dp_from_poly(base, f):
@@ -131,17 +133,19 @@ def test_semidirect_product_example():
 
 
 def test_pair_table_is_the_action_on_the_dual_ring():
-    # (a, b) -> (G(a), F(a) * b), entry by entry in the dual ring
-    base = make_ring("zm:6")
-    d = dual_ring(base)
-    perms, units = semidirect_pairs(base)
-    for G, F in ((perms[3], units[5]), (perms[-1], units[-1])):
-        el = DualPermutation.from_pair(d, G, F)
-        assert el.base_pair() == (G, F)
-        for (a, b), image in zip(d.elements, el.table):
-            ia = base.index(a)
-            expected = (base.elements[G[ia]], base.mul(base.elements[F[ia]], b))
-            assert d.elements[image] == expected
+    # (a, b) -> (G(a), F(a) * b), entry by entry in the dual ring, on an
+    # integer-encoded ring and on an extension field
+    for desc in ("zm:6", "fq:4"):
+        base = make_ring(desc)
+        d = dual_ring(base)
+        perms, units = semidirect_pairs(base)
+        for G, F in ((perms[3], units[5]), (perms[-1], units[-1])):
+            el = DualPermutation.from_pair(d, G, F)
+            assert el.base_pair() == (G, F)
+            for (a, b), image in zip(d.elements, el.table):
+                ia = base.index(a)
+                expected = (base.elements[G[ia]], base.mul(base.elements[F[ia]], b))
+                assert d.elements[image] == expected
 
 
 def test_product_law_matches_table_construction():
@@ -604,6 +608,64 @@ def test_null_polynomials_cap_every_candidate():
     assert [f.coeffs for f in null_polynomials(z4, 3, cap=64)] == [(), (0, 2, 2)]
 
 
+def _pair_sums(base, degree_bound, *, cap=None):
+    """The pairs ([f0], [f0']) of the polynomials f0 of degree < D with
+    constant term zero, streamed by coefficient_sums over every stage: each
+    pair at least once, its first occurrence with the first candidate of
+    pair_table_sweep with constant term zero.  Yields (f0_table +
+    derivative_table, rest), rest the coefficients of degree 1 .. D-1.  The
+    cap counts every candidate, |base|^D, and is checked before any work."""
+    check_cap(base.size ** degree_bound, cap, "pair sweep")
+    stages = monomial_stages(
+        base, degree_bound, base.elements, derivative_points=range(base.size)
+    )
+    zero = (base.index(base.zero),) * (2 * base.size)
+    return coefficient_sums(base.index_op_tables()[0], zero, stages)
+
+
+def _streamed_dual_sweep(base, *, cap=None):
+    """The oracle of groups._dual_sweep: every pair of _pair_sums at the
+    dual degree bound, filtered one by one."""
+    size = base.size
+    mask = base.unit_index_mask()
+    one_row = base.index_op_tables()[0][base.index(base.one)]
+    zero_tab = (base.index(base.zero),) * size
+    passing, units = {}, {}
+    for pair, rest in _pair_sums(base, dual_degree_bound(base, cap=cap), cap=cap):
+        ftab = pair[:size]
+        if ftab == zero_tab:
+            unit = tuple(one_row[i] for i in pair[size:])
+            if all(mask[i] for i in unit):
+                units.setdefault(unit, rest)
+        elif len(set(ftab)) == size and all(mask[i] for i in pair[size:]):
+            passing.setdefault(pair, rest)
+    return passing, units
+
+
+@pytest.mark.parametrize(
+    "desc,cap",
+    [("fq:2", None), ("fq:3", None), ("zpn:2,2", None), ("zm:6", None), ("fq:4", None),
+     ("zm:8", 10**9), ("zm:12", 10**9)],
+)
+def test_split_dual_sweep_matches_the_streamed_filter(desc, cap):
+    # the same pairs, witnesses and first-seen order in both dicts
+    base = make_ring(desc)
+    passing, units = groups._dual_sweep(base, cap=cap)
+    expected_passing, expected_units = _streamed_dual_sweep(base, cap=cap)
+    assert passing and units
+    assert list(passing.items()) == list(expected_passing.items())
+    assert list(units.items()) == list(expected_units.items())
+
+
+def test_split_dual_sweep_checks_the_cap_before_any_work(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(groups, "monomial_stages", no_sweep)
+    with pytest.raises(SizeCapError, match="pair sweep: 256 exceeds cap 255"):
+        groups._dual_sweep(make_ring("zpn:2,2"), cap=255)
+
+
 @pytest.mark.parametrize("desc", ["fq:3", "fq:4", "zm:6", "zpn:2,2"])
 def test_pair_sums_keep_the_first_block_of_every_pair(desc):
     # at the dual bound: the distinct pairs, their witnesses and their
@@ -615,7 +677,7 @@ def test_pair_sums_keep_the_first_block_of_every_pair(desc):
         f = _poly(base, (base.zero,) + rest)
         expected.setdefault(_index_table(base, f) + _index_table(base, f.derive()), rest)
     got = {}
-    for pair, rest in groups._pair_sums(base, D):
+    for pair, rest in _pair_sums(base, D):
         got.setdefault(pair, rest)
     assert list(got.items()) == list(expected.items())
 
@@ -623,8 +685,8 @@ def test_pair_sums_keep_the_first_block_of_every_pair(desc):
 def test_pair_sums_check_the_cap_before_any_work():
     z4 = make_ring("zpn:2,2")
     with pytest.raises(SizeCapError):
-        groups._pair_sums(z4, 3, cap=63)
-    assert len(dict(groups._pair_sums(z4, 3, cap=64))) == 16
+        _pair_sums(z4, 3, cap=63)
+    assert len(dict(_pair_sums(z4, 3, cap=64))) == 16
 
 
 @pytest.mark.parametrize("desc", ORACLE_RINGS)
@@ -696,14 +758,37 @@ def test_dual_table_order_sorts_by_the_table(desc):
 
 def test_field_product_is_capped_before_the_sweep(monkeypatch):
     # q! (q - 1)^q on fq:5 is 122880: refused without listing a table
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("swept")
+    def no_listing(*args, **kwargs):
+        raise AssertionError("listed")
 
-    monkeypatch.setattr(groups, "induced_index_tables", no_sweep)
+    monkeypatch.setattr(groups, "semidirect_factors", no_listing)
     with pytest.raises(SizeCapError, match="semidirect product: 122880 exceeds cap 122879"):
         semidirect_pairs(make_ring("fq:5"), cap=122879)
     with pytest.raises(AssertionError):
         semidirect_pairs(make_ring("fq:5"), cap=122880)
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "fq:5"])
+def test_field_factors_are_listed_without_a_sweep(desc, monkeypatch):
+    # every function over F_q is induced: all permutations and all unit
+    # tables, sorted, equal to the filters of the swept tables
+    base = make_ring(desc)
+    size = base.size
+    mask = base.unit_index_mask()
+    tables = groups.induced_index_tables(base)
+    expected = (
+        sorted(t for t in tables if len(set(t)) == size),
+        sorted(t for t in tables if all(mask[i] for i in t)),
+    )
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(groups, "induced_index_tables", no_sweep)
+    assert groups.semidirect_factors(base) == expected
+    # the cap of the sweep it replaces, q^q
+    with pytest.raises(SizeCapError, match=f"polynomial enumeration: {size**size} exceeds"):
+        groups.semidirect_factors(base, cap=size**size - 1)
 
 
 def test_factors_carry_no_product_cap():
