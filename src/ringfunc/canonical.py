@@ -228,10 +228,6 @@ def count_unit_valued_functions(p: int, n: int) -> int:
     return (p - 1) ** p * p ** sum(beta(p, k) for k in range(2, n + 1))
 
 
-def uv_table_count_prime(p: int) -> int:
-    return (p - 1) ** p
-
-
 def uv_table_index(values, p: int) -> int:
     """1-based rank of a unit-valued table on Z_p in lexicographic order."""
     values = tuple(values)

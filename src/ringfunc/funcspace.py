@@ -16,6 +16,7 @@ plain evaluation at any time.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 from operator import getitem
 
 from .dual import DualRing, format_dual_element
@@ -302,13 +303,12 @@ def null_degree_bound(ring: Ring) -> int:
 
     Fields: D = q (x^q - x).  Z_m: the least k with m | k!, since the degree-k
     falling factorial has all values divisible by k!.  Dual rings inherit the
-    base's null-pair bound: a monic base polynomial with [g] = 0 and [g'] = 0
-    stays monic and null after embedding.
+    base's null-pair bound (dual_degree_bound, found by span membership with
+    no search): a monic base polynomial with [g] = 0 and [g'] = 0 stays monic
+    and null after embedding.
     """
     base = getattr(ring, "base", None)
     if base is not None:
-        from .groups import dual_degree_bound
-
         return dual_degree_bound(base)
     if ring.is_field:
         return ring.size
@@ -318,6 +318,52 @@ def null_degree_bound(ring: Ring) -> int:
         k += 1
         fact *= k
     return k
+
+
+def dual_degree_bound(base: Ring) -> int:
+    """Least degree D of a monic base polynomial g null on base[al], that is
+    with [g] = 0 and [g'] = 0 on the base; reduction by g shows that every
+    dual permutation comes from a polynomial of degree < D.
+
+    Fields give 2q, by (x^q - x)^2.  Over Z/m, D is the first degree whose
+    pair ([x^D], [D x^(D-1)]), a vector of (Z/m)^(2m), lies in the span of
+    the pairs of x^0 .. x^(D-1): x^D minus that combination is a monic null
+    pair, and a monic null g of degree D puts it there.  The span is held as
+    a triangular basis of the lattice it spans with m Z^(2m), rows m e_j to
+    start, every pivot dividing m, entries mod m (which moves a row by
+    lattice vectors only).  A member reduces to zero column by column, each
+    pivot dividing its entry; where a pivot a does not divide the entry b, v
+    merges into the row by a Bezout step g = s a + t b: the row becomes
+    s row + t v, and (b/g) row - (a/g) v goes on.  Nothing is searched and m
+    is not factored (Howell, "Spans in the module (Z_m)^s", 1986).
+    """
+    if base.is_field:
+        return 2 * base.size
+    m = base.size
+    n = 2 * m
+    rows = [[m if i == j else 0 for i in range(n)] for j in range(n)]
+    power, lower = [1] * m, [0] * m
+    D = 0
+    while True:
+        v = power + [D * p % m for p in lower]
+        member = True
+        for j, row in enumerate(rows):
+            a, b = row[j], v[j]
+            if not b:
+                continue
+            if b % a == 0:
+                v = [(x - b // a * y) % m for x, y in zip(v, row)]
+                continue
+            member = False
+            g = gcd(a, b)
+            t = pow(b // g, -1, a // g)
+            s = (g - t * b) // a
+            rows[j] = [(s * y + t * x) % m for x, y in zip(v, row)]
+            v = [(b // g * y - a // g * x) % m for x, y in zip(v, row)]
+        if member:
+            return D
+        power, lower = [p * x % m for x, p in enumerate(power)], power
+        D += 1
 
 
 def monomial_stages(

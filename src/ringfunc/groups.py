@@ -24,12 +24,12 @@ verify_group_axioms checks closure exactly from a greedy generating set S,
 with |G| * |S| products instead of |G|^2, and the identity and inverses on
 every element, all on the elements' index tables; on fq:4, of order 1944,
 |S| is 3.  verify_embedding sweeps the coefficients once for both the
-dual permutations and the stabilizer (_dual_sweep).  The sweep splits the
-monomials at the middle degree into low and high sums and builds a pair
-only where the first tables of the two halves add to a bijection or to
-zero; taking the high sums in the order a per-candidate sweep first reaches
-them keeps its witnesses and its order.  It checks the homomorphism law by
-comparing the pair read back from d * s with the twisted product of the
+dual permutations and the stabilizer (_dual_sweep), below the degree D of
+funcspace.dual_degree_bound: over Z/m the first degree whose monomial pair
+lies in the span of the lower ones, found by linear algebra, not by a
+search.  The sweep builds a pair only where the first tables of its low and
+high halves add to a bijection or to zero.  It checks the homomorphism law
+by comparing the pair read back from d * s with the twisted product of the
 pairs of d and s, for every d and every generator s.  It decides membership
 of the image in the semidirect product per element: G among the induced
 permutations and F among the induced unit-valued tables.  Surjectivity then
@@ -47,9 +47,9 @@ from .dual import DualRing, dual_ring
 from .funcspace import (
     FunctionTable,
     coefficient_sums,
+    dual_degree_bound,
     induced_index_tables,
     monomial_stages,
-    null_degree_bound,
     ring_polynomial,
 )
 from .poly import Polynomial
@@ -252,61 +252,6 @@ def pair_table_sweep(
         )
 
 
-_BOUND_CACHE: dict[str, int] = {}
-
-
-def dual_degree_bound(base: Ring, *, cap: int | None = None) -> int:
-    """Least degree of a monic base polynomial that is null on base[al].
-
-    Such a polynomial has [g] = 0 and [g'] = 0 on the base, so reduction by
-    it shows every dual permutation comes from a polynomial of smaller
-    degree.  Fields give exactly 2q via (x^q - x)^2.  Modular bases are
-    searched exhaustively (constant and linear coefficients are forced to
-    zero by nullity at 0); the square of the least monic null polynomial
-    caps the search at twice the plain null degree bound.
-    """
-    key = base.descriptor
-    if key in _BOUND_CACHE:
-        return _BOUND_CACHE[key]
-    if base.is_field:
-        bound = 2 * base.size
-    else:
-        m = base.size
-        limit = 2 * null_degree_bound(base)
-        total = sum(m ** max(D - 2, 0) for D in range(2, limit + 1))
-        check_cap(total, cap, "monic null search")
-        bound = limit
-        found = False
-        for D in range(2, limit + 1):
-            for tail in product(range(m), repeat=D - 2):
-                coeffs = (0, 0) + tail + (1,)
-                if _is_null_pair(coeffs, m):
-                    bound = D
-                    found = True
-                    break
-            if found:
-                break
-    _BOUND_CACHE[key] = bound
-    return bound
-
-
-def _is_null_pair(coeffs, m: int) -> bool:
-    """Whether the integer polynomial and its derivative both vanish mod m."""
-    for a in range(m):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * a + c) % m
-        if acc:
-            return False
-        dacc = 0
-        top = len(coeffs) - 1
-        for k in range(top, 0, -1):
-            dacc = (dacc * a + k * coeffs[k]) % m
-        if dacc:
-            return False
-    return True
-
-
 def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
     """The pairs ([f0], [f0']) of the polynomials f0 of degree < D, the dual
     degree bound, with constant term zero, for the dual permutations and the
@@ -331,7 +276,7 @@ def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
     in first-reached order and the low sums in theirs keeps the sweep's
     witnesses, low coefficients then high, and its first-seen order.
     """
-    D = dual_degree_bound(base, cap=cap)
+    D = dual_degree_bound(base)
     check_cap(base.size**D, cap, "pair sweep")
     size = base.size
     mask = base.unit_index_mask()
@@ -462,7 +407,7 @@ def null_polynomials(
     constant term zero are evaluated.  The cap counts every candidate,
     |base|^D.
     """
-    D = dual_degree_bound(base, cap=cap) if degree_bound is None else degree_bound
+    D = dual_degree_bound(base) if degree_bound is None else degree_bound
     if D <= 0:
         return [ring_polynomial(base, ())]
     check_cap(base.size ** D, cap, "pair sweep")

@@ -512,9 +512,6 @@ class FiniteField(Ring):
     def is_field(self) -> bool:
         return True
 
-    def modulus_polynomial(self) -> Polynomial:
-        return Polynomial(self.modulus)
-
 
 def make_ring(spec: str, *, size_cap: int | None = None) -> Ring:
     """Build a ring from a descriptor.

@@ -649,9 +649,27 @@ def test_field_listing_builds_only_the_kept_items():
      "error: semidirect product: 1410877440 exceeds cap 10000000\n"),
     (("enumerate", "--what", "stabilizer", "--ring", "fq:9"),
      "error: stabilizer: 134217728 exceeds cap 10000000\n"),
+    (("enumerate", "--what", "group", "--dual", "--ring", "zm:10"),
+     "error: pair sweep: 10000000000 exceeds cap 10000000\n"),
+    (("enumerate", "--what", "stabilizer", "--ring", "zpn:3,2"),
+     "error: pair sweep: 387420489 exceeds cap 10000000\n"),
+    (("verify", "--suite", "groups", "--ring", "zm:9"),
+     "error: pair sweep: 387420489 exceeds cap 10000000\n"),
 ])
 def test_group_refusals_are_pinned(capsys, argv, err):
     assert run(capsys, *argv) == (3, "", err)
+
+
+def test_verify_groups_refuses_before_building_the_product(capsys, monkeypatch):
+    # zm:9 has a semidirect product of 7,558,272 elements, under the cap,
+    # and a pair sweep of 9^9 candidates, over it
+    def refuse(*args, **kwargs):
+        raise AssertionError("semidirect product built")
+
+    monkeypatch.setattr(gr, "semidirect_group", refuse)
+    code, out, err = run(capsys, "verify", "--suite", "groups", "--ring", "zm:9")
+    assert (code, out) == (3, "")
+    assert err == "error: pair sweep: 387420489 exceeds cap 10000000\n"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

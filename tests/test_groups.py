@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from ringfunc.funcspace import (
     coefficient_sums,
     induce,
     monomial_stages,
+    null_degree_bound,
     permutation_tables,
     unit_valued_tables,
 )
@@ -516,6 +518,64 @@ def test_dual_degree_bound_values():
     assert dual_degree_bound(make_ring("zpn:2,2")) == 4
 
 
+def _is_null_pair(coeffs, m):
+    """Whether the integer polynomial and its derivative both vanish mod m."""
+    for a in range(m):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * a + c) % m
+        if acc:
+            return False
+        dacc = 0
+        for k in range(len(coeffs) - 1, 0, -1):
+            dacc = (dacc * a + k * coeffs[k]) % m
+        if dacc:
+            return False
+    return True
+
+
+def _monic_null_degree(m):
+    """The oracle of dual_degree_bound over Z/m: the least degree of a monic
+    null pair by exhaustive search.  Nullity at 0 forces the constant and
+    linear coefficients to zero, and the square of a monic null polynomial
+    of the plain null degree bound is one, so the search stops at twice it."""
+    limit = 2 * null_degree_bound(make_ring(f"zm:{m}"))
+    for D in range(2, limit + 1):
+        for tail in itertools.product(range(m), repeat=D - 2):
+            if _is_null_pair((0, 0) + tail + (1,), m):
+                return D
+    return limit
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 12])
+def test_dual_degree_bound_matches_the_monic_search(m):
+    assert dual_degree_bound(make_ring(f"zm:{m}")) == _monic_null_degree(m)
+
+
+@pytest.mark.parametrize("desc,bound", [
+    ("zm:9", 9), ("zpn:3,2", 9), ("zm:10", 10), ("zm:18", 9), ("zm:36", 9),
+    ("zpn:2,4", 8), ("zpn:3,3", 9), ("zpn:5,2", 15), ("zpn:7,2", 21), ("zm:81", 12),
+])
+def test_dual_degree_bound_beyond_the_monic_search(desc, bound):
+    assert dual_degree_bound(make_ring(desc)) == bound
+
+
+def test_dual_degree_bound_lies_between_the_null_bound_and_its_double():
+    # a monic null polynomial g of the null bound gives the null pair g^2
+    for m in range(2, 61):
+        ring = make_ring(f"zm:{m}")
+        assert null_degree_bound(ring) <= dual_degree_bound(ring) <= 2 * null_degree_bound(ring)
+
+
+def test_dual_degree_bound_of_a_product_is_the_larger_factor_bound():
+    # a monic null pair on Z/a times x^k stays one, and CRT joins the two
+    bound = {m: dual_degree_bound(make_ring(f"zm:{m}")) for m in range(2, 61)}
+    pairs = [(a, b) for a in range(2, 61) for b in range(a + 1, 60 // a + 1) if gcd(a, b) == 1]
+    assert len(pairs) > 10
+    for a, b in pairs:
+        assert bound[a * b] == max(bound[a], bound[b])
+
+
 def test_pair_counts_stabilize_at_the_bound():
     z4 = make_ring("zpn:2,2")
     mask = z4.unit_index_mask()
@@ -631,7 +691,7 @@ def _streamed_dual_sweep(base, *, cap=None):
     one_row = base.index_op_tables()[0][base.index(base.one)]
     zero_tab = (base.index(base.zero),) * size
     passing, units = {}, {}
-    for pair, rest in _pair_sums(base, dual_degree_bound(base, cap=cap), cap=cap):
+    for pair, rest in _pair_sums(base, dual_degree_bound(base), cap=cap):
         ftab = pair[:size]
         if ftab == zero_tab:
             unit = tuple(one_row[i] for i in pair[size:])
