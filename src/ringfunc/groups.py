@@ -252,6 +252,49 @@ def pair_table_sweep(
         )
 
 
+def split_sweep(add_t, zero_table, stages, first: slice):
+    """The sums of coefficient_sums over the stages, split at the middle
+    stage, k = len(stages) // 2, into the distinct low sums (stages[:k]) and
+    high sums (stages[k:]), each with the first coefficients reaching it.
+
+    Yields (rows, coeffs, bijective, null) for each distinct high sum h, in
+    first-reached order: rows are the rows of add_t at the entries of h, so
+    tuple(map(getitem, rows, t)) is h + t, and coeffs are those of h.
+    bijective lists the low (t, coeffs) whose first table t[first], added to
+    h[first], makes a bijection, and null those making it zero, each in
+    first-reached order.  Both depend on h[first] alone and are found once
+    for each: the low sums are grouped by first table, and each group is
+    tested once.  The sweep steps the high coefficients slowest, and a sum
+    has at most one low part per high part, so taking the high sums in
+    first-reached order and the low sums in theirs keeps the sweep's
+    witnesses, low coefficients then high, and its first-seen order.
+    """
+    k = len(stages) // 2
+    low: dict[tuple, tuple] = {}
+    high: dict[tuple, tuple] = {}
+    for sums, part in ((low, stages[:k]), (high, stages[k:])):
+        for t, coeffs in coefficient_sums(add_t, zero_table, part):
+            sums.setdefault(t, coeffs)
+    by_first: dict[tuple, list] = {}
+    for pos, (t, coeffs) in enumerate(low.items()):
+        by_first.setdefault(t[first], []).append((pos, t, coeffs))
+    zero = zero_table[0]
+    neg = [row.index(zero) for row in add_t]
+    slices: dict[tuple, tuple] = {}
+    for h, coeffs in high.items():
+        h1 = h[first]
+        if h1 not in slices:
+            rows = [add_t[b] for b in h1]
+            bijective = sorted(
+                item for a1, items in by_first.items()
+                if len(set(map(getitem, rows, a1))) == len(h1) for item in items
+            )
+            # a1 + h1 = 0 only for a1 = -h1
+            null = by_first.get(tuple(neg[b] for b in h1), [])
+            slices[h1] = [item[1:] for item in bijective], [item[1:] for item in null]
+        yield [add_t[b] for b in h], coeffs, *slices[h1]
+
+
 def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
     """The pairs ([f0], [f0']) of the polynomials f0 of degree < D, the dual
     degree bound, with constant term zero, for the dual permutations and the
@@ -266,15 +309,9 @@ def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
     unchanged, so f0 decides for every f0 + c.  The cap counts every
     candidate, |base|^D, and is checked before any work.
 
-    The stages split at k = len(stages) // 2 into the distinct low sums
-    (degrees 1 .. k) and high sums (k + 1 .. D-1) of coefficient_sums, each
-    with its first witness.  Only the first table of a pair, low plus high,
-    decides which dict it may enter, so for each distinct high first table
-    the low sums making it a bijection or zero are found once, and the pair
-    is built only for those.  The sweep steps the high coefficients slowest,
-    and a pair has at most one low sum per high sum, so taking the high sums
-    in first-reached order and the low sums in theirs keeps the sweep's
-    witnesses, low coefficients then high, and its first-seen order.
+    Only the first table [f0] of a pair decides which dict it may enter, so
+    split_sweep builds a pair only where its low and high first tables add
+    to a bijection or to zero.
     """
     D = dual_degree_bound(base)
     check_cap(base.size**D, cap, "pair sweep")
@@ -283,37 +320,17 @@ def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
     add_t = base.index_op_tables()[0]
     one_row = add_t[base.index(base.one)]
     zero = base.index(base.zero)
-    neg = [row.index(zero) for row in add_t]
     stages = monomial_stages(base, D, base.elements, derivative_points=range(size))
-    k = len(stages) // 2
-    low: dict[tuple, tuple] = {}
-    high: dict[tuple, tuple] = {}
-    for sums, part in ((low, stages[:k]), (high, stages[k:])):
-        for t, coeffs in coefficient_sums(add_t, (zero,) * (2 * size), part):
-            sums.setdefault(t, coeffs)
-    by_first: dict[tuple, list] = {}
-    for pos, (t, coeffs) in enumerate(low.items()):
-        by_first.setdefault(t[:size], []).append((pos, t, coeffs))
-    slices: dict[tuple, tuple] = {}
     passing: dict[tuple, tuple] = {}
     units: dict[tuple, tuple] = {}
-    for h, hc in high.items():
-        h1 = h[:size]
-        if h1 not in slices:
-            rows = [add_t[b] for b in h1]
-            bijective = sorted(
-                item for a1, items in by_first.items()
-                if len(set(map(getitem, rows, a1))) == size for item in items
-            )
-            # a1 + h1 = 0 only for a1 = -h1
-            slices[h1] = bijective, by_first.get(tuple(neg[b] for b in h1), [])
-        bijective, null = slices[h1]
-        rows = [add_t[b] for b in h]
-        for _, t, coeffs in bijective:
+    for rows, hc, bijective, null in split_sweep(
+        add_t, (zero,) * (2 * size), stages, slice(size)
+    ):
+        for t, coeffs in bijective:
             pair = tuple(map(getitem, rows, t))
             if all(map(mask.__getitem__, pair[size:])):
                 passing.setdefault(pair, coeffs + hc)
-        for _, t, coeffs in null:
+        for t, coeffs in null:
             unit = tuple(one_row[v] for v in map(getitem, rows[size:], t[size:]))
             if all(map(mask.__getitem__, unit)):
                 units.setdefault(unit, coeffs + hc)

@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import random
 
 import pytest
 
@@ -13,7 +12,7 @@ from ringfunc import cli
 from ringfunc import funcspace as fs
 from ringfunc import groups as gr
 from ringfunc.cli import main
-from ringfunc.dual import DualRing, dual_ring
+from ringfunc.dual import DualRing, dual_ring, horner_dual
 from ringfunc.poly import Polynomial, format_polynomial
 from ringfunc.rings import CAP_ENV_VAR, PrimePowerRing, SizeCapError, make_ring
 
@@ -672,34 +671,113 @@ def test_verify_groups_refuses_before_building_the_product(capsys, monkeypatch):
     assert err == "error: pair sweep: 387420489 exceeds cap 10000000\n"
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_dual_criterion_samples_like_a_candidate_list(monkeypatch, seed):
-    # the sample drawn from the list of every candidate, constant term fastest
-    base = make_ring("fq:4")
+# verify --suite dual: exit code, sha256 of stdout and stderr, recorded while
+# the criterion was still a 400-candidate sample
+DUAL_OUTPUT_SHA256 = [
+    (("verify", "--suite", "dual"), 0,
+     "fa77ec3f91628452a2807b78c6b3a30da8e6b33ab39c02dde09ce6f9a7d3f866", ""),
+    (("verify", "--suite", "dual", "--json"), 0,
+     "72ae9bac8ab68034e0278ca11a4d93425a8466177acb2329188e439cd41378ff", ""),
+    (("verify", "--suite", "dual", "--ring", "zm:6"), 0,
+     "8d336fa4a8b318680e1ae68b146b292e0b4310467e3b26327a5c6a36bfe29b69", ""),
+    (("verify", "--suite", "dual", "--ring", "zm:6", "--json"), 0,
+     "50a75b2b80b4d0b09d7e89058c80146210198c19e0ba18c720a6c607626ddd90", ""),
+    (("verify", "--suite", "dual", "--ring", "fq:5"), 0,
+     "36c1d659e3f3502056d51cc1f0b9829c583a69069f2fdc24dbc44c28ad78c2c2", ""),
+    (("verify", "--suite", "dual", "--ring", "fq:5", "--json"), 0,
+     "263bf3097a7c2780a40466b470536a32713ebc931a0c64d9e9d72f3d2454dc5d", ""),
+    (("verify", "--suite", "dual", "--ring", "zpn:2,3"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: pair sweep: 16777216 exceeds cap 10000000\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest,err", DUAL_OUTPUT_SHA256)
+def test_dual_outputs_are_pinned(capsys, argv, code, digest, err):
+    got, out, got_err = run(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest(), got_err) == (code, digest, err)
+
+
+def _record_dual_verdicts(monkeypatch, wrong_at=None):
+    # the keys the criterion check builds, in order; the verdict on call
+    # number wrong_at (from 1) has its criterion side flipped
+    real = cli._dual_verdicts
+    keys = []
+
+    def recording(key, base):
+        keys.append(key)
+        brute, criterion = real(key, base)
+        return brute, criterion != (len(keys) == wrong_at)
+
+    monkeypatch.setattr(cli, "_dual_verdicts", recording)
+    return keys
+
+
+def _bijective_on(f, dual, points):
+    seen = set()
+    for v in horner_dual(f, dual, points):
+        if v in seen:
+            return False
+        seen.add(v)
+    return True
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "zm:6"])
+def test_dual_criterion_matches_horner_dual_on_every_candidate(monkeypatch, desc):
+    # every coefficient vector below D, evaluated on R[al] by horner_dual:
+    # the criterion agrees with brute force, the check passes, and the keys
+    # it builds are those of the f0 with constant term zero and [f0] a
+    # bijection, the only ones either verdict can hold for
+    base = make_ring(desc)
+    dual = dual_ring(base)
     D = gr.dual_degree_bound(base)
-    candidates = [
-        tuple(reversed(t)) for t in itertools.product(base.elements, repeat=D)
-    ]
-    expected = random.Random(seed).sample(candidates, 400)
-    sampled = []
-    real = cli.Polynomial
+    on_base = [dual.embed(a) for a in base.elements]
+    # the points (a, 0) first, where most tables already repeat a value
+    points = on_base + [z for z in dual.elements if z not in on_base]
+    expected = set()
+    for coeffs in itertools.product(base.elements, repeat=D):
+        f = fs.ring_polynomial(base, coeffs)
+        assert _bijective_on(f, dual, points) == fs.permutes_dual(f, base)
+        if coeffs[0] == base.zero and fs.is_permutation(f, base):
+            expected.add(
+                tuple(map(dual.index, horner_dual(f, dual, dual.elements)))
+                + tuple(map(dual.index, horner_dual(f.derive(), dual, on_base)))
+            )
+    keys = _record_dual_verdicts(monkeypatch)
+    assert cli._check_dual_criterion(base, None) == [(f"dual[criterion:{desc}]", True)]
+    assert set(keys) == expected
 
-    def recording(coeffs, ring=None):
-        sampled.append(tuple(coeffs))
-        return real(coeffs, ring)
 
-    monkeypatch.setattr(cli, "Polynomial", recording)
-    assert cli._check_dual_criterion(base, seed, None) == [
-        (f"dual[criterion:{base.descriptor}]", True)
-    ]
-    assert sampled == expected
+@pytest.mark.parametrize("desc,built", [
+    ("fq:3", 54), ("zpn:2,2", 8), ("fq:4", 1536), ("zm:6", 432),
+])
+def test_dual_criterion_builds_only_the_keys_the_filter_admits(monkeypatch, desc, built):
+    # of the |R|^(D-1) keys with constant term zero (fq:4: 16,384), only
+    # those with a bijective table on R x 0, counted with repeats
+    base = make_ring(desc)
+    keys = _record_dual_verdicts(monkeypatch)
+    assert cli._check_dual_criterion(base, None)[0][1]
+    assert len(keys) == built
+
+
+@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
+def test_dual_criterion_checks_the_last_key(monkeypatch, desc):
+    # a wrong verdict on the last key the filter admits, and on it alone,
+    # must FAIL
+    base = make_ring(desc)
+    every = _record_dual_verdicts(monkeypatch)
+    assert cli._check_dual_criterion(base, None)[0][1]
+    built = len(every)
+    keys = _record_dual_verdicts(monkeypatch, wrong_at=built)
+    assert cli._check_dual_criterion(base, None) == [(f"dual[criterion:{desc}]", False)]
+    assert len(keys) == built
 
 
 def test_dual_criterion_fails_on_a_wrong_unit_mask(monkeypatch):
     # zero marked a unit: x^3 and the like pass the criterion, not the oracle
     base = make_ring("fq:3")
     monkeypatch.setattr(type(base), "unit_index_mask", lambda self: [True] * self.size)
-    assert cli._check_dual_criterion(base, 0, None) == [("dual[criterion:fq:3]", False)]
+    assert cli._check_dual_criterion(base, None) == [("dual[criterion:fq:3]", False)]
 
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "fq:4"])

@@ -514,8 +514,10 @@ def test_dual_degree_bound_values():
     assert dual_degree_bound(make_ring("fq:4")) == 8
     assert dual_degree_bound(make_ring("zpn:2,2")) == 4
     assert dual_degree_bound(make_ring("zpn:2,3")) == 8
-    # cached second lookup
-    assert dual_degree_bound(make_ring("zpn:2,2")) == 4
+    assert dual_degree_bound(make_ring("zm:9")) == 9
+    assert dual_degree_bound(make_ring("zm:10")) == 10
+    assert dual_degree_bound(make_ring("zpn:2,4")) == 8
+    assert dual_degree_bound(make_ring("zpn:7,2")) == 21
 
 
 def _is_null_pair(coeffs, m):

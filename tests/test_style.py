@@ -1,5 +1,5 @@
-"""Source layout: line length and trailing whitespace in the package, and no
-function that nothing uses."""
+"""Source layout: line length and trailing whitespace in the package, no
+function that nothing uses, and no parameter that its function never reads."""
 
 import ast
 import re
@@ -45,3 +45,44 @@ def test_every_function_is_used_beyond_its_definition():
     )
     unused = sorted(name for name, count in defined.items() if words[name] <= count)
     assert not unused, ", ".join(unused)
+
+
+def _is_stub(node):
+    # the body, after a docstring, is raise NotImplementedError
+    if isinstance(node, ast.Lambda):
+        return False
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    return (
+        len(body) == 1
+        and isinstance(body[0], ast.Raise)
+        and "NotImplementedError" in ast.unparse(body[0])
+    )
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is an option that does nothing;
+    # self and cls, dunder methods and NotImplementedError stubs aside
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if name.startswith("__") and name.endswith("__") or _is_stub(node):
+                continue
+            args = node.args
+            params = [
+                a.arg
+                for a in args.posonlyargs + args.args + args.kwonlyargs
+                + [a for a in (args.vararg, args.kwarg) if a is not None]
+                if a.arg not in ("self", "cls")
+            ]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [f"{path.name}:{node.lineno}: {name}({p})" for p in params if p not in read]
+    assert not unread, "\n".join(unread)
