@@ -19,7 +19,6 @@ import random
 import sys
 from collections import Counter
 from functools import reduce
-from itertools import product
 from operator import eq, getitem, or_
 
 from . import canonical as canon
@@ -228,105 +227,54 @@ def cmd_canonical(args) -> int:
     return 0
 
 
-def _group_elements(args, cap, keep=slice(None)):
-    """Resolve --what group/stabilizer into (base, count, item dicts,
-    elements), with the item dicts of the positions keep selects only;
-    elements() builds the listed group elements in listed order, which only
-    a product table needs.
+def _group_elements(args, cap):
+    """Resolve --what group/stabilizer into (base, count, items, elements):
+    items(keep) builds the item dicts of the positions the slice keep
+    selects, all by default, so a command formats the items it keeps only,
+    and elements() builds the listed group elements in listed order, which
+    only a product table needs.
 
     The semidirect product lists its items from its two factors,
-    permutation-major.  Over a field so do the dual permutations and the
-    stabilizer (_field_elements), with no coefficient sweep; elsewhere they
-    come from the sweep of gr.enumerate_dual_permutations and
-    gr.enumerate_stabilizer.
+    permutation-major.  The dual permutations and the stabilizer are the
+    packed rows of gr.dual_pairs and gr.stabilizer_pairs, entry a being
+    perm(a) * |R| + unit(a), with a witness or a null part each.
     """
     base = _base_of(_ring(args))
-    if base.is_field and (args.dual or args.what == "stabilizer"):
-        return _field_elements(base, args.what == "stabilizer", cap, keep)
+    nb = base.size
     if args.what == "stabilizer":
-        els = gr.enumerate_stabilizer(base, cap=cap)
-        # a stabilizer element is x + g for its null part g
-        items = [
-            {
-                "null_part": format_polynomial(st.witness - Polynomial.x()),
-                "unit": list(st.base_pair()[1]),
-            }
-            for st in els[keep]
-        ]
-        return base, len(els), items, lambda: els
-    if args.dual:
-        els = gr.enumerate_dual_permutations(base, cap=cap)
-        items = []
-        for dp in els[keep]:
-            G, F = dp.base_pair()
-            items.append(
-                {"perm": list(G), "unit": list(F), "witness": format_polynomial(dp.witness)}
-            )
-        return base, len(els), items, lambda: els
-    perms, units = gr.semidirect_pairs(base, cap=cap)
-    nu = len(units)
-    count = len(perms) * nu
-    items = [
-        {"perm": list(perms[k // nu]), "unit": list(units[k % nu])}
-        for k in range(count)[keep]
-    ]
-    return base, count, items, lambda: gr.pair_elements(base, product(perms, units))
+        rows, null_part = gr.stabilizer_pairs(base, cap=cap)
 
+        def items(keep=slice(None)):
+            return [
+                {"null_part": format_polynomial(null_part(row)), "unit": [v % nb for v in row]}
+                for row in rows[keep]
+            ]
+    elif args.dual:
+        rows, witness = gr.dual_pairs(base, cap=cap)
 
-def _field_elements(base: Ring, stabilizer: bool, cap, keep):
-    """_group_elements for the dual permutations or the stabilizer over a
-    field F_q, from the factors (perms, units) of the semidirect product.
+        def items(keep=slice(None)):
+            return [
+                {
+                    "perm": [v // nb for v in row],
+                    "unit": [v % nb for v in row],
+                    "witness": format_polynomial(witness(row)),
+                }
+                for row in rows[keep]
+            ]
+    else:
+        perms, units = gr.semidirect_pairs(base, cap=cap)
+        nu = len(units)
 
-    By the field theorem the dual permutations are the pairs (G, F) of all
-    of P(F_q) x F(F_q)^x, listed in table order (gr.dual_table_order), and
-    the stabilizer is the pairs (id, F), in unit table order.  Each pair has
-    exactly one witness of degree < 2q, the one the sweep finds first: the
-    Hermite form A_G + B_F, with A_G = sum_a G(a) H_a computed once per G
-    and B_F = sum_a F(a) K_a once per F (fs.hermite_basis).  A stabilizer
-    element's null part is A_id + B_F - x.
-    """
-    q = base.size
-    H, K = fs.hermite_basis(base)
-    add_t = base.index_op_tables()[0]
-    els = base.elements
-    ident = tuple(range(q))
+        def items(keep=slice(None)):
+            return [
+                {"perm": list(perms[k // nu]), "unit": list(units[k % nu])}
+                for k in range(len(perms) * nu)[keep]
+            ]
 
-    def rows(A):
-        # entry b of row d is the element A[d] + b: a witness coefficient of
-        # A + B is then one lookup
-        return [[els[s] for s in add_t[a]] for a in A]
-
-    def witness(A_rows, B):
-        return format_polynomial(fs.ring_polynomial(base, list(map(getitem, A_rows, B))))
-
-    if stabilizer:
-        check_cap((q - 1) ** q, cap, "stabilizer")
-        units = gr.semidirect_factors(base, cap=cap)[1]
-        # A_id - x: subtract one from the coefficient of x
-        A = fs.hermite_sum(base, H, ident)
-        A[1] = add_t[A[1]][base.index(base.neg(base.one))]
-        A_rows = rows(A)
-        items = [
-            {"null_part": witness(A_rows, fs.hermite_sum(base, K, F)), "unit": list(F)}
-            for F in units[keep]
-        ]
-        return base, len(units), items, lambda: gr.pair_elements(
-            base, ((ident, F) for F in units)
+        return base, len(perms) * nu, items, lambda: gr.pair_elements(
+            dual_ring(base), gr.packed_rows(base, perms, units)
         )
-    perms, units = gr.semidirect_pairs(base, cap=cap)
-    nu = len(units)
-    order = gr.dual_table_order(base, perms, units)
-    A = [rows(fs.hermite_sum(base, H, G)) for G in perms]
-    B = [fs.hermite_sum(base, K, F) for F in units]
-    items = []
-    for k in order[keep]:
-        i, j = divmod(k, nu)
-        items.append(
-            {"perm": list(perms[i]), "unit": list(units[j]), "witness": witness(A[i], B[j])}
-        )
-    return base, len(order), items, lambda: gr.pair_elements(
-        base, ((perms[k // nu], units[k % nu]) for k in order)
-    )
+    return base, len(rows), items, lambda: gr.pair_elements(dual_ring(base), rows)
 
 
 def cmd_enumerate(args) -> int:
@@ -334,7 +282,8 @@ def cmd_enumerate(args) -> int:
     what = args.what
     keep = slice(args.limit)
     if what in ("group", "stabilizer"):
-        base, count, items, _ = _group_elements(args, cap, keep)
+        base, count, items, _ = _group_elements(args, cap)
+        items = items(keep)
         doc = {"count": count, "ring": base.descriptor, "what": what}
         if what == "group":
             doc["dual"] = bool(args.dual)
@@ -370,16 +319,16 @@ def cmd_export(args) -> int:
     cap = _cap(args)
     what = args.what
     if what in ("group", "stabilizer"):
-        base, _, items, elements = _group_elements(args, cap)
+        base, count, items, elements = _group_elements(args, cap)
         if args.format == "csv" or args.table:
-            check_cap(len(items) ** 2, cap, "multiplication table")
+            check_cap(count**2, cap, "multiplication table")
             table = _multiplication_table(elements())
         if args.format == "csv":
-            rows = [[""] + list(range(len(items)))]
+            rows = [[""] + list(range(count))]
             rows += [[i] + row for i, row in enumerate(table)]
             _emit(args, _csv_text(rows))
             return 0
-        doc = {"count": len(items), "elements": items, "ring": base.descriptor, "what": what}
+        doc = {"count": count, "elements": items(), "ring": base.descriptor, "what": what}
         if what == "group":
             doc["dual"] = bool(args.dual)
         if args.table:
@@ -535,13 +484,7 @@ def _check_axioms(base: Ring, cap) -> list[tuple[str, bool]]:
 
 def _check_embedding(base: Ring, cap) -> list[tuple[str, bool]]:
     report = gr.verify_embedding(base, cap=cap)
-    # onto over every field; in general onto exactly when the stabilizer
-    # holds every unit table (image = stabilizer x permutations)
-    ok = (
-        report.passed
-        and (report.surjective or not base.is_field)
-        and report.surjective == (report.stabilizer_size == report.unit_table_count)
-    )
+    ok = report.passed and report.image_consistent
     return [(f"groups[embedding:{base.descriptor}]", ok)]
 
 

@@ -11,6 +11,9 @@ the induced permutations with the pointwise unit group acting by
 precomposition.  Products are compositions of tables, so associativity holds
 by construction.
 
+A pair is held as that row, its packed row, entry a being G(a) * |R| + F(a);
+packed rows sort as their tables do (packed_rows).
+
 Three sets of elements come out of this module:
 - the semidirect product F(R)^x ⋊ P(R): every pair of an induced permutation
   and an induced unit-valued table;
@@ -19,6 +22,10 @@ Three sets of elements come out of this module:
   ([f], [f']);
 - the stabilizer of the base points: the dual permutations with G = id,
   x + g for a null polynomial g, acting by the pair (id, [1 + g']).
+
+dual_pairs and stabilizer_pairs list the last two as sorted packed rows,
+with a witness on request, and alone decide how: over a field from the
+factors by the field theorem, elsewhere from the coefficient sweep.
 
 verify_group_axioms checks closure exactly from a greedy generating set S,
 with |G| * |S| products instead of |G|^2, and the identity and inverses on
@@ -33,7 +40,9 @@ by comparing the pair read back from d * s with the twisted product of the
 pairs of d and s, for every d and every generator s.  It decides membership
 of the image in the semidirect product per element: G among the induced
 permutations and F among the induced unit-valued tables.  Surjectivity then
-is |image| = |P(R)| * |F(R)^x|; the product itself is never built.
+is |image| = |P(R)| * |F(R)^x|; the product itself is never built.  It
+sweeps over fields too, since the sweep is what proves the field theorem
+that dual_pairs relies on there.
 """
 
 from __future__ import annotations
@@ -41,13 +50,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, islice, permutations, product
 from math import factorial, gcd
-from operator import getitem, itemgetter
+from operator import add, getitem, itemgetter
 
 from .dual import DualRing, dual_ring
 from .funcspace import (
     FunctionTable,
     coefficient_sums,
     dual_degree_bound,
+    hermite_basis,
+    hermite_sum,
     induced_index_tables,
     monomial_stages,
     ring_polynomial,
@@ -99,7 +110,7 @@ class DualPermutation:
         mask = base.unit_index_mask()
         if not all(mask[i] for i in F):
             raise ValueError("second component is not unit-valued")
-        return cls._make(dual, _pair_table(base, G, F))
+        return pair_elements(dual, packed_rows(base, [G], [F]))[0]
 
     def __mul__(self, other: "DualPermutation") -> "DualPermutation":
         if self.dual is not other.dual and self.dual != other.dual:
@@ -132,18 +143,34 @@ class DualPermutation:
         return f"DualPermutation({self.dual.descriptor}, {self.table})"
 
 
-def _pair_table(base: Ring, G, F) -> tuple[int, ...]:
-    """Dual table of the base pair: (a, b) -> (G(a), F(a) * b), the blocks
-    (g, f) = (g * |R| + f * b for each b) of the G(a), F(a) joined; the
-    blocks are cached with the ring's other index tables."""
+def _pair_blocks(base: Ring) -> list[tuple[int, ...]]:
+    """The block of each packed entry v = g * |R| + f: the images
+    g * |R| + f * b of the dual elements (a, b) of a point a with
+    (G(a), F(a)) = (g, f), for each b.  Cached with the ring's other index
+    tables."""
     blocks = base._tables.get("pair_blocks")
     if blocks is None:
         nb = base.size
         mul_t = base.index_op_tables()[1]
         blocks = base._tables["pair_blocks"] = [
-            [tuple(g * nb + v for v in row) for row in mul_t] for g in range(nb)
+            tuple(g * nb + v for v in row) for g in range(nb) for row in mul_t
         ]
-    return tuple(chain.from_iterable(map(getitem, map(blocks.__getitem__, G), F)))
+    return blocks
+
+
+def packed_rows(base: Ring, perms, units) -> list[tuple[int, ...]]:
+    """The packed rows of the pairs (G, F), G in perms and F in units, both
+    index tables, permutation-major: entry a is G(a) * |R| + F(a), the row
+    b = 1 of the pair's dual table.
+
+    On a base whose element index 0 is zero and index 1 is one, as on every
+    ring here, packed rows sort as the tables do: the entries (a, 0) and
+    (a, 1) of the table are G(a) * |R| and G(a) * |R| + F(a), and the rest
+    of the block of a follows from them.
+    """
+    nb = base.size
+    high = [[g * nb for g in G] for G in perms]
+    return [tuple(map(add, h, F)) for h in high for F in units]
 
 
 def precompose_units(F: FunctionTable, G: FunctionTable) -> FunctionTable:
@@ -186,36 +213,24 @@ def semidirect_pairs(ring: Ring, *, cap: int | None = None) -> tuple[list, list]
     return perms, units
 
 
-def pair_elements(base: Ring, pairs) -> list[DualPermutation]:
-    """The elements of the base pairs (G, F), index tables, in the given
-    order."""
-    dual = dual_ring(base)
-    return [DualPermutation._make(dual, _pair_table(base, G, F)) for G, F in pairs]
+def pair_elements(dual: DualRing, rows, witness=None) -> list[DualPermutation]:
+    """The elements of the packed rows over the dual ring's base, in the
+    given order, each with the polynomial witness(row) when a witness
+    function is given.  The table of a row is the blocks of its entries
+    joined (_pair_blocks)."""
+    block = _pair_blocks(dual.base).__getitem__
+    return [
+        DualPermutation._make(
+            dual, tuple(chain.from_iterable(map(block, row))), witness and witness(row)
+        )
+        for row in rows
+    ]
 
 
 def semidirect_group(ring: Ring, *, cap: int | None = None) -> list[DualPermutation]:
     """Every (induced permutation, induced unit table) pair over the ring,
     as a permutation of R[al]; permutation-major, each factor in table order."""
-    return pair_elements(ring, product(*semidirect_pairs(ring, cap=cap)))
-
-
-def dual_table_order(base: Ring, perms, units) -> list[int]:
-    """The positions k of the pairs (perms[k // |units|], units[k % |units|])
-    sorted by the dual table, on a base whose element index 0 is zero and
-    index 1 is one, as on a field.
-
-    The entries (a, 0) and (a, 1) of the table are G(a) * |R| and
-    G(a) * |R| + F(a), and the rest of the block of a follows from them, so
-    the table sorts as the packed row (G(0) * |R| + F(0), G(1) * |R| + F(1),
-    ...) does.
-    """
-    nb = base.size
-    packed = [
-        tuple(map(int.__add__, row, F))
-        for row in ([nb * g for g in G] for G in perms)
-        for F in units
-    ]
-    return sorted(range(len(packed)), key=packed.__getitem__)
+    return pair_elements(dual_ring(ring), packed_rows(ring, *semidirect_pairs(ring, cap=cap)))
 
 
 def pair_table_sweep(
@@ -337,67 +352,97 @@ def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
     return passing, units
 
 
-def _dual_elements(base: Ring, passing: dict) -> list[DualPermutation]:
-    """The dual permutations of the passing pairs of _dual_sweep, with no
-    witnesses.
-
-    Each pair is translated by every constant c, by the row of c in the
-    addition table, which gives the pairs of the f0 + c; no two translations
-    meet, since f0 vanishes at 0 and c is the value of the translated table
-    there.  Sorted by table.
-    """
-    dual = dual_ring(base)
-    size = base.size
-    add_t = base.index_op_tables()[0]
-    out = []
-    for pair in passing:
-        ftab, dtab = pair[:size], pair[size:]
-        for row in add_t:
-            table = _pair_table(base, map(row.__getitem__, ftab), dtab)
-            out.append(DualPermutation._make(dual, table))
-    out.sort(key=lambda dp: dp.table)
+def _translates(base: Ring, passing: dict) -> dict:
+    """The packed rows of the passing pairs of _dual_sweep translated by
+    every constant c, by the row of c in the addition table, which gives the
+    pairs of the f0 + c; each maps to the coefficients of its f0 + c.  No
+    two translations meet, since f0 vanishes at 0 and c is the value of the
+    translated table there."""
+    nb = base.size
+    # shift[c] takes the packed entry g * |R| + f to (c + g) * |R| + f
+    shift = [
+        [row[v // nb] * nb + v % nb for v in range(nb * nb)]
+        for row in base.index_op_tables()[0]
+    ]
+    out = {}
+    for pair, rest in passing.items():
+        row = [f * nb + d for f, d in zip(pair[:nb], pair[nb:])]
+        for c, t in zip(base.elements, shift):
+            out[tuple(map(t.__getitem__, row))] = (c,) + rest
     return out
+
+
+def dual_pairs(base: Ring, *, cap: int | None = None):
+    """The dual permutations as (rows, witness): their packed rows, sorted,
+    so in table order, and witness(row), a polynomial inducing the element
+    of a row.
+
+    Over a field F_q the dual permutations are every pair (G, F) of
+    P(F_q) x F(F_q)^x (the field theorem), capped as the semidirect
+    product.  The witness is the Hermite form A_G + B_F, with
+    A_G = sum_a G(a) H_a computed once per G and B_F = sum_a F(a) K_a once
+    per F (hermite_basis): the only polynomial of degree < 2q with the
+    pair, and so the one the sweep finds first.  Elsewhere they are the
+    pairs of _dual_sweep translated by every constant (_translates), and the
+    witness of a translate by c is f0 + c for the first f0 in sweep order
+    reaching the untranslated pair.
+    """
+    if not base.is_field:
+        witnesses = _translates(base, _dual_sweep(base, cap=cap)[0])
+        return sorted(witnesses), lambda row: ring_polynomial(base, witnesses[row])
+    perms, units = semidirect_pairs(base, cap=cap)
+    H, K = hermite_basis(base)
+    add_t = base.index_op_tables()[0]
+    # entry b of row d of A[i] is the element A_G[d] + b: a coefficient of
+    # A_G + B_F is then one lookup
+    A = [[[base.elements[s] for s in add_t[a]] for a in hermite_sum(base, H, G)] for G in perms]
+    B = [hermite_sum(base, K, F) for F in units]
+    rows = packed_rows(base, perms, units)
+    where = dict(zip(rows, product(range(len(perms)), range(len(units)))))
+
+    def witness(row):
+        i, j = where[row]
+        return ring_polynomial(base, list(map(getitem, A[i], B[j])))
+
+    return sorted(rows), witness
+
+
+def stabilizer_pairs(base: Ring, *, cap: int | None = None):
+    """The stabilizer as (rows, null_part), as dual_pairs: the packed rows
+    of its pairs (id, F), sorted, so by unit table F, and null_part(row), a
+    null g with [1 + g'] = F, the element being x + g.
+
+    Over a field F_q every unit table occurs, capped at (q - 1)^q, and g is
+    the Hermite form of the pair (0, F - 1), sum_a (F(a) - 1) K_a: the only
+    g of degree < 2q with [g] = 0 and [g'] = F - 1.  Elsewhere the unit
+    tables are those of _dual_sweep, and g is the first null g in sweep
+    order.
+    """
+    nb = base.size
+    ident = [range(nb)]
+    if base.is_field:
+        check_cap((nb - 1) ** nb, cap, "stabilizer")
+        units = semidirect_factors(base, cap=cap)[1]
+        K = hermite_basis(base)[1]
+        less_one = base.index_op_tables()[0][base.index(base.neg(base.one))]
+
+        def null_part(row):
+            g = hermite_sum(base, K, [less_one[v % nb] for v in row])
+            return ring_polynomial(base, [base.elements[i] for i in g])
+
+        return packed_rows(base, ident, units), null_part
+    units = _dual_sweep(base, cap=cap)[1]
+    return packed_rows(base, ident, sorted(units)), lambda row: ring_polynomial(
+        base, (base.zero,) + units[tuple(v % nb for v in row)]
+    )
 
 
 def enumerate_dual_permutations(
     base: Ring, *, cap: int | None = None
 ) -> list[DualPermutation]:
-    """All permutations of base[al] induced by base-coefficient polynomials.
-
-    Covers every coefficient vector below the dual degree bound, keeps the
-    ones whose base table is a bijection and whose derivative table is
-    unit-valued, and dedups by the pair, recording the first witness in
-    sweep order for each.  Sorted by table for deterministic output.
-    """
-    passing = _dual_sweep(base, cap=cap)[0]
-    els = _dual_elements(base, passing)
-    # the witness is f0 + c, c = G(0) since f0(0) = 0, for the first f0
-    # reaching the pair (G - c, F); an element no f0 reaches keeps none
-    add_t = base.index_op_tables()[0]
-    zero = base.index(base.zero)
-    neg = [row.index(zero) for row in add_t]
-    for dp in els:
-        G, F = dp.base_pair()
-        c = G[zero]
-        rest = passing.get(tuple(add_t[neg[c]][g] for g in G) + F)
-        if rest is not None:
-            dp.witness = ring_polynomial(base, (base.elements[c],) + rest)
-    return els
-
-
-def _stabilizer_elements(base: Ring, units: dict) -> list[DualPermutation]:
-    """The elements (id, unit) of the stabilizer units of _dual_sweep,
-    sorted by unit table; the witness is x + g for the first null g."""
-    dual = dual_ring(base)
-    ident = range(base.size)
-    return [
-        DualPermutation._make(
-            dual,
-            _pair_table(base, ident, unit),
-            ring_polynomial(base, (base.zero,) + rest) + Polynomial.x(),
-        )
-        for unit, rest in sorted(units.items())
-    ]
+    """All permutations of base[al] induced by base-coefficient polynomials,
+    sorted by table, each with its witness (dual_pairs)."""
+    return pair_elements(dual_ring(base), *dual_pairs(base, cap=cap))
 
 
 def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[DualPermutation]:
@@ -406,10 +451,10 @@ def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[DualPerm
     Elements come from x + g with g null on the base; the dual action scales
     the infinitesimal part by 1 + g'(a), so the element is the pair
     (id, [1 + g']) and only null parts with that table unit-valued qualify.
-    The witness is x + g for the first null g in sweep order, and the
-    elements are sorted by unit table.
+    Sorted by unit table, each with its witness x + g (stabilizer_pairs).
     """
-    return _stabilizer_elements(base, _dual_sweep(base, cap=cap)[1])
+    rows, null_part = stabilizer_pairs(base, cap=cap)
+    return pair_elements(dual_ring(base), rows, lambda row: null_part(row) + Polynomial.x())
 
 
 def null_polynomials(
@@ -587,11 +632,19 @@ class EmbeddingReport:
     image_in_ambient: bool
     surjective: bool
     factorization_ok: bool
+    over_field: bool = False
 
     @property
     def passed(self) -> bool:
         ok = self.injective and self.homomorphism_ok and self.image_in_ambient
         return ok and self.factorization_ok
+
+    @property
+    def image_consistent(self) -> bool:
+        """Onto over every field; in general onto exactly when the
+        stabilizer holds every unit table (image = stabilizer x permutations)."""
+        full = self.stabilizer_size == self.unit_table_count
+        return (self.surjective or not self.over_field) and self.surjective == full
 
 
 def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
@@ -614,7 +667,7 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     also compared against the stabilizer-permutation factorization.
     """
     passing, units = _dual_sweep(base, cap=cap)
-    perms = _dual_elements(base, passing)
+    perms = pair_elements(dual_ring(base), sorted(_translates(base, passing)))
     image = {dp.base_pair() for dp in perms}
     injective = len(image) == len(perms)
 
@@ -663,4 +716,5 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
         image_in_ambient=image_in_ambient,
         surjective=image_in_ambient and len(image) == ambient_size,
         factorization_ok=len(image) == len(units) * len(perm_set),
+        over_field=base.is_field,
     )

@@ -223,7 +223,7 @@ class Polynomial:
         return ring.horner(self._coeffs_for(ring), (point,))[0]
 
     def _coeffs_for(self, ring):
-        if self.ring is None or getattr(self.ring, "integer_encoded", False):
+        if self.ring is None or self.ring.integer_encoded:
             # residue encodings are plain integers, so reuse the Z -> ring map
             return [ring.from_int(c) for c in self.coeffs]
         if self.ring == ring:

@@ -15,6 +15,7 @@ from ringfunc.cli import main
 from ringfunc.dual import DualRing, dual_ring, horner_dual
 from ringfunc.poly import Polynomial, format_polynomial
 from ringfunc.rings import CAP_ENV_VAR, PrimePowerRing, SizeCapError, make_ring
+from test_groups import sweep_dual_listing, sweep_stabilizer_listing
 
 
 def run(capsys, *argv):
@@ -581,6 +582,23 @@ GROUP_OUTPUT_SHA256 = [
      "c650f23e96261e9033d1180f74321e9673ad5519066c875db5f58590a145ad40"),
     (("enumerate", "--what", "group", "--dual", "--ring", "fq:5", "--limit", "-1"), 0,
      "bd1cb70aa842a4db44f90d29689b88984d32bf9f3b2fedf1a5970e2542aae629"),
+    # recorded before the dual group and the stabilizer were listed as packed
+    # base pairs in groups.py
+    (("enumerate", "--what", "group", "--dual", "--ring", "zm:6", "--limit", "3"), 0,
+     "78e15c8070c62a575542a6e8867ddbf63cc2a9876b96557c0560d12d173901b7"),
+    (("enumerate", "--what", "stabilizer", "--ring", "zm:6", "--limit", "3"), 0,
+     "bb21950433b1032886cb1680de9f6490d6f7c7f6a8546e9e97733ab42d988f20"),
+    (("enumerate", "--what", "stabilizer", "--ring", "zm:6", "--limit", "-1"), 0,
+     "3e3be5c844870e0b19c9b4d97987500bc273f8256f8aa26376e3e0297c49133c"),
+    (("enumerate", "--what", "stabilizer", "--ring", "fq:5", "--limit", "3"), 0,
+     "3079113346d5b1a70d8dfdaedd56c16d0675c6afd07c5132806b3cd37dfb2406"),
+    (("enumerate", "--what", "group", "--dual", "--ring", "zm:4"), 0,
+     "2fe6a28dd08bbea9d7f2f2c3f07c3f3e8a9a291771e849e8f0f4e17e397f8095"),
+    (("export", "--what", "stabilizer", "--ring", "fq:4", "--format", "csv"), 0,
+     "4e163686a4b1d21b9b2b6fb9c6ed61f8038d8a87ca71937bcb78378480038301"),
+    # a refusal writes nothing to stdout
+    (("enumerate", "--what", "stabilizer", "--ring", "fq:8"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 
@@ -596,43 +614,88 @@ def _group_args(desc, what, dual):
     )
 
 
-@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4"])
+def _group_items(desc, what, dual):
+    _, count, items, elements = cli._group_elements(_group_args(desc, what, dual), None)
+    return count, items(), elements
+
+
+LISTING_RINGS = ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:4", "zm:6"]
+
+
+@pytest.mark.parametrize("desc", LISTING_RINGS)
 def test_field_dual_listing_matches_the_sweep(desc):
-    # the listing from the factors, with Hermite witnesses, against the
-    # coefficient sweep: order, pairs, witness strings and elements
-    base = make_ring(desc)
-    dps = gr.enumerate_dual_permutations(base)
-    _, count, items, elements = cli._group_elements(_group_args(desc, "group", True), None)
-    assert count == len(dps)
+    # the listing of groups.dual_pairs, from the factors with Hermite
+    # witnesses over a field, against the coefficient sweep: order, pairs,
+    # witness strings and elements
+    expected = sweep_dual_listing(make_ring(desc))
+    count, items, elements = _group_items(desc, "group", True)
+    assert count == len(expected)
     assert items == [
-        {"perm": list(dp.base_pair()[0]), "unit": list(dp.base_pair()[1]),
-         "witness": format_polynomial(dp.witness)}
-        for dp in dps
+        {"perm": list(G), "unit": list(F), "witness": format_polynomial(w)}
+        for _, (G, F), w in expected
     ]
-    assert [e.table for e in elements()] == [dp.table for dp in dps]
+    assert [e.table for e in elements()] == [t for t, _, _ in expected]
 
 
-@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4"])
+@pytest.mark.parametrize("desc", LISTING_RINGS)
 def test_field_stabilizer_listing_matches_the_sweep(desc):
-    base = make_ring(desc)
-    sts = gr.enumerate_stabilizer(base)
-    _, count, items, elements = cli._group_elements(
-        _group_args(desc, "stabilizer", False), None
-    )
-    assert count == len(sts)
+    expected = sweep_stabilizer_listing(make_ring(desc))
+    count, items, elements = _group_items(desc, "stabilizer", False)
+    assert count == len(expected)
     assert items == [
-        {"null_part": format_polynomial(st.witness - Polynomial.x()),
-         "unit": list(st.base_pair()[1])}
-        for st in sts
+        {"null_part": format_polynomial(w - Polynomial.x()), "unit": list(unit)}
+        for _, unit, w in expected
     ]
-    assert [e.table for e in elements()] == [st.table for st in sts]
+    assert [e.table for e in elements()] == [t for t, _, _ in expected]
 
 
-def test_field_listing_builds_only_the_kept_items():
-    args = _group_args("fq:4", "group", True)
-    _, count, items, _ = cli._group_elements(args, None, slice(5))
-    _, _, every, _ = cli._group_elements(args, None)
-    assert (count, items) == (1944, every[:5])
+def _count_witnesses(monkeypatch):
+    """Wrap the witness functions of the two listings; returns the list of
+    rows whose witness was built."""
+    built = []
+
+    def counting(listing):
+        def wrapped(*args, **kwargs):
+            rows, witness = listing(*args, **kwargs)
+            return rows, lambda row: built.append(row) or witness(row)
+        return wrapped
+
+    for name in ("dual_pairs", "stabilizer_pairs"):
+        monkeypatch.setattr(gr, name, counting(getattr(gr, name)))
+    return built
+
+
+def test_field_listing_builds_only_the_kept_items(capsys, monkeypatch):
+    # --limit 5 builds five witnesses, the kept ones, on a field and off it
+    built = _count_witnesses(monkeypatch)
+    for desc in ("fq:4", "zm:6"):
+        for what in (("group", "--dual"), ("stabilizer",)):
+            _, every, _ = _group_items(desc, what[0], len(what) == 2)
+            built.clear()
+            code, out, _ = run(
+                capsys, "enumerate", "--what", *what, "--ring", desc, "--limit", "5"
+            )
+            assert code == 0
+            assert len(built) == 5
+            assert json.loads(out)["items"] == every[:5]
+
+
+@pytest.mark.parametrize("what", [("group", "--dual"), ("stabilizer",)])
+def test_export_refuses_the_table_before_building_items(capsys, monkeypatch, what):
+    # fq:4 has 1,944 dual permutations and 81 stabilizer elements, both
+    # under the cap of 2,000, and their tables are over it
+    def no_format(*args):
+        raise AssertionError("witness formatted")
+
+    monkeypatch.setenv(CAP_ENV_VAR, "2000")
+    monkeypatch.setattr(cli, "format_polynomial", no_format)
+    built = _count_witnesses(monkeypatch)
+    count = 1944 if what[0] == "group" else 81
+    for fmt in (("--table",), ("--format", "csv")):
+        assert run(capsys, "export", "--what", *what, "--ring", "fq:4", *fmt) == (
+            3, "", f"error: multiplication table: {count**2} exceeds cap 2000\n"
+        )
+    assert built == []
 
 
 @pytest.mark.parametrize("argv,err", [
@@ -654,6 +717,9 @@ def test_field_listing_builds_only_the_kept_items():
      "error: pair sweep: 387420489 exceeds cap 10000000\n"),
     (("verify", "--suite", "groups", "--ring", "zm:9"),
      "error: pair sweep: 387420489 exceeds cap 10000000\n"),
+    # (q - 1)^q = 5,764,801 passes the stabilizer cap, q^q does not
+    (("enumerate", "--what", "stabilizer", "--ring", "fq:8"),
+     "error: polynomial enumeration: 16777216 exceeds cap 10000000\n"),
 ])
 def test_group_refusals_are_pinned(capsys, argv, err):
     assert run(capsys, *argv) == (3, "", err)

@@ -30,7 +30,7 @@ from ringfunc.groups import (
     verify_embedding,
     verify_group_axioms,
 )
-from ringfunc.poly import Polynomial, X, parse
+from ringfunc.poly import Polynomial, X, format_polynomial, parse
 from ringfunc.rings import SizeCapError, check_cap, make_ring
 
 
@@ -782,7 +782,7 @@ def test_enumerations_match_a_per_candidate_filter(desc):
     dps = enumerate_dual_permutations(base)
     assert [(dp.base_pair(), dp.witness) for dp in dps] == sorted(
         ((k, _poly(base, c)) for k, c in pairs.items()),
-        key=lambda item: groups._pair_table(base, *item[0]),
+        key=lambda item: _oracle_table(base, *item[0]),
     )
     stab = enumerate_stabilizer(base)
     assert [(st.base_pair()[1], st.witness - X) for st in stab] == sorted(
@@ -791,31 +791,111 @@ def test_enumerations_match_a_per_candidate_filter(desc):
     assert null_polynomials(base) == nulls
 
 
-@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
-def test_witnesses_are_attached_by_the_enumeration_only(desc):
-    # verify_embedding reads tables alone, so _dual_elements builds none
-    base = make_ring(desc)
+def _oracle_table(base, G, F):
+    """The dual table of the pair (G, F), entry by entry: (a, b) goes to
+    (G(a), F(a) * b), dual element index a * |R| + b."""
+    nb = base.size
+    mul_t = base.index_op_tables()[1]
+    return tuple(G[a] * nb + mul_t[F[a]][b] for a in range(nb) for b in range(nb))
+
+
+def sweep_dual_listing(base):
+    """The oracle of the dual permutation listing, from the coefficient
+    sweep on every ring: (table, (G, F), witness) for each element, sorted
+    by table.  Each pair ([f0], [f0']) of groups._dual_sweep is translated
+    by every constant c, the pair of f0 + c, and f0 + c is the witness."""
     passing = groups._dual_sweep(base)[0]
-    bare = groups._dual_elements(base, passing)
+    nb = base.size
+    out = []
+    for pair, rest in passing.items():
+        ftab, F = pair[:nb], pair[nb:]
+        for c, row in enumerate(base.index_op_tables()[0]):
+            G = tuple(row[v] for v in ftab)
+            witness = _poly(base, (base.elements[c],) + rest)
+            out.append((_oracle_table(base, G, F), (G, F), witness))
+    return sorted(out, key=lambda item: item[0])
+
+
+def sweep_stabilizer_listing(base):
+    """The oracle of the stabilizer listing, from the coefficient sweep:
+    (table, unit, witness) for each element (id, unit), sorted by unit
+    table, the witness x + g for the first null g in sweep order."""
+    units = groups._dual_sweep(base)[1]
+    ident = tuple(range(base.size))
+    return [
+        (_oracle_table(base, ident, unit), unit, _poly(base, (base.zero,) + rest) + X)
+        for unit, rest in sorted(units.items())
+    ]
+
+
+LISTING_RINGS = ("fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:4", "zm:6")
+
+
+@pytest.mark.parametrize("desc", LISTING_RINGS)
+def test_dual_listing_matches_the_sweep(desc):
+    # over a field from the factors with Hermite witnesses, elsewhere from
+    # the sweep: order, pairs, witness strings and element tables
+    base = make_ring(desc)
+    nb = base.size
+    expected = sweep_dual_listing(base)
+    rows, witness = groups.dual_pairs(base)
+    assert [(tuple(v // nb for v in r), tuple(v % nb for v in r)) for r in rows] == [
+        pair for _, pair, _ in expected
+    ]
+    assert [format_polynomial(witness(r)) for r in rows] == [
+        format_polynomial(w) for _, _, w in expected
+    ]
+    dps = enumerate_dual_permutations(base)
+    assert [(dp.table, dp.witness) for dp in dps] == [(t, w) for t, _, w in expected]
+
+
+@pytest.mark.parametrize("desc", LISTING_RINGS)
+def test_stabilizer_listing_matches_the_sweep(desc):
+    base = make_ring(desc)
+    nb = base.size
+    expected = sweep_stabilizer_listing(base)
+    rows, null_part = groups.stabilizer_pairs(base)
+    assert rows == [tuple(a * nb + u for a, u in enumerate(unit)) for _, unit, _ in expected]
+    assert [format_polynomial(null_part(r)) for r in rows] == [
+        format_polynomial(w - X) for _, _, w in expected
+    ]
+    sts = enumerate_stabilizer(base)
+    assert [(st.table, st.witness) for st in sts] == [(t, w) for t, _, w in expected]
+
+
+@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
+def test_witnesses_are_attached_by_the_enumeration_only(desc, monkeypatch):
+    # verify_embedding reads tables alone, so its elements carry no witness
+    base = make_ring(desc)
+    built = []
+    real = groups.pair_elements
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(groups, "pair_elements", spy)
+    assert verify_embedding(base).passed
+    [bare] = built
     assert all(dp.witness is None for dp in bare)
     dps = enumerate_dual_permutations(base)
     assert [dp.table for dp in dps] == [dp.table for dp in bare]
     assert all(_dp_from_poly(base, dp.witness) == dp for dp in dps)
 
 
-@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "fq:5"])
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "fq:5", "zpn:2,2", "zm:6"])
 def test_dual_table_order_sorts_by_the_table(desc):
+    # packed rows sort as their tables do, on fields and residue rings alike
     base = make_ring(desc)
     perms, units = groups.semidirect_factors(base)
     if len(perms) * len(units) > 5000:  # a seeded sample of the factors
         rng = random.Random(3)
         perms, units = rng.sample(perms, 6), rng.sample(units, 40)
-    nu = len(units)
-    expected = sorted(
-        range(len(perms) * nu),
-        key=lambda k: groups._pair_table(base, perms[k // nu], units[k % nu]),
-    )
-    assert groups.dual_table_order(base, perms, units) == expected
+    rows = groups.packed_rows(base, perms, units)
+    tables = [_oracle_table(base, G, F) for G, F in itertools.product(perms, units)]
+    # each row is the row b = 1 of its table
+    assert rows == [t[base.index(base.one)::base.size] for t in tables]
+    assert sorted(rows) == [rows[k] for k in sorted(range(len(rows)), key=tables.__getitem__)]
 
 
 def test_field_product_is_capped_before_the_sweep(monkeypatch):
@@ -1029,13 +1109,13 @@ def test_embedding_report_rejects_a_corrupted_enumeration(monkeypatch, desc):
     base = make_ring(desc)
     nb = base.size
     b = next(i for i in range(1, nb) if i != base.index(base.one))
-    real = groups._dual_elements
+    real = groups.pair_elements
 
-    def corrupted(ring, passing):
-        dps = real(ring, passing)
+    def corrupted(*args):
+        dps = real(*args)
         return dps[:-1] + [_swap_two_entries(dps[-1], 0, b)]
 
-    monkeypatch.setattr(groups, "_dual_elements", corrupted)
+    monkeypatch.setattr(groups, "pair_elements", corrupted)
     dps = enumerate_dual_permutations(base)
     assert len(set(dps)) == len(dps)
     assert not _brute_homomorphism(base, dps)
@@ -1052,15 +1132,15 @@ def test_embedding_report_rejects_a_conjugated_enumeration(monkeypatch):
     base = make_ring("zpn:2,2")
     swap = list(range(16))
     swap[1], swap[9] = 9, 1  # (0, 1) and (2, 1)
-    real = groups._dual_elements
+    real = groups.pair_elements
 
-    def conjugated(ring, passing):
+    def conjugated(*args):
         return [
             DualPermutation(dp.dual, [swap[dp.table[swap[k]]] for k in range(16)])
-            for dp in real(ring, passing)
+            for dp in real(*args)
         ]
 
-    monkeypatch.setattr(groups, "_dual_elements", conjugated)
+    monkeypatch.setattr(groups, "pair_elements", conjugated)
     dps = enumerate_dual_permutations(base)
     assert _brute_axioms(dps)[0]
     assert not _brute_homomorphism(base, dps)
@@ -1080,13 +1160,13 @@ def test_embedding_report_rejects_a_pair_outside_the_product(monkeypatch, part):
     else:
         G, induced = perms[0], set(units)
         F = next(t for t in itertools.product(unit_idx, repeat=6) if t not in induced)
-    real = groups._dual_elements
+    real = groups.pair_elements
+    extra = DualPermutation.from_pair(dual_ring(base), G, F)
 
-    def extended(ring, passing):
-        dps = real(ring, passing)
-        return dps + [DualPermutation.from_pair(dps[0].dual, G, F)]
+    def extended(*args):
+        return real(*args) + [extra]
 
-    monkeypatch.setattr(groups, "_dual_elements", extended)
+    monkeypatch.setattr(groups, "pair_elements", extended)
     rep = verify_embedding(base)
     assert rep.injective
     assert not rep.image_in_ambient
