@@ -143,7 +143,7 @@ def _brute_counts(p: int, n: int, cap) -> dict[str, int]:
     of the distinct tables t of constant term zero, and no two translates
     coincide.  So they are counted per t: all |R| of them, and the c with
     t + c inside each mask, through a bitmask per value of the constants
-    that take it outside.
+    that take it outside.  coefficient_sums yields each t once.
     """
     ring = PrimePowerRing(p, n)
     size = ring.size
@@ -151,7 +151,7 @@ def _brute_counts(p: int, n: int, cap) -> dict[str, int]:
     check_cap(size ** D, cap, "polynomial enumeration")
     add_t = ring.index_op_tables()[0]
     stages = fs.monomial_stages(ring, D, ring.elements)
-    found = {t for t, _ in fs.coefficient_sums(add_t, (0,) * size, stages)}
+    found = [t for t, _ in fs.coefficient_sums(add_t, (0,) * size, stages)]
     counts = {"polyfun": len(found) * size}
     # whether t + c lies inside a mask depends on the values of t only
     value_sets = Counter(map(frozenset, found))
@@ -227,12 +227,12 @@ def cmd_canonical(args) -> int:
     return 0
 
 
-def _group_elements(args, cap):
+def _group_elements(args, cap, table=False):
     """Resolve --what group/stabilizer into (base, count, items, elements):
     items(keep) builds the item dicts of the positions the slice keep
     selects, all by default, so a command formats the items it keeps only,
     and elements() builds the listed group elements in listed order, which
-    only a product table needs.
+    only a product table needs; over a field, with table, its cap first.
 
     The semidirect product lists its items from its two factors,
     permutation-major.  The dual permutations and the stabilizer are the
@@ -241,6 +241,8 @@ def _group_elements(args, cap):
     """
     base = _base_of(_ring(args))
     nb = base.size
+    if table and base.is_field:
+        check_cap(gr.field_group_order(base, args.what, cap=cap) ** 2, cap, "multiplication table")
     if args.what == "stabilizer":
         rows, null_part = gr.stabilizer_pairs(base, cap=cap)
 
@@ -319,8 +321,9 @@ def cmd_export(args) -> int:
     cap = _cap(args)
     what = args.what
     if what in ("group", "stabilizer"):
-        base, count, items, elements = _group_elements(args, cap)
-        if args.format == "csv" or args.table:
+        table = args.format == "csv" or args.table
+        base, count, items, elements = _group_elements(args, cap, table)
+        if table:
             check_cap(count**2, cap, "multiplication table")
             table = _multiplication_table(elements())
         if args.format == "csv":
@@ -458,21 +461,16 @@ def _check_local_criterion(p: int, n: int, cap) -> list[tuple[str, bool]]:
     # adding a constant translates [f] and its residues mod p and keeps [f'],
     # so both verdicts are those of the member with constant term 0; they
     # depend only on the key, which is additive in the coefficients, so
-    # checking every distinct key is as strong as checking every candidate
+    # checking every distinct key, each yielded once, is as strong as
+    # checking every candidate
     stages = fs.monomial_stages(
         ring, D, ring.elements, derivative_points=range(p), derivative_scale=p ** (n - 1)
     )
     zero = (0,) * (ring.size + p)
-    seen = set()
-    ok = True
-    for key, _ in fs.coefficient_sums(ring.index_op_tables()[0], zero, stages):
-        if key in seen:
-            continue
-        seen.add(key)
-        brute, local = _local_verdicts(key, p, n)
-        if brute != local:
-            ok = False
-            break
+    ok = all(
+        eq(*_local_verdicts(key, p, n))
+        for key, _ in fs.coefficient_sums(ring.index_op_tables()[0], zero, stages)
+    )
     return [(f"dual[local-criterion:zpn:{p},{n}]", ok)]
 
 

@@ -419,29 +419,40 @@ def coefficient_sums(add_t, zero_table, stages):
     the first c for which s is reached: the same witness a per-candidate
     sweep keeps, and sums come out in the order it first reaches them.
 
-    Every stage but the last is deduplicated.  The last is streamed as
-    (table, coefficients) in sweep order, repeats included, so a consumer
-    keeping the first of each sees the per-candidate sweep's witnesses,
-    without holding the last stage's sums as well.  With no stages the
-    zero table is yielded once, with no coefficients.
+    While the earlier stages' terms are groups (closed under addition), as
+    on a whole-ring domain, so are the stored sums S, and one coefficient
+    per coset of S is stepped: c is skipped if its term t has t - r in S for
+    the term r of an earlier kept c, as then S + t = S + r.  Each distinct
+    sum is then built once.  The last stage is streamed, not stored, as
+    (table, coefficients) in sweep order, with repeats only past a stage
+    that is not a group.  With no stages the zero table is yielded once,
+    with no coefficients.
     """
     sums = {tuple(zero_table): ()}
     if not stages:
         yield from sums.items()
         return
-    for terms in stages[:-1]:
-        grown = {}
+    neg = [row.index(zero_table[0]) for row in add_t]
+    group = True  # the stored sums form a group
+    for i, terms in enumerate(stages, 1 - len(stages)):  # i = 0 at the last
+        grown, kept = {}, []
         for c, term in terms:
             rows = [add_t[b] for b in term]
-            for s, coeffs in sums.items():
-                t = tuple(map(getitem, rows, s))
-                if t not in grown:
-                    grown[t] = coeffs + (c,)
+            if group:
+                if any(tuple(map(getitem, rows, r)) in sums for r in kept):
+                    continue
+                kept.append([neg[b] for b in term])
+            made = ((tuple(map(getitem, rows, s)), w + (c,)) for s, w in sums.items())
+            if i:
+                for t, w in made:
+                    grown.setdefault(t, w)
+            else:
+                yield from made
+        if group and i:
+            tables = {t for _, t in terms}
+            rows = [[add_t[b] for b in t] for t in tables]
+            group = all(tuple(map(getitem, r, t)) in tables for r in rows for t in tables)
         sums = grown
-    for c, term in stages[-1]:
-        rows = [add_t[b] for b in term]
-        for s, coeffs in sums.items():
-            yield tuple(map(getitem, rows, s)), coeffs + (c,)
 
 
 def induced_index_tables(

@@ -200,14 +200,22 @@ def semidirect_factors(ring: Ring, *, cap: int | None = None) -> tuple[list, lis
     return perms, units
 
 
+def field_group_order(base: Ring, what: str, *, cap: int | None = None) -> int:
+    """The order over F_q of the dual group, q! (q - 1)^q, or of the
+    stabilizer, (q - 1)^q, after the caps their listings check first."""
+    q, stabilizer = base.size, what == "stabilizer"
+    count = (q - 1) ** q * (1 if stabilizer else factorial(q))
+    check_cap(count, cap, "stabilizer" if stabilizer else "semidirect product")
+    check_cap(q**q, cap, "polynomial enumeration")
+    return count
+
+
 def semidirect_pairs(ring: Ring, *, cap: int | None = None) -> tuple[list, list]:
     """The two factors of the semidirect product (semidirect_factors), with
-    the cap also bounding the product's size.  Over a field F_q every
-    function is induced, so the factors have q! and (q - 1)^q elements and
-    the product is capped before they are listed."""
+    the cap also bounding the product's size, over a field before they are
+    listed (field_group_order)."""
     if ring.is_field:
-        q = ring.size
-        check_cap(factorial(q) * (q - 1) ** q, cap, "semidirect product")
+        field_group_order(ring, "group", cap=cap)
     perms, units = semidirect_factors(ring, cap=cap)
     check_cap(len(perms) * len(units), cap, "semidirect product")
     return perms, units
@@ -421,7 +429,7 @@ def stabilizer_pairs(base: Ring, *, cap: int | None = None):
     nb = base.size
     ident = [range(nb)]
     if base.is_field:
-        check_cap((nb - 1) ** nb, cap, "stabilizer")
+        field_group_order(base, "stabilizer", cap=cap)
         units = semidirect_factors(base, cap=cap)[1]
         K = hermite_basis(base)[1]
         less_one = base.index_op_tables()[0][base.index(base.neg(base.one))]

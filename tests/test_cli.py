@@ -698,6 +698,26 @@ def test_export_refuses_the_table_before_building_items(capsys, monkeypatch, wha
     assert built == []
 
 
+@pytest.mark.parametrize("what,cap,err", [
+    (("group", "--dual"), None, "multiplication table: 15099494400 exceeds cap 10000000"),
+    (("stabilizer",), "1000000", "multiplication table: 1048576 exceeds cap 1000000"),
+])
+def test_field_table_refusal_lists_nothing(capsys, monkeypatch, what, cap, err):
+    # over F_5 the orders, 120 * 4^5 and 4^5, are known before listing, so
+    # the table is refused with no Hermite form, factor or packed row built
+    def no_build(*args, **kwargs):
+        raise AssertionError("built")
+
+    if cap:
+        monkeypatch.setenv(CAP_ENV_VAR, cap)
+    for name in ("hermite_basis", "hermite_sum", "semidirect_factors", "packed_rows"):
+        monkeypatch.setattr(gr, name, no_build)
+    for fmt in (("--table",), ("--format", "csv")):
+        assert run(capsys, "export", "--what", *what, "--ring", "fq:5", *fmt) == (
+            3, "", f"error: {err}\n"
+        )
+
+
 @pytest.mark.parametrize("argv,err", [
     (("enumerate", "--what", "group", "--dual", "--ring", "zpn:2,3"),
      "error: pair sweep: 16777216 exceeds cap 10000000\n"),

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringfunc.canonical import count_polynomial_functions
 from ringfunc.dual import dual_ring
 from ringfunc.funcspace import (
     FunctionTable,
@@ -436,13 +437,20 @@ def test_coefficient_sums_keep_the_first_witness_of_every_table(desc, with_deriv
 
 
 def test_coefficient_sums_stream_only_the_last_stage():
-    # stage 1 of Z_4 has the four tables of c x, stage 2 adds c x^2 to each
-    # of them: 16 sums streamed, of which 8 distinct
+    # stage 1 of Z_4 has the four tables of c x, a group S; stage 2 adds
+    # c x^2, and [2 x^2] = [2 x] lies in S, so only c = 0 and 1 are stepped
+    # and the 8 sums streamed are all distinct
     z4 = make_ring("zpn:2,2")
-    stages = monomial_stages(z4, 3, z4.elements)
-    stream = list(coefficient_sums(z4.index_op_tables()[0], (0,) * 4, stages))
+    add_t = z4.index_op_tables()[0]
+    stream = list(coefficient_sums(add_t, (0,) * 4, monomial_stages(z4, 3, z4.elements)))
+    assert len(stream) == len(dict(stream)) == 8
+    assert {coeffs[-1] for _, coeffs in stream} == {0, 1}
+    # the tables of x and 2 x hold no zero table, so no stage is a group:
+    # the 8 distinct sums of degrees 1 .. 3 are each stepped by both
+    # coefficients of x^4, 16 sums streamed, of which 12 distinct
+    stream = list(coefficient_sums(add_t, (0,) * 4, monomial_stages(z4, 5, (1, 2))))
     assert len(stream) == 16
-    assert len(dict(stream)) == 8
+    assert len(dict(stream)) == 12
     assert list(coefficient_sums(None, (0, 0), [])) == [((0, 0), ())]
 
 
@@ -451,6 +459,59 @@ SMALL_RINGS = (
     "zm:4", "zm:6", "zm:8", "zm:9", "zpn:2,2", "zpn:2,3", "zpn:3,2",
     "dual:fq:2", "dual:fq:3",
 )
+
+
+@pytest.mark.parametrize("desc", SMALL_RINGS)
+@pytest.mark.parametrize("with_derivative", [False, True])
+def test_whole_ring_stages_stream_each_sum_once(desc, with_derivative):
+    # on whole-ring domains every stage is a group: the stream has no
+    # repeats and is the per-candidate first-seen map item for item, up to
+    # the null degree bound or 1,000 candidates
+    ring = make_ring(desc)
+    points = range(ring.size) if with_derivative else ()
+    zero = (ring.index(ring.zero),) * (ring.size + len(points))
+    add_t = ring.index_op_tables()[0]
+    for D in range(1, null_degree_bound(ring) + 1):
+        if ring.size ** (D - 1) > 1000:
+            break
+        stages = monomial_stages(ring, D, ring.elements, derivative_points=points)
+        stream = list(coefficient_sums(add_t, zero, stages))
+        assert len(stream) == len(dict(stream))
+        assert stream == list(_first_seen(ring, D, ring.elements, with_derivative).items())
+
+
+def test_local_criterion_stages_stream_each_key_once():
+    # the stages of _check_local_criterion on Z_9: [f] followed by
+    # 3 f'(a) for a < 3, against every candidate, and every key once at the
+    # null degree bound
+    z9 = make_ring("zpn:3,2")
+    add_t = z9.index_op_tables()[0]
+    for D in range(1, null_degree_bound(z9) + 1):
+        stages = monomial_stages(
+            z9, D, z9.elements, derivative_points=range(3), derivative_scale=3
+        )
+        stream = list(coefficient_sums(add_t, (0,) * 12, stages))
+        assert len(stream) == len(dict(stream))
+        if D > 4:
+            continue
+        seen = {}
+        for rest in itertools.product(z9.elements, repeat=D - 1):
+            f = Polynomial((0,) + rest[::-1])
+            dtab = induce(f.derive(), z9).values
+            key = induce(f, z9).values + tuple(3 * dtab[a] % 9 for a in range(3))
+            seen.setdefault(key, rest[::-1])
+        assert stream == list(seen.items())
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
+def test_brute_count_stages_stream_the_closed_form_count(p, n):
+    # the tables of constant term zero are the polynomial functions up to
+    # translation by the p^n constants
+    ring = make_ring(f"zpn:{p},{n}")
+    stages = monomial_stages(ring, null_degree_bound(ring), ring.elements)
+    streamed = sum(1 for _ in coefficient_sums(ring.index_op_tables()[0], (0,) * p**n, stages))
+    assert streamed == count_polynomial_functions(p, n) // p**n
+    assert streamed == {(2, 2): 16, (2, 3): 128, (3, 2): 2187}[p, n]
 
 
 @st.composite
