@@ -18,7 +18,7 @@ import json
 import random
 import sys
 from collections import Counter
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import eq, getitem, or_
 
 from . import canonical as canon
@@ -658,9 +658,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except SizeCapError as exc:

@@ -30,19 +30,15 @@ factors by the field theorem, elsewhere from the coefficient sweep.
 verify_group_axioms checks closure exactly from a greedy generating set S,
 with |G| * |S| products instead of |G|^2, and the identity and inverses on
 every element, all on the elements' index tables; on fq:4, of order 1944,
-|S| is 3.  verify_embedding sweeps the coefficients once for both the
-dual permutations and the stabilizer (_dual_sweep), below the degree D of
-funcspace.dual_degree_bound: over Z/m the first degree whose monomial pair
-lies in the span of the lower ones, found by linear algebra, not by a
-search.  The sweep builds a pair only where the first tables of its low and
-high halves add to a bijection or to zero.  It checks the homomorphism law
+|S| is 3.  verify_embedding lists the dual permutations, over Z/m from one
+coefficient sweep below funcspace.dual_degree_bound (_dual_sweep, which
+builds a pair only where the first tables of its low and high halves add
+to a bijection or to zero), and over F_q from dual_pairs, proved the whole
+image by the 2q Hermite basis evaluations.  It checks the homomorphism law
 by comparing the pair read back from d * s with the twisted product of the
-pairs of d and s, for every d and every generator s.  It decides membership
-of the image in the semidirect product per element: G among the induced
-permutations and F among the induced unit-valued tables.  Surjectivity then
-is |image| = |P(R)| * |F(R)^x|; the product itself is never built.  It
-sweeps over fields too, since the sweep is what proves the field theorem
-that dual_pairs relies on there.
+pairs of d and s, for every d and every generator s, and membership of the
+image in the semidirect product on packed rows.  Surjectivity then is
+|image| = |P(R)| * |F(R)^x|; the product's elements are never built.
 """
 
 from __future__ import annotations
@@ -334,7 +330,8 @@ def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
 
     Only the first table [f0] of a pair decides which dict it may enter, so
     split_sweep builds a pair only where its low and high first tables add
-    to a bijection or to zero.
+    to a bijection or to zero.  The library sweeps only over Z/m; over a
+    field the tests keep it as the oracle of the field theorem.
     """
     D = dual_degree_bound(base)
     check_cap(base.size**D, cap, "pair sweep")
@@ -640,6 +637,7 @@ class EmbeddingReport:
     image_in_ambient: bool
     surjective: bool
     factorization_ok: bool
+    image_mode: str
     over_field: bool = False
 
     @property
@@ -655,38 +653,57 @@ class EmbeddingReport:
         return (self.surjective or not self.over_field) and self.surjective == full
 
 
+def _hermite_basis_evaluates(base: Ring) -> bool:
+    """Whether [H_a] = [K_a'] = e_a and [H_a'] = [K_a] = 0 for every a, by Horner on
+    the coefficients and the formal derivative: the rows ([v], [v']) of H_0 .. H_q-1,
+    K_0 .. K_q-1 make the identity, so f -> ([f], [f']) is onto every pair."""
+    els, n = base.elements, 2 * base.size
+    scales = [base.from_int(k) for k in range(1, n)]
+    H, K = hermite_basis(base)
+    return [
+        base.horner(c, els) + base.horner(list(map(base.mul, scales, c[1:])), els)
+        for c in ([els[i] for i in vec] for vec in H + K)
+    ] == [[base.one if i == j else base.zero for i in range(n)] for j in range(n)]
+
+
 def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     """Check that reading off base pairs embeds the dual permutations into
     the semidirect product.
 
-    One coefficient sweep yields the dual permutations and the stabilizer.
-    Injectivity and membership of the image are exhaustive; membership is
-    decided per element, G among the induced permutations and F among the
-    induced unit-valued tables.  The homomorphism law
-    pair(d * s) = pair(d) * pair(s) compares the pair read back from the
-    composed table with the twisted product (G1 o G2, (F1 o G2) . F2) of the
-    pairs, for every dual permutation d and every s in a greedy generating
-    set S of them, while the closure from S is built; the enumerated set
-    must be closed under those products, or homomorphism_ok is False.  This
-    is exact: with d * g = d * s1 * ... * sk the law for all pairs follows by
-    induction on k, since both products are compositions and hence
-    associative.  The mode is "generators:<|S|>".  The image is onto iff it
-    lies in the product and has its size |P(R)| * |F(R)^x|; its size is
-    also compared against the stabilizer-permutation factorization.
+    Over Z/m the elements and the stabilizer come from one coefficient sweep
+    (_dual_sweep): image_mode "exhaustive".  Over F_q the elements are the
+    rows of dual_pairs, and the 2q Hermite basis evaluations prove them the
+    image and the stabilizer every unit table: image_mode "basis:<2q>"; if
+    they fail, neither surjective nor factorization_ok holds.  Injectivity
+    and membership in the product are exhaustive, on the packed rows read
+    off the tables.  The homomorphism law pair(d * s) = pair(d) * pair(s)
+    compares the pair read back from the composed table with the twisted
+    product (G1 o G2, (F1 o G2) . F2), for every dual permutation d and
+    every s in a greedy generating set S of them, while the closure from S
+    is built; the set must be closed under those products, or
+    homomorphism_ok is False.  This is exact: the law for d * s1 * ... * sk
+    follows by induction on k, both products being associative.  The mode
+    is "generators:<|S|>".  The image is onto iff it lies in the product
+    and has its size |P(R)| * |F(R)^x|, and that size must factor as
+    |Stab| * |P(R)|.
     """
-    passing, units = _dual_sweep(base, cap=cap)
-    perms = pair_elements(dual_ring(base), sorted(_translates(base, passing)))
-    image = {dp.base_pair() for dp in perms}
+    if base.is_field:
+        rows = dual_pairs(base, cap=cap)[0]
+        proved, image_mode = _hermite_basis_evaluates(base), f"basis:{2 * base.size}"
+    else:
+        passing, units = _dual_sweep(base, cap=cap)
+        rows, proved, image_mode = sorted(_translates(base, passing)), True, "exhaustive"
+    perms = pair_elements(dual_ring(base), rows)
+    nb, i1 = base.size, base.index(base.one)
+    image = {dp.table[i1::nb] for dp in perms}
     injective = len(image) == len(perms)
 
     perm_tables, unit_tables = semidirect_pairs(base, cap=cap)
-    perm_set, unit_set = set(perm_tables), set(unit_tables)
-    image_in_ambient = all(G in perm_set and F in unit_set for G, F in image)
+    image_in_ambient = image <= set(packed_rows(base, perm_tables, unit_tables))
+    stabilizer_size = len(unit_tables) if base.is_field else len(units)
 
     # the law reads pairs packed as the row b = 1 of a table, entry a being
     # G(a) * nb + F(a); scale[f][v] multiplies the F part of packed v by f
-    nb = base.size
-    i1 = base.index(base.one)
     mul_t = base.index_op_tables()[1]
     scale = [[v - v % nb + mul_t[v % nb][f] for v in range(nb * nb)] for f in range(nb)]
     law_ok = True
@@ -709,20 +726,21 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
 
     gens, closed = _generate(perms, law)
 
-    ambient_size = len(perm_set) * len(unit_set)
+    ambient_size = len(perm_tables) * len(unit_tables)
     return EmbeddingReport(
         base=base.descriptor,
         dual_perm_count=len(perms),
         image_size=len(image),
         ambient_size=ambient_size,
-        perm_count=len(perm_set),
-        unit_table_count=len(unit_set),
-        stabilizer_size=len(units),
+        perm_count=len(perm_tables),
+        unit_table_count=len(unit_tables),
+        stabilizer_size=stabilizer_size,
         injective=injective,
         homomorphism_ok=law_ok and closed,
         homomorphism_mode=f"generators:{len(gens)}",
         image_in_ambient=image_in_ambient,
-        surjective=image_in_ambient and len(image) == ambient_size,
-        factorization_ok=len(image) == len(units) * len(perm_set),
+        surjective=proved and image_in_ambient and len(image) == ambient_size,
+        factorization_ok=proved and len(image) == stabilizer_size * len(perm_tables),
+        image_mode=image_mode,
         over_field=base.is_field,
     )

@@ -15,7 +15,7 @@ from ringfunc.cli import main
 from ringfunc.dual import DualRing, dual_ring, horner_dual
 from ringfunc.poly import Polynomial, format_polynomial
 from ringfunc.rings import CAP_ENV_VAR, PrimePowerRing, SizeCapError, make_ring
-from test_groups import sweep_dual_listing, sweep_stabilizer_listing
+from test_groups import corrupt_hermite_basis, sweep_dual_listing, sweep_stabilizer_listing
 
 
 def run(capsys, *argv):
@@ -737,6 +737,9 @@ def test_field_table_refusal_lists_nothing(capsys, monkeypatch, what, cap, err):
      "error: pair sweep: 387420489 exceeds cap 10000000\n"),
     (("verify", "--suite", "groups", "--ring", "zm:9"),
      "error: pair sweep: 387420489 exceeds cap 10000000\n"),
+    # over a field the embedding lists the group, so the product's cap refuses
+    (("verify", "--suite", "groups", "--ring", "fq:7"),
+     "error: semidirect product: 1410877440 exceeds cap 10000000\n"),
     # (q - 1)^q = 5,764,801 passes the stabilizer cap, q^q does not
     (("enumerate", "--what", "stabilizer", "--ring", "fq:8"),
      "error: polynomial enumeration: 16777216 exceeds cap 10000000\n"),
@@ -1041,6 +1044,17 @@ def test_verify_groups_fails_an_inconsistent_embedding(capsys, monkeypatch, ring
     code, out, _ = run(capsys, "verify", "--suite", "groups", "--ring", ring)
     assert code == 4
     assert f"groups[embedding:{ring}]: FAIL" in out
+
+
+def test_verify_groups_fails_a_corrupted_hermite_basis(capsys, monkeypatch):
+    corrupt_hermite_basis(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--suite", "groups", "--ring", "fq:3")
+    assert code == 4
+    assert out.splitlines() == [
+        "groups[axioms:fq:3]: pass",
+        "groups[embedding:fq:3]: FAIL",
+        "1/2 checks passed",
+    ]
 
 
 def test_verify_failure_exits_four(capsys, monkeypatch):

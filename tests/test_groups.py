@@ -1060,6 +1060,58 @@ def test_embedding_report_over_fields():
     assert (rep3.dual_perm_count, rep3.image_size, rep3.ambient_size) == (48, 48, 48)
     assert (rep3.perm_count, rep3.unit_table_count, rep3.stabilizer_size) == (6, 8, 8)
 
+    rep4 = verify_embedding(make_ring("fq:4"))
+    assert rep4.passed
+    assert rep4.surjective
+    assert (rep4.dual_perm_count, rep4.image_size, rep4.ambient_size) == (1944, 1944, 1944)
+    assert (rep4.perm_count, rep4.unit_table_count, rep4.stabilizer_size) == (24, 81, 81)
+
+    # the image over a field is proved by the 2q Hermite basis evaluations
+    assert [rep.image_mode for rep in (rep2, rep3, rep4)] == ["basis:4", "basis:6", "basis:8"]
+    for desc in ("zpn:2,2", "zm:6"):
+        assert verify_embedding(make_ring(desc)).image_mode == "exhaustive"
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4"])
+def test_field_embedding_does_not_sweep(monkeypatch, desc):
+    # the sweep stays the oracle: its image and stabilizer sizes are the
+    # report's, though the report never sweeps
+    base = make_ring(desc)
+    passing, units = groups._dual_sweep(base)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("swept")
+
+    for name in ("_dual_sweep", "_translates", "split_sweep", "coefficient_sums"):
+        monkeypatch.setattr(groups, name, refuse)
+    rep = verify_embedding(base)
+    assert rep.passed and rep.surjective and rep.image_consistent
+    assert (rep.image_size, rep.stabilizer_size) == (len(passing) * base.size, len(units))
+
+
+def corrupt_hermite_basis(monkeypatch):
+    """Make groups.hermite_basis return K_1 with its top coefficient moved to
+    the next element index: K_1 then differs by c * x^(2q - 1), c nonzero,
+    whose values are those of c * x, so [K_1] is no longer zero."""
+    real = groups.hermite_basis
+
+    def corrupted(ring):
+        H, K = real(ring)
+        K[1] = K[1][:-1] + [(K[1][-1] + 1) % ring.size]
+        return H, K
+
+    monkeypatch.setattr(groups, "hermite_basis", corrupted)
+
+
+def test_embedding_report_fails_a_corrupted_hermite_basis(monkeypatch):
+    base = make_ring("fq:3")
+    corrupt_hermite_basis(monkeypatch)
+    rep = verify_embedding(base)
+    assert rep.injective and rep.homomorphism_ok and rep.image_in_ambient
+    assert not rep.surjective and not rep.factorization_ok
+    assert not rep.passed
+    assert not rep.image_consistent
+
 
 def test_embedding_report_over_the_four_element_ring():
     rep = verify_embedding(make_ring("zpn:2,2"))
