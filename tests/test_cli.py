@@ -737,12 +737,12 @@ def test_field_table_refusal_lists_nothing(capsys, monkeypatch, what, cap, err):
      "error: pair sweep: 387420489 exceeds cap 10000000\n"),
     (("verify", "--suite", "groups", "--ring", "zm:9"),
      "error: pair sweep: 387420489 exceeds cap 10000000\n"),
-    # over a field the embedding lists the group, so the product's cap refuses
-    (("verify", "--suite", "groups", "--ring", "fq:7"),
-     "error: semidirect product: 1410877440 exceeds cap 10000000\n"),
     # (q - 1)^q = 5,764,801 passes the stabilizer cap, q^q does not
     (("enumerate", "--what", "stabilizer", "--ring", "fq:8"),
      "error: polynomial enumeration: 16777216 exceeds cap 10000000\n"),
+    # over a field the embedding lists the group, so the product's cap refuses
+    (("verify", "--suite", "groups", "--ring", "fq:7"),
+     "error: semidirect product: 1410877440 exceeds cap 10000000\n"),
 ])
 def test_group_refusals_are_pinned(capsys, argv, err):
     assert run(capsys, *argv) == (3, "", err)
