@@ -438,7 +438,7 @@ def _check_dual_criterion(base: Ring, cap) -> list[tuple[str, bool]]:
     )
     ok = all(
         eq(*_dual_verdicts(tuple(map(getitem, rows, t)), base))
-        for rows, _, bijective, _ in split
+        for rows, _, bijective in split
         for t, _ in bijective
     )
     return [(f"dual[criterion:{base.descriptor}]", ok)]

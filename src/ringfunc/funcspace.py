@@ -3,10 +3,10 @@
 A FunctionTable is the explicit value list of an induced function [f], indexed
 by the ring's canonical element order.  This module carries the pointwise ring
 structure on tables, the predicates (null, unit-valued, permutation) in both
-brute-force and criterion form, Lagrange interpolation over fields, the
-pair-realization construction for dual permutations, and the enumeration
-engine, distinct coefficient sums built degree by degree, used by the
-counting and group modules.
+brute-force and criterion form, Lagrange interpolation, the Hermite basis over
+fields and the pair module over Z/m that realize pairs ([f], [f']), and the
+enumeration engine, distinct coefficient sums built degree by degree, used by
+the counting and group modules.
 
 The brute-force predicates are the oracles; the criteria are the products.
 Keeping both first-class means every fast path can be cross-checked against
@@ -16,6 +16,7 @@ plain evaluation at any time.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from math import gcd
 from operator import getitem
 
@@ -326,44 +327,76 @@ def dual_degree_bound(base: Ring) -> int:
     dual permutation comes from a polynomial of degree < D.
 
     Fields give 2q, by (x^q - x)^2.  Over Z/m, D is the first degree whose
-    pair ([x^D], [D x^(D-1)]), a vector of (Z/m)^(2m), lies in the span of
-    the pairs of x^0 .. x^(D-1): x^D minus that combination is a monic null
-    pair, and a monic null g of degree D puts it there.  The span is held as
-    a triangular basis of the lattice it spans with m Z^(2m), rows m e_j to
-    start, every pivot dividing m, entries mod m (which moves a row by
-    lattice vectors only).  A member reduces to zero column by column, each
-    pivot dividing its entry; where a pivot a does not divide the entry b, v
-    merges into the row by a Bezout step g = s a + t b: the row becomes
-    s row + t v, and (b/g) row - (a/g) v goes on.  Nothing is searched and m
-    is not factored (Howell, "Spans in the module (Z_m)^s", 1986).
+    pair ([x^D], [D x^(D-1)]) in (Z/m)^(2m) lies in the span of the pairs of
+    x^0 .. x^(D-1) (_merge): x^D minus that combination is a monic null
+    pair, and a monic null g of degree D puts it there.  Nothing is searched.
     """
     if base.is_field:
         return 2 * base.size
     m = base.size
-    n = 2 * m
-    rows = [[m if i == j else 0 for i in range(n)] for j in range(n)]
+    rows = [[m * (i == j) for i in range(2 * m)] for j in range(2 * m)]
+    return next(D for D, v in enumerate(_monomial_pairs(m)) if _merge(rows, v, m))
+
+
+def _monomial_pairs(m: int):
+    """The pairs ([x^k], [k x^(k-1)]) over Z/m, for k = 0, 1, 2, ..."""
     power, lower = [1] * m, [0] * m
-    D = 0
-    while True:
-        v = power + [D * p % m for p in lower]
-        member = True
-        for j, row in enumerate(rows):
-            a, b = row[j], v[j]
-            if not b:
-                continue
-            if b % a == 0:
-                v = [(x - b // a * y) % m for x, y in zip(v, row)]
-                continue
-            member = False
-            g = gcd(a, b)
-            t = pow(b // g, -1, a // g)
-            s = (g - t * b) // a
-            rows[j] = [(s * y + t * x) % m for x, y in zip(v, row)]
-            v = [(b // g * y - a // g * x) % m for x, y in zip(v, row)]
-        if member:
-            return D
+    for k in count():
+        yield power + [k * p % m for p in lower]
         power, lower = [p * x % m for x, p in enumerate(power)], power
-        D += 1
+
+
+def _merge(rows, v, m: int) -> bool:
+    """Add v to the span over Z/m of the triangular rows, rows m e_j to
+    start; whether it was there already.  v reduces column by column, each
+    pivot a dividing its entry b; where it does not, v merges into the row
+    by a Bezout step g = s a + t b: the row becomes s row + t v, and
+    (b/g) row - (a/g) v goes on.  The steps are unimodular and reduce mod m
+    by lattice vectors only, so the rows stay a basis of the lattice they
+    span with m Z^n: whatever of the span is zero before a column is spanned
+    by the rows from that column on (the Howell property; Howell, "Spans in
+    the module (Z_m)^s", 1986).
+    """
+    member = True
+    for j, row in enumerate(rows):
+        a, b = row[j], v[j]
+        if not b:
+            continue
+        if b % a == 0:
+            v = [(x - b // a * y) % m for x, y in zip(v, row)]
+            continue
+        member = False
+        g = gcd(a, b)
+        t = pow(b // g, -1, a // g)
+        s = (g - t * b) // a
+        rows[j] = [(s * y + t * x) % m for x, y in zip(v, row)]
+        v = [(b // g * y - a // g * x) % m for x, y in zip(v, row)]
+    return member
+
+
+def pair_module(base: Ring) -> list[list[int]]:
+    """The triangular basis over Z/m (_merge) of the rows
+    [([x^k], [x^k']) | e_k] for k < D, the dual degree bound: the pair, then
+    the coefficients from x^(D-1) down to x^0.  It spans the graph of
+    f -> ([f], [f']) on degree < D, which reaches every pair; rows m .. 2m-1
+    span the [g'] of [g] = 0, and the rows from 2m on the null pairs."""
+    m, D = base.size, dual_degree_bound(base)
+    rows = [[m * (i == j) for i in range(2 * m + D)] for j in range(2 * m + D)]
+    for k, v in zip(range(D), _monomial_pairs(m)):
+        _merge(rows, v + [int(i == D - 1 - k) for i in range(D)], m)
+    return rows
+
+
+def least_member(rows, head, m: int) -> list[int]:
+    """The member of the span of the triangular rows (pair_module) that
+    begins with head, which must begin one, each later entry the least
+    given the earlier ones: back-substitution, then greedy reduction."""
+    x = [0] * len(rows)
+    for i, row in enumerate(rows):
+        c = (head[i] - x[i]) % m // row[i] if i < len(head) else -(x[i] // row[i])
+        if c:  # the row is zero before column i
+            x[i:] = [(u + c * w) % m for u, w in zip(x[i:], row[i:])]
+    return x
 
 
 def monomial_stages(

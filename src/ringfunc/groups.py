@@ -25,27 +25,26 @@ Three sets of elements come out of this module:
 
 dual_pairs and stabilizer_pairs list the last two as sorted packed rows,
 with a witness on request, and alone decide how: over a field from the
-factors by the field theorem, elsewhere from the coefficient sweep.
+factors by the field theorem, over Z/m from the pair module (pair_module).
 
 verify_group_axioms checks closure exactly from a greedy generating set S,
 with |G| * |S| products instead of |G|^2, and the identity and inverses on
 every element, all on the elements' index tables; on fq:4, of order 1944,
-|S| is 3.  verify_embedding lists the dual permutations, over Z/m from one
-coefficient sweep below funcspace.dual_degree_bound (_dual_sweep, which
-builds a pair only where the first tables of its low and high halves add
-to a bijection or to zero), and over F_q from dual_pairs, proved the whole
-image by the 2q Hermite basis evaluations.  It checks the homomorphism law
-by comparing the pair read back from d * s with the twisted product of the
-pairs of d and s, for every d and every generator s, and membership of the
-image in the semidirect product on packed rows.  Surjectivity then is
-|image| = |P(R)| * |F(R)^x|; the product's elements are never built.
+|S| is 3.  verify_embedding takes the dual permutations from dual_pairs, the
+whole image by the 2q Hermite basis evaluations over F_q and by the module
+over Z/m.  It checks the homomorphism law by comparing the pair read back
+from d * s with the twisted product of the pairs of d and s, for every d and
+every generator s, and membership of the image in the semidirect product on
+packed rows.  Surjectivity then is |image| = |P(R)| * |F(R)^x|; the
+product's elements are never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, islice, permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from operator import add, getitem, itemgetter
 
 from .dual import DualRing, dual_ring
@@ -56,7 +55,8 @@ from .funcspace import (
     hermite_basis,
     hermite_sum,
     induced_index_tables,
-    monomial_stages,
+    least_member,
+    pair_module,
     ring_polynomial,
 )
 from .poly import Polynomial
@@ -276,17 +276,13 @@ def split_sweep(add_t, zero_table, stages, first: slice):
     stage, k = len(stages) // 2, into the distinct low sums (stages[:k]) and
     high sums (stages[k:]), each with the first coefficients reaching it.
 
-    Yields (rows, coeffs, bijective, null) for each distinct high sum h, in
+    Yields (rows, coeffs, bijective) for each distinct high sum h, in
     first-reached order: rows are the rows of add_t at the entries of h, so
     tuple(map(getitem, rows, t)) is h + t, and coeffs are those of h.
     bijective lists the low (t, coeffs) whose first table t[first], added to
-    h[first], makes a bijection, and null those making it zero, each in
-    first-reached order.  Both depend on h[first] alone and are found once
-    for each: the low sums are grouped by first table, and each group is
-    tested once.  The sweep steps the high coefficients slowest, and a sum
-    has at most one low part per high part, so taking the high sums in
-    first-reached order and the low sums in theirs keeps the sweep's
-    witnesses, low coefficients then high, and its first-seen order.
+    h[first], makes a bijection, in first-reached order.  It depends on
+    h[first] alone and is found once for each: the low sums are grouped by
+    first table, and each group is tested once.
     """
     k = len(stages) // 2
     low: dict[tuple, tuple] = {}
@@ -297,9 +293,7 @@ def split_sweep(add_t, zero_table, stages, first: slice):
     by_first: dict[tuple, list] = {}
     for pos, (t, coeffs) in enumerate(low.items()):
         by_first.setdefault(t[first], []).append((pos, t, coeffs))
-    zero = zero_table[0]
-    neg = [row.index(zero) for row in add_t]
-    slices: dict[tuple, tuple] = {}
+    slices: dict[tuple, list] = {}
     for h, coeffs in high.items():
         h1 = h[first]
         if h1 not in slices:
@@ -308,73 +302,39 @@ def split_sweep(add_t, zero_table, stages, first: slice):
                 item for a1, items in by_first.items()
                 if len(set(map(getitem, rows, a1))) == len(h1) for item in items
             )
-            # a1 + h1 = 0 only for a1 = -h1
-            null = by_first.get(tuple(neg[b] for b in h1), [])
-            slices[h1] = [item[1:] for item in bijective], [item[1:] for item in null]
-        yield [add_t[b] for b in h], coeffs, *slices[h1]
+            slices[h1] = [item[1:] for item in bijective]
+        yield [add_t[b] for b in h], coeffs, slices[h1]
 
 
-def _dual_sweep(base: Ring, *, cap: int | None = None) -> tuple[dict, dict]:
-    """The pairs ([f0], [f0']) of the polynomials f0 of degree < D, the dual
-    degree bound, with constant term zero, for the dual permutations and the
-    stabilizer together.
-
-    Returns (passing, units), each mapping to the coefficients rest, of
-    degree 1 .. D-1, of the first candidate with constant term zero that
-    reaches it in pair_table_sweep, in first-seen order.  passing holds the
-    pairs with [f0] a bijection and [f0'] unit-valued.  units holds the
-    unit-valued tables [1 + g'] of the null g, the pairs with a zero first
-    table.  Adding a constant c translates [f0] by c and leaves [f0']
-    unchanged, so f0 decides for every f0 + c.  The cap counts every
-    candidate, |base|^D, and is checked before any work.
-
-    Only the first table [f0] of a pair decides which dict it may enter, so
-    split_sweep builds a pair only where its low and high first tables add
-    to a bijection or to zero.  The library sweeps only over Z/m; over a
-    field the tests keep it as the oracle of the field theorem.
+def _module_parts(base: Ring, *, times: int, cap: int | None, what: str):
+    """The pair module of Z/m (pair_module), unit_coset(F), the unit-valued
+    tables of the coset F + H, and preimage(pair), the least f of degree < D
+    with ([f], [f']) = pair, the first a coefficient sweep reaches: the
+    coefficient part of the member beginning with the pair, reduced from
+    x^(D-1) down (least_member).  H, the [g'] of [g] = 0, is the span of the
+    rows m .. 2m-1 on their columns; by the Howell property each h in H is
+    sum c_j row_j for one choice of c_j in range(m // pivot_j), so times |H|
+    is capped as what before H is built.
     """
-    D = dual_degree_bound(base)
-    check_cap(base.size**D, cap, "pair sweep")
-    size = base.size
-    mask = base.unit_index_mask()
-    add_t = base.index_op_tables()[0]
-    one_row = add_t[base.index(base.one)]
-    zero = base.index(base.zero)
-    stages = monomial_stages(base, D, base.elements, derivative_points=range(size))
-    passing: dict[tuple, tuple] = {}
-    units: dict[tuple, tuple] = {}
-    for rows, hc, bijective, null in split_sweep(
-        add_t, (zero,) * (2 * size), stages, slice(size)
-    ):
-        for t, coeffs in bijective:
-            pair = tuple(map(getitem, rows, t))
-            if all(map(mask.__getitem__, pair[size:])):
-                passing.setdefault(pair, coeffs + hc)
-        for t, coeffs in null:
-            unit = tuple(one_row[v] for v in map(getitem, rows[size:], t[size:]))
-            if all(map(mask.__getitem__, unit)):
-                units.setdefault(unit, coeffs + hc)
-    return passing, units
+    module, nb = pair_module(base), base.size
+    check_cap(times * prod(nb // module[j][j] for j in range(nb, 2 * nb)), cap, what)
+    add_t, mask = base.index_op_tables()[0], base.unit_index_mask()
+    H = [(0,) * nb]
+    for j, row in enumerate(module[nb:2 * nb], nb):
+        # the rows of add_t at the entries of c * row_j, for c = 1, 2, ...
+        steps = [[add_t[c * w % nb] for w in row[nb:2 * nb]] for c in range(1, nb // row[j])]
+        H += [tuple(map(getitem, rows, h)) for rows in steps for h in H]
 
+    @lru_cache(maxsize=None)
+    def unit_coset(F):
+        adds = [add_t[f] for f in F]
+        coset = (tuple(map(getitem, adds, h)) for h in H)
+        return [u for u in coset if all(map(mask.__getitem__, u))]
 
-def _translates(base: Ring, passing: dict) -> dict:
-    """The packed rows of the passing pairs of _dual_sweep translated by
-    every constant c, by the row of c in the addition table, which gives the
-    pairs of the f0 + c; each maps to the coefficients of its f0 + c.  No
-    two translations meet, since f0 vanishes at 0 and c is the value of the
-    translated table there."""
-    nb = base.size
-    # shift[c] takes the packed entry g * |R| + f to (c + g) * |R| + f
-    shift = [
-        [row[v // nb] * nb + v % nb for v in range(nb * nb)]
-        for row in base.index_op_tables()[0]
-    ]
-    out = {}
-    for pair, rest in passing.items():
-        row = [f * nb + d for f, d in zip(pair[:nb], pair[nb:])]
-        for c, t in zip(base.elements, shift):
-            out[tuple(map(t.__getitem__, row))] = (c,) + rest
-    return out
+    def preimage(pair):
+        return ring_polynomial(base, least_member(module, pair, nb)[2 * nb:][::-1])
+
+    return module, unit_coset, preimage
 
 
 def dual_pairs(base: Ring, *, cap: int | None = None):
@@ -382,34 +342,42 @@ def dual_pairs(base: Ring, *, cap: int | None = None):
     so in table order, and witness(row), a polynomial inducing the element
     of a row.
 
-    Over a field F_q the dual permutations are every pair (G, F) of
-    P(F_q) x F(F_q)^x (the field theorem), capped as the semidirect
-    product.  The witness is the Hermite form A_G + B_F, with
-    A_G = sum_a G(a) H_a computed once per G and B_F = sum_a F(a) K_a once
-    per F (hermite_basis): the only polynomial of degree < 2q with the
-    pair, and so the one the sweep finds first.  Elsewhere they are the
-    pairs of _dual_sweep translated by every constant (_translates), and the
-    witness of a translate by c is f0 + c for the first f0 in sweep order
-    reaching the untranslated pair.
+    Over a field F_q they are every pair (G, F) of P(F_q) x F(F_q)^x (the
+    field theorem), capped as the semidirect product, and the witness is
+    the only polynomial of degree < 2q with the pair, the Hermite form
+    A_G + B_F, A_G = sum_a G(a) H_a and B_F = sum_a F(a) K_a, all built on
+    the first call.  Over Z/m each G of P(R) lifts to a pair (G, F) of the
+    pair module, and the pairs over G are the unit-valued tables of F + H,
+    |P(R)| |H| pairs capped as "dual pairs"; the witness is the least
+    preimage (_module_parts).
     """
-    if not base.is_field:
-        witnesses = _translates(base, _dual_sweep(base, cap=cap)[0])
-        return sorted(witnesses), lambda row: ring_polynomial(base, witnesses[row])
-    perms, units = semidirect_pairs(base, cap=cap)
-    H, K = hermite_basis(base)
-    add_t = base.index_op_tables()[0]
-    # entry b of row d of A[i] is the element A_G[d] + b: a coefficient of
-    # A_G + B_F is then one lookup
-    A = [[[base.elements[s] for s in add_t[a]] for a in hermite_sum(base, H, G)] for G in perms]
-    B = [hermite_sum(base, K, F) for F in units]
-    rows = packed_rows(base, perms, units)
-    where = dict(zip(rows, product(range(len(perms)), range(len(units)))))
+    nb, add_t = base.size, base.index_op_tables()[0]
+    if base.is_field:
+        perms, units = semidirect_pairs(base, cap=cap)
+        rows = packed_rows(base, perms, units)
 
-    def witness(row):
-        i, j = where[row]
-        return ring_polynomial(base, list(map(getitem, A[i], B[j])))
+        @lru_cache(maxsize=None)
+        def parts():
+            # row -> (A_G, B_F); entry b of row d of A_G is the element
+            # A_G[d] + b, so a coefficient of A_G + B_F is one lookup
+            H, K = hermite_basis(base)
+            A = [[[base.elements[s] for s in add_t[a]] for a in hermite_sum(base, H, G)]
+                 for G in perms]
+            B = [hermite_sum(base, K, F) for F in units]
+            return {row: (A[k // len(B)], B[k % len(B)]) for k, row in enumerate(rows)}
 
-    return sorted(rows), witness
+        def witness(row):
+            return ring_polynomial(base, list(map(getitem, *parts()[row])))
+
+        return sorted(rows), witness
+    perms = semidirect_factors(base, cap=cap)[0]
+    module, unit_coset, preimage = _module_parts(base, times=len(perms), cap=cap, what="dual pairs")
+    rows = []
+    for G in perms:
+        # the lift reduces F to the least of its coset, a key for unit_coset
+        F = tuple(least_member(module, G, nb)[nb:2 * nb])
+        rows += packed_rows(base, [G], unit_coset(F))
+    return sorted(rows), lambda row: preimage([v // nb for v in row] + [v % nb for v in row])
 
 
 def stabilizer_pairs(base: Ring, *, cap: int | None = None):
@@ -419,27 +387,27 @@ def stabilizer_pairs(base: Ring, *, cap: int | None = None):
 
     Over a field F_q every unit table occurs, capped at (q - 1)^q, and g is
     the Hermite form of the pair (0, F - 1), sum_a (F(a) - 1) K_a: the only
-    g of degree < 2q with [g] = 0 and [g'] = F - 1.  Elsewhere the unit
-    tables are those of _dual_sweep, and g is the first null g in sweep
-    order.
+    g of degree < 2q with [g] = 0 and [g'] = F - 1.  Over Z/m the unit
+    tables are those of the coset 1 + H, capped at |H|, and g is the least
+    preimage of (0, F - 1) (_module_parts).
     """
     nb = base.size
-    ident = [range(nb)]
+    less_one = base.index_op_tables()[0][base.index(base.neg(base.one))]
     if base.is_field:
         field_group_order(base, "stabilizer", cap=cap)
         units = semidirect_factors(base, cap=cap)[1]
         K = hermite_basis(base)[1]
-        less_one = base.index_op_tables()[0][base.index(base.neg(base.one))]
 
         def null_part(row):
             g = hermite_sum(base, K, [less_one[v % nb] for v in row])
             return ring_polynomial(base, [base.elements[i] for i in g])
+    else:
+        _, unit_coset, preimage = _module_parts(base, times=1, cap=cap, what="stabilizer")
+        units = sorted(unit_coset((base.index(base.one),) * nb))
 
-        return packed_rows(base, ident, units), null_part
-    units = _dual_sweep(base, cap=cap)[1]
-    return packed_rows(base, ident, sorted(units)), lambda row: ring_polynomial(
-        base, (base.zero,) + units[tuple(v % nb for v in row)]
-    )
+        def null_part(row):
+            return preimage([0] * nb + [less_one[v % nb] for v in row])
+    return packed_rows(base, [range(nb)], units), null_part
 
 
 def enumerate_dual_permutations(
@@ -670,37 +638,36 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     """Check that reading off base pairs embeds the dual permutations into
     the semidirect product.
 
-    Over Z/m the elements and the stabilizer come from one coefficient sweep
-    (_dual_sweep): image_mode "exhaustive".  Over F_q the elements are the
-    rows of dual_pairs, and the 2q Hermite basis evaluations prove them the
-    image and the stabilizer every unit table: image_mode "basis:<2q>"; if
-    they fail, neither surjective nor factorization_ok holds.  Injectivity
-    and membership in the product are exhaustive, on the packed rows read
-    off the tables.  The homomorphism law pair(d * s) = pair(d) * pair(s)
-    compares the pair read back from the composed table with the twisted
-    product (G1 o G2, (F1 o G2) . F2), for every dual permutation d and
-    every s in a greedy generating set S of them, while the closure from S
-    is built; the set must be closed under those products, or
-    homomorphism_ok is False.  This is exact: the law for d * s1 * ... * sk
-    follows by induction on k, both products being associative.  The mode
-    is "generators:<|S|>".  The image is onto iff it lies in the product
-    and has its size |P(R)| * |F(R)^x|, and that size must factor as
-    |Stab| * |P(R)|.
+    The elements are the rows of dual_pairs, their tables capped first at
+    |image| |R|^2 entries.  Over F_q the 2q Hermite basis evaluations prove
+    them the image and the stabilizer every unit table, image_mode
+    "basis:<2q>"; if they fail, neither surjective nor factorization_ok
+    holds.  Over Z/m the pair module lists the image, image_mode "module",
+    and the stabilizer is the image over G = id.  Injectivity and membership
+    in the product are exhaustive, on the packed rows read off the tables.
+    The homomorphism law pair(d * s) = pair(d) * pair(s) compares the pair
+    read back from the composed table with the twisted product
+    (G1 o G2, (F1 o G2) . F2), for every d and every s in a greedy
+    generating set S of them, while the closure from S is built; the set
+    must be closed under those products, or homomorphism_ok is False.  By
+    induction on k the law then holds for d * s1 * ... * sk, both products
+    being associative: mode "generators:<|S|>".  The image is onto iff it
+    lies in the product and has its size |P(R)| * |F(R)^x|, which must
+    factor as |Stab| * |P(R)|.
     """
-    if base.is_field:
-        rows = dual_pairs(base, cap=cap)[0]
-        proved, image_mode = _hermite_basis_evaluates(base), f"basis:{2 * base.size}"
-    else:
-        passing, units = _dual_sweep(base, cap=cap)
-        rows, proved, image_mode = sorted(_translates(base, passing)), True, "exhaustive"
-    perms = pair_elements(dual_ring(base), rows)
     nb, i1 = base.size, base.index(base.one)
+    rows = dual_pairs(base, cap=cap)[0]
+    proved = _hermite_basis_evaluates(base) if base.is_field else True
+    image_mode = f"basis:{2 * nb}" if base.is_field else "module"
+    check_cap(len(rows) * nb * nb, cap, "dual tables")
+    perms = pair_elements(dual_ring(base), rows)
     image = {dp.table[i1::nb] for dp in perms}
     injective = len(image) == len(perms)
 
     perm_tables, unit_tables = semidirect_pairs(base, cap=cap)
     image_in_ambient = image <= set(packed_rows(base, perm_tables, unit_tables))
-    stabilizer_size = len(unit_tables) if base.is_field else len(units)
+    stabilizer_size = len(unit_tables) if base.is_field else sum(
+        all(v // nb == a for a, v in enumerate(row)) for row in image)
 
     # the law reads pairs packed as the row b = 1 of a table, entry a being
     # G(a) * nb + F(a); scale[f][v] multiplies the F part of packed v by f

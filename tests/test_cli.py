@@ -599,6 +599,16 @@ GROUP_OUTPUT_SHA256 = [
     # a refusal writes nothing to stdout
     (("enumerate", "--what", "stabilizer", "--ring", "fq:8"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # refused by the pair sweep's cap until the pair module listed them;
+    # recorded from the sweep with --allow-large
+    (("enumerate", "--what", "group", "--dual", "--ring", "zpn:2,3"), 0,
+     "048861302f2c09d67544a41f19f0179dbc16e97d2a0cccfc684ea4acff3808d5"),
+    (("enumerate", "--what", "stabilizer", "--ring", "zpn:2,3"), 0,
+     "ebf979404e7a79c90e216905e897b05b5f4d66bd6007e2e107461345ece6353f"),
+    (("enumerate", "--what", "stabilizer", "--ring", "zpn:3,2"), 0,
+     "624a5fd12d854e77eb7b021f53b219868b39fc5cff4906778102812d2cf2f1bc"),
+    (("verify", "--suite", "groups", "--ring", "zpn:2,3"), 0,
+     "ee773bc89bee51fa471ba8b2faa48cc1f5be442d5725b15f5633f6a6cd90b913"),
 ]
 
 
@@ -619,7 +629,7 @@ def _group_items(desc, what, dual):
     return count, items(), elements
 
 
-LISTING_RINGS = ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:4", "zm:6"]
+LISTING_RINGS = ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:3", "zm:4", "zm:6", "zm:12"]
 
 
 @pytest.mark.parametrize("desc", LISTING_RINGS)
@@ -718,11 +728,23 @@ def test_field_table_refusal_lists_nothing(capsys, monkeypatch, what, cap, err):
         )
 
 
+@pytest.mark.parametrize("argv,count", [
+    (("enumerate", "--what", "group", "--dual", "--ring", "zpn:2,3"), 8192),
+    (("enumerate", "--what", "stabilizer", "--ring", "zpn:2,3"), 64),
+    (("enumerate", "--what", "stabilizer", "--ring", "zpn:3,2"), 729),
+])
+def test_module_listings_reach_the_orders_of_the_sweep(capsys, argv, count):
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)["count"], len(json.loads(out)["items"])) == (0, count, count)
+
+
 @pytest.mark.parametrize("argv,err", [
-    (("enumerate", "--what", "group", "--dual", "--ring", "zpn:2,3"),
-     "error: pair sweep: 16777216 exceeds cap 10000000\n"),
-    (("enumerate", "--what", "stabilizer", "--ring", "zpn:2,3"),
-     "error: pair sweep: 16777216 exceeds cap 10000000\n"),
+    # |P(R)| |H| = 720 * 84375 pairs to try
+    (("enumerate", "--what", "group", "--dual", "--ring", "zm:15"),
+     "error: dual pairs: 60750000 exceeds cap 10000000\n"),
+    # 8,192 dual permutations are listed; their table is refused
+    (("export", "--what", "group", "--dual", "--ring", "zpn:2,3", "--table"),
+     "error: multiplication table: 67108864 exceeds cap 10000000\n"),
     (("export", "--what", "group", "--ring", "fq:5", "--table"),
      "error: multiplication table: 15099494400 exceeds cap 10000000\n"),
     (("enumerate", "--what", "group", "--ring", "fq:7"),
@@ -731,12 +753,15 @@ def test_field_table_refusal_lists_nothing(capsys, monkeypatch, what, cap, err):
      "error: semidirect product: 1410877440 exceeds cap 10000000\n"),
     (("enumerate", "--what", "stabilizer", "--ring", "fq:9"),
      "error: stabilizer: 134217728 exceeds cap 10000000\n"),
-    (("enumerate", "--what", "group", "--dual", "--ring", "zm:10"),
-     "error: pair sweep: 10000000000 exceeds cap 10000000\n"),
-    (("enumerate", "--what", "stabilizer", "--ring", "zpn:3,2"),
-     "error: pair sweep: 387420489 exceeds cap 10000000\n"),
+    # P(R) is enumerated below the null degree bound 9: 27^9 candidates
+    (("enumerate", "--what", "group", "--dual", "--ring", "zm:27"),
+     "error: polynomial enumeration: 7625597484987 exceeds cap 10000000\n"),
+    # |H| = 7^14
+    (("enumerate", "--what", "stabilizer", "--ring", "zm:49"),
+     "error: stabilizer: 678223072849 exceeds cap 10000000\n"),
+    # 944,784 dual permutations of 81 entries each
     (("verify", "--suite", "groups", "--ring", "zm:9"),
-     "error: pair sweep: 387420489 exceeds cap 10000000\n"),
+     "error: dual tables: 76527504 exceeds cap 10000000\n"),
     # (q - 1)^q = 5,764,801 passes the stabilizer cap, q^q does not
     (("enumerate", "--what", "stabilizer", "--ring", "fq:8"),
      "error: polynomial enumeration: 16777216 exceeds cap 10000000\n"),
@@ -750,14 +775,15 @@ def test_group_refusals_are_pinned(capsys, argv, err):
 
 def test_verify_groups_refuses_before_building_the_product(capsys, monkeypatch):
     # zm:9 has a semidirect product of 7,558,272 elements, under the cap,
-    # and a pair sweep of 9^9 candidates, over it
+    # and 944,784 dual permutations whose tables of 81 entries are over it
     def refuse(*args, **kwargs):
-        raise AssertionError("semidirect product built")
+        raise AssertionError("semidirect product or dual tables built")
 
     monkeypatch.setattr(gr, "semidirect_group", refuse)
+    monkeypatch.setattr(gr, "pair_elements", refuse)
     code, out, err = run(capsys, "verify", "--suite", "groups", "--ring", "zm:9")
     assert (code, out) == (3, "")
-    assert err == "error: pair sweep: 387420489 exceeds cap 10000000\n"
+    assert err == "error: dual tables: 76527504 exceeds cap 10000000\n"
 
 
 # verify --suite dual: exit code, sha256 of stdout and stderr, recorded while

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from ringfunc import groups
+from ringfunc import cli, funcspace, groups
 from ringfunc.dual import dual_ring, horner_dual
 from ringfunc.funcspace import (
     FunctionTable,
@@ -686,8 +686,11 @@ def _pair_sums(base, degree_bound, *, cap=None):
 
 
 def _streamed_dual_sweep(base, *, cap=None):
-    """The oracle of groups._dual_sweep: every pair of _pair_sums at the
-    dual degree bound, filtered one by one."""
+    """The coefficient sweep oracle of the dual listings: every pair of
+    _pair_sums at the dual degree bound, filtered one by one.  Returns
+    (passing, units): the pairs ([f0], [f0']) with [f0] a bijection and
+    [f0'] unit-valued, and the unit-valued [1 + g'] of the null g, each
+    mapping to the coefficients rest of its first candidate."""
     size = base.size
     mask = base.unit_index_mask()
     one_row = base.index_op_tables()[0][base.index(base.one)]
@@ -710,22 +713,81 @@ def _streamed_dual_sweep(base, *, cap=None):
      ("zm:8", 10**9), ("zm:12", 10**9)],
 )
 def test_split_dual_sweep_matches_the_streamed_filter(desc, cap):
-    # the same pairs, witnesses and first-seen order in both dicts
+    # the listings of dual_pairs and stabilizer_pairs, from the pair module
+    # over Z/m, against the streamed sweep: rows, witnesses, null parts
     base = make_ring(desc)
-    passing, units = groups._dual_sweep(base, cap=cap)
-    expected_passing, expected_units = _streamed_dual_sweep(base, cap=cap)
-    assert passing and units
-    assert list(passing.items()) == list(expected_passing.items())
-    assert list(units.items()) == list(expected_units.items())
+    nb = base.size
+    dual, stabilizer = sweep_dual_listing(base, cap=cap), sweep_stabilizer_listing(base, cap=cap)
+    rows, witness = groups.dual_pairs(base, cap=cap)
+    assert [(tuple(v // nb for v in r), tuple(v % nb for v in r)) for r in rows] == [
+        pair for _, pair, _ in dual
+    ]
+    assert [witness(r) for r in rows] == [w for _, _, w in dual]
+    rows, null_part = groups.stabilizer_pairs(base, cap=cap)
+    assert [tuple(v % nb for v in r) for r in rows] == [unit for _, unit, _ in stabilizer]
+    assert [null_part(r) + X for r in rows] == [w for _, _, w in stabilizer]
 
 
 def test_split_dual_sweep_checks_the_cap_before_any_work(monkeypatch):
+    # the split sweep left in the library, the dual criterion's over R[al]
     def no_sweep(*args, **kwargs):
         raise AssertionError("swept")
 
-    monkeypatch.setattr(groups, "monomial_stages", no_sweep)
+    monkeypatch.setattr(groups, "split_sweep", no_sweep)
     with pytest.raises(SizeCapError, match="pair sweep: 256 exceeds cap 255"):
-        groups._dual_sweep(make_ring("zpn:2,2"), cap=255)
+        cli._check_dual_criterion(make_ring("zpn:2,2"), 255)
+
+
+def test_module_listings_check_their_caps_before_any_work(monkeypatch):
+    # zm:6: |P(R)| = 12 and |H| = 108; nothing is lifted or reduced before
+    # the caps pass
+    def no_lift(*args, **kwargs):
+        raise AssertionError("lifted")
+
+    base = make_ring("zm:6")
+    monkeypatch.setattr(groups, "least_member", no_lift)
+    with pytest.raises(SizeCapError, match="dual pairs: 1296 exceeds cap 1295"):
+        groups.dual_pairs(base, cap=1295)
+    with pytest.raises(SizeCapError, match="stabilizer: 108 exceeds cap 107"):
+        groups.stabilizer_pairs(base, cap=107)
+    with pytest.raises(AssertionError):
+        groups.dual_pairs(base, cap=1296)
+    assert len(groups.stabilizer_pairs(base, cap=108)[0]) == 8
+
+
+@pytest.mark.parametrize("desc", ["zpn:2,2", "zm:6"])
+def test_module_listings_do_not_sweep_pairs(desc, monkeypatch):
+    # over Z/m no sum of coefficient terms carries a derivative: only the
+    # tables of P(R) are enumerated, and the pairs come from the module
+    base = make_ring(desc)
+    widths = []
+    real = funcspace.coefficient_sums
+
+    def spy(add_t, zero_table, stages):
+        widths.append(len(zero_table))
+        return real(add_t, zero_table, stages)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(funcspace, "coefficient_sums", spy)
+    for name in ("split_sweep", "coefficient_sums"):
+        monkeypatch.setattr(groups, name, refuse)
+    assert groups.dual_pairs(base)[0] and groups.stabilizer_pairs(base)[0]
+    assert verify_embedding(base).passed
+    assert set(widths) == {base.size}
+
+
+def test_listing_orders_multiply_by_the_chinese_remainder_theorem():
+    # Z/6 = Z/2 x Z/3 and Z/12 = Z/4 x Z/3, the factors listed over a field
+    # from the Hermite basis or over Z/4 from the module
+    def orders(desc):
+        base = make_ring(desc)
+        return len(groups.dual_pairs(base)[0]), len(groups.stabilizer_pairs(base)[0])
+
+    assert [orders(d) for d in ("zm:2", "zm:3", "zm:4")] == [(2, 1), (48, 8), (32, 4)]
+    assert orders("zm:6") == (2 * 48, 1 * 8)
+    assert orders("zm:12") == (32 * 48, 4 * 8)
 
 
 @pytest.mark.parametrize("desc", ["fq:3", "fq:4", "zm:6", "zpn:2,2"])
@@ -799,12 +861,13 @@ def _oracle_table(base, G, F):
     return tuple(G[a] * nb + mul_t[F[a]][b] for a in range(nb) for b in range(nb))
 
 
-def sweep_dual_listing(base):
+def sweep_dual_listing(base, *, cap=None):
     """The oracle of the dual permutation listing, from the coefficient
     sweep on every ring: (table, (G, F), witness) for each element, sorted
-    by table.  Each pair ([f0], [f0']) of groups._dual_sweep is translated
-    by every constant c, the pair of f0 + c, and f0 + c is the witness."""
-    passing = groups._dual_sweep(base)[0]
+    by table.  Each passing pair ([f0], [f0']) of _streamed_dual_sweep is
+    translated by every constant c, the pair of f0 + c, and f0 + c is the
+    witness."""
+    passing = _streamed_dual_sweep(base, cap=cap)[0]
     nb = base.size
     out = []
     for pair, rest in passing.items():
@@ -816,11 +879,11 @@ def sweep_dual_listing(base):
     return sorted(out, key=lambda item: item[0])
 
 
-def sweep_stabilizer_listing(base):
+def sweep_stabilizer_listing(base, *, cap=None):
     """The oracle of the stabilizer listing, from the coefficient sweep:
     (table, unit, witness) for each element (id, unit), sorted by unit
     table, the witness x + g for the first null g in sweep order."""
-    units = groups._dual_sweep(base)[1]
+    units = _streamed_dual_sweep(base, cap=cap)[1]
     ident = tuple(range(base.size))
     return [
         (_oracle_table(base, ident, unit), unit, _poly(base, (base.zero,) + rest) + X)
@@ -828,13 +891,13 @@ def sweep_stabilizer_listing(base):
     ]
 
 
-LISTING_RINGS = ("fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:4", "zm:6")
+LISTING_RINGS = ("fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:3", "zm:4", "zm:6", "zm:12")
 
 
 @pytest.mark.parametrize("desc", LISTING_RINGS)
 def test_dual_listing_matches_the_sweep(desc):
     # over a field from the factors with Hermite witnesses, elsewhere from
-    # the sweep: order, pairs, witness strings and element tables
+    # the pair module: order, pairs, witness strings and element tables
     base = make_ring(desc)
     nb = base.size
     expected = sweep_dual_listing(base)
@@ -1067,9 +1130,10 @@ def test_embedding_report_over_fields():
     assert (rep4.perm_count, rep4.unit_table_count, rep4.stabilizer_size) == (24, 81, 81)
 
     # the image over a field is proved by the 2q Hermite basis evaluations
+    # and over Z/m listed from the pair module
     assert [rep.image_mode for rep in (rep2, rep3, rep4)] == ["basis:4", "basis:6", "basis:8"]
     for desc in ("zpn:2,2", "zm:6"):
-        assert verify_embedding(make_ring(desc)).image_mode == "exhaustive"
+        assert verify_embedding(make_ring(desc)).image_mode == "module"
 
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4"])
@@ -1077,12 +1141,12 @@ def test_field_embedding_does_not_sweep(monkeypatch, desc):
     # the sweep stays the oracle: its image and stabilizer sizes are the
     # report's, though the report never sweeps
     base = make_ring(desc)
-    passing, units = groups._dual_sweep(base)
+    passing, units = _streamed_dual_sweep(base)
 
     def refuse(*args, **kwargs):
         raise AssertionError("swept")
 
-    for name in ("_dual_sweep", "_translates", "split_sweep", "coefficient_sums"):
+    for name in ("split_sweep", "coefficient_sums"):
         monkeypatch.setattr(groups, name, refuse)
     rep = verify_embedding(base)
     assert rep.passed and rep.surjective and rep.image_consistent
