@@ -204,26 +204,19 @@ def cmd_canonical(args) -> int:
     ring = _ring(args)
     p, n = _require_prime_power(ring)
     f = parse(args.poly)
-    if args.unit_valued:
-        form = canon.canonicalize_unit_valued(f, p, n)
-        if args.json:
-            doc = form.to_json_dict()
-            doc["polynomial"] = format_polynomial(form.to_polynomial())
-            _emit(args, _json_dumps(doc))
-        else:
-            lines = [f"leading index s = {form.s}"]
-            for k, terms in form.layers:
-                lines.append(f"layer {k}: {_render_form_terms(p, terms)}")
-            lines.append(f"polynomial: {format_polynomial(form.to_polynomial())}")
-            _emit(args, "\n".join(lines))
+    form = (canon.canonicalize_unit_valued if args.unit_valued else canon.canonicalize)(f, p, n)
+    if args.json:
+        doc = form.to_json_dict()
+        doc["polynomial"] = format_polynomial(form.to_polynomial())
+        _emit(args, _json_dumps(doc))
+    elif args.unit_valued:
+        lines = [f"leading index s = {form.s}"]
+        for k, terms in form.layers:
+            lines.append(f"layer {k}: {_render_form_terms(p, terms)}")
+        lines.append(f"polynomial: {format_polynomial(form.to_polynomial())}")
+        _emit(args, "\n".join(lines))
     else:
-        form = canon.canonicalize(f, p, n)
-        if args.json:
-            doc = form.to_json_dict()
-            doc["polynomial"] = format_polynomial(form.to_polynomial())
-            _emit(args, _json_dumps(doc))
-        else:
-            _emit(args, f"{_render_form_terms(p, form.terms)}")
+        _emit(args, f"{_render_form_terms(p, form.terms)}")
     return 0
 
 
@@ -343,26 +336,15 @@ def cmd_export(args) -> int:
         polys = list(canon.enumerate_kernel(p, n, cap=cap))
         rows = [("index", "polynomial")]
         rows += [(i, format_polynomial(g)) for i, g in enumerate(polys)]
-        doc = {
-            "count": len(polys),
-            "items": [{"poly": format_polynomial(g)} for g in polys],
-            "n": n,
-            "p": p,
-            "what": what,
-        }
+        items = [{"poly": format_polynomial(g)} for g in polys]
     else:  # uvpf-forms
         forms = list(canon.enumerate_unit_valued_forms(p, n, cap=cap))
         rows = [("index", "s", "polynomial")]
         rows += [
             (i, f.s, format_polynomial(f.to_polynomial())) for i, f in enumerate(forms)
         ]
-        doc = {
-            "count": len(forms),
-            "items": [f.to_json_dict() for f in forms],
-            "n": n,
-            "p": p,
-            "what": what,
-        }
+        items = [f.to_json_dict() for f in forms]
+    doc = {"count": len(items), "items": items, "n": n, "p": p, "what": what}
     _emit(args, _csv_text(rows) if args.format == "csv" else _json_dumps(doc))
     return 0
 
@@ -474,16 +456,15 @@ def _check_local_criterion(p: int, n: int, cap) -> list[tuple[str, bool]]:
     return [(f"dual[local-criterion:zpn:{p},{n}]", ok)]
 
 
-def _check_axioms(base: Ring, cap) -> list[tuple[str, bool]]:
-    group = gr.semidirect_group(base, cap=cap)
-    report = gr.verify_group_axioms(group)
-    return [(f"groups[axioms:{base.descriptor}]", report.passed)]
-
-
-def _check_embedding(base: Ring, cap) -> list[tuple[str, bool]]:
-    report = gr.verify_embedding(base, cap=cap)
-    ok = report.passed and report.image_consistent
-    return [(f"groups[embedding:{base.descriptor}]", ok)]
+def _check_groups(base: Ring, cap) -> list[tuple[str, bool]]:
+    # the embedding's caps refuse before either group is built, and the
+    # product is built only where the embedding leaves its axioms undecided
+    embedding = gr.verify_embedding(base, cap=cap)
+    axioms = embedding.product_axioms or gr.verify_group_axioms(gr.semidirect_group(base, cap=cap))
+    return [
+        (f"groups[axioms:{base.descriptor}]", axioms.passed),
+        (f"groups[embedding:{base.descriptor}]", embedding.passed and embedding.image_consistent),
+    ]
 
 
 def _check_canonical(seed: int, cap) -> list[tuple[str, bool]]:
@@ -555,9 +536,7 @@ def cmd_verify(args) -> int:
                         checks.extend(_check_local_criterion(p, n, cap))
         elif suite == "groups":
             for base in _grid_bases(args, cap):
-                # the embedding's caps refuse before the product is built
-                embedding = _check_embedding(base, cap)
-                checks.extend(_check_axioms(base, cap) + embedding)
+                checks.extend(_check_groups(base, cap))
         elif suite == "canonical":
             checks.extend(_check_canonical(args.seed, cap))
         else:  # counting

@@ -28,21 +28,22 @@ with a witness on request, and alone decide how: over a field from the
 factors by the field theorem, over Z/m from the pair module (pair_module).
 
 verify_group_axioms checks closure exactly from a greedy generating set S,
-with |G| * |S| products instead of |G|^2, and the identity and inverses on
-every element, all on the elements' index tables; on fq:4, of order 1944,
-|S| is 3.  verify_embedding takes the dual permutations from dual_pairs, the
-whole image by the 2q Hermite basis evaluations over F_q and by the module
-over Z/m.  It checks the homomorphism law by comparing the pair read back
-from d * s with the twisted product of the pairs of d and s, for every d and
-every generator s, and membership of the image in the semidirect product on
-packed rows.  Surjectivity then is |image| = |P(R)| * |F(R)^x|; the
-product's elements are never built.
+with |G| * |S| products instead of |G|^2, on the elements' index tables; on
+fq:4, of order 1944, |S| is 3.  A closed set is a group, so only a set that
+is not closed has its identity and inverses looked up.  verify_embedding
+takes the dual permutations from dual_pairs, the whole image by the 2q
+Hermite basis evaluations over F_q and by the module over Z/m.  It checks
+the homomorphism law by comparing the pair read back from d * s with the
+twisted product of the pairs of d and s, for every d and every generator s,
+and membership of the image in the semidirect product on packed rows.
+Surjectivity then is |image| = |P(R)| * |F(R)^x|; the product's elements are
+never built, and the same closure decides the image's group axioms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, islice, permutations, product
 from math import factorial, gcd, prod
 from operator import add, getitem, itemgetter
@@ -351,6 +352,13 @@ def dual_pairs(base: Ring, *, cap: int | None = None):
     |P(R)| |H| pairs capped as "dual pairs"; the witness is the least
     preimage (_module_parts).
     """
+    _, rows, witness = _dual_listing(base, cap)
+    return rows(), witness
+
+
+def _dual_listing(base: Ring, cap: int | None):
+    """dual_pairs as (order, rows, witness): rows() lists the rows, counted
+    by order before any is packed, so that a cap on them can refuse first."""
     nb, add_t = base.size, base.index_op_tables()[0]
     if base.is_field:
         perms, units = semidirect_pairs(base, cap=cap)
@@ -364,20 +372,22 @@ def dual_pairs(base: Ring, *, cap: int | None = None):
             A = [[[base.elements[s] for s in add_t[a]] for a in hermite_sum(base, H, G)]
                  for G in perms]
             B = [hermite_sum(base, K, F) for F in units]
-            return {row: (A[k // len(B)], B[k % len(B)]) for k, row in enumerate(rows)}
+            return dict(zip(rows, product(A, B)))
 
         def witness(row):
             return ring_polynomial(base, list(map(getitem, *parts()[row])))
 
-        return sorted(rows), witness
+        return len(rows), partial(sorted, rows), witness
     perms = semidirect_factors(base, cap=cap)[0]
     module, unit_coset, preimage = _module_parts(base, times=len(perms), cap=cap, what="dual pairs")
-    rows = []
-    for G in perms:
-        # the lift reduces F to the least of its coset, a key for unit_coset
-        F = tuple(least_member(module, G, nb)[nb:2 * nb])
-        rows += packed_rows(base, [G], unit_coset(F))
-    return sorted(rows), lambda row: preimage([v // nb for v in row] + [v % nb for v in row])
+    # the lift reduces F to the least of its coset, a key for unit_coset
+    lifts = [(G, unit_coset(tuple(least_member(module, G, nb)[nb:2 * nb]))) for G in perms]
+
+    def rows():
+        return sorted(chain.from_iterable(packed_rows(base, [G], units) for G, units in lifts))
+
+    order = sum(len(units) for _, units in lifts)
+    return order, rows, lambda row: preimage([v // nb for v in row] + [v % nb for v in row])
 
 
 def stabilizer_pairs(base: Ring, *, cap: int | None = None):
@@ -553,39 +563,42 @@ def verify_group_axioms(elements) -> GroupAxiomsReport:
     reported with mode "composition".  Every check works on the index
     tables.  Closure is decided from a greedy generating set S (_generate):
     the list is closed under all products iff right multiplication by S
-    never leaves it.  The identity table must lie in the list (composing it
-    with a table on either side gives that table back), and every element's
-    inverse table must lie in the list and compose with it to the identity
-    on both sides.  The list is abelian iff
-    the elements of S commute pairwise, since every element lies in the
+    never leaves it.  A closed list holds the identity and every inverse,
+    g^k = id for some k > 0 making g^(k-1) that of g.  A list that is not
+    closed must hold the identity table, and each element's inverse table,
+    composing with it to the identity on both sides.  The list is abelian
+    iff the elements of S commute pairwise, since every element lies in the
     group S generates; abelian_mode is "generators:<|S|>".  Raises
     ValueError unless every element acts on one dual ring.
     """
     els = list(elements)
-    n = len(els)
-    if n == 0:
+    if not els:
         return GroupAxiomsReport(
             0, False, False, False, False, "composition", True, "generators:0"
         )
-    gens, closed = _generate(els)
-    tables = [e.table for e in els]
-    pool = set(tables)
-    ident = tuple(range(len(tables[0])))
+    return _axioms_report(els, *_generate(els))
 
-    has_identity = ident in pool
-    # a permutation table sorts the positions into its inverse
-    inverses_ok = has_identity and all(
-        (inv := tuple(sorted(ident, key=t.__getitem__))) in pool
-        and itemgetter(*inv)(t) == ident == itemgetter(*t)(inv)
-        for t in tables
-    )
+
+def _axioms_report(els, gens, closed) -> GroupAxiomsReport:
+    """verify_group_axioms on nonempty els from (gens, closed) = _generate(els)."""
+    has_identity = inverses_ok = closed
+    if not closed:
+        tables = [e.table for e in els]
+        pool = set(tables)
+        ident = tuple(range(len(tables[0])))
+        has_identity = ident in pool
+        # a permutation table sorts the positions into its inverse
+        inverses_ok = has_identity and all(
+            (inv := tuple(sorted(ident, key=t.__getitem__))) in pool
+            and itemgetter(*inv)(t) == ident == itemgetter(*t)(inv)
+            for t in tables
+        )
     abelian = all(
         itemgetter(*b.table)(a.table) == itemgetter(*a.table)(b.table)
         for i, a in enumerate(gens) for b in gens[i + 1:]
     )
-
     return GroupAxiomsReport(
-        n, closed, has_identity, inverses_ok, True, "composition",
+        len(els), closed, has_identity, inverses_ok, True, "composition",
         abelian, f"generators:{len(gens)}",
     )
 
@@ -607,6 +620,7 @@ class EmbeddingReport:
     factorization_ok: bool
     image_mode: str
     over_field: bool = False
+    product_axioms: GroupAxiomsReport | None = None
 
     @property
     def passed(self) -> bool:
@@ -638,11 +652,11 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     """Check that reading off base pairs embeds the dual permutations into
     the semidirect product.
 
-    The elements are the rows of dual_pairs, their tables capped first at
-    |image| |R|^2 entries.  Over F_q the 2q Hermite basis evaluations prove
-    them the image and the stabilizer every unit table, image_mode
-    "basis:<2q>"; if they fail, neither surjective nor factorization_ok
-    holds.  Over Z/m the pair module lists the image, image_mode "module",
+    The elements are the rows of dual_pairs, their tables capped at
+    |image| |R|^2 entries before any row is listed.  Over F_q the 2q Hermite
+    basis evaluations prove them the image and the stabilizer every unit
+    table, image_mode "basis:<2q>"; if they fail, neither surjective nor
+    factorization_ok holds.  Over Z/m the pair module lists the image, image_mode "module",
     and the stabilizer is the image over G = id.  Injectivity and membership
     in the product are exhaustive, on the packed rows read off the tables.
     The homomorphism law pair(d * s) = pair(d) * pair(s) compares the pair
@@ -653,14 +667,17 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     induction on k the law then holds for d * s1 * ... * sk, both products
     being associative: mode "generators:<|S|>".  The image is onto iff it
     lies in the product and has its size |P(R)| * |F(R)^x|, which must
-    factor as |Stab| * |P(R)|.
+    factor as |Stab| * |P(R)|.  When the image is the whole product, each
+    packed row once, the two have the same elements (pair_elements), and
+    product_axioms is the product's verify_group_axioms report, from the
+    same closure; otherwise it is None.
     """
     nb, i1 = base.size, base.index(base.one)
-    rows = dual_pairs(base, cap=cap)[0]
+    order, rows, _ = _dual_listing(base, cap)
+    check_cap(order * nb * nb, cap, "dual tables")
     proved = _hermite_basis_evaluates(base) if base.is_field else True
     image_mode = f"basis:{2 * nb}" if base.is_field else "module"
-    check_cap(len(rows) * nb * nb, cap, "dual tables")
-    perms = pair_elements(dual_ring(base), rows)
+    perms = pair_elements(dual_ring(base), rows())
     image = {dp.table[i1::nb] for dp in perms}
     injective = len(image) == len(perms)
 
@@ -694,6 +711,7 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     gens, closed = _generate(perms, law)
 
     ambient_size = len(perm_tables) * len(unit_tables)
+    whole = injective and image_in_ambient and len(image) == ambient_size
     return EmbeddingReport(
         base=base.descriptor,
         dual_perm_count=len(perms),
@@ -710,4 +728,5 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
         factorization_ok=proved and len(image) == stabilizer_size * len(perm_tables),
         image_mode=image_mode,
         over_field=base.is_field,
+        product_axioms=_axioms_report(perms, gens, closed) if whole else None,
     )

@@ -781,6 +781,8 @@ def test_verify_groups_refuses_before_building_the_product(capsys, monkeypatch):
 
     monkeypatch.setattr(gr, "semidirect_group", refuse)
     monkeypatch.setattr(gr, "pair_elements", refuse)
+    # the cap counts the rows before any is packed
+    monkeypatch.setattr(gr, "packed_rows", refuse)
     code, out, err = run(capsys, "verify", "--suite", "groups", "--ring", "zm:9")
     assert (code, out) == (3, "")
     assert err == "error: dual tables: 76527504 exceeds cap 10000000\n"
@@ -1081,6 +1083,50 @@ def test_verify_groups_fails_a_corrupted_hermite_basis(capsys, monkeypatch):
         "groups[embedding:fq:3]: FAIL",
         "1/2 checks passed",
     ]
+
+
+@pytest.mark.parametrize("desc,closures", [
+    ("fq:3", 1), ("fq:4", 1), ("zm:6", 1),
+    # the product (128) is larger than the dual group (32)
+    ("zpn:2,2", 2),
+])
+def test_verify_groups_closes_each_group_once(capsys, monkeypatch, desc, closures):
+    # where the dual group is the whole product, the embedding's closure
+    # decides the product's axioms and the product is never built
+    calls = {"_generate": 0, "semidirect_group": 0}
+    for name in calls:
+        def spy(*args, real=getattr(gr, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gr, name, spy)
+    assert run(capsys, "verify", "--suite", "groups", "--ring", desc)[0] == 0
+    assert calls == {"_generate": closures, "semidirect_group": closures - 1}
+
+
+def test_verify_groups_decides_the_axioms_on_the_product_for_a_short_image(
+    capsys, monkeypatch
+):
+    # the embedding's elements, the first pair_elements call, lose one: the
+    # image is no longer the whole product, so the product's axioms are
+    # decided on the product, built by the second call
+    real = gr.pair_elements
+    sizes = []
+
+    def corrupted(*args):
+        dps = real(*args)
+        sizes.append(len(dps))
+        return dps[:-1] if len(sizes) == 1 else dps
+
+    monkeypatch.setattr(gr, "pair_elements", corrupted)
+    code, out, _ = run(capsys, "verify", "--suite", "groups", "--ring", "fq:3")
+    assert code == 4
+    assert out.splitlines() == [
+        "groups[axioms:fq:3]: pass",
+        "groups[embedding:fq:3]: FAIL",
+        "1/2 checks passed",
+    ]
+    assert sizes == [48, 48]
 
 
 def test_verify_failure_exits_four(capsys, monkeypatch):

@@ -1211,6 +1211,37 @@ def test_embedding_report_matches_brute_force(desc):
     assert rep.passed
 
 
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "zm:6"])
+def test_embedding_decides_the_product_axioms_when_the_image_is_the_product(desc):
+    # over a field and over zm:6 (96 = 96) the dual permutations are the
+    # product's elements, so the embedding's closure gives its axioms; on
+    # zpn:2,2 (32 < 128) it does not
+    base = make_ring(desc)
+    rep = verify_embedding(base)
+    product = semidirect_group(base)
+    if rep.image_size < rep.ambient_size:
+        assert rep.product_axioms is None
+        return
+    assert set(enumerate_dual_permutations(base)) == set(product)
+    got, want = rep.product_axioms, verify_group_axioms(product)
+    fields = ("size", "closed", "has_identity", "inverses_ok", "associative", "abelian")
+    assert all(getattr(got, f) == getattr(want, f) for f in fields)
+    assert got.passed
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:6", "zm:12"])
+def test_dual_listing_counts_its_rows_before_listing_them(monkeypatch, desc):
+    # the order bounds the dual tables' cap; over Z/m no row is packed first
+    base = make_ring(desc)
+    rows = groups.dual_pairs(base)[0]
+    if not base.is_field:
+        monkeypatch.setattr(groups, "packed_rows", lambda *args: pytest.fail("packed"))
+    order, listing, _ = groups._dual_listing(base, None)
+    monkeypatch.undo()
+    assert order == len(rows)
+    assert listing() == rows
+
+
 def _swap_two_entries(dp, i, j):
     table = list(dp.table)
     table[i], table[j] = table[j], table[i]
