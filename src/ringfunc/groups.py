@@ -28,14 +28,15 @@ with a witness on request, and alone decide how: over a field from the
 factors by the field theorem, over Z/m from the pair module (pair_module).
 
 verify_group_axioms checks closure exactly from a greedy generating set S,
-with |G| * |S| products instead of |G|^2, on the elements' index tables; on
-fq:4, of order 1944, |S| is 3.  A closed set is a group, so only a set that
-is not closed has its identity and inverses looked up.  verify_embedding
-takes the dual permutations from dual_pairs, the whole image by the 2q
-Hermite basis evaluations over F_q and by the module over Z/m.  It checks
-the homomorphism law by comparing the pair read back from d * s with the
-twisted product of the pairs of d and s, for every d and every generator s,
-and membership of the image in the semidirect product on packed rows.
+with |G| * |S| products instead of |G|^2, one batch per generator over the
+columns of the elements' index tables; on fq:4, of order 1944, |S| is 3.  A
+closed set is a group, so only a set that is not closed has its identity
+and inverses looked up.  verify_embedding takes the dual permutations from
+dual_pairs, the whole image by the 2q Hermite basis evaluations over F_q and
+by the module over Z/m.  It checks the homomorphism law by comparing the
+pair read back from d * s with the twisted product of the pairs of d and s,
+for every d at once, one column per generator s and point, and membership
+of the image in the semidirect product on packed rows.
 Surjectivity then is |image| = |P(R)| * |F(R)^x|; the product's elements are
 never built, and the same closure decides the image's group axioms.
 """
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, islice, permutations, product
+from itertools import chain, islice, permutations, product, repeat
 from math import factorial, gcd, prod
 from operator import add, getitem, itemgetter
 
@@ -465,7 +466,13 @@ def null_polynomials(
     return out
 
 
-def _generate(elements, visit=None) -> tuple[list, bool]:
+def _products_by(cols, s):
+    """The tables x * s of the pool's elements x, in pool order, from cols,
+    the pool's tables transposed: column k of x * s is column s[k]."""
+    return zip(*map(cols.__getitem__, s))
+
+
+def _generate(elements, cols=None) -> tuple[list, bool]:
     """Greedy generating set of a finite pool, and whether the pool is closed.
 
     Works on the elements' index tables.  The walk visits the pool at
@@ -478,17 +485,17 @@ def _generate(elements, visit=None) -> tuple[list, bool]:
     group and dual permutations (order 1944) that is 3 generators, where the
     sorted walk takes 7.
 
-    The closure under right multiplication by the generators S forms x * s
-    once for every reached x and every s in S, |G| * |S| products, each one
-    itemgetter call on a tuple, and calls visit(x, s, y) on each, x and
-    y = x * s being tables and s the generator.  The products by one
-    generator run together, over the tables it has not met yet.  A product
-    outside the pool marks it not closed and is not expanded further, so
-    every pool element ends up reached and inside the group the generators
-    generate.  The identity is never made a generator unless it is the whole
-    pool: it would cost |G| products and add nothing, and a closed pool
-    reaches it as a power of any generator.  Raises ValueError unless every
-    element acts on one dual ring.
+    A new generator s forms x * s once for every pool element x, |G| * |S|
+    products in all, as one batch over the pool's columns (_products_by;
+    cols, the tables transposed, may be passed in), and each product is
+    mapped to its pool position.  The pool is closed iff no product leaves
+    it.  Reaching then walks positions over each generator's map; a product
+    outside the pool is not expanded, so every pool element ends up reached
+    and inside the group the generators generate.  The identity is never
+    made a generator unless it is the whole pool: it would cost |G| products
+    and add nothing, and a closed pool reaches it as a power of any
+    generator.  Raises ValueError unless every element acts on one dual
+    ring.
 
     For associative products a closed pool is the group generated: each
     element is a product of generators, so right multiplication by the
@@ -503,40 +510,38 @@ def _generate(elements, visit=None) -> tuple[list, bool]:
     dual = els[0].dual
     if any(e.dual is not dual and e.dual != dual for e in els):
         raise ValueError("permutations live over different dual rings")
-    pool = {e.table for e in els}
+    tables = [e.table for e in els]
+    index = {t: i for i, t in enumerate(tables)}
+    cols = list(zip(*tables)) if cols is None else cols
     ident = tuple(range(dual.size))
     r = round(0.618 * n)
     step = next(k for d in range(n) for k in (r + d, r - d) if 0 < k <= n and gcd(k, n) == 1)
     gens: list = []
-    muls: list = []
+    maps: list = []
     done: list[int] = []
-    reached: set = set()
-    order: list = []
-    closed = True
+    # position n stands for every product outside the pool: reached already
+    reached = bytearray(n + 1)
+    reached[n] = 1
+    order: list[int] = []
     for i in range(n):
         g = els[i * step % n]
-        if g.table in reached or (len(pool) > 1 and g.table == ident):
+        k = index[g.table]
+        if reached[k] or (len(index) > 1 and g.table == ident):
             continue
         gens.append(g)
-        muls.append(itemgetter(*g.table))
+        maps.append(list(map(index.get, _products_by(cols, g.table), repeat(n))))
         done.append(0)
-        reached.add(g.table)
-        order.append(g.table)
-        while any(k < len(order) for k in done):
-            for j, (s, mul) in enumerate(zip(gens, muls)):
+        reached[k] = 1
+        order.append(k)
+        while any(j < len(order) for j in done):
+            for j, m in enumerate(maps):
                 # a list iterator also yields what is appended while it runs
-                for x in islice(order, done[j], None):
-                    y = mul(x)
-                    if visit is not None:
-                        visit(x, s, y)
-                    if y not in reached:
-                        if y in pool:
-                            reached.add(y)
-                            order.append(y)
-                        else:
-                            closed = False
+                for y in map(m.__getitem__, islice(order, done[j], None)):
+                    if not reached[y]:
+                        reached[y] = 1
+                        order.append(y)
                 done[j] = len(order)
-    return gens, closed
+    return gens, all(n not in m for m in maps)
 
 
 @dataclass(frozen=True)
@@ -662,8 +667,10 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     The homomorphism law pair(d * s) = pair(d) * pair(s) compares the pair
     read back from the composed table with the twisted product
     (G1 o G2, (F1 o G2) . F2), for every d and every s in a greedy
-    generating set S of them, while the closure from S is built; the set
-    must be closed under those products, or homomorphism_ok is False.  By
+    generating set S of them, after the closure from S: for each s and point
+    a, the column of entry a of the row b = 1 of d * s, over every d,
+    against the column of the twisted product.  The set must be closed
+    under those products, or homomorphism_ok is False.  By
     induction on k the law then holds for d * s1 * ... * sk, both products
     being associative: mode "generators:<|S|>".  The image is onto iff it
     lies in the product and has its size |P(R)| * |F(R)^x|, which must
@@ -678,7 +685,9 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     proved = _hermite_basis_evaluates(base) if base.is_field else True
     image_mode = f"basis:{2 * nb}" if base.is_field else "module"
     perms = pair_elements(dual_ring(base), rows())
-    image = {dp.table[i1::nb] for dp in perms}
+    # column k holds entry k of every table; the image is the rows b = 1
+    cols = list(zip(*[dp.table for dp in perms]))
+    image = set(zip(*cols[i1::nb]))
     injective = len(image) == len(perms)
 
     perm_tables, unit_tables = semidirect_pairs(base, cap=cap)
@@ -686,29 +695,17 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     stabilizer_size = len(unit_tables) if base.is_field else sum(
         all(v // nb == a for a, v in enumerate(row)) for row in image)
 
-    # the law reads pairs packed as the row b = 1 of a table, entry a being
-    # G(a) * nb + F(a); scale[f][v] multiplies the F part of packed v by f
+    # the law on the columns of the pool: entry a of the row b = 1 of d * s
+    # is entry v = s[i1 + nb * a] = G2(a) * nb + F2(a) of d, and the twisted
+    # product's is the packed pair of d at G2(a), entry i1 + nb * G2(a) of
+    # d, with its F part multiplied by F2(a) (scale[f][w] does that to w)
     mul_t = base.index_op_tables()[1]
-    scale = [[v - v % nb + mul_t[v % nb][f] for v in range(nb * nb)] for f in range(nb)]
-    law_ok = True
-    gen = pick = cols = None
-
-    def law(d, s, ds):
-        # the pair read back from d * s against the twisted product
-        # (G1 o G2, (F1 o G2) . F2): at a, the packed pair of d at G2(a),
-        # entry i1 + nb * G2(a) of its table, with the F part multiplied by
-        # F2(a).  The products by one generator come together, so its pair
-        # is read when they start.
-        nonlocal law_ok, gen, pick, cols
-        if s is not gen:
-            G2, F2 = s.base_pair()
-            gen = s
-            pick = itemgetter(*[i1 + nb * g for g in G2])
-            cols = [scale[f] for f in F2]
-        if ds[i1::nb] != tuple(map(getitem, cols, pick(d))):
-            law_ok = False
-
-    gens, closed = _generate(perms, law)
+    scale = [[w - w % nb + mul_t[w % nb][f] for w in range(nb * nb)] for f in range(nb)]
+    gens, closed = _generate(perms, cols)
+    law_ok = all(
+        cols[v] == tuple(map(scale[v % nb].__getitem__, cols[v - v % nb + i1]))
+        for s in gens for v in s.table[i1::nb]
+    )
 
     ambient_size = len(perm_tables) * len(unit_tables)
     whole = injective and image_in_ambient and len(image) == ambient_size

@@ -1,7 +1,10 @@
 """Semidirect products, dual permutations, the stabilizer, verification reports."""
 
 import itertools
+import operator
 import random
+import sys
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -329,7 +332,23 @@ def test_axiom_report_uses_few_generators():
         assert 2 <= k <= len(group).bit_length()
 
 
-def test_generating_set_leaves_out_the_identity():
+def _spy_batches(monkeypatch):
+    """Record each batch of products _generate forms, as (s, [(x, y)]): the
+    generator's table s and, for each pool table x in pool order, the
+    product table y, the products being taken through the real helper."""
+    batches = []
+    real = groups._products_by
+
+    def spy(cols, s):
+        products = list(real(cols, s))
+        batches.append((s, list(zip(zip(*cols), products))))
+        return iter(products)
+
+    monkeypatch.setattr(groups, "_products_by", spy)
+    return batches
+
+
+def test_generating_set_leaves_out_the_identity(monkeypatch):
     # the sorted enumerations list the identity first; making it a generator
     # would cost |G| products and generate nothing
     f3 = make_ring("fq:3")
@@ -342,11 +361,12 @@ def test_generating_set_leaves_out_the_identity():
         (dps, DualPermutation.identity(d3)),
     ):
         assert pool[0] == identity
-        products = []
-        gens, closed = groups._generate(pool, lambda x, s, y: products.append(y))
+        batches = _spy_batches(monkeypatch)
+        gens, closed = groups._generate(pool)
+        monkeypatch.undo()
         assert closed
         assert identity not in gens
-        assert len(products) == len(pool) * len(gens)
+        assert sum(len(products) for _, products in batches) == len(pool) * len(gens)
     # a one-element pool still takes its element as the generator
     e = DualPermutation.identity(d3)
     assert groups._generate([e]) == ([e], True)
@@ -356,19 +376,56 @@ def test_generating_set_leaves_out_the_identity():
 
 
 @pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "fq:4", "zm:6"])
-def test_generating_set_pins_the_product_count(desc):
-    # the walk picks at most 3 generators, so the closure makes |G| * |S|
-    # products, each x * s once, with x and y = x * s as tables
+def test_generating_set_pins_the_product_count(desc, monkeypatch):
+    # the walk picks at most 3 generators, and each forms x * s once for
+    # every pool table x, one batch per generator: |G| * |S| products
     base = make_ring(desc)
     for pool in (semidirect_group(base), enumerate_dual_permutations(base)):
-        products = []
-        gens, closed = groups._generate(pool, lambda x, s, y: products.append((x, s, y)))
+        batches = _spy_batches(monkeypatch)
+        gens, closed = groups._generate(pool)
+        monkeypatch.undo()
         assert closed
-        assert len(products) == len(pool) * len(gens)
         assert len(gens) <= 3
-        assert {x for x, _, _ in products} == {el.table for el in pool}
-        assert len({(x, s.table) for x, s, _ in products}) == len(products)
-        assert all(s in gens and y == tuple(x[i] for i in s.table) for x, s, y in products)
+        assert [s for s, _ in batches] == [g.table for g in gens]
+        products = [(x, s, y) for s, batch in batches for x, y in batch]
+        assert len(products) == len(pool) * len(gens)
+        assert all([x for x, _ in batch] == [el.table for el in pool] for _, batch in batches)
+        assert len({(x, s) for x, s, _ in products}) == len(products)
+        assert all(y == tuple(x[i] for i in s) for x, s, y in products)
+
+
+def _most_python_calls(fn, *args):
+    """fn(*args) and the most Python-level calls that any one function,
+    comprehension or generator makes under it, generator resumptions
+    included."""
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(count)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return out, max(calls.values())
+
+
+@pytest.mark.parametrize("desc", ["fq:4", "zm:12"])
+def test_closure_and_law_make_no_python_call_per_product(desc):
+    # the products by a generator are one batch over the pool's columns and
+    # the law compares whole columns: the closure runs Python code at most
+    # once per element, and the embedding, listing its elements too, less
+    # than once per product x * s
+    base = make_ring(desc)
+    pool = enumerate_dual_permutations(base)
+    (gens, closed), most = _most_python_calls(groups._generate, pool)
+    assert closed and len(gens) >= 3
+    assert most <= len(pool) + 1
+    rep, most = _most_python_calls(verify_embedding, base)
+    assert rep.homomorphism_ok and rep.homomorphism_mode == f"generators:{len(gens)}"
+    assert most < len(pool) * len(gens)
 
 
 def _axiom_pools():
@@ -445,6 +502,109 @@ def test_group_checks_reject_a_pool_over_two_dual_rings():
         verify_group_axioms(mixed)
     with pytest.raises(ValueError):
         groups._generate(mixed)
+
+
+def _oracle_generate(elements, visit=None):
+    """The greedy walk of _generate one product at a time: each reached
+    table x times each generator s by one itemgetter call, visit(x, s, y)
+    on each, and a product outside the pool marks it not closed."""
+    els = list(elements)
+    n = len(els)
+    if n == 0:
+        return [], True
+    pool = {e.table for e in els}
+    ident = tuple(range(els[0].dual.size))
+    r = round(0.618 * n)
+    step = next(k for d in range(n) for k in (r + d, r - d) if 0 < k <= n and gcd(k, n) == 1)
+    gens, muls, done, reached, order = [], [], [], set(), []
+    closed = True
+    for i in range(n):
+        g = els[i * step % n]
+        if g.table in reached or (len(pool) > 1 and g.table == ident):
+            continue
+        gens.append(g)
+        muls.append(operator.itemgetter(*g.table))
+        done.append(0)
+        reached.add(g.table)
+        order.append(g.table)
+        while any(k < len(order) for k in done):
+            for j, (s, mul) in enumerate(zip(gens, muls)):
+                for x in itertools.islice(order, done[j], None):
+                    y = mul(x)
+                    if visit is not None:
+                        visit(x, s, y)
+                    if y not in reached:
+                        if y in pool:
+                            reached.add(y)
+                            order.append(y)
+                        else:
+                            closed = False
+                done[j] = len(order)
+    return gens, closed
+
+
+def _permutations_and_a_coset():
+    """The 6 pure permutations (pi, 1) of fq:3 and their coset g H, g the unit
+    pair (id, (1, 1, 2)): a pool that only some products leave."""
+    f3 = make_ring("fq:3")
+    H = [el for el in semidirect_group(f3) if el.base_pair()[1] == (1, 1, 1)]
+    g = DualPermutation.from_pair(dual_ring(f3), (0, 1, 2), (1, 1, 2))
+    return H + [g * h for h in H]
+
+
+ORACLE_RINGS = ("fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:6")
+
+
+@pytest.mark.parametrize("name", [
+    "fq:3", "zpn:2,2", "zpn:2,2-stabilizer", "fq:3-permutations",
+    "fq:3-no-identity", "fq:3-truncated",
+    "zpn:2,2-stabilizer-foreign-unit", "zpn:2,2-foreign-perm",
+    "fq:3-permutations-and-a-coset",
+] + [f"{desc}-{group}" for desc in ORACLE_RINGS for group in ("dual", "product")])
+def test_generating_set_matches_the_per_product_walk(name):
+    # the same generators, as tables and in order, and the same closure
+    desc, _, group = name.rpartition("-")
+    if group in ("dual", "product") and desc in ORACLE_RINGS:
+        base = make_ring(desc)
+        pool = enumerate_dual_permutations(base) if group == "dual" else semidirect_group(base)
+    elif name == "fq:3-permutations-and-a-coset":
+        pool = _permutations_and_a_coset()
+    else:
+        pool = _axiom_pools()[name]
+    gens, closed = groups._generate(pool)
+    want_gens, want_closed = _oracle_generate(pool)
+    assert [g.table for g in gens] == [g.table for g in want_gens]
+    assert closed == want_closed
+
+
+def test_generating_set_of_a_pool_left_by_some_products(monkeypatch):
+    # H + gH is not closed: of the 12 products by the first generator 8 leave
+    # it, and none by the other two.  Every element is still reached, the
+    # generators are the per-product walk's, and the identity and inverses
+    # are looked up: the identity is there, the inverse of g is not
+    pool = _permutations_and_a_coset()
+    tables = {el.table for el in pool}
+    batches = _spy_batches(monkeypatch)
+    gens, closed = groups._generate(pool)
+    monkeypatch.undo()
+    assert not closed
+    assert [sum(y not in tables for _, y in batch) for _, batch in batches] == [8, 0, 0]
+    visited = set()
+    want = _oracle_generate(pool, lambda x, s, y: visited.add(x))
+    assert visited == tables
+    assert ([g.table for g in gens], closed) == ([g.table for g in want[0]], want[1])
+    reached = {g.table for g in gens}
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for y in (tuple(x[i] for i in g.table) for g in gens):
+            if y in tables and y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    assert reached == tables
+    rep = groups._axioms_report(pool, gens, closed)
+    assert (rep.has_identity, rep.inverses_ok) == (True, False)
+    assert (rep.has_identity, rep.inverses_ok) == _brute_identity_inverses(pool)
 
 
 # ---------------------------------------------------------------------------
@@ -1248,21 +1408,53 @@ def _swap_two_entries(dp, i, j):
     return DualPermutation(dp.dual, table)
 
 
+def _patch_pair_elements(monkeypatch, base, fault):
+    """Make groups.pair_elements list faulty elements over base.
+
+    "corrupted" swaps the images of (0, 0) and (0, b), b neither 0 nor 1, in
+    the last element; "conjugated" conjugates every element by the swap of
+    the dual elements (0, 1) and (2, 1) (zpn:2,2); "perm" and "unit" append
+    an element whose G, or whose F, no polynomial induces (zm:6)."""
+    real = groups.pair_elements
+    if fault == "corrupted":
+        b = next(i for i in range(1, base.size) if i != base.index(base.one))
+
+        def faulty(*args):
+            dps = real(*args)
+            return dps[:-1] + [_swap_two_entries(dps[-1], 0, b)]
+    elif fault == "conjugated":
+        swap = list(range(16))
+        swap[1], swap[9] = 9, 1
+
+        def faulty(*args):
+            return [
+                DualPermutation(dp.dual, [swap[dp.table[swap[k]]] for k in range(16)])
+                for dp in real(*args)
+            ]
+    else:
+        perms, units = semidirect_pairs(base)
+        unit_idx = [i for i in range(base.size) if base.unit_index_mask()[i]]
+        if fault == "perm":
+            G, F = _foreign_perm(base), units[0]
+        else:
+            G, induced = perms[0], set(units)
+            F = next(
+                t for t in itertools.product(unit_idx, repeat=base.size) if t not in induced
+            )
+        extra = DualPermutation.from_pair(dual_ring(base), G, F)
+
+        def faulty(*args):
+            return real(*args) + [extra]
+    monkeypatch.setattr(groups, "pair_elements", faulty)
+
+
 @pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2"])
 def test_embedding_report_rejects_a_corrupted_enumeration(monkeypatch, desc):
     # swap the images of (a, 0) and (a, b) for a b other than 1: the base
     # pair read off the (a, 1) entries is unchanged, so only the closure and
     # the homomorphism law can notice
     base = make_ring(desc)
-    nb = base.size
-    b = next(i for i in range(1, nb) if i != base.index(base.one))
-    real = groups.pair_elements
-
-    def corrupted(*args):
-        dps = real(*args)
-        return dps[:-1] + [_swap_two_entries(dps[-1], 0, b)]
-
-    monkeypatch.setattr(groups, "pair_elements", corrupted)
+    _patch_pair_elements(monkeypatch, base, "corrupted")
     dps = enumerate_dual_permutations(base)
     assert len(set(dps)) == len(dps)
     assert not _brute_homomorphism(base, dps)
@@ -1277,17 +1469,7 @@ def test_embedding_report_rejects_a_conjugated_enumeration(monkeypatch):
     # a closed group, but the pairs read off it no longer multiply by the
     # semidirect law
     base = make_ring("zpn:2,2")
-    swap = list(range(16))
-    swap[1], swap[9] = 9, 1  # (0, 1) and (2, 1)
-    real = groups.pair_elements
-
-    def conjugated(*args):
-        return [
-            DualPermutation(dp.dual, [swap[dp.table[swap[k]]] for k in range(16)])
-            for dp in real(*args)
-        ]
-
-    monkeypatch.setattr(groups, "pair_elements", conjugated)
+    _patch_pair_elements(monkeypatch, base, "conjugated")
     dps = enumerate_dual_permutations(base)
     assert _brute_axioms(dps)[0]
     assert not _brute_homomorphism(base, dps)
@@ -1300,22 +1482,74 @@ def test_embedding_report_rejects_a_pair_outside_the_product(monkeypatch, part):
     # induced: an extra element with a foreign G or a foreign F has a pair
     # outside the semidirect product, and membership is checked per element
     base = make_ring("zm:6")
-    perms, units = semidirect_pairs(base)
-    unit_idx = [i for i in range(6) if base.unit_index_mask()[i]]
-    if part == "perm":
-        G, F = _foreign_perm(base), units[0]
-    else:
-        G, induced = perms[0], set(units)
-        F = next(t for t in itertools.product(unit_idx, repeat=6) if t not in induced)
-    real = groups.pair_elements
-    extra = DualPermutation.from_pair(dual_ring(base), G, F)
-
-    def extended(*args):
-        return real(*args) + [extra]
-
-    monkeypatch.setattr(groups, "pair_elements", extended)
+    _patch_pair_elements(monkeypatch, base, part)
     rep = verify_embedding(base)
     assert rep.injective
     assert not rep.image_in_ambient
     assert not rep.surjective
     assert not rep.passed
+
+
+def _oracle_law(base, perms):
+    """(gens, closed, laws) by the per-product law: the closure of
+    _oracle_generate, comparing at each product d * s the pair read back
+    from it with the twisted product (G1 o G2, (F1 o G2) . F2); laws[k] is
+    whether that held for every d at gens[k]."""
+    nb, i1 = base.size, base.index(base.one)
+    mul_t = base.index_op_tables()[1]
+    failed = set()
+
+    def law(d, s, ds):
+        G2, F2 = s.base_pair()
+        twisted = tuple(nb * (d[i1 + nb * g] // nb) + mul_t[d[i1 + nb * g] % nb][f]
+                        for g, f in zip(G2, F2))
+        if ds[i1::nb] != twisted:
+            failed.add(s.table)
+
+    gens, closed = _oracle_generate(perms, law)
+    return gens, closed, [g.table not in failed for g in gens]
+
+
+@pytest.mark.parametrize("desc,fault", [
+    ("fq:2", None), ("fq:3", None), ("fq:4", None), ("zpn:2,2", None), ("zm:6", None),
+    ("fq:3", "corrupted"), ("zpn:2,2", "corrupted"), ("zpn:2,2", "conjugated"),
+    ("zm:6", "perm"), ("zm:6", "unit"),
+])
+def test_embedding_law_matches_the_per_product_oracle(monkeypatch, desc, fault):
+    # the column law decides what the per-product visitor decided, on the
+    # same generators; brute force over all |G|^2 products agrees, bar fq:4
+    # (1944^2 products)
+    base = make_ring(desc)
+    if fault is not None:
+        _patch_pair_elements(monkeypatch, base, fault)
+    dps = enumerate_dual_permutations(base)
+    gens, closed, laws = _oracle_law(base, dps)
+    assert [g.table for g in groups._generate(dps)[0]] == [g.table for g in gens]
+    rep = verify_embedding(base)
+    assert rep.homomorphism_ok == (closed and all(laws))
+    assert rep.homomorphism_mode == f"generators:{len(gens)}"
+    if desc != "fq:4":
+        assert rep.homomorphism_ok == _brute_homomorphism(base, dps)
+    assert rep.homomorphism_ok == (fault is None)
+
+
+def test_embedding_law_reads_every_generator(monkeypatch):
+    # fq:4 with the entries (1, 0) and (1, 2) of its last element swapped:
+    # of the 4 generators, only the row b = 1 of the third reaches (1, 2).
+    # With the closure reported closed, the law alone must fail there
+    base = make_ring("fq:4")
+    real_elements, real_generate = groups.pair_elements, groups._generate
+
+    def corrupted(*args):
+        dps = real_elements(*args)
+        return dps[:-1] + [_swap_two_entries(dps[-1], 4, 6)]
+
+    monkeypatch.setattr(groups, "pair_elements", corrupted)
+    dps = enumerate_dual_permutations(base)
+    gens, closed, laws = _oracle_law(base, dps)
+    assert not closed
+    assert laws == [True, True, False, True]
+    monkeypatch.setattr(groups, "_generate", lambda *args: (real_generate(*args)[0], True))
+    rep = verify_embedding(base)
+    assert rep.homomorphism_mode == "generators:4"
+    assert not rep.homomorphism_ok
