@@ -387,12 +387,15 @@ def pair_module(base: Ring) -> list[list[int]]:
     return rows
 
 
-def least_member(rows, head, m: int) -> list[int]:
+def least_member(rows, head, m: int, x=None, start: int = 0, stop=None) -> list[int]:
     """The member of the span of the triangular rows (pair_module) that
     begins with head, which must begin one, each later entry the least
-    given the earlier ones: back-substitution, then greedy reduction."""
-    x = [0] * len(rows)
-    for i, row in enumerate(rows):
+    given the earlier ones: back-substitution, then greedy reduction.
+    Rows start .. stop - 1 only, from x, the state the rows before start
+    left for a head with the same entries there."""
+    x = [0] * len(rows) if x is None else list(x)
+    for i in range(start, len(rows) if stop is None else stop):
+        row = rows[i]
         c = (head[i] - x[i]) % m // row[i] if i < len(head) else -(x[i] // row[i])
         if c:  # the row is zero before column i
             x[i:] = [(u + c * w) % m for u, w in zip(x[i:], row[i:])]

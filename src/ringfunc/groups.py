@@ -27,29 +27,25 @@ dual_pairs and stabilizer_pairs list the last two as sorted packed rows,
 with a witness on request, and alone decide how: over a field from the
 factors by the field theorem, over Z/m from the pair module (pair_module).
 
-verify_group_axioms checks closure exactly from a greedy generating set S,
-with |G| * |S| products instead of |G|^2, one batch per generator over the
-columns of the elements' index tables; on fq:4, of order 1944, |S| is 3.  A
-closed set is a group, so only a set that is not closed has its identity
-and inverses looked up.  verify_embedding takes the dual permutations from
-dual_pairs, the whole image by the 2q Hermite basis evaluations over F_q and
-by the module over Z/m.  It checks the homomorphism law by comparing the
-pair read back from d * s with the twisted product of the pairs of d and s,
-for every d at once, one column per generator s and point, and membership
-of the image in the semidirect product on packed rows.
-Surjectivity then is |image| = |P(R)| * |F(R)^x|; the product's elements are
-never built, and the same closure decides the image's group axioms.
+verify_embedding lists no group, and verify_group_axioms sifts the pool it
+is given: both build a Schreier-Sims chain (_Chain).  The embedding is
+proved from a few dual permutations whose tables, built from witness
+polynomials, must be their pair forms, and whose chain must reach the dual
+group's known order; the product's axioms come from that chain over F_q
+and from the product's factors over Z/m.  A listed pool is a group iff its
+chain has its size.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import chain, islice, permutations, product, repeat
+from functools import lru_cache
+from itertools import accumulate, chain, count, permutations, product, repeat
 from math import factorial, gcd, prod
 from operator import add, getitem, itemgetter
 
-from .dual import DualRing, dual_ring
+from .dual import DualRing, dual_ring, horner_dual
 from .funcspace import (
     FunctionTable,
     coefficient_sums,
@@ -59,6 +55,7 @@ from .funcspace import (
     induced_index_tables,
     least_member,
     pair_module,
+    realize_pair,
     ring_polynomial,
 )
 from .poly import Polynomial
@@ -116,10 +113,7 @@ class DualPermutation:
         return DualPermutation._make(self.dual, itemgetter(*other.table)(self.table))
 
     def inverse(self) -> "DualPermutation":
-        out = [0] * len(self.table)
-        for i, j in enumerate(self.table):
-            out[j] = i
-        return DualPermutation._make(self.dual, tuple(out))
+        return DualPermutation._make(self.dual, _inverse(self.table))
 
     def base_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Index tables (G, F) on the base, read off the row b = 1, whose
@@ -309,14 +303,17 @@ def split_sweep(add_t, zero_table, stages, first: slice):
 
 
 def _module_parts(base: Ring, *, times: int, cap: int | None, what: str):
-    """The pair module of Z/m (pair_module), unit_coset(F), the unit-valued
-    tables of the coset F + H, and preimage(pair), the least f of degree < D
-    with ([f], [f']) = pair, the first a coefficient sweep reaches: the
-    coefficient part of the member beginning with the pair, reduced from
-    x^(D-1) down (least_member).  H, the [g'] of [g] = 0, is the span of the
-    rows m .. 2m-1 on their columns; by the Howell property each h in H is
-    sum c_j row_j for one choice of c_j in range(m // pivot_j), so times |H|
-    is capped as what before H is built.
+    """The pair module of Z/m (pair_module) as (over, unit_coset, preimage):
+    unit_coset(F), the unit-valued tables of the coset F + H; over(G), those
+    of the pairs (G, F) of the module, unit_coset of the least F; and
+    preimage(pair), the least f of degree < D with ([f], [f']) = pair, the
+    first a coefficient sweep reaches: the coefficient part of the member
+    beginning with the pair, reduced from x^(D-1) down (least_member).  The
+    reduction by the rows of G is kept for each G, as every pair over G
+    shares it.  H, the [g'] of [g] = 0, is the span of the rows m .. 2m-1
+    on their columns; by the Howell property each h in H is sum c_j row_j
+    for one choice of c_j in range(m // pivot_j), so times |H| is capped as
+    what before H is built.
     """
     module, nb = pair_module(base), base.size
     check_cap(times * prod(nb // module[j][j] for j in range(nb, 2 * nb)), cap, what)
@@ -333,10 +330,20 @@ def _module_parts(base: Ring, *, times: int, cap: int | None, what: str):
         coset = (tuple(map(getitem, adds, h)) for h in H)
         return [u for u in coset if all(map(mask.__getitem__, u))]
 
-    def preimage(pair):
-        return ring_polynomial(base, least_member(module, pair, nb)[2 * nb:][::-1])
+    @lru_cache(maxsize=None)
+    def reduced(G):
+        return least_member(module, G, nb, stop=nb)
 
-    return module, unit_coset, preimage
+    def member(pair):
+        return least_member(module, pair, nb, reduced(tuple(pair[:nb])), nb)
+
+    def over(G):
+        return unit_coset(tuple(member(G)[nb:2 * nb]))
+
+    def preimage(pair):
+        return ring_polynomial(base, member(pair)[2 * nb:][::-1])
+
+    return over, unit_coset, preimage
 
 
 def dual_pairs(base: Ring, *, cap: int | None = None):
@@ -348,19 +355,11 @@ def dual_pairs(base: Ring, *, cap: int | None = None):
     field theorem), capped as the semidirect product, and the witness is
     the only polynomial of degree < 2q with the pair, the Hermite form
     A_G + B_F, A_G = sum_a G(a) H_a and B_F = sum_a F(a) K_a, all built on
-    the first call.  Over Z/m each G of P(R) lifts to a pair (G, F) of the
-    pair module, and the pairs over G are the unit-valued tables of F + H,
-    |P(R)| |H| pairs capped as "dual pairs"; the witness is the least
-    preimage (_module_parts).
+    the first call.  Over Z/m each G of P(R) lifts to the pairs (G, F) of
+    the pair module with F unit-valued, |P(R)| |H| pairs capped as "dual
+    pairs", and the witness is the least preimage (_module_parts).
     """
-    _, rows, witness = _dual_listing(base, cap)
-    return rows(), witness
-
-
-def _dual_listing(base: Ring, cap: int | None):
-    """dual_pairs as (order, rows, witness): rows() lists the rows, counted
-    by order before any is packed, so that a cap on them can refuse first."""
-    nb, add_t = base.size, base.index_op_tables()[0]
+    nb = base.size
     if base.is_field:
         perms, units = semidirect_pairs(base, cap=cap)
         rows = packed_rows(base, perms, units)
@@ -369,26 +368,18 @@ def _dual_listing(base: Ring, cap: int | None):
         def parts():
             # row -> (A_G, B_F); entry b of row d of A_G is the element
             # A_G[d] + b, so a coefficient of A_G + B_F is one lookup
+            add_t = base.index_op_tables()[0]
             H, K = hermite_basis(base)
             A = [[[base.elements[s] for s in add_t[a]] for a in hermite_sum(base, H, G)]
                  for G in perms]
             B = [hermite_sum(base, K, F) for F in units]
             return dict(zip(rows, product(A, B)))
 
-        def witness(row):
-            return ring_polynomial(base, list(map(getitem, *parts()[row])))
-
-        return len(rows), partial(sorted, rows), witness
+        return sorted(rows), lambda row: ring_polynomial(base, list(map(getitem, *parts()[row])))
     perms = semidirect_factors(base, cap=cap)[0]
-    module, unit_coset, preimage = _module_parts(base, times=len(perms), cap=cap, what="dual pairs")
-    # the lift reduces F to the least of its coset, a key for unit_coset
-    lifts = [(G, unit_coset(tuple(least_member(module, G, nb)[nb:2 * nb]))) for G in perms]
-
-    def rows():
-        return sorted(chain.from_iterable(packed_rows(base, [G], units) for G, units in lifts))
-
-    order = sum(len(units) for _, units in lifts)
-    return order, rows, lambda row: preimage([v // nb for v in row] + [v % nb for v in row])
+    over, _, preimage = _module_parts(base, times=len(perms), cap=cap, what="dual pairs")
+    rows = sorted(chain.from_iterable(packed_rows(base, [G], over(G)) for G in perms))
+    return rows, lambda row: preimage([v // nb for v in row] + [v % nb for v in row])
 
 
 def stabilizer_pairs(base: Ring, *, cap: int | None = None):
@@ -466,82 +457,72 @@ def null_polynomials(
     return out
 
 
-def _products_by(cols, s):
-    """The tables x * s of the pool's elements x, in pool order, from cols,
-    the pool's tables transposed: column k of x * s is column s[k]."""
-    return zip(*map(cols.__getitem__, s))
+def _inverse(t) -> tuple[int, ...]:
+    # a permutation table sorts the positions into its inverse
+    return tuple(sorted(range(len(t)), key=t.__getitem__))
 
 
-def _generate(elements, cols=None) -> tuple[list, bool]:
-    """Greedy generating set of a finite pool, and whether the pool is closed.
+class _Chain:
+    """A base and strong generating set of a permutation group on range(n),
+    extended in place (Sims 1970; Seress, Permutation Group Algorithms, 2003).
 
-    Works on the elements' index tables.  The walk visits the pool at
-    positions i * step mod n, step the first of r, r + 1, r - 1, r + 2, ...
-    coprime to n for r nearest 0.618 * n, and makes each element not yet
-    reached a new generator.  The sorted enumerations begin with the
-    identity and elements fixing most points, which lie in small subgroups;
-    a few elements spread over the pool usually generate a permutation group
-    (Seress, Permutation Group Algorithms, 2003).  On the fq:4 semidirect
-    group and dual permutations (order 1944) that is 3 generators, where the
-    sorted walk takes 7.
-
-    A new generator s forms x * s once for every pool element x, |G| * |S|
-    products in all, as one batch over the pool's columns (_products_by;
-    cols, the tables transposed, may be passed in), and each product is
-    mapped to its pool position.  The pool is closed iff no product leaves
-    it.  Reaching then walks positions over each generator's map; a product
-    outside the pool is not expanded, so every pool element ends up reached
-    and inside the group the generators generate.  The identity is never
-    made a generator unless it is the whole pool: it would cost |G| products
-    and add nothing, and a closed pool reaches it as a power of any
-    generator.  Raises ValueError unless every element acts on one dual
-    ring.
-
-    For associative products a closed pool is the group generated: each
-    element is a product of generators, so right multiplication by the
-    generators alone keeps every product in the pool.  A group of order n
-    needs at most log2(n) + 1 greedy generators (each new one at least
-    doubles the subgroup reached), so the walk costs O(n log n) products.
+    Level i holds a base point b, strong generators fixing the earlier base
+    points, and u[p] taking b to each p of its orbit, v[p] = u[p]^-1.  A
+    generator added to a level extends the orbit breadth-first, and each
+    Schreier generator v[s(p)] s u[p] off that tree that does not sift from
+    the next level is added there.  So the levels from each i on stay a base
+    and strong generating set of the group of the level-i generators, of
+    order the product of the orbit lengths.  Tables compose as
+    DualPermutation products do: (a b)[k] = a[b[k]].
     """
-    els = list(elements)
-    n = len(els)
-    if n == 0:
-        return [], True
-    dual = els[0].dual
-    if any(e.dual is not dual and e.dual != dual for e in els):
-        raise ValueError("permutations live over different dual rings")
-    tables = [e.table for e in els]
-    index = {t: i for i, t in enumerate(tables)}
-    cols = list(zip(*tables)) if cols is None else cols
-    ident = tuple(range(dual.size))
-    r = round(0.618 * n)
-    step = next(k for d in range(n) for k in (r + d, r - d) if 0 < k <= n and gcd(k, n) == 1)
-    gens: list = []
-    maps: list = []
-    done: list[int] = []
-    # position n stands for every product outside the pool: reached already
-    reached = bytearray(n + 1)
-    reached[n] = 1
-    order: list[int] = []
-    for i in range(n):
-        g = els[i * step % n]
-        k = index[g.table]
-        if reached[k] or (len(index) > 1 and g.table == ident):
-            continue
-        gens.append(g)
-        maps.append(list(map(index.get, _products_by(cols, g.table), repeat(n))))
-        done.append(0)
-        reached[k] = 1
-        order.append(k)
-        while any(j < len(order) for j in done):
-            for j, m in enumerate(maps):
-                # a list iterator also yields what is appended while it runs
-                for y in map(m.__getitem__, islice(order, done[j], None)):
-                    if not reached[y]:
-                        reached[y] = 1
-                        order.append(y)
-                done[j] = len(order)
-    return gens, all(n not in m for m in maps)
+
+    def __init__(self, n: int):
+        self.ident = tuple(range(n))
+        self.levels: list[tuple] = []
+
+    @property
+    def order(self) -> int:
+        return prod(len(u) for _, _, u, _ in self.levels)
+
+    def sift(self, g, start: int = 0):
+        for b, _, _, v in self.levels[start:]:
+            if g[b] != b:
+                if (w := v.get(g[b])) is None:
+                    break
+                g = itemgetter(*g)(w)
+        return g
+
+    def extend(self, g) -> bool:
+        """Add g unless it sifts; whether it was added."""
+        if added := self.sift(g) != self.ident:
+            self._add(0, g)
+        return added
+
+    def _add(self, i: int, g) -> None:
+        ident = self.ident
+        if i == len(self.levels):
+            b = next(k for k, x in enumerate(g) if k != x)
+            self.levels.append((b, [], {b: ident}, {b: ident}))
+        _, gens, u, v = self.levels[i]
+        gens.append((g, _inverse(g)))
+        # (point, generator) pairs still to visit; the list grows as it runs
+        todo = [(p, len(gens) - 1) for p in u]
+        for p, j in todo:
+            s, s_inv = gens[j]
+            t = itemgetter(*u[p])(s)
+            w = v.get(s[p])
+            if w is None:
+                u[s[p]], v[s[p]] = t, itemgetter(*s_inv)(v[p])
+                todo += [(s[p], k) for k in range(len(gens))]
+            elif (h := itemgetter(*t)(w)) != ident and (r := self.sift(h, i + 1)) != ident:
+                self._add(i + 1, r)
+
+
+def _generated(tables, n: int) -> tuple[_Chain, list]:
+    """The chain of the group the tables generate, and the tables it was
+    extended by: each sifts once, walked (_walk) so that a few generate."""
+    group = _Chain(n)
+    return group, [t for _, t in _walk([((), tables)]) if group.extend(t)]
 
 
 @dataclass(frozen=True)
@@ -560,52 +541,70 @@ class GroupAxiomsReport:
         return self.closed and self.has_identity and self.inverses_ok and self.associative
 
 
+def _axioms_report(size, closed, has_identity, inverses_ok, gens) -> GroupAxiomsReport:
+    """The report on a set inside the group the tables gens generate, which
+    is abelian iff they commute pairwise."""
+    abelian = all(
+        itemgetter(*b)(a) == itemgetter(*a)(b) for i, a in enumerate(gens) for b in gens[i + 1:]
+    )
+    return GroupAxiomsReport(
+        size, closed, has_identity, inverses_ok, True, "composition",
+        abelian, f"generators:{len(gens)}",
+    )
+
+
 def verify_group_axioms(elements) -> GroupAxiomsReport:
     """Check the group axioms on a finite list of elements, exactly.
 
     The elements must multiply as compositions of permutations, as
-    DualPermutation does, so associativity holds by construction and is
-    reported with mode "composition".  Every check works on the index
-    tables.  Closure is decided from a greedy generating set S (_generate):
-    the list is closed under all products iff right multiplication by S
-    never leaves it.  A closed list holds the identity and every inverse,
-    g^k = id for some k > 0 making g^(k-1) that of g.  A list that is not
-    closed must hold the identity table, and each element's inverse table,
-    composing with it to the identity on both sides.  The list is abelian
-    iff the elements of S commute pairwise, since every element lies in the
-    group S generates; abelian_mode is "generators:<|S|>".  Raises
-    ValueError unless every element acts on one dual ring.
+    DualPermutation does, so associativity holds by construction (mode
+    "composition").  Each element sifts into a chain extended by those that
+    do not (_generated), ending with the group G the list generates.  The
+    list is closed iff |G| is its number of distinct tables; then it holds
+    the identity and every inverse, else they are looked up.  It is abelian
+    iff the generators S of the chain commute pairwise (abelian_mode
+    "generators:<|S|>").  Raises ValueError unless every element acts on
+    one dual ring.
     """
     els = list(elements)
     if not els:
         return GroupAxiomsReport(
             0, False, False, False, False, "composition", True, "generators:0"
         )
-    return _axioms_report(els, *_generate(els))
+    dual = els[0].dual
+    if any(e.dual is not dual and e.dual != dual for e in els):
+        raise ValueError("permutations live over different dual rings")
+    tables = [e.table for e in els]
+    pool = set(tables)
+    group, gens = _generated(tables, dual.size)
+    closed = group.order == len(pool)
+    has_identity = closed or group.ident in pool
+    inverses_ok = closed or has_identity and all(_inverse(t) in pool for t in tables)
+    return _axioms_report(len(els), closed, has_identity, inverses_ok, gens)
 
 
-def _axioms_report(els, gens, closed) -> GroupAxiomsReport:
-    """verify_group_axioms on nonempty els from (gens, closed) = _generate(els)."""
-    has_identity = inverses_ok = closed
-    if not closed:
-        tables = [e.table for e in els]
-        pool = set(tables)
-        ident = tuple(range(len(tables[0])))
-        has_identity = ident in pool
-        # a permutation table sorts the positions into its inverse
-        inverses_ok = has_identity and all(
-            (inv := tuple(sorted(ident, key=t.__getitem__))) in pool
-            and itemgetter(*inv)(t) == ident == itemgetter(*t)(inv)
-            for t in tables
-        )
-    abelian = all(
-        itemgetter(*b.table)(a.table) == itemgetter(*a.table)(b.table)
-        for i, a in enumerate(gens) for b in gens[i + 1:]
+def _product_axioms(base: Ring, perms, units) -> GroupAxiomsReport:
+    """verify_group_axioms of the semidirect product of the listed factors,
+    from |perms| + |units| sifts (_generated).  (G, F) = (G, 1) (id, F), so
+    the pairs (G, 1) and (id, F) generate a group holding the product, and
+    lying in it iff it holds the identity pair: the product is closed iff
+    that group has its order.  If it is not, (G, F)^-1 = (G^-1,
+    (F o G^-1)^-1) is looked up in the factors."""
+    nb, one = base.size, base.index(base.one)
+    block = _pair_blocks(base).__getitem__
+    ident, ones = tuple(range(nb)), (one,) * nb
+    rows = packed_rows(base, perms, [ones]) + packed_rows(base, [ident], units)
+    group, gens = _generated([tuple(chain.from_iterable(map(block, r))) for r in rows], nb * nb)
+    pset, uset = set(perms), set(units)
+    has_identity = ident in pset and ones in uset
+    closed = group.order == len(pset) * len(uset)
+    inv = [row.index(one) if one in row else 0 for row in base.index_op_tables()[1]]
+    inverses_ok = closed or has_identity and all(
+        (G_inv := _inverse(G)) in pset
+        and all(tuple(inv[F[a]] for a in G_inv) in uset for F in units)
+        for G in perms
     )
-    return GroupAxiomsReport(
-        len(els), closed, has_identity, inverses_ok, True, "composition",
-        abelian, f"generators:{len(gens)}",
-    )
+    return _axioms_report(len(perms) * len(units), closed, has_identity, inverses_ok, gens)
 
 
 @dataclass(frozen=True)
@@ -653,77 +652,115 @@ def _hermite_basis_evaluates(base: Ring) -> bool:
     ] == [[base.one if i == j else base.zero for i in range(n)] for j in range(n)]
 
 
+def _field_generators(base: Ring) -> list[tuple]:
+    """(tau, 1), (sigma, 1) and (id, g at 0 and 1 elsewhere) over F_q: the
+    transposition tau and the q-cycle sigma of the element indices generate
+    Sym(q), and g generates F_q^x.  Conjugating the third by Sym(q) puts g
+    at every point, so the three generate the whole product."""
+    q, one = base.size, base.index(base.one)
+    mask, mul_t = base.unit_index_mask(), base.index_op_tables()[1]
+    g = next(x for x in range(q) if mask[x] and len(
+        set(accumulate(repeat(x, q - 1), lambda y, z: mul_t[y][z]))) == q - 1)
+    ident, ones = tuple(range(q)), (one,) * q
+    return [((1, 0) + ident[2:], ones), (ident[1:] + (0,), ones), (ident, (g,) + ones[1:])]
+
+
+def _walk(lists):
+    """Each (key, item) of the lists (key, items) once, the k-th the item
+    at k * step mod n of n in listed order, step the first of r, r + 1,
+    r - 1, ... coprime to n, r nearest 0.618 n, so the first few spread."""
+    ends = list(accumulate(len(items) for _, items in lists))
+    n = ends[-1]
+    r = round(0.618 * n)
+    step = next(k for d in range(n + 1) for k in (r + d, r - d) if 0 < k <= n and gcd(k, n) == 1)
+    for p in range(0, n * step, step):
+        key, items = lists[j := bisect_right(ends, p % n)]
+        yield key, items[p % n - ends[j]]
+
+
 def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     """Check that reading off base pairs embeds the dual permutations into
-    the semidirect product.
+    the semidirect product, by Schreier-Sims from a few of them.
 
-    The elements are the rows of dual_pairs, their tables capped at
-    |image| |R|^2 entries before any row is listed.  Over F_q the 2q Hermite
-    basis evaluations prove them the image and the stabilizer every unit
-    table, image_mode "basis:<2q>"; if they fail, neither surjective nor
-    factorization_ok holds.  Over Z/m the pair module lists the image, image_mode "module",
-    and the stabilizer is the image over G = id.  Injectivity and membership
-    in the product are exhaustive, on the packed rows read off the tables.
-    The homomorphism law pair(d * s) = pair(d) * pair(s) compares the pair
-    read back from the composed table with the twisted product
-    (G1 o G2, (F1 o G2) . F2), for every d and every s in a greedy
-    generating set S of them, after the closure from S: for each s and point
-    a, the column of entry a of the row b = 1 of d * s, over every d,
-    against the column of the twisted product.  The set must be closed
-    under those products, or homomorphism_ok is False.  By
-    induction on k the law then holds for d * s1 * ... * sk, both products
-    being associative: mode "generators:<|S|>".  The image is onto iff it
-    lies in the product and has its size |P(R)| * |F(R)^x|, which must
-    factor as |Stab| * |P(R)|.  When the image is the whole product, each
-    packed row once, the two have the same elements (pair_elements), and
-    product_axioms is the product's verify_group_axioms report, from the
-    same closure; otherwise it is None.
+    The pair-form permutations of R[al] make a group A, the read-off is an
+    isomorphism from A onto the twisted product, and dual[law:*] puts the
+    dual permutations in A.  Each generator's table, by horner_dual from a
+    witness polynomial, must be its pair form: then the chain (_Chain) of
+    the generators S has order at most the dual group's, and equality
+    proves the read-off injective and a homomorphism on the dual group
+    (mode "schreier-sims:<|S|>").  Over F_q the order is q! (q - 1)^q, S is
+    _field_generators with Hermite witnesses (realize_pair), the 2q Hermite
+    basis evaluations prove the image onto (image_mode "basis:<2q>"), and a
+    chain of that order is the product, so product_axioms is its report,
+    else None.  Over Z/m the order
+    counts the module's pairs (dual_pairs; image_mode "module"), those over
+    G = id the stabilizer, S is each pair that does not sift, walked (_walk)
+    until the order is reached, and product_axioms comes from the factors
+    (_product_axioms).  The image lies in the product when that is closed
+    and holds S, and is onto iff it has the product's order, which must
+    factor as |Stab| |P(R)|.  The chain's transversals hold at most 2 n^2 k
+    table entries, n = |R|^2 and n^k at least the order (orbits have 2 .. n
+    points), capped as "stabilizer chain" first.
     """
-    nb, i1 = base.size, base.index(base.one)
-    order, rows, _ = _dual_listing(base, cap)
-    check_cap(order * nb * nb, cap, "dual tables")
-    proved = _hermite_basis_evaluates(base) if base.is_field else True
-    image_mode = f"basis:{2 * nb}" if base.is_field else "module"
-    perms = pair_elements(dual_ring(base), rows())
-    # column k holds entry k of every table; the image is the rows b = 1
-    cols = list(zip(*[dp.table for dp in perms]))
-    image = set(zip(*cols[i1::nb]))
-    injective = len(image) == len(perms)
+    nb, n, dual = base.size, base.size ** 2, dual_ring(base)
+    if base.is_field:
+        perm_count, unit_count = factorial(nb), (nb - 1) ** nb
+        order, stabilizer_size = perm_count * unit_count, unit_count
+    else:
+        perms, units = semidirect_factors(base, cap=cap)
+        over, _, preimage = _module_parts(base, times=len(perms), cap=cap, what="dual pairs")
+        lifts = [(G, over(G)) for G in perms]
+        perm_count, unit_count = len(perms), len(units)
+        order = sum(len(units) for _, units in lifts)
+        stabilizer_size = len(dict(lifts).get(tuple(range(nb)), ()))
+    check_cap(2 * n * n * next(k for k in count(1) if n ** k >= order), cap, "stabilizer chain")
+    if base.is_field:
+        proved, image_mode = _hermite_basis_evaluates(base), f"basis:{2 * nb}"
+        candidates, els = _field_generators(base), base.elements
 
-    perm_tables, unit_tables = semidirect_pairs(base, cap=cap)
-    image_in_ambient = image <= set(packed_rows(base, perm_tables, unit_tables))
-    stabilizer_size = len(unit_tables) if base.is_field else sum(
-        all(v // nb == a for a, v in enumerate(row)) for row in image)
+        def witness(G, F):
+            return realize_pair(*(FunctionTable(base, map(els.__getitem__, t)) for t in (G, F)))
+    else:
+        proved, image_mode, candidates = True, "module", _walk(lifts)
 
-    # the law on the columns of the pool: entry a of the row b = 1 of d * s
-    # is entry v = s[i1 + nb * a] = G2(a) * nb + F2(a) of d, and the twisted
-    # product's is the packed pair of d at G2(a), entry i1 + nb * G2(a) of
-    # d, with its F part multiplied by F2(a) (scale[f][w] does that to w)
-    mul_t = base.index_op_tables()[1]
-    scale = [[w - w % nb + mul_t[w % nb][f] for w in range(nb * nb)] for f in range(nb)]
-    gens, closed = _generate(perms, cols)
-    law_ok = all(
-        cols[v] == tuple(map(scale[v % nb].__getitem__, cols[v - v % nb + i1]))
-        for s in gens for v in s.table[i1::nb]
-    )
+        def witness(G, F):
+            return preimage(G + F)
 
-    ambient_size = len(perm_tables) * len(unit_tables)
-    whole = injective and image_in_ambient and len(image) == ambient_size
+    block = _pair_blocks(base).__getitem__
+    group, gens, tables_ok = _Chain(n), [], True
+    for G, F in candidates:
+        table = tuple(chain.from_iterable(map(block, packed_rows(base, [G], [F])[0])))
+        if group.extend(table):
+            gens.append((F, table))
+            real = tuple(map(dual.index, horner_dual(witness(G, F), dual, dual.elements)))
+            tables_ok = tables_ok and real == table
+            if group.order >= order:
+                break
+    ok = tables_ok and group.order == order
+    if base.is_field:
+        in_product, axioms = True, None
+        if group.order == order:
+            axioms = _axioms_report(order, True, True, True, [t for _, t in gens])
+    else:
+        # each G is one of perms already
+        axioms, uset = _product_axioms(base, perms, units), set(units)
+        in_product = axioms.closed and all(F in uset for F, _ in gens)
+    ambient_size = perm_count * unit_count
     return EmbeddingReport(
         base=base.descriptor,
-        dual_perm_count=len(perms),
-        image_size=len(image),
+        dual_perm_count=order,
+        image_size=group.order,
         ambient_size=ambient_size,
-        perm_count=len(perm_tables),
-        unit_table_count=len(unit_tables),
+        perm_count=perm_count,
+        unit_table_count=unit_count,
         stabilizer_size=stabilizer_size,
-        injective=injective,
-        homomorphism_ok=law_ok and closed,
-        homomorphism_mode=f"generators:{len(gens)}",
-        image_in_ambient=image_in_ambient,
-        surjective=proved and image_in_ambient and len(image) == ambient_size,
-        factorization_ok=proved and len(image) == stabilizer_size * len(perm_tables),
+        injective=ok,
+        homomorphism_ok=ok,
+        homomorphism_mode=f"schreier-sims:{len(gens)}",
+        image_in_ambient=ok and in_product,
+        surjective=proved and ok and in_product and group.order == ambient_size,
+        factorization_ok=proved and group.order == stabilizer_size * perm_count,
         image_mode=image_mode,
         over_field=base.is_field,
-        product_axioms=_axioms_report(perms, gens, closed) if whole else None,
+        product_axioms=axioms,
     )

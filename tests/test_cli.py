@@ -738,7 +738,7 @@ def test_module_listings_reach_the_orders_of_the_sweep(capsys, argv, count):
     assert (code, json.loads(out)["count"], len(json.loads(out)["items"])) == (0, count, count)
 
 
-@pytest.mark.parametrize("argv,err", [
+@pytest.mark.parametrize("argv,expected", [
     # |P(R)| |H| = 720 * 84375 pairs to try
     (("enumerate", "--what", "group", "--dual", "--ring", "zm:15"),
      "error: dual pairs: 60750000 exceeds cap 10000000\n"),
@@ -759,33 +759,48 @@ def test_module_listings_reach_the_orders_of_the_sweep(capsys, argv, count):
     # |H| = 7^14
     (("enumerate", "--what", "stabilizer", "--ring", "zm:49"),
      "error: stabilizer: 678223072849 exceeds cap 10000000\n"),
-    # 944,784 dual permutations of 81 entries each
+    # once refused at 944,784 dual tables of 81 entries; now a chain from 2
+    # lifts reaches that order, and the run's stdout is pinned by sha256
     (("verify", "--suite", "groups", "--ring", "zm:9"),
-     "error: dual tables: 76527504 exceeds cap 10000000\n"),
+     "c257b264a01fbd09ca4f44fe76d942939d665294db54db3e5ff221e4102b2a76"),
     # (q - 1)^q = 5,764,801 passes the stabilizer cap, q^q does not
     (("enumerate", "--what", "stabilizer", "--ring", "fq:8"),
      "error: polynomial enumeration: 16777216 exceeds cap 10000000\n"),
-    # over a field the embedding lists the group, so the product's cap refuses
+    # once refused at the semidirect product cap; now three generators reach
+    # the order 1,410,877,440, and the run's stdout is pinned by sha256
     (("verify", "--suite", "groups", "--ring", "fq:7"),
-     "error: semidirect product: 1410877440 exceeds cap 10000000\n"),
+     "888d0680bc89e7bd2701000ac0ba509e11fdc4913d852d0220c5da1996d8938c"),
+    # P(Z/16) is enumerated below the null degree bound 6: 16^6 candidates
+    (("verify", "--suite", "groups", "--ring", "zm:16"),
+     "error: polynomial enumeration: 16777216 exceeds cap 10000000\n"),
+    # the smallest field whose chain may hold more than the cap: n = 23^2
+    # points, 2 n^2 k entries, n^k at least 23! 22^23 for k = 20
+    (("verify", "--suite", "groups", "--ring", "fq:23"),
+     "error: stabilizer chain: 11193640 exceeds cap 10000000\n"),
 ])
-def test_group_refusals_are_pinned(capsys, argv, err):
-    assert run(capsys, *argv) == (3, "", err)
+def test_group_refusals_are_pinned(capsys, argv, expected):
+    # a refusal pins its stderr, a run that now passes its stdout's sha256
+    code, out, err = run(capsys, *argv)
+    if expected.startswith("error: "):
+        assert (code, out, err) == (3, "", expected)
+    else:
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, expected, "")
 
 
 def test_verify_groups_refuses_before_building_the_product(capsys, monkeypatch):
-    # zm:9 has a semidirect product of 7,558,272 elements, under the cap,
-    # and 944,784 dual permutations whose tables of 81 entries are over it
+    # fq:23: the chain's bound, 11,193,640 table entries, is over the cap,
+    # and it is checked before any generator, chain or group is built
     def refuse(*args, **kwargs):
-        raise AssertionError("semidirect product or dual tables built")
+        raise AssertionError("semidirect product, chain or tables built")
 
     monkeypatch.setattr(gr, "semidirect_group", refuse)
     monkeypatch.setattr(gr, "pair_elements", refuse)
-    # the cap counts the rows before any is packed
     monkeypatch.setattr(gr, "packed_rows", refuse)
-    code, out, err = run(capsys, "verify", "--suite", "groups", "--ring", "zm:9")
+    monkeypatch.setattr(gr, "_Chain", refuse)
+    monkeypatch.setattr(gr, "hermite_basis", refuse)
+    code, out, err = run(capsys, "verify", "--suite", "groups", "--ring", "fq:23")
     assert (code, out) == (3, "")
-    assert err == "error: dual tables: 76527504 exceeds cap 10000000\n"
+    assert err == "error: stabilizer chain: 11193640 exceeds cap 10000000\n"
 
 
 # verify --suite dual: exit code, sha256 of stdout and stderr, recorded while
@@ -1086,39 +1101,53 @@ def test_verify_groups_fails_a_corrupted_hermite_basis(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("desc,closures", [
-    ("fq:3", 1), ("fq:4", 1), ("zm:6", 1),
-    # the product (128) is larger than the dual group (32)
-    ("zpn:2,2", 2),
+    ("fq:3", 1), ("fq:4", 1),
+    # the embedding's chain, and one of the product from its factors
+    ("zm:6", 2), ("zpn:2,2", 2),
 ])
 def test_verify_groups_closes_each_group_once(capsys, monkeypatch, desc, closures):
-    # where the dual group is the whole product, the embedding's closure
-    # decides the product's axioms and the product is never built
-    calls = {"_generate": 0, "semidirect_group": 0}
-    for name in calls:
-        def spy(*args, real=getattr(gr, name), name=name, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+    # over a field the embedding's chain decides the product's axioms too,
+    # and over Z/m one more chain decides them from the factors; no group is
+    # listed: neither the product, nor the dual group's rows, nor elements
+    # beyond the generators'
+    chains = []
+    real_chain, real_elements = gr._Chain, gr.pair_elements
 
-        monkeypatch.setattr(gr, name, spy)
+    def chain(n):
+        chains.append(real_chain(n))
+        return chains[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group listed")
+
+    def elements(dual, rows, witness=None):
+        rows = list(rows)
+        assert len(rows) <= 1
+        return real_elements(dual, rows, witness)
+
+    monkeypatch.setattr(gr, "_Chain", chain)
+    monkeypatch.setattr(gr, "pair_elements", elements)
+    for name in ("semidirect_group", "dual_pairs", "stabilizer_pairs"):
+        monkeypatch.setattr(gr, name, refuse)
     assert run(capsys, "verify", "--suite", "groups", "--ring", desc)[0] == 0
-    assert calls == {"_generate": closures, "semidirect_group": closures - 1}
+    assert len(chains) == closures
 
 
 def test_verify_groups_decides_the_axioms_on_the_product_for_a_short_image(
     capsys, monkeypatch
 ):
-    # the embedding's elements, the first pair_elements call, lose one: the
-    # image is no longer the whole product, so the product's axioms are
-    # decided on the product, built by the second call
-    real = gr.pair_elements
+    # the embedding's generators lose the unit pair: their chain stops at
+    # the 6 permutations, short of the product, so the product's axioms are
+    # decided on the product, built and closed on its own
+    real_generators, real_group = gr._field_generators, gr.semidirect_group
     sizes = []
 
-    def corrupted(*args):
-        dps = real(*args)
-        sizes.append(len(dps))
-        return dps[:-1] if len(sizes) == 1 else dps
+    def group(*args, **kwargs):
+        sizes.append(len(elements := real_group(*args, **kwargs)))
+        return elements
 
-    monkeypatch.setattr(gr, "pair_elements", corrupted)
+    monkeypatch.setattr(gr, "_field_generators", lambda base: real_generators(base)[:-1])
+    monkeypatch.setattr(gr, "semidirect_group", group)
     code, out, _ = run(capsys, "verify", "--suite", "groups", "--ring", "fq:3")
     assert code == 4
     assert out.splitlines() == [
@@ -1126,7 +1155,7 @@ def test_verify_groups_decides_the_axioms_on_the_product_for_a_short_image(
         "groups[embedding:fq:3]: FAIL",
         "1/2 checks passed",
     ]
-    assert sizes == [48, 48]
+    assert sizes == [48]
 
 
 def test_verify_failure_exits_four(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Semidirect products, dual permutations, the stabilizer, verification reports."""
 
+import dataclasses
 import itertools
 import operator
 import random
@@ -337,14 +338,14 @@ def _spy_batches(monkeypatch):
     generator's table s and, for each pool table x in pool order, the
     product table y, the products being taken through the real helper."""
     batches = []
-    real = groups._products_by
+    real = _products_by
 
     def spy(cols, s):
         products = list(real(cols, s))
         batches.append((s, list(zip(zip(*cols), products))))
         return iter(products)
 
-    monkeypatch.setattr(groups, "_products_by", spy)
+    monkeypatch.setattr(sys.modules[__name__], "_products_by", spy)
     return batches
 
 
@@ -362,17 +363,17 @@ def test_generating_set_leaves_out_the_identity(monkeypatch):
     ):
         assert pool[0] == identity
         batches = _spy_batches(monkeypatch)
-        gens, closed = groups._generate(pool)
+        gens, closed = _generate(pool)
         monkeypatch.undo()
         assert closed
         assert identity not in gens
         assert sum(len(products) for _, products in batches) == len(pool) * len(gens)
     # a one-element pool still takes its element as the generator
     e = DualPermutation.identity(d3)
-    assert groups._generate([e]) == ([e], True)
+    assert _generate([e]) == ([e], True)
     # the identity and an involution: the involution generates both
     swap = DualPermutation.from_pair(d3, (1, 0, 2), (1, 1, 1))
-    assert groups._generate([e, swap]) == ([swap], True)
+    assert _generate([e, swap]) == ([swap], True)
 
 
 @pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "fq:4", "zm:6"])
@@ -382,7 +383,7 @@ def test_generating_set_pins_the_product_count(desc, monkeypatch):
     base = make_ring(desc)
     for pool in (semidirect_group(base), enumerate_dual_permutations(base)):
         batches = _spy_batches(monkeypatch)
-        gens, closed = groups._generate(pool)
+        gens, closed = _generate(pool)
         monkeypatch.undo()
         assert closed
         assert len(gens) <= 3
@@ -394,14 +395,14 @@ def test_generating_set_pins_the_product_count(desc, monkeypatch):
         assert all(y == tuple(x[i] for i in s) for x, s, y in products)
 
 
-def _most_python_calls(fn, *args):
+def _most_python_calls(fn, *args, module=None):
     """fn(*args) and the most Python-level calls that any one function,
     comprehension or generator makes under it, generator resumptions
-    included."""
+    included; of those defined in module alone, if given."""
     calls = Counter()
 
     def count(frame, event, arg):
-        if event == "call":
+        if event == "call" and (module is None or frame.f_code.co_filename == module.__file__):
             calls[frame.f_code] += 1
 
     sys.setprofile(count)
@@ -414,17 +415,18 @@ def _most_python_calls(fn, *args):
 
 @pytest.mark.parametrize("desc", ["fq:4", "zm:12"])
 def test_closure_and_law_make_no_python_call_per_product(desc):
-    # the products by a generator are one batch over the pool's columns and
-    # the law compares whole columns: the closure runs Python code at most
-    # once per element, and the embedding, listing its elements too, less
-    # than once per product x * s
+    # the oracle's products by a generator are one batch over the pool's
+    # columns: its closure runs Python code at most once per element.  The
+    # embedding, by Schreier-Sims from a few generators, runs no function of
+    # the group code as often as the closure makes products x * s; the ring
+    # arithmetic of horner_dual runs per point of each generator's table
     base = make_ring(desc)
     pool = enumerate_dual_permutations(base)
-    (gens, closed), most = _most_python_calls(groups._generate, pool)
+    (gens, closed), most = _most_python_calls(_generate, pool)
     assert closed and len(gens) >= 3
     assert most <= len(pool) + 1
-    rep, most = _most_python_calls(verify_embedding, base)
-    assert rep.homomorphism_ok and rep.homomorphism_mode == f"generators:{len(gens)}"
+    rep, most = _most_python_calls(verify_embedding, base, module=groups)
+    assert rep.homomorphism_ok and rep.homomorphism_mode.startswith("schreier-sims:")
     assert most < len(pool) * len(gens)
 
 
@@ -501,7 +503,151 @@ def test_group_checks_reject_a_pool_over_two_dual_rings():
     with pytest.raises(ValueError):
         verify_group_axioms(mixed)
     with pytest.raises(ValueError):
-        groups._generate(mixed)
+        _generate(mixed)
+
+
+# ---------------------------------------------------------------------------
+# the listing oracle: a listed group closed from a greedy generating set,
+# the reference for the verdicts the library reaches by Schreier-Sims
+
+
+def _products_by(cols, s):
+    """The tables x * s of the pool's elements x, in pool order, from cols,
+    the pool's tables transposed: column k of x * s is column s[k]."""
+    return zip(*map(cols.__getitem__, s))
+
+
+def _generate(elements, cols=None):
+    """Greedy generating set of a finite pool, and whether the pool is closed.
+
+    The walk visits the pool at positions i * step mod n, step the first of
+    r, r + 1, r - 1, r + 2, ... coprime to n for r nearest 0.618 * n, and
+    makes each element not yet reached a new generator.  A new generator s
+    forms x * s once for every pool element x, |G| * |S| products in all,
+    as one batch over the pool's columns (_products_by), and each product is
+    mapped to its pool position.  The pool is closed iff no product leaves
+    it.  Reaching then walks positions over each generator's map.  The
+    identity is never made a generator unless it is the whole pool.  Raises
+    ValueError unless every element acts on one dual ring.
+    """
+    els = list(elements)
+    n = len(els)
+    if n == 0:
+        return [], True
+    dual = els[0].dual
+    if any(e.dual is not dual and e.dual != dual for e in els):
+        raise ValueError("permutations live over different dual rings")
+    tables = [e.table for e in els]
+    index = {t: i for i, t in enumerate(tables)}
+    cols = list(zip(*tables)) if cols is None else cols
+    ident = tuple(range(dual.size))
+    r = round(0.618 * n)
+    step = next(k for d in range(n) for k in (r + d, r - d) if 0 < k <= n and gcd(k, n) == 1)
+    gens, maps, done = [], [], []
+    # position n stands for every product outside the pool: reached already
+    reached = bytearray(n + 1)
+    reached[n] = 1
+    order = []
+    for i in range(n):
+        g = els[i * step % n]
+        k = index[g.table]
+        if reached[k] or (len(index) > 1 and g.table == ident):
+            continue
+        gens.append(g)
+        maps.append(list(map(index.get, _products_by(cols, g.table), itertools.repeat(n))))
+        done.append(0)
+        reached[k] = 1
+        order.append(k)
+        while any(j < len(order) for j in done):
+            for j, m in enumerate(maps):
+                # a list iterator also yields what is appended while it runs
+                for y in map(m.__getitem__, itertools.islice(order, done[j], None)):
+                    if not reached[y]:
+                        reached[y] = 1
+                        order.append(y)
+                done[j] = len(order)
+    return gens, all(n not in m for m in maps)
+
+
+def _oracle_axioms_report(els, gens, closed):
+    """The axioms report of nonempty els from (gens, closed) = _generate(els),
+    the identity and inverses looked up where the pool is not closed."""
+    has_identity = inverses_ok = closed
+    if not closed:
+        tables = [e.table for e in els]
+        pool = set(tables)
+        ident = tuple(range(len(tables[0])))
+        has_identity = ident in pool
+        inverses_ok = has_identity and all(
+            (inv := tuple(sorted(ident, key=t.__getitem__))) in pool
+            and operator.itemgetter(*inv)(t) == ident == operator.itemgetter(*t)(inv)
+            for t in tables
+        )
+    abelian = all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
+    return groups.GroupAxiomsReport(
+        len(els), closed, has_identity, inverses_ok, True, "composition",
+        abelian, f"generators:{len(gens)}",
+    )
+
+
+def _oracle_axioms(elements):
+    els = list(elements)
+    return _oracle_axioms_report(els, *_generate(els))
+
+
+def _oracle_embedding(base):
+    """The embedding report from the listing: every row of dual_pairs as an
+    element, closed by _generate, the law pair(d * s) = pair(d) * pair(s)
+    compared for every d and generator s on columns, membership in the
+    product on packed rows, and the product's axioms from the same closure
+    when the image is the product, else from the listed product."""
+    nb, i1 = base.size, base.index(base.one)
+    rows = groups.dual_pairs(base)[0]
+    proved = not base.is_field or groups._hermite_basis_evaluates(base)
+    perms = groups.pair_elements(dual_ring(base), rows)
+    cols = list(zip(*[dp.table for dp in perms]))
+    image = set(zip(*cols[i1::nb]))
+    perm_tables, unit_tables = semidirect_pairs(base)
+    image_in_ambient = image <= set(groups.packed_rows(base, perm_tables, unit_tables))
+    stabilizer_size = sum(all(v // nb == a for a, v in enumerate(row)) for row in image)
+    mul_t = base.index_op_tables()[1]
+    scale = [[w - w % nb + mul_t[w % nb][f] for w in range(nb * nb)] for f in range(nb)]
+    gens, closed = _generate(perms, cols)
+    law_ok = all(
+        cols[v] == tuple(map(scale[v % nb].__getitem__, cols[v - v % nb + i1]))
+        for s in gens for v in s.table[i1::nb]
+    )
+    ambient_size = len(perm_tables) * len(unit_tables)
+    whole = len(image) == len(perms) and image_in_ambient and len(image) == ambient_size
+    return groups.EmbeddingReport(
+        base=base.descriptor,
+        dual_perm_count=len(perms),
+        image_size=len(image),
+        ambient_size=ambient_size,
+        perm_count=len(perm_tables),
+        unit_table_count=len(unit_tables),
+        stabilizer_size=stabilizer_size,
+        injective=len(image) == len(perms),
+        homomorphism_ok=law_ok and closed,
+        homomorphism_mode=f"generators:{len(gens)}",
+        image_in_ambient=image_in_ambient,
+        surjective=proved and image_in_ambient and len(image) == ambient_size,
+        factorization_ok=proved and len(image) == stabilizer_size * len(perm_tables),
+        image_mode=f"basis:{2 * nb}" if base.is_field else "module",
+        over_field=base.is_field,
+        product_axioms=_oracle_axioms_report(perms, gens, closed) if whole
+        else _oracle_axioms(semidirect_group(base)),
+    )
+
+
+def _without_modes(report):
+    """The report's fields as a dict, the modes and the nested report's
+    modes left out."""
+    fields = dataclasses.asdict(report)
+    for doc in (fields, fields.get("product_axioms") or {}):
+        for mode in ("homomorphism_mode", "associativity_mode", "abelian_mode"):
+            doc.pop(mode, None)
+    return fields
 
 
 def _oracle_generate(elements, visit=None):
@@ -571,7 +717,7 @@ def test_generating_set_matches_the_per_product_walk(name):
         pool = _permutations_and_a_coset()
     else:
         pool = _axiom_pools()[name]
-    gens, closed = groups._generate(pool)
+    gens, closed = _generate(pool)
     want_gens, want_closed = _oracle_generate(pool)
     assert [g.table for g in gens] == [g.table for g in want_gens]
     assert closed == want_closed
@@ -585,7 +731,7 @@ def test_generating_set_of_a_pool_left_by_some_products(monkeypatch):
     pool = _permutations_and_a_coset()
     tables = {el.table for el in pool}
     batches = _spy_batches(monkeypatch)
-    gens, closed = groups._generate(pool)
+    gens, closed = _generate(pool)
     monkeypatch.undo()
     assert not closed
     assert [sum(y not in tables for _, y in batch) for _, batch in batches] == [8, 0, 0]
@@ -602,9 +748,11 @@ def test_generating_set_of_a_pool_left_by_some_products(monkeypatch):
                 reached.add(y)
                 frontier.append(y)
     assert reached == tables
-    rep = groups._axioms_report(pool, gens, closed)
+    rep = _oracle_axioms_report(pool, gens, closed)
     assert (rep.has_identity, rep.inverses_ok) == (True, False)
     assert (rep.has_identity, rep.inverses_ok) == _brute_identity_inverses(pool)
+    rep = verify_group_axioms(pool)
+    assert (rep.closed, rep.has_identity, rep.inverses_ok) == (False, True, False)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,21 +1236,28 @@ def test_stabilizer_listing_matches_the_sweep(desc):
 
 @pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
 def test_witnesses_are_attached_by_the_enumeration_only(desc, monkeypatch):
-    # verify_embedding reads tables alone, so its elements carry no witness
+    # verify_embedding builds no element, and a witness only for each of its
+    # generators, whose table horner_dual evaluates once
     base = make_ring(desc)
-    built = []
-    real = groups.pair_elements
+    built, evaluated = [], []
+    real_elements, real_horner = groups.pair_elements, groups.horner_dual
 
     def spy(*args):
-        built.append(real(*args))
+        built.append(real_elements(*args))
         return built[-1]
 
+    def horner(g, dual, points):
+        evaluated.append(g)
+        return real_horner(g, dual, points)
+
     monkeypatch.setattr(groups, "pair_elements", spy)
-    assert verify_embedding(base).passed
-    [bare] = built
-    assert all(dp.witness is None for dp in bare)
+    monkeypatch.setattr(groups, "horner_dual", horner)
+    rep = verify_embedding(base)
+    monkeypatch.undo()
+    assert rep.passed and built == []
+    assert len(evaluated) == int(rep.homomorphism_mode.split(":")[1])
     dps = enumerate_dual_permutations(base)
-    assert [dp.table for dp in dps] == [dp.table for dp in bare]
+    assert {_dp_from_poly(base, g) for g in evaluated} <= set(dps)
     assert all(_dp_from_poly(base, dp.witness) == dp for dp in dps)
 
 
@@ -1275,7 +1430,7 @@ def test_embedding_report_over_fields():
     assert rep2.passed
     assert rep2.surjective
     assert (rep2.dual_perm_count, rep2.image_size, rep2.ambient_size) == (2, 2, 2)
-    assert rep2.homomorphism_mode.startswith("generators:")
+    assert rep2.homomorphism_mode == "schreier-sims:1"
 
     rep3 = verify_embedding(make_ring("fq:3"))
     assert rep3.passed
@@ -1343,7 +1498,7 @@ def test_embedding_report_over_the_four_element_ring():
     assert not rep.surjective
     assert rep.injective
     assert rep.homomorphism_ok
-    assert rep.homomorphism_mode.startswith("generators:")
+    assert rep.homomorphism_mode.startswith("schreier-sims:")
     assert (rep.dual_perm_count, rep.image_size, rep.ambient_size) == (32, 32, 128)
     assert (rep.perm_count, rep.unit_table_count, rep.stabilizer_size) == (8, 16, 4)
     assert rep.image_size == rep.stabilizer_size * rep.perm_count
@@ -1371,19 +1526,115 @@ def test_embedding_report_matches_brute_force(desc):
     assert rep.passed
 
 
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2"])
+def test_pair_forms_make_a_group_isomorphic_to_the_twisted_product(desc):
+    # the lemma behind the chain's verdict, over every pair-form permutation
+    # (a, b) -> (G(a), F(a) b), G any bijection and F any unit-valued map:
+    # they are closed under composition, and reading off the pair is a
+    # bijection onto Sym(R) x Maps(R, R^x) that takes composition to the
+    # twisted product (G1 o G2, (F1 o G2) . F2)
+    base = make_ring(desc)
+    nb, mul_t = base.size, base.index_op_tables()[1]
+    units = [i for i in range(nb) if base.unit_index_mask()[i]]
+    perms = list(itertools.permutations(range(nb)))
+    maps = list(itertools.product(units, repeat=nb))
+    els = groups.pair_elements(dual_ring(base), groups.packed_rows(base, perms, maps))
+    pairs = [el.base_pair() for el in els]
+    assert pairs == [(G, F) for G in perms for F in maps]
+    assert len({el.table for el in els}) == len(els) == {"fq:2": 2, "fq:3": 48}.get(desc, 384)
+    index = {el.table: k for k, el in enumerate(els)}
+    for x, (G1, F1) in zip(els, pairs):
+        for y, (G2, F2) in zip(els, pairs):
+            k = index[(x * y).table]
+            assert pairs[k] == (
+                tuple(G1[a] for a in G2), tuple(mul_t[F1[a]][f] for a, f in zip(G2, F2))
+            )
+
+
+def _closure_order(tables):
+    """The order of the group the permutation tables generate, by
+    breadth-first search over right products by them."""
+    seen = set(tables)
+    frontier = list(seen)
+    while frontier:
+        frontier = [y for x in frontier for s in tables
+                    if (y := tuple(x[i] for i in s)) not in seen and not seen.add(y)]
+    return len(seen)
+
+
+@pytest.mark.parametrize("desc", ["fq:3", "fq:4", "zpn:2,2", "zm:6", "zm:12", "zpn:2,3"])
+def test_chain_order_matches_the_closure(desc):
+    # 3, 5 and 8 seeded random dual permutations: the chain extended by each
+    # in turn has the order of the group their closure lists, and every
+    # table of that closure sifts through it
+    rows = groups.dual_pairs(make_ring(desc))[0]
+    dual = dual_ring(make_ring(desc))
+    rng = random.Random(desc)
+    for k in (3, 5, 8):
+        tables = [el.table for el in groups.pair_elements(dual, rng.sample(rows, k))]
+        chain = groups._Chain(dual.size)
+        for t in tables:
+            chain.extend(t)
+        assert chain.order == _closure_order(tables)
+        assert all(chain.sift(tuple(x[i] for i in y)) == chain.ident
+                   for x in tables for y in tables)
+
+
+@pytest.mark.parametrize("desc", [
+    "fq:2", "fq:3", "fq:4", "fq:5", "zpn:2,2", "zm:6", "zm:8", "zm:12", "zpn:2,3",
+])
+def test_embedding_report_matches_the_listing_oracle(desc):
+    # every field of the report but the modes, the product's axioms too, is
+    # what listing and closing the groups gives; and the axioms of a listed
+    # product by sifting are those of its closure
+    base = make_ring(desc)
+    assert _without_modes(verify_embedding(base)) == _without_modes(_oracle_embedding(base))
+    if desc in ("fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:6", "zm:12"):
+        product = semidirect_group(base)
+        got, want = verify_group_axioms(product), _oracle_axioms(product)
+        assert dataclasses.replace(got, abelian_mode="") == dataclasses.replace(
+            want, abelian_mode="")
+
+
+@pytest.mark.parametrize("desc", ["zpn:2,2", "zm:6"])
+def test_module_witnesses_reduce_each_permutation_once(desc, monkeypatch):
+    # every pair over one G shares least_member's reduction by the rows of
+    # G, so it runs once per G, and each witness is the least preimage the
+    # whole reduction gives
+    base = make_ring(desc)
+    nb, module = base.size, funcspace.pair_module(base)
+    real = groups.least_member
+    heads = []
+
+    def spy(rows, head, m, x=None, start=0, stop=None):
+        heads.append((tuple(head[:nb]), stop))
+        return real(rows, head, m, x, start, stop)
+
+    monkeypatch.setattr(groups, "least_member", spy)
+    rows, witness = groups.dual_pairs(base)
+    polys = [witness(row) for row in rows]
+    monkeypatch.undo()
+    reduced = [G for G, stop in heads if stop == nb]
+    assert len(reduced) == len(set(reduced)) == len(groups.semidirect_factors(base)[0])
+    assert polys == [
+        funcspace.ring_polynomial(base, real(
+            module, [v // nb for v in row] + [v % nb for v in row], nb)[2 * nb:][::-1])
+        for row in rows
+    ]
+
+
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "zm:6"])
 def test_embedding_decides_the_product_axioms_when_the_image_is_the_product(desc):
-    # over a field and over zm:6 (96 = 96) the dual permutations are the
-    # product's elements, so the embedding's closure gives its axioms; on
-    # zpn:2,2 (32 < 128) it does not
+    # over a field the dual permutations are the product's elements, so the
+    # embedding's chain gives its axioms; over Z/m the factors do, whether
+    # the image is the product (zm:6, 96 = 96) or not (zpn:2,2, 32 < 128).
+    # Each agrees with the closure of the listed product
     base = make_ring(desc)
     rep = verify_embedding(base)
     product = semidirect_group(base)
-    if rep.image_size < rep.ambient_size:
-        assert rep.product_axioms is None
-        return
-    assert set(enumerate_dual_permutations(base)) == set(product)
-    got, want = rep.product_axioms, verify_group_axioms(product)
+    if base.is_field:
+        assert set(enumerate_dual_permutations(base)) == set(product)
+    got, want = rep.product_axioms, _oracle_axioms(product)
     fields = ("size", "closed", "has_identity", "inverses_ok", "associative", "abelian")
     assert all(getattr(got, f) == getattr(want, f) for f in fields)
     assert got.passed
@@ -1391,15 +1642,14 @@ def test_embedding_decides_the_product_axioms_when_the_image_is_the_product(desc
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:6", "zm:12"])
 def test_dual_listing_counts_its_rows_before_listing_them(monkeypatch, desc):
-    # the order bounds the dual tables' cap; over Z/m no row is packed first
-    base = make_ring(desc)
-    rows = groups.dual_pairs(base)[0]
-    if not base.is_field:
-        monkeypatch.setattr(groups, "packed_rows", lambda *args: pytest.fail("packed"))
-    order, listing, _ = groups._dual_listing(base, None)
-    monkeypatch.undo()
-    assert order == len(rows)
-    assert listing() == rows
+    # the embedding takes the dual group's order, its chain's target, from
+    # the counts (over Z/m of the module's pairs over each G) without
+    # listing or building a row of the group: it is the number of rows
+    rows = groups.dual_pairs(make_ring(desc))[0]
+    for name in ("dual_pairs", "pair_elements", "semidirect_group"):
+        monkeypatch.setattr(groups, name, lambda *args, **kwargs: pytest.fail("listed"))
+    rep = verify_embedding(make_ring(desc))
+    assert rep.dual_perm_count == rep.image_size == len(rows)
 
 
 def _swap_two_entries(dp, i, j):
@@ -1432,59 +1682,113 @@ def _patch_pair_elements(monkeypatch, base, fault):
                 for dp in real(*args)
             ]
     else:
-        perms, units = semidirect_pairs(base)
-        unit_idx = [i for i in range(base.size) if base.unit_index_mask()[i]]
-        if fault == "perm":
-            G, F = _foreign_perm(base), units[0]
-        else:
-            G, induced = perms[0], set(units)
-            F = next(
-                t for t in itertools.product(unit_idx, repeat=base.size) if t not in induced
-            )
-        extra = DualPermutation.from_pair(dual_ring(base), G, F)
+        extra = DualPermutation.from_pair(dual_ring(base), *_foreign_pair(base, fault))
 
         def faulty(*args):
             return real(*args) + [extra]
     monkeypatch.setattr(groups, "pair_elements", faulty)
 
 
+def _foreign_pair(base, part):
+    """A pair (G, F) whose G ("perm"), or whose F ("unit"), no polynomial
+    induces, the other part induced."""
+    perms, units = semidirect_pairs(base)
+    if part == "perm":
+        return _foreign_perm(base), units[0]
+    unit_idx = [i for i in range(base.size) if base.unit_index_mask()[i]]
+    induced = set(units)
+    return perms[0], next(
+        t for t in itertools.product(unit_idx, repeat=base.size) if t not in induced
+    )
+
+
+def _patch_generators(monkeypatch, base, fault):
+    """Give verify_embedding faulty generators over base, as
+    _patch_pair_elements gives the listing faulty elements.
+
+    "corrupted" swaps the values at (0, 0) and (0, b), b neither 0 nor 1,
+    of every table horner_dual builds, and "conjugated" conjugates each by
+    the swap of the dual elements (0, 1) and (2, 1) (zpn:2,2): the pair read
+    off the row b = 1 is unchanged.  "perm" and "unit" walk a foreign pair
+    (_foreign_pair) first, among the lifts over Z/m (zm:6)."""
+    if fault in ("corrupted", "conjugated"):
+        real = groups.horner_dual
+        b = next(i for i in range(1, base.size) if i != base.index(base.one))
+        swap = list(range(16))
+        swap[1], swap[9] = 9, 1
+
+        def faulty(g, dual, points):
+            values = list(real(g, dual, points))
+            if fault == "corrupted":
+                values[0], values[b] = values[b], values[0]
+                return values
+            return [dual.elements[swap[dual.index(values[swap[k]])]] for k in range(16)]
+
+        monkeypatch.setattr(groups, "horner_dual", faulty)
+    else:
+        extra = _foreign_pair(base, fault)
+        real = groups._walk
+        # _walk also orders the pools of _generated, whose key is ()
+        monkeypatch.setattr(groups, "_walk", lambda lists: itertools.chain(
+            [extra] if lists[0][0] else [], real(lists)))
+
+
 @pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2"])
 def test_embedding_report_rejects_a_corrupted_enumeration(monkeypatch, desc):
-    # swap the images of (a, 0) and (a, b) for a b other than 1: the base
-    # pair read off the (a, 1) entries is unchanged, so only the closure and
-    # the homomorphism law can notice
+    # swap the values at (a, 0) and (a, b), b other than 1, in the tables
+    # horner_dual builds from the generators' witnesses: the pairs read off
+    # the (a, 1) entries, and the chain on the pair forms, are unchanged, so
+    # only the comparison of each table with its pair form can notice; the
+    # generators are then not shown to be dual permutations of pair form
     base = make_ring(desc)
-    _patch_pair_elements(monkeypatch, base, "corrupted")
-    dps = enumerate_dual_permutations(base)
-    assert len(set(dps)) == len(dps)
-    assert not _brute_homomorphism(base, dps)
+    want = verify_embedding(base)
+    _patch_generators(monkeypatch, base, "corrupted")
     rep = verify_embedding(base)
-    assert rep.injective and rep.image_in_ambient and rep.factorization_ok
-    assert not rep.homomorphism_ok
+    assert (rep.image_size, rep.factorization_ok) == (want.image_size, True)
+    assert not (rep.injective or rep.homomorphism_ok or rep.image_in_ambient)
     assert not rep.passed
 
 
 def test_embedding_report_rejects_a_conjugated_enumeration(monkeypatch):
     # conjugating every dual permutation by a swap of two dual elements keeps
     # a closed group, but the pairs read off it no longer multiply by the
-    # semidirect law
+    # semidirect law; conjugating the generators' tables keeps the chain on
+    # their pair forms, and only the tables' comparison notices
     base = make_ring("zpn:2,2")
     _patch_pair_elements(monkeypatch, base, "conjugated")
     dps = enumerate_dual_permutations(base)
     assert _brute_axioms(dps)[0]
     assert not _brute_homomorphism(base, dps)
-    assert not verify_embedding(base).homomorphism_ok
+    monkeypatch.undo()
+    _patch_generators(monkeypatch, base, "conjugated")
+    rep = verify_embedding(base)
+    assert rep.image_size == rep.dual_perm_count
+    assert not rep.homomorphism_ok
 
 
-@pytest.mark.parametrize("part", ["perm", "unit"])
+@pytest.mark.parametrize("part", ["perm", "unit", "subgroup"])
 def test_embedding_report_rejects_a_pair_outside_the_product(monkeypatch, part):
     # over Z_6 only 12 of 720 bijections and 8 of 64 unit-valued tables are
-    # induced: an extra element with a foreign G or a foreign F has a pair
-    # outside the semidirect product, and membership is checked per element
+    # induced: a factor listing with a foreign G or a foreign F makes a
+    # product that is not closed, so the image is not shown to lie in it.
+    # A foreign G also lifts, to pairs past the dual group's order, so the
+    # chain no longer shows the read-off injective.  With the constant 1 as
+    # the only unit table the product is closed, and the generators' F lie
+    # outside it
     base = make_ring("zm:6")
-    _patch_pair_elements(monkeypatch, base, part)
+    G, F = _foreign_pair(base, "unit" if part == "subgroup" else part)
+    real = groups.semidirect_factors
+
+    def faulty(ring, *, cap=None):
+        perms, units = real(ring, cap=cap)
+        if part == "subgroup":
+            return perms, [(ring.index(ring.one),) * ring.size]
+        return (perms + [G], units) if part == "perm" else (perms, units + [F])
+
+    monkeypatch.setattr(groups, "semidirect_factors", faulty)
     rep = verify_embedding(base)
-    assert rep.injective
+    assert rep.product_axioms.closed == (part == "subgroup")
+    assert rep.injective == (part != "perm")
     assert not rep.image_in_ambient
     assert not rep.surjective
     assert not rep.passed
@@ -1516,40 +1820,44 @@ def _oracle_law(base, perms):
     ("zm:6", "perm"), ("zm:6", "unit"),
 ])
 def test_embedding_law_matches_the_per_product_oracle(monkeypatch, desc, fault):
-    # the column law decides what the per-product visitor decided, on the
-    # same generators; brute force over all |G|^2 products agrees, bar fq:4
-    # (1944^2 products)
+    # the same fault, in the elements the per-product law closes and in the
+    # generators the chain is built from, fails the law in both; brute force
+    # over all |G|^2 products agrees, bar fq:4 (1944^2 products)
     base = make_ring(desc)
     if fault is not None:
         _patch_pair_elements(monkeypatch, base, fault)
     dps = enumerate_dual_permutations(base)
     gens, closed, laws = _oracle_law(base, dps)
-    assert [g.table for g in groups._generate(dps)[0]] == [g.table for g in gens]
-    rep = verify_embedding(base)
-    assert rep.homomorphism_ok == (closed and all(laws))
-    assert rep.homomorphism_mode == f"generators:{len(gens)}"
+    assert [g.table for g in _generate(dps)[0]] == [g.table for g in gens]
     if desc != "fq:4":
-        assert rep.homomorphism_ok == _brute_homomorphism(base, dps)
-    assert rep.homomorphism_ok == (fault is None)
+        assert (closed and all(laws)) == _brute_homomorphism(base, dps)
+    monkeypatch.undo()
+    if fault is not None:
+        _patch_generators(monkeypatch, base, fault)
+    rep = verify_embedding(base)
+    assert rep.homomorphism_ok == (closed and all(laws)) == (fault is None)
+    assert rep.homomorphism_mode.startswith("schreier-sims:")
 
 
 def test_embedding_law_reads_every_generator(monkeypatch):
-    # fq:4 with the entries (1, 0) and (1, 2) of its last element swapped:
-    # of the 4 generators, only the row b = 1 of the third reaches (1, 2).
-    # With the closure reported closed, the law alone must fail there
+    # fq:4 with the values at (1, 0) and (1, 2) of one of the 3 generators'
+    # tables swapped, each in turn: the chain, on the pair forms, still
+    # reaches the order, so that generator's comparison alone must fail
     base = make_ring("fq:4")
-    real_elements, real_generate = groups.pair_elements, groups._generate
+    real = groups.horner_dual
+    for k in range(3):
+        calls = []
 
-    def corrupted(*args):
-        dps = real_elements(*args)
-        return dps[:-1] + [_swap_two_entries(dps[-1], 4, 6)]
+        def corrupted(g, dual, points, k=k, calls=calls):
+            values = list(real(g, dual, points))
+            if len(calls) == k:
+                values[4], values[6] = values[6], values[4]
+            calls.append(g)
+            return values
 
-    monkeypatch.setattr(groups, "pair_elements", corrupted)
-    dps = enumerate_dual_permutations(base)
-    gens, closed, laws = _oracle_law(base, dps)
-    assert not closed
-    assert laws == [True, True, False, True]
-    monkeypatch.setattr(groups, "_generate", lambda *args: (real_generate(*args)[0], True))
-    rep = verify_embedding(base)
-    assert rep.homomorphism_mode == "generators:4"
-    assert not rep.homomorphism_ok
+        monkeypatch.setattr(groups, "horner_dual", corrupted)
+        rep = verify_embedding(base)
+        monkeypatch.undo()
+        assert len(calls) == 3 and rep.image_size == rep.dual_perm_count
+        assert rep.homomorphism_mode == "schreier-sims:3"
+        assert not rep.homomorphism_ok
