@@ -457,10 +457,10 @@ def _check_local_criterion(p: int, n: int, cap) -> list[tuple[str, bool]]:
 
 
 def _check_groups(base: Ring, cap) -> list[tuple[str, bool]]:
-    # the embedding's caps refuse before either group is built, and the
-    # product is built only where the embedding leaves its axioms undecided
+    # the embedding's caps refuse before any group element is built, and it
+    # decides the product's axioms too
     embedding = gr.verify_embedding(base, cap=cap)
-    axioms = embedding.product_axioms or gr.verify_group_axioms(gr.semidirect_group(base, cap=cap))
+    axioms = embedding.product_axioms
     return [
         (f"groups[axioms:{base.descriptor}]", axioms.passed),
         (f"groups[embedding:{base.descriptor}]", embedding.passed and embedding.image_consistent),

@@ -45,7 +45,7 @@ from itertools import accumulate, chain, count, permutations, product, repeat
 from math import factorial, gcd, prod
 from operator import add, getitem, itemgetter
 
-from .dual import DualRing, dual_ring, horner_dual
+from .dual import DualRing, dual_ring
 from .funcspace import (
     FunctionTable,
     coefficient_sums,
@@ -305,15 +305,15 @@ def split_sweep(add_t, zero_table, stages, first: slice):
 def _module_parts(base: Ring, *, times: int, cap: int | None, what: str):
     """The pair module of Z/m (pair_module) as (over, unit_coset, preimage):
     unit_coset(F), the unit-valued tables of the coset F + H; over(G), those
-    of the pairs (G, F) of the module, unit_coset of the least F; and
-    preimage(pair), the least f of degree < D with ([f], [f']) = pair, the
-    first a coefficient sweep reaches: the coefficient part of the member
-    beginning with the pair, reduced from x^(D-1) down (least_member).  The
-    reduction by the rows of G is kept for each G, as every pair over G
-    shares it.  H, the [g'] of [g] = 0, is the span of the rows m .. 2m-1
-    on their columns; by the Howell property each h in H is sum c_j row_j
-    for one choice of c_j in range(m // pivot_j), so times |H| is capped as
-    what before H is built.
+    of the pairs (G, F) of the module, unit_coset of the least F, or none if
+    no member begins with G; and preimage(pair), the least f of degree < D
+    with ([f], [f']) = pair, the first a coefficient sweep reaches: the
+    coefficient part of the member beginning with the pair, reduced from
+    x^(D-1) down (least_member).  The reduction by the rows of G is kept for
+    each G, as every pair over G shares it.  H, the [g'] of [g] = 0, is the
+    span of the rows m .. 2m-1 on their columns; by the Howell property each
+    h in H is sum c_j row_j for one choice of c_j in range(m // pivot_j), so
+    times |H| is capped as what before H is built.
     """
     module, nb = pair_module(base), base.size
     check_cap(times * prod(nb // module[j][j] for j in range(nb, 2 * nb)), cap, what)
@@ -338,7 +338,8 @@ def _module_parts(base: Ring, *, times: int, cap: int | None, what: str):
         return least_member(module, pair, nb, reduced(tuple(pair[:nb])), nb)
 
     def over(G):
-        return unit_coset(tuple(member(G)[nb:2 * nb]))
+        x = member(G)
+        return unit_coset(tuple(x[nb:2 * nb])) if tuple(x[:nb]) == tuple(G) else []
 
     def preimage(pair):
         return ring_polynomial(base, member(pair)[2 * nb:][::-1])
@@ -623,8 +624,8 @@ class EmbeddingReport:
     surjective: bool
     factorization_ok: bool
     image_mode: str
-    over_field: bool = False
-    product_axioms: GroupAxiomsReport | None = None
+    over_field: bool
+    product_axioms: GroupAxiomsReport
 
     @property
     def passed(self) -> bool:
@@ -678,31 +679,44 @@ def _walk(lists):
         yield key, items[p % n - ends[j]]
 
 
+def _dual_table(base: Ring, g: Polynomial) -> tuple[int, ...]:
+    """The table of g on R[al] as dual element indices, by Horner in R[al]
+    at every point at once, on the base's index tables:
+    (u + v al)(a + b al) + c = (u a + c) + (u b + v a) al."""
+    nb, (add_t, mul_t) = base.size, base.index_op_tables()
+    rows, bs = [mul_t[k // nb] for k in range(nb * nb)], [k % nb for k in range(nb * nb)]
+    U = V = [base.index(base.zero)] * (nb * nb)
+    for c in map(base.index, reversed(g._coeffs_for(base))):
+        U, V = [add_t[a[u]][c] for u, a in zip(U, rows)], [
+            add_t[mul_t[u][b]][a[v]] for u, v, a, b in zip(U, V, rows, bs)]
+    return tuple([u * nb + v for u, v in zip(U, V)])
+
+
 def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     """Check that reading off base pairs embeds the dual permutations into
     the semidirect product, by Schreier-Sims from a few of them.
 
-    The pair-form permutations of R[al] make a group A, the read-off is an
-    isomorphism from A onto the twisted product, and dual[law:*] puts the
-    dual permutations in A.  Each generator's table, by horner_dual from a
-    witness polynomial, must be its pair form: then the chain (_Chain) of
-    the generators S has order at most the dual group's, and equality
-    proves the read-off injective and a homomorphism on the dual group
-    (mode "schreier-sims:<|S|>").  Over F_q the order is q! (q - 1)^q, S is
+    The pair-form permutations of R[al] make a group, on which the read-off
+    is an isomorphism onto the twisted product.  The chain (_Chain) is built
+    on the pair forms of generators S, so its order is the image's size:
+    the read-off is injective iff that is the dual group's known order.
+    Each generator's table, by Horner in R[al] from a witness polynomial
+    (_dual_table), must be its pair form: then S are dual permutations, and
+    with the order reached the law holds on the group they generate (mode
+    "schreier-sims:<|S|>").  Over F_q the order is q! (q - 1)^q, S is
     _field_generators with Hermite witnesses (realize_pair), the 2q Hermite
-    basis evaluations prove the image onto (image_mode "basis:<2q>"), and a
-    chain of that order is the product, so product_axioms is its report,
-    else None.  Over Z/m the order
-    counts the module's pairs (dual_pairs; image_mode "module"), those over
-    G = id the stabilizer, S is each pair that does not sift, walked (_walk)
-    until the order is reached, and product_axioms comes from the factors
-    (_product_axioms).  The image lies in the product when that is closed
-    and holds S, and is onto iff it has the product's order, which must
-    factor as |Stab| |P(R)|.  The chain's transversals hold at most 2 n^2 k
-    table entries, n = |R|^2 and n^k at least the order (orbits have 2 .. n
-    points), capped as "stabilizer chain" first.
+    basis evaluations prove the image onto (image_mode "basis:<2q>"), and
+    the product is the chain's group, closed iff it has that order.  Over
+    Z/m the order counts the module's pairs (image_mode "module"), those
+    over G = id the stabilizer, S is each walked (_walk) pair that does not
+    sift, until the order is reached, and the product's axioms come from its
+    factors (_product_axioms); the image lies in it when it is closed and
+    holds S.  The image is onto iff it has the product's order, which must
+    factor as |Stab| |P(R)|.  A chain of order at most the product's holds
+    at most 2 n^2 k table entries, n = |R|^2 and n^k at least that order,
+    capped as "stabilizer chain" before any generator is built.
     """
-    nb, n, dual = base.size, base.size ** 2, dual_ring(base)
+    nb, n = base.size, base.size ** 2
     if base.is_field:
         perm_count, unit_count = factorial(nb), (nb - 1) ** nb
         order, stabilizer_size = perm_count * unit_count, unit_count
@@ -713,7 +727,9 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
         perm_count, unit_count = len(perms), len(units)
         order = sum(len(units) for _, units in lifts)
         stabilizer_size = len(dict(lifts).get(tuple(range(nb)), ()))
-    check_cap(2 * n * n * next(k for k in count(1) if n ** k >= order), cap, "stabilizer chain")
+    ambient_size = perm_count * unit_count
+    check_cap(2 * n * n * next(k for k in count(1) if n ** k >= ambient_size), cap,
+              "stabilizer chain")
     if base.is_field:
         proved, image_mode = _hermite_basis_evaluates(base), f"basis:{2 * nb}"
         candidates, els = _field_generators(base), base.elements
@@ -731,21 +747,19 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     for G, F in candidates:
         table = tuple(chain.from_iterable(map(block, packed_rows(base, [G], [F])[0])))
         if group.extend(table):
-            gens.append((F, table))
-            real = tuple(map(dual.index, horner_dual(witness(G, F), dual, dual.elements)))
-            tables_ok = tables_ok and real == table
+            gens.append((G, F, table))
+            tables_ok = _dual_table(base, witness(G, F)) == table and tables_ok
             if group.order >= order:
                 break
-    ok = tables_ok and group.order == order
+    injective = group.order == order
     if base.is_field:
-        in_product, axioms = True, None
-        if group.order == order:
-            axioms = _axioms_report(order, True, True, True, [t for _, t in gens])
+        # the factors are every bijection and every unit-valued table, so the
+        # product holds the identity pair and each (G^-1, (F o G^-1)^-1)
+        axioms = _axioms_report(order, injective, True, True, [t for _, _, t in gens])
+        in_product = True
     else:
-        # each G is one of perms already
-        axioms, uset = _product_axioms(base, perms, units), set(units)
-        in_product = axioms.closed and all(F in uset for F, _ in gens)
-    ambient_size = perm_count * unit_count
+        axioms, pset, uset = _product_axioms(base, perms, units), set(perms), set(units)
+        in_product = axioms.closed and all(G in pset and F in uset for G, F, _ in gens)
     return EmbeddingReport(
         base=base.descriptor,
         dual_perm_count=order,
@@ -754,11 +768,11 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
         perm_count=perm_count,
         unit_table_count=unit_count,
         stabilizer_size=stabilizer_size,
-        injective=ok,
-        homomorphism_ok=ok,
+        injective=injective,
+        homomorphism_ok=tables_ok and injective,
         homomorphism_mode=f"schreier-sims:{len(gens)}",
-        image_in_ambient=ok and in_product,
-        surjective=proved and ok and in_product and group.order == ambient_size,
+        image_in_ambient=in_product,
+        surjective=proved and in_product and group.order == ambient_size,
         factorization_ok=proved and group.order == stabilizer_size * perm_count,
         image_mode=image_mode,
         over_field=base.is_field,

@@ -1137,25 +1137,24 @@ def test_verify_groups_decides_the_axioms_on_the_product_for_a_short_image(
     capsys, monkeypatch
 ):
     # the embedding's generators lose the unit pair: their chain stops at
-    # the 6 permutations, short of the product, so the product's axioms are
-    # decided on the product, built and closed on its own
-    real_generators, real_group = gr._field_generators, gr.semidirect_group
-    sizes = []
+    # the 6 permutations, short of the product.  Over a field the product
+    # is the chain's group, so its closure FAILs with the embedding, and the
+    # product is never built
+    real_generators = gr._field_generators
 
-    def group(*args, **kwargs):
-        sizes.append(len(elements := real_group(*args, **kwargs)))
-        return elements
+    def refuse(*args, **kwargs):
+        raise AssertionError("the product built")
 
     monkeypatch.setattr(gr, "_field_generators", lambda base: real_generators(base)[:-1])
-    monkeypatch.setattr(gr, "semidirect_group", group)
+    monkeypatch.setattr(gr, "semidirect_group", refuse)
+    monkeypatch.setattr(gr, "pair_elements", refuse)
     code, out, _ = run(capsys, "verify", "--suite", "groups", "--ring", "fq:3")
     assert code == 4
     assert out.splitlines() == [
-        "groups[axioms:fq:3]: pass",
+        "groups[axioms:fq:3]: FAIL",
         "groups[embedding:fq:3]: FAIL",
-        "1/2 checks passed",
+        "0/2 checks passed",
     ]
-    assert sizes == [48]
 
 
 def test_verify_failure_exits_four(capsys, monkeypatch):

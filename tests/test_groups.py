@@ -395,14 +395,14 @@ def test_generating_set_pins_the_product_count(desc, monkeypatch):
         assert all(y == tuple(x[i] for i in s) for x, s, y in products)
 
 
-def _most_python_calls(fn, *args, module=None):
+def _most_python_calls(fn, *args):
     """fn(*args) and the most Python-level calls that any one function,
     comprehension or generator makes under it, generator resumptions
-    included; of those defined in module alone, if given."""
+    included."""
     calls = Counter()
 
     def count(frame, event, arg):
-        if event == "call" and (module is None or frame.f_code.co_filename == module.__file__):
+        if event == "call":
             calls[frame.f_code] += 1
 
     sys.setprofile(count)
@@ -417,15 +417,14 @@ def _most_python_calls(fn, *args, module=None):
 def test_closure_and_law_make_no_python_call_per_product(desc):
     # the oracle's products by a generator are one batch over the pool's
     # columns: its closure runs Python code at most once per element.  The
-    # embedding, by Schreier-Sims from a few generators, runs no function of
-    # the group code as often as the closure makes products x * s; the ring
-    # arithmetic of horner_dual runs per point of each generator's table
+    # embedding, by Schreier-Sims from a few generators, runs no function,
+    # comprehension or generator as often as the closure makes products x * s
     base = make_ring(desc)
     pool = enumerate_dual_permutations(base)
     (gens, closed), most = _most_python_calls(_generate, pool)
     assert closed and len(gens) >= 3
     assert most <= len(pool) + 1
-    rep, most = _most_python_calls(verify_embedding, base, module=groups)
+    rep, most = _most_python_calls(verify_embedding, base)
     assert rep.homomorphism_ok and rep.homomorphism_mode.startswith("schreier-sims:")
     assert most < len(pool) * len(gens)
 
@@ -1237,21 +1236,21 @@ def test_stabilizer_listing_matches_the_sweep(desc):
 @pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
 def test_witnesses_are_attached_by_the_enumeration_only(desc, monkeypatch):
     # verify_embedding builds no element, and a witness only for each of its
-    # generators, whose table horner_dual evaluates once
+    # generators, whose table _dual_table evaluates once
     base = make_ring(desc)
     built, evaluated = [], []
-    real_elements, real_horner = groups.pair_elements, groups.horner_dual
+    real_elements, real_table = groups.pair_elements, groups._dual_table
 
     def spy(*args):
         built.append(real_elements(*args))
         return built[-1]
 
-    def horner(g, dual, points):
+    def table(ring, g):
         evaluated.append(g)
-        return real_horner(g, dual, points)
+        return real_table(ring, g)
 
     monkeypatch.setattr(groups, "pair_elements", spy)
-    monkeypatch.setattr(groups, "horner_dual", horner)
+    monkeypatch.setattr(groups, "_dual_table", table)
     rep = verify_embedding(base)
     monkeypatch.undo()
     assert rep.passed and built == []
@@ -1562,6 +1561,46 @@ def _closure_order(tables):
     return len(seen)
 
 
+@pytest.mark.parametrize("desc,copies", [
+    ("fq:3", 1), ("zm:6", 1), ("zpn:2,2", 1), ("zm:12", 1),
+    # each unit table listed 3 times: |P| |U| = 384 passes 16^2, the dual
+    # group's order 32 does not
+    ("zpn:2,2", 3),
+])
+def test_chain_cap_takes_k_from_the_product_order(monkeypatch, desc, copies):
+    # the embedding's chain and, over Z/m, the product's have order at most
+    # |P| |U|, so the cap on their transversals, 2 n^2 k entries, takes k
+    # from it, n^k >= |P| |U|; each chain built keeps within the bound
+    base = make_ring(desc)
+    n, counts, chains = base.size ** 2, [], []
+    real_cap, real_factors, real_chain = groups.check_cap, groups.semidirect_factors, groups._Chain
+
+    def spy_cap(count, cap, what):
+        counts.append((what, count))
+        return real_cap(count, cap, what)
+
+    def factors(ring, *, cap=None):
+        perms, units = real_factors(ring, cap=cap)
+        return perms, units * copies
+
+    def spy_chain(size):
+        chains.append(real_chain(size))
+        return chains[-1]
+
+    monkeypatch.setattr(groups, "check_cap", spy_cap)
+    monkeypatch.setattr(groups, "semidirect_factors", factors)
+    monkeypatch.setattr(groups, "_Chain", spy_chain)
+    rep = verify_embedding(base)
+    k = next(k for k in itertools.count(1) if n ** k >= rep.ambient_size)
+    assert rep.ambient_size == rep.perm_count * rep.unit_table_count
+    assert ("stabilizer chain", 2 * n * n * k) in counts
+    if copies > 1:
+        # a k taken from the dual group's order would be smaller
+        assert n ** (k - 1) >= rep.dual_perm_count
+    assert len(chains) == 1 + (not base.is_field)
+    assert all(2 * n * sum(len(u) for _, _, u, _ in c.levels) <= 2 * n * n * k for c in chains)
+
+
 @pytest.mark.parametrize("desc", ["fq:3", "fq:4", "zpn:2,2", "zm:6", "zm:12", "zpn:2,3"])
 def test_chain_order_matches_the_closure(desc):
     # 3, 5 and 8 seeded random dual permutations: the chain extended by each
@@ -1706,25 +1745,25 @@ def _patch_generators(monkeypatch, base, fault):
     """Give verify_embedding faulty generators over base, as
     _patch_pair_elements gives the listing faulty elements.
 
-    "corrupted" swaps the values at (0, 0) and (0, b), b neither 0 nor 1,
-    of every table horner_dual builds, and "conjugated" conjugates each by
+    "corrupted" swaps the entries (0, 0) and (0, b), b neither 0 nor 1,
+    of every table _dual_table builds, and "conjugated" conjugates each by
     the swap of the dual elements (0, 1) and (2, 1) (zpn:2,2): the pair read
     off the row b = 1 is unchanged.  "perm" and "unit" walk a foreign pair
     (_foreign_pair) first, among the lifts over Z/m (zm:6)."""
     if fault in ("corrupted", "conjugated"):
-        real = groups.horner_dual
+        real = groups._dual_table
         b = next(i for i in range(1, base.size) if i != base.index(base.one))
         swap = list(range(16))
         swap[1], swap[9] = 9, 1
 
-        def faulty(g, dual, points):
-            values = list(real(g, dual, points))
+        def faulty(ring, g):
+            values = list(real(ring, g))
             if fault == "corrupted":
                 values[0], values[b] = values[b], values[0]
-                return values
-            return [dual.elements[swap[dual.index(values[swap[k]])]] for k in range(16)]
+                return tuple(values)
+            return tuple(swap[values[swap[k]]] for k in range(16))
 
-        monkeypatch.setattr(groups, "horner_dual", faulty)
+        monkeypatch.setattr(groups, "_dual_table", faulty)
     else:
         extra = _foreign_pair(base, fault)
         real = groups._walk
@@ -1735,17 +1774,16 @@ def _patch_generators(monkeypatch, base, fault):
 
 @pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2"])
 def test_embedding_report_rejects_a_corrupted_enumeration(monkeypatch, desc):
-    # swap the values at (a, 0) and (a, b), b other than 1, in the tables
-    # horner_dual builds from the generators' witnesses: the pairs read off
-    # the (a, 1) entries, and the chain on the pair forms, are unchanged, so
-    # only the comparison of each table with its pair form can notice; the
-    # generators are then not shown to be dual permutations of pair form
+    # swap the images of (a, 0) and (a, b) for a b other than 1, in the
+    # tables _dual_table builds from the generators' witnesses: the pairs
+    # read off the (a, 1) entries, and the chain on the pair forms, are
+    # unchanged, so only the comparison of each table with its pair form,
+    # the homomorphism law's premise, can notice
     base = make_ring(desc)
-    want = verify_embedding(base)
     _patch_generators(monkeypatch, base, "corrupted")
     rep = verify_embedding(base)
-    assert (rep.image_size, rep.factorization_ok) == (want.image_size, True)
-    assert not (rep.injective or rep.homomorphism_ok or rep.image_in_ambient)
+    assert rep.injective and rep.image_in_ambient and rep.factorization_ok
+    assert not rep.homomorphism_ok
     assert not rep.passed
 
 
@@ -1770,11 +1808,10 @@ def test_embedding_report_rejects_a_conjugated_enumeration(monkeypatch):
 def test_embedding_report_rejects_a_pair_outside_the_product(monkeypatch, part):
     # over Z_6 only 12 of 720 bijections and 8 of 64 unit-valued tables are
     # induced: a factor listing with a foreign G or a foreign F makes a
-    # product that is not closed, so the image is not shown to lie in it.
-    # A foreign G also lifts, to pairs past the dual group's order, so the
-    # chain no longer shows the read-off injective.  With the constant 1 as
-    # the only unit table the product is closed, and the generators' F lie
-    # outside it
+    # product that is not closed, so the image is not shown to lie in it,
+    # though the read-off stays injective (a foreign G lifts to no pair of
+    # the module).  With the constant 1 as the only unit table the product
+    # is closed, and the generators' F lie outside it
     base = make_ring("zm:6")
     G, F = _foreign_pair(base, "unit" if part == "subgroup" else part)
     real = groups.semidirect_factors
@@ -1788,7 +1825,7 @@ def test_embedding_report_rejects_a_pair_outside_the_product(monkeypatch, part):
     monkeypatch.setattr(groups, "semidirect_factors", faulty)
     rep = verify_embedding(base)
     assert rep.product_axioms.closed == (part == "subgroup")
-    assert rep.injective == (part != "perm")
+    assert rep.injective
     assert not rep.image_in_ambient
     assert not rep.surjective
     assert not rep.passed
@@ -1837,6 +1874,25 @@ def test_embedding_law_matches_the_per_product_oracle(monkeypatch, desc, fault):
     rep = verify_embedding(base)
     assert rep.homomorphism_ok == (closed and all(laws)) == (fault is None)
     assert rep.homomorphism_mode.startswith("schreier-sims:")
+    # a foreign generator takes the image out of the product; a faulty table
+    # of a generator in it does not
+    assert rep.image_in_ambient == (fault not in ("perm", "unit"))
+
+
+def test_embedding_report_of_a_short_chain(monkeypatch):
+    # fq:3 without the unit generator: the chain stops at the 6 pairs (G, 1)
+    # of the product, so the read-off is not shown injective nor a
+    # homomorphism, the image does not factor, and the product is not shown
+    # closed; the generators still lie in it, which lists the identity and
+    # every inverse by construction
+    base = make_ring("fq:3")
+    real = groups._field_generators
+    monkeypatch.setattr(groups, "_field_generators", lambda ring: real(ring)[:-1])
+    rep = verify_embedding(base)
+    assert (rep.image_size, rep.dual_perm_count, rep.ambient_size) == (6, 48, 48)
+    assert not (rep.injective or rep.homomorphism_ok or rep.product_axioms.closed)
+    assert rep.image_in_ambient and not rep.surjective and not rep.factorization_ok
+    assert rep.product_axioms.has_identity and rep.product_axioms.inverses_ok
 
 
 def test_embedding_law_reads_every_generator(monkeypatch):
@@ -1844,18 +1900,18 @@ def test_embedding_law_reads_every_generator(monkeypatch):
     # tables swapped, each in turn: the chain, on the pair forms, still
     # reaches the order, so that generator's comparison alone must fail
     base = make_ring("fq:4")
-    real = groups.horner_dual
+    real = groups._dual_table
     for k in range(3):
         calls = []
 
-        def corrupted(g, dual, points, k=k, calls=calls):
-            values = list(real(g, dual, points))
+        def corrupted(ring, g, k=k, calls=calls):
+            values = list(real(ring, g))
             if len(calls) == k:
                 values[4], values[6] = values[6], values[4]
             calls.append(g)
-            return values
+            return tuple(values)
 
-        monkeypatch.setattr(groups, "horner_dual", corrupted)
+        monkeypatch.setattr(groups, "_dual_table", corrupted)
         rep = verify_embedding(base)
         monkeypatch.undo()
         assert len(calls) == 3 and rep.image_size == rep.dual_perm_count
