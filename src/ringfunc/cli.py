@@ -25,7 +25,7 @@ from . import canonical as canon
 from . import funcspace as fs
 from . import groups as gr
 from .dual import DualRing, dual_ring, eval_dual, horner_dual
-from .poly import ParseError, Polynomial, format_polynomial, parse
+from .poly import ParseError, Polynomial, format_polynomial, index_formatter, parse
 from .rings import (
     CAP_ENV_VAR,
     PrimePowerRing,
@@ -230,7 +230,8 @@ def _group_elements(args, cap, table=False):
     The semidirect product lists its items from its two factors,
     permutation-major.  The dual permutations and the stabilizer are the
     packed rows of gr.dual_pairs and gr.stabilizer_pairs, entry a being
-    perm(a) * |R| + unit(a), with a witness or a null part each.
+    perm(a) * |R| + unit(a), with a witness or a null part each, rendered
+    from its coefficient index vector of at most 2|R| terms (index_formatter).
     """
     base = _base_of(_ring(args))
     nb = base.size
@@ -240,19 +241,24 @@ def _group_elements(args, cap, table=False):
         rows, null_part = gr.stabilizer_pairs(base, cap=cap)
 
         def items(keep=slice(None)):
+            text = index_formatter(nb, 2 * nb)
             return [
-                {"null_part": format_polynomial(null_part(row)), "unit": [v % nb for v in row]}
+                {"null_part": text(null_part(row)), "unit": [v % nb for v in row]}
                 for row in rows[keep]
             ]
     elif args.dual:
         rows, witness = gr.dual_pairs(base, cap=cap)
 
         def items(keep=slice(None)):
+            # one list per distinct perm or unit table, shared by its items
+            text, shared = index_formatter(nb, 2 * nb), lru_cache(None)(list)
+            high = [v // nb for v in range(nb * nb)].__getitem__
+            low = [v % nb for v in range(nb * nb)].__getitem__
             return [
                 {
-                    "perm": [v // nb for v in row],
-                    "unit": [v % nb for v in row],
-                    "witness": format_polynomial(witness(row)),
+                    "perm": shared(tuple(map(high, row))),
+                    "unit": shared(tuple(map(low, row))),
+                    "witness": text(witness(row)),
                 }
                 for row in rows[keep]
             ]

@@ -196,7 +196,7 @@ def lagrange(F: FunctionTable) -> Polynomial:
     """
     ring = F.ring
     coeffs = _interpolate(ring, list(map(ring.index, F.values)))
-    return ring_polynomial(ring, map(ring.elements.__getitem__, coeffs))
+    return index_polynomial(ring, coeffs)
 
 
 def _interpolate(ring: Ring, values) -> list[int]:
@@ -275,6 +275,11 @@ def ring_polynomial(ring: Ring, coeffs) -> Polynomial:
     constant term first: integer coefficients on a residue ring, whose
     encodings are integers, and ring-tagged elsewhere."""
     return Polynomial(coeffs, None if ring.integer_encoded else ring)
+
+
+def index_polynomial(ring: Ring, vec) -> Polynomial:
+    """ring_polynomial of the elements with the indices vec."""
+    return ring_polynomial(ring, map(ring.elements.__getitem__, vec))
 
 
 def realize_pair(G: FunctionTable, F: FunctionTable) -> Polynomial:

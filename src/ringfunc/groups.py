@@ -24,8 +24,8 @@ Three sets of elements come out of this module:
   x + g for a null polynomial g, acting by the pair (id, [1 + g']).
 
 dual_pairs and stabilizer_pairs list the last two as sorted packed rows,
-with a witness on request, and alone decide how: over a field from the
-factors by the field theorem, over Z/m from the pair module (pair_module).
+with a witness (a coefficient index vector) on request, and alone decide
+how: over a field from the factors, over Z/m from the pair module.
 
 verify_embedding lists no group, and verify_group_axioms sifts the pool it
 is given: both build a Schreier-Sims chain (_Chain).  The embedding is
@@ -52,6 +52,7 @@ from .funcspace import (
     dual_degree_bound,
     hermite_basis,
     hermite_sum,
+    index_polynomial,
     induced_index_tables,
     least_member,
     pair_module,
@@ -342,15 +343,15 @@ def _module_parts(base: Ring, *, times: int, cap: int | None, what: str):
         return unit_coset(tuple(x[nb:2 * nb])) if tuple(x[:nb]) == tuple(G) else []
 
     def preimage(pair):
-        return ring_polynomial(base, member(pair)[2 * nb:][::-1])
+        return member(pair)[2 * nb:][::-1]
 
     return over, unit_coset, preimage
 
 
 def dual_pairs(base: Ring, *, cap: int | None = None):
     """The dual permutations as (rows, witness): their packed rows, sorted,
-    so in table order, and witness(row), a polynomial inducing the element
-    of a row.
+    so in table order, and witness(row), the coefficient index vector,
+    constant term first, of a polynomial inducing the element of a row.
 
     Over a field F_q they are every pair (G, F) of P(F_q) x F(F_q)^x (the
     field theorem), capped as the semidirect product, and the witness is
@@ -367,16 +368,15 @@ def dual_pairs(base: Ring, *, cap: int | None = None):
 
         @lru_cache(maxsize=None)
         def parts():
-            # row -> (A_G, B_F); entry b of row d of A_G is the element
-            # A_G[d] + b, so a coefficient of A_G + B_F is one lookup
+            # row -> (A_G, B_F); row d of A_G is the row of add_t at A_G[d],
+            # so a coefficient of A_G + B_F is one lookup
             add_t = base.index_op_tables()[0]
             H, K = hermite_basis(base)
-            A = [[[base.elements[s] for s in add_t[a]] for a in hermite_sum(base, H, G)]
-                 for G in perms]
+            A = [[add_t[a] for a in hermite_sum(base, H, G)] for G in perms]
             B = [hermite_sum(base, K, F) for F in units]
             return dict(zip(rows, product(A, B)))
 
-        return sorted(rows), lambda row: ring_polynomial(base, list(map(getitem, *parts()[row])))
+        return sorted(rows), lambda row: list(map(getitem, *parts()[row]))
     perms = semidirect_factors(base, cap=cap)[0]
     over, _, preimage = _module_parts(base, times=len(perms), cap=cap, what="dual pairs")
     rows = sorted(chain.from_iterable(packed_rows(base, [G], over(G)) for G in perms))
@@ -385,8 +385,8 @@ def dual_pairs(base: Ring, *, cap: int | None = None):
 
 def stabilizer_pairs(base: Ring, *, cap: int | None = None):
     """The stabilizer as (rows, null_part), as dual_pairs: the packed rows
-    of its pairs (id, F), sorted, so by unit table F, and null_part(row), a
-    null g with [1 + g'] = F, the element being x + g.
+    of its pairs (id, F), sorted, so by unit table F, and null_part(row), the
+    index vector of a null g with [1 + g'] = F, the element being x + g.
 
     Over a field F_q every unit table occurs, capped at (q - 1)^q, and g is
     the Hermite form of the pair (0, F - 1), sum_a (F(a) - 1) K_a: the only
@@ -402,8 +402,7 @@ def stabilizer_pairs(base: Ring, *, cap: int | None = None):
         K = hermite_basis(base)[1]
 
         def null_part(row):
-            g = hermite_sum(base, K, [less_one[v % nb] for v in row])
-            return ring_polynomial(base, [base.elements[i] for i in g])
+            return hermite_sum(base, K, [less_one[v % nb] for v in row])
     else:
         _, unit_coset, preimage = _module_parts(base, times=1, cap=cap, what="stabilizer")
         units = sorted(unit_coset((base.index(base.one),) * nb))
@@ -418,7 +417,8 @@ def enumerate_dual_permutations(
 ) -> list[DualPermutation]:
     """All permutations of base[al] induced by base-coefficient polynomials,
     sorted by table, each with its witness (dual_pairs)."""
-    return pair_elements(dual_ring(base), *dual_pairs(base, cap=cap))
+    rows, witness = dual_pairs(base, cap=cap)
+    return pair_elements(dual_ring(base), rows, lambda row: index_polynomial(base, witness(row)))
 
 
 def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[DualPermutation]:
@@ -430,7 +430,9 @@ def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[DualPerm
     Sorted by unit table, each with its witness x + g (stabilizer_pairs).
     """
     rows, null_part = stabilizer_pairs(base, cap=cap)
-    return pair_elements(dual_ring(base), rows, lambda row: null_part(row) + Polynomial.x())
+    return pair_elements(
+        dual_ring(base), rows, lambda row: index_polynomial(base, null_part(row)) + Polynomial.x()
+    )
 
 
 def null_polynomials(
@@ -740,7 +742,7 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
         proved, image_mode, candidates = True, "module", _walk(lifts)
 
         def witness(G, F):
-            return preimage(G + F)
+            return index_polynomial(base, preimage(G + F))
 
     block = _pair_blocks(base).__getitem__
     group, gens, tables_ok = _Chain(n), [], True

@@ -11,6 +11,7 @@ p^(n-1) and mod p^n, which the canonical-form machinery relies on.
 
 from __future__ import annotations
 
+from operator import getitem
 from typing import Any, Iterable
 
 
@@ -262,33 +263,34 @@ class Polynomial:
 X = Polynomial.x()
 
 
+def _term(c: int, k: int) -> str:
+    """The text of the term c*x^k, c a positive magnitude."""
+    xpart = "x" if k == 1 else f"x^{k}"
+    return str(c) if k == 0 else xpart if c == 1 else f"{c}*{xpart}"
+
+
+def index_formatter(size: int, degree: int):
+    """format_polynomial of the polynomial with the coefficient indices vec,
+    constant term first, len(vec) <= degree, over a ring of size elements,
+    integer or ring-tagged alike: each term is read from one table, the text
+    of c*x^k for each k < degree and index c, with "" for c = 0."""
+    terms = [("",) + tuple(_term(c, k) for c in range(1, size)) for k in range(degree)]
+    return lambda vec: " + ".join([t for t in map(getitem, terms, vec) if t][::-1]) or "0"
+
+
 def format_polynomial(f: Polynomial) -> str:
     """Canonical text form, highest degree first; parses back to f when the
     coefficients are integers."""
-    if f.is_zero():
-        return "0"
-    ring = f.ring
-    coeffs = f.coeffs
-    zero = 0 if ring is None else ring.zero
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == zero:
+    ring, parts = f.ring, []
+    for k in range(len(f.coeffs) - 1, -1, -1):
+        c = f.coeffs[k]
+        if c == (0 if ring is None else ring.zero):
             continue
-        if ring is None:
-            mag, negative = abs(c), c < 0
-        else:
-            mag, negative = ring.index(c), False
-        if k == 0:
-            body = str(mag)
-        else:
-            xpart = "x" if k == 1 else f"x^{k}"
-            body = xpart if mag == 1 else f"{mag}*{xpart}"
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts)
+        negative = ring is None and c < 0
+        body = _term(abs(c) if ring is None else ring.index(c), k)
+        sign = ("- " if negative else "+ ") if parts else ("-" if negative else "")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
 
 
 def _tokens(text: str) -> list[tuple[int, str]]:

@@ -486,6 +486,8 @@ SWEEP_OUTPUT_SHA256 = {
         "9ad1eb395789797b3510663c9a8fea8f936647b801a3e0eca313a19a552351d7",
     ("count", "--what", "polyfun", "--p", "2", "--n", "3", "--brute-force"):
         "bee5a958ea5cc10ce9849e6bd87a7dd4d43c3de6d1b6a7c59eb31bfc308935e2",
+    ("enumerate", "--what", "group", "--dual", "--ring", "fq:5", "--limit", "200"):
+        "d722e5ec0069dd25de6b4226c393132f22efeaa5fa457713ec7f05748371d73c",
 }
 
 
@@ -693,12 +695,14 @@ def test_field_listing_builds_only_the_kept_items(capsys, monkeypatch):
 @pytest.mark.parametrize("what", [("group", "--dual"), ("stabilizer",)])
 def test_export_refuses_the_table_before_building_items(capsys, monkeypatch, what):
     # fq:4 has 1,944 dual permutations and 81 stabilizer elements, both
-    # under the cap of 2,000, and their tables are over it
+    # under the cap of 2,000, and their tables are over it; items render
+    # their witnesses by index_formatter, polynomials by format_polynomial
     def no_format(*args):
         raise AssertionError("witness formatted")
 
     monkeypatch.setenv(CAP_ENV_VAR, "2000")
     monkeypatch.setattr(cli, "format_polynomial", no_format)
+    monkeypatch.setattr(cli, "index_formatter", no_format)
     built = _count_witnesses(monkeypatch)
     count = 1944 if what[0] == "group" else 81
     for fmt in (("--table",), ("--format", "csv")):

@@ -6,6 +6,7 @@ import operator
 import random
 import sys
 from collections import Counter
+from functools import partial
 from math import gcd
 
 import pytest
@@ -1029,10 +1030,11 @@ def test_split_dual_sweep_matches_the_streamed_filter(desc, cap):
     assert [(tuple(v // nb for v in r), tuple(v % nb for v in r)) for r in rows] == [
         pair for _, pair, _ in dual
     ]
-    assert [witness(r) for r in rows] == [w for _, _, w in dual]
+    poly = partial(funcspace.index_polynomial, base)
+    assert [poly(witness(r)) for r in rows] == [w for _, _, w in dual]
     rows, null_part = groups.stabilizer_pairs(base, cap=cap)
     assert [tuple(v % nb for v in r) for r in rows] == [unit for _, unit, _ in stabilizer]
-    assert [null_part(r) + X for r in rows] == [w for _, _, w in stabilizer]
+    assert [poly(null_part(r)) + X for r in rows] == [w for _, _, w in stabilizer]
 
 
 def test_split_dual_sweep_checks_the_cap_before_any_work(monkeypatch):
@@ -1204,7 +1206,9 @@ LISTING_RINGS = ("fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:3", "zm:4", "zm:6", "zm:
 @pytest.mark.parametrize("desc", LISTING_RINGS)
 def test_dual_listing_matches_the_sweep(desc):
     # over a field from the factors with Hermite witnesses, elsewhere from
-    # the pair module: order, pairs, witness strings and element tables
+    # the pair module: order, pairs, witness strings and element tables.  A
+    # witness is an index vector of the dual degree bound's length, at most
+    # 2|R| as the CLI renders it: (x^q - x)^2 over F_q, (x)_m^2 over Z/m
     base = make_ring(desc)
     nb = base.size
     expected = sweep_dual_listing(base)
@@ -1212,7 +1216,10 @@ def test_dual_listing_matches_the_sweep(desc):
     assert [(tuple(v // nb for v in r), tuple(v % nb for v in r)) for r in rows] == [
         pair for _, pair, _ in expected
     ]
-    assert [format_polynomial(witness(r)) for r in rows] == [
+    vecs = [witness(r) for r in rows]
+    assert {len(v) for v in vecs} == {dual_degree_bound(base)}
+    assert dual_degree_bound(base) <= 2 * nb
+    assert [format_polynomial(funcspace.index_polynomial(base, v)) for v in vecs] == [
         format_polynomial(w) for _, _, w in expected
     ]
     dps = enumerate_dual_permutations(base)
@@ -1226,7 +1233,9 @@ def test_stabilizer_listing_matches_the_sweep(desc):
     expected = sweep_stabilizer_listing(base)
     rows, null_part = groups.stabilizer_pairs(base)
     assert rows == [tuple(a * nb + u for a, u in enumerate(unit)) for _, unit, _ in expected]
-    assert [format_polynomial(null_part(r)) for r in rows] == [
+    vecs = [null_part(r) for r in rows]
+    assert {len(v) for v in vecs} == {dual_degree_bound(base)}
+    assert [format_polynomial(funcspace.index_polynomial(base, v)) for v in vecs] == [
         format_polynomial(w - X) for _, _, w in expected
     ]
     sts = enumerate_stabilizer(base)
@@ -1651,13 +1660,12 @@ def test_module_witnesses_reduce_each_permutation_once(desc, monkeypatch):
 
     monkeypatch.setattr(groups, "least_member", spy)
     rows, witness = groups.dual_pairs(base)
-    polys = [witness(row) for row in rows]
+    vecs = [witness(row) for row in rows]
     monkeypatch.undo()
     reduced = [G for G, stop in heads if stop == nb]
     assert len(reduced) == len(set(reduced)) == len(groups.semidirect_factors(base)[0])
-    assert polys == [
-        funcspace.ring_polynomial(base, real(
-            module, [v // nb for v in row] + [v % nb for v in row], nb)[2 * nb:][::-1])
+    assert vecs == [
+        real(module, [v // nb for v in row] + [v % nb for v in row], nb)[2 * nb:][::-1]
         for row in rows
     ]
 

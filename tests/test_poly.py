@@ -1,12 +1,13 @@
 """Polynomial arithmetic, calculus, parsing, printing."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringfunc.funcspace import induce
-from ringfunc.poly import ParseError, Polynomial, X, format_polynomial, parse
+from ringfunc.funcspace import index_polynomial, induce
+from ringfunc.poly import ParseError, Polynomial, X, format_polynomial, index_formatter, parse
 from ringfunc.rings import make_ring
 
 coeff_lists = st.lists(st.integers(min_value=-30, max_value=30), max_size=7)
@@ -365,6 +366,20 @@ def test_format_ring_tagged_uses_indices():
     f = Polynomial((f4.elements[2], f4.elements[3]), ring=f4)
     text = format_polynomial(f)
     assert parse(text).coeffs == (2, 3)
+
+
+@pytest.mark.parametrize("desc,longest", [("zm:4", 4), ("fq:4", 3)])
+def test_index_formatter_matches_format_polynomial(desc, longest):
+    # every index vector up to the longest, trailing zeros and all, against
+    # the polynomial of its elements: integer on Z/4, ring-tagged on GF(4)
+    ring = make_ring(desc)
+    text = index_formatter(ring.size, longest)
+    for length in range(longest + 1):
+        for vec in itertools.product(range(ring.size), repeat=length):
+            assert text(vec) == format_polynomial(index_polynomial(ring, vec)), vec
+    assert [text(v) for v in ((), (0, 0, 0), (1,), (0, 1), (0, 0, 1), (3, 0, 2))] == [
+        "0", "0", "1", "x", "x^2", "2*x^2 + 3"
+    ]
 
 
 def test_coefficient_access():
