@@ -132,6 +132,28 @@ def falling_factorial_coefficients(f: Polynomial, count: int) -> list[int]:
     return out
 
 
+def _check_digit_terms(p: int, n: int, groups) -> None:
+    """The checks both normal forms share: p prime, n >= 1, and in each
+    (depths, terms) group, terms (i, j, a) with i, j >= 0, a digit a in
+    [1, p) and depth i + v_p(j!) in depths, strictly sorted by (j, i)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    for depths, terms in groups:
+        prev = None
+        for i, j, a in terms:
+            if i < 0 or j < 0:
+                raise ValueError(f"bad exponents ({i}, {j})")
+            if not 1 <= a < p:
+                raise ValueError(f"digit {a} out of range for p = {p}")
+            if i + vp_factorial(p, j) not in depths:
+                raise ValueError(f"term ({i}, {j}) is out of place mod {p}^{n}")
+            if prev is not None and (j, i) <= prev:
+                raise ValueError("terms must be strictly sorted by (j, i)")
+            prev = (j, i)
+
+
 @dataclass(frozen=True)
 class CanonicalForm:
     """Reduced falling-factorial form mod p^n.
@@ -146,22 +168,7 @@ class CanonicalForm:
     terms: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        p, n = self.p, self.n
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if n < 1:
-            raise ValueError("need n >= 1")
-        prev = None
-        for i, j, a in self.terms:
-            if i < 0 or j < 0:
-                raise ValueError(f"bad exponents ({i}, {j})")
-            if not 1 <= a < p:
-                raise ValueError(f"digit {a} out of range for p = {p}")
-            if i + vp_factorial(p, j) >= n:
-                raise ValueError(f"term ({i}, {j}) is null mod {p}^{n}")
-            if prev is not None and (j, i) <= prev:
-                raise ValueError("terms must be strictly sorted by (j, i)")
-            prev = (j, i)
+        _check_digit_terms(self.p, self.n, [(range(self.n), self.terms)])
 
     def to_polynomial(self) -> Polynomial:
         return _falling_combination(self.p, self.n, self.terms)
@@ -186,21 +193,22 @@ def _digit_terms(p: int, n: int, j: int, residual: int) -> list[tuple[int, int, 
     return out
 
 
-def canonicalize(f: Polynomial, p: int, n: int) -> CanonicalForm:
-    """Canonical form of the function [f] mod p^n.
+def _falling_digits(f: Polynomial, p: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """Digit terms of [f] mod p^n, sorted by (j, i), unchecked: f is expanded
+    over falling factorials, the coefficient of (x)_j is reduced mod
+    p^{n - v_p(j!)}, and the survivors are split into base-p digits."""
+    b = falling_factorial_coefficients(f, beta(p, n))
+    return tuple(t for j, coeff in enumerate(b) for t in _digit_terms(p, n, j, coeff))
 
-    Expands f over falling factorials, reduces the coefficient of (x)_j mod
-    p^{n - v_p(j!)}, and splits the survivors into base-p digit terms.  The
-    result is re-induced and compared against f on all of Z_{p^n}; a mismatch
-    raises rather than returning a wrong form.
+
+def canonicalize(f: Polynomial, p: int, n: int) -> CanonicalForm:
+    """Canonical form of the function [f] mod p^n: its digit terms, re-induced
+    and compared against f on all of Z_{p^n}; a mismatch raises rather than
+    returning a wrong form.
     """
     if f.ring is not None:
         raise ValueError("expected integer coefficients")
-    b = falling_factorial_coefficients(f, beta(p, n))
-    terms = []
-    for j, coeff in enumerate(b):
-        terms.extend(_digit_terms(p, n, j, coeff))
-    form = CanonicalForm(p, n, tuple(terms))
+    form = CanonicalForm(p, n, _falling_digits(f, p, n))
     ring = _zpn(p, n)
     if induce(form.to_polynomial(), ring) != induce(f, ring):
         raise RuntimeError("canonical form failed re-induction check")
@@ -291,24 +299,11 @@ class UnitValuedCanonicalForm:
 
     def __post_init__(self):
         p, n = self.p, self.n
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if n < 1:
-            raise ValueError("need n >= 1")
-        if not 1 <= self.s <= (p - 1) ** p:
-            raise ValueError(f"leading index {self.s} out of range")
         if tuple(k for k, _ in self.layers) != tuple(range(2, n + 1)):
             raise ValueError("layers must cover k = 2 .. n in order")
-        for k, terms in self.layers:
-            prev = None
-            for i, j, a in terms:
-                if not 1 <= a < p:
-                    raise ValueError(f"digit {a} out of range")
-                if i + vp_factorial(p, j) != k - 1:
-                    raise ValueError(f"term ({i}, {j}) does not belong to layer {k}")
-                if prev is not None and (j, i) <= prev:
-                    raise ValueError("layer terms must be strictly sorted by (j, i)")
-                prev = (j, i)
+        _check_digit_terms(p, n, [(range(k - 1, k), terms) for k, terms in self.layers])
+        if not 1 <= self.s <= (p - 1) ** p:
+            raise ValueError(f"leading index {self.s} out of range")
 
     def to_polynomial(self) -> Polynomial:
         lead = leading_representative(self.p, self.s).coeffs
@@ -341,7 +336,10 @@ def canonicalize_unit_valued(f: Polynomial, p: int, n: int) -> UnitValuedCanonic
     p^(n - v_p(j!)); the layers below k have removed exactly the digits
     below position k - 1 - v_p(j!), and removing a digit whose lower digits
     are zero borrows nothing, so the digit left at that position is the one
-    the single form has.  The form is re-induced and compared with the table.
+    the single form has.  The deficit is expanded once, unchecked: the one
+    re-induction of the whole form against the table of f covers it, as the
+    form's polynomial is h plus the deficit's terms mod p^n, so
+    [h + terms] = [f] exactly when [terms] = [f - h].
     """
     if f.ring is not None:
         raise ValueError("expected integer coefficients")
@@ -351,7 +349,7 @@ def canonicalize_unit_valued(f: Polynomial, p: int, n: int) -> UnitValuedCanonic
         raise ValueError(f"polynomial is not unit-valued mod {p}^{n}")
     s = uv_table_index([v % p for v in table.values[:p]], p)
     layers = [[] for _ in range(n - 1)]
-    for i, j, a in canonicalize(f - leading_representative(p, s), p, n).terms:
+    for i, j, a in _falling_digits(f - leading_representative(p, s), p, n):
         depth = i + vp_factorial(p, j)
         if depth == 0:
             raise RuntimeError("deficit was not null mod p")

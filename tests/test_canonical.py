@@ -216,6 +216,8 @@ def test_form_validation():
         CanonicalForm(2, 2, ((0, 2, 1), (0, 1, 1)))  # unsorted
     with pytest.raises(ValueError):
         CanonicalForm(2, 2, ((1, 2, 1),))  # null term: 1 + v(2!) = 2
+    with pytest.raises(ValueError, match="bad exponents"):
+        CanonicalForm(3, 2, ((-1, 6, 1),))
     with pytest.raises(ValueError):
         CanonicalForm(4, 2, ())
     with pytest.raises(ValueError):
@@ -358,6 +360,12 @@ def test_layered_form_validation():
         UnitValuedCanonicalForm(2, 2, 1, ((2, ((0, 0, 1),)),))  # depth 0 in layer 2
     with pytest.raises(ValueError):
         UnitValuedCanonicalForm(2, 2, 1, ((2, ((1, 0, 0),)),))  # zero digit
+    with pytest.raises(ValueError, match="bad exponents"):
+        UnitValuedCanonicalForm(3, 2, 1, ((2, ((-1, 6, 1),)),))  # depth 1, but i < 0
+    with pytest.raises(ValueError, match="strictly sorted"):
+        UnitValuedCanonicalForm(3, 2, 1, ((2, ((0, 4, 1), (0, 3, 1))),))
+    with pytest.raises(ValueError, match="not prime"):
+        UnitValuedCanonicalForm(4, 2, 1, ((2, ()),))
 
 
 def test_layered_form_json_shape():
@@ -468,3 +476,43 @@ def test_layered_form_refuses_a_form_that_fails_re_induction(monkeypatch):
     monkeypatch.setattr(UnitValuedCanonicalForm, "to_polynomial", lambda self: Polynomial((1,)))
     with pytest.raises(RuntimeError, match="re-induction"):
         canonicalize_unit_valued(Polynomial((1, 2)), 2, 2)
+
+
+def test_each_form_induces_twice_and_the_layered_form_skips_canonicalize(monkeypatch):
+    # canonicalize: input and form; layered form: the table of f and the one
+    # re-induction of the whole form
+    induced = []
+    real = canonical.induce
+
+    def spy(*args):
+        induced.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(canonical, "induce", spy)
+    canonicalize(X**4, 2, 2)
+    assert len(induced) == 2
+    monkeypatch.setattr(canonical, "canonicalize", lambda *args: pytest.fail("canonicalize called"))
+    for f, p, n in [(X**4 + 2 * X + 5, 3, 2), (Polynomial.constant(3), 2, 2), (X**2 + X + 1, 2, 5)]:
+        induced.clear()
+        canonicalize_unit_valued(f, p, n)
+        assert len(induced) == 2
+
+
+def _flip(terms, p, slot):
+    """terms with the digit at slot (i, j) moved to the next value mod p."""
+    digits = {(i, j): a for i, j, a in terms}
+    digits[slot] = (digits.get(slot, 0) + 1) % p
+    return tuple(sorted(((i, j, a) for (i, j), a in digits.items() if a), key=lambda t: t[1::-1]))
+
+
+@pytest.mark.parametrize("slot,match", [((0, 1), "not null mod p")] + [
+    (slot, "re-induction") for slot in [(1, 0), (1, 1), (1, 2), (0, 3), (0, 4), (0, 5)]
+])
+def test_a_wrong_deficit_digit_is_refused(monkeypatch, slot, match):
+    # a depth-0 digit is caught as it is placed; a wrong digit at any depth-1
+    # slot mod 9 changes the function, which only the re-induction of the
+    # whole form can see
+    real = canonical._falling_digits
+    monkeypatch.setattr(canonical, "_falling_digits", lambda f, p, n: _flip(real(f, p, n), p, slot))
+    with pytest.raises(RuntimeError, match=match):
+        canonicalize_unit_valued(X**4 + 2 * X + 5, 3, 2)
