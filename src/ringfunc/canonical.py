@@ -348,8 +348,9 @@ def canonicalize_unit_valued(f: Polynomial, p: int, n: int) -> UnitValuedCanonic
     if not table.is_unit_valued():
         raise ValueError(f"polynomial is not unit-valued mod {p}^{n}")
     s = uv_table_index([v % p for v in table.values[:p]], p)
+    h = leading_representative(p, s)
     layers = [[] for _ in range(n - 1)]
-    for i, j, a in _falling_digits(f - leading_representative(p, s), p, n):
+    for i, j, a in _falling_digits(f - h, p, n):
         depth = i + vp_factorial(p, j)
         if depth == 0:
             raise RuntimeError("deficit was not null mod p")
@@ -357,7 +358,8 @@ def canonicalize_unit_valued(f: Polynomial, p: int, n: int) -> UnitValuedCanonic
     form = UnitValuedCanonicalForm(
         p, n, s, tuple((k, tuple(terms)) for k, terms in enumerate(layers, 2))
     )
-    if induce(form.to_polynomial(), ring) != table:
+    terms = (t for layer in layers for t in layer)
+    if induce(_falling_combination(p, n, terms, h.coeffs), ring) != table:
         raise RuntimeError("layered form failed re-induction check")
     return form
 

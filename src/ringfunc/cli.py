@@ -19,6 +19,7 @@ import random
 import sys
 from collections import Counter
 from functools import lru_cache, reduce
+from math import factorial, gcd, prod
 from operator import eq, getitem, or_
 
 from . import canonical as canon
@@ -402,6 +403,67 @@ def _dual_verdicts(key, base: Ring) -> tuple[bool, bool]:
     return brute, criterion
 
 
+def _table_sum(add_t, tables, zero) -> tuple:
+    # the entrywise sum of index tables, by the index addition table
+    return reduce(lambda s, t: tuple(map(getitem, map(add_t.__getitem__, s), t)), tables, zero)
+
+
+def _null_split(ring: Ring, base: Ring, k: int, zero, stages):
+    """(low, rest): the f0 of degree < D with constant term 0 as stages of
+    fs.coefficient_sums, split at the part null on the filter's points, each
+    term a sum of those of stages (fs.monomial_stages on ring, over the base
+    in element order).  Field: low c x^d, rest c (x^q - x) x^d, for d < q.
+    Z/N, filtered mod k (Kempner 1921; Singmaster 1974): low c (x)_j for
+    c < s = k / gcd(k, j!), rest s c (x)_j for c < N / s.  Stages of one
+    term are dropped."""
+    add_t = ring.index_op_tables()[0]
+
+    def term(coeffs):  # base coefficients from degree 1 up
+        tables = (stages[d][base.index(c)][1] for d, c in enumerate(coeffs) if c != base.zero)
+        return _table_sum(add_t, tables, zero)
+
+    if base.is_field:
+        q, z = base.size, base.zero
+        low = stages[: q - 1]
+        rest = [
+            [(c, term((z,) * d + (base.neg(c),) + (z,) * (q - 2) + (c,))) for c in base.elements]
+            for d in range(q)
+        ]
+    else:
+        low, rest = [], []
+        for j in range(1, len(stages) + 1):
+            s = k // gcd(k, factorial(j))
+            ff = canon.falling_factorial(j).coeffs[1:]
+            for part, cs in ((low, range(s)), (rest, range(0, base.size, s))):
+                part.append([(c, term([base.from_int(c * a) for a in ff])) for c in cs])
+    return [st for st in low if len(st) > 1], [st for st in rest if len(st) > 1]
+
+
+def _split_keys(add_t, zero, low, rest, on, admits, null, cap):
+    """The keys l + r of each low sum l that admits and each rest sum r;
+    None unless every rest term is null on the filter's points (the entries
+    on) and the low sweep there merges no two combinations of terms.  So the
+    filter sees the low part alone, on the points, and each admitted low
+    sum is summed in full from its coefficients.  The cap, checked before
+    each sweep, counts the low sums, then the keys: the admitted low sums
+    times the distinct terms of each rest stage (exact if independent)."""
+    if not all(null(t[on]) for st in rest for _, t in st):
+        return None
+    count = lambda stages: prod(len({t for _, t in st}) for st in stages)
+    check_cap(count(low), cap, "pair sweep")
+    admitted, points = [], [[(c, t[on]) for c, t in st] for st in low]
+    for swept, (t, w) in enumerate(fs.coefficient_sums(add_t, zero[on], points), 1):
+        if admits(t):
+            admitted.append(w)
+    if swept != count(low):  # two low combinations were merged
+        return None
+    check_cap(len(admitted) * count(rest), cap, "pair sweep")
+    terms = [dict(st) for st in low]
+    lows = [[add_t[b] for b in _table_sum(add_t, map(getitem, terms, w), zero)] for w in admitted]
+    rests = fs.coefficient_sums(add_t, zero, rest)
+    return (tuple(map(getitem, rows, r)) for r, _ in rests for rows in lows)
+
+
 def _check_dual_criterion(base: Ring, cap) -> list[tuple[str, bool]]:
     """The criterion against brute force on every f0 of degree < D, the dual
     degree bound, with constant term zero, on the dual ring's own tables.
@@ -410,25 +472,22 @@ def _check_dual_criterion(base: Ring, cap) -> list[tuple[str, bool]]:
     changes neither verdict.  Both verdicts depend only on the key, which is
     additive in the coefficients.  f0 maps R x 0 into itself, so a bijection
     of R[al] restricts to one of R x 0.  Both verdicts are then False unless
-    the table on R x 0 is a bijection, and gr.split_sweep builds only those
-    keys.  The cap counts every candidate, |base|^D.
+    the table on R x 0, that of the low part, is a bijection, and only those
+    keys are built (_split_keys), each once: 1,536 on fq:4, 216 on zm:6.
     """
     D = gr.dual_degree_bound(base)
     dual = dual_ring(base, size_cap=cap)
-    check_cap(base.size**D, cap, "pair sweep")
     nb = base.size
     domain = [dual.embed(c) for c in base.elements]
     on_base = range(base.index(base.zero), dual.size, nb)
     stages = fs.monomial_stages(dual, D, domain, derivative_points=on_base)
     zero = (dual.index(dual.zero),) * (dual.size + nb)
-    split = gr.split_sweep(
-        dual.index_op_tables()[0], zero, stages, slice(on_base.start, dual.size, nb)
+    keys = _split_keys(
+        dual.index_op_tables()[0], zero, *_null_split(dual, base, nb, zero, stages),
+        slice(on_base.start, dual.size, nb), lambda t: len(set(t)) == nb,
+        lambda t: set(t) == {zero[0]}, cap,
     )
-    ok = all(
-        eq(*_dual_verdicts(tuple(map(getitem, rows, t)), base))
-        for rows, _, bijective in split
-        for t, _ in bijective
-    )
+    ok = keys is not None and all(eq(*_dual_verdicts(key, base)) for key in keys)
     return [(f"dual[criterion:{base.descriptor}]", ok)]
 
 
@@ -443,22 +502,23 @@ def _local_verdicts(key, p: int, n: int) -> tuple[bool, bool]:
 
 
 def _check_local_criterion(p: int, n: int, cap) -> list[tuple[str, bool]]:
+    # adding a constant translates [f] and its residues mod p and keeps
+    # [f'], so both verdicts are those of f0 with constant term 0; they
+    # depend only on the key, which is additive in the coefficients, and are
+    # both False unless the residues at 0 .. p-1, those of the low part,
+    # permute Z_p, so only those keys are built, each once: 486 on Z_9
     ring = PrimePowerRing(p, n)
     D = fs.null_degree_bound(ring)
-    check_cap(ring.size ** D, cap, "pair sweep")
-    # adding a constant translates [f] and its residues mod p and keeps [f'],
-    # so both verdicts are those of the member with constant term 0; they
-    # depend only on the key, which is additive in the coefficients, so
-    # checking every distinct key, each yielded once, is as strong as
-    # checking every candidate
     stages = fs.monomial_stages(
         ring, D, ring.elements, derivative_points=range(p), derivative_scale=p ** (n - 1)
     )
     zero = (0,) * (ring.size + p)
-    ok = all(
-        eq(*_local_verdicts(key, p, n))
-        for key, _ in fs.coefficient_sums(ring.index_op_tables()[0], zero, stages)
+    keys = _split_keys(
+        ring.index_op_tables()[0], zero, *_null_split(ring, ring, p, zero, stages),
+        slice(p), lambda t: {v % p for v in t} == set(range(p)),
+        lambda t: not any(v % p for v in t), cap,
     )
+    ok = keys is not None and all(eq(*_local_verdicts(key, p, n)) for key in keys)
     return [(f"dual[local-criterion:zpn:{p},{n}]", ok)]
 
 

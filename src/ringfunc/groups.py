@@ -48,7 +48,6 @@ from operator import add, getitem, itemgetter
 from .dual import DualRing, dual_ring
 from .funcspace import (
     FunctionTable,
-    coefficient_sums,
     dual_degree_bound,
     hermite_basis,
     hermite_sum,
@@ -266,41 +265,6 @@ def pair_table_sweep(
             tuple(map(base.index, base.horner(dcoeffs, els))),
             coeffs,
         )
-
-
-def split_sweep(add_t, zero_table, stages, first: slice):
-    """The sums of coefficient_sums over the stages, split at the middle
-    stage, k = len(stages) // 2, into the distinct low sums (stages[:k]) and
-    high sums (stages[k:]), each with the first coefficients reaching it.
-
-    Yields (rows, coeffs, bijective) for each distinct high sum h, in
-    first-reached order: rows are the rows of add_t at the entries of h, so
-    tuple(map(getitem, rows, t)) is h + t, and coeffs are those of h.
-    bijective lists the low (t, coeffs) whose first table t[first], added to
-    h[first], makes a bijection, in first-reached order.  It depends on
-    h[first] alone and is found once for each: the low sums are grouped by
-    first table, and each group is tested once.
-    """
-    k = len(stages) // 2
-    low: dict[tuple, tuple] = {}
-    high: dict[tuple, tuple] = {}
-    for sums, part in ((low, stages[:k]), (high, stages[k:])):
-        for t, coeffs in coefficient_sums(add_t, zero_table, part):
-            sums.setdefault(t, coeffs)
-    by_first: dict[tuple, list] = {}
-    for pos, (t, coeffs) in enumerate(low.items()):
-        by_first.setdefault(t[first], []).append((pos, t, coeffs))
-    slices: dict[tuple, list] = {}
-    for h, coeffs in high.items():
-        h1 = h[first]
-        if h1 not in slices:
-            rows = [add_t[b] for b in h1]
-            bijective = sorted(
-                item for a1, items in by_first.items()
-                if len(set(map(getitem, rows, a1))) == len(h1) for item in items
-            )
-            slices[h1] = [item[1:] for item in bijective]
-        yield [add_t[b] for b in h], coeffs, slices[h1]
 
 
 def _module_parts(base: Ring, *, times: int, cap: int | None, what: str):

@@ -473,7 +473,14 @@ def test_layered_form_refuses_a_deficit_with_a_depth_zero_term(monkeypatch):
 
 
 def test_layered_form_refuses_a_form_that_fails_re_induction(monkeypatch):
-    monkeypatch.setattr(UnitValuedCanonicalForm, "to_polynomial", lambda self: Polynomial((1,)))
+    # the re-induction sums the layers onto the leading representative, the
+    # one call of _falling_combination given a start
+    real = canonical._falling_combination
+
+    def wrong(p, n, terms, start=()):
+        return Polynomial((1,)) if start else real(p, n, terms)
+
+    monkeypatch.setattr(canonical, "_falling_combination", wrong)
     with pytest.raises(RuntimeError, match="re-induction"):
         canonicalize_unit_valued(Polynomial((1, 2)), 2, 2)
 

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import itertools
 import json
+from functools import lru_cache
+from operator import getitem
 
 import pytest
 
@@ -822,9 +824,16 @@ DUAL_OUTPUT_SHA256 = [
      "36c1d659e3f3502056d51cc1f0b9829c583a69069f2fdc24dbc44c28ad78c2c2", ""),
     (("verify", "--suite", "dual", "--ring", "fq:5", "--json"), 0,
      "263bf3097a7c2780a40466b470536a32713ebc931a0c64d9e9d72f3d2454dc5d", ""),
-    (("verify", "--suite", "dual", "--ring", "zpn:2,3"), 3,
+    # refused by the pair sweep's cap (16777216 candidates) until the sweep
+    # was split at the null part; the same stdout as with --allow-large
+    (("verify", "--suite", "dual", "--ring", "zpn:2,3"), 0,
+     "d7123bb5fb834921f56faa2f4e11c3ebd6793e553a4dd519e360c319c916b8fe", ""),
+    (("verify", "--suite", "dual", "--ring", "zpn:3,2"), 0,
+     "927e5ed766366cc45264f06e4b8a70745b3039ef95d4707efd6bff77ccb8b110", ""),
+    # 720 admitted low sums times 7^7 rest sums
+    (("verify", "--suite", "dual", "--ring", "fq:7"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "error: pair sweep: 16777216 exceeds cap 10000000\n"),
+     "error: pair sweep: 592950960 exceeds cap 10000000\n"),
 ]
 
 
@@ -884,16 +893,106 @@ def test_dual_criterion_matches_horner_dual_on_every_candidate(monkeypatch, desc
     assert set(keys) == expected
 
 
+def _split_sweep(add_t, zero_table, stages, first: slice):
+    """The oracle of the dual criterion's keys: the sums of coefficient_sums
+    over the stages, split at the middle stage, k = len(stages) // 2, into
+    the distinct low sums (stages[:k]) and high sums (stages[k:]).  Yields
+    h + t for each high sum h and each low sum t whose first table t[first],
+    added to h[first], makes a bijection, in first-reached order of h, then
+    of t: one key per (low, high) pair, repeats included."""
+    k = len(stages) // 2
+    low = dict(fs.coefficient_sums(add_t, zero_table, stages[:k]))
+    high = dict(fs.coefficient_sums(add_t, zero_table, stages[k:]))
+    for h in high:
+        rows = [add_t[b] for b in h]
+        h1 = rows[first]
+        for t in low:
+            if len(set(map(getitem, h1, t[first]))) == len(h1):
+                yield tuple(map(getitem, rows, t))
+
+
+def _split_sweep_keys(base):
+    # the keys _split_sweep builds on the criterion's stages over R[al]
+    dual = dual_ring(base)
+    nb = base.size
+    on_base = range(base.index(base.zero), dual.size, nb)
+    domain = [dual.embed(c) for c in base.elements]
+    stages = fs.monomial_stages(
+        dual, gr.dual_degree_bound(base), domain, derivative_points=on_base
+    )
+    zero = (dual.index(dual.zero),) * (dual.size + nb)
+    first = slice(on_base.start, dual.size, nb)
+    return list(_split_sweep(dual.index_op_tables()[0], zero, stages, first))
+
+
 @pytest.mark.parametrize("desc,built", [
-    ("fq:3", 54), ("zpn:2,2", 8), ("fq:4", 1536), ("zm:6", 432),
+    ("fq:3", 54), ("zpn:2,2", 8), ("fq:4", 1536), ("zm:6", 216),
 ])
 def test_dual_criterion_builds_only_the_keys_the_filter_admits(monkeypatch, desc, built):
     # of the |R|^(D-1) keys with constant term zero (fq:4: 16,384), only
-    # those with a bijective table on R x 0, counted with repeats
+    # those with a bijective table on R x 0, each once; the split oracle
+    # builds zm:6's 216 as 432 (low, high) pairs
     base = make_ring(desc)
     keys = _record_dual_verdicts(monkeypatch)
     assert cli._check_dual_criterion(base, None)[0][1]
-    assert len(keys) == built
+    assert len(keys) == len(set(keys)) == built
+    assert len(set(_split_sweep_keys(base))) == built
+    if desc == "zm:6":
+        assert len(_split_sweep_keys(base)) == 432
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:4", "zm:6", "zm:8"])
+def test_dual_criterion_keys_match_the_split_sweep(monkeypatch, desc):
+    # the null split builds the distinct keys of the middle-degree split
+    base = make_ring(desc)
+    keys = _record_dual_verdicts(monkeypatch)
+    assert cli._check_dual_criterion(base, None)[0][1]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(_split_sweep_keys(base))
+
+
+def _break_null_split(monkeypatch, how):
+    # _null_split with one change to its stages: "rest", the last term of
+    # the first rest stage becomes the degree-1 low term x, which is not
+    # null on the filter's points; "low", the first of several low stages
+    # gains the last term of the last rest stage, which is 0 on the points
+    # like the zero term, so the sweep on the points merges the two
+    real = cli._null_split
+
+    def broken(*args):
+        low, rest = real(*args)
+        if how == "rest":
+            label, _ = rest[0][-1]
+            rest = [rest[0][:-1] + [(label, low[0][1][1])]] + rest[1:]
+        else:
+            assert len(low) > 1
+            low = [low[0] + [("extra", rest[-1][-1][1])]] + low[1:]
+        return low, rest
+
+    monkeypatch.setattr(cli, "_null_split", broken)
+
+
+@pytest.mark.parametrize("how", ["rest", "low"])
+@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
+def test_dual_criterion_fails_on_a_broken_split(monkeypatch, desc, how):
+    base = make_ring(desc)
+    keys = _record_dual_verdicts(monkeypatch)
+    _break_null_split(monkeypatch, how)
+    assert cli._check_dual_criterion(base, None) == [(f"dual[criterion:{desc}]", False)]
+    assert keys == []
+
+
+@pytest.mark.parametrize("p,n,how", [(2, 2, "rest"), (3, 2, "rest"), (3, 2, "low")])
+def test_local_criterion_fails_on_a_broken_split(monkeypatch, p, n, how):
+    monkeypatch.setattr(cli, "_local_verdicts", _refuse)
+    _break_null_split(monkeypatch, how)
+    assert cli._check_local_criterion(p, n, None) == [
+        (f"dual[local-criterion:zpn:{p},{n}]", False)
+    ]
+
+
+def _refuse(*args):
+    raise AssertionError("a key was built")
 
 
 @pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
@@ -954,41 +1053,42 @@ def test_dual_law_reaches_the_last_monomial_before_a_repeat(monkeypatch, desc):
 
 
 def test_local_criterion_checks_the_last_key(monkeypatch):
-    # the last key alone gets a bijective table whose derivative vanishes
+    # the last key alone becomes a bijective table whose derivative vanishes
     # mod p, so only a check that reaches it can FAIL
-    real = fs.coefficient_sums
+    real = cli._split_keys
 
-    def corrupted(add_t, zero_table, stages):
-        sums = list(real(add_t, zero_table, stages))
-        size = len(zero_table) - 3
-        sums[-1] = (tuple(range(size)) + (0,) * 3, sums[-1][1])
-        return iter(sums)
+    def corrupted(*args):
+        keys = list(real(*args))
+        keys[-1] = tuple(range(len(keys[-1]) - 3)) + (0,) * 3
+        return iter(keys)
 
-    monkeypatch.setattr(fs, "coefficient_sums", corrupted)
+    monkeypatch.setattr(cli, "_split_keys", corrupted)
     assert cli._check_local_criterion(3, 2, None) == [
         ("dual[local-criterion:zpn:3,2]", False)
     ]
 
 
-def test_local_criterion_caps_every_candidate():
-    # the cap counts |Z_9|^6 coefficient vectors, not the keys walked
-    with pytest.raises(SizeCapError, match="pair sweep: 531441 exceeds cap 531440"):
-        cli._check_local_criterion(3, 2, 9**6 - 1)
-    assert cli._check_local_criterion(3, 2, 9**6) == [
+def test_local_criterion_caps_every_candidate(monkeypatch):
+    # the cap counts the keys it builds, the 2 admitted low sums of Z_9
+    # times its 243 rest sums, and refuses before any is built
+    real = cli._local_verdicts
+    monkeypatch.setattr(cli, "_local_verdicts", _refuse)
+    with pytest.raises(SizeCapError, match="pair sweep: 486 exceeds cap 485"):
+        cli._check_local_criterion(3, 2, 485)
+    monkeypatch.setattr(cli, "_local_verdicts", real)
+    assert cli._check_local_criterion(3, 2, 486) == [
         ("dual[local-criterion:zpn:3,2]", True)
     ]
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
-def test_local_verdicts_per_key_match_every_block(p, n):
-    # every candidate with constant term zero, induced point by point,
-    # against the distinct keys the check walks: the same keys, and the
-    # same verdicts from either side; a constant term changes neither
+@lru_cache(maxsize=None)
+def _local_candidate_keys(p, n):
+    """Every candidate with constant term zero, induced point by point:
+    each key [f0] ++ [p^(n-1) f0'(a) for a < p] with its verdicts."""
     ring = make_ring(f"zpn:{p},{n}")
-    D = fs.null_degree_bound(ring)
     scale = p ** (n - 1)
     per_candidate = {}
-    for rest in itertools.product(ring.elements, repeat=D - 1):
+    for rest in itertools.product(ring.elements, repeat=fs.null_degree_bound(ring) - 1):
         f0 = Polynomial((0,) + rest)
         ftab0 = fs.induce(f0, ring).values
         dtab = fs.induce(f0.derive(), ring).values
@@ -999,8 +1099,34 @@ def test_local_verdicts_per_key_match_every_block(p, n):
             and (n == 1 or all(dtab[a] % p for a in range(p))),
         )
         assert per_candidate.setdefault(key, verdicts) == verdicts
+    return per_candidate
+
+
+@pytest.mark.parametrize("p,n,built", [(2, 2, 8), (2, 3, 64), (3, 2, 486)])
+def test_local_criterion_builds_only_the_keys_the_filter_admits(monkeypatch, p, n, built):
+    # the per-candidate keys whose residues at 0 .. p-1 permute Z_p, each
+    # built once
+    keys = []
+    real = cli._local_verdicts
+    monkeypatch.setattr(cli, "_local_verdicts", lambda key, p, n: keys.append(key) or real(key, p, n))
+    assert cli._check_local_criterion(p, n, None)[0][1]
+    assert len(keys) == len(set(keys)) == built
+    assert set(keys) == {
+        key for key in _local_candidate_keys(p, n)
+        if {v % p for v in key[:p]} == set(range(p))
+    }
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
+def test_local_verdicts_per_key_match_every_block(p, n):
+    # every candidate with constant term zero, induced point by point,
+    # against the distinct keys of the unsplit sweep: the same keys, and the
+    # same verdicts from either side; a constant term changes neither
+    ring = make_ring(f"zpn:{p},{n}")
+    per_candidate = _local_candidate_keys(p, n)
     stages = fs.monomial_stages(
-        ring, D, ring.elements, derivative_points=range(p), derivative_scale=scale
+        ring, fs.null_degree_bound(ring), ring.elements,
+        derivative_points=range(p), derivative_scale=p ** (n - 1),
     )
     zero = (0,) * (ring.size + p)
     per_key = {

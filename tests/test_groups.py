@@ -1038,13 +1038,20 @@ def test_split_dual_sweep_matches_the_streamed_filter(desc, cap):
 
 
 def test_split_dual_sweep_checks_the_cap_before_any_work(monkeypatch):
-    # the split sweep left in the library, the dual criterion's over R[al]
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("swept")
+    # the dual criterion's cap counts what each sweep builds, its low sums
+    # and then its keys: zm:6 has 18 low sums and 216 keys, 2 admitted low
+    # sums times 108 rest sums; fq:4 has 64 low sums
+    def refuse(*args, **kwargs):
+        raise AssertionError("built")
 
-    monkeypatch.setattr(groups, "split_sweep", no_sweep)
-    with pytest.raises(SizeCapError, match="pair sweep: 256 exceeds cap 255"):
-        cli._check_dual_criterion(make_ring("zpn:2,2"), 255)
+    monkeypatch.setattr(cli, "_dual_verdicts", refuse)
+    with pytest.raises(SizeCapError, match="pair sweep: 216 exceeds cap 215"):
+        cli._check_dual_criterion(make_ring("zm:6"), 215)
+    monkeypatch.setattr(funcspace, "coefficient_sums", refuse)
+    with pytest.raises(SizeCapError, match="pair sweep: 64 exceeds cap 63"):
+        cli._check_dual_criterion(make_ring("fq:4"), 63)
+    monkeypatch.undo()
+    assert cli._check_dual_criterion(make_ring("zm:6"), 216) == [("dual[criterion:zm:6]", True)]
 
 
 def test_module_listings_check_their_caps_before_any_work(monkeypatch):
@@ -1080,8 +1087,7 @@ def test_module_listings_do_not_sweep_pairs(desc, monkeypatch):
         raise AssertionError("swept")
 
     monkeypatch.setattr(funcspace, "coefficient_sums", spy)
-    for name in ("split_sweep", "coefficient_sums"):
-        monkeypatch.setattr(groups, name, refuse)
+    monkeypatch.setattr(groups, "pair_table_sweep", refuse)
     assert groups.dual_pairs(base)[0] and groups.stabilizer_pairs(base)[0]
     assert verify_embedding(base).passed
     assert set(widths) == {base.size}
@@ -1469,8 +1475,8 @@ def test_field_embedding_does_not_sweep(monkeypatch, desc):
     def refuse(*args, **kwargs):
         raise AssertionError("swept")
 
-    for name in ("split_sweep", "coefficient_sums"):
-        monkeypatch.setattr(groups, name, refuse)
+    monkeypatch.setattr(groups, "pair_table_sweep", refuse)
+    monkeypatch.setattr(funcspace, "coefficient_sums", refuse)
     rep = verify_embedding(base)
     assert rep.passed and rep.surjective and rep.image_consistent
     assert (rep.image_size, rep.stabilizer_size) == (len(passing) * base.size, len(units))
