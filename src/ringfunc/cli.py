@@ -243,10 +243,8 @@ def _group_elements(args, cap, table=False):
 
         def items(keep=slice(None)):
             text = index_formatter(nb, 2 * nb)
-            return [
-                {"null_part": text(null_part(row)), "unit": [v % nb for v in row]}
-                for row in rows[keep]
-            ]
+            units = ([v % nb for v in row] for row in rows[keep])
+            return [{"null_part": text(null_part(F)), "unit": F} for F in units]
     elif args.dual:
         rows, witness = gr.dual_pairs(base, cap=cap)
 
@@ -255,13 +253,10 @@ def _group_elements(args, cap, table=False):
             text, shared = index_formatter(nb, 2 * nb), lru_cache(None)(list)
             high = [v // nb for v in range(nb * nb)].__getitem__
             low = [v % nb for v in range(nb * nb)].__getitem__
+            pairs = ((tuple(map(high, row)), tuple(map(low, row))) for row in rows[keep])
             return [
-                {
-                    "perm": shared(tuple(map(high, row))),
-                    "unit": shared(tuple(map(low, row))),
-                    "witness": text(witness(row)),
-                }
-                for row in rows[keep]
+                {"perm": shared(G), "unit": shared(F), "witness": text(witness(G, F))}
+                for G, F in pairs
             ]
     else:
         perms, units = gr.semidirect_pairs(base, cap=cap)
@@ -445,12 +440,14 @@ def _split_keys(add_t, zero, low, rest, on, admits, null, cap):
     on) and the low sweep there merges no two combinations of terms.  So the
     filter sees the low part alone, on the points, and each admitted low
     sum is summed in full from its coefficients.  The cap, checked before
-    each sweep, counts the low sums, then the keys: the admitted low sums
-    times the distinct terms of each rest stage (exact if independent)."""
+    each sweep, counts the low sums and the rest sums, since the low sum x
+    admits on every ring, then the keys: the admitted low sums times the
+    distinct terms of each rest stage (exact if independent)."""
     if not all(null(t[on]) for st in rest for _, t in st):
         return None
     count = lambda stages: prod(len({t for _, t in st}) for st in stages)
     check_cap(count(low), cap, "pair sweep")
+    check_cap(count(rest), cap, "pair sweep")
     admitted, points = [], [[(c, t[on]) for c, t in st] for st in low]
     for swept, (t, w) in enumerate(fs.coefficient_sums(add_t, zero[on], points), 1):
         if admits(t):

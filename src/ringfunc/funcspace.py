@@ -284,7 +284,8 @@ def index_polynomial(ring: Ring, vec) -> Polynomial:
 
 def realize_pair(G: FunctionTable, F: FunctionTable) -> Polynomial:
     """The polynomial g over a field with [g] = G and [g'] = F of degree
-    <= 2q-1, from the Hermite basis: sum_a G(a) H_a + F(a) K_a."""
+    <= 2q-1, the Hermite form sum_a G(a) H_a + F(a) K_a that the group
+    listings read too (groups.hermite_preimage)."""
     ring = G.ring
     G._require_same_ring(F)
     if not ring.is_field:
@@ -293,11 +294,10 @@ def realize_pair(G: FunctionTable, F: FunctionTable) -> Polynomial:
         raise ValueError("first table must be a bijection")
     if not F.is_unit_valued():
         raise ValueError("second table must be unit-valued")
-    H, K = hermite_basis(ring)
-    add_t = ring.index_op_tables()[0]
-    A = hermite_sum(ring, H, map(ring.index, G.values))
-    B = hermite_sum(ring, K, map(ring.index, F.values))
-    g = ring_polynomial(ring, [ring.elements[add_t[a][b]] for a, b in zip(A, B)])
+    from .groups import hermite_preimage  # groups imports this module
+
+    pair = (tuple(map(ring.index, t.values)) for t in (G, F))
+    g = index_polynomial(ring, hermite_preimage(ring)(*pair))
     if induce(g, ring) != G or induce(g.derive(), ring) != F:
         raise RuntimeError("pair realization failed its postcondition")
     return g

@@ -24,23 +24,25 @@ Three sets of elements come out of this module:
   x + g for a null polynomial g, acting by the pair (id, [1 + g']).
 
 dual_pairs and stabilizer_pairs list the last two as sorted packed rows,
-with a witness (a coefficient index vector) on request, and alone decide
-how: over a field from the factors, over Z/m from the pair module.
+with the witness (a coefficient index vector) of a pair (G, F) on request,
+by one path on every ring (_pair_parts): over a field from the factors and
+the Hermite form, over Z/m from the pair module.
 
 verify_embedding lists no group, and verify_group_axioms sifts the pool it
 is given: both build a Schreier-Sims chain (_Chain).  The embedding is
-proved from a few dual permutations whose tables, built from witness
-polynomials, must be their pair forms, and whose chain must reach the dual
-group's known order; the product's axioms come from that chain over F_q
-and from the product's factors over Z/m.  A listed pool is a group iff its
-chain has its size.
+proved from a few dual permutations whose tables, built from the same
+preimages of their pairs, must be their pair forms, and whose chain must
+reach the dual group's known order; the product's axioms come from that
+chain over F_q and from the product's factors over Z/m.  A listed pool is a
+group iff its chain has its size.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, count, permutations, product, repeat
 from math import factorial, gcd, prod
 from operator import add, getitem, itemgetter
@@ -55,7 +57,6 @@ from .funcspace import (
     induced_index_tables,
     least_member,
     pair_module,
-    realize_pair,
     ring_polynomial,
 )
 from .poly import Polynomial
@@ -267,19 +268,46 @@ def pair_table_sweep(
         )
 
 
-def _module_parts(base: Ring, *, times: int, cap: int | None, what: str):
-    """The pair module of Z/m (pair_module) as (over, unit_coset, preimage):
-    unit_coset(F), the unit-valued tables of the coset F + H; over(G), those
-    of the pairs (G, F) of the module, unit_coset of the least F, or none if
-    no member begins with G; and preimage(pair), the least f of degree < D
-    with ([f], [f']) = pair, the first a coefficient sweep reaches: the
+def hermite_preimage(base: Ring):
+    """The function (G, F) -> the index vector, 2q coefficients, constant
+    term first, of the only g of degree < 2q over F_q with [g] = G and
+    [g'] = F, G and F index tuples: A_G + B_F, A_G = sum_a G(a) H_a and
+    B_F = sum_a F(a) K_a (hermite_basis, built on the first call).  A_G plus
+    B_F below the point h = q // 2 is kept for G and F there, and B_F from h
+    on for F there, so the items of a listing share them: the stabilizer's
+    (q - 1)^q null parts have at most 2 (q - 1)^(q - h)."""
+    add_t, h = base.index_op_tables()[0], base.size // 2
+    basis = lru_cache(maxsize=None)(partial(hermite_basis, base))
+
+    @lru_cache(maxsize=None)
+    def part(i, table, a=0):
+        # the sum of table(k) times basis i (H, then K) at the points k from a
+        return hermite_sum(base, basis()[i][a:a + len(table)], table)
+
+    low = lru_cache(maxsize=None)(  # as the rows of add_t at its coefficients
+        lambda G, F: [add_t[add_t[u][v]] for u, v in zip(part(0, G), part(1, F))])
+    return lambda G, F: list(map(getitem, low(G, F[:h]), part(1, F[h:], h)))
+
+
+def _pair_parts(base: Ring, *, times: int, cap: int | None, what: str):
+    """The dual pairs as (over, unit_coset, preimage): unit_coset(F), the
+    unit-valued tables of F + H, H the [g'] of the null g; over(G), those F
+    with (G, F) a pair, or none; and preimage(G, F), the index vector of the
+    least f of degree < D with ([f], [f']) = (G, F), the first a coefficient
+    sweep reaches.  Over F_q, H is every table, so both give every unit
+    table, capped by the caller (field_group_order), and f is the Hermite
+    form (hermite_preimage).  Over Z/m they come from the pair module
+    (pair_module): over(G) is unit_coset of the least F, and f is the
     coefficient part of the member beginning with the pair, reduced from
-    x^(D-1) down (least_member).  The reduction by the rows of G is kept for
-    each G, as every pair over G shares it.  H, the [g'] of [g] = 0, is the
-    span of the rows m .. 2m-1 on their columns; by the Howell property each
-    h in H is sum c_j row_j for one choice of c_j in range(m // pivot_j), so
-    times |H| is capped as what before H is built.
+    x^(D-1) down (least_member), the reduction by the rows of G kept for
+    each G.  Each h in H is sum c_j row_j, rows m .. 2m-1, for one choice of
+    c_j in range(m // pivot_j) (the Howell property), so times |H| is capped
+    as what before H is built.
     """
+    if base.is_field:
+        units = semidirect_factors(base)[1]
+        every_unit_table = defaultdict(lambda: units).__getitem__
+        return every_unit_table, every_unit_table, hermite_preimage(base)
     module, nb = pair_module(base), base.size
     check_cap(times * prod(nb // module[j][j] for j in range(nb, 2 * nb)), cap, what)
     add_t, mask = base.index_op_tables()[0], base.unit_index_mask()
@@ -299,81 +327,54 @@ def _module_parts(base: Ring, *, times: int, cap: int | None, what: str):
     def reduced(G):
         return least_member(module, G, nb, stop=nb)
 
-    def member(pair):
-        return least_member(module, pair, nb, reduced(tuple(pair[:nb])), nb)
+    def member(G, F=()):
+        return least_member(module, (*G, *F), nb, reduced(tuple(G)), nb)
 
     def over(G):
         x = member(G)
         return unit_coset(tuple(x[nb:2 * nb])) if tuple(x[:nb]) == tuple(G) else []
 
-    def preimage(pair):
-        return member(pair)[2 * nb:][::-1]
+    def preimage(G, F):
+        return member(G, F)[2 * nb:][::-1]
 
     return over, unit_coset, preimage
 
 
 def dual_pairs(base: Ring, *, cap: int | None = None):
     """The dual permutations as (rows, witness): their packed rows, sorted,
-    so in table order, and witness(row), the coefficient index vector,
-    constant term first, of a polynomial inducing the element of a row.
+    so in table order, and witness(G, F), the coefficient index vector of a
+    polynomial inducing the element of the pair (_pair_parts).
 
-    Over a field F_q they are every pair (G, F) of P(F_q) x F(F_q)^x (the
-    field theorem), capped as the semidirect product, and the witness is
-    the only polynomial of degree < 2q with the pair, the Hermite form
-    A_G + B_F, A_G = sum_a G(a) H_a and B_F = sum_a F(a) K_a, all built on
-    the first call.  Over Z/m each G of P(R) lifts to the pairs (G, F) of
-    the pair module with F unit-valued, |P(R)| |H| pairs capped as "dual
-    pairs", and the witness is the least preimage (_module_parts).
+    Each G of P(R) lifts to the pairs (G, F) with F unit-valued.  Over a
+    field F_q that is every pair of P(F_q) x F(F_q)^x (the field theorem),
+    capped as the semidirect product; over Z/m the pairs of the pair
+    module, |P(R)| |H| pairs capped as "dual pairs".
     """
-    nb = base.size
     if base.is_field:
-        perms, units = semidirect_pairs(base, cap=cap)
-        rows = packed_rows(base, perms, units)
-
-        @lru_cache(maxsize=None)
-        def parts():
-            # row -> (A_G, B_F); row d of A_G is the row of add_t at A_G[d],
-            # so a coefficient of A_G + B_F is one lookup
-            add_t = base.index_op_tables()[0]
-            H, K = hermite_basis(base)
-            A = [[add_t[a] for a in hermite_sum(base, H, G)] for G in perms]
-            B = [hermite_sum(base, K, F) for F in units]
-            return dict(zip(rows, product(A, B)))
-
-        return sorted(rows), lambda row: list(map(getitem, *parts()[row]))
+        field_group_order(base, "group", cap=cap)
     perms = semidirect_factors(base, cap=cap)[0]
-    over, _, preimage = _module_parts(base, times=len(perms), cap=cap, what="dual pairs")
+    over, _, preimage = _pair_parts(base, times=len(perms), cap=cap, what="dual pairs")
     rows = sorted(chain.from_iterable(packed_rows(base, [G], over(G)) for G in perms))
-    return rows, lambda row: preimage([v // nb for v in row] + [v % nb for v in row])
+    return rows, preimage
 
 
 def stabilizer_pairs(base: Ring, *, cap: int | None = None):
     """The stabilizer as (rows, null_part), as dual_pairs: the packed rows
-    of its pairs (id, F), sorted, so by unit table F, and null_part(row), the
-    index vector of a null g with [1 + g'] = F, the element being x + g.
-
-    Over a field F_q every unit table occurs, capped at (q - 1)^q, and g is
-    the Hermite form of the pair (0, F - 1), sum_a (F(a) - 1) K_a: the only
-    g of degree < 2q with [g] = 0 and [g'] = F - 1.  Over Z/m the unit
-    tables are those of the coset 1 + H, capped at |H|, and g is the least
-    preimage of (0, F - 1) (_module_parts).
+    of its pairs (id, F), sorted, so by unit table F, and null_part(F), the
+    index vector of the preimage g of (0, F - 1), so null with [1 + g'] = F,
+    the element being x + g.  The unit tables are those of the coset 1 + H
+    (_pair_parts): over F_q every one, capped at (q - 1)^q, over Z/m capped
+    at |H|.
     """
-    nb = base.size
-    less_one = base.index_op_tables()[0][base.index(base.neg(base.one))]
+    nb, add_t = base.size, base.index_op_tables()[0]
     if base.is_field:
         field_group_order(base, "stabilizer", cap=cap)
-        units = semidirect_factors(base, cap=cap)[1]
-        K = hermite_basis(base)[1]
-
-        def null_part(row):
-            return hermite_sum(base, K, [less_one[v % nb] for v in row])
-    else:
-        _, unit_coset, preimage = _module_parts(base, times=1, cap=cap, what="stabilizer")
-        units = sorted(unit_coset((base.index(base.one),) * nb))
-
-        def null_part(row):
-            return preimage([0] * nb + [less_one[v % nb] for v in row])
-    return packed_rows(base, [range(nb)], units), null_part
+    _, unit_coset, preimage = _pair_parts(base, times=1, cap=cap, what="stabilizer")
+    less_one, zero = add_t[base.index(base.neg(base.one))], (base.index(base.zero),) * nb
+    units = sorted(unit_coset((base.index(base.one),) * nb))
+    return packed_rows(base, [range(nb)], units), lambda F: preimage(
+        zero, tuple(map(less_one.__getitem__, F))
+    )
 
 
 def enumerate_dual_permutations(
@@ -382,7 +383,9 @@ def enumerate_dual_permutations(
     """All permutations of base[al] induced by base-coefficient polynomials,
     sorted by table, each with its witness (dual_pairs)."""
     rows, witness = dual_pairs(base, cap=cap)
-    return pair_elements(dual_ring(base), rows, lambda row: index_polynomial(base, witness(row)))
+    nb = base.size
+    return pair_elements(dual_ring(base), rows, lambda row: index_polynomial(
+        base, witness(tuple(v // nb for v in row), tuple(v % nb for v in row))))
 
 
 def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[DualPermutation]:
@@ -394,9 +397,9 @@ def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[DualPerm
     Sorted by unit table, each with its witness x + g (stabilizer_pairs).
     """
     rows, null_part = stabilizer_pairs(base, cap=cap)
-    return pair_elements(
-        dual_ring(base), rows, lambda row: index_polynomial(base, null_part(row)) + Polynomial.x()
-    )
+    nb = base.size
+    return pair_elements(dual_ring(base), rows, lambda row: index_polynomial(
+        base, null_part([v % nb for v in row])) + Polynomial.x())
 
 
 def null_polynomials(
@@ -666,55 +669,49 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     is an isomorphism onto the twisted product.  The chain (_Chain) is built
     on the pair forms of generators S, so its order is the image's size:
     the read-off is injective iff that is the dual group's known order.
-    Each generator's table, by Horner in R[al] from a witness polynomial
-    (_dual_table), must be its pair form: then S are dual permutations, and
-    with the order reached the law holds on the group they generate (mode
-    "schreier-sims:<|S|>").  Over F_q the order is q! (q - 1)^q, S is
-    _field_generators with Hermite witnesses (realize_pair), the 2q Hermite
-    basis evaluations prove the image onto (image_mode "basis:<2q>"), and
-    the product is the chain's group, closed iff it has that order.  Over
-    Z/m the order counts the module's pairs (image_mode "module"), those
-    over G = id the stabilizer, S is each walked (_walk) pair that does not
-    sift, until the order is reached, and the product's axioms come from its
-    factors (_product_axioms); the image lies in it when it is closed and
-    holds S.  The image is onto iff it has the product's order, which must
-    factor as |Stab| |P(R)|.  A chain of order at most the product's holds
-    at most 2 n^2 k table entries, n = |R|^2 and n^k at least that order,
-    capped as "stabilizer chain" before any generator is built.
+    Each generator's table, by Horner in R[al] (_dual_table) from the
+    preimage of its pair, the listings' witness, must be its pair form: then
+    S are dual permutations, and with the order reached the law holds on the
+    group they generate (mode "schreier-sims:<|S|>").  Over F_q the order is
+    q! (q - 1)^q, S is _field_generators with Hermite witnesses
+    (hermite_preimage), the 2q basis evaluations prove the image onto
+    (image_mode "basis:<2q>"), and the product is the chain's group, closed
+    iff it has that order.  Over Z/m the order counts the module's pairs
+    (image_mode "module"), those over G = id the stabilizer, S is each
+    walked (_walk) pair that does not sift, until the order is reached, and
+    the product's axioms come from its factors (_product_axioms); the image
+    lies in it when it is closed and holds S.  The image is onto iff it has
+    the product's order, which must factor as |Stab| |P(R)|.  A chain of
+    order at most the product's holds at most 2 n^2 k table entries,
+    n = |R|^2 and n^k at least that order, capped as "stabilizer chain"
+    before any generator is built.
     """
     nb, n = base.size, base.size ** 2
     if base.is_field:
         perm_count, unit_count = factorial(nb), (nb - 1) ** nb
         order, stabilizer_size = perm_count * unit_count, unit_count
+        image_mode, candidates = f"basis:{2 * nb}", _field_generators(base)
+        preimage = hermite_preimage(base)
     else:
         perms, units = semidirect_factors(base, cap=cap)
-        over, _, preimage = _module_parts(base, times=len(perms), cap=cap, what="dual pairs")
+        over, _, preimage = _pair_parts(base, times=len(perms), cap=cap, what="dual pairs")
         lifts = [(G, over(G)) for G in perms]
         perm_count, unit_count = len(perms), len(units)
         order = sum(len(units) for _, units in lifts)
         stabilizer_size = len(dict(lifts).get(tuple(range(nb)), ()))
+        candidates, image_mode = _walk(lifts), "module"
     ambient_size = perm_count * unit_count
     check_cap(2 * n * n * next(k for k in count(1) if n ** k >= ambient_size), cap,
               "stabilizer chain")
-    if base.is_field:
-        proved, image_mode = _hermite_basis_evaluates(base), f"basis:{2 * nb}"
-        candidates, els = _field_generators(base), base.elements
-
-        def witness(G, F):
-            return realize_pair(*(FunctionTable(base, map(els.__getitem__, t)) for t in (G, F)))
-    else:
-        proved, image_mode, candidates = True, "module", _walk(lifts)
-
-        def witness(G, F):
-            return index_polynomial(base, preimage(G + F))
-
+    proved = not base.is_field or _hermite_basis_evaluates(base)
     block = _pair_blocks(base).__getitem__
     group, gens, tables_ok = _Chain(n), [], True
     for G, F in candidates:
         table = tuple(chain.from_iterable(map(block, packed_rows(base, [G], [F])[0])))
         if group.extend(table):
             gens.append((G, F, table))
-            tables_ok = _dual_table(base, witness(G, F)) == table and tables_ok
+            witness = index_polynomial(base, preimage(G, F))
+            tables_ok = _dual_table(base, witness) == table and tables_ok
             if group.order >= order:
                 break
     injective = group.order == order

@@ -613,6 +613,14 @@ GROUP_OUTPUT_SHA256 = [
      "624a5fd12d854e77eb7b021f53b219868b39fc5cff4906778102812d2cf2f1bc"),
     (("verify", "--suite", "groups", "--ring", "zpn:2,3"), 0,
      "ee773bc89bee51fa471ba8b2faa48cc1f5be442d5725b15f5633f6a6cd90b913"),
+    # recorded before the listings' witnesses took the pair (G, F) in place
+    # of a packed row
+    (("enumerate", "--what", "group", "--dual", "--ring", "zm:8"), 0,
+     "b6d50ef4094ccd7e3df7446cb2ef6d29f9f437c0eafa66f83ca60f519597194f"),
+    (("enumerate", "--what", "stabilizer", "--ring", "fq:5"), 0,
+     "7aae19b172b138038cc2e129f5465264c4ea84c5f3738e817c442b63d506e2d3"),
+    (("enumerate", "--what", "stabilizer", "--ring", "zm:9"), 0,
+     "9e2505f2d7ff6d4d75cb000b8c259b938ca48aefed3febca2c235baec2657b8f"),
 ]
 
 
@@ -665,13 +673,13 @@ def test_field_stabilizer_listing_matches_the_sweep(desc):
 
 def _count_witnesses(monkeypatch):
     """Wrap the witness functions of the two listings; returns the list of
-    rows whose witness was built."""
+    the arguments, a pair or a unit table, of each witness built."""
     built = []
 
     def counting(listing):
         def wrapped(*args, **kwargs):
             rows, witness = listing(*args, **kwargs)
-            return rows, lambda row: built.append(row) or witness(row)
+            return rows, lambda *pair: built.append(pair) or witness(*pair)
         return wrapped
 
     for name in ("dual_pairs", "stabilizer_pairs"):
@@ -692,6 +700,25 @@ def test_field_listing_builds_only_the_kept_items(capsys, monkeypatch):
             assert code == 0
             assert len(built) == 5
             assert json.loads(out)["items"] == every[:5]
+
+
+@pytest.mark.parametrize("what", [("group", "--dual"), ("stabilizer",)])
+def test_limited_field_listing_builds_only_the_kept_witnesses(capsys, monkeypatch, what):
+    # fq:5 has 122,880 dual permutations and 1,024 stabilizer elements;
+    # --limit 5 sums at most two Hermite halves a kept item, not a Hermite
+    # form per factor of the whole group (the rows are still all packed and
+    # sorted)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = gr.hermite_sum
+    monkeypatch.setattr(gr, "hermite_sum", counting)
+    code, out, _ = run(capsys, "enumerate", "--what", *what, "--ring", "fq:5", "--limit", "5")
+    assert (code, len(json.loads(out)["items"])) == (0, 5)
+    assert len(calls) <= 2 * 5
 
 
 @pytest.mark.parametrize("what", [("group", "--dual"), ("stabilizer",)])
@@ -834,6 +861,10 @@ DUAL_OUTPUT_SHA256 = [
     (("verify", "--suite", "dual", "--ring", "fq:7"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: pair sweep: 592950960 exceeds cap 10000000\n"),
+    # 8^8 rest sums, refused before the 8^7 low sums are swept
+    (("verify", "--suite", "dual", "--ring", "fq:8"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: pair sweep: 16777216 exceeds cap 10000000\n"),
 ]
 
 
@@ -939,6 +970,18 @@ def test_dual_criterion_builds_only_the_keys_the_filter_admits(monkeypatch, desc
     assert len(set(_split_sweep_keys(base))) == built
     if desc == "zm:6":
         assert len(_split_sweep_keys(base)) == 432
+
+
+def test_dual_criterion_caps_the_rest_sums_before_the_low_sweep(monkeypatch):
+    # the low term x is admitted on every ring, so the keys are at least the
+    # rest sums: fq:4 has 64 low sums, 256 rest sums and 1,536 keys, and a
+    # cap of 255 refuses before anything is swept
+    def refuse(*args, **kwargs):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(fs, "coefficient_sums", refuse)
+    with pytest.raises(SizeCapError, match="pair sweep: 256 exceeds cap 255"):
+        cli._check_dual_criterion(make_ring("fq:4"), 255)
 
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:4", "zm:6", "zm:8"])
