@@ -384,53 +384,30 @@ def _check_dual_law(base: Ring, cap) -> list[tuple[str, bool]]:
         k += 1
 
 
-def _dual_verdicts(key, base: Ring) -> tuple[bool, bool]:
-    """(brute force, criterion) on the key of a base-coefficient f: the
-    table of f on R[al] as dual element indices, then f'(a) at each a of R.
-    Brute force: the table is a bijection.  Criterion: the table on the
-    points (a, 0) is a bijection and f' is unit-valued."""
-    nb = base.size
-    size = nb * nb
-    mask = base.unit_index_mask()
-    brute = len(set(key[:size])) == size
-    on_base = key[base.index(base.zero):size:nb]
-    criterion = len(set(on_base)) == nb and all(mask[v // nb] for v in key[size:])
-    return brute, criterion
-
-
 def _table_sum(add_t, tables, zero) -> tuple:
     # the entrywise sum of index tables, by the index addition table
     return reduce(lambda s, t: tuple(map(getitem, map(add_t.__getitem__, s), t)), tables, zero)
 
 
-def _null_split(ring: Ring, base: Ring, k: int, zero, stages):
-    """(low, rest): the f0 of degree < D with constant term 0 as stages of
-    fs.coefficient_sums, split at the part null on the filter's points, each
-    term a sum of those of stages (fs.monomial_stages on ring, over the base
-    in element order).  Field: low c x^d, rest c (x^q - x) x^d, for d < q.
-    Z/N, filtered mod k (Kempner 1921; Singmaster 1974): low c (x)_j for
-    c < s = k / gcd(k, j!), rest s c (x)_j for c < N / s.  Stages of one
-    term are dropped."""
+def _null_split(ring: Ring, k: int, zero, stages):
+    """(low, rest): the f0 of degree < D with constant term 0 over Z/N as
+    stages of fs.coefficient_sums, split at the part null on the filter's
+    points mod k (Kempner 1921; Singmaster 1974): low c (x)_j for
+    c < s = k / gcd(k, j!), rest s c (x)_j for c < N / s, each term a sum of
+    those of stages (fs.monomial_stages on ring, in element order).  Stages
+    of one term are dropped."""
     add_t = ring.index_op_tables()[0]
 
-    def term(coeffs):  # base coefficients from degree 1 up
-        tables = (stages[d][base.index(c)][1] for d, c in enumerate(coeffs) if c != base.zero)
+    def term(coeffs):  # coefficients from degree 1 up
+        tables = (stages[d][ring.index(c)][1] for d, c in enumerate(coeffs) if c != ring.zero)
         return _table_sum(add_t, tables, zero)
 
-    if base.is_field:
-        q, z = base.size, base.zero
-        low = stages[: q - 1]
-        rest = [
-            [(c, term((z,) * d + (base.neg(c),) + (z,) * (q - 2) + (c,))) for c in base.elements]
-            for d in range(q)
-        ]
-    else:
-        low, rest = [], []
-        for j in range(1, len(stages) + 1):
-            s = k // gcd(k, factorial(j))
-            ff = canon.falling_factorial(j).coeffs[1:]
-            for part, cs in ((low, range(s)), (rest, range(0, base.size, s))):
-                part.append([(c, term([base.from_int(c * a) for a in ff])) for c in cs])
+    low, rest = [], []
+    for j in range(1, len(stages) + 1):
+        s = k // gcd(k, factorial(j))
+        ff = canon.falling_factorial(j).coeffs[1:]
+        for part, cs in ((low, range(s)), (rest, range(0, ring.size, s))):
+            part.append([(c, term([ring.from_int(c * a) for a in ff])) for c in cs])
     return [st for st in low if len(st) > 1], [st for st in rest if len(st) > 1]
 
 
@@ -461,30 +438,19 @@ def _split_keys(add_t, zero, low, rest, on, admits, null, cap):
     return (tuple(map(getitem, rows, r)) for r, _ in rests for rows in lows)
 
 
-def _check_dual_criterion(base: Ring, cap) -> list[tuple[str, bool]]:
-    """The criterion against brute force on every f0 of degree < D, the dual
-    degree bound, with constant term zero, on the dual ring's own tables.
-
-    Adding a constant translates the table on R[al] and keeps f0', so it
-    changes neither verdict.  Both verdicts depend only on the key, which is
-    additive in the coefficients.  f0 maps R x 0 into itself, so a bijection
-    of R[al] restricts to one of R x 0.  Both verdicts are then False unless
-    the table on R x 0, that of the low part, is a bijection, and only those
-    keys are built (_split_keys), each once: 1,536 on fq:4, 216 on zm:6.
-    """
-    D = gr.dual_degree_bound(base)
-    dual = dual_ring(base, size_cap=cap)
-    nb = base.size
-    domain = [dual.embed(c) for c in base.elements]
-    on_base = range(base.index(base.zero), dual.size, nb)
-    stages = fs.monomial_stages(dual, D, domain, derivative_points=on_base)
-    zero = (dual.index(dual.zero),) * (dual.size + nb)
-    keys = _split_keys(
-        dual.index_op_tables()[0], zero, *_null_split(dual, base, nb, zero, stages),
-        slice(on_base.start, dual.size, nb), lambda t: len(set(t)) == nb,
-        lambda t: set(t) == {zero[0]}, cap,
+def _check_dual_criterion(base: Ring, law: bool) -> list[tuple[str, bool]]:
+    """The criterion, f permutes R[al] iff [f] permutes R and [f'] is
+    unit-valued, for every f over R, from the law (law, _check_dual_law's
+    verdict) and a lemma on the base's own tables.  By the law the table of
+    f on R[al] is the pair form (a, b) -> ([f](a), [f'](a) b), and a pair
+    form (G, F) is a bijection of R x R iff G is one and b -> F(a) b is one
+    for every a.  Lemma: b -> c b is a bijection iff c is a unit, that is,
+    row c of the index multiplication table is a permutation exactly where
+    the unit mask holds."""
+    mask = base.unit_index_mask()
+    ok = law and all(
+        (len(set(row)) == base.size) == mask[c] for c, row in enumerate(base.index_op_tables()[1])
     )
-    ok = keys is not None and all(eq(*_dual_verdicts(key, base)) for key in keys)
     return [(f"dual[criterion:{base.descriptor}]", ok)]
 
 
@@ -511,7 +477,7 @@ def _check_local_criterion(p: int, n: int, cap) -> list[tuple[str, bool]]:
     )
     zero = (0,) * (ring.size + p)
     keys = _split_keys(
-        ring.index_op_tables()[0], zero, *_null_split(ring, ring, p, zero, stages),
+        ring.index_op_tables()[0], zero, *_null_split(ring, p, zero, stages),
         slice(p), lambda t: {v % p for v in t} == set(range(p)),
         lambda t: not any(v % p for v in t), cap,
     )
@@ -591,8 +557,8 @@ def cmd_verify(args) -> int:
     for suite in suites:
         if suite == "dual":
             for base in _grid_bases(args, cap):
-                checks.extend(_check_dual_law(base, cap))
-                checks.extend(_check_dual_criterion(base, cap))
+                law = _check_dual_law(base, cap)
+                checks.extend(law + _check_dual_criterion(base, law[0][1]))
             if not args.ring:
                 for p, n in ((2, 2), (2, 3), (3, 2)):
                     if p**n <= args.max_size:

@@ -17,7 +17,13 @@ from ringfunc.cli import main
 from ringfunc.dual import DualRing, dual_ring, horner_dual
 from ringfunc.poly import Polynomial, format_polynomial
 from ringfunc.rings import CAP_ENV_VAR, PrimePowerRing, SizeCapError, make_ring
-from test_groups import corrupt_hermite_basis, sweep_dual_listing, sweep_stabilizer_listing
+import test_groups
+from test_groups import (
+    corrupt_hermite_basis,
+    sweep_dual_criterion,
+    sweep_dual_listing,
+    sweep_stabilizer_listing,
+)
 
 
 def run(capsys, *argv):
@@ -857,14 +863,22 @@ DUAL_OUTPUT_SHA256 = [
      "d7123bb5fb834921f56faa2f4e11c3ebd6793e553a4dd519e360c319c916b8fe", ""),
     (("verify", "--suite", "dual", "--ring", "zpn:3,2"), 0,
      "927e5ed766366cc45264f06e4b8a70745b3039ef95d4707efd6bff77ccb8b110", ""),
-    # 720 admitted low sums times 7^7 rest sums
-    (("verify", "--suite", "dual", "--ring", "fq:7"), 3,
+    # refused by the key sweep's cap (fq:7: 720 admitted low sums times 7^7
+    # rest sums; fq:8: 8^8 rest sums) until the criterion came from the law
+    # and the unit-row lemma
+    (("verify", "--suite", "dual", "--ring", "fq:7"), 0,
+     "1880a58b40c93b205e6dd65fd17298bffdc3fa7d5e66b8ab3375ca506fdabb30", ""),
+    (("verify", "--suite", "dual", "--ring", "fq:8"), 0,
+     "5fdcfd025d0d7eb6d143ef3e1f5099577caabfac5dc137cf2e743f7da6080615", ""),
+    # fq:9 was refused by the key sweep too; zm:16 is the key sweep's output
+    (("verify", "--suite", "dual", "--ring", "fq:9"), 0,
+     "312afae26f98bf9f524768003742e5b88d204fb90e1fe2cc8ce2103e0ee6dcf1", ""),
+    (("verify", "--suite", "dual", "--ring", "zm:16"), 0,
+     "0379c36c39bb68f4fdabe82056bf2167f8ac9086eb70b346d31269e525e57f42", ""),
+    # the dual ring itself is over the size cap
+    (("verify", "--suite", "dual", "--ring", "zm:257"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "error: pair sweep: 592950960 exceeds cap 10000000\n"),
-    # 8^8 rest sums, refused before the 8^7 low sums are swept
-    (("verify", "--suite", "dual", "--ring", "fq:8"), 3,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "error: pair sweep: 16777216 exceeds cap 10000000\n"),
+     "error: dual ring of size 66049 exceeds size cap 65536\n"),
 ]
 
 
@@ -875,9 +889,9 @@ def test_dual_outputs_are_pinned(capsys, argv, code, digest, err):
 
 
 def _record_dual_verdicts(monkeypatch, wrong_at=None):
-    # the keys the criterion check builds, in order; the verdict on call
+    # the keys the criterion oracle builds, in order; the verdict on call
     # number wrong_at (from 1) has its criterion side flipped
-    real = cli._dual_verdicts
+    real = test_groups._dual_verdicts
     keys = []
 
     def recording(key, base):
@@ -885,7 +899,7 @@ def _record_dual_verdicts(monkeypatch, wrong_at=None):
         brute, criterion = real(key, base)
         return brute, criterion != (len(keys) == wrong_at)
 
-    monkeypatch.setattr(cli, "_dual_verdicts", recording)
+    monkeypatch.setattr(test_groups, "_dual_verdicts", recording)
     return keys
 
 
@@ -901,9 +915,9 @@ def _bijective_on(f, dual, points):
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "zm:6"])
 def test_dual_criterion_matches_horner_dual_on_every_candidate(monkeypatch, desc):
     # every coefficient vector below D, evaluated on R[al] by horner_dual:
-    # the criterion agrees with brute force, the check passes, and the keys
-    # it builds are those of the f0 with constant term zero and [f0] a
-    # bijection, the only ones either verdict can hold for
+    # the criterion agrees with brute force, the oracle and the check pass,
+    # and the keys the oracle builds are those of the f0 with constant term
+    # zero and [f0] a bijection, the only ones either verdict can hold for
     base = make_ring(desc)
     dual = dual_ring(base)
     D = gr.dual_degree_bound(base)
@@ -920,8 +934,10 @@ def test_dual_criterion_matches_horner_dual_on_every_candidate(monkeypatch, desc
                 + tuple(map(dual.index, horner_dual(f.derive(), dual, on_base)))
             )
     keys = _record_dual_verdicts(monkeypatch)
-    assert cli._check_dual_criterion(base, None) == [(f"dual[criterion:{desc}]", True)]
+    assert sweep_dual_criterion(base) is True
     assert set(keys) == expected
+    law = cli._check_dual_law(base, None)[0][1]
+    assert cli._check_dual_criterion(base, law) == [(f"dual[criterion:{desc}]", True)]
 
 
 def _split_sweep(add_t, zero_table, stages, first: slice):
@@ -965,7 +981,7 @@ def test_dual_criterion_builds_only_the_keys_the_filter_admits(monkeypatch, desc
     # builds zm:6's 216 as 432 (low, high) pairs
     base = make_ring(desc)
     keys = _record_dual_verdicts(monkeypatch)
-    assert cli._check_dual_criterion(base, None)[0][1]
+    assert sweep_dual_criterion(base) is True
     assert len(keys) == len(set(keys)) == built
     assert len(set(_split_sweep_keys(base))) == built
     if desc == "zm:6":
@@ -981,7 +997,7 @@ def test_dual_criterion_caps_the_rest_sums_before_the_low_sweep(monkeypatch):
 
     monkeypatch.setattr(fs, "coefficient_sums", refuse)
     with pytest.raises(SizeCapError, match="pair sweep: 256 exceeds cap 255"):
-        cli._check_dual_criterion(make_ring("fq:4"), 255)
+        sweep_dual_criterion(make_ring("fq:4"), cap=255)
 
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:4", "zm:6", "zm:8"])
@@ -989,18 +1005,20 @@ def test_dual_criterion_keys_match_the_split_sweep(monkeypatch, desc):
     # the null split builds the distinct keys of the middle-degree split
     base = make_ring(desc)
     keys = _record_dual_verdicts(monkeypatch)
-    assert cli._check_dual_criterion(base, None)[0][1]
+    assert sweep_dual_criterion(base) is True
     assert len(keys) == len(set(keys))
     assert set(keys) == set(_split_sweep_keys(base))
 
 
-def _break_null_split(monkeypatch, how):
-    # _null_split with one change to its stages: "rest", the last term of
-    # the first rest stage becomes the degree-1 low term x, which is not
-    # null on the filter's points; "low", the first of several low stages
-    # gains the last term of the last rest stage, which is 0 on the points
-    # like the zero term, so the sweep on the points merges the two
-    real = cli._null_split
+def _break_null_split(monkeypatch, how, owner=cli, name="_null_split"):
+    # the null split owner.name (cli._null_split of the local criterion or
+    # test_groups._dual_null_split of the criterion oracle) with one change
+    # to its stages: "rest", the last term of the first rest stage becomes
+    # the degree-1 low term x, which is not null on the filter's points;
+    # "low", the first of several low stages gains the last term of the last
+    # rest stage, which is 0 on the points like the zero term, so the sweep
+    # on the points merges the two
+    real = getattr(owner, name)
 
     def broken(*args):
         low, rest = real(*args)
@@ -1012,7 +1030,7 @@ def _break_null_split(monkeypatch, how):
             low = [low[0] + [("extra", rest[-1][-1][1])]] + low[1:]
         return low, rest
 
-    monkeypatch.setattr(cli, "_null_split", broken)
+    monkeypatch.setattr(owner, name, broken)
 
 
 @pytest.mark.parametrize("how", ["rest", "low"])
@@ -1020,8 +1038,8 @@ def _break_null_split(monkeypatch, how):
 def test_dual_criterion_fails_on_a_broken_split(monkeypatch, desc, how):
     base = make_ring(desc)
     keys = _record_dual_verdicts(monkeypatch)
-    _break_null_split(monkeypatch, how)
-    assert cli._check_dual_criterion(base, None) == [(f"dual[criterion:{desc}]", False)]
+    _break_null_split(monkeypatch, how, test_groups, "_dual_null_split")
+    assert sweep_dual_criterion(base) is False
     assert keys == []
 
 
@@ -1044,18 +1062,52 @@ def test_dual_criterion_checks_the_last_key(monkeypatch, desc):
     # must FAIL
     base = make_ring(desc)
     every = _record_dual_verdicts(monkeypatch)
-    assert cli._check_dual_criterion(base, None)[0][1]
+    assert sweep_dual_criterion(base) is True
     built = len(every)
     keys = _record_dual_verdicts(monkeypatch, wrong_at=built)
-    assert cli._check_dual_criterion(base, None) == [(f"dual[criterion:{desc}]", False)]
+    assert sweep_dual_criterion(base) is False
     assert len(keys) == built
 
 
 def test_dual_criterion_fails_on_a_wrong_unit_mask(monkeypatch):
-    # zero marked a unit: x^3 and the like pass the criterion, not the oracle
+    # zero marked a unit: its multiplication row is not a permutation, and
+    # x^3 and the like pass the criterion, not brute force
     base = make_ring("fq:3")
     monkeypatch.setattr(type(base), "unit_index_mask", lambda self: [True] * self.size)
-    assert cli._check_dual_criterion(base, None) == [("dual[criterion:fq:3]", False)]
+    assert cli._check_dual_criterion(base, True) == [("dual[criterion:fq:3]", False)]
+    assert sweep_dual_criterion(base) is False
+
+
+@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
+def test_dual_criterion_fails_on_a_unit_marked_a_non_unit(capsys, monkeypatch, desc):
+    # one marked a non-unit: its multiplication row is a permutation; the
+    # law still passes, so the criterion line alone FAILs
+    base = make_ring(desc)
+    real = type(base).unit_index_mask
+
+    def one_dropped(self):
+        mask = list(real(self))
+        mask[self.index(self.one)] = False
+        return mask
+
+    monkeypatch.setattr(type(base), "unit_index_mask", one_dropped)
+    assert cli._check_dual_criterion(base, True) == [(f"dual[criterion:{desc}]", False)]
+    code, out, _ = run(capsys, "verify", "--suite", "dual", "--ring", desc)
+    assert code == 4
+    assert out.splitlines()[:2] == [f"dual[law:{desc}]: pass", f"dual[criterion:{desc}]: FAIL"]
+
+
+@pytest.mark.parametrize(
+    "desc", ["fq:2", "fq:3", "fq:4", "fq:5", "zpn:2,2", "zpn:2,3", "zm:6", "zm:10"]
+)
+def test_dual_criterion_lemma_agrees_with_the_key_sweep(capsys, desc):
+    # brute force and the criterion agree on every key the oracle sweeps,
+    # and the CLI's line, from the law and the unit-row lemma, passes
+    base = make_ring(desc)
+    assert sweep_dual_criterion(base) is True
+    code, out, _ = run(capsys, "verify", "--suite", "dual", "--ring", desc)
+    assert code == 0
+    assert out.splitlines()[1] == f"dual[criterion:{base.descriptor}]: pass"
 
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "fq:4"])
@@ -1071,7 +1123,10 @@ def test_dual_law_fails_on_a_dropped_cross_term(capsys, monkeypatch, desc):
     assert cli._check_dual_law(base, None) == [(f"dual[law:{base.descriptor}]", False)]
     code, out, _ = run(capsys, "verify", "--suite", "dual", "--ring", desc)
     assert code == 4
-    assert out.splitlines()[0] == f"dual[law:{base.descriptor}]: FAIL"
+    # the criterion rests on the law, so it FAILs with it
+    assert out.splitlines()[:2] == [
+        f"dual[law:{base.descriptor}]: FAIL", f"dual[criterion:{base.descriptor}]: FAIL"
+    ]
 
 
 @pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6", "fq:4"])

@@ -7,11 +7,12 @@ import random
 import sys
 from collections import Counter
 from functools import partial
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
 from ringfunc import cli, funcspace, groups
+from ringfunc.canonical import falling_factorial
 from ringfunc.dual import dual_ring, horner_dual
 from ringfunc.funcspace import (
     FunctionTable,
@@ -1041,21 +1042,94 @@ def test_split_dual_sweep_matches_the_streamed_filter(desc, cap):
     ]
 
 
+def _dual_verdicts(key, base):
+    """(brute force, criterion) on the key of a base-coefficient f: the
+    table of f on R[al] as dual element indices, then f'(a) at each a of R.
+    Brute force: the table is a bijection.  Criterion: the table on the
+    points (a, 0) is a bijection and f' is unit-valued."""
+    nb = base.size
+    size = nb * nb
+    mask = base.unit_index_mask()
+    brute = len(set(key[:size])) == size
+    on_base = key[base.index(base.zero):size:nb]
+    criterion = len(set(on_base)) == nb and all(mask[v // nb] for v in key[size:])
+    return brute, criterion
+
+
+def _dual_null_split(dual, base, zero, stages):
+    """(low, rest): the f0 of degree < D with constant term 0 over R[al] as
+    stages of coefficient_sums, split at the part null on R x 0, each term a
+    sum of those of stages (monomial_stages on dual, over the base in
+    element order).  Field: low c x^d, rest c (x^q - x) x^d, for d < q.
+    Z/m (Kempner 1921; Singmaster 1974): low c (x)_j for
+    c < s = m / gcd(m, j!), rest s c (x)_j for c < m / s.  Stages of one
+    term are dropped."""
+    add_t = dual.index_op_tables()[0]
+
+    def term(coeffs):  # base coefficients from degree 1 up
+        tables = (stages[d][base.index(c)][1] for d, c in enumerate(coeffs) if c != base.zero)
+        return cli._table_sum(add_t, tables, zero)
+
+    if base.is_field:
+        q, z = base.size, base.zero
+        low = stages[: q - 1]
+        rest = [
+            [(c, term((z,) * d + (base.neg(c),) + (z,) * (q - 2) + (c,))) for c in base.elements]
+            for d in range(q)
+        ]
+    else:
+        m = base.size
+        low, rest = [], []
+        for j in range(1, len(stages) + 1):
+            s = m // gcd(m, factorial(j))
+            ff = falling_factorial(j).coeffs[1:]
+            for part, cs in ((low, range(s)), (rest, range(0, m, s))):
+                part.append([(c, term([base.from_int(c * a) for a in ff])) for c in cs])
+    return [st for st in low if len(st) > 1], [st for st in rest if len(st) > 1]
+
+
+def sweep_dual_criterion(base, *, cap=None):
+    """The key sweep oracle of dual[criterion:R], which the CLI decides from
+    the law and the unit-row lemma: the criterion against brute force on
+    every f0 of degree < D, the dual degree bound, with constant term zero,
+    on the dual ring's own tables.  True iff they agree on every key.
+
+    Adding a constant translates the table on R[al] and keeps f0', so it
+    changes neither verdict.  Both verdicts depend only on the key, which is
+    additive in the coefficients.  f0 maps R x 0 into itself, so a bijection
+    of R[al] restricts to one of R x 0.  Both verdicts are then False unless
+    the table on R x 0, that of the low part, is a bijection, and only those
+    keys are built (cli._split_keys), each once: 1,536 on fq:4, 216 on zm:6.
+    """
+    dual = dual_ring(base, size_cap=cap)
+    nb = base.size
+    domain = [dual.embed(c) for c in base.elements]
+    on_base = range(base.index(base.zero), dual.size, nb)
+    stages = monomial_stages(dual, dual_degree_bound(base), domain, derivative_points=on_base)
+    zero = (dual.index(dual.zero),) * (dual.size + nb)
+    keys = cli._split_keys(
+        dual.index_op_tables()[0], zero, *_dual_null_split(dual, base, zero, stages),
+        slice(on_base.start, dual.size, nb), lambda t: len(set(t)) == nb,
+        lambda t: set(t) == {zero[0]}, cap,
+    )
+    return keys is not None and all(operator.eq(*_dual_verdicts(key, base)) for key in keys)
+
+
 def test_split_dual_sweep_checks_the_cap_before_any_work(monkeypatch):
-    # the dual criterion's cap counts what each sweep builds, its low sums
+    # the criterion oracle's cap counts what each sweep builds, its low sums
     # and then its keys: zm:6 has 18 low sums and 216 keys, 2 admitted low
     # sums times 108 rest sums; fq:4 has 64 low sums
     def refuse(*args, **kwargs):
         raise AssertionError("built")
 
-    monkeypatch.setattr(cli, "_dual_verdicts", refuse)
+    monkeypatch.setattr(sys.modules[__name__], "_dual_verdicts", refuse)
     with pytest.raises(SizeCapError, match="pair sweep: 216 exceeds cap 215"):
-        cli._check_dual_criterion(make_ring("zm:6"), 215)
+        sweep_dual_criterion(make_ring("zm:6"), cap=215)
     monkeypatch.setattr(funcspace, "coefficient_sums", refuse)
     with pytest.raises(SizeCapError, match="pair sweep: 64 exceeds cap 63"):
-        cli._check_dual_criterion(make_ring("fq:4"), 63)
+        sweep_dual_criterion(make_ring("fq:4"), cap=63)
     monkeypatch.undo()
-    assert cli._check_dual_criterion(make_ring("zm:6"), 216) == [("dual[criterion:zm:6]", True)]
+    assert sweep_dual_criterion(make_ring("zm:6"), cap=216) is True
 
 
 def test_module_listings_check_their_caps_before_any_work(monkeypatch):
