@@ -25,7 +25,7 @@ from operator import eq, getitem, or_
 from . import canonical as canon
 from . import funcspace as fs
 from . import groups as gr
-from .dual import DualRing, dual_ring, eval_dual, horner_dual
+from .dual import DualRing, dual_ring, horner_dual
 from .poly import ParseError, Polynomial, format_polynomial, index_formatter, parse
 from .rings import (
     CAP_ENV_VAR,
@@ -364,24 +364,37 @@ def _grid_bases(args, cap) -> list[Ring]:
     return out
 
 
-def _check_dual_law(base: Ring, cap) -> list[tuple[str, bool]]:
-    """The law f(a + b al) = (f(a), b f'(a)), horner_dual against
-    eval_dual, exactly: on each monomial x^k until the state first repeats.
-    The state, z^k for each z of R[al] and (a^k, k a^(k-1)) for each a of R
-    (the values at b = 1), goes to the state for k + 1 by a fixed rule, so
-    every later k repeats an earlier one; both sides are additive in f."""
-    dual = dual_ring(base, size_cap=cap)
-    seen = set()
+def _law_states(base: Ring):
+    """The law's side for x^k, k = 0, 1, ...: (a^k, b k a^(k-1)) at each
+    (a, b) of R[al] in element order, from the base's arithmetic alone.
+    Keeps a^(k-1) and a^k per point, one multiply each per step."""
+    mul, elements = base.mul, base.elements
+    prev, power = (base.zero,) * base.size, (base.one,) * base.size
     k = 0
     while True:
-        f = fs.ring_polynomial(base, (base.zero,) * k + (base.one,))
-        values = tuple(horner_dual(f, dual, dual.elements))
-        if values != tuple(eval_dual(f, base, a, b) for a, b in dual.elements):
+        scale = base.from_int(k)
+        derived = [mul(scale, p) for p in prev]  # k a^(k-1)
+        yield tuple((x, mul(b, d)) for x, d in zip(power, derived) for b in elements)
+        prev, power = power, tuple(map(mul, power, elements))
+        k += 1
+
+
+def _check_dual_law(base: Ring, cap) -> list[tuple[str, bool]]:
+    """The law f(a + b al) = (f(a), b f'(a)), exactly: on each monomial x^k
+    until the state first repeats, z^k for each z of R[al], by the dual
+    ring's multiply, against _law_states.  The state, z^k for each z and
+    (a^k, k a^(k-1)) for each a of R (the values at b = 1), goes to the
+    state for k + 1 by a fixed rule, one multiply per point, so every later
+    k repeats an earlier one; both sides are additive in f."""
+    dual = dual_ring(base, size_cap=cap)
+    seen, values = set(), (dual.one,) * dual.size
+    for law in _law_states(base):
+        if values != law:
             return [(f"dual[law:{base.descriptor}]", False)]
         if values in seen:
             return [(f"dual[law:{base.descriptor}]", True)]
         seen.add(values)
-        k += 1
+        values = tuple(map(dual.mul, values, dual.elements))
 
 
 def _table_sum(add_t, tables, zero) -> tuple:

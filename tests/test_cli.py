@@ -14,7 +14,7 @@ from ringfunc import cli
 from ringfunc import funcspace as fs
 from ringfunc import groups as gr
 from ringfunc.cli import main
-from ringfunc.dual import DualRing, dual_ring, horner_dual
+from ringfunc.dual import DualRing, dual_ring, eval_dual, horner_dual
 from ringfunc.poly import Polynomial, format_polynomial
 from ringfunc.rings import CAP_ENV_VAR, PrimePowerRing, SizeCapError, make_ring
 import test_groups
@@ -879,6 +879,15 @@ DUAL_OUTPUT_SHA256 = [
     (("verify", "--suite", "dual", "--ring", "zm:257"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: dual ring of size 66049 exceeds size cap 65536\n"),
+    # recorded from the law walk that ran horner_dual against eval_dual per
+    # monomial, which took 0.4-0.7 s on fq:16, 6-7 s on fq:32 and 10-12 s
+    # on zm:64
+    (("verify", "--suite", "dual", "--ring", "fq:16"), 0,
+     "ab98fc95bb587c58d3b50356ed5974229cce9c5078aed8589d1c60f72bc3fa8b", ""),
+    (("verify", "--suite", "dual", "--ring", "fq:32"), 0,
+     "ce8ed89e8927bcc9239a3f45e23f6278b22cc8013451a9ee2ada6dc17b4dabc4", ""),
+    (("verify", "--suite", "dual", "--ring", "zm:64"), 0,
+     "968cf6b36489a846892701a792aeeff7cd098e55d0d06036f057a14fdf25291e", ""),
 ]
 
 
@@ -1132,7 +1141,7 @@ def test_dual_law_fails_on_a_dropped_cross_term(capsys, monkeypatch, desc):
 @pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6", "fq:4"])
 def test_dual_law_reaches_the_last_monomial_before_a_repeat(monkeypatch, desc):
     # the first repeat of the powers z^k over R[al], found directly; a wrong
-    # value at the monomial just before it must FAIL
+    # law value at the monomial just before it must FAIL
     base = make_ring(desc)
     dual = dual_ring(base)
     states, power = [], [dual.one] * dual.size
@@ -1140,13 +1149,77 @@ def test_dual_law_reaches_the_last_monomial_before_a_repeat(monkeypatch, desc):
         states.append(power)
         power = [dual.mul(p, z) for p, z in zip(power, dual.elements)]
     last = len(states) - 1
-    real = cli.eval_dual
+    real = cli._law_states
 
-    def wrong_at_last(f, ring, a, b):
-        ga, db = real(f, ring, a, b)
-        return (ga, ring.add(db, ring.one)) if f.degree == last else (ga, db)
+    def wrong_at_last(ring):
+        for k, law in enumerate(real(ring)):
+            yield tuple((x, ring.add(d, ring.one)) for x, d in law) if k == last else law
 
-    monkeypatch.setattr(cli, "eval_dual", wrong_at_last)
+    monkeypatch.setattr(cli, "_law_states", wrong_at_last)
+    assert cli._check_dual_law(base, None) == [(f"dual[law:{base.descriptor}]", False)]
+
+
+def _oracle_law_walk(base):
+    # the law by horner_dual against eval_dual, each monomial x^k evaluated
+    # afresh, until the dual state first repeats; (verdict, monomials walked)
+    dual = dual_ring(base)
+    seen = set()
+    for k in itertools.count():
+        f = fs.ring_polynomial(base, (base.zero,) * k + (base.one,))
+        values = tuple(horner_dual(f, dual, dual.elements))
+        if values != tuple(eval_dual(f, base, a, b) for a, b in dual.elements):
+            return False, k + 1
+        if values in seen:
+            return True, k + 1
+        seen.add(values)
+
+
+def _cli_law_walk(monkeypatch, base):
+    # cli._check_dual_law's (verdict, monomials walked): the law states it
+    # draws, one per monomial
+    real, drawn = cli._law_states, []
+
+    def counting(ring):
+        for law in real(ring):
+            drawn.append(law)
+            yield law
+
+    monkeypatch.setattr(cli, "_law_states", counting)
+    [(_, verdict)] = cli._check_dual_law(base, None)
+    return verdict, len(drawn)
+
+
+LAW_ORACLE_RINGS = ["fq:2", "fq:3", "fq:4", "fq:5", "fq:7", "zpn:2,2", "zpn:2,3", "zpn:3,2",
+                    "zm:6", "zm:10", "zm:16"]
+
+
+@pytest.mark.parametrize("desc", LAW_ORACLE_RINGS)
+def test_dual_law_walk_matches_the_horner_oracle(monkeypatch, desc):
+    # the recurrence gives the oracle's verdict after as many monomials
+    base = make_ring(desc)
+    expected = _oracle_law_walk(base)
+    assert expected[0] is True
+    assert _cli_law_walk(monkeypatch, base) == expected
+
+
+@pytest.mark.parametrize("desc", LAW_ORACLE_RINGS)
+def test_dual_law_walk_and_oracle_fail_on_a_dropped_cross_term(monkeypatch, desc):
+    base = make_ring(desc)
+
+    def mul(self, x, y):
+        return (self.base.mul(x[0], y[0]), self.base.mul(x[0], y[1]))
+
+    monkeypatch.setattr(DualRing, "mul", mul)
+    assert _oracle_law_walk(base)[0] is False
+    assert _cli_law_walk(monkeypatch, base)[0] is False
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "fq:4"])
+def test_dual_law_fails_on_a_dropped_factor_k(monkeypatch, desc):
+    # the law side with b a^(k-1) in place of b k a^(k-1): from_int(k) is
+    # the factor's only source
+    base = make_ring(desc)
+    monkeypatch.setattr(base, "from_int", lambda k: base.one)
     assert cli._check_dual_law(base, None) == [(f"dual[law:{base.descriptor}]", False)]
 
 
