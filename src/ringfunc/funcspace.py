@@ -407,40 +407,16 @@ def least_member(rows, head, m: int, x=None, start: int = 0, stop=None) -> list[
     return x
 
 
-def monomial_stages(
-    ring: Ring,
-    degree_bound: int,
-    domain,
-    *,
-    derivative_points=(),
-    derivative_scale=None,
-) -> list[list[tuple]]:
-    """The stages of coefficient_sums for the degrees 1 .. D-1.
-
-    Stage d - 1 lists, for each c of the domain in order, (c, term): term is
-    the index table of [c x^d] on the whole ring, followed by the values of
-    s * d * c x^(d-1) at the element indices derivative_points, s being
-    derivative_scale (default one).  With every point there, the term is the
-    pair ([c x^d], [(c x^d)']); with none, it is [c x^d] alone.
-    """
+def monomial_stages(ring: Ring, degree_bound: int, domain) -> list[list[tuple]]:
+    """The stages of coefficient_sums for the degrees 1 .. D-1: stage d - 1
+    lists, for each c of the domain in order, (c, [c x^d]), the index table
+    of c x^d on the whole ring."""
     _, mul_t = ring.index_op_tables()
     pw = ring.power_index_table(max(degree_bound - 1, 0))
-    points = range(ring.size)
-    scale = ring.one if derivative_scale is None else derivative_scale
-    stages = []
-    for d in range(1, degree_bound):
-        power, dpower = pw[d], pw[d - 1]
-        dscale = ring.mul(scale, ring.from_int(d))
-        terms = []
-        for c in domain:
-            row = mul_t[ring.index(c)]
-            drow = mul_t[ring.index(ring.mul(dscale, c))]
-            terms.append((c, tuple(
-                [row[power[pt]] for pt in points]
-                + [drow[dpower[pt]] for pt in derivative_points]
-            )))
-        stages.append(terms)
-    return stages
+    return [
+        [(c, tuple(map(mul_t[ring.index(c)].__getitem__, pw[d]))) for c in domain]
+        for d in range(1, degree_bound)
+    ]
 
 
 def coefficient_sums(add_t, zero_table, stages):

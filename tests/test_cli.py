@@ -4,8 +4,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import sys
 from functools import lru_cache
-from operator import getitem
+from math import factorial, gcd
+from operator import eq, getitem
 
 import pytest
 
@@ -20,10 +22,14 @@ from ringfunc.rings import CAP_ENV_VAR, PrimePowerRing, SizeCapError, make_ring
 import test_groups
 from test_groups import (
     corrupt_hermite_basis,
+    derivative_stages,
     sweep_dual_criterion,
     sweep_dual_listing,
     sweep_stabilizer_listing,
+    table_sum,
 )
+
+_THIS = sys.modules[__name__]
 
 
 def run(capsys, *argv):
@@ -973,9 +979,7 @@ def _split_sweep_keys(base):
     nb = base.size
     on_base = range(base.index(base.zero), dual.size, nb)
     domain = [dual.embed(c) for c in base.elements]
-    stages = fs.monomial_stages(
-        dual, gr.dual_degree_bound(base), domain, derivative_points=on_base
-    )
+    stages = derivative_stages(dual, gr.dual_degree_bound(base), domain, on_base)
     zero = (dual.index(dual.zero),) * (dual.size + nb)
     first = slice(on_base.start, dual.size, nb)
     return list(_split_sweep(dual.index_op_tables()[0], zero, stages, first))
@@ -1019,9 +1023,9 @@ def test_dual_criterion_keys_match_the_split_sweep(monkeypatch, desc):
     assert set(keys) == set(_split_sweep_keys(base))
 
 
-def _break_null_split(monkeypatch, how, owner=cli, name="_null_split"):
-    # the null split owner.name (cli._null_split of the local criterion or
-    # test_groups._dual_null_split of the criterion oracle) with one change
+def _break_null_split(monkeypatch, how, owner, name):
+    # the null split owner.name (_local_null_split of the local criterion
+    # oracle or test_groups._dual_null_split of the criterion oracle) with one change
     # to its stages: "rest", the last term of the first rest stage becomes
     # the degree-1 low term x, which is not null on the filter's points;
     # "low", the first of several low stages gains the last term of the last
@@ -1054,11 +1058,10 @@ def test_dual_criterion_fails_on_a_broken_split(monkeypatch, desc, how):
 
 @pytest.mark.parametrize("p,n,how", [(2, 2, "rest"), (3, 2, "rest"), (3, 2, "low")])
 def test_local_criterion_fails_on_a_broken_split(monkeypatch, p, n, how):
-    monkeypatch.setattr(cli, "_local_verdicts", _refuse)
-    _break_null_split(monkeypatch, how)
-    assert cli._check_local_criterion(p, n, None) == [
-        (f"dual[local-criterion:zpn:{p},{n}]", False)
-    ]
+    # the key sweep oracle refuses a split it cannot trust before any key
+    monkeypatch.setattr(_THIS, "_local_verdicts", _refuse)
+    _break_null_split(monkeypatch, how, _THIS, "_local_null_split")
+    assert sweep_local_criterion(p, n) is False
 
 
 def _refuse(*args):
@@ -1151,8 +1154,8 @@ def test_dual_law_reaches_the_last_monomial_before_a_repeat(monkeypatch, desc):
     last = len(states) - 1
     real = cli._law_states
 
-    def wrong_at_last(ring):
-        for k, law in enumerate(real(ring)):
+    def wrong_at_last(ring, *args):
+        for k, law in enumerate(real(ring, *args)):
             yield tuple((x, ring.add(d, ring.one)) for x, d in law) if k == last else law
 
     monkeypatch.setattr(cli, "_law_states", wrong_at_last)
@@ -1179,8 +1182,8 @@ def _cli_law_walk(monkeypatch, base):
     # draws, one per monomial
     real, drawn = cli._law_states, []
 
-    def counting(ring):
-        for law in real(ring):
+    def counting(*args):
+        for law in real(*args):
             drawn.append(law)
             yield law
 
@@ -1223,33 +1226,87 @@ def test_dual_law_fails_on_a_dropped_factor_k(monkeypatch, desc):
     assert cli._check_dual_law(base, None) == [(f"dual[law:{base.descriptor}]", False)]
 
 
+def _local_null_split(ring, k, zero, stages):
+    """(low, rest): the f0 of degree < D with constant term 0 over Z/N as
+    stages of coefficient_sums, split at the part null on the filter's
+    points mod k (Kempner 1921; Singmaster 1974): low c (x)_j for
+    c < s = k / gcd(k, j!), rest s c (x)_j for c < N / s, each term a sum of
+    those of stages (derivative_stages on ring, in element order).  Stages
+    of one term are dropped."""
+    add_t = ring.index_op_tables()[0]
+
+    def term(coeffs):  # coefficients from degree 1 up
+        tables = (stages[d][ring.index(c)][1] for d, c in enumerate(coeffs) if c != ring.zero)
+        return table_sum(add_t, tables, zero)
+
+    low, rest = [], []
+    for j in range(1, len(stages) + 1):
+        s = k // gcd(k, factorial(j))
+        ff = canon.falling_factorial(j).coeffs[1:]
+        for part, cs in ((low, range(s)), (rest, range(0, ring.size, s))):
+            part.append([(c, term([ring.from_int(c * a) for a in ff])) for c in cs])
+    return [st for st in low if len(st) > 1], [st for st in rest if len(st) > 1]
+
+
+def _local_verdicts(key, p, n):
+    """(brute force, local criterion) on the key [f] ++ [p^(n-1) f'(a) for
+    a < p] of a polynomial f over Z_{p^n}: whether [f] is a bijection, and
+    whether the residues of f permute Z_p with f' nonzero mod p at each."""
+    size = len(key) - p
+    brute = len(set(key[:size])) == size
+    local = {v % p for v in key[:p]} == set(range(p)) and (n == 1 or all(key[size:]))
+    return brute, local
+
+
+def sweep_local_criterion(p, n, *, cap=None):
+    """The key sweep oracle of dual[local-criterion:zpn:p,n], which the CLI
+    decides from the law and the fibre lemma: brute force against the local
+    criterion on every f0 of degree < D, the null degree bound, with
+    constant term zero.  True iff they agree on every key.
+
+    Adding a constant translates [f] and its residues mod p and keeps [f'],
+    so both verdicts are those of f0; they depend only on the key, which is
+    additive in the coefficients, and are both False unless the residues at
+    0 .. p-1, those of the low part, permute Z_p, so only those keys are
+    built (test_groups.split_keys), each once: 486 on Z_9.  The cap counts
+    what each sweep builds, as split_keys says."""
+    ring = PrimePowerRing(p, n)
+    stages = derivative_stages(
+        ring, fs.null_degree_bound(ring), ring.elements, range(p), scale=p ** (n - 1)
+    )
+    zero = (0,) * (ring.size + p)
+    keys = test_groups.split_keys(
+        ring.index_op_tables()[0], zero, *_local_null_split(ring, p, zero, stages),
+        slice(p), lambda t: {v % p for v in t} == set(range(p)),
+        lambda t: not any(v % p for v in t), cap,
+    )
+    return keys is not None and all(eq(*_local_verdicts(key, p, n)) for key in keys)
+
+
 def test_local_criterion_checks_the_last_key(monkeypatch):
     # the last key alone becomes a bijective table whose derivative vanishes
-    # mod p, so only a check that reaches it can FAIL
-    real = cli._split_keys
+    # mod p, so only an oracle that reaches it can FAIL
+    real = test_groups.split_keys
 
     def corrupted(*args):
         keys = list(real(*args))
         keys[-1] = tuple(range(len(keys[-1]) - 3)) + (0,) * 3
         return iter(keys)
 
-    monkeypatch.setattr(cli, "_split_keys", corrupted)
-    assert cli._check_local_criterion(3, 2, None) == [
-        ("dual[local-criterion:zpn:3,2]", False)
-    ]
+    monkeypatch.setattr(test_groups, "split_keys", corrupted)
+    assert sweep_local_criterion(3, 2) is False
 
 
 def test_local_criterion_caps_every_candidate(monkeypatch):
-    # the cap counts the keys it builds, the 2 admitted low sums of Z_9
-    # times its 243 rest sums, and refuses before any is built
-    real = cli._local_verdicts
-    monkeypatch.setattr(cli, "_local_verdicts", _refuse)
+    # the oracle's cap counts the keys it builds, the 2 admitted low sums of
+    # Z_9 times its 243 rest sums, and refuses before any is built; the CLI
+    # check builds no key and has no such cap
+    real = _local_verdicts
+    monkeypatch.setattr(_THIS, "_local_verdicts", _refuse)
     with pytest.raises(SizeCapError, match="pair sweep: 486 exceeds cap 485"):
-        cli._check_local_criterion(3, 2, 485)
-    monkeypatch.setattr(cli, "_local_verdicts", real)
-    assert cli._check_local_criterion(3, 2, 486) == [
-        ("dual[local-criterion:zpn:3,2]", True)
-    ]
+        sweep_local_criterion(3, 2, cap=485)
+    monkeypatch.setattr(_THIS, "_local_verdicts", real)
+    assert sweep_local_criterion(3, 2, cap=486) is True
 
 
 @lru_cache(maxsize=None)
@@ -1275,12 +1332,14 @@ def _local_candidate_keys(p, n):
 
 @pytest.mark.parametrize("p,n,built", [(2, 2, 8), (2, 3, 64), (3, 2, 486)])
 def test_local_criterion_builds_only_the_keys_the_filter_admits(monkeypatch, p, n, built):
-    # the per-candidate keys whose residues at 0 .. p-1 permute Z_p, each
-    # built once
+    # the oracle builds the per-candidate keys whose residues at 0 .. p-1
+    # permute Z_p, each once
     keys = []
-    real = cli._local_verdicts
-    monkeypatch.setattr(cli, "_local_verdicts", lambda key, p, n: keys.append(key) or real(key, p, n))
-    assert cli._check_local_criterion(p, n, None)[0][1]
+    real = _local_verdicts
+    monkeypatch.setattr(
+        _THIS, "_local_verdicts", lambda key, p, n: keys.append(key) or real(key, p, n)
+    )
+    assert sweep_local_criterion(p, n) is True
     assert len(keys) == len(set(keys)) == built
     assert set(keys) == {
         key for key in _local_candidate_keys(p, n)
@@ -1295,18 +1354,85 @@ def test_local_verdicts_per_key_match_every_block(p, n):
     # same verdicts from either side; a constant term changes neither
     ring = make_ring(f"zpn:{p},{n}")
     per_candidate = _local_candidate_keys(p, n)
-    stages = fs.monomial_stages(
-        ring, fs.null_degree_bound(ring), ring.elements,
-        derivative_points=range(p), derivative_scale=p ** (n - 1),
+    stages = derivative_stages(
+        ring, fs.null_degree_bound(ring), ring.elements, range(p), scale=p ** (n - 1)
     )
     zero = (0,) * (ring.size + p)
     per_key = {
-        key: cli._local_verdicts(key, p, n)
+        key: _local_verdicts(key, p, n)
         for key, _ in fs.coefficient_sums(ring.index_op_tables()[0], zero, stages)
     }
     assert per_key == per_candidate
     assert any(brute for brute, _ in per_key.values())
     assert not all(brute for brute, _ in per_key.values())
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
+def test_local_criterion_law_and_lemma_agree_with_the_oracle_and_brute_force(p, n):
+    # the CLI check, from the law and the fibre lemma, the key sweep oracle
+    # and every candidate induced point by point all find the criterion exact
+    assert cli._check_local_criterion(p, n) == [(f"dual[local-criterion:zpn:{p},{n}]", True)]
+    assert sweep_local_criterion(p, n) is True
+    assert all(brute == local for brute, local in _local_candidate_keys(p, n).values())
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 2)])
+def test_local_criterion_passes_beyond_the_grid(p, n):
+    # no key is built, so moduli far past the oracle's reach pass
+    assert cli._check_local_criterion(p, n) == [(f"dual[local-criterion:zpn:{p},{n}]", True)]
+
+
+def _local_law_walk(monkeypatch, p, j, wrong_at=None):
+    # the law states the walk draws on the level Z/p^j, with the last entry
+    # of state number wrong_at (from 0) moved by one
+    real, drawn = cli._law_states, []
+
+    def spying(ring, *args):
+        for k, law in enumerate(real(ring, *args)):
+            if ring.size == p**j:
+                drawn.append(law)
+                if k == wrong_at:
+                    law = law[:-1] + (ring.add(law[-1], ring.one),)
+            yield law
+
+    monkeypatch.setattr(cli, "_law_states", spying)
+    return drawn
+
+
+@pytest.mark.parametrize("p,n,j", [(2, 2, 2), (2, 3, 2), (2, 3, 3), (3, 2, 2)])
+def test_local_criterion_reaches_the_last_monomial_before_a_repeat(monkeypatch, p, n, j):
+    # the powers z^k of Z/p^j up to their first repeat, found directly: the
+    # walk, keeping only the values at t = 0 and 1 of a + p^(j-1) t, draws
+    # one more state, and a wrong law value at the monomial just before the
+    # repeat must FAIL
+    ring = PrimePowerRing(p, j)
+    states, power = [], [ring.one] * ring.size
+    while power not in states:
+        states.append(power)
+        power = [ring.mul(x, z) for x, z in zip(power, ring.elements)]
+    name = f"dual[local-criterion:zpn:{p},{n}]"
+    drawn = _local_law_walk(monkeypatch, p, j)
+    assert cli._check_local_criterion(p, n) == [(name, True)]
+    assert len(drawn) == len(states) + 1
+    _local_law_walk(monkeypatch, p, j, wrong_at=len(states) - 1)
+    assert cli._check_local_criterion(p, n) == [(name, False)]
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("row,given", [("p", "1"), ("1", "p")])
+def test_local_criterion_fails_on_a_wrong_fibre_row(monkeypatch, p, n, row, given):
+    # the fibre lemma fed row p of the multiplication table in place of row
+    # 1, or row 1 in place of row p: the law still holds on every level, so
+    # the lemma alone FAILs
+    real = PrimePowerRing.index_op_tables
+    c, src = (p if x == "p" else 1 for x in (row, given))
+
+    def swapped(self):
+        add_t, mul_t = real(self)
+        return add_t, mul_t[:c] + [mul_t[src]] + mul_t[c + 1:]
+
+    monkeypatch.setattr(PrimePowerRing, "index_op_tables", swapped)
+    assert cli._check_local_criterion(p, n) == [(f"dual[local-criterion:zpn:{p},{n}]", False)]
 
 
 # ---------------------------------------------------------------------------
@@ -1347,6 +1473,17 @@ def test_verify_dual_suite_restricted_to_one_ring(capsys):
         "dual[criterion:fq:3]: pass",
         "2/2 checks passed",
     ]
+
+
+def test_verify_dual_max_size_bounds_the_local_moduli(capsys):
+    # --max-size bounds p^n of each local criterion, not a dual ring's
+    # size: Z/4 and Z/8 run under 8, Z/9 does not
+    code, out, _ = run(capsys, "verify", "--suite", "dual", "--max-size", "8")
+    assert code == 0
+    lines = out.splitlines()
+    assert "dual[local-criterion:zpn:2,2]: pass" in lines
+    assert "dual[local-criterion:zpn:2,3]: pass" in lines
+    assert not any("zpn:3,2" in line for line in lines)
 
 
 def test_verify_groups_grid_respects_max_size(capsys):

@@ -32,6 +32,7 @@ from ringfunc.funcspace import (
 )
 from ringfunc.poly import Polynomial, X, parse
 from ringfunc.rings import SizeCapError, make_ring
+from test_groups import derivative_stages
 
 
 def _random_poly(rng, degree_bound, modulus):
@@ -415,7 +416,7 @@ def _first_seen(ring, D, domain, with_derivative):
 
 def _engine_first_seen(ring, D, domain, with_derivative):
     points = range(ring.size) if with_derivative else ()
-    stages = monomial_stages(ring, D, domain, derivative_points=points)
+    stages = derivative_stages(ring, D, domain, points)
     zero = (ring.index(ring.zero),) * (ring.size + len(points))
     seen = {}
     for table, coeffs in coefficient_sums(ring.index_op_tables()[0], zero, stages):
@@ -474,22 +475,20 @@ def test_whole_ring_stages_stream_each_sum_once(desc, with_derivative):
     for D in range(1, null_degree_bound(ring) + 1):
         if ring.size ** (D - 1) > 1000:
             break
-        stages = monomial_stages(ring, D, ring.elements, derivative_points=points)
+        stages = derivative_stages(ring, D, ring.elements, points)
         stream = list(coefficient_sums(add_t, zero, stages))
         assert len(stream) == len(dict(stream))
         assert stream == list(_first_seen(ring, D, ring.elements, with_derivative).items())
 
 
 def test_local_criterion_stages_stream_each_key_once():
-    # the stages of _check_local_criterion on Z_9: [f] followed by
-    # 3 f'(a) for a < 3, against every candidate, and every key once at the
-    # null degree bound
+    # the stages of the local criterion's key sweep oracle on Z_9: [f]
+    # followed by 3 f'(a) for a < 3, against every candidate, and every key
+    # once at the null degree bound
     z9 = make_ring("zpn:3,2")
     add_t = z9.index_op_tables()[0]
     for D in range(1, null_degree_bound(z9) + 1):
-        stages = monomial_stages(
-            z9, D, z9.elements, derivative_points=range(3), derivative_scale=3
-        )
+        stages = derivative_stages(z9, D, z9.elements, range(3), scale=3)
         stream = list(coefficient_sums(add_t, (0,) * 12, stages))
         assert len(stream) == len(dict(stream))
         if D > 4:

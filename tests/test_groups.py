@@ -6,12 +6,12 @@ import operator
 import random
 import sys
 from collections import Counter
-from functools import partial
-from math import factorial, gcd
+from functools import partial, reduce
+from math import factorial, gcd, prod
 
 import pytest
 
-from ringfunc import cli, funcspace, groups
+from ringfunc import funcspace, groups
 from ringfunc.canonical import falling_factorial
 from ringfunc.dual import dual_ring, horner_dual
 from ringfunc.funcspace import (
@@ -979,6 +979,60 @@ def test_null_polynomials_cap_every_candidate():
     assert [f.coeffs for f in null_polynomials(z4, 3, cap=64)] == [(), (0, 2, 2)]
 
 
+def derivative_stages(ring, degree_bound, domain, points, scale=None):
+    """The stages of monomial_stages with the derivative columns the sweep
+    oracles key on: each term [c x^d] followed by s d c a^(d-1) at each
+    element index a of points, s being scale (default one).  With every
+    point there, the term is the pair ([c x^d], [(c x^d)'])."""
+    _, mul_t = ring.index_op_tables()
+    pw = ring.power_index_table(max(degree_bound - 1, 0))
+    s = ring.one if scale is None else scale
+    stages = []
+    for d, stage in enumerate(monomial_stages(ring, degree_bound, domain), 1):
+        ds = ring.mul(s, ring.from_int(d))
+        stages.append([
+            (c, t + tuple(mul_t[ring.index(ring.mul(ds, c))][pw[d - 1][a]] for a in points))
+            for c, t in stage
+        ])
+    return stages
+
+
+def table_sum(add_t, tables, zero) -> tuple:
+    # the entrywise sum of index tables, by the index addition table
+    return reduce(lambda s, t: tuple(map(operator.getitem, map(add_t.__getitem__, s), t)),
+                  tables, zero)
+
+
+def split_keys(add_t, zero, low, rest, on, admits, null, cap):
+    """The keys l + r of each low sum l that admits and each rest sum r;
+    None unless every rest term is null on the filter's points (the entries
+    on) and the low sweep there merges no two combinations of terms.  So the
+    filter sees the low part alone, on the points, and each admitted low
+    sum is summed in full from its coefficients.  The cap, checked before
+    each sweep, counts the low sums and the rest sums, since the low sum x
+    admits on every ring, then the keys: the admitted low sums times the
+    distinct terms of each rest stage (exact if independent)."""
+    if not all(null(t[on]) for st in rest for _, t in st):
+        return None
+    count = lambda stages: prod(len({t for _, t in st}) for st in stages)
+    check_cap(count(low), cap, "pair sweep")
+    check_cap(count(rest), cap, "pair sweep")
+    admitted, points = [], [[(c, t[on]) for c, t in st] for st in low]
+    for swept, (t, w) in enumerate(funcspace.coefficient_sums(add_t, zero[on], points), 1):
+        if admits(t):
+            admitted.append(w)
+    if swept != count(low):  # two low combinations were merged
+        return None
+    check_cap(len(admitted) * count(rest), cap, "pair sweep")
+    terms = [dict(st) for st in low]
+    lows = [
+        [add_t[b] for b in table_sum(add_t, map(operator.getitem, terms, w), zero)]
+        for w in admitted
+    ]
+    rests = funcspace.coefficient_sums(add_t, zero, rest)
+    return (tuple(map(operator.getitem, rows, r)) for r, _ in rests for rows in lows)
+
+
 def _pair_sums(base, degree_bound, *, cap=None):
     """The pairs ([f0], [f0']) of the polynomials f0 of degree < D with
     constant term zero, streamed by coefficient_sums over every stage: each
@@ -987,9 +1041,7 @@ def _pair_sums(base, degree_bound, *, cap=None):
     derivative_table, rest), rest the coefficients of degree 1 .. D-1.  The
     cap counts every candidate, |base|^D, and is checked before any work."""
     check_cap(base.size ** degree_bound, cap, "pair sweep")
-    stages = monomial_stages(
-        base, degree_bound, base.elements, derivative_points=range(base.size)
-    )
+    stages = derivative_stages(base, degree_bound, base.elements, range(base.size))
     zero = (base.index(base.zero),) * (2 * base.size)
     return coefficient_sums(base.index_op_tables()[0], zero, stages)
 
@@ -1068,7 +1120,7 @@ def _dual_null_split(dual, base, zero, stages):
 
     def term(coeffs):  # base coefficients from degree 1 up
         tables = (stages[d][base.index(c)][1] for d, c in enumerate(coeffs) if c != base.zero)
-        return cli._table_sum(add_t, tables, zero)
+        return table_sum(add_t, tables, zero)
 
     if base.is_field:
         q, z = base.size, base.zero
@@ -1099,15 +1151,15 @@ def sweep_dual_criterion(base, *, cap=None):
     additive in the coefficients.  f0 maps R x 0 into itself, so a bijection
     of R[al] restricts to one of R x 0.  Both verdicts are then False unless
     the table on R x 0, that of the low part, is a bijection, and only those
-    keys are built (cli._split_keys), each once: 1,536 on fq:4, 216 on zm:6.
+    keys are built (split_keys), each once: 1,536 on fq:4, 216 on zm:6.
     """
     dual = dual_ring(base, size_cap=cap)
     nb = base.size
     domain = [dual.embed(c) for c in base.elements]
     on_base = range(base.index(base.zero), dual.size, nb)
-    stages = monomial_stages(dual, dual_degree_bound(base), domain, derivative_points=on_base)
+    stages = derivative_stages(dual, dual_degree_bound(base), domain, on_base)
     zero = (dual.index(dual.zero),) * (dual.size + nb)
-    keys = cli._split_keys(
+    keys = split_keys(
         dual.index_op_tables()[0], zero, *_dual_null_split(dual, base, zero, stages),
         slice(on_base.start, dual.size, nb), lambda t: len(set(t)) == nb,
         lambda t: set(t) == {zero[0]}, cap,
