@@ -227,50 +227,38 @@ def _group_elements(args, cap, table=False):
     and elements() builds the listed group elements in listed order, which
     only a product table needs; over a field, with table, its cap first.
 
-    The semidirect product lists its items from its two factors,
-    permutation-major.  The dual permutations and the stabilizer are the
-    packed rows of gr.dual_pairs and gr.stabilizer_pairs, entry a being
-    perm(a) * |R| + unit(a), with a witness or a null part each, rendered
-    from its coefficient index vector of at most 2|R| terms (index_formatter).
+    Each listing is of (G, F) pairs of index tables.  The semidirect
+    product's come from its two factors, permutation-major, and only the
+    kept ones are built.  The dual permutations and the stabilizer are the
+    pairs of gr.dual_pairs and gr.stabilizer_pairs, with a witness or a
+    null part each, rendered from its coefficient index vector of at most
+    2|R| terms (index_formatter).
     """
     base = _base_of(_ring(args))
     nb = base.size
     if table and base.is_field:
         check_cap(gr.field_group_order(base, args.what, cap=cap) ** 2, cap, "multiplication table")
-    if args.what == "stabilizer":
-        rows, null_part = gr.stabilizer_pairs(base, cap=cap)
-
-        def items(keep=slice(None)):
-            text = index_formatter(nb, 2 * nb)
-            units = ([v % nb for v in row] for row in rows[keep])
-            return [{"null_part": text(null_part(F)), "unit": F} for F in units]
-    elif args.dual:
-        rows, witness = gr.dual_pairs(base, cap=cap)
-
-        def items(keep=slice(None)):
-            # one list per distinct perm or unit table, shared by its items
-            text, shared = index_formatter(nb, 2 * nb), lru_cache(None)(list)
-            high = [v // nb for v in range(nb * nb)].__getitem__
-            low = [v % nb for v in range(nb * nb)].__getitem__
-            pairs = ((tuple(map(high, row)), tuple(map(low, row))) for row in rows[keep])
-            return [
-                {"perm": shared(G), "unit": shared(F), "witness": text(witness(G, F))}
-                for G, F in pairs
-            ]
-    else:
+    if args.what == "group" and not args.dual:
         perms, units = gr.semidirect_pairs(base, cap=cap)
-        nu = len(units)
+        nu, count = len(units), len(perms) * len(units)
 
-        def items(keep=slice(None)):
-            return [
-                {"perm": list(perms[k // nu]), "unit": list(units[k % nu])}
-                for k in range(len(perms) * nu)[keep]
-            ]
+        def kept(keep):
+            return [(perms[k // nu], units[k % nu]) for k in range(count)[keep]]
+    else:
+        listing = gr.stabilizer_pairs if args.what == "stabilizer" else gr.dual_pairs
+        pairs, witness = listing(base, cap=cap)
+        count, kept = len(pairs), pairs.__getitem__
 
-        return base, len(perms) * nu, items, lambda: gr.pair_elements(
-            dual_ring(base), gr.packed_rows(base, perms, units)
-        )
-    return base, len(rows), items, lambda: gr.pair_elements(dual_ring(base), rows)
+    def items(keep=slice(None)):
+        # each item holds its pair's own tuples, which JSON prints as lists
+        text = index_formatter(nb, 2 * nb)
+        if args.what == "stabilizer":
+            return [{"null_part": text(witness(F)), "unit": F} for _, F in kept(keep)]
+        if args.dual:
+            return [{"perm": G, "unit": F, "witness": text(witness(G, F))} for G, F in kept(keep)]
+        return [{"perm": G, "unit": F} for G, F in kept(keep)]
+
+    return base, count, items, lambda: gr.pair_elements(dual_ring(base), kept(slice(None)))
 
 
 def cmd_enumerate(args) -> int:

@@ -11,8 +11,8 @@ the induced permutations with the pointwise unit group acting by
 precomposition.  Products are compositions of tables, so associativity holds
 by construction.
 
-A pair is held as that row, its packed row, entry a being G(a) * |R| + F(a);
-packed rows sort as their tables do (packed_rows).
+A pair is held as its two index tables (G, F), and pair_tables builds its
+table, for the listings, the product and the embedding alike.
 
 Three sets of elements come out of this module:
 - the semidirect product F(R)^x ⋊ P(R): every pair of an induced permutation
@@ -23,10 +23,10 @@ Three sets of elements come out of this module:
 - the stabilizer of the base points: the dual permutations with G = id,
   x + g for a null polynomial g, acting by the pair (id, [1 + g']).
 
-dual_pairs and stabilizer_pairs list the last two as sorted packed rows,
-with the witness (a coefficient index vector) of a pair (G, F) on request,
-by one path on every ring (_pair_parts): over a field from the factors and
-the Hermite form, over Z/m from the pair module.
+dual_pairs and stabilizer_pairs list the last two as (G, F) pairs in the
+order of their tables, with the witness (a coefficient index vector) of a
+pair on request, by one path on every ring (_pair_parts): over a field from
+the factors and the Hermite form, over Z/m from the pair module.
 
 verify_embedding lists no group, and verify_group_axioms sifts the pool it
 is given: both build a Schreier-Sims chain (_Chain).  The embedding is
@@ -106,7 +106,7 @@ class DualPermutation:
         mask = base.unit_index_mask()
         if not all(mask[i] for i in F):
             raise ValueError("second component is not unit-valued")
-        return pair_elements(dual, packed_rows(base, [G], [F]))[0]
+        return pair_elements(dual, [(G, F)])[0]
 
     def __mul__(self, other: "DualPermutation") -> "DualPermutation":
         if self.dual is not other.dual and self.dual != other.dual:
@@ -136,34 +136,26 @@ class DualPermutation:
         return f"DualPermutation({self.dual.descriptor}, {self.table})"
 
 
-def _pair_blocks(base: Ring) -> list[tuple[int, ...]]:
-    """The block of each packed entry v = g * |R| + f: the images
-    g * |R| + f * b of the dual elements (a, b) of a point a with
-    (G(a), F(a)) = (g, f), for each b.  Cached with the ring's other index
-    tables."""
+def _pair_blocks(base: Ring) -> list[list[tuple[int, ...]]]:
+    """blocks[g][f]: the images g * |R| + f * b of the dual elements (a, b)
+    of a point a with (G(a), F(a)) = (g, f), for each b.  Cached with the
+    ring's other index tables."""
     blocks = base._tables.get("pair_blocks")
     if blocks is None:
         nb = base.size
         mul_t = base.index_op_tables()[1]
         blocks = base._tables["pair_blocks"] = [
-            tuple(g * nb + v for v in row) for g in range(nb) for row in mul_t
+            [tuple(g * nb + v for v in row) for row in mul_t] for g in range(nb)
         ]
     return blocks
 
 
-def packed_rows(base: Ring, perms, units) -> list[tuple[int, ...]]:
-    """The packed rows of the pairs (G, F), G in perms and F in units, both
-    index tables, permutation-major: entry a is G(a) * |R| + F(a), the row
-    b = 1 of the pair's dual table.
-
-    On a base whose element index 0 is zero and index 1 is one, as on every
-    ring here, packed rows sort as the tables do: the entries (a, 0) and
-    (a, 1) of the table are G(a) * |R| and G(a) * |R| + F(a), and the rest
-    of the block of a follows from them.
-    """
-    nb = base.size
-    high = [[g * nb for g in G] for G in perms]
-    return [tuple(map(add, h, F)) for h in high for F in units]
+def pair_tables(base: Ring, pairs):
+    """The dual table of each pair (G, F) of index tables over the base, in
+    the given order, lazily: the blocks of (G(a), F(a)) joined, a in order
+    (_pair_blocks)."""
+    rows = _pair_blocks(base).__getitem__
+    return (tuple(chain.from_iterable(map(getitem, map(rows, G), F))) for G, F in pairs)
 
 
 def precompose_units(F: FunctionTable, G: FunctionTable) -> FunctionTable:
@@ -182,15 +174,20 @@ def semidirect_factors(ring: Ring, *, cap: int | None = None) -> tuple[list, lis
     all q! permutations and all tables into the units, listed directly, in
     sorted order, under the cap of the pass they replace."""
     size = ring.size
-    mask = ring.unit_index_mask()
     if ring.is_field:
         check_cap(size**size, cap, "polynomial enumeration")
-        unit_idx = [i for i in range(size) if mask[i]]
-        return list(permutations(range(size))), list(product(unit_idx, repeat=size))
+        return list(permutations(range(size))), _unit_tables(ring)
+    mask = ring.unit_index_mask()
     tables = induced_index_tables(ring, cap=cap)
     perms = sorted(t for t in tables if len(set(t)) == size)
     units = sorted(t for t in tables if all(map(mask.__getitem__, t)))
     return perms, units
+
+
+def _unit_tables(ring: Ring) -> list[tuple[int, ...]]:
+    """Every table into the units, as sorted index tables."""
+    mask = ring.unit_index_mask()
+    return list(product([i for i in range(ring.size) if mask[i]], repeat=ring.size))
 
 
 def field_group_order(base: Ring, what: str, *, cap: int | None = None) -> int:
@@ -214,24 +211,18 @@ def semidirect_pairs(ring: Ring, *, cap: int | None = None) -> tuple[list, list]
     return perms, units
 
 
-def pair_elements(dual: DualRing, rows, witness=None) -> list[DualPermutation]:
-    """The elements of the packed rows over the dual ring's base, in the
-    given order, each with the polynomial witness(row) when a witness
-    function is given.  The table of a row is the blocks of its entries
-    joined (_pair_blocks)."""
-    block = _pair_blocks(dual.base).__getitem__
-    return [
-        DualPermutation._make(
-            dual, tuple(chain.from_iterable(map(block, row))), witness and witness(row)
-        )
-        for row in rows
-    ]
+def pair_elements(dual: DualRing, pairs, witnesses=None) -> list[DualPermutation]:
+    """The elements of the pairs (G, F) over the dual ring's base, in the
+    given order (pair_tables), each with its polynomial from witnesses, in
+    the same order, when they are given."""
+    make, tables = partial(DualPermutation._make, dual), pair_tables(dual.base, pairs)
+    return list(map(make, tables, repeat(None) if witnesses is None else witnesses))
 
 
 def semidirect_group(ring: Ring, *, cap: int | None = None) -> list[DualPermutation]:
     """Every (induced permutation, induced unit table) pair over the ring,
     as a permutation of R[al]; permutation-major, each factor in table order."""
-    return pair_elements(dual_ring(ring), packed_rows(ring, *semidirect_pairs(ring, cap=cap)))
+    return pair_elements(dual_ring(ring), product(*semidirect_pairs(ring, cap=cap)))
 
 
 def pair_table_sweep(
@@ -289,14 +280,15 @@ def hermite_preimage(base: Ring):
     return lambda G, F: list(map(getitem, low(G, F[:h]), part(1, F[h:], h)))
 
 
-def _pair_parts(base: Ring, *, times: int, cap: int | None, what: str):
+def _pair_parts(base: Ring, units, *, times: int, cap: int | None, what: str):
     """The dual pairs as (over, unit_coset, preimage): unit_coset(F), the
     unit-valued tables of F + H, H the [g'] of the null g; over(G), those F
     with (G, F) a pair, or none; and preimage(G, F), the index vector of the
     least f of degree < D with ([f], [f']) = (G, F), the first a coefficient
-    sweep reaches.  Over F_q, H is every table, so both give every unit
-    table, capped by the caller (field_group_order), and f is the Hermite
-    form (hermite_preimage).  Over Z/m they come from the pair module
+    sweep reaches.  Over F_q, H is every table, so both give units, every
+    unit table as the caller listed it under its caps (field_group_order),
+    and f is the Hermite form (hermite_preimage).  Over Z/m, where units is
+    not read, they come from the pair module
     (pair_module): over(G) is unit_coset of the least F, and f is the
     coefficient part of the member beginning with the pair, reduced from
     x^(D-1) down (least_member), the reduction by the rows of G kept for
@@ -305,7 +297,6 @@ def _pair_parts(base: Ring, *, times: int, cap: int | None, what: str):
     as what before H is built.
     """
     if base.is_field:
-        units = semidirect_factors(base)[1]
         every_unit_table = defaultdict(lambda: units).__getitem__
         return every_unit_table, every_unit_table, hermite_preimage(base)
     module, nb = pair_module(base), base.size
@@ -341,40 +332,49 @@ def _pair_parts(base: Ring, *, times: int, cap: int | None, what: str):
 
 
 def dual_pairs(base: Ring, *, cap: int | None = None):
-    """The dual permutations as (rows, witness): their packed rows, sorted,
-    so in table order, and witness(G, F), the coefficient index vector of a
+    """The dual permutations as (pairs, witness): their pairs (G, F) in
+    table order, and witness(G, F), the coefficient index vector of a
     polynomial inducing the element of the pair (_pair_parts).
 
     Each G of P(R) lifts to the pairs (G, F) with F unit-valued.  Over a
     field F_q that is every pair of P(F_q) x F(F_q)^x (the field theorem),
     capped as the semidirect product; over Z/m the pairs of the pair
     module, |P(R)| |H| pairs capped as "dual pairs".
+
+    The pairs sort by their packed rows, entry a = G(a) * |R| + F(a), the
+    row b = 1 of the table.  On a base whose element index 0 is zero and
+    index 1 is one, as on every ring here, that is the order of the tables:
+    the entries (a, 0) and (a, 1) of a table are G(a) * |R| and
+    G(a) * |R| + F(a), and the rest of the block of a follows from them.
     """
     if base.is_field:
         field_group_order(base, "group", cap=cap)
-    perms = semidirect_factors(base, cap=cap)[0]
-    over, _, preimage = _pair_parts(base, times=len(perms), cap=cap, what="dual pairs")
-    rows = sorted(chain.from_iterable(packed_rows(base, [G], over(G)) for G in perms))
-    return rows, preimage
+    perms, units = semidirect_factors(base, cap=cap)
+    over, _, preimage = _pair_parts(base, units, times=len(perms), cap=cap, what="dual pairs")
+    nb = base.size
+    high = {G: [g * nb for g in G] for G in perms}
+    pairs = [(G, F) for G in perms for F in over(G)]
+    pairs.sort(key=lambda pair: tuple(map(add, high[pair[0]], pair[1])))
+    return pairs, preimage
 
 
 def stabilizer_pairs(base: Ring, *, cap: int | None = None):
-    """The stabilizer as (rows, null_part), as dual_pairs: the packed rows
-    of its pairs (id, F), sorted, so by unit table F, and null_part(F), the
-    index vector of the preimage g of (0, F - 1), so null with [1 + g'] = F,
-    the element being x + g.  The unit tables are those of the coset 1 + H
+    """The stabilizer as (pairs, null_part), as dual_pairs: its pairs
+    (id, F), sorted, so by unit table F, and null_part(F), the index vector
+    of the preimage g of (0, F - 1), so null with [1 + g'] = F, the element
+    being x + g.  The unit tables are those of the coset 1 + H
     (_pair_parts): over F_q every one, capped at (q - 1)^q, over Z/m capped
     at |H|.
     """
     nb, add_t = base.size, base.index_op_tables()[0]
     if base.is_field:
         field_group_order(base, "stabilizer", cap=cap)
-    _, unit_coset, preimage = _pair_parts(base, times=1, cap=cap, what="stabilizer")
+    units = _unit_tables(base) if base.is_field else None
+    _, unit_coset, preimage = _pair_parts(base, units, times=1, cap=cap, what="stabilizer")
     less_one, zero = add_t[base.index(base.neg(base.one))], (base.index(base.zero),) * nb
-    units = sorted(unit_coset((base.index(base.one),) * nb))
-    return packed_rows(base, [range(nb)], units), lambda F: preimage(
-        zero, tuple(map(less_one.__getitem__, F))
-    )
+    ident = tuple(range(nb))
+    pairs = [(ident, F) for F in sorted(unit_coset((base.index(base.one),) * nb))]
+    return pairs, lambda F: preimage(zero, tuple(map(less_one.__getitem__, F)))
 
 
 def enumerate_dual_permutations(
@@ -382,10 +382,9 @@ def enumerate_dual_permutations(
 ) -> list[DualPermutation]:
     """All permutations of base[al] induced by base-coefficient polynomials,
     sorted by table, each with its witness (dual_pairs)."""
-    rows, witness = dual_pairs(base, cap=cap)
-    nb = base.size
-    return pair_elements(dual_ring(base), rows, lambda row: index_polynomial(
-        base, witness(tuple(v // nb for v in row), tuple(v % nb for v in row))))
+    pairs, witness = dual_pairs(base, cap=cap)
+    return pair_elements(dual_ring(base), pairs, [
+        index_polynomial(base, witness(G, F)) for G, F in pairs])
 
 
 def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[DualPermutation]:
@@ -396,10 +395,10 @@ def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[DualPerm
     (id, [1 + g']) and only null parts with that table unit-valued qualify.
     Sorted by unit table, each with its witness x + g (stabilizer_pairs).
     """
-    rows, null_part = stabilizer_pairs(base, cap=cap)
-    nb = base.size
-    return pair_elements(dual_ring(base), rows, lambda row: index_polynomial(
-        base, null_part([v % nb for v in row])) + Polynomial.x())
+    pairs, null_part = stabilizer_pairs(base, cap=cap)
+    x = Polynomial.x()
+    return pair_elements(dual_ring(base), pairs, [
+        index_polynomial(base, null_part(F)) + x for _, F in pairs])
 
 
 def null_polynomials(
@@ -561,10 +560,9 @@ def _product_axioms(base: Ring, perms, units) -> GroupAxiomsReport:
     that group has its order.  If it is not, (G, F)^-1 = (G^-1,
     (F o G^-1)^-1) is looked up in the factors."""
     nb, one = base.size, base.index(base.one)
-    block = _pair_blocks(base).__getitem__
     ident, ones = tuple(range(nb)), (one,) * nb
-    rows = packed_rows(base, perms, [ones]) + packed_rows(base, [ident], units)
-    group, gens = _generated([tuple(chain.from_iterable(map(block, r))) for r in rows], nb * nb)
+    pairs = [(G, ones) for G in perms] + [(ident, F) for F in units]
+    group, gens = _generated(list(pair_tables(base, pairs)), nb * nb)
     pset, uset = set(perms), set(units)
     has_identity = ident in pset and ones in uset
     closed = group.order == len(pset) * len(uset)
@@ -694,7 +692,7 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
         preimage = hermite_preimage(base)
     else:
         perms, units = semidirect_factors(base, cap=cap)
-        over, _, preimage = _pair_parts(base, times=len(perms), cap=cap, what="dual pairs")
+        over, _, preimage = _pair_parts(base, units, times=len(perms), cap=cap, what="dual pairs")
         lifts = [(G, over(G)) for G in perms]
         perm_count, unit_count = len(perms), len(units)
         order = sum(len(units) for _, units in lifts)
@@ -704,10 +702,9 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     check_cap(2 * n * n * next(k for k in count(1) if n ** k >= ambient_size), cap,
               "stabilizer chain")
     proved = not base.is_field or _hermite_basis_evaluates(base)
-    block = _pair_blocks(base).__getitem__
     group, gens, tables_ok = _Chain(n), [], True
     for G, F in candidates:
-        table = tuple(chain.from_iterable(map(block, packed_rows(base, [G], [F])[0])))
+        [table] = pair_tables(base, [(G, F)])
         if group.extend(table):
             gens.append((G, F, table))
             witness = index_polynomial(base, preimage(G, F))

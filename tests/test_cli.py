@@ -665,8 +665,7 @@ def test_field_dual_listing_matches_the_sweep(desc):
     count, items, elements = _group_items(desc, "group", True)
     assert count == len(expected)
     assert items == [
-        {"perm": list(G), "unit": list(F), "witness": format_polynomial(w)}
-        for _, (G, F), w in expected
+        {"perm": G, "unit": F, "witness": format_polynomial(w)} for _, (G, F), w in expected
     ]
     assert [e.table for e in elements()] == [t for t, _, _ in expected]
 
@@ -677,7 +676,7 @@ def test_field_stabilizer_listing_matches_the_sweep(desc):
     count, items, elements = _group_items(desc, "stabilizer", False)
     assert count == len(expected)
     assert items == [
-        {"null_part": format_polynomial(w - Polynomial.x()), "unit": list(unit)}
+        {"null_part": format_polynomial(w - Polynomial.x()), "unit": unit}
         for _, unit, w in expected
     ]
     assert [e.table for e in elements()] == [t for t, _, _ in expected]
@@ -690,8 +689,8 @@ def _count_witnesses(monkeypatch):
 
     def counting(listing):
         def wrapped(*args, **kwargs):
-            rows, witness = listing(*args, **kwargs)
-            return rows, lambda *pair: built.append(pair) or witness(*pair)
+            pairs, witness = listing(*args, **kwargs)
+            return pairs, lambda *pair: built.append(pair) or witness(*pair)
         return wrapped
 
     for name in ("dual_pairs", "stabilizer_pairs"):
@@ -711,14 +710,14 @@ def test_field_listing_builds_only_the_kept_items(capsys, monkeypatch):
             )
             assert code == 0
             assert len(built) == 5
-            assert json.loads(out)["items"] == every[:5]
+            assert json.loads(out)["items"] == json.loads(cli._json_dumps(every[:5]))
 
 
 @pytest.mark.parametrize("what", [("group", "--dual"), ("stabilizer",)])
 def test_limited_field_listing_builds_only_the_kept_witnesses(capsys, monkeypatch, what):
     # fq:5 has 122,880 dual permutations and 1,024 stabilizer elements;
     # --limit 5 sums at most two Hermite halves a kept item, not a Hermite
-    # form per factor of the whole group (the rows are still all packed and
+    # form per factor of the whole group (the pairs are still all listed and
     # sorted)
     calls = []
 
@@ -759,13 +758,13 @@ def test_export_refuses_the_table_before_building_items(capsys, monkeypatch, wha
 ])
 def test_field_table_refusal_lists_nothing(capsys, monkeypatch, what, cap, err):
     # over F_5 the orders, 120 * 4^5 and 4^5, are known before listing, so
-    # the table is refused with no Hermite form, factor or packed row built
+    # the table is refused with no Hermite form, factor or pair table built
     def no_build(*args, **kwargs):
         raise AssertionError("built")
 
     if cap:
         monkeypatch.setenv(CAP_ENV_VAR, cap)
-    for name in ("hermite_basis", "hermite_sum", "semidirect_factors", "packed_rows"):
+    for name in ("hermite_basis", "hermite_sum", "semidirect_factors", "pair_tables"):
         monkeypatch.setattr(gr, name, no_build)
     for fmt in (("--table",), ("--format", "csv")):
         assert run(capsys, "export", "--what", *what, "--ring", "fq:5", *fmt) == (
@@ -840,7 +839,7 @@ def test_verify_groups_refuses_before_building_the_product(capsys, monkeypatch):
 
     monkeypatch.setattr(gr, "semidirect_group", refuse)
     monkeypatch.setattr(gr, "pair_elements", refuse)
-    monkeypatch.setattr(gr, "packed_rows", refuse)
+    monkeypatch.setattr(gr, "pair_tables", refuse)
     monkeypatch.setattr(gr, "_Chain", refuse)
     monkeypatch.setattr(gr, "hermite_basis", refuse)
     code, out, err = run(capsys, "verify", "--suite", "groups", "--ring", "fq:23")
@@ -1558,10 +1557,10 @@ def test_verify_groups_closes_each_group_once(capsys, monkeypatch, desc, closure
     def refuse(*args, **kwargs):
         raise AssertionError("a group listed")
 
-    def elements(dual, rows, witness=None):
-        rows = list(rows)
-        assert len(rows) <= 1
-        return real_elements(dual, rows, witness)
+    def elements(dual, pairs, witnesses=None):
+        pairs = list(pairs)
+        assert len(pairs) <= 1
+        return real_elements(dual, pairs, witnesses)
 
     monkeypatch.setattr(gr, "_Chain", chain)
     monkeypatch.setattr(gr, "pair_elements", elements)

@@ -597,20 +597,21 @@ def _oracle_axioms(elements):
 
 
 def _oracle_embedding(base):
-    """The embedding report from the listing: every row of dual_pairs as an
-    element, closed by _generate, the law pair(d * s) = pair(d) * pair(s)
+    """The embedding report from the listing: every pair of dual_pairs as
+    an element, closed by _generate, the law pair(d * s) = pair(d) * pair(s)
     compared for every d and generator s on columns, membership in the
-    product on packed rows, and the product's axioms from the same closure
-    when the image is the product, else from the listed product."""
+    product on the pairs decoded from the row b = 1 of each table, and the
+    product's axioms from the same closure when the image is the product,
+    else from the listed product."""
     nb, i1 = base.size, base.index(base.one)
-    rows = groups.dual_pairs(base)[0]
+    pairs = groups.dual_pairs(base)[0]
     proved = not base.is_field or groups._hermite_basis_evaluates(base)
-    perms = groups.pair_elements(dual_ring(base), rows)
+    perms = groups.pair_elements(dual_ring(base), pairs)
     cols = list(zip(*[dp.table for dp in perms]))
-    image = set(zip(*cols[i1::nb]))
+    image = {_decoded(row, nb) for row in zip(*cols[i1::nb])}
     perm_tables, unit_tables = semidirect_pairs(base)
-    image_in_ambient = image <= set(groups.packed_rows(base, perm_tables, unit_tables))
-    stabilizer_size = sum(all(v // nb == a for a, v in enumerate(row)) for row in image)
+    image_in_ambient = image <= set(itertools.product(perm_tables, unit_tables))
+    stabilizer_size = sum(G == tuple(range(nb)) for G, _ in image)
     mul_t = base.index_op_tables()[1]
     scale = [[w - w % nb + mul_t[w % nb][f] for w in range(nb * nb)] for f in range(nb)]
     gens, closed = _generate(perms, cols)
@@ -1079,19 +1080,13 @@ def test_split_dual_sweep_matches_the_streamed_filter(desc, cap):
     base = make_ring(desc)
     nb = base.size
     dual, stabilizer = sweep_dual_listing(base, cap=cap), sweep_stabilizer_listing(base, cap=cap)
-    rows, witness = groups.dual_pairs(base, cap=cap)
-    assert [(tuple(v // nb for v in r), tuple(v % nb for v in r)) for r in rows] == [
-        pair for _, pair, _ in dual
-    ]
+    pairs, witness = groups.dual_pairs(base, cap=cap)
+    assert pairs == [pair for _, pair, _ in dual]
     poly = partial(funcspace.index_polynomial, base)
-    assert [
-        poly(witness(tuple(v // nb for v in r), tuple(v % nb for v in r))) for r in rows
-    ] == [w for _, _, w in dual]
-    rows, null_part = groups.stabilizer_pairs(base, cap=cap)
-    assert [tuple(v % nb for v in r) for r in rows] == [unit for _, unit, _ in stabilizer]
-    assert [poly(null_part(tuple(v % nb for v in r))) + X for r in rows] == [
-        w for _, _, w in stabilizer
-    ]
+    assert [poly(witness(G, F)) for G, F in pairs] == [w for _, _, w in dual]
+    pairs, null_part = groups.stabilizer_pairs(base, cap=cap)
+    assert pairs == [(tuple(range(nb)), unit) for _, unit, _ in stabilizer]
+    assert [poly(null_part(F)) + X for _, F in pairs] == [w for _, _, w in stabilizer]
 
 
 def _dual_verdicts(key, base):
@@ -1306,6 +1301,50 @@ def _oracle_table(base, G, F):
     return tuple(G[a] * nb + mul_t[F[a]][b] for a in range(nb) for b in range(nb))
 
 
+def _packed_row(nb, G, F):
+    """The packed row of the pair (G, F): entry a is G(a) * |R| + F(a), the
+    row b = 1 of the pair's dual table."""
+    return tuple(g * nb + f for g, f in zip(G, F))
+
+
+def _decoded(row, nb):
+    """The pair (G, F) of a packed row."""
+    return tuple(v // nb for v in row), tuple(v % nb for v in row)
+
+
+def _packed_listings(base):
+    """The dual and stabilizer listings as they were once held: the packed
+    rows of every dual pair and of every stabilizer pair (id, F), each
+    sorted, then decoded back into pairs."""
+    nb, one = base.size, base.index(base.one)
+    perms, units = groups.semidirect_factors(base)
+    over, unit_coset, _ = groups._pair_parts(
+        base, units, times=len(perms), cap=None, what="dual pairs")
+    dual = sorted(_packed_row(nb, G, F) for G in perms for F in over(G))
+    stabilizer = sorted(_packed_row(nb, range(nb), F) for F in unit_coset((one,) * nb))
+    return [_decoded(r, nb) for r in dual], [_decoded(r, nb) for r in stabilizer]
+
+
+@pytest.mark.parametrize(
+    "desc", ["fq:2", "fq:3", "fq:4", "fq:5", "zpn:2,2", "zpn:2,3", "zm:6", "zm:12"]
+)
+def test_listings_hand_out_the_sorted_packed_rows_decoded(desc):
+    # the pairs of dual_pairs and stabilizer_pairs are the sorted packed
+    # rows the listings once held, decoded, and pair_elements builds their
+    # tables strictly increasing (in slices, so that fq:5's 122,880 tables
+    # are never all held at once)
+    base = make_ring(desc)
+    dual = dual_ring(base)
+    listings = groups.dual_pairs(base)[0], groups.stabilizer_pairs(base)[0]
+    assert listings == _packed_listings(base)
+    for pairs in listings:
+        last = ()
+        for i in range(0, len(pairs), 4096):
+            tables = [el.table for el in groups.pair_elements(dual, pairs[i:i + 4096])]
+            assert all(map(operator.lt, [last] + tables, tables))
+            last = tables[-1]
+
+
 def sweep_dual_listing(base, *, cap=None):
     """The oracle of the dual permutation listing, from the coefficient
     sweep on every ring: (table, (G, F), witness) for each element, sorted
@@ -1348,11 +1387,9 @@ def test_dual_listing_matches_the_sweep(desc):
     base = make_ring(desc)
     nb = base.size
     expected = sweep_dual_listing(base)
-    rows, witness = groups.dual_pairs(base)
-    assert [(tuple(v // nb for v in r), tuple(v % nb for v in r)) for r in rows] == [
-        pair for _, pair, _ in expected
-    ]
-    vecs = [witness(tuple(v // nb for v in r), tuple(v % nb for v in r)) for r in rows]
+    pairs, witness = groups.dual_pairs(base)
+    assert pairs == [pair for _, pair, _ in expected]
+    vecs = [witness(G, F) for G, F in pairs]
     assert {len(v) for v in vecs} == {dual_degree_bound(base)}
     assert dual_degree_bound(base) <= 2 * nb
     assert [format_polynomial(funcspace.index_polynomial(base, v)) for v in vecs] == [
@@ -1367,9 +1404,9 @@ def test_stabilizer_listing_matches_the_sweep(desc):
     base = make_ring(desc)
     nb = base.size
     expected = sweep_stabilizer_listing(base)
-    rows, null_part = groups.stabilizer_pairs(base)
-    assert rows == [tuple(a * nb + u for a, u in enumerate(unit)) for _, unit, _ in expected]
-    vecs = [null_part(tuple(v % nb for v in r)) for r in rows]
+    pairs, null_part = groups.stabilizer_pairs(base)
+    assert pairs == [(tuple(range(nb)), unit) for _, unit, _ in expected]
+    vecs = [null_part(F) for _, F in pairs]
     assert {len(v) for v in vecs} == {dual_degree_bound(base)}
     assert [format_polynomial(funcspace.index_polynomial(base, v)) for v in vecs] == [
         format_polynomial(w - X) for _, _, w in expected
@@ -1407,17 +1444,37 @@ def test_witnesses_are_attached_by_the_enumeration_only(desc, monkeypatch):
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "fq:5", "zpn:2,2", "zm:6"])
 def test_dual_table_order_sorts_by_the_table(desc):
-    # packed rows sort as their tables do, on fields and residue rings alike
+    # pair_tables builds each pair's table, and packed rows, dual_pairs' sort
+    # key, sort as the tables do, on fields and residue rings alike
     base = make_ring(desc)
     perms, units = groups.semidirect_factors(base)
     if len(perms) * len(units) > 5000:  # a seeded sample of the factors
         rng = random.Random(3)
         perms, units = rng.sample(perms, 6), rng.sample(units, 40)
-    rows = groups.packed_rows(base, perms, units)
-    tables = [_oracle_table(base, G, F) for G, F in itertools.product(perms, units)]
+    pairs = list(itertools.product(perms, units))
+    tables = [_oracle_table(base, G, F) for G, F in pairs]
+    assert list(groups.pair_tables(base, pairs)) == tables
+    rows = [_packed_row(base.size, G, F) for G, F in pairs]
     # each row is the row b = 1 of its table
     assert rows == [t[base.index(base.one)::base.size] for t in tables]
     assert sorted(rows) == [rows[k] for k in sorted(range(len(rows)), key=tables.__getitem__)]
+
+
+@pytest.mark.parametrize("desc", ["fq:3", "fq:4"])
+def test_field_listings_list_each_factor_once(desc, monkeypatch):
+    # dual_pairs lists the q! permutations and the (q - 1)^q unit tables
+    # once each, and stabilizer_pairs lists the unit tables alone
+    calls = []
+    real_perms, real_units = groups.permutations, groups._unit_tables
+    monkeypatch.setattr(groups, "permutations",
+                        lambda *args: calls.append("perms") or real_perms(*args))
+    monkeypatch.setattr(groups, "_unit_tables",
+                        lambda ring: calls.append("units") or real_units(ring))
+    groups.dual_pairs(make_ring(desc))
+    assert calls == ["perms", "units"]
+    calls.clear()
+    groups.stabilizer_pairs(make_ring(desc))
+    assert calls == ["units"]
 
 
 def test_field_product_is_capped_before_the_sweep(monkeypatch):
@@ -1682,7 +1739,7 @@ def test_pair_forms_make_a_group_isomorphic_to_the_twisted_product(desc):
     units = [i for i in range(nb) if base.unit_index_mask()[i]]
     perms = list(itertools.permutations(range(nb)))
     maps = list(itertools.product(units, repeat=nb))
-    els = groups.pair_elements(dual_ring(base), groups.packed_rows(base, perms, maps))
+    els = groups.pair_elements(dual_ring(base), itertools.product(perms, maps))
     pairs = [el.base_pair() for el in els]
     assert pairs == [(G, F) for G in perms for F in maps]
     assert len({el.table for el in els}) == len(els) == {"fq:2": 2, "fq:3": 48}.get(desc, 384)
@@ -1751,11 +1808,11 @@ def test_chain_order_matches_the_closure(desc):
     # 3, 5 and 8 seeded random dual permutations: the chain extended by each
     # in turn has the order of the group their closure lists, and every
     # table of that closure sifts through it
-    rows = groups.dual_pairs(make_ring(desc))[0]
+    pairs = groups.dual_pairs(make_ring(desc))[0]
     dual = dual_ring(make_ring(desc))
     rng = random.Random(desc)
     for k in (3, 5, 8):
-        tables = [el.table for el in groups.pair_elements(dual, rng.sample(rows, k))]
+        tables = [el.table for el in groups.pair_elements(dual, rng.sample(pairs, k))]
         chain = groups._Chain(dual.size)
         for t in tables:
             chain.extend(t)
@@ -1795,15 +1852,12 @@ def test_module_witnesses_reduce_each_permutation_once(desc, monkeypatch):
         return real(rows, head, m, x, start, stop)
 
     monkeypatch.setattr(groups, "least_member", spy)
-    rows, witness = groups.dual_pairs(base)
-    vecs = [witness(tuple(v // nb for v in r), tuple(v % nb for v in r)) for r in rows]
+    pairs, witness = groups.dual_pairs(base)
+    vecs = [witness(G, F) for G, F in pairs]
     monkeypatch.undo()
     reduced = [G for G, stop in heads if stop == nb]
     assert len(reduced) == len(set(reduced)) == len(groups.semidirect_factors(base)[0])
-    assert vecs == [
-        real(module, [v // nb for v in row] + [v % nb for v in row], nb)[2 * nb:][::-1]
-        for row in rows
-    ]
+    assert vecs == [real(module, [*G, *F], nb)[2 * nb:][::-1] for G, F in pairs]
 
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "zm:6"])
