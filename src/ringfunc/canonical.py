@@ -10,7 +10,6 @@ leading mod-p unit table is refined layer by layer through the powers of p.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .funcspace import _zpn, induce
@@ -154,21 +153,39 @@ def _check_digit_terms(p: int, n: int, groups) -> None:
             prev = (j, i)
 
 
-@dataclass(frozen=True)
 class CanonicalForm:
     """Reduced falling-factorial form mod p^n.
 
     terms lists (i, j, a) for a * p^i * (x)_j with digit a in [1, p), one term
     per basis slot, sorted by (j, i), zero digits omitted.  The constraint
-    i + v_p(j!) < n keeps every term nonzero as a function.
+    i + v_p(j!) < n keeps every term nonzero as a function.  Immutable; equal
+    to a form of the same class with the same fields, and hashed by them.
     """
 
-    p: int
-    n: int
-    terms: tuple[tuple[int, int, int], ...]
+    __slots__ = ("p", "n", "terms")
 
-    def __post_init__(self):
-        _check_digit_terms(self.p, self.n, [(range(self.n), self.terms)])
+    def __init__(self, p: int, n: int, terms: tuple[tuple[int, int, int], ...]):
+        _check_digit_terms(p, n, [(range(n), terms)])
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CanonicalForm is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CanonicalForm is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.n, self.terms) == (other.p, other.n, other.terms)
+
+    def __hash__(self):
+        return hash((self.p, self.n, self.terms))
+
+    def __repr__(self):
+        return f"CanonicalForm(p={self.p!r}, n={self.n!r}, terms={self.terms!r})"
 
     def to_polynomial(self) -> Polynomial:
         return _falling_combination(self.p, self.n, self.terms)
@@ -283,27 +300,50 @@ def leading_representative(p: int, s: int) -> Polynomial:
     return _falling_combination(p, 1, terms)
 
 
-@dataclass(frozen=True)
 class UnitValuedCanonicalForm:
     """Layered normal form of a unit-valued polynomial function mod p^n.
 
     s ranks the induced unit table mod p; layer k = 2 .. n holds the digit
     terms with i + v_p(j!) = k - 1, which adjust the function mod p^k without
-    disturbing it mod p^{k-1}.
+    disturbing it mod p^{k-1}.  Immutable, compared and hashed as
+    CanonicalForm.
     """
 
-    p: int
-    n: int
-    s: int
-    layers: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
+    __slots__ = ("p", "n", "s", "layers")
 
-    def __post_init__(self):
-        p, n = self.p, self.n
-        if tuple(k for k, _ in self.layers) != tuple(range(2, n + 1)):
+    def __init__(
+        self, p: int, n: int, s: int,
+        layers: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...],
+    ):
+        if tuple(k for k, _ in layers) != tuple(range(2, n + 1)):
             raise ValueError("layers must cover k = 2 .. n in order")
-        _check_digit_terms(p, n, [(range(k - 1, k), terms) for k, terms in self.layers])
-        if not 1 <= self.s <= (p - 1) ** p:
-            raise ValueError(f"leading index {self.s} out of range")
+        _check_digit_terms(p, n, [(range(k - 1, k), terms) for k, terms in layers])
+        if not 1 <= s <= (p - 1) ** p:
+            raise ValueError(f"leading index {s} out of range")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "layers", layers)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("UnitValuedCanonicalForm is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("UnitValuedCanonicalForm is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.n, self.s, self.layers) == (other.p, other.n, other.s, other.layers)
+
+    def __hash__(self):
+        return hash((self.p, self.n, self.s, self.layers))
+
+    def __repr__(self):
+        return (
+            f"UnitValuedCanonicalForm(p={self.p!r}, n={self.n!r}, s={self.s!r}, "
+            f"layers={self.layers!r})"
+        )
 
     def to_polynomial(self) -> Polynomial:
         lead = leading_representative(self.p, self.s).coeffs

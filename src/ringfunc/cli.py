@@ -12,8 +12,6 @@ verification suite finds a failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import random
 import sys
@@ -292,11 +290,16 @@ def _multiplication_table(els) -> list[list[int]]:
 
 
 def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """The rows as CSV lines, fields joined by commas, unquoted: they are
+    ints, fixed headers and polynomial text.  A field holding a comma, a
+    quote or a line break would need quoting, so it raises instead."""
+    lines = []
     for row in rows:
-        writer.writerow(row)
-    return buf.getvalue().rstrip("\n")
+        line = ",".join(map(str, row))
+        if line.count(",") != len(row) - 1 or '"' in line or "\n" in line or "\r" in line:
+            raise ValueError(f"CSV field needs quoting: {line!r}")
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def cmd_export(args) -> int:

@@ -10,7 +10,7 @@ cross-checked against straight Horner evaluation in the dual ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poly import Polynomial
 from .rings import DEFAULT_RING_SIZE_CAP, Ring, SizeCapError
@@ -82,8 +82,7 @@ def dual_ring(base: Ring, *, size_cap: int | None = None) -> DualRing:
     return DualRing(base, size_cap=size_cap)
 
 
-@dataclass(frozen=True)
-class DualPolynomial:
+class DualPolynomial(NamedTuple):
     """g = g1 + g2*al with base-ring coefficient polynomials g1, g2."""
 
     g1: Polynomial

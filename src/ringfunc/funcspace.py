@@ -58,9 +58,6 @@ class FunctionTable:
     def one(cls, ring: Ring) -> "FunctionTable":
         return cls.constant(ring, ring.one)
 
-    def value_at(self, x):
-        return self.values[self.ring.index(x)]
-
     def is_zero(self) -> bool:
         return all(v == self.ring.zero for v in self.values)
 
@@ -92,15 +89,6 @@ class FunctionTable:
         self._require_same_ring(inner)
         index = self.ring.index
         return FunctionTable(self.ring, (self.values[index(v)] for v in inner.values))
-
-    def inverse_permutation(self) -> "FunctionTable":
-        if not self.is_bijection():
-            raise ValueError("table is not a bijection")
-        ring = self.ring
-        out = [None] * ring.size
-        for i, v in enumerate(self.values):
-            out[ring.index(v)] = ring.elements[i]
-        return FunctionTable(ring, out)
 
     def __eq__(self, other):
         if not isinstance(other, FunctionTable):

@@ -41,11 +41,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, chain, count, permutations, product, repeat
 from math import factorial, gcd, prod
 from operator import add, getitem, itemgetter
+from typing import NamedTuple
 
 from .dual import DualRing, dual_ring
 from .funcspace import (
@@ -92,21 +92,6 @@ class DualPermutation:
     @classmethod
     def identity(cls, dual: DualRing) -> "DualPermutation":
         return cls._make(dual, tuple(range(dual.size)), Polynomial.x())
-
-    @classmethod
-    def from_pair(cls, dual: DualRing, G, F) -> "DualPermutation":
-        """The element of the base pair (G, F), both index tables over the
-        base: G must be a bijection and F unit-valued."""
-        base = dual.base
-        G, F = tuple(G), tuple(F)
-        if len(G) != base.size or len(F) != base.size:
-            raise ValueError("tables must cover the whole ring")
-        if set(G) != set(range(base.size)):
-            raise ValueError("first component is not a permutation")
-        mask = base.unit_index_mask()
-        if not all(mask[i] for i in F):
-            raise ValueError("second component is not unit-valued")
-        return pair_elements(dual, [(G, F)])[0]
 
     def __mul__(self, other: "DualPermutation") -> "DualPermutation":
         if self.dual is not other.dual and self.dual != other.dual:
@@ -342,20 +327,54 @@ def dual_pairs(base: Ring, *, cap: int | None = None):
     module, |P(R)| |H| pairs capped as "dual pairs".
 
     The pairs sort by their packed rows, entry a = G(a) * |R| + F(a), the
-    row b = 1 of the table.  On a base whose element index 0 is zero and
-    index 1 is one, as on every ring here, that is the order of the tables:
-    the entries (a, 0) and (a, 1) of a table are G(a) * |R| and
-    G(a) * |R| + F(a), and the rest of the block of a follows from them.
+    row b = 1 of the table, so by G(0), F(0), G(1), F(1), ...  On a base
+    whose element index 0 is zero and index 1 is one, as on every ring
+    here, that is the order of the tables: the entries (a, 0) and (a, 1) of
+    a table are G(a) * |R| and G(a) * |R| + F(a), and the rest of the block
+    of a follows from them.  Over a field the pairs are listed in that
+    order (_interleaved); over Z/m they are sorted.
     """
     if base.is_field:
         field_group_order(base, "group", cap=cap)
     perms, units = semidirect_factors(base, cap=cap)
     over, _, preimage = _pair_parts(base, units, times=len(perms), cap=cap, what="dual pairs")
+    if base.is_field:
+        return _interleaved(perms, units), preimage
     nb = base.size
     high = {G: [g * nb for g in G] for G in perms}
     pairs = [(G, F) for G in perms for F in over(G)]
     pairs.sort(key=lambda pair: tuple(map(add, high[pair[0]], pair[1])))
     return pairs, preimage
+
+
+def _interleaved(perms: list, units: list) -> list:
+    """Every pair (G, F) of the two sorted lists of index tables, in the
+    order of G(0), F(0), G(1), F(1), ..., with no sort key.  The pairs
+    whose G and F agree with a run of each on entries below a are that
+    run's product, split by G(a), then by F(a); once one run holds a single
+    table, the other's order is the pairs' order."""
+    out = []
+
+    def runs(rows, lo, hi, a):
+        key = itemgetter(a)
+        while lo < hi:
+            end = bisect_right(rows, key(rows[lo]), lo, hi, key=key)
+            yield lo, end
+            lo = end
+
+    def walk(g0, g1, f0, f1, a):
+        if g1 - g0 == 1:
+            out.extend(zip(repeat(perms[g0]), units[f0:f1]))
+        elif f1 - f0 == 1:
+            out.extend(zip(perms[g0:g1], repeat(units[f0])))
+        else:
+            f_runs = list(runs(units, f0, f1, a))
+            for ga, gb in runs(perms, g0, g1, a):
+                for fa, fb in f_runs:
+                    walk(ga, gb, fa, fb, a + 1)
+
+    walk(0, len(perms), 0, len(units), 0)
+    return out
 
 
 def stabilizer_pairs(base: Ring, *, cap: int | None = None):
@@ -494,8 +513,7 @@ def _generated(tables, n: int) -> tuple[_Chain, list]:
     return group, [t for _, t in _walk([((), tables)]) if group.extend(t)]
 
 
-@dataclass(frozen=True)
-class GroupAxiomsReport:
+class GroupAxiomsReport(NamedTuple):
     size: int
     closed: bool
     has_identity: bool
@@ -575,8 +593,7 @@ def _product_axioms(base: Ring, perms, units) -> GroupAxiomsReport:
     return _axioms_report(len(perms) * len(units), closed, has_identity, inverses_ok, gens)
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     base: str
     dual_perm_count: int
     image_size: int

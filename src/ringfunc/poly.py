@@ -242,16 +242,7 @@ class Polynomial:
             acc = acc * k + c
         return acc
 
-    # -- serialization ------------------------------------------------
-
-    def coefficient_list(self) -> list:
-        """JSON form: dense coefficient array, lowest degree first.
-
-        Ring-tagged coefficients are rendered as canonical element indices.
-        """
-        if self.ring is None:
-            return list(self.coeffs)
-        return [self.ring.index(c) for c in self.coeffs]
+    # -- reduction ----------------------------------------------------
 
     def reduced_mod(self, m: int) -> "Polynomial":
         """Coefficients reduced into [0, m-1]; integer polynomials only."""

@@ -288,9 +288,6 @@ class PrimePowerRing(ModularRing):
         self.p = p
         self.n = n
 
-    def maximal_ideal(self) -> tuple:
-        return tuple(x for x in self.elements if x % self.p == 0)
-
 
 def _pp_normalize(coeffs: list[int], p: int) -> tuple[int, ...]:
     out = [c % p for c in coeffs]

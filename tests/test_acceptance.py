@@ -19,6 +19,7 @@ from ringfunc.funcspace import FunctionTable, induce
 from ringfunc.groups import DualPermutation
 from ringfunc.poly import Polynomial, X
 from ringfunc.rings import make_ring
+from test_groups import from_pair
 
 
 def criterion(num: int, label: str):
@@ -300,8 +301,8 @@ def _semidirect_properties(ring):
     unit_els = [el for el in group if el.base_pair()[0] == id_perm]
     for el in group:
         G, F = el.base_pair()
-        perm_part = DualPermutation.from_pair(dual, G, one_unit)
-        unit_part = DualPermutation.from_pair(dual, id_perm, F)
+        perm_part = from_pair(dual, G, one_unit)
+        unit_part = from_pair(dual, id_perm, F)
         assert perm_part * unit_part == el
     for el in group:
         inv = el.inverse()

@@ -28,7 +28,7 @@ from ringfunc.canonical import (
 )
 from ringfunc import canonical
 from ringfunc.funcspace import FunctionTable, induce, induced_tables, lagrange, unit_valued_tables
-from ringfunc.poly import Polynomial, X
+from ringfunc.poly import Polynomial, X, parse
 from ringfunc.rings import PrimePowerRing, SizeCapError, make_ring
 
 
@@ -371,6 +371,61 @@ def test_layered_form_validation():
 def test_layered_form_json_shape():
     form = canonicalize_unit_valued(Polynomial.constant(3), 2, 2)
     assert form.to_json_dict() == {"p": 2, "n": 2, "s": 1, "layers": {"2": [[1, 0, 1]]}}
+
+
+@pytest.mark.parametrize("cls, args, message", [
+    (CanonicalForm, (4, 2, ()), "4 is not prime"),
+    (CanonicalForm, (2, 0, ()), "need n >= 1"),
+    (CanonicalForm, (3, 2, ((-1, 6, 1),)), "bad exponents (-1, 6)"),
+    (CanonicalForm, (2, 2, ((0, 1, 2),)), "digit 2 out of range for p = 2"),
+    (CanonicalForm, (2, 2, ((1, 2, 1),)), "term (1, 2) is out of place mod 2^2"),
+    (CanonicalForm, (2, 2, ((0, 2, 1), (0, 1, 1))), "terms must be strictly sorted by (j, i)"),
+    (UnitValuedCanonicalForm, (2, 2, 1, ()), "layers must cover k = 2 .. n in order"),
+    (UnitValuedCanonicalForm, (2, 2, 0, ((2, ()),)), "leading index 0 out of range"),
+    (UnitValuedCanonicalForm, (2, 2, 1, ((2, ((0, 0, 1),)),)),
+     "term (0, 0) is out of place mod 2^2"),
+    (UnitValuedCanonicalForm, (4, 2, 1, ((2, ()),)), "4 is not prime"),
+    (UnitValuedCanonicalForm, (2, 2, 1, ((2, ((1, 0, 0),)),)), "digit 0 out of range for p = 2"),
+])
+def test_form_validation_messages_are_pinned(cls, args, message):
+    with pytest.raises(ValueError) as info:
+        cls(*args)
+    assert str(info.value) == message
+
+
+def test_form_reprs_are_pinned():
+    assert repr(canonicalize(parse("x^4 + 3*x + 1"), 2, 3)) == (
+        "CanonicalForm(p=2, n=3, terms=((0, 0, 1), (2, 1, 1), (0, 2, 1), (1, 2, 1), (1, 3, 1)))")
+    assert repr(canonicalize_unit_valued(parse("x^2 + x + 1"), 2, 3)) == (
+        "UnitValuedCanonicalForm(p=2, n=3, s=1, layers=((2, ((1, 1, 1), (0, 2, 1))), (3, ())))")
+
+
+def test_forms_compare_and_hash_by_type_and_fields():
+    form = canonicalize(X**2, 2, 2)
+    same = CanonicalForm(2, 2, ((0, 1, 1), (0, 2, 1)))
+    assert form == same and hash(form) == hash(same)
+    assert form != CanonicalForm(2, 2, ((0, 1, 1),))
+    assert form != (form.p, form.n, form.terms)
+    assert len({form, same, CanonicalForm(2, 2, ())}) == 2
+    layered = UnitValuedCanonicalForm(2, 2, 1, ((2, ()),))
+    assert layered == UnitValuedCanonicalForm(2, 2, 1, ((2, ()),))
+    assert layered != UnitValuedCanonicalForm(2, 2, 1, ((2, ((1, 0, 1),)),))
+    assert layered != (2, 2, 1, ((2, ()),))
+    # a form over the same p and n with no terms is still not the layered one
+    assert CanonicalForm(2, 2, ()) != UnitValuedCanonicalForm(2, 2, 1, ((2, ()),))
+
+
+@pytest.mark.parametrize("form", [
+    CanonicalForm(2, 2, ((0, 1, 1),)), UnitValuedCanonicalForm(2, 2, 1, ((2, ()),)),
+], ids=["canonical", "layered"])
+def test_forms_are_immutable(form):
+    with pytest.raises(AttributeError):
+        form.p = 3
+    with pytest.raises(AttributeError):
+        form.extra = 1
+    with pytest.raises(AttributeError):
+        del form.n
+    assert form.p == 2 and form.n == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Command line surface: verbs, output shapes, exit codes."""
 
-import dataclasses
+import csv
 import hashlib
+import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 from functools import lru_cache
 from math import factorial, gcd
@@ -469,6 +472,19 @@ def test_export_unit_valued_forms_csv(capsys):
     )
     assert code == 0
     assert out == "index,s,polynomial\n0,1,1\n"
+
+
+def test_csv_text_is_what_the_csv_module_writes():
+    rows = [("index", "s", "polynomial"), (0, 1, "2*x^3 + x + 1"), (1, 5, "0"), ("", 7, 8)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert cli._csv_text(rows) == buf.getvalue().rstrip("\n")
+
+
+@pytest.mark.parametrize("field", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+def test_csv_text_refuses_a_field_that_needs_quoting(field):
+    with pytest.raises(ValueError, match="needs quoting"):
+        cli._csv_text([("index", "polynomial"), (0, field)])
 
 
 # ---------------------------------------------------------------------------
@@ -1519,7 +1535,7 @@ def test_verify_groups_fails_an_inconsistent_embedding(capsys, monkeypatch, ring
     real = cli.gr.verify_embedding
     monkeypatch.setattr(
         cli.gr, "verify_embedding",
-        lambda base, cap: dataclasses.replace(real(base, cap=cap), **changes),
+        lambda base, cap: real(base, cap=cap)._replace(**changes),
     )
     code, out, _ = run(capsys, "verify", "--suite", "groups", "--ring", ring)
     assert code == 4
@@ -1700,3 +1716,26 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, "enumerate", "--what", "stabilizer", "--ring", "zpn:2,2")
     second = run(capsys, "enumerate", "--what", "stabilizer", "--ring", "zpn:2,2")
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_importing_the_cli_loads_no_heavy_stdlib_module():
+    # dataclasses brings inspect, ast, dis and tokenize, and csv is not
+    # needed for fields that never need quoting.  Only the modules that
+    # importing the CLI adds to a bare interpreter's count, so a module that
+    # a site .pth file loads first does not.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = (
+        "import sys; before = set(sys.modules); import ringfunc.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = set(out.split())
+    assert "ringfunc.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}

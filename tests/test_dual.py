@@ -1,6 +1,5 @@
 """Dual-number extension: arithmetic, evaluation shortcuts, serialization."""
 
-import dataclasses
 import random
 
 import pytest
@@ -99,9 +98,16 @@ def test_dual_size_cap():
 
 def test_dual_polynomial_is_frozen():
     g = DualPolynomial(X, Polynomial.zero())
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         g.g1 = X**2
     assert g == DualPolynomial(X, Polynomial.zero())
+
+
+def test_dual_polynomial_repr_and_named_tuple_helpers_are_pinned():
+    g = DualPolynomial(X, parse("2*x + 1"))
+    assert repr(g) == "DualPolynomial(g1=Polynomial('x'), g2=Polynomial('2*x + 1'))"
+    assert g._replace(g2=Polynomial.zero()) == DualPolynomial(X, Polynomial.zero())
+    assert g._asdict() == {"g1": X, "g2": parse("2*x + 1")}
 
 
 def test_shortcut_evaluation_examples():

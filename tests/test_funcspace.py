@@ -32,7 +32,7 @@ from ringfunc.funcspace import (
 )
 from ringfunc.poly import Polynomial, X, parse
 from ringfunc.rings import SizeCapError, make_ring
-from test_groups import derivative_stages
+from test_groups import derivative_stages, inverse_permutation
 
 
 def _random_poly(rng, degree_bound, modulus):
@@ -52,7 +52,7 @@ def test_table_constructors_and_value_access():
     assert FunctionTable.constant(z4, 3).values == (3, 3, 3, 3)
     assert FunctionTable.zero(z4).is_zero()
     assert FunctionTable.one(z4).values == (1, 1, 1, 1)
-    assert ident.value_at(2) == 2
+    assert ident.values[z4.index(2)] == 2
     with pytest.raises(ValueError):
         FunctionTable(z4, (0, 1))
     with pytest.raises(AttributeError):
@@ -78,12 +78,12 @@ def test_compose_and_inverse_permutation():
     z4 = make_ring("zpn:2,2")
     g = induce(parse("x + 2x^2"), z4)  # (0, 3, 2, 1)
     assert g.is_bijection()
-    inv = g.inverse_permutation()
+    inv = inverse_permutation(g)
     assert g.compose(inv) == FunctionTable.identity(z4)
     assert inv.compose(g) == FunctionTable.identity(z4)
     assert g.compose(g).values == (0, 1, 2, 3)
     with pytest.raises(ValueError):
-        FunctionTable.constant(z4, 1).inverse_permutation()
+        inverse_permutation(FunctionTable.constant(z4, 1))
 
 
 def test_invert_unit_table():

@@ -388,7 +388,7 @@ def test_coefficient_access():
     assert f.coefficient(1) == 0
     assert f.coefficient(2) == 3
     assert f.coefficient(9) == 0
-    assert f.coefficient_list() == [1, 0, 3]
+    assert f.coeffs == (1, 0, 3)
 
 
 def test_equality_and_hash():
