@@ -5,16 +5,24 @@ combination of the scaled falling factorials p^i * (x)_j.  This module builds
 that basis, canonicalizes polynomials against it, counts the function spaces
 in closed form, and extends the normal form to the unit-valued case, where a
 leading mod-p unit table is refined layer by layer through the powers of p.
+
+A form's digits are read off the function's table on Z_{p^n} by Newton
+forward differences (_table_digits), so a polynomial is evaluated once and
+never expanded over the falling factorials; falling_factorial_coefficients,
+the exact expansion by synthetic division, is kept as the tests' oracle.
+Combinations of falling factorials are summed as packed coefficient rows
+(rings.pack), one big-integer multiply-add per term.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 
 from .funcspace import _zpn, induce
 from .poly import Polynomial, X
-from .rings import check_cap, is_prime
+from .rings import check_cap, is_prime, pack, slot_bytes, unpack
 
 
 def vp_factorial(p: int, j: int) -> int:
@@ -52,19 +60,31 @@ def falling_factorial(j: int) -> Polynomial:
     return falling_factorial(j - 1) * (X - (j - 1))
 
 
+_FALLING_ROWS: dict[tuple[int, int, int], list[int]] = {}
+
+
+def _falling_rows(p: int, n: int, nb: int, count: int) -> list[int]:
+    """The coefficients of (x)_j mod p^n, packed at nb bytes a slot, for
+    j < count or more; cached per (p, n, nb) and extended on demand."""
+    rows, m = _FALLING_ROWS.setdefault((p, n, nb), []), p**n
+    while len(rows) < count:
+        rows.append(pack([c % m for c in falling_factorial(len(rows)).coeffs], nb))
+    return rows
+
+
 def _falling_combination(p: int, n: int, terms, start=()) -> Polynomial:
     """start + sum of a * p^i * (x)_j over the (i, j, a) terms, reduced mod
-    p^n: coefficient lists are added and one Polynomial is built."""
-    acc = list(start)
-    for i, j, a in terms:
-        c = a * p**i
-        ff = falling_factorial(j).coeffs
-        if len(acc) < len(ff):
-            acc.extend([0] * (len(ff) - len(acc)))
-        for k, e in enumerate(ff):
-            acc[k] += c * e
-    m = p**n
-    return Polynomial([c % m for c in acc])
+    p^n: the packed rows of (x)_j are scaled and added, each slot summing
+    at most len(terms) products below m^2, start is added to the unpacked
+    sums, and one Polynomial is built."""
+    m, terms = p**n, list(terms)
+    nb = slot_bytes(len(terms) * (m - 1) ** 2)
+    top = max(map(itemgetter(1), terms), default=-1) + 1
+    rows = _falling_rows(p, n, nb, top)
+    sums = unpack(sum([a * p**i % m * rows[j] for i, j, a in terms]), top, nb)
+    if start:
+        sums = [c + s for c, s in itertools.zip_longest(sums, start, fillvalue=0)]
+    return Polynomial([c % m for c in sums])
 
 
 def kernel_basis(p: int, n: int) -> list[tuple[int, int]]:
@@ -117,6 +137,8 @@ def falling_factorial_coefficients(f: Polynomial, count: int) -> list[int]:
 
     Synthetic division peels them off one at a time: f = b_0 + (x - 0) * q_0,
     then q_0 = b_1 + (x - 1) * q_1, and so on.  Exact integer arithmetic.
+    The forms read their digits off the table instead (_table_digits); this
+    expansion is the oracle they are tested against.
     """
     if f.ring is not None:
         raise ValueError("expected integer coefficients")
@@ -194,12 +216,8 @@ class CanonicalForm:
         return {"p": self.p, "n": self.n, "terms": [list(t) for t in self.terms]}
 
 
-def _digit_terms(p: int, n: int, j: int, residual: int) -> list[tuple[int, int, int]]:
-    """Base-p digits of the residual coefficient of (x)_j, as (i, j, a) terms."""
-    v = vp_factorial(p, j)
-    if v >= n:
-        return []
-    c = residual % p ** (n - v)
+def _digit_terms(p: int, j: int, c: int) -> list[tuple[int, int, int]]:
+    """Base-p digits of the reduced coefficient c of (x)_j, as (i, j, a) terms."""
     out = []
     i = 0
     while c:
@@ -210,24 +228,51 @@ def _digit_terms(p: int, n: int, j: int, residual: int) -> list[tuple[int, int, 
     return out
 
 
-def _falling_digits(f: Polynomial, p: int, n: int) -> tuple[tuple[int, int, int], ...]:
-    """Digit terms of [f] mod p^n, sorted by (j, i), unchecked: f is expanded
-    over falling factorials, the coefficient of (x)_j is reduced mod
-    p^{n - v_p(j!)}, and the survivors are split into base-p digits."""
-    b = falling_factorial_coefficients(f, beta(p, n))
-    return tuple(t for j, coeff in enumerate(b) for t in _digit_terms(p, n, j, coeff))
+@lru_cache(maxsize=None)
+def _newton_scales(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """(p^v, w, p^(n - v)) for each j < beta(p, n), v = v_p(j!) and w the
+    inverse of j! / p^v mod p^(n - v)."""
+    out, unit, m = [], 1, p**n
+    for j in range(beta(p, n)):
+        k = j or 1
+        while k % p == 0:
+            k //= p
+        unit = unit * k % m
+        v = vp_factorial(p, j)
+        out.append((p**v, pow(unit, -1, p ** (n - v)), p ** (n - v)))
+    return tuple(out)
+
+
+def _table_digits(values, p: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """Digit terms, sorted by (j, i) and unchecked, of [f] mod p^n for an
+    integer polynomial f of degree below len(values) whose values at
+    0, 1, 2, ... are values mod p^n; at most beta(p, n) of them are read.
+
+    If f = sum_j b_j (x)_j, Newton's forward-difference formula gives
+    Delta^j f(0) = j! b_j, and b_j = 0 from j = len(values) on.  With
+    v = v_p(j!) < n, the difference mod p^n is divisible by p^v, and b_j mod
+    p^(n - v), the coefficient the form keeps, is that quotient times the
+    inverse of j! / p^v; it is split into base-p digits."""
+    m = p**n
+    diffs = list(values[:beta(p, n)])
+    out = []
+    for j, (pv, w, radix) in zip(range(len(diffs)), _newton_scales(p, n)):
+        out += _digit_terms(p, j, diffs[0] % m // pv * w % radix)
+        diffs = list(map(int.__sub__, diffs[1:], diffs))
+    return tuple(out)
 
 
 def canonicalize(f: Polynomial, p: int, n: int) -> CanonicalForm:
-    """Canonical form of the function [f] mod p^n: its digit terms, re-induced
-    and compared against f on all of Z_{p^n}; a mismatch raises rather than
-    returning a wrong form.
+    """Canonical form of the function [f] mod p^n: its digit terms, read off
+    the table of f on Z_{p^n}, re-induced and compared against that table;
+    a mismatch raises rather than returning a wrong form.
     """
     if f.ring is not None:
         raise ValueError("expected integer coefficients")
-    form = CanonicalForm(p, n, _falling_digits(f, p, n))
     ring = _zpn(p, n)
-    if induce(form.to_polynomial(), ring) != induce(f, ring):
+    table = induce(f, ring)
+    form = CanonicalForm(p, n, _table_digits(table.values[:len(f.coeffs)], p, n))
+    if induce(form.to_polynomial(), ring) != table:
         raise RuntimeError("canonical form failed re-induction check")
     return form
 
@@ -237,7 +282,7 @@ def enumerate_canonical_forms(p: int, n: int, cap: int | None = None):
     check_cap(count_polynomial_functions(p, n), cap, "canonical form enumeration")
     radices = [p ** (n - vp_factorial(p, j)) for j in range(beta(p, n))]
     for digits in itertools.product(*map(range, radices)):
-        terms = [t for j, c in enumerate(digits) for t in _digit_terms(p, n, j, c)]
+        terms = [t for j, c in enumerate(digits) for t in _digit_terms(p, j, c)]
         yield CanonicalForm(p, n, tuple(terms))
 
 
@@ -376,10 +421,12 @@ def canonicalize_unit_valued(f: Polynomial, p: int, n: int) -> UnitValuedCanonic
     p^(n - v_p(j!)); the layers below k have removed exactly the digits
     below position k - 1 - v_p(j!), and removing a digit whose lower digits
     are zero borrows nothing, so the digit left at that position is the one
-    the single form has.  The deficit is expanded once, unchecked: the one
-    re-induction of the whole form against the table of f covers it, as the
-    form's polynomial is h plus the deficit's terms mod p^n, so
-    [h + terms] = [f] exactly when [terms] = [f - h].
+    the single form has.  The deficit's digits are read once, unchecked, off
+    its table [f] - [h] on the first beta(p, n) points, or fewer when f - h
+    has lower degree (_table_digits): the one re-induction of the whole form
+    against the table of f covers them, as the form's polynomial is h plus
+    the deficit's terms mod p^n, so [h + terms] = [f] exactly when
+    [terms] = [f - h].
     """
     if f.ring is not None:
         raise ValueError("expected integer coefficients")
@@ -389,8 +436,10 @@ def canonicalize_unit_valued(f: Polynomial, p: int, n: int) -> UnitValuedCanonic
         raise ValueError(f"polynomial is not unit-valued mod {p}^{n}")
     s = uv_table_index([v % p for v in table.values[:p]], p)
     h = leading_representative(p, s)
+    count = min(beta(p, n), max(len(f.coeffs), len(h.coeffs)))
+    deficit = map(int.__sub__, table.values[:count], ring.horner(h.coeffs, range(count)))
     layers = [[] for _ in range(n - 1)]
-    for i, j, a in _falling_digits(f - h, p, n):
+    for i, j, a in _table_digits(list(deficit), p, n):
         depth = i + vp_factorial(p, j)
         if depth == 0:
             raise RuntimeError("deficit was not null mod p")

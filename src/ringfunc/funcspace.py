@@ -65,8 +65,7 @@ class FunctionTable:
         return len(set(self.values)) == self.ring.size
 
     def is_unit_valued(self) -> bool:
-        ring = self.ring
-        return all(ring.is_unit(v) for v in self.values)
+        return all(map(self.ring.unit_index_mask().__getitem__, map(self.ring.index, self.values)))
 
     def _require_same_ring(self, other: "FunctionTable"):
         if self.ring != other.ring:
@@ -114,8 +113,10 @@ def render_value(ring: Ring, v) -> object:
 
 
 def induce(f: Polynomial, ring: Ring) -> FunctionTable:
-    """The table of [f] on the ring, by Horner evaluation at every element."""
-    return FunctionTable(ring, ring.horner(f._coeffs_for(ring), ring.elements))
+    """The table of [f] on the ring, by Ring.evaluate_everywhere: on a
+    residue ring one multiply-add of packed power rows per coefficient, and
+    elsewhere Horner at every element."""
+    return FunctionTable(ring, ring.evaluate_everywhere(f._coeffs_for(ring)))
 
 
 def is_null(f: Polynomial, ring: Ring) -> bool:

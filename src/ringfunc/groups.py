@@ -244,21 +244,22 @@ def pair_table_sweep(
         )
 
 
-def hermite_preimage(base: Ring):
+def hermite_preimage(base: Ring, basis=None):
     """The function (G, F) -> the index vector, 2q coefficients, constant
     term first, of the only g of degree < 2q over F_q with [g] = G and
     [g'] = F, G and F index tuples: A_G + B_F, A_G = sum_a G(a) H_a and
-    B_F = sum_a F(a) K_a (hermite_basis, built on the first call).  A_G plus
-    B_F below the point h = q // 2 is kept for G and F there, and B_F from h
-    on for F there, so the items of a listing share them: the stabilizer's
-    (q - 1)^q null parts have at most 2 (q - 1)^(q - h)."""
+    B_F = sum_a F(a) K_a (the given basis, or hermite_basis built on the
+    first call).  A_G plus B_F below the point h = q // 2 is kept for G and
+    F there, and B_F from h on for F there, so the items of a listing share
+    them: the stabilizer's (q - 1)^q null parts have at most
+    2 (q - 1)^(q - h)."""
     add_t, h = base.index_op_tables()[0], base.size // 2
-    basis = lru_cache(maxsize=None)(partial(hermite_basis, base))
+    built = lru_cache(maxsize=None)(lambda: basis or hermite_basis(base))
 
     @lru_cache(maxsize=None)
     def part(i, table, a=0):
         # the sum of table(k) times basis i (H, then K) at the points k from a
-        return hermite_sum(base, basis()[i][a:a + len(table)], table)
+        return hermite_sum(base, built()[i][a:a + len(table)], table)
 
     low = lru_cache(maxsize=None)(  # as the rows of add_t at its coefficients
         lambda G, F: [add_t[add_t[u][v]] for u, v in zip(part(0, G), part(1, F))])
@@ -624,13 +625,14 @@ class EmbeddingReport(NamedTuple):
         return (self.surjective or not self.over_field) and self.surjective == full
 
 
-def _hermite_basis_evaluates(base: Ring) -> bool:
-    """Whether [H_a] = [K_a'] = e_a and [H_a'] = [K_a] = 0 for every a, by Horner on
-    the coefficients and the formal derivative: the rows ([v], [v']) of H_0 .. H_q-1,
-    K_0 .. K_q-1 make the identity, so f -> ([f], [f']) is onto every pair."""
+def _hermite_basis_evaluates(base: Ring, basis) -> bool:
+    """Whether [H_a] = [K_a'] = e_a and [H_a'] = [K_a] = 0 for every a of the
+    basis (H, K), by Horner on the coefficients and the formal derivative: the
+    rows ([v], [v']) of H_0 .. H_q-1, K_0 .. K_q-1 make the identity, so
+    f -> ([f], [f']) is onto every pair."""
     els, n = base.elements, 2 * base.size
     scales = [base.from_int(k) for k in range(1, n)]
-    H, K = hermite_basis(base)
+    H, K = basis
     return [
         base.horner(c, els) + base.horner(list(map(base.mul, scales, c[1:])), els)
         for c in ([els[i] for i in vec] for vec in H + K)
@@ -706,7 +708,6 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
         perm_count, unit_count = factorial(nb), (nb - 1) ** nb
         order, stabilizer_size = perm_count * unit_count, unit_count
         image_mode, candidates = f"basis:{2 * nb}", _field_generators(base)
-        preimage = hermite_preimage(base)
     else:
         perms, units = semidirect_factors(base, cap=cap)
         over, _, preimage = _pair_parts(base, units, times=len(perms), cap=cap, what="dual pairs")
@@ -718,7 +719,11 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     ambient_size = perm_count * unit_count
     check_cap(2 * n * n * next(k for k in count(1) if n ** k >= ambient_size), cap,
               "stabilizer chain")
-    proved = not base.is_field or _hermite_basis_evaluates(base)
+    proved = True
+    if base.is_field:
+        # one basis for the witnesses and the proof that the image is onto
+        basis = hermite_basis(base)
+        preimage, proved = hermite_preimage(base, basis), _hermite_basis_evaluates(base, basis)
     group, gens, tables_ok = _Chain(n), [], True
     for G, F in candidates:
         [table] = pair_tables(base, [(G, F)])

@@ -10,11 +10,14 @@ elements are coefficient vectors of length m over [0, p-1], dual elements
 are pairs.  Enumeration order is fixed and documented per kind because value
 tables, serializations and test vectors all index into it.
 
-Polynomials are evaluated by Ring.horner.  Residue rings do plain integer
-Horner with one reduction per step.  Extension fields add, multiply,
-negate, invert and evaluate on Zech-log tables of O(q) entries, built on
-first use; the convolution product of coefficient vectors reduced by the
-modulus is the definition they are built from and the tests' oracle.
+Polynomials are evaluated at given points by Ring.horner, and at every
+element by Ring.evaluate_everywhere, which is Horner at each element unless
+a kind has a faster way.  Residue rings do plain integer Horner with one
+reduction per step; on all of Z/m they make one big-integer multiply-add per
+coefficient on packed power rows (pack, unpack).  Extension fields add,
+multiply, negate, invert and evaluate on Zech-log tables of O(q) entries,
+built on first use; the convolution product of coefficient vectors reduced
+by the modulus is the definition they are built from and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from functools import cached_property
 
 from .poly import Polynomial
@@ -90,6 +94,37 @@ def prime_power_decomposition(m: int) -> tuple[int, int] | None:
     return None
 
 
+# memoryview.cast formats of the slot widths read in one pass
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+# a residue ring evaluates a table of fewer multiply-adds than this (size
+# times coefficient count) by Horner, which is quicker there in CPython, and
+# by Horner too when its power rows would pass ROW_CACHE_BYTES
+PACKED_FROM = 48
+ROW_CACHE_BYTES = 1 << 24
+
+
+def slot_bytes(bound: int) -> int:
+    """Bytes in a slot that holds every integer from 0 to bound: 1, 2, 4 or
+    8, which unpack reads in one pass, or more, which it reads slot by slot."""
+    bits = bound.bit_length()
+    return 1 if bits <= 8 else 2 if bits <= 16 else 4 if bits <= 32 else max(8, -(-bits // 8))
+
+
+def pack(values, nb: int) -> int:
+    """The integer sum_r values[r] * 2^(8 nb r); each value in [0, 2^(8 nb))."""
+    return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]), "little")
+
+
+def unpack(total: int, count: int, nb: int):
+    """The first count nb-byte slots of the nonnegative total, lowest first:
+    the inverse of pack when no slot carried into the next."""
+    raw = total.to_bytes(count * nb, "little")
+    if nb in _SLOT_FORMATS and sys.byteorder == "little":
+        return memoryview(raw).cast(_SLOT_FORMATS[nb])
+    return [int.from_bytes(raw[k:k + nb], "little") for k in range(0, len(raw), nb)]
+
+
 class Ring:
     """Base class: a finite commutative ring with enumerated elements.
 
@@ -131,6 +166,11 @@ class Ring:
                 acc = add(mul(acc, r), c)
             out.append(acc)
         return out
+
+    def evaluate_everywhere(self, coeffs) -> list:
+        """The values of sum_k coeffs[k] x^k at every element, in enumeration
+        order: Horner at each element, unless the ring has a faster way."""
+        return self.horner(coeffs, self.elements)
 
     def from_int(self, k: int):
         """The canonical image of the integer k."""
@@ -250,6 +290,32 @@ class ModularRing(Ring):
                 acc = (acc * r + c) % m
             out.append(acc)
         return out
+
+    def evaluate_everywhere(self, coeffs) -> list:
+        # sum_k (c_k mod m) P_k, P_k holding r^k mod m in slot r: a slot sums
+        # to at most len(coeffs) (m - 1)^2, so it never carries into the next
+        m, count = self.m, len(coeffs)
+        if m * count < PACKED_FROM:
+            return self.horner(coeffs, self.elements)
+        nb = slot_bytes(count * (m - 1) ** 2)
+        rows = self._tables.get(("rows", nb))
+        if rows is None or len(rows) < count:
+            if count * m * nb > ROW_CACHE_BYTES:
+                return self.horner(coeffs, self.elements)
+            rows = self._power_rows(nb, count)
+        total = sum([c % m * row for c, row in zip(coeffs, rows)])
+        return [v % m for v in unpack(total, m, nb)]
+
+    def _power_rows(self, nb: int, count: int) -> list[int]:
+        """P_0 .. P_(count-1) at nb bytes a slot, P_k = pack of r^k mod m
+        over r in Z/m; cached per width, extended as power_index_table is."""
+        m = self.m
+        rows = self._tables.setdefault(("rows", nb), [])
+        powers = [pow(r, len(rows), m) for r in range(m)]
+        while len(rows) < count:
+            rows.append(pack(powers, nb))
+            powers = [x * r % m for r, x in enumerate(powers)]
+        return rows
 
     def from_int(self, k: int):
         return k % self.m

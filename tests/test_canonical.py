@@ -112,6 +112,42 @@ def test_falling_factorial_basis_expansion_round_trips():
         assert g == f
 
 
+def _expansion_digits(f, p, n):
+    """The digit terms of [f] mod p^n from the exact expansion over falling
+    factorials: b_j read mod p^(n - v_p(j!)) and split into base-p digits."""
+    terms = []
+    for j, b in enumerate(falling_factorial_coefficients(f, beta(p, n))):
+        c = b % p ** (n - vp_factorial(p, j))
+        i = 0
+        while c:
+            c, a = divmod(c, p)
+            if a:
+                terms.append((i, j, a))
+            i += 1
+    return tuple(terms)
+
+
+_MODULI_TO_128 = [(p, n) for p in range(2, 128) if all(p % d for d in range(2, p))
+                  for n in range(1, 8) if p**n <= 128]
+
+
+@pytest.mark.parametrize("p,n", _MODULI_TO_128, ids=lambda v: str(v))
+def test_table_digits_match_the_falling_factorial_expansion(p, n):
+    # every modulus p^n <= 128; the full table, and only its first
+    # len(f.coeffs) values, which is all canonicalize reads
+    ring = PrimePowerRing(p, n)
+    m = p**n
+    rng = random.Random(97 * p + n)
+    for _ in range(25):
+        degree = rng.choice([rng.randrange(4), rng.randrange(beta(p, n) + 3)])
+        f = Polynomial([rng.randrange(-3 * m, 3 * m) for _ in range(degree)])
+        values = induce(f, ring).values
+        expected = _expansion_digits(f, p, n)
+        assert canonical._table_digits(values, p, n) == expected
+        assert canonical._table_digits(values[:len(f.coeffs)], p, n) == expected
+        assert canonicalize(f, p, n).terms == expected
+
+
 def test_basis_expansion_rejects_ring_tagged_input():
     f4 = make_ring("fq:4")
     f = Polynomial((f4.one,), ring=f4)
@@ -497,7 +533,7 @@ def test_layered_form_matches_the_per_level_oracle_on_seeded_inputs(p, n):
         assert canonicalize_unit_valued(f, p, n) == _per_level_form(f, p, n)
 
 
-@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (2, 5)])
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (2, 5), (7, 2), (3, 3)])
 def test_to_polynomial_matches_polynomial_arithmetic(p, n):
     # seeded digits in every slot of the form and of each layer
     rng = random.Random(p + n)
@@ -518,6 +554,19 @@ def test_to_polynomial_matches_polynomial_arithmetic(p, n):
         uv = UnitValuedCanonicalForm(p, n, rng.randrange(1, (p - 1) ** p + 1), layers)
         terms = [t for _, layer in layers for t in layer]
         assert uv.to_polynomial() == _falling_sum(p, n, terms, _lagrange_leading(p, uv.s))
+
+
+@pytest.mark.parametrize("p,n", [(2, 40), (3, 25)])
+def test_to_polynomial_past_eight_byte_slots(p, n):
+    # (p^n - 1)^2 needs more than 8 bytes, so the packed rows are read back
+    # slot by slot; no ring of that size is built
+    rng = random.Random(p * n)
+    slots = [(i, j) for j in range(beta(p, n)) for i in range(n - vp_factorial(p, j))]
+    for _ in range(20):
+        terms = sorted(((i, j, rng.randrange(1, p)) for i, j in rng.sample(slots, 12)),
+                       key=lambda t: (t[1], t[0]))
+        form = CanonicalForm(p, n, tuple(terms))
+        assert form.to_polynomial() == _falling_sum(p, n, terms)
 
 
 def test_layered_form_refuses_a_deficit_with_a_depth_zero_term(monkeypatch):
@@ -574,7 +623,9 @@ def test_a_wrong_deficit_digit_is_refused(monkeypatch, slot, match):
     # a depth-0 digit is caught as it is placed; a wrong digit at any depth-1
     # slot mod 9 changes the function, which only the re-induction of the
     # whole form can see
-    real = canonical._falling_digits
-    monkeypatch.setattr(canonical, "_falling_digits", lambda f, p, n: _flip(real(f, p, n), p, slot))
+    real = canonical._table_digits
+    monkeypatch.setattr(
+        canonical, "_table_digits", lambda values, p, n: _flip(real(values, p, n), p, slot)
+    )
     with pytest.raises(RuntimeError, match=match):
         canonicalize_unit_valued(X**4 + 2 * X + 5, 3, 2)

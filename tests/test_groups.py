@@ -630,7 +630,8 @@ def _oracle_embedding(base):
     else from the listed product."""
     nb, i1 = base.size, base.index(base.one)
     pairs = groups.dual_pairs(base)[0]
-    proved = not base.is_field or groups._hermite_basis_evaluates(base)
+    proved = not base.is_field or groups._hermite_basis_evaluates(
+        base, groups.hermite_basis(base))
     perms = groups.pair_elements(dual_ring(base), pairs)
     cols = list(zip(*[dp.table for dp in perms]))
     image = {_decoded(row, nb) for row in zip(*cols[i1::nb])}
@@ -1731,6 +1732,16 @@ def test_embedding_report_fails_a_corrupted_hermite_basis(monkeypatch):
     assert not rep.surjective and not rep.factorization_ok
     assert not rep.passed
     assert not rep.image_consistent
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4"])
+def test_embedding_over_a_field_builds_the_hermite_basis_once(monkeypatch, desc):
+    # the witnesses and the proof that the image is onto share one basis
+    built = []
+    real = groups.hermite_basis
+    monkeypatch.setattr(groups, "hermite_basis", lambda ring: built.append(ring) or real(ring))
+    assert verify_embedding(make_ring(desc)).passed
+    assert len(built) == 1
 
 
 def test_embedding_report_over_the_four_element_ring():

@@ -2,8 +2,11 @@
 
 import itertools
 import random
+from functools import lru_cache
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringfunc import rings
 from ringfunc.rings import (
@@ -450,3 +453,88 @@ def test_field_horner_matches_a_convolution_horner(desc):
             expected.append(acc)
         assert field.horner(coeffs, field.elements) == expected
         assert field.horner(coeffs, field.elements[::-1]) == expected[::-1]
+
+
+# -- evaluation on every element, packed ------------------------------------
+
+_PACKED_DESCRIPTORS = (
+    [f"zm:{m}" for m in range(2, 131)]
+    + ["zpn:2,5", "zpn:2,7", "zpn:3,4", "zpn:5,3", "zpn:7,2", "zpn:11,2"]
+    + [f"fq:{p}" for p in (2, 3, 5, 7, 31, 127)]
+)
+
+
+@lru_cache(maxsize=None)
+def _packed_ring(desc):
+    # one ring per descriptor, so later examples extend its cached power rows
+    return make_ring(desc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(_PACKED_DESCRIPTORS),
+    st.lists(
+        st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80), st.integers(0, 300)),
+        max_size=40,
+    ),
+)
+def test_packed_values_match_horner_at_every_element(desc, coeffs):
+    # empty, constant, negative and very large coefficients; the cut-off is
+    # lowered so that even the smallest tables go through the packed rows
+    ring = _packed_ring(desc)
+    expected = ring.horner(coeffs, ring.elements)
+    assert ring.evaluate_everywhere(coeffs) == expected
+    with mock.patch.object(rings, "PACKED_FROM", 0):
+        assert ring.evaluate_everywhere(coeffs) == expected
+
+
+def _width_steps():
+    # (m, count) with count coefficients in one slot width and count + 1 in
+    # the next: 1 -> 2 bytes, 2 -> 4 and, on the largest ring, 4 -> 8
+    for m in (2, 3, 4, 16, 17, 49, 130):
+        for k in (1, 2):
+            count = ((1 << 8 * k) - 1) // (m - 1) ** 2
+            if 1 <= count <= 2000:
+                yield m, count
+    yield 65536, 1
+
+
+@pytest.mark.parametrize("m,count", list(_width_steps()))
+def test_packed_values_match_horner_across_each_slot_width_step(m, count):
+    ring = ModularRing(m)
+    low, high = (rings.slot_bytes(k * (m - 1) ** 2) for k in (count, count + 1))
+    assert low < high
+    rng = random.Random(m * 7919 + count)
+    for length in (count, count + 1):
+        coeffs = [m - 1] * length if m > 1000 else [
+            rng.choice((m - 1, -1, rng.randrange(-(m**3), m**3))) for _ in range(length)
+        ]
+        with mock.patch.object(rings, "PACKED_FROM", 0):
+            assert ring.evaluate_everywhere(coeffs) == ring.horner(coeffs, ring.elements)
+
+
+def test_power_rows_past_the_cache_budget_fall_back_to_horner():
+    ring = ModularRing(97)
+    coeffs = list(range(-20, 20))
+    with mock.patch.object(rings, "ROW_CACHE_BYTES", 100):
+        assert ring.evaluate_everywhere(coeffs) == ring.horner(coeffs, ring.elements)
+    assert not any(key[0] == "rows" for key in ring._tables if isinstance(key, tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 8, 9, 16]), st.data())
+def test_unpack_inverts_pack_at_every_slot_width(nb, data):
+    values = data.draw(st.lists(st.integers(0, (1 << 8 * nb) - 1), max_size=30))
+    extra = data.draw(st.integers(0, 3))
+    assert list(rings.unpack(rings.pack(values, nb), len(values) + extra, nb)) == (
+        values + [0] * extra
+    )
+
+
+def test_slot_bytes_takes_the_smallest_width_that_holds_the_bound():
+    for bound in [0, 1, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**72]:
+        nb = rings.slot_bytes(bound)
+        assert bound < 1 << 8 * nb
+        assert nb in (1, 2, 4, 8) or nb == -(-bound.bit_length() // 8) > 8
+        smaller = [k for k in (1, 2, 4, 8) if k < nb]
+        assert all(bound >= 1 << 8 * k for k in smaller)
