@@ -16,7 +16,10 @@ import json
 import random
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from functools import lru_cache, reduce
+from itertools import islice, product
+from json.encoder import encode_basestring_ascii as quote
 from operator import or_
 
 from . import canonical as canon
@@ -50,11 +53,8 @@ def _json_dumps(obj) -> str:
 
 def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        fh.write(text + "\n")
 
 
 def _cap(args) -> int | None:
@@ -219,18 +219,19 @@ def cmd_canonical(args) -> int:
 
 
 def _group_elements(args, cap, table=False):
-    """Resolve --what group/stabilizer into (base, count, items, elements):
-    items(keep) builds the item dicts of the positions the slice keep
-    selects, all by default, so a command formats the items it keeps only,
-    and elements() builds the listed group elements in listed order, which
-    only a product table needs; over a field, with table, its cap first.
+    """Resolve --what group/stabilizer into (doc, texts, elements): doc holds
+    the document's count, ring, what and, for group, dual; texts(keep)
+    yields the JSON text of the items at the positions the slice keep
+    selects (a prefix, all by default), building each pair and witness as
+    it is read; elements() builds the listed group elements in order, which
+    only a product table needs.  Over a field, with table, its cap first.
 
-    Each listing is of (G, F) pairs of index tables.  The semidirect
-    product's come from its two factors, permutation-major, and only the
-    kept ones are built.  The dual permutations and the stabilizer are the
-    pairs of gr.dual_pairs and gr.stabilizer_pairs, with a witness or a
-    null part each, rendered from its coefficient index vector of at most
-    2|R| terms (index_formatter).
+    Each listing is of (G, F) pairs of index tables: the semidirect
+    product's from its factors, permutation-major, the others from
+    gr.dual_pairs and gr.stabilizer_pairs, with a witness or null part
+    each, rendered from its coefficient index vector (index_formatter) and
+    quoted as json quotes it.  An index table's JSON is the str of its
+    list, made once for each distinct table where tables repeat.
     """
     base = _base_of(_ring(args))
     nb = base.size
@@ -238,49 +239,62 @@ def _group_elements(args, cap, table=False):
         check_cap(gr.field_group_order(base, args.what, cap=cap) ** 2, cap, "multiplication table")
     if args.what == "group" and not args.dual:
         perms, units = gr.semidirect_pairs(base, cap=cap)
-        nu, count = len(units), len(perms) * len(units)
-
-        def kept(keep):
-            return [(perms[k // nu], units[k % nu]) for k in range(count)[keep]]
+        count, pairs = len(perms) * len(units), lambda: product(perms, units)
     else:
         listing = gr.stabilizer_pairs if args.what == "stabilizer" else gr.dual_pairs
-        pairs, witness = listing(base, cap=cap)
-        count, kept = len(pairs), pairs.__getitem__
+        listed, witness = listing(base, cap=cap)
+        count, pairs = len(listed), listed.__iter__
+    doc = {"count": count, "ring": base.descriptor, "what": args.what}
+    if args.what == "group":
+        doc["dual"] = bool(args.dual)
 
-    def items(keep=slice(None)):
-        # each item holds its pair's own tuples, which JSON prints as lists
+    def texts(keep=slice(None)):
+        kept = islice(pairs(), len(range(count)[keep]))
         text = index_formatter(nb, 2 * nb)
-        if args.what == "stabilizer":
-            return [{"null_part": text(witness(F)), "unit": F} for _, F in kept(keep)]
+        if args.what == "stabilizer":  # no unit table repeats
+            return (f'{{"null_part": {quote(text(witness(F)))}, "unit": {list(F)}}}'
+                    for _, F in kept)
+        rendered = lru_cache(maxsize=None)(lambda t: str(list(t)))
         if args.dual:
-            return [{"perm": G, "unit": F, "witness": text(witness(G, F))} for G, F in kept(keep)]
-        return [{"perm": G, "unit": F} for G, F in kept(keep)]
+            return (f'{{"perm": {rendered(G)}, "unit": {rendered(F)}, '
+                    f'"witness": {quote(text(witness(G, F)))}}}' for G, F in kept)
+        return (f'{{"perm": {rendered(G)}, "unit": {rendered(F)}}}' for G, F in kept)
 
-    return base, count, items, lambda: gr.pair_elements(dual_ring(base), kept(slice(None)))
+    return doc, texts, lambda: gr.pair_elements(dual_ring(base), pairs())
+
+
+def _write_listing(args, doc: dict, key: str, texts) -> None:
+    """Write doc with the item texts listed under key, the bytes
+    _json_dumps gives for it with the items parsed, to stdout or --out:
+    the text before the list, the items joined by ", " in chunks of 4096,
+    then the rest, so that no whole document is held."""
+    head, tail = _json_dumps({**doc, key: []}).split(f'"{key}": []')
+    chunks = iter(lambda: ", ".join(islice(texts, 4096)), "")  # no item text is empty
+    out = getattr(args, "out", None)
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        fh.write(f'{head}"{key}": [{next(chunks, "")}')
+        fh.writelines(", " + chunk for chunk in chunks)
+        fh.write(f"]{tail}\n")
 
 
 def cmd_enumerate(args) -> int:
+    """List --what's items, the first --limit of them; a group or stabilizer
+    listing is written item by item as it is made (_write_listing)."""
     cap = _cap(args)
     what = args.what
     keep = slice(args.limit)
     if what in ("group", "stabilizer"):
-        base, count, items, _ = _group_elements(args, cap)
-        items = items(keep)
-        doc = {"count": count, "ring": base.descriptor, "what": what}
-        if what == "group":
-            doc["dual"] = bool(args.dual)
-    elif what == "kernel":
-        p, n = _pn(args)
-        polys = list(canon.enumerate_kernel(p, n, cap=cap))
-        items = [{"poly": format_polynomial(g)} for g in polys[keep]]
-        doc = {"count": len(polys), "n": n, "p": p, "what": what}
+        doc, texts, _ = _group_elements(args, cap)
+        _write_listing(args, doc, "items", texts(keep))
+        return 0
+    p, n = _pn(args)
+    if what == "kernel":
+        found = list(canon.enumerate_kernel(p, n, cap=cap))
+        items = [{"poly": format_polynomial(g)} for g in found[keep]]
     else:  # uvpf-forms
-        p, n = _pn(args)
-        forms = list(canon.enumerate_unit_valued_forms(p, n, cap=cap))
-        items = [f.to_json_dict() for f in forms[keep]]
-        doc = {"count": len(forms), "n": n, "p": p, "what": what}
-    doc["items"] = items
-    _emit(args, _json_dumps(doc))
+        found = list(canon.enumerate_unit_valued_forms(p, n, cap=cap))
+        items = [f.to_json_dict() for f in found[keep]]
+    _emit(args, _json_dumps({"count": len(found), "items": items, "n": n, "p": p, "what": what}))
     return 0
 
 
@@ -303,11 +317,15 @@ def _csv_text(rows) -> str:
 
 
 def cmd_export(args) -> int:
+    """Export --what as CSV or JSON; a group or stabilizer document in JSON
+    is written item by item as it is made (_write_listing), its table, if
+    asked, after the items."""
     cap = _cap(args)
     what = args.what
     if what in ("group", "stabilizer"):
         table = args.format == "csv" or args.table
-        base, count, items, elements = _group_elements(args, cap, table)
+        doc, texts, elements = _group_elements(args, cap, table)
+        count = doc["count"]
         if table:
             check_cap(count**2, cap, "multiplication table")
             table = _multiplication_table(elements())
@@ -316,12 +334,9 @@ def cmd_export(args) -> int:
             rows += [[i] + row for i, row in enumerate(table)]
             _emit(args, _csv_text(rows))
             return 0
-        doc = {"count": count, "elements": items(), "ring": base.descriptor, "what": what}
-        if what == "group":
-            doc["dual"] = bool(args.dual)
         if args.table:
             doc["table"] = table
-        _emit(args, _json_dumps(doc))
+        _write_listing(args, doc, "elements", texts())
         return 0
     p, n = _pn(args)
     if what == "kernel":
@@ -332,9 +347,7 @@ def cmd_export(args) -> int:
     else:  # uvpf-forms
         forms = list(canon.enumerate_unit_valued_forms(p, n, cap=cap))
         rows = [("index", "s", "polynomial")]
-        rows += [
-            (i, f.s, format_polynomial(f.to_polynomial())) for i, f in enumerate(forms)
-        ]
+        rows += [(i, f.s, format_polynomial(f.to_polynomial())) for i, f in enumerate(forms)]
         items = [f.to_json_dict() for f in forms]
     doc = {"count": len(items), "items": items, "n": n, "p": p, "what": what}
     _emit(args, _csv_text(rows) if args.format == "csv" else _json_dumps(doc))

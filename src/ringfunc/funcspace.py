@@ -65,7 +65,7 @@ class FunctionTable:
         return len(set(self.values)) == self.ring.size
 
     def is_unit_valued(self) -> bool:
-        return all(map(self.ring.unit_index_mask().__getitem__, map(self.ring.index, self.values)))
+        return self.ring.unit_set.issuperset(self.values)
 
     def _require_same_ring(self, other: "FunctionTable"):
         if self.ring != other.ring:
@@ -516,9 +516,6 @@ def unit_valued_tables(
     ring: Ring, degree_bound: int | None = None, cap: int | None = None
 ) -> frozenset:
     """Distinct unit-valued tables induced by polynomials of degree < D."""
-    unit_set = frozenset(ring.units())
     return frozenset(
-        t
-        for t in induced_tables(ring, degree_bound, cap=cap)
-        if all(v in unit_set for v in t)
+        t for t in induced_tables(ring, degree_bound, cap=cap) if ring.unit_set.issuperset(t)
     )

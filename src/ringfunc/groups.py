@@ -25,8 +25,9 @@ Three sets of elements come out of this module:
 
 dual_pairs and stabilizer_pairs list the last two as (G, F) pairs in the
 order of their tables, with the witness (a coefficient index vector) of a
-pair on request, by one path on every ring (_pair_parts): over a field from
-the factors and the Hermite form, over Z/m from the pair module.
+pair on request: over a field from the factors and the Hermite form, each
+pair decoded from its position (Listing), over Z/m from the pair module
+(_pair_parts).
 
 verify_embedding lists no group, and verify_group_axioms sifts the pool it
 is given: both build a Schreier-Sims chain (_Chain).  The embedding is
@@ -40,9 +41,9 @@ group iff its chain has its size.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
+from collections.abc import Sequence
 from functools import lru_cache, partial
-from itertools import accumulate, chain, count, permutations, product, repeat
+from itertools import accumulate, chain, compress, count, permutations, product, repeat
 from math import factorial, gcd, prod
 from operator import add, getitem, itemgetter
 from typing import NamedTuple
@@ -266,25 +267,20 @@ def hermite_preimage(base: Ring, basis=None):
     return lambda G, F: list(map(getitem, low(G, F[:h]), part(1, F[h:], h)))
 
 
-def _pair_parts(base: Ring, units, *, times: int, cap: int | None, what: str):
-    """The dual pairs as (over, unit_coset, preimage): unit_coset(F), the
-    unit-valued tables of F + H, H the [g'] of the null g; over(G), those F
-    with (G, F) a pair, or none; and preimage(G, F), the index vector of the
-    least f of degree < D with ([f], [f']) = (G, F), the first a coefficient
-    sweep reaches.  Over F_q, H is every table, so both give units, every
-    unit table as the caller listed it under its caps (field_group_order),
-    and f is the Hermite form (hermite_preimage).  Over Z/m, where units is
-    not read, they come from the pair module
+def _pair_parts(base: Ring, *, times: int, cap: int | None, what: str):
+    """The dual pairs over Z/m as (over, unit_coset, preimage): unit_coset(F),
+    the unit-valued tables of F + H, H the [g'] of the null g; over(G),
+    those F with (G, F) a pair, or none; and preimage(G, F), the index
+    vector of the least f of degree < D with ([f], [f']) = (G, F), the first
+    a coefficient sweep reaches.  They come from the pair module
     (pair_module): over(G) is unit_coset of the least F, and f is the
     coefficient part of the member beginning with the pair, reduced from
     x^(D-1) down (least_member), the reduction by the rows of G kept for
     each G.  Each h in H is sum c_j row_j, rows m .. 2m-1, for one choice of
     c_j in range(m // pivot_j) (the Howell property), so times |H| is capped
-    as what before H is built.
+    as what before H is built.  (Over F_q, H is every table, and f is the
+    Hermite form, hermite_preimage.)
     """
-    if base.is_field:
-        every_unit_table = defaultdict(lambda: units).__getitem__
-        return every_unit_table, every_unit_table, hermite_preimage(base)
     module, nb = pair_module(base), base.size
     check_cap(times * prod(nb // module[j][j] for j in range(nb, 2 * nb)), cap, what)
     add_t, mask = base.index_op_tables()[0], base.unit_index_mask()
@@ -320,7 +316,8 @@ def _pair_parts(base: Ring, units, *, times: int, cap: int | None, what: str):
 def dual_pairs(base: Ring, *, cap: int | None = None):
     """The dual permutations as (pairs, witness): their pairs (G, F) in
     table order, and witness(G, F), the coefficient index vector of a
-    polynomial inducing the element of the pair (_pair_parts).
+    polynomial inducing the element of the pair (hermite_preimage over a
+    field, _pair_parts over Z/m).
 
     Each G of P(R) lifts to the pairs (G, F) with F unit-valued.  Over a
     field F_q that is every pair of P(F_q) x F(F_q)^x (the field theorem),
@@ -332,15 +329,15 @@ def dual_pairs(base: Ring, *, cap: int | None = None):
     whose element index 0 is zero and index 1 is one, as on every ring
     here, that is the order of the tables: the entries (a, 0) and (a, 1) of
     a table are G(a) * |R| and G(a) * |R| + F(a), and the rest of the block
-    of a follows from them.  Over a field the pairs are listed in that
-    order (_interleaved); over Z/m they are sorted.
+    of a follows from them.  Over a field the pairs are a Listing, each
+    decoded in that order from its position (_field_pairs); over Z/m they
+    are a sorted list.
     """
     if base.is_field:
         field_group_order(base, "group", cap=cap)
-    perms, units = semidirect_factors(base, cap=cap)
-    over, _, preimage = _pair_parts(base, units, times=len(perms), cap=cap, what="dual pairs")
-    if base.is_field:
-        return _interleaved(perms, units), preimage
+        return _field_pairs(base.size, *semidirect_factors(base, cap=cap)), hermite_preimage(base)
+    perms, _ = semidirect_factors(base, cap=cap)
+    over, _, preimage = _pair_parts(base, times=len(perms), cap=cap, what="dual pairs")
     nb = base.size
     high = {G: [g * nb for g in G] for G in perms}
     pairs = [(G, F) for G in perms for F in over(G)]
@@ -348,52 +345,75 @@ def dual_pairs(base: Ring, *, cap: int | None = None):
     return pairs, preimage
 
 
-def _interleaved(perms: list, units: list) -> list:
-    """Every pair (G, F) of the two sorted lists of index tables, in the
-    order of G(0), F(0), G(1), F(1), ..., with no sort key.  The pairs
-    whose G and F agree with a run of each on entries below a are that
-    run's product, split by G(a), then by F(a); once one run holds a single
-    table, the other's order is the pairs' order."""
-    out = []
+class Listing(Sequence):
+    """A listing of count pairs, each built when it is read: at(k) decodes
+    the k-th from k, and walk() yields them all in order."""
 
-    def runs(rows, lo, hi, a):
-        key = itemgetter(a)
-        while lo < hi:
-            end = bisect_right(rows, key(rows[lo]), lo, hi, key=key)
-            yield lo, end
-            lo = end
+    def __init__(self, count: int, at, walk):
+        self._count, self._at, self._walk = count, at, walk
 
-    def walk(g0, g1, f0, f1, a):
-        if g1 - g0 == 1:
-            out.extend(zip(repeat(perms[g0]), units[f0:f1]))
-        elif f1 - f0 == 1:
-            out.extend(zip(perms[g0:g1], repeat(units[f0])))
-        else:
-            f_runs = list(runs(units, f0, f1, a))
-            for ga, gb in runs(perms, g0, g1, a):
-                for fa, fb in f_runs:
-                    walk(ga, gb, fa, fb, a + 1)
+    def __len__(self):
+        return self._count
 
-    walk(0, len(perms), 0, len(units), 0)
-    return out
+    def __getitem__(self, k):
+        ks = range(self._count)[k]
+        return list(map(self._at, ks)) if isinstance(k, slice) else self._at(ks)
+
+    def __iter__(self):
+        return self._walk()
+
+
+def _field_pairs(q: int, perms: list, units: list) -> Listing:
+    """Every pair (G, F) of the two sorted factors over F_q, in the order of
+    G(0), F(0), G(1), F(1), ...  That order is mixed radix: the entries
+    (G(a), F(a)) are digits (d, e) of radix (q - a)(q - 1), d the rank of
+    G(a) among the values G has not taken yet, e that of F(a) among the
+    units, and after a digit at a there are (q - a - 1)! (q - 1)^(q - a - 1)
+    completions.  The digit adds d (q - a - 1)! to the position of G in
+    perms (its Lehmer code) and e (q - 1)^(q - a - 1) to that of F in
+    units, so the k-th pair decodes from k; the walk adds the offsets of
+    the last three entries, listed once, to those of each prefix."""
+    steps = [[(d * factorial(q - 1 - a), e * (q - 1) ** (q - 1 - a))
+              for d in range(q - a) for e in range(q - 1)] for a in range(q)]
+    ends = [prod(map(len, steps[a + 1:])) for a in range(q)]
+
+    def ranks(digits):
+        g, f = map(sum, zip((0, 0), *digits))
+        return g, f
+
+    def at(k):
+        g, f = ranks(step[k // end % len(step)] for step, end in zip(steps, ends))
+        return perms[g], units[f]
+
+    def walk():
+        tail = [ranks(digits) for digits in product(*steps[-3:])]
+        for g, f in map(ranks, product(*steps[:-3])):
+            yield from ((perms[g + x], units[f + y]) for x, y in tail)
+
+    return Listing(len(perms) * len(units), at, walk)
 
 
 def stabilizer_pairs(base: Ring, *, cap: int | None = None):
     """The stabilizer as (pairs, null_part), as dual_pairs: its pairs
     (id, F), sorted, so by unit table F, and null_part(F), the index vector
     of the preimage g of (0, F - 1), so null with [1 + g'] = F, the element
-    being x + g.  The unit tables are those of the coset 1 + H
-    (_pair_parts): over F_q every one, capped at (q - 1)^q, over Z/m capped
-    at |H|.
+    being x + g.  The unit tables are those of the coset 1 + H: over F_q
+    every one, capped at (q - 1)^q, the k-th being k written in base q - 1
+    in the units, each decoded when read (Listing); over Z/m capped at |H|
+    (_pair_parts).
     """
     nb, add_t = base.size, base.index_op_tables()[0]
-    if base.is_field:
-        field_group_order(base, "stabilizer", cap=cap)
-    units = _unit_tables(base) if base.is_field else None
-    _, unit_coset, preimage = _pair_parts(base, units, times=1, cap=cap, what="stabilizer")
     less_one, zero = add_t[base.index(base.neg(base.one))], (base.index(base.zero),) * nb
     ident = tuple(range(nb))
-    pairs = [(ident, F) for F in sorted(unit_coset((base.index(base.one),) * nb))]
+    if base.is_field:
+        field_group_order(base, "stabilizer", cap=cap)
+        digits = list(compress(ident, base.unit_index_mask()))
+        r, preimage = len(digits), hermite_preimage(base)
+        pairs = Listing(r**nb, lambda k: (ident, tuple(digits[k // r**a % r] for a in ident[::-1])),
+                        lambda: zip(repeat(ident), product(digits, repeat=nb)))
+    else:
+        _, unit_coset, preimage = _pair_parts(base, times=1, cap=cap, what="stabilizer")
+        pairs = [(ident, F) for F in sorted(unit_coset((base.index(base.one),) * nb))]
     return pairs, lambda F: preimage(zero, tuple(map(less_one.__getitem__, F)))
 
 
@@ -710,7 +730,7 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
         image_mode, candidates = f"basis:{2 * nb}", _field_generators(base)
     else:
         perms, units = semidirect_factors(base, cap=cap)
-        over, _, preimage = _pair_parts(base, units, times=len(perms), cap=cap, what="dual pairs")
+        over, _, preimage = _pair_parts(base, times=len(perms), cap=cap, what="dual pairs")
         lifts = [(G, over(G)) for G in perms]
         perm_count, unit_count = len(perms), len(units)
         order = sum(len(units) for _, units in lifts)

@@ -197,6 +197,11 @@ class Ring:
         return self._tables["units"]
 
     @cached_property
+    def unit_set(self) -> frozenset:
+        """The unit encodings, as a set."""
+        return frozenset(self.units())
+
+    @cached_property
     def _index(self) -> dict:
         """The enumeration index of each encoding."""
         return {e: i for i, e in enumerate(self.elements)}

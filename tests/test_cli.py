@@ -20,7 +20,7 @@ from ringfunc import funcspace as fs
 from ringfunc import groups as gr
 from ringfunc.cli import main
 from ringfunc.dual import DualRing, dual_ring, eval_dual, horner_dual
-from ringfunc.poly import Polynomial, format_polynomial
+from ringfunc.poly import Polynomial, format_polynomial, index_formatter
 from ringfunc.rings import CAP_ENV_VAR, PrimePowerRing, SizeCapError, make_ring
 import test_groups
 from test_groups import (
@@ -665,8 +665,8 @@ def _group_args(desc, what, dual):
 
 
 def _group_items(desc, what, dual):
-    _, count, items, elements = cli._group_elements(_group_args(desc, what, dual), None)
-    return count, items(), elements
+    doc, texts, elements = cli._group_elements(_group_args(desc, what, dual), None)
+    return doc["count"], list(texts()), elements
 
 
 LISTING_RINGS = ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:3", "zm:4", "zm:6", "zm:12"]
@@ -681,7 +681,8 @@ def test_field_dual_listing_matches_the_sweep(desc):
     count, items, elements = _group_items(desc, "group", True)
     assert count == len(expected)
     assert items == [
-        {"perm": G, "unit": F, "witness": format_polynomial(w)} for _, (G, F), w in expected
+        cli._json_dumps({"perm": G, "unit": F, "witness": format_polynomial(w)})
+        for _, (G, F), w in expected
     ]
     assert [e.table for e in elements()] == [t for t, _, _ in expected]
 
@@ -692,10 +693,107 @@ def test_field_stabilizer_listing_matches_the_sweep(desc):
     count, items, elements = _group_items(desc, "stabilizer", False)
     assert count == len(expected)
     assert items == [
-        {"null_part": format_polynomial(w - Polynomial.x()), "unit": unit}
+        cli._json_dumps({"null_part": format_polynomial(w - Polynomial.x()), "unit": unit})
         for _, unit, w in expected
     ]
     assert [e.table for e in elements()] == [t for t, _, _ in expected]
+
+
+def _listing_items(base, what, dual):
+    """The items of a group listing as dicts, one per pair of the groups
+    module's listing, with the witness or null part rendered by
+    index_formatter: the oracle of the CLI's streamed item texts."""
+    nb = base.size
+    text = index_formatter(nb, 2 * nb)
+    if what == "stabilizer":
+        pairs, null_part = gr.stabilizer_pairs(base)
+        return [{"null_part": text(null_part(F)), "unit": F} for _, F in pairs]
+    if dual:
+        pairs, witness = gr.dual_pairs(base)
+        return [{"perm": G, "unit": F, "witness": text(witness(G, F))} for G, F in pairs]
+    return [{"perm": G, "unit": F} for G, F in itertools.product(*gr.semidirect_pairs(base))]
+
+
+def _listing_document(argv, base, items):
+    """The whole document of a listing command over base, with its items,
+    as one _json_dumps of a dict, as the CLI once printed it."""
+    args = cli.build_parser().parse_args(argv)
+    key = "items" if args.command == "enumerate" else "elements"
+    doc = {"count": len(items), key: items[:getattr(args, "limit", None)],
+           "ring": base.descriptor, "what": args.what}
+    if args.what == "group":
+        doc["dual"] = args.dual
+    return cli._json_dumps(doc) + "\n"
+
+
+WRITER_RINGS = ["fq:2", "fq:3", "fq:4", "fq:5", "zpn:2,2", "zpn:2,3", "zm:6", "zm:12"]
+
+
+@pytest.mark.parametrize("what", [("group",), ("group", "--dual"), ("stabilizer",)])
+@pytest.mark.parametrize("desc", WRITER_RINGS)
+def test_streamed_listing_is_the_dumped_document(capsys, tmp_path, desc, what):
+    # the item texts, written as they are made, are the bytes of the whole
+    # document of item dicts through _json_dumps, on every limit, for both
+    # verbs, to stdout and to --out
+    base = make_ring(desc)
+    items = _listing_items(base, what[0], len(what) == 2)
+    target = tmp_path / "listing.json"
+    for verb, limits in (("enumerate", (None, 0, 3, -1)), ("export", (None,))):
+        for limit in limits:
+            argv = [verb, "--what", *what, "--ring", desc]
+            argv += [] if limit is None else ["--limit", str(limit)]
+            want = _listing_document(argv, base, items)
+            assert run(capsys, *argv) == (0, want, "")
+            assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+            assert target.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("enumerate", "--what", "group", "--dual", "--ring", "fq:5"),
+     "semidirect product: 122880 exceeds cap 1000"),
+    (("export", "--what", "stabilizer", "--ring", "fq:5"), "stabilizer: 1024 exceeds cap 1000"),
+    (("enumerate", "--what", "stabilizer", "--ring", "zm:24", "--limit", "0"),
+     "stabilizer: 1728 exceeds cap 1000"),
+    (("export", "--what", "group", "--dual", "--ring", "zpn:2,2", "--table"),
+     "multiplication table: 1024 exceeds cap 1000"),
+    (("export", "--what", "group", "--ring", "zm:6", "--table"),
+     "multiplication table: 9216 exceeds cap 1000"),
+])
+def test_capped_listing_writes_nothing(capsys, monkeypatch, tmp_path, argv, err):
+    # a refused listing writes no byte to stdout, and leaves the --out file
+    # as it was, or absent
+    monkeypatch.setenv(CAP_ENV_VAR, "1000")
+    assert run(capsys, *argv) == (3, "", f"error: {err}\n")
+    kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+    kept.write_text("before\n", encoding="utf-8")
+    for target in (kept, absent):
+        assert run(capsys, *argv, "--out", str(target)) == (3, "", f"error: {err}\n")
+    assert kept.read_text(encoding="utf-8") == "before\n"
+    assert not absent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--what", "group", "--dual", "--ring", "fq:5"),
+    ("--what", "stabilizer", "--ring", "fq:7"),
+])
+def test_limited_field_listing_builds_only_the_kept_pairs(capsys, monkeypatch, argv):
+    # over a field the pairs are decoded as they are read: --limit 3 reads
+    # three of fq:5's 122,880 dual pairs and of fq:7's 279,936 stabilizer
+    # pairs, and they are the first three of the listing
+    read = []
+    real = gr.Listing.__iter__
+
+    def counting(self):
+        for pair in real(self):
+            read.append(pair)
+            yield pair
+
+    monkeypatch.setattr(gr.Listing, "__iter__", counting)
+    code, out, _ = run(capsys, "enumerate", *argv, "--limit", "3")
+    assert code == 0 and len(json.loads(out)["items"]) == 3
+    listing = (gr.stabilizer_pairs if "stabilizer" in argv else gr.dual_pairs)(
+        make_ring(argv[-1]))[0]
+    assert read == listing[:3]
 
 
 def _count_witnesses(monkeypatch):
@@ -726,15 +824,14 @@ def test_field_listing_builds_only_the_kept_items(capsys, monkeypatch):
             )
             assert code == 0
             assert len(built) == 5
-            assert json.loads(out)["items"] == json.loads(cli._json_dumps(every[:5]))
+            assert json.loads(out)["items"] == [json.loads(text) for text in every[:5]]
 
 
 @pytest.mark.parametrize("what", [("group", "--dual"), ("stabilizer",)])
 def test_limited_field_listing_builds_only_the_kept_witnesses(capsys, monkeypatch, what):
     # fq:5 has 122,880 dual permutations and 1,024 stabilizer elements;
     # --limit 5 sums at most two Hermite halves a kept item, not a Hermite
-    # form per factor of the whole group (the pairs are still all listed and
-    # sorted)
+    # form per factor of the whole group
     calls = []
 
     def counting(*args):

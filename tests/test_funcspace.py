@@ -105,6 +105,24 @@ def test_predicates():
     assert not is_permutation(X**2, z4)
 
 
+@pytest.mark.parametrize(
+    "desc", ["zm:12", "zpn:7,2", "fq:7", "fq:4", "fq:2,3", "dual:fq:3", "dual:zm:6"]
+)
+def test_is_unit_valued_is_every_value_a_unit(desc):
+    # the unit-set test against ring.is_unit at each value, on seeded tables
+    # of every ring kind: all values units, one non-unit, and random values
+    ring = make_ring(desc)
+    rng = random.Random(desc)
+    els, units = ring.elements, ring.units()
+    non_units = [e for e in els if not ring.is_unit(e)]
+    tables = [[rng.choice(els) for _ in els] for _ in range(20)]
+    tables += [[rng.choice(units) for _ in els] for _ in range(5)]
+    tables += [[rng.choice(units) for _ in els[1:]] + [rng.choice(non_units)] for _ in range(5)]
+    verdicts = [FunctionTable(ring, t).is_unit_valued() for t in tables]
+    assert verdicts == [all(map(ring.is_unit, t)) for t in tables]
+    assert verdicts[20:] == [True] * 5 + [False] * 5
+
+
 def test_render_value_by_ring_kind():
     z4 = make_ring("zpn:2,2")
     assert render_value(z4, 3) == 3

@@ -4,6 +4,7 @@ import itertools
 import operator
 import random
 import sys
+from bisect import bisect_right
 from collections import Counter
 from functools import partial, reduce
 from math import factorial, gcd, prod
@@ -1109,11 +1110,11 @@ def test_split_dual_sweep_matches_the_streamed_filter(desc, cap):
     nb = base.size
     dual, stabilizer = sweep_dual_listing(base, cap=cap), sweep_stabilizer_listing(base, cap=cap)
     pairs, witness = groups.dual_pairs(base, cap=cap)
-    assert pairs == [pair for _, pair, _ in dual]
+    assert list(pairs) == [pair for _, pair, _ in dual]
     poly = partial(funcspace.index_polynomial, base)
     assert [poly(witness(G, F)) for G, F in pairs] == [w for _, _, w in dual]
     pairs, null_part = groups.stabilizer_pairs(base, cap=cap)
-    assert pairs == [(tuple(range(nb)), unit) for _, unit, _ in stabilizer]
+    assert list(pairs) == [(tuple(range(nb)), unit) for _, unit, _ in stabilizer]
     assert [poly(null_part(F)) + X for _, F in pairs] == [w for _, _, w in stabilizer]
 
 
@@ -1346,11 +1347,45 @@ def _packed_listings(base):
     sorted, then decoded back into pairs."""
     nb, one = base.size, base.index(base.one)
     perms, units = groups.semidirect_factors(base)
-    over, unit_coset, _ = groups._pair_parts(
-        base, units, times=len(perms), cap=None, what="dual pairs")
+    if base.is_field:  # every pair of the factors, and every unit table over id
+        over = unit_coset = lambda _: units
+    else:
+        over, unit_coset, _ = groups._pair_parts(
+            base, times=len(perms), cap=None, what="dual pairs")
     dual = sorted(_packed_row(nb, G, F) for G in perms for F in over(G))
     stabilizer = sorted(_packed_row(nb, range(nb), F) for F in unit_coset((one,) * nb))
     return [_decoded(r, nb) for r in dual], [_decoded(r, nb) for r in stabilizer]
+
+
+def _interleaved(perms: list, units: list) -> list:
+    """Every pair (G, F) of the two sorted lists of index tables, in the
+    order of G(0), F(0), G(1), F(1), ..., with no sort key: the oracle of
+    the field listings' decoder (groups._field_pairs).  The pairs whose G
+    and F agree with a run of each on entries below a are that run's
+    product, split by G(a), then by F(a); once one run holds a single
+    table, the other's order is the pairs' order."""
+    out = []
+
+    def runs(rows, lo, hi, a):
+        key = operator.itemgetter(a)
+        while lo < hi:
+            end = bisect_right(rows, key(rows[lo]), lo, hi, key=key)
+            yield lo, end
+            lo = end
+
+    def walk(g0, g1, f0, f1, a):
+        if g1 - g0 == 1:
+            out.extend(zip(itertools.repeat(perms[g0]), units[f0:f1]))
+        elif f1 - f0 == 1:
+            out.extend(zip(perms[g0:g1], itertools.repeat(units[f0])))
+        else:
+            f_runs = list(runs(units, f0, f1, a))
+            for ga, gb in runs(perms, g0, g1, a):
+                for fa, fb in f_runs:
+                    walk(ga, gb, fa, fb, a + 1)
+
+    walk(0, len(perms), 0, len(units), 0)
+    return out
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1363,7 +1398,33 @@ def test_interleaved_pairs_are_the_product_sorted_by_packed_row(seed):
     perms = sorted(rng.sample(tables, rng.randrange(min(len(tables), 12) + 1)))
     units = sorted(rng.sample(tables, rng.randrange(1, min(len(tables), 12) + 1)))
     want = sorted(itertools.product(perms, units), key=lambda pair: _packed_row(nb, *pair))
-    assert groups._interleaved(perms, units) == want
+    assert _interleaved(perms, units) == want
+
+
+@pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "fq:5"])
+def test_field_listings_decode_every_position(desc):
+    # over F_q the k-th dual pair decodes from k in mixed radix, for every
+    # k, and the walk yields the same pairs in the same order, as the
+    # interleaved product of the factors lists them; the k-th stabilizer
+    # pair is (id, k written in base q - 1 in the units).  Negative
+    # positions count from the end, slices are lists, and a position past
+    # either end raises IndexError
+    base = make_ring(desc)
+    perms, units = groups.semidirect_factors(base)
+    want = _interleaved(perms, units)
+    pairs = groups.dual_pairs(base)[0]
+    assert isinstance(pairs, groups.Listing) and len(pairs) == len(want)
+    assert [pairs[k] for k in range(len(pairs))] == want
+    assert list(pairs) == want
+    assert pairs[-1] == want[-1] and pairs[3:7:2] == want[3:7:2]
+    stabilizer = groups.stabilizer_pairs(base)[0]
+    ident = tuple(range(base.size))
+    assert [stabilizer[k] for k in range(len(stabilizer))] == [(ident, F) for F in units]
+    assert list(stabilizer) == [(ident, F) for F in units]
+    for listing in (pairs, stabilizer):
+        for k in (len(listing), -len(listing) - 1):
+            with pytest.raises(IndexError):
+                listing[k]
 
 
 @pytest.mark.parametrize(
@@ -1377,7 +1438,7 @@ def test_listings_hand_out_the_sorted_packed_rows_decoded(desc):
     base = make_ring(desc)
     dual = dual_ring(base)
     listings = groups.dual_pairs(base)[0], groups.stabilizer_pairs(base)[0]
-    assert listings == _packed_listings(base)
+    assert tuple(map(list, listings)) == _packed_listings(base)
     for pairs in listings:
         last = ()
         for i in range(0, len(pairs), 4096):
@@ -1429,7 +1490,7 @@ def test_dual_listing_matches_the_sweep(desc):
     nb = base.size
     expected = sweep_dual_listing(base)
     pairs, witness = groups.dual_pairs(base)
-    assert pairs == [pair for _, pair, _ in expected]
+    assert list(pairs) == [pair for _, pair, _ in expected]
     vecs = [witness(G, F) for G, F in pairs]
     assert {len(v) for v in vecs} == {dual_degree_bound(base)}
     assert dual_degree_bound(base) <= 2 * nb
@@ -1446,7 +1507,7 @@ def test_stabilizer_listing_matches_the_sweep(desc):
     nb = base.size
     expected = sweep_stabilizer_listing(base)
     pairs, null_part = groups.stabilizer_pairs(base)
-    assert pairs == [(tuple(range(nb)), unit) for _, unit, _ in expected]
+    assert list(pairs) == [(tuple(range(nb)), unit) for _, unit, _ in expected]
     vecs = [null_part(F) for _, F in pairs]
     assert {len(v) for v in vecs} == {dual_degree_bound(base)}
     assert [format_polynomial(funcspace.index_polynomial(base, v)) for v in vecs] == [
@@ -1504,7 +1565,8 @@ def test_dual_table_order_sorts_by_the_table(desc):
 @pytest.mark.parametrize("desc", ["fq:3", "fq:4"])
 def test_field_listings_list_each_factor_once(desc, monkeypatch):
     # dual_pairs lists the q! permutations and the (q - 1)^q unit tables
-    # once each, and stabilizer_pairs lists the unit tables alone
+    # once each, and stabilizer_pairs lists no factor: it decodes each unit
+    # table from its position, in the order of the listed ones
     calls = []
     real_perms, real_units = groups.permutations, groups._unit_tables
     monkeypatch.setattr(groups, "permutations",
@@ -1514,8 +1576,9 @@ def test_field_listings_list_each_factor_once(desc, monkeypatch):
     groups.dual_pairs(make_ring(desc))
     assert calls == ["perms", "units"]
     calls.clear()
-    groups.stabilizer_pairs(make_ring(desc))
-    assert calls == ["units"]
+    pairs = groups.stabilizer_pairs(make_ring(desc))[0]
+    assert [F for _, F in pairs] == real_units(make_ring(desc))
+    assert calls == []
 
 
 def test_field_product_is_capped_before_the_sweep(monkeypatch):
