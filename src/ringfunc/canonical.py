@@ -10,14 +10,17 @@ A form's digits are read off the function's table on Z_{p^n} by Newton
 forward differences (_table_digits), so a polynomial is evaluated once and
 never expanded over the falling factorials; falling_factorial_coefficients,
 the exact expansion by synthetic division, is kept as the tests' oracle.
-Combinations of falling factorials are summed as packed coefficient rows
-(rings.pack), one big-integer multiply-add per term.
+Both sums run on packed rows (rings.pack), one big-integer multiply-add per
+term: the differences sum each table value times its row of signed
+binomials, and combinations of falling factorials sum the coefficient rows
+of the (x)_j.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb
 from operator import itemgetter
 
 from .funcspace import _zpn, induce
@@ -243,22 +246,37 @@ def _newton_scales(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _difference_rows(p: int, n: int, count: int) -> tuple[int, tuple[int, ...]]:
+    """(nb, rows): row i < count holds (-1)^(j - i) C(j, i) mod p^n at slot
+    j < count, 0 for j < i, packed at nb bytes a slot, and a slot of nb bytes
+    holds a sum of count products below (p^n)^2."""
+    m = p**n
+    nb = slot_bytes(count * (m - 1) ** 2)
+    return nb, tuple(
+        pack([(-1) ** (i + j) * comb(j, i) % m for j in range(count)], nb) for i in range(count)
+    )
+
+
 def _table_digits(values, p: int, n: int) -> tuple[tuple[int, int, int], ...]:
     """Digit terms, sorted by (j, i) and unchecked, of [f] mod p^n for an
     integer polynomial f of degree below len(values) whose values at
     0, 1, 2, ... are values mod p^n; at most beta(p, n) of them are read.
 
     If f = sum_j b_j (x)_j, Newton's forward-difference formula gives
-    Delta^j f(0) = j! b_j, and b_j = 0 from j = len(values) on.  With
-    v = v_p(j!) < n, the difference mod p^n is divisible by p^v, and b_j mod
-    p^(n - v), the coefficient the form keeps, is that quotient times the
-    inverse of j! / p^v; it is split into base-p digits."""
-    m = p**n
-    diffs = list(values[:beta(p, n)])
+    Delta^j f(0) = sum_i (-1)^(j - i) C(j, i) f(i) = j! b_j, and b_j = 0 from
+    j = len(values) on.  Every Delta^j f(0) mod p^n comes out of one packed
+    sum: each value, reduced mod p^n, times its row of _difference_rows.
+    With v = v_p(j!) < n, the difference mod p^n is divisible by p^v, and
+    b_j mod p^(n - v), the coefficient the form keeps, is that quotient
+    times the inverse of j! / p^v; it is split into base-p digits."""
+    m, scales = p**n, _newton_scales(p, n)
+    count = min(len(values), len(scales))
+    nb, rows = _difference_rows(p, n, count)
+    diffs = unpack(sum([v % m * row for v, row in zip(values, rows)]), count, nb)
     out = []
-    for j, (pv, w, radix) in zip(range(len(diffs)), _newton_scales(p, n)):
-        out += _digit_terms(p, j, diffs[0] % m // pv * w % radix)
-        diffs = list(map(int.__sub__, diffs[1:], diffs))
+    for j, (d, (pv, w, radix)) in enumerate(zip(diffs, scales)):
+        out += _digit_terms(p, j, d % m // pv * w % radix)
     return tuple(out)
 
 
@@ -328,21 +346,10 @@ def leading_representative(p: int, s: int) -> Polynomial:
     """Canonical integer polynomial inducing the s-th unit table T mod p.
 
     This is the canonical form mod p of any interpolant of T: the sum of
-    b_j (x)_j over j < p, reduced mod p.  By Newton's forward-difference
-    formula b_j = Delta^j T(0) / j!, read mod p since j! is a unit for j < p;
-    the differences at 0 use only T(0), ..., T(j), so they are taken on the
-    table itself.
+    b_j (x)_j over j < p, reduced mod p, its digits read off T itself by
+    Newton's forward differences (_table_digits).
     """
-    diffs = list(uv_table_from_index(s, p))
-    terms = []
-    fact = 1
-    for j in range(p):
-        fact *= j or 1
-        b = diffs[0] * pow(fact, -1, p) % p
-        if b:
-            terms.append((0, j, b))
-        diffs = [(v - u) % p for u, v in zip(diffs, diffs[1:])]
-    return _falling_combination(p, 1, terms)
+    return _falling_combination(p, 1, _table_digits(uv_table_from_index(s, p), p, 1))
 
 
 class UnitValuedCanonicalForm:

@@ -341,7 +341,9 @@ def _pow(base: list[int], k: int) -> list[int]:
 class _ListParser:
     """Recursive descent over the token list, computing on coefficient lists
     (lowest degree first, no trailing zeros); every error is reported at the
-    position of the next token."""
+    position of the next token.  A term is read as a monomial c*x^d times the
+    product of its parenthesised factors, if it has any, and expr adds it
+    into its sum from degree d on."""
 
     __slots__ = ("toks", "i")
 
@@ -349,72 +351,71 @@ class _ListParser:
         self.toks = _tokens(text)
         self.i = 0
 
-    def take(self, tok: str) -> bool:
-        if self.toks[self.i][1] == tok:
-            self.i += 1
-            return True
-        return False
-
-    def natural(self) -> int:
-        pos, tok = self.toks[self.i]
+    def power(self) -> int:
+        """The exponent of the factor just read: the number after a ^, or 1
+        with no ^."""
+        if self.toks[self.i][1] != "^":
+            return 1
+        pos, tok = self.toks[self.i + 1]
         if not tok[:1].isdigit():
             raise ParseError("expected a number", pos)
-        self.i += 1
+        self.i += 2
         return int(tok)
 
     def expr(self) -> list[int]:
-        negative = self.take("-")
-        if not negative:
-            self.take("+")
-        acc = self.term()
-        if negative:
-            acc = [-c for c in acc]
+        acc, tok = [], self.toks[self.i][1]
+        sign = -1 if tok == "-" else 1
+        if tok == "-" or tok == "+":
+            self.i += 1
         while True:
+            c, d, product = self.term()
+            c *= sign
+            top = d + 1 if product is None else d + len(product)
+            if len(acc) < top:
+                acc += [0] * (top - len(acc))
+            if product is None:
+                acc[d] += c
+            else:
+                for k, v in enumerate(product, d):
+                    acc[k] += c * v
             tok = self.toks[self.i][1]
             if tok != "+" and tok != "-":
                 while acc and not acc[-1]:
                     acc.pop()
                 return acc
             self.i += 1
-            term = self.term()
-            if len(acc) < len(term):
-                acc.extend([0] * (len(term) - len(acc)))
-            if tok == "+":
-                for k, c in enumerate(term):
-                    acc[k] += c
-            else:
-                for k, c in enumerate(term):
-                    acc[k] -= c
+            sign = 1 if tok == "+" else -1
 
-    def term(self) -> list[int]:
-        acc = self.factor()
+    def term(self) -> tuple[int, int, list[int] | None]:
+        """(c, d, product): the term is c*x^d times product, None if the term
+        has no parenthesised factor."""
+        c, d, product = 1, 0, None
         while True:
+            pos, tok = self.toks[self.i]
+            if tok == "x":
+                self.i += 1
+                d += self.power()
+            elif tok == "(":
+                self.i += 1
+                base = self.expr()
+                pos, tok = self.toks[self.i]
+                if tok != ")":
+                    raise ParseError("expected ')'", pos)
+                self.i += 1
+                k = self.power()
+                if k != 1:
+                    base = _pow(base, k)
+                product = base if product is None else _mul(product, base)
+            elif tok[:1].isdigit():
+                self.i += 1
+                c *= int(tok) ** self.power()
+            else:
+                raise ParseError("expected a coefficient, x or (", pos)
             tok = self.toks[self.i][1]
             if tok == "*":
                 self.i += 1
             elif tok != "x" and tok != "(" and not tok[:1].isdigit():
-                return acc
-            acc = _mul(acc, self.factor())
-
-    def factor(self) -> list[int]:
-        pos, tok = self.toks[self.i]
-        if tok == "x":
-            self.i += 1
-            base = [0, 1]
-        elif tok == "(":
-            self.i += 1
-            base = self.expr()
-            if not self.take(")"):
-                raise ParseError("expected ')'", self.toks[self.i][0])
-        elif tok[:1].isdigit():
-            self.i += 1
-            c = int(tok)
-            base = [c] if c else []
-        else:
-            raise ParseError("expected a coefficient, x or (", pos)
-        if self.take("^"):
-            return _pow(base, self.natural())
-        return base
+                return c, d, product
 
 
 def parse(text: str) -> Polynomial:
@@ -427,9 +428,11 @@ def parse(text: str) -> Polynomial:
     "x^2 - x", "2x^3+2x", "(x^2-x)^2", "-3*x + 1".
 
     The text is split into tokens once and parsed by recursive descent on
-    plain integer coefficient lists: a power of x, or of any monomial, is
-    written down directly, and one Polynomial is built at the end.  A
-    ParseError carries the position of the offending token.
+    plain integer coefficient lists.  A term is read as a monomial c*x^d,
+    its numbers and powers of x folded into c and d as they come; only a
+    parenthesised factor is multiplied out, and the term is added into the
+    sum at degree d.  One Polynomial is built at the end.  A ParseError
+    carries the position of the offending token.
     """
     ps = _ListParser(text)
     coeffs = ps.expr()

@@ -29,7 +29,7 @@ from ringfunc.canonical import (
 from ringfunc import canonical
 from ringfunc.funcspace import FunctionTable, induce, induced_tables, lagrange, unit_valued_tables
 from ringfunc.poly import Polynomial, X, parse
-from ringfunc.rings import PrimePowerRing, SizeCapError, make_ring
+from ringfunc.rings import PrimePowerRing, SizeCapError, make_ring, slot_bytes
 
 
 def _naive_valuation(p, j):
@@ -556,6 +556,34 @@ def test_to_polynomial_matches_polynomial_arithmetic(p, n):
         assert uv.to_polynomial() == _falling_sum(p, n, terms, _lagrange_leading(p, uv.s))
 
 
+def _difference_loop_digits(values, p, n):
+    """_table_digits by the loop it replaced: the list of forward differences
+    rebuilt once per j, its first entry read as Delta^j f(0)."""
+    m = p**n
+    diffs = list(values[:beta(p, n)])
+    out = []
+    for j, (pv, w, radix) in zip(range(len(diffs)), canonical._newton_scales(p, n)):
+        out += canonical._digit_terms(p, j, diffs[0] % m // pv * w % radix)
+        diffs = list(map(int.__sub__, diffs[1:], diffs))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2), (2, 33)],
+                         ids=lambda v: str(v))
+def test_table_digits_match_the_difference_loop(p, n):
+    # negative values and lists shorter than, as long as and longer than
+    # beta(p, n); the slots of 2^33 are wider than 8 bytes, so unpack reads
+    # them one by one
+    m, top = p**n, beta(p, n)
+    if (p, n) == (2, 33):
+        assert slot_bytes(top * (m - 1) ** 2) > 8
+    rng = random.Random(31 * p + n)
+    for length in sorted({0, 1, top - 1, top, top + 3, rng.randrange(1, top + 1)}):
+        for _ in range(20):
+            values = [rng.randrange(-3 * m, 3 * m) for _ in range(length)]
+            assert canonical._table_digits(values, p, n) == _difference_loop_digits(values, p, n)
+
+
 @pytest.mark.parametrize("p,n", [(2, 40), (3, 25)])
 def test_to_polynomial_past_eight_byte_slots(p, n):
     # (p^n - 1)^2 needs more than 8 bytes, so the packed rows are read back
@@ -622,10 +650,13 @@ def _flip(terms, p, slot):
 def test_a_wrong_deficit_digit_is_refused(monkeypatch, slot, match):
     # a depth-0 digit is caught as it is placed; a wrong digit at any depth-1
     # slot mod 9 changes the function, which only the re-induction of the
-    # whole form can see
+    # whole form can see; leading_representative reads its digits mod p
+    # through _table_digits too, and those stay right
     real = canonical._table_digits
-    monkeypatch.setattr(
-        canonical, "_table_digits", lambda values, p, n: _flip(real(values, p, n), p, slot)
-    )
+
+    def flipped(values, p, n):
+        return _flip(real(values, p, n), p, slot) if n > 1 else real(values, p, n)
+
+    monkeypatch.setattr(canonical, "_table_digits", flipped)
     with pytest.raises(RuntimeError, match=match):
         canonicalize_unit_valued(X**4 + 2 * X + 5, 3, 2)

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringfunc import poly
 from ringfunc.funcspace import index_polynomial, induce
 from ringfunc.poly import ParseError, Polynomial, X, format_polynomial, index_formatter, parse
 from ringfunc.rings import make_ring
@@ -292,9 +294,130 @@ def test_parse_errors_keep_their_message_and_position(text, message, position):
 
 def test_parse_reports_a_non_decimal_digit_as_the_scanner_did():
     # str.isdigit() accepts a superscript digit; int() then rejects it
-    with pytest.raises(ValueError, match="invalid literal"):
-        parse("x^2²")
+    for text in ("x^2²", "(x+1)^²"):
+        with pytest.raises(ValueError, match="invalid literal"):
+            parse(text)
     assert parse("3٣").coeffs == (33,)  # an Arabic-Indic three
+
+
+class _ProductParser:
+    """The parser's oracle: recursive descent that builds every term as a
+    list product, factor by factor, through poly._mul and poly._pow."""
+
+    def __init__(self, text):
+        self.toks = poly._tokens(text)
+        self.i = 0
+
+    def take(self, tok):
+        if self.toks[self.i][1] == tok:
+            self.i += 1
+            return True
+        return False
+
+    def natural(self):
+        pos, tok = self.toks[self.i]
+        if not tok[:1].isdigit():
+            raise ParseError("expected a number", pos)
+        self.i += 1
+        return int(tok)
+
+    def expr(self):
+        negative = self.take("-")
+        if not negative:
+            self.take("+")
+        acc = self.term()
+        if negative:
+            acc = [-c for c in acc]
+        while True:
+            tok = self.toks[self.i][1]
+            if tok != "+" and tok != "-":
+                while acc and not acc[-1]:
+                    acc.pop()
+                return acc
+            self.i += 1
+            term = self.term()
+            acc.extend([0] * (len(term) - len(acc)))
+            for k, c in enumerate(term):
+                acc[k] += c if tok == "+" else -c
+
+    def term(self):
+        acc = self.factor()
+        while True:
+            tok = self.toks[self.i][1]
+            if tok == "*":
+                self.i += 1
+            elif tok != "x" and tok != "(" and not tok[:1].isdigit():
+                return acc
+            acc = poly._mul(acc, self.factor())
+
+    def factor(self):
+        pos, tok = self.toks[self.i]
+        if tok == "x":
+            self.i += 1
+            base = [0, 1]
+        elif tok == "(":
+            self.i += 1
+            base = self.expr()
+            if not self.take(")"):
+                raise ParseError("expected ')'", self.toks[self.i][0])
+        elif tok[:1].isdigit():
+            self.i += 1
+            c = int(tok)
+            base = [c] if c else []
+        else:
+            raise ParseError("expected a coefficient, x or (", pos)
+        if self.take("^"):
+            return poly._pow(base, self.natural())
+        return base
+
+
+def _oracle_parse(text):
+    ps = _ProductParser(text)
+    coeffs = ps.expr()
+    pos, tok = ps.toks[ps.i]
+    if tok:
+        raise ParseError(f"unexpected {tok[0]!r}", pos)
+    return Polynomial(coeffs)
+
+
+def _outcome(parser, text):
+    """The coefficients parsed, or the error's type, message and position."""
+    try:
+        return parser(text).coeffs
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+def test_parse_matches_the_list_product_parser_on_random_strings():
+    # strings with two digits apart only by whitespace, or side by side, are
+    # skipped: that keeps every number, and so every exponent, to one digit,
+    # and x^d allocates d + 1 coefficients
+    rng = random.Random(20260)
+    two_digits = re.compile(r"\d\s*\d")
+    compared = 0
+    while compared < 40000:
+        text = "".join(rng.choice("x0123+-*^() \t") for _ in range(rng.randrange(16)))
+        if two_digits.search(text):
+            continue
+        assert _outcome(parse, text) == _outcome(_oracle_parse, text), text
+        compared += 1
+
+
+def test_flat_sums_multiply_no_lists(monkeypatch):
+    # each term of a sum of monomials is added in at its degree, with no list
+    # product; a power of a parenthesised sum is still taken by _pow
+    calls = []
+    for name in ("_mul", "_pow"):
+        def spy(*args, real=getattr(poly, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(poly, name, spy)
+    assert parse("4*x^7 - 59*x^6 + 325*x^5 - 1").coeffs == (-1, 0, 0, 0, 0, 325, -59, 4)
+    assert parse("2 x^3 x^2 3^2 + 0x^4 - x").coeffs == (0, -1, 0, 0, 0, 18)
+    assert calls == []
+    assert parse("(x+1)^2").coeffs == (1, 2, 1)
+    assert "_pow" in calls
 
 
 _WS = st.sampled_from(["", " ", "  ", "\t", " \n"])
