@@ -141,15 +141,14 @@ def _brute_counts(p: int, n: int, cap) -> dict[str, int]:
     of the distinct tables t of constant term zero, and no two translates
     coincide.  So they are counted per t: all |R| of them, and the c with
     t + c inside each mask, through a bitmask per value of the constants
-    that take it outside.  coefficient_sums yields each t once.
+    that take it outside.  coefficient_sums returns the distinct t.
     """
     ring = PrimePowerRing(p, n)
     size = ring.size
     D = fs.null_degree_bound(ring)
     check_cap(size ** D, cap, "polynomial enumeration")
     add_t = ring.index_op_tables()[0]
-    stages = fs.monomial_stages(ring, D, ring.elements)
-    found = [t for t, _ in fs.coefficient_sums(add_t, (0,) * size, stages)]
+    found = fs.coefficient_sums(add_t, (0,) * size, fs.monomial_stages(ring, D))
     counts = {"polyfun": len(found) * size}
     # whether t + c lies inside a mask depends on the values of t only
     value_sets = Counter(map(frozenset, found))

@@ -5,8 +5,9 @@ by the ring's canonical element order.  This module carries the pointwise ring
 structure on tables, the predicates (null, unit-valued, permutation) in both
 brute-force and criterion form, Lagrange interpolation, the Hermite basis over
 fields and the pair module over Z/m that realize pairs ([f], [f']), and the
-enumeration engine, distinct coefficient sums built degree by degree, used by
-the counting and group modules.
+induced tables of polynomials of degree < D: the additive span of the
+monomial tables [c x^d] (coefficient_sums), translated by the constants, from
+which the counts and the semidirect product's factors are read.
 
 The brute-force predicates are the oracles; the criteria are the products.
 Keeping both first-class means every fast path can be cross-checked against
@@ -396,106 +397,69 @@ def least_member(rows, head, m: int, x=None, start: int = 0, stop=None) -> list[
     return x
 
 
-def monomial_stages(ring: Ring, degree_bound: int, domain) -> list[list[tuple]]:
+def monomial_stages(ring: Ring, degree_bound: int) -> list[list[tuple]]:
     """The stages of coefficient_sums for the degrees 1 .. D-1: stage d - 1
-    lists, for each c of the domain in order, (c, [c x^d]), the index table
-    of c x^d on the whole ring."""
+    lists [c x^d], the index table of c x^d on the whole ring, for each c
+    of the ring."""
     _, mul_t = ring.index_op_tables()
     pw = ring.power_index_table(max(degree_bound - 1, 0))
-    return [
-        [(c, tuple(map(mul_t[ring.index(c)].__getitem__, pw[d]))) for c in domain]
-        for d in range(1, degree_bound)
-    ]
+    return [[tuple(map(row.__getitem__, pw[d])) for row in mul_t] for d in range(1, degree_bound)]
 
 
-def coefficient_sums(add_t, zero_table, stages):
-    """Distinct sums of one term from each stage, with the first coefficient
-    vector reaching each, in the order of a sweep that steps stage 0 fastest.
+def coefficient_sums(add_t, zero_table, stages) -> set:
+    """The distinct sums of one term from each stage: the zero table alone
+    with no stages.
 
-    stages[i] lists (coefficient, term table) for degree i + 1 in domain
-    order (see monomial_stages); tables are index tuples added entrywise by
-    the index addition table add_t.  A table is additive in the
-    coefficients, [sum c_d x^d] = sum [c_d x^d], so the sums of the first k
-    stages are the tables of the coefficient vectors of degree 1 .. k.
-
-    Each stage is built with the new coefficient in domain order as the
-    outer loop and the stored sums, in the order they were first reached, as
-    the inner loop; the first write wins.  The first vector reaching s + t,
-    for t the term of c, is then c after the first vector reaching s, for
-    the first c for which s is reached: the same witness a per-candidate
-    sweep keeps, and sums come out in the order it first reaches them.
-
-    While the earlier stages' terms are groups (closed under addition), as
-    on a whole-ring domain, so are the stored sums S, and one coefficient
-    per coset of S is stepped: c is skipped if its term t has t - r in S for
-    the term r of an earlier kept c, as then S + t = S + r.  Each distinct
-    sum is then built once.  The last stage is streamed, not stored, as
-    (table, coefficients) in sweep order, with repeats only past a stage
-    that is not a group.  With no stages the zero table is yielded once,
-    with no coefficients.
+    stages[i] lists the term tables of degree i + 1 (see monomial_stages),
+    index tuples added entrywise by the index addition table add_t, closed
+    under addition, as the tables of c x^d over every c are.  A table is
+    additive in the coefficients, [sum c_d x^d] = sum [c_d x^d], so the sums
+    of the first k stages are the tables of the polynomials of degree 1 .. k
+    with no constant term, and they form a group S.  One term per coset of
+    S is stepped: t is skipped if t - r is in S for an earlier kept term r,
+    as then S + t = S + r.  Each distinct sum is then built once.
     """
-    sums = {tuple(zero_table): ()}
-    if not stages:
-        yield from sums.items()
-        return
+    sums = {tuple(zero_table)}
     neg = [row.index(zero_table[0]) for row in add_t]
-    group = True  # the stored sums form a group
-    for i, terms in enumerate(stages, 1 - len(stages)):  # i = 0 at the last
-        grown, kept = {}, []
-        for c, term in terms:
+    for terms in stages:
+        grown, kept = set(), []
+        for term in terms:
             rows = [add_t[b] for b in term]
-            if group:
-                if any(tuple(map(getitem, rows, r)) in sums for r in kept):
-                    continue
-                kept.append([neg[b] for b in term])
-            made = ((tuple(map(getitem, rows, s)), w + (c,)) for s, w in sums.items())
-            if i:
-                for t, w in made:
-                    grown.setdefault(t, w)
-            else:
-                yield from made
-        if group and i:
-            tables = {t for _, t in terms}
-            rows = [[add_t[b] for b in t] for t in tables]
-            group = all(tuple(map(getitem, r, t)) in tables for r in rows for t in tables)
+            if any(tuple(map(getitem, rows, r)) in sums for r in kept):
+                continue
+            kept.append([neg[b] for b in term])
+            grown.update(tuple(map(getitem, rows, s)) for s in sums)
         sums = grown
+    return sums
 
 
 def induced_index_tables(
-    ring: Ring, degree_bound: int | None = None, *, coeff_elements=None, cap: int | None = None
+    ring: Ring, degree_bound: int | None = None, *, cap: int | None = None
 ) -> set:
     """All distinct value tables induced by polynomials of degree < D, as
     index tuples.
 
-    Candidates range over coefficient vectors from coeff_elements (default:
-    the whole ring).  Adding a constant c translates a table by c, so the
-    tables with constant term zero (whether or not zero is in the domain)
-    are built first, degree by degree from their distinct partial sums by
-    coefficient_sums, and then translated by each constant of the domain.
-    The cap counts every candidate, |domain|^D.
+    Adding a constant c translates a table by c, so the tables with
+    constant term zero are built first, as the span of the monomial tables
+    (coefficient_sums), and then translated by each constant.  The cap
+    counts every candidate, |R|^D.
     """
     D = null_degree_bound(ring) if degree_bound is None else degree_bound
-    domain = list(ring.elements if coeff_elements is None else coeff_elements)
-    if not domain:
-        raise ValueError("empty coefficient domain")
-    check_cap(len(domain) ** D, cap, "polynomial enumeration")
+    check_cap(ring.size ** D, cap, "polynomial enumeration")
     zero = (ring.index(ring.zero),) * ring.size
     if D <= 0:
         return {zero}
     add_t = ring.index_op_tables()[0]
-    found = {
-        t for t, _ in coefficient_sums(add_t, zero, monomial_stages(ring, D, domain))
-    }
-    shifts = [add_t[ring.index(c)].__getitem__ for c in domain]
-    return {tuple(map(shift, t)) for t in found for shift in shifts}
+    found = coefficient_sums(add_t, zero, monomial_stages(ring, D))
+    return {tuple(map(row.__getitem__, t)) for t in found for row in add_t}
 
 
 def induced_tables(
-    ring: Ring, degree_bound: int | None = None, *, coeff_elements=None, cap: int | None = None
+    ring: Ring, degree_bound: int | None = None, *, cap: int | None = None
 ) -> frozenset:
     """All distinct value tables induced by polynomials of degree < D, as
     tuples of encodings: the tables of induced_index_tables."""
-    tables = induced_index_tables(ring, degree_bound, coeff_elements=coeff_elements, cap=cap)
+    tables = induced_index_tables(ring, degree_bound, cap=cap)
     if ring.integer_encoded:
         return frozenset(tables)
     els = ring.elements

@@ -26,7 +26,7 @@ Three sets of elements come out of this module:
 dual_pairs and stabilizer_pairs list the last two as (G, F) pairs in the
 order of their tables, with the witness (a coefficient index vector) of a
 pair on request: over a field from the factors and the Hermite form, each
-pair decoded from its position (Listing), over Z/m from the pair module
+pair built as it is read (Listing), over Z/m from the pair module
 (_pair_parts).
 
 verify_embedding lists no group, and verify_group_axioms sifts the pool it
@@ -41,7 +41,6 @@ group iff its chain has its size.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
 from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, count, permutations, product, repeat
 from math import factorial, gcd, prod
@@ -224,7 +223,8 @@ def pair_table_sweep(
     domain order.  A degree bound of 0 or less yields the zero polynomial
     alone.  The cap counts every candidate, |domain|^D.
 
-    No library code sweeps this way: coefficient_sums is the engine.  This
+    No library code sweeps this way: the induced tables are the span that
+    funcspace.coefficient_sums builds, with no witness or order.  This
     stays in the package because perfbench/test_perfbench.py and
     perfbench/spans.py call and trace it by name.
     """
@@ -330,8 +330,8 @@ def dual_pairs(base: Ring, *, cap: int | None = None):
     here, that is the order of the tables: the entries (a, 0) and (a, 1) of
     a table are G(a) * |R| and G(a) * |R| + F(a), and the rest of the block
     of a follows from them.  Over a field the pairs are a Listing, each
-    decoded in that order from its position (_field_pairs); over Z/m they
-    are a sorted list.
+    built in that order as it is read (_field_pairs); over Z/m they are a
+    sorted list.
     """
     if base.is_field:
         field_group_order(base, "group", cap=cap)
@@ -345,19 +345,15 @@ def dual_pairs(base: Ring, *, cap: int | None = None):
     return pairs, preimage
 
 
-class Listing(Sequence):
-    """A listing of count pairs, each built when it is read: at(k) decodes
-    the k-th from k, and walk() yields them all in order."""
+class Listing:
+    """A listing of count pairs, each built when it is read: walk() yields
+    them all in order."""
 
-    def __init__(self, count: int, at, walk):
-        self._count, self._at, self._walk = count, at, walk
+    def __init__(self, count: int, walk):
+        self._count, self._walk = count, walk
 
     def __len__(self):
         return self._count
-
-    def __getitem__(self, k):
-        ks = range(self._count)[k]
-        return list(map(self._at, ks)) if isinstance(k, slice) else self._at(ks)
 
     def __iter__(self):
         return self._walk()
@@ -371,26 +367,21 @@ def _field_pairs(q: int, perms: list, units: list) -> Listing:
     units, and after a digit at a there are (q - a - 1)! (q - 1)^(q - a - 1)
     completions.  The digit adds d (q - a - 1)! to the position of G in
     perms (its Lehmer code) and e (q - 1)^(q - a - 1) to that of F in
-    units, so the k-th pair decodes from k; the walk adds the offsets of
+    units, so the walk steps the digits in order: it adds the offsets of
     the last three entries, listed once, to those of each prefix."""
     steps = [[(d * factorial(q - 1 - a), e * (q - 1) ** (q - 1 - a))
               for d in range(q - a) for e in range(q - 1)] for a in range(q)]
-    ends = [prod(map(len, steps[a + 1:])) for a in range(q)]
 
     def ranks(digits):
         g, f = map(sum, zip((0, 0), *digits))
         return g, f
-
-    def at(k):
-        g, f = ranks(step[k // end % len(step)] for step, end in zip(steps, ends))
-        return perms[g], units[f]
 
     def walk():
         tail = [ranks(digits) for digits in product(*steps[-3:])]
         for g, f in map(ranks, product(*steps[:-3])):
             yield from ((perms[g + x], units[f + y]) for x, y in tail)
 
-    return Listing(len(perms) * len(units), at, walk)
+    return Listing(len(perms) * len(units), walk)
 
 
 def stabilizer_pairs(base: Ring, *, cap: int | None = None):
@@ -398,8 +389,8 @@ def stabilizer_pairs(base: Ring, *, cap: int | None = None):
     (id, F), sorted, so by unit table F, and null_part(F), the index vector
     of the preimage g of (0, F - 1), so null with [1 + g'] = F, the element
     being x + g.  The unit tables are those of the coset 1 + H: over F_q
-    every one, capped at (q - 1)^q, the k-th being k written in base q - 1
-    in the units, each decoded when read (Listing); over Z/m capped at |H|
+    every one, capped at (q - 1)^q, in the order of the words of length q
+    over the units, each built when read (Listing); over Z/m capped at |H|
     (_pair_parts).
     """
     nb, add_t = base.size, base.index_op_tables()[0]
@@ -408,9 +399,8 @@ def stabilizer_pairs(base: Ring, *, cap: int | None = None):
     if base.is_field:
         field_group_order(base, "stabilizer", cap=cap)
         digits = list(compress(ident, base.unit_index_mask()))
-        r, preimage = len(digits), hermite_preimage(base)
-        pairs = Listing(r**nb, lambda k: (ident, tuple(digits[k // r**a % r] for a in ident[::-1])),
-                        lambda: zip(repeat(ident), product(digits, repeat=nb)))
+        preimage = hermite_preimage(base)
+        pairs = Listing(len(digits) ** nb, lambda: zip(repeat(ident), product(digits, repeat=nb)))
     else:
         _, unit_coset, preimage = _pair_parts(base, times=1, cap=cap, what="stabilizer")
         pairs = [(ident, F) for F in sorted(unit_coset((base.index(base.one),) * nb))]

@@ -22,6 +22,7 @@ from ringfunc.cli import main
 from ringfunc.dual import DualRing, dual_ring, eval_dual, horner_dual
 from ringfunc.poly import Polynomial, format_polynomial, index_formatter
 from ringfunc.rings import CAP_ENV_VAR, PrimePowerRing, SizeCapError, make_ring
+import reference_sweep
 import test_groups
 from test_groups import (
     corrupt_hermite_basis,
@@ -791,9 +792,10 @@ def test_limited_field_listing_builds_only_the_kept_pairs(capsys, monkeypatch, a
     monkeypatch.setattr(gr.Listing, "__iter__", counting)
     code, out, _ = run(capsys, "enumerate", *argv, "--limit", "3")
     assert code == 0 and len(json.loads(out)["items"]) == 3
+    monkeypatch.undo()
     listing = (gr.stabilizer_pairs if "stabilizer" in argv else gr.dual_pairs)(
         make_ring(argv[-1]))[0]
-    assert read == listing[:3]
+    assert read == list(itertools.islice(listing, 3))
 
 
 def _count_witnesses(monkeypatch):
@@ -1068,15 +1070,16 @@ def test_dual_criterion_matches_horner_dual_on_every_candidate(monkeypatch, desc
 
 
 def _split_sweep(add_t, zero_table, stages, first: slice):
-    """The oracle of the dual criterion's keys: the sums of coefficient_sums
-    over the stages, split at the middle stage, k = len(stages) // 2, into
-    the distinct low sums (stages[:k]) and high sums (stages[k:]).  Yields
+    """The oracle of the dual criterion's keys: the sums of the reference
+    sweep (reference_sweep.coefficient_sums) over the stages, split at the
+    middle stage, k = len(stages) // 2, into the distinct low sums
+    (stages[:k]) and high sums (stages[k:]).  Yields
     h + t for each high sum h and each low sum t whose first table t[first],
     added to h[first], makes a bijection, in first-reached order of h, then
     of t: one key per (low, high) pair, repeats included."""
     k = len(stages) // 2
-    low = dict(fs.coefficient_sums(add_t, zero_table, stages[:k]))
-    high = dict(fs.coefficient_sums(add_t, zero_table, stages[k:]))
+    low = dict(reference_sweep.coefficient_sums(add_t, zero_table, stages[:k]))
+    high = dict(reference_sweep.coefficient_sums(add_t, zero_table, stages[k:]))
     for h in high:
         rows = [add_t[b] for b in h]
         h1 = rows[first]
@@ -1120,7 +1123,7 @@ def test_dual_criterion_caps_the_rest_sums_before_the_low_sweep(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("swept")
 
-    monkeypatch.setattr(fs, "coefficient_sums", refuse)
+    monkeypatch.setattr(reference_sweep, "coefficient_sums", refuse)
     with pytest.raises(SizeCapError, match="pair sweep: 256 exceeds cap 255"):
         sweep_dual_criterion(make_ring("fq:4"), cap=255)
 
@@ -1340,8 +1343,8 @@ def test_dual_law_fails_on_a_dropped_factor_k(monkeypatch, desc):
 
 def _local_null_split(ring, k, zero, stages):
     """(low, rest): the f0 of degree < D with constant term 0 over Z/N as
-    stages of coefficient_sums, split at the part null on the filter's
-    points mod k (Kempner 1921; Singmaster 1974): low c (x)_j for
+    stages of reference_sweep.coefficient_sums, split at the part null on
+    the filter's points mod k (Kempner 1921; Singmaster 1974): low c (x)_j for
     c < s = k / gcd(k, j!), rest s c (x)_j for c < N / s, each term a sum of
     those of stages (derivative_stages on ring, in element order).  Stages
     of one term are dropped."""
@@ -1472,7 +1475,7 @@ def test_local_verdicts_per_key_match_every_block(p, n):
     zero = (0,) * (ring.size + p)
     per_key = {
         key: _local_verdicts(key, p, n)
-        for key, _ in fs.coefficient_sums(ring.index_op_tables()[0], zero, stages)
+        for key, _ in reference_sweep.coefficient_sums(ring.index_op_tables()[0], zero, stages)
     }
     assert per_key == per_candidate
     assert any(brute for brute, _ in per_key.values())
@@ -1577,6 +1580,33 @@ def test_verify_canonical_json_shape(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("how, calls", [("other-function", 4), ("unstable", 8)])
+def test_verify_canonical_fails_a_broken_roundtrip(capsys, monkeypatch, how, calls):
+    # a form of f + 1 induces another function than f, and fails at the
+    # first canonicalize of each ring; a form that is f's on the first call
+    # and (f + 1)'s on the second is not stable, and fails at the second
+    real, made = canon.canonicalize, []
+
+    def broken(f, p, n):
+        made.append(f)
+        shift = how == "other-function" or len(made) % 2 == 0
+        return real(f + 1 if shift else f, p, n)
+
+    monkeypatch.setattr(canon, "canonicalize", broken)
+    code, out, _ = run(capsys, "verify", "--suite", "canonical")
+    assert code == 4 and len(made) == calls
+    assert out.splitlines() == [
+        "canonical[kernel-basis]: pass",
+        "canonical[roundtrip:zpn:2,2]: FAIL",
+        "canonical[roundtrip:zpn:2,3]: FAIL",
+        "canonical[roundtrip:zpn:3,2]: FAIL",
+        "canonical[roundtrip:zpn:3,3]: FAIL",
+        "canonical[bijection:zpn:2,2]: pass",
+        "canonical[uv-bijection:zpn:2,2]: pass",
+        "3/7 checks passed",
+    ]
+
+
 def test_verify_dual_suite_restricted_to_one_ring(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "dual", "--ring", "fq:3")
     assert code == 0
@@ -1608,6 +1638,14 @@ def test_verify_groups_grid_respects_max_size(capsys):
         "groups[embedding:fq:3]: pass",
         "4/4 checks passed",
     ]
+
+
+@pytest.mark.parametrize("suite", ["groups", "dual"])
+def test_verify_refuses_a_grid_with_no_ring_under_max_size(capsys, suite):
+    # the smallest grid ring, fq:2, has a dual ring of 4 elements
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-size", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: no test rings fit under --max-size 3\n"
 
 
 def test_verify_groups_passes_over_z6(capsys):

@@ -7,7 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringfunc import funcspace
 from ringfunc.canonical import count_polynomial_functions
+from ringfunc.cli import _brute_counts
 from ringfunc.dual import dual_ring
 from ringfunc.funcspace import (
     FunctionTable,
@@ -32,6 +34,7 @@ from ringfunc.funcspace import (
 )
 from ringfunc.poly import Polynomial, X, parse
 from ringfunc.rings import SizeCapError, make_ring
+import reference_sweep
 from test_groups import derivative_stages, inverse_permutation
 
 
@@ -399,21 +402,19 @@ def test_incremental_sweep_matches_per_polynomial_induction():
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zpn:2,3", "zm:6"])
 def test_induced_tables_match_per_candidate_induction(desc):
-    # the sweep steps degrees 1 .. D-1 only and translates by the constants;
-    # the second domain has no zero, so the untranslated tables are not
-    # candidates themselves
+    # the sweep steps degrees 1 .. D-1 only and translates by the constants
     ring = make_ring(desc)
     ring_arg = None if ring.integer_encoded else ring
-    for domain in (ring.elements, ring.elements[1:3]):
-        for D in range(4):
-            naive = {
-                induce(Polynomial(c, ring_arg), ring).values
-                for c in itertools.product(domain, repeat=D)
-            }
-            assert induced_tables(ring, D, coeff_elements=domain) == naive
+    for D in range(4):
+        naive = {
+            induce(Polynomial(c, ring_arg), ring).values
+            for c in itertools.product(ring.elements, repeat=D)
+        }
+        assert induced_tables(ring, D) == naive
 
 
-# the coefficient-sum engine against a per-candidate first-seen map
+# the coefficient-sum engines against a per-candidate first-seen map: the
+# reference sweep's witnesses and order, the library engine's set of sums
 
 
 def _first_seen(ring, D, domain, with_derivative):
@@ -437,7 +438,7 @@ def _engine_first_seen(ring, D, domain, with_derivative):
     stages = derivative_stages(ring, D, domain, points)
     zero = (ring.index(ring.zero),) * (ring.size + len(points))
     seen = {}
-    for table, coeffs in coefficient_sums(ring.index_op_tables()[0], zero, stages):
+    for table, coeffs in reference_sweep.coefficient_sums(ring.index_op_tables()[0], zero, stages):
         seen.setdefault(table, coeffs)
     return seen
 
@@ -461,16 +462,17 @@ def test_coefficient_sums_stream_only_the_last_stage():
     # and the 8 sums streamed are all distinct
     z4 = make_ring("zpn:2,2")
     add_t = z4.index_op_tables()[0]
-    stream = list(coefficient_sums(add_t, (0,) * 4, monomial_stages(z4, 3, z4.elements)))
+    sweep, stages = reference_sweep.coefficient_sums, reference_sweep.monomial_stages
+    stream = list(sweep(add_t, (0,) * 4, stages(z4, 3, z4.elements)))
     assert len(stream) == len(dict(stream)) == 8
     assert {coeffs[-1] for _, coeffs in stream} == {0, 1}
     # the tables of x and 2 x hold no zero table, so no stage is a group:
     # the 8 distinct sums of degrees 1 .. 3 are each stepped by both
     # coefficients of x^4, 16 sums streamed, of which 12 distinct
-    stream = list(coefficient_sums(add_t, (0,) * 4, monomial_stages(z4, 5, (1, 2))))
+    stream = list(sweep(add_t, (0,) * 4, stages(z4, 5, (1, 2))))
     assert len(stream) == 16
     assert len(dict(stream)) == 12
-    assert list(coefficient_sums(None, (0, 0), [])) == [((0, 0), ())]
+    assert list(sweep(None, (0, 0), [])) == [((0, 0), ())]
 
 
 SMALL_RINGS = (
@@ -494,9 +496,31 @@ def test_whole_ring_stages_stream_each_sum_once(desc, with_derivative):
         if ring.size ** (D - 1) > 1000:
             break
         stages = derivative_stages(ring, D, ring.elements, points)
-        stream = list(coefficient_sums(add_t, zero, stages))
+        stream = list(reference_sweep.coefficient_sums(add_t, zero, stages))
         assert len(stream) == len(dict(stream))
         assert stream == list(_first_seen(ring, D, ring.elements, with_derivative).items())
+
+
+@pytest.mark.parametrize("desc", SMALL_RINGS)
+@pytest.mark.parametrize("with_derivative", [False, True])
+def test_span_engine_builds_the_per_candidate_table_set(desc, with_derivative):
+    # the library engine on whole-ring stages, with the derivative columns
+    # or without: exactly the tables every candidate induces, up to the
+    # null degree bound or 1,000 candidates, and the zero table with no
+    # stages
+    ring = make_ring(desc)
+    points = range(ring.size) if with_derivative else ()
+    zero = (ring.index(ring.zero),) * (ring.size + len(points))
+    add_t = ring.index_op_tables()[0]
+    assert coefficient_sums(add_t, zero, []) == {zero}
+    for D in range(1, null_degree_bound(ring) + 1):
+        if ring.size ** (D - 1) > 1000:
+            break
+        stages = derivative_stages(ring, D, ring.elements, points)
+        sums = coefficient_sums(add_t, zero, [[t for _, t in st] for st in stages])
+        assert sums == set(_first_seen(ring, D, ring.elements, with_derivative))
+        if not with_derivative:
+            assert [[t for _, t in st] for st in stages] == monomial_stages(ring, D)
 
 
 def test_local_criterion_stages_stream_each_key_once():
@@ -507,7 +531,7 @@ def test_local_criterion_stages_stream_each_key_once():
     add_t = z9.index_op_tables()[0]
     for D in range(1, null_degree_bound(z9) + 1):
         stages = derivative_stages(z9, D, z9.elements, range(3), scale=3)
-        stream = list(coefficient_sums(add_t, (0,) * 12, stages))
+        stream = list(reference_sweep.coefficient_sums(add_t, (0,) * 12, stages))
         assert len(stream) == len(dict(stream))
         if D > 4:
             continue
@@ -525,8 +549,8 @@ def test_brute_count_stages_stream_the_closed_form_count(p, n):
     # the tables of constant term zero are the polynomial functions up to
     # translation by the p^n constants
     ring = make_ring(f"zpn:{p},{n}")
-    stages = monomial_stages(ring, null_degree_bound(ring), ring.elements)
-    streamed = sum(1 for _ in coefficient_sums(ring.index_op_tables()[0], (0,) * p**n, stages))
+    stages = monomial_stages(ring, null_degree_bound(ring))
+    streamed = len(coefficient_sums(ring.index_op_tables()[0], (0,) * p**n, stages))
     assert streamed == count_polynomial_functions(p, n) // p**n
     assert streamed == {(2, 2): 16, (2, 3): 128, (3, 2): 2187}[p, n]
 
@@ -548,25 +572,31 @@ def test_engine_agrees_with_the_per_candidate_sweep_on_small_rings(case):
     assert list(_engine_first_seen(ring, D, domain, with_derivative).items()) == list(
         expected.items()
     )
-    ring_arg = None if ring.integer_encoded else ring
-    naive = {
-        induce(Polynomial(c, ring_arg), ring).values
-        for c in itertools.product(domain, repeat=D)
-    }
-    assert induced_tables(ring, D, coeff_elements=domain) == naive
 
 
 def test_degree_bound_and_coefficient_restriction():
     z4 = make_ring("zpn:2,2")
     assert len(induced_tables(z4, 2)) == 16
-    assert len(induced_tables(z4, 2, coeff_elements=(0, 1))) == 4
     assert induced_tables(z4, 0) == frozenset({(0, 0, 0, 0)})
     chain = [induced_tables(z4, k) for k in range(6)]
     for small, large in zip(chain, chain[1:]):
         assert small <= large
     assert chain[4] == chain[5]
-    with pytest.raises(ValueError):
-        induced_tables(z4, 2, coeff_elements=())
+
+
+def test_polynomial_enumeration_is_refused_before_any_table(monkeypatch):
+    # the cap counts every candidate, 9^6 on Z_9, and refuses before a
+    # stage or a sum is built, for the induced tables and the brute counts
+    def refuse(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(funcspace, "monomial_stages", refuse)
+    monkeypatch.setattr(funcspace, "coefficient_sums", refuse)
+    message = "polynomial enumeration: 531441 exceeds cap 531440"
+    with pytest.raises(SizeCapError, match=message):
+        induced_tables(make_ring("zpn:3,2"), cap=531440)
+    with pytest.raises(SizeCapError, match=message):
+        _brute_counts(3, 2, 531440)
 
 
 def test_enumeration_cap_is_enforced(monkeypatch):
