@@ -23,8 +23,6 @@ class DualRing(Ring):
     ...; the base ring embeds as the pairs (a, 0).
     """
 
-    kind = "dual"
-
     def __init__(self, base: Ring, *, size_cap: int | None = None):
         super().__init__()
         if isinstance(base, DualRing):

@@ -3,11 +3,14 @@
 A FunctionTable is the explicit value list of an induced function [f], indexed
 by the ring's canonical element order.  This module carries the pointwise ring
 structure on tables, the predicates (null, unit-valued, permutation) in both
-brute-force and criterion form, Lagrange interpolation, the Hermite basis over
-fields and the pair module over Z/m that realize pairs ([f], [f']), and the
-induced tables of polynomials of degree < D: the additive span of the
-monomial tables [c x^d] (coefficient_sums), translated by the constants, from
-which the counts and the semidirect product's factors are read.
+brute-force and criterion form, Lagrange interpolation over F_q by the basis
+L_a = 1 - (x - a)^(q-1) = 1 - sum_k a^(q-1-k) x^k ([L_a] is the indicator of
+a, as c^(q-1) = 1 for c != 0, and (x - a)^q = x^q - a = (x - a) sum_k
+a^(q-1-k) x^k), the Hermite basis over fields and the pair module over Z/m
+that realize pairs ([f], [f']), and the induced tables of polynomials of
+degree < D: the additive span of the monomial tables [c x^d]
+(coefficient_sums), translated by the constants, from which the counts and
+the semidirect product's factors are read.
 
 The brute-force predicates are the oracles; the criteria are the products.
 Keeping both first-class means every fast path can be cross-checked against
@@ -179,41 +182,29 @@ def invert_unit_table(F: FunctionTable) -> FunctionTable:
 
 
 def lagrange(F: FunctionTable) -> Polynomial:
-    """The unique polynomial of degree <= q-1 inducing F over a field.
+    """The unique polynomial of degree <= q-1 inducing F over a field, the
+    sum of F(a) L_a over the closed-form basis L_a = 1 - (x - a)^(q-1).
 
     Over a prime field the result has integer coefficients in [0, p-1]; over
     an extension field the coefficients are field elements.
     """
     ring = F.ring
-    coeffs = _interpolate(ring, list(map(ring.index, F.values)))
+    coeffs = hermite_sum(ring, _lagrange_basis(ring), map(ring.index, F.values))
     return index_polynomial(ring, coeffs)
 
 
-def _interpolate(ring: Ring, values) -> list[int]:
-    """The coefficient indices, q of them, of the polynomial of degree < q
-    with the value indices values, by the Lagrange basis
-    prod_{b != a} (x - b) / (a - b) on index vectors."""
+def _lagrange_basis(ring: Ring) -> list[list[int]]:
+    """The Lagrange basis L_a = 1 - (x - a)^(q-1) of a field F_q, one
+    vector of q coefficient indices per element index a, constant term
+    first: 1 - a^(q-1), then -a^(q-1-k) for k = 1 .. q-1 (0^0 = 1)."""
     if not ring.is_field:
         raise ValueError(f"{ring.descriptor} is not a field")
     q = ring.size
-    add_t, mul_t = ring.index_op_tables()
+    add_t = ring.index_op_tables()[0]
     zero, one = ring.index(ring.zero), ring.index(ring.one)
     neg = [row.index(zero) for row in add_t]
-    acc = [zero] * q
-    for a, y in enumerate(values):
-        if y == zero:
-            continue
-        basis, denom = [one], one
-        for b in range(q):
-            if b != a:
-                # basis * (x - b), and denom * (a - b)
-                basis = [
-                    add_t[s][mul_t[neg[b]][t]] for s, t in zip([zero] + basis, basis + [zero])
-                ]
-                denom = mul_t[denom][add_t[a][neg[b]]]
-        scale = mul_t[y][mul_t[denom].index(one)]
-        acc = [add_t[s][mul_t[scale][t]] for s, t in zip(acc, basis)]
-    return acc
+    pw = ring.power_index_table(q - 1)[q - 1 :: -1]  # pw[k][a]: a^(q-1-k)
+    return [[add_t[one][neg[pw[0][a]]]] + [neg[row[a]] for row in pw[1:]] for a in range(q)]
 
 
 def hermite_basis(ring: Ring) -> tuple[list[list[int]], list[list[int]]]:
@@ -226,11 +217,11 @@ def hermite_basis(ring: Ring) -> tuple[list[list[int]], list[list[int]]]:
     is -1, so [H_a] = [K_a'] is the indicator of a and [H_a'] = [K_a] = 0.
     Then g = sum_a G(a) H_a + F(a) K_a has [g] = G and [g'] = F, and it is
     the only such g of degree < 2q: (x^q - x)^2 divides the difference of
-    two.  Built on each call; L_a is interpolated as lagrange does.
+    two.  Built on each call from L_a = 1 - (x - a)^(q-1) (_lagrange_basis).
     """
     q = ring.size
     add_t, mul_t = ring.index_op_tables()
-    zero, one = ring.index(ring.zero), ring.index(ring.one)
+    zero = ring.index(ring.zero)
     neg = [row.index(zero) for row in add_t]
     scales = [ring.index(ring.from_int(k)) for k in range(1, q)]
 
@@ -242,8 +233,7 @@ def hermite_basis(ring: Ring) -> tuple[list[list[int]], list[list[int]]]:
         return out
 
     H, K = [], []
-    for a in range(q):
-        la = _interpolate(ring, [one if b == a else zero for b in range(q)])
+    for la in _lagrange_basis(ring):
         dla = [mul_t[s][c] for s, c in zip(scales, la[1:])] + [zero]
         H.append([add_t[u][v] for u, v in zip(la + [zero] * q, times_vanishing(dla))])
         K.append([neg[v] for v in times_vanishing(la)])

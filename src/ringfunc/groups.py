@@ -210,9 +210,7 @@ def semidirect_group(ring: Ring, *, cap: int | None = None) -> list[DualPermutat
     return pair_elements(dual_ring(ring), product(*semidirect_pairs(ring, cap=cap)))
 
 
-def pair_table_sweep(
-    base: Ring, degree_bound: int, *, coeff_elements=None, cap: int | None = None
-):
+def pair_table_sweep(base: Ring, degree_bound: int, *, cap: int | None = None):
     """The per-candidate oracle: sweep the coefficient vectors of degree <
     degree_bound over the base ring, yielding (f_table, derivative_table,
     coefficients) for each.
@@ -220,22 +218,19 @@ def pair_table_sweep(
     Tables are index tuples over the base, from straight Horner evaluation
     of f and f' at every point; coefficients come back as a tuple of base
     encodings, constant term first, and the constant term steps fastest, in
-    domain order.  A degree bound of 0 or less yields the zero polynomial
-    alone.  The cap counts every candidate, |domain|^D.
+    element order.  A degree bound of 0 or less yields the zero polynomial
+    alone.  The cap counts every candidate, |R|^D.
 
     No library code sweeps this way: the induced tables are the span that
     funcspace.coefficient_sums builds, with no witness or order.  This
     stays in the package because perfbench/test_perfbench.py and
     perfbench/spans.py call and trace it by name.
     """
-    domain = list(base.elements if coeff_elements is None else coeff_elements)
-    if not domain:
-        raise ValueError("empty coefficient domain")
     D = max(degree_bound, 0)
-    check_cap(len(domain) ** D, cap, "pair sweep")
+    check_cap(base.size ** D, cap, "pair sweep")
     els = base.elements
     scales = [base.from_int(k) for k in range(1, D)]
-    for vec in product(domain, repeat=D):
+    for vec in product(els, repeat=D):
         coeffs = vec[::-1]
         dcoeffs = list(map(base.mul, scales, coeffs[1:]))
         yield (

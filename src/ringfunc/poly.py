@@ -345,11 +345,25 @@ class _ListParser:
     product of its parenthesised factors, if it has any, and expr adds it
     into its sum from degree d on."""
 
-    __slots__ = ("toks", "i")
+    __slots__ = ("toks", "i", "cap")
 
     def __init__(self, text: str):
         self.toks = _tokens(text)
         self.i = 0
+        self.cap = None
+
+    def check_degree(self, degree: int) -> None:
+        """Refuse a coefficient list of this degree before it is made, if the
+        degree passes the enumeration cap and the length of the text: a list
+        no longer than the text costs no more than reading it did, so most
+        parses never read the cap, and none reads it twice."""
+        if degree <= self.toks[-1][0]:  # the end marker's position, len(text)
+            return
+        from .rings import check_cap, enumeration_cap  # rings imports this module
+
+        if self.cap is None:
+            self.cap = enumeration_cap()
+        check_cap(degree, self.cap, "polynomial degree")
 
     def power(self) -> int:
         """The exponent of the factor just read: the number after a ^, or 1
@@ -372,6 +386,7 @@ class _ListParser:
             c *= sign
             top = d + 1 if product is None else d + len(product)
             if len(acc) < top:
+                self.check_degree(top - 1)
                 acc += [0] * (top - len(acc))
             if product is None:
                 acc[d] += c
@@ -404,7 +419,10 @@ class _ListParser:
                 self.i += 1
                 k = self.power()
                 if k != 1:
+                    self.check_degree((len(base) - 1) * k)
                     base = _pow(base, k)
+                if product is not None:
+                    self.check_degree(len(product) + len(base) - 2)
                 product = base if product is None else _mul(product, base)
             elif tok[:1].isdigit():
                 self.i += 1
@@ -432,7 +450,9 @@ def parse(text: str) -> Polynomial:
     its numbers and powers of x folded into c and d as they come; only a
     parenthesised factor is multiplied out, and the term is added into the
     sum at degree d.  One Polynomial is built at the end.  A ParseError
-    carries the position of the offending token.
+    carries the position of the offending token.  A degree past both the
+    enumeration cap and the text's length raises SizeCapError before any
+    coefficient list that long is built.
     """
     ps = _ListParser(text)
     coeffs = ps.expr()

@@ -132,7 +132,6 @@ class Ring:
     descriptor compare equal and can be mixed freely.
     """
 
-    kind = "abstract"
     integer_encoded = False
 
     def __init__(self):
@@ -257,7 +256,6 @@ class ModularRing(Ring):
     """Z_m with canonical residues 0..m-1, enumerated in that order; for a
     prime m under the descriptor fq:m, the prime field F_m."""
 
-    kind = "modular"
     integer_encoded = True
 
     def __init__(self, m: int, *, descriptor: str | None = None, size_cap: int | None = None):
@@ -347,8 +345,6 @@ class PrimePowerRing(ModularRing):
 
     The maximal ideal is exactly the multiples of p.
     """
-
-    kind = "prime-power"
 
     def __init__(self, p: int, n: int, *, size_cap: int | None = None):
         if not is_prime(p):
@@ -462,8 +458,6 @@ class FiniteField(Ring):
     is then the image of the integer k.  The prime field F_p is the residue
     ring Z/p: make_ring("fq:p") builds it as a ModularRing.
     """
-
-    kind = "finite-field"
 
     def __init__(self, p: int, m: int, *, size_cap: int | None = None):
         super().__init__()

@@ -67,6 +67,14 @@ def test_predicate_reports_result_json(capsys, argv, expected):
     assert out == expected + "\n"
 
 
+@pytest.mark.parametrize("degree", ["4611686018427387904", "99999999999999999999"])
+def test_test_refuses_a_degree_past_the_cap(capsys, monkeypatch, degree):
+    # x^d once allocated d + 1 coefficients: a MemoryError or OverflowError
+    monkeypatch.setenv(CAP_ENV_VAR, "1000")
+    argv = ("test", "--ring", "zm:4", "--prop", "null", "--poly", f"x^{degree}")
+    assert run(capsys, *argv) == (3, "", f"error: polynomial degree: {degree} exceeds cap 1000\n")
+
+
 def test_oracle_output_is_byte_stable(capsys):
     code, out, _ = run(
         capsys, "test", "--ring", "zm:4", "--poly", "2*x^2 + 2*x", "--prop", "null",
@@ -154,6 +162,19 @@ def test_count_beta_brute_force_respects_the_ring_size_cap(capsys):
     )
     assert code == 3
     assert "size cap" in err
+
+
+def test_count_brute_force_lifts_the_ring_size_cap_with_allow_large(capsys):
+    argv = ("count", "--what", "beta", "--p", "2", "--n", "17", "--brute-force")
+    code, out, _ = run(capsys, *argv, "--allow-large")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["brute_force"] == doc["formula"] == 20
+    assert run(capsys, *argv) == (3, "", "error: ring of size 131072 exceeds size cap 65536\n")
+    # the table counts reach the ring too, and stop at the enumeration cap
+    code, _, err = run(capsys, *argv[:2], "uvpf", *argv[3:], "--allow-large")
+    assert code == 3
+    assert err.startswith("error: polynomial enumeration: ")
 
 
 def test_count_kernel_rejects_n_below_two(capsys):
@@ -1595,6 +1616,30 @@ def test_verify_canonical_fails_a_broken_roundtrip(capsys, monkeypatch, how, cal
     monkeypatch.setattr(canon, "canonicalize", broken)
     code, out, _ = run(capsys, "verify", "--suite", "canonical")
     assert code == 4 and len(made) == calls
+    assert out.splitlines() == [
+        "canonical[kernel-basis]: pass",
+        "canonical[roundtrip:zpn:2,2]: FAIL",
+        "canonical[roundtrip:zpn:2,3]: FAIL",
+        "canonical[roundtrip:zpn:3,2]: FAIL",
+        "canonical[roundtrip:zpn:3,3]: FAIL",
+        "canonical[bijection:zpn:2,2]: pass",
+        "canonical[uv-bijection:zpn:2,2]: pass",
+        "3/7 checks passed",
+    ]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda terms, n: terms[n > 1:], lambda terms, n: terms[::-1]],
+    ids=["dropped-term", "unsorted-terms"],
+)
+def test_verify_canonical_fails_a_form_that_raises(capsys, monkeypatch, corrupt):
+    # dropping the first digit term fails canonicalize's re-induction check
+    # (RuntimeError); reversed terms fail the form's validation (ValueError)
+    real = canon._table_digits
+    monkeypatch.setattr(canon, "_table_digits", lambda v, p, n: corrupt(real(v, p, n), n))
+    code, out, err = run(capsys, "verify", "--suite", "canonical")
+    assert (code, err) == (4, "")
     assert out.splitlines() == [
         "canonical[kernel-basis]: pass",
         "canonical[roundtrip:zpn:2,2]: FAIL",

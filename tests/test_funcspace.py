@@ -15,6 +15,7 @@ from ringfunc.funcspace import (
     FunctionTable,
     coefficient_sums,
     hermite_basis,
+    index_polynomial,
     induce,
     induced_tables,
     invert_unit_table,
@@ -317,6 +318,51 @@ def test_hermite_basis_interpolates_values_and_derivatives(desc):
         assert len(H[a]) == len(K[a]) == 2 * q
         assert induce(h, ring).values == indicator == induce(k.derive(), ring).values
         assert induce(h.derive(), ring).values == zero == induce(k, ring).values
+
+
+def _product_interpolate(ring, values):
+    """The coefficient indices, q of them, of the polynomial of degree < q
+    with the value indices values, by the Lagrange basis
+    prod_{b != a} (x - b) / (a - b) on index vectors: the per-point product
+    construction, the oracle for the closed form L_a = 1 - (x - a)^(q-1)."""
+    q = ring.size
+    add_t, mul_t = ring.index_op_tables()
+    zero, one = ring.index(ring.zero), ring.index(ring.one)
+    neg = [row.index(zero) for row in add_t]
+    acc = [zero] * q
+    for a, y in enumerate(values):
+        if y == zero:
+            continue
+        basis, denom = [one], one
+        for b in range(q):
+            if b != a:
+                # basis * (x - b), and denom * (a - b)
+                basis = [
+                    add_t[s][mul_t[neg[b]][t]] for s, t in zip([zero] + basis, basis + [zero])
+                ]
+                denom = mul_t[denom][add_t[a][neg[b]]]
+        scale = mul_t[y][mul_t[denom].index(one)]
+        acc = [add_t[s][mul_t[scale][t]] for s, t in zip(acc, basis)]
+    return acc
+
+
+@pytest.mark.parametrize("desc", [f"fq:{q}" for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 64)])
+def test_closed_form_lagrange_basis_matches_the_product_construction(desc, monkeypatch):
+    ring = make_ring(desc)
+    q = ring.size
+    zero, one = ring.index(ring.zero), ring.index(ring.one)
+    oracle = [
+        _product_interpolate(ring, [one if b == a else zero for b in range(q)]) for a in range(q)
+    ]
+    assert funcspace._lagrange_basis(ring) == oracle
+    rng = random.Random(q)
+    for _ in range(20):
+        values = [rng.randrange(q) for _ in range(q)]
+        expected = index_polynomial(ring, _product_interpolate(ring, values))
+        assert lagrange(FunctionTable(ring, map(ring.elements.__getitem__, values))) == expected
+    closed_form = hermite_basis(ring)
+    monkeypatch.setattr(funcspace, "_lagrange_basis", lambda ring: oracle)
+    assert closed_form == hermite_basis(ring)
 
 
 def test_hermite_basis_rejects_a_non_field():

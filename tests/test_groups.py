@@ -945,16 +945,10 @@ def test_sweep_tables_match_direct_induction():
 ORACLE_RINGS = ("fq:2", "fq:3", "fq:4", "zpn:2,2", "zpn:2,3", "zm:6")
 
 
-def _domains(base):
-    # the whole ring, and two nonzero elements: a domain without zero
-    return [None, base.elements[1:3]]
-
-
-def _candidates(base, D, domain=None):
+def _candidates(base, D):
     """Coefficient vectors of degree < D, constant term fastest, each
-    coefficient in domain order."""
-    domain = base.elements if domain is None else domain
-    return [tuple(reversed(t)) for t in itertools.product(domain, repeat=D)]
+    coefficient in element order."""
+    return [tuple(reversed(t)) for t in itertools.product(base.elements, repeat=D)]
 
 
 def _poly(base, coeffs):
@@ -968,22 +962,16 @@ def _index_table(base, f):
 @pytest.mark.parametrize("desc", ORACLE_RINGS)
 def test_pair_sweep_matches_per_candidate_induction(desc):
     base = make_ring(desc)
-    for domain in _domains(base):
-        for D in range(4):
-            expected = []
-            for coeffs in _candidates(base, D, domain):
-                f = _poly(base, coeffs)
-                expected.append(
-                    (_index_table(base, f), _index_table(base, f.derive()), coeffs)
-                )
-            assert list(pair_table_sweep(base, D, coeff_elements=domain)) == expected
+    for D in range(4):
+        expected = []
+        for coeffs in _candidates(base, D):
+            f = _poly(base, coeffs)
+            expected.append((_index_table(base, f), _index_table(base, f.derive()), coeffs))
+        assert list(pair_table_sweep(base, D)) == expected
 
 
 def test_pair_sweeps_reject_bad_arguments():
     z4 = make_ring("zpn:2,2")
-    # the empty domain is refused before the cap is looked at
-    with pytest.raises(ValueError, match="empty coefficient domain"):
-        list(pair_table_sweep(z4, 2, coeff_elements=(), cap=0))
     with pytest.raises(SizeCapError, match="pair sweep: 64 exceeds cap 63"):
         list(pair_table_sweep(z4, 3, cap=63))
     assert len(list(pair_table_sweep(z4, 3, cap=64))) == 64
@@ -993,12 +981,7 @@ def test_pair_sweeps_reject_bad_arguments():
 def test_pair_sweep_below_degree_one_yields_the_zero_candidate(D):
     z4 = make_ring("zpn:2,2")
     zero = (0, 0, 0, 0)
-    for domain in (None, (1, 3)):
-        assert list(pair_table_sweep(z4, D, coeff_elements=domain, cap=1)) == [
-            (zero, zero, ())
-        ]
-    with pytest.raises(ValueError, match="empty coefficient domain"):
-        list(pair_table_sweep(z4, D, coeff_elements=()))
+    assert list(pair_table_sweep(z4, D, cap=1)) == [(zero, zero, ())]
 
 
 def test_null_polynomials_cap_every_candidate():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ringfunc import poly
 from ringfunc.funcspace import index_polynomial, induce
 from ringfunc.poly import ParseError, Polynomial, X, format_polynomial, index_formatter, parse
-from ringfunc.rings import make_ring
+from ringfunc.rings import CAP_ENV_VAR, SizeCapError, make_ring
 
 coeff_lists = st.lists(st.integers(min_value=-30, max_value=30), max_size=7)
 
@@ -418,6 +418,20 @@ def test_flat_sums_multiply_no_lists(monkeypatch):
     assert calls == []
     assert parse("(x+1)^2").coeffs == (1, 2, 1)
     assert "_pow" in calls
+
+
+@pytest.mark.parametrize(
+    "text, degree", [("x^1001", 1001), ("(x^2+1)^501", 1002), ("(x^600)(x^600)", 1200)]
+)
+def test_parse_refuses_a_degree_past_the_cap_before_building_it(monkeypatch, text, degree):
+    monkeypatch.setenv(CAP_ENV_VAR, "1000")
+    built = []
+    monkeypatch.setattr(poly, "_pow", lambda *args: built.append("_pow"))
+    monkeypatch.setattr(poly, "_mul", lambda *args: built.append("_mul"))
+    assert parse("x^1000").degree == 1000
+    with pytest.raises(SizeCapError, match=f"^polynomial degree: {degree} exceeds cap 1000$"):
+        parse(text)
+    assert built == []
 
 
 _WS = st.sampled_from(["", " ", "  ", "\t", " \n"])
