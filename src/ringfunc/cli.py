@@ -18,7 +18,7 @@ import sys
 from collections import Counter
 from contextlib import nullcontext
 from functools import lru_cache, reduce
-from itertools import islice, product
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii as quote
 from operator import or_
 
@@ -55,6 +55,16 @@ def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
         fh.write(text + "\n")
+
+
+def _printable(count: int) -> int:
+    """count, refused if it has more digits than Python converts to text
+    (sys.get_int_max_str_digits from 3.10.7 on, 0 for no limit): that
+    conversion is quadratic, so --allow-large does not lift its limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and count >= 10**limit:
+        raise SizeCapError(f"count: more than {limit} digits, Python's limit for printing an int")
+    return count
 
 
 def _cap(args) -> int | None:
@@ -176,7 +186,7 @@ def cmd_count(args) -> int:
         if n < 2:
             raise ValueError("kernel counts need n >= 2")
         formula = canon.kernel_count(p, n)
-    doc = {"formula": formula, "n": n, "p": p, "what": what}
+    doc = {"formula": _printable(formula), "n": n, "p": p, "what": what}
     if args.brute_force:
         if what == "beta":
             # the least k with p^n | k!, by search rather than Legendre's formula
@@ -276,27 +286,6 @@ def _write_listing(args, doc: dict, key: str, texts) -> None:
         fh.write(f"]{tail}\n")
 
 
-def cmd_enumerate(args) -> int:
-    """List --what's items, the first --limit of them; a group or stabilizer
-    listing is written item by item as it is made (_write_listing)."""
-    cap = _cap(args)
-    what = args.what
-    keep = slice(args.limit)
-    if what in ("group", "stabilizer"):
-        doc, texts, _ = _group_elements(args, cap)
-        _write_listing(args, doc, "items", texts(keep))
-        return 0
-    p, n = _pn(args)
-    if what == "kernel":
-        found = list(canon.enumerate_kernel(p, n, cap=cap))
-        items = [{"poly": format_polynomial(g)} for g in found[keep]]
-    else:  # uvpf-forms
-        found = list(canon.enumerate_unit_valued_forms(p, n, cap=cap))
-        items = [f.to_json_dict() for f in found[keep]]
-    _emit(args, _json_dumps({"count": len(found), "items": items, "n": n, "p": p, "what": what}))
-    return 0
-
-
 def _multiplication_table(els) -> list[list[int]]:
     index = {el: i for i, el in enumerate(els)}
     return [[index[a * b] for b in els] for a in els]
@@ -315,41 +304,51 @@ def _csv_text(rows) -> str:
     return "\n".join(lines)
 
 
-def cmd_export(args) -> int:
-    """Export --what as CSV or JSON; a group or stabilizer document in JSON
-    is written item by item as it is made (_write_listing), its table, if
-    asked, after the items."""
+def _form_listing(args, cap):
+    """(doc, texts, rows) for --what kernel/uvpf-forms, as _group_elements
+    gives them, with the CSV rows; each item is built as it is read.  The
+    count is the closed form the enumeration checks against its cap, and
+    the enumeration checks its arguments and cap once started, so its first
+    item is taken here, before any output."""
+    p, n = _pn(args)
+    if args.what == "kernel":
+        count, found = canon.kernel_count(p, n), canon.enumerate_kernel(p, n, cap=cap)
+        header, item = ("index", "polynomial"), lambda g: {"poly": format_polynomial(g)}
+        fields = lambda g: (format_polynomial(g),)
+    else:  # uvpf-forms
+        count = canon.count_unit_valued_functions(p, n)
+        found = canon.enumerate_unit_valued_forms(p, n, cap=cap)
+        header, item = ("index", "s", "polynomial"), canon.UnitValuedCanonicalForm.to_json_dict
+        fields = lambda f: (f.s, format_polynomial(f.to_polynomial()))
+    doc = {"count": _printable(count), "n": n, "p": p, "what": args.what}
+    found = chain([next(found)], found)
+    texts = lambda keep: (_json_dumps(item(x)) for x in islice(found, len(range(count)[keep])))
+    return doc, texts, chain([header], ((i, *fields(x)) for i, x in enumerate(found)))
+
+
+def cmd_list(args) -> int:
+    """enumerate and export: list --what's items, enumerate the first
+    --limit of them, export all as JSON or CSV, a group or stabilizer in
+    CSV as its multiplication table, in JSON with it on --table.  Each JSON
+    listing is written item by item as it is made (_write_listing)."""
     cap = _cap(args)
-    what = args.what
-    if what in ("group", "stabilizer"):
-        table = args.format == "csv" or args.table
+    csv = getattr(args, "format", "json") == "csv"
+    group = args.what in ("group", "stabilizer")
+    if group:
+        table = csv or getattr(args, "table", False)
         doc, texts, elements = _group_elements(args, cap, table)
         count = doc["count"]
-        if table:
+        if table:  # the CSV document, or JSON's with --table
             check_cap(count**2, cap, "multiplication table")
-            table = _multiplication_table(elements())
-        if args.format == "csv":
-            rows = [[""] + list(range(count))]
-            rows += [[i] + row for i, row in enumerate(table)]
-            _emit(args, _csv_text(rows))
-            return 0
-        if args.table:
-            doc["table"] = table
-        _write_listing(args, doc, "elements", texts())
-        return 0
-    p, n = _pn(args)
-    if what == "kernel":
-        polys = list(canon.enumerate_kernel(p, n, cap=cap))
-        rows = [("index", "polynomial")]
-        rows += [(i, format_polynomial(g)) for i, g in enumerate(polys)]
-        items = [{"poly": format_polynomial(g)} for g in polys]
-    else:  # uvpf-forms
-        forms = list(canon.enumerate_unit_valued_forms(p, n, cap=cap))
-        rows = [("index", "s", "polynomial")]
-        rows += [(i, f.s, format_polynomial(f.to_polynomial())) for i, f in enumerate(forms)]
-        items = [f.to_json_dict() for f in forms]
-    doc = {"count": len(items), "items": items, "n": n, "p": p, "what": what}
-    _emit(args, _csv_text(rows) if args.format == "csv" else _json_dumps(doc))
+            doc["table"] = table = _multiplication_table(elements())
+            rows = chain([[""] + list(range(count))], ([i] + row for i, row in enumerate(table)))
+    else:
+        doc, texts, rows = _form_listing(args, cap)
+    if csv:
+        _emit(args, _csv_text(rows))
+    else:
+        key = "elements" if group and args.command == "export" else "items"
+        _write_listing(args, doc, key, texts(slice(getattr(args, "limit", None))))
     return 0
 
 
@@ -608,14 +607,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dual", action="store_true",
                         help="the dual-extension permutation group instead of "
                              "the semidirect product")
+        sp.set_defaults(func=cmd_list)
         if verb == "enumerate":
-            sp.add_argument("--limit", type=int, help="truncate the item list")
-            sp.set_defaults(func=cmd_enumerate)
+            sp.add_argument("--limit", type=int,
+                            help="truncate the item list; the items past it are never built")
         else:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
             sp.add_argument("--table", action="store_true",
                             help="include the full multiplication table (JSON)")
-            sp.set_defaults(func=cmd_export)
 
     sp = sub.add_parser("verify", help="run verification suites")
     common(sp)

@@ -338,6 +338,10 @@ def _pow(base: list[int], k: int) -> list[int]:
         base = _mul(base, base)
 
 
+# c^k has at most k times the bits of c
+_POWER_BITS = "bits of a number's power"
+
+
 class _ListParser:
     """Recursive descent over the token list, computing on coefficient lists
     (lowest degree first, no trailing zeros); every error is reported at the
@@ -352,18 +356,19 @@ class _ListParser:
         self.i = 0
         self.cap = None
 
-    def check_degree(self, degree: int) -> None:
-        """Refuse a coefficient list of this degree before it is made, if the
-        degree passes the enumeration cap and the length of the text: a list
-        no longer than the text costs no more than reading it did, so most
-        parses never read the cap, and none reads it twice."""
-        if degree <= self.toks[-1][0]:  # the end marker's position, len(text)
+    def check_size(self, size: int, what: str = "polynomial degree") -> None:
+        """Refuse a coefficient list of this degree, or a number of this many
+        bits, before it is made, if the size passes the enumeration cap and
+        the length of the text: one no longer than the text costs no more
+        than reading it did, so most parses never read the cap, and none
+        reads it twice."""
+        if size <= self.toks[-1][0]:  # the end marker's position, len(text)
             return
         from .rings import check_cap, enumeration_cap  # rings imports this module
 
         if self.cap is None:
             self.cap = enumeration_cap()
-        check_cap(degree, self.cap, "polynomial degree")
+        check_cap(size, self.cap, what)
 
     def power(self) -> int:
         """The exponent of the factor just read: the number after a ^, or 1
@@ -386,7 +391,7 @@ class _ListParser:
             c *= sign
             top = d + 1 if product is None else d + len(product)
             if len(acc) < top:
-                self.check_degree(top - 1)
+                self.check_size(top - 1)
                 acc += [0] * (top - len(acc))
             if product is None:
                 acc[d] += c
@@ -419,14 +424,19 @@ class _ListParser:
                 self.i += 1
                 k = self.power()
                 if k != 1:
-                    self.check_degree((len(base) - 1) * k)
+                    self.check_size((len(base) - 1) * k)
+                    if base:  # its top coefficient is raised to the k-th power
+                        self.check_size(base[-1].bit_length() * k, _POWER_BITS)
                     base = _pow(base, k)
                 if product is not None:
-                    self.check_degree(len(product) + len(base) - 2)
+                    self.check_size(len(product) + len(base) - 2)
                 product = base if product is None else _mul(product, base)
             elif tok[:1].isdigit():
                 self.i += 1
-                c *= int(tok) ** self.power()
+                k = self.power()
+                if k != 1:
+                    self.check_size(int(tok).bit_length() * k, _POWER_BITS)
+                c *= int(tok) ** k
             else:
                 raise ParseError("expected a coefficient, x or (", pos)
             tok = self.toks[self.i][1]
@@ -452,7 +462,9 @@ def parse(text: str) -> Polynomial:
     sum at degree d.  One Polynomial is built at the end.  A ParseError
     carries the position of the offending token.  A degree past both the
     enumeration cap and the text's length raises SizeCapError before any
-    coefficient list that long is built.
+    coefficient list that long is built, and so does a power c^k of a
+    number, or of a factor's top coefficient c, whose bound of k times the
+    bits of c passes both.
     """
     ps = _ListParser(text)
     coeffs = ps.expr()

@@ -182,6 +182,14 @@ def test_kernel_combinations_vanish_one_level_down_and_separate_at_the_top(p, n,
     assert len(seen) == expected
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)])
+def test_closed_form_counts_are_the_lengths_of_the_enumerations(p, n):
+    # the CLI's listings print these counts and walk only their kept items
+    assert count_unit_valued_functions(p, n) == len(list(enumerate_unit_valued_forms(p, n)))
+    if n >= 2:
+        assert kernel_count(p, n) == len(list(enumerate_kernel(p, n)))
+
+
 def test_kernel_enumeration_cap():
     with pytest.raises(SizeCapError):
         list(enumerate_kernel(3, 2, cap=100))

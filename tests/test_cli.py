@@ -1,5 +1,6 @@
 """Command line surface: verbs, output shapes, exit codes."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -11,8 +12,10 @@ import sys
 from functools import lru_cache
 from math import factorial, gcd
 from operator import eq, getitem
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringfunc import canonical as canon
 from ringfunc import cli
@@ -73,6 +76,15 @@ def test_test_refuses_a_degree_past_the_cap(capsys, monkeypatch, degree):
     monkeypatch.setenv(CAP_ENV_VAR, "1000")
     argv = ("test", "--ring", "zm:4", "--prop", "null", "--poly", f"x^{degree}")
     assert run(capsys, *argv) == (3, "", f"error: polynomial degree: {degree} exceeds cap 1000\n")
+
+
+@pytest.mark.parametrize("text", ["3^100000000", "(3)^100000000"])
+def test_test_refuses_a_number_power_past_the_cap(capsys, monkeypatch, text):
+    # 3^100000000 once ran on past 20 s; k times the bits of 3 bounds it
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    argv = ("test", "--ring", "zm:4", "--prop", "null", "--poly", text)
+    err = "error: bits of a number's power: 200000000 exceeds cap 10000000\n"
+    assert run(capsys, *argv) == (3, "", err)
 
 
 def test_oracle_output_is_byte_stable(capsys):
@@ -181,6 +193,35 @@ def test_count_kernel_rejects_n_below_two(capsys):
     code, _, err = run(capsys, "count", "--what", "kernel", "--p", "2", "--n", "1")
     assert code == 1
     assert "kernel" in err
+
+
+DIGITS_REFUSED = "error: count: more than 4300 digits, Python's limit for printing an int\n"
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="the boundaries below are those of Python's default limit")
+@pytest.mark.parametrize("argv,formula", [
+    # the kernel count mod 3^4503 has 4300 digits, the uvpf count mod 2^165 4299: printed
+    (("count", "--what", "kernel", "--p", "3", "--n", "4503"), lambda: canon.kernel_count(3, 4503)),
+    (("count", "--what", "uvpf", "--p", "2", "--n", "165"),
+     lambda: canon.count_unit_valued_functions(2, 165)),
+    # one step more and they pass 4300 digits: refused, with --allow-large
+    # too, before a listing's cap check prints the count
+    (("count", "--what", "kernel", "--p", "3", "--n", "4504"), None),
+    (("count", "--what", "uvpf", "--p", "2", "--n", "166"), None),
+    (("enumerate", "--what", "kernel", "--p", "3", "--n", "4504", "--allow-large", "--limit",
+      "0"), None),
+    (("enumerate", "--what", "kernel", "--p", "3", "--n", "4504", "--limit", "0"), None),
+    (("export", "--what", "uvpf-forms", "--p", "2", "--n", "166", "--format", "csv"), None),
+])
+def test_a_count_past_pythons_digit_limit_is_refused(capsys, argv, formula):
+    # Python refuses to convert an int of more than 4300 digits to text, by
+    # default, and these once exited 1 with its message
+    code, out, err = run(capsys, *argv)
+    if formula is None:
+        assert (code, out, err) == (3, "", DIGITS_REFUSED)
+    else:
+        assert (code, err) == (0, "") and json.loads(out)["formula"] == formula()
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +721,90 @@ def test_group_outputs_are_pinned(capsys, argv, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+# (argv, exit code, sha256 of stdout) of the kernel and uvpf-forms listings,
+# recorded when they were printed as one json.dumps of the whole document
+FORM_OUTPUT_SHA256 = [
+    (("enumerate", "--what", "kernel", "--p", "2", "--n", "2"), 0,
+     "9b80474a6175429a9aac00a70da84c3c4dd28758531689d6ec90458f244e1b95"),
+    (("enumerate", "--what", "kernel", "--p", "2", "--n", "2", "--limit", "3"), 0,
+     "38e2e6186c353ea7797fa276a0feaa9fbde6af3130d2e4e3eb0bacce37c90b02"),
+    (("enumerate", "--what", "kernel", "--p", "2", "--n", "2", "--limit", "0"), 0,
+     "ebcc94f9f5baad0a9f1e6a67d96aa43972a619d2bfe3e434908bd12e86ea2b02"),
+    (("enumerate", "--what", "kernel", "--p", "2", "--n", "2", "--limit", "-2"), 0,
+     "e86f1edaa190fdcd904d706aa638f90668e6575b4f52e04d31d2ab91c75ba022"),
+    (("export", "--what", "kernel", "--p", "2", "--n", "2"), 0,
+     "9b80474a6175429a9aac00a70da84c3c4dd28758531689d6ec90458f244e1b95"),
+    (("export", "--what", "kernel", "--p", "2", "--n", "2", "--format", "csv"), 0,
+     "925c995b7640e79962143d1b5c756f3163867139c4673af93fc7ae2d21da8462"),
+    (("enumerate", "--what", "kernel", "--p", "2", "--n", "3"), 0,
+     "4e8521ef0830f87de477328f25c968951999efb1788e68562ed93c527014bd18"),
+    (("enumerate", "--what", "kernel", "--p", "2", "--n", "3", "--limit", "3"), 0,
+     "9ce5ac9cf2eccd0563c2c34fae32da082454821eed2268f8d7c023ca509732aa"),
+    (("enumerate", "--what", "kernel", "--p", "2", "--n", "3", "--limit", "0"), 0,
+     "2f0e3e936fdd23864ff8038604642967f622684c5295a00761500c1db87fe06c"),
+    (("enumerate", "--what", "kernel", "--p", "2", "--n", "3", "--limit", "-2"), 0,
+     "d84be647e01e22d31e8d51bc9abe10832b2cf4102e3e60a287b4cb3024b8c9fe"),
+    (("export", "--what", "kernel", "--p", "2", "--n", "3"), 0,
+     "4e8521ef0830f87de477328f25c968951999efb1788e68562ed93c527014bd18"),
+    (("export", "--what", "kernel", "--p", "2", "--n", "3", "--format", "csv"), 0,
+     "00ec0e4346916fa2b153dc1a43921ba69bcd93950e068a39a65f5d4533daa35b"),
+    (("enumerate", "--what", "kernel", "--p", "3", "--n", "2"), 0,
+     "310de81ca04e6655aa15479a6f6f3197b341b6169bd4ce15cce3489343d2e46d"),
+    (("enumerate", "--what", "kernel", "--p", "3", "--n", "2", "--limit", "3"), 0,
+     "a9882b38659abe27436be7cfff954c66b099990fde53d2f7f75da8e45a75dfc5"),
+    (("enumerate", "--what", "kernel", "--p", "3", "--n", "2", "--limit", "0"), 0,
+     "2416c0b70e838ebcd2632747f8487c224ec35fee3e20bc9c10eae19ab44e34bf"),
+    (("enumerate", "--what", "kernel", "--p", "3", "--n", "2", "--limit", "-2"), 0,
+     "bf679b53e19552c0f92459741b5108e2c6cc1b72135e26b5edf4ed0e02ec0145"),
+    (("export", "--what", "kernel", "--p", "3", "--n", "2"), 0,
+     "310de81ca04e6655aa15479a6f6f3197b341b6169bd4ce15cce3489343d2e46d"),
+    (("export", "--what", "kernel", "--p", "3", "--n", "2", "--format", "csv"), 0,
+     "ffb63b1f9efdb047039570410a28e2d0f67d34e9ef25d5eaa3450c12de2993ed"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "2", "--n", "2"), 0,
+     "c562a3ef3ec2757642eeb8a88c28d495277585ff6985320699239b4f219494f2"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "2", "--n", "2", "--limit", "3"), 0,
+     "b21695750a6c4ccdf35000d18319e25ee8b33a5f6c618ac93ce84a765ce6ea6e"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "2", "--n", "2", "--limit", "0"), 0,
+     "2683e7e912a19b7bff29ea7fca2d20d352f02adb4dcde6bf35861c1a964ea981"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "2", "--n", "2", "--limit", "-2"), 0,
+     "47d134dbfbdd1851c6c2bbade8f90744058e4afaea7bfc2bcdeff019386841cc"),
+    (("export", "--what", "uvpf-forms", "--p", "2", "--n", "2"), 0,
+     "c562a3ef3ec2757642eeb8a88c28d495277585ff6985320699239b4f219494f2"),
+    (("export", "--what", "uvpf-forms", "--p", "2", "--n", "2", "--format", "csv"), 0,
+     "566b10027ad8c0dd0a87ad067419282d5e34cae65bdb27b0bc785fbe1da4b428"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "2", "--n", "3"), 0,
+     "72e1c125e4197ff1fe8a54f29479a39e6fc925b1654aecf4358844176e83de53"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "2", "--n", "3", "--limit", "3"), 0,
+     "33f9504611ca8bfa4f31ab3f7e33692dd2610a152ffe759a771ca7ef1335f378"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "2", "--n", "3", "--limit", "0"), 0,
+     "38b0cdc142740abc4b41c14a10c30cdf176e22744ac682fc178f620b257c6bbd"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "2", "--n", "3", "--limit", "-2"), 0,
+     "acc931b341da16fee8f522c07983195598288a8e15850438c11cf1e808226f38"),
+    (("export", "--what", "uvpf-forms", "--p", "2", "--n", "3"), 0,
+     "72e1c125e4197ff1fe8a54f29479a39e6fc925b1654aecf4358844176e83de53"),
+    (("export", "--what", "uvpf-forms", "--p", "2", "--n", "3", "--format", "csv"), 0,
+     "c594a5fd9a520885d93c8cb77b86b88d7ffa1b76a198129666cb9b25decd1e84"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "3", "--n", "2"), 0,
+     "753baf734710a3599dea547f8affbcd478435acff726a73c85674c4d75cb7ffa"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "3", "--n", "2", "--limit", "3"), 0,
+     "f9a83fd37764d80eec57c9e6e33a684f310e888521c862520f5475733c91b92d"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "3", "--n", "2", "--limit", "0"), 0,
+     "5ecd2469a4bd16dc5f5999eb01d77b8d1e78424f794e6c2570b4a9934d8b901b"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "3", "--n", "2", "--limit", "-2"), 0,
+     "a26ae2a819ed02f76766dfedb7b4fadbde3afa85ba36cb423b46b5fbd2847f1e"),
+    (("export", "--what", "uvpf-forms", "--p", "3", "--n", "2"), 0,
+     "753baf734710a3599dea547f8affbcd478435acff726a73c85674c4d75cb7ffa"),
+    (("export", "--what", "uvpf-forms", "--p", "3", "--n", "2", "--format", "csv"), 0,
+     "ea065c99f672fc8e8bfe9ec9c06905313d4062c46224915636a48b1a965a330a"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", FORM_OUTPUT_SHA256)
+def test_form_outputs_are_pinned(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 def _group_args(desc, what, dual):
     return cli.build_parser().parse_args(
         ["enumerate", "--what", what, "--ring", desc] + (["--dual"] if dual else [])
@@ -736,13 +861,14 @@ def _listing_items(base, what, dual):
     return [{"perm": G, "unit": F} for G, F in itertools.product(*gr.semidirect_pairs(base))]
 
 
-def _listing_document(argv, base, items):
-    """The whole document of a listing command over base, with its items,
-    as one _json_dumps of a dict, as the CLI once printed it."""
+def _listing_document(argv, items, **fields):
+    """The whole document of a listing command, with its items and the
+    fields that name what is listed (ring, or n and p), as one _json_dumps
+    of a dict, as the CLI once printed it."""
     args = cli.build_parser().parse_args(argv)
-    key = "items" if args.command == "enumerate" else "elements"
+    key = "elements" if args.command == "export" and "ring" in fields else "items"
     doc = {"count": len(items), key: items[:getattr(args, "limit", None)],
-           "ring": base.descriptor, "what": args.what}
+           "what": args.what, **fields}
     if args.what == "group":
         doc["dual"] = args.dual
     return cli._json_dumps(doc) + "\n"
@@ -764,7 +890,29 @@ def test_streamed_listing_is_the_dumped_document(capsys, tmp_path, desc, what):
         for limit in limits:
             argv = [verb, "--what", *what, "--ring", desc]
             argv += [] if limit is None else ["--limit", str(limit)]
-            want = _listing_document(argv, base, items)
+            want = _listing_document(argv, items, ring=base.descriptor)
+            assert run(capsys, *argv) == (0, want, "")
+            assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+            assert target.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("what,p,n", [
+    ("kernel", 2, 2), ("kernel", 2, 3), ("kernel", 3, 2), ("kernel", 2, 5),
+    ("uvpf-forms", 2, 1), ("uvpf-forms", 2, 3), ("uvpf-forms", 3, 2), ("uvpf-forms", 5, 1),
+])
+def test_streamed_form_listing_is_the_dumped_document(capsys, tmp_path, what, p, n):
+    # the kernel and uvpf-forms listings against the same oracle, their
+    # items the dicts of the whole enumeration
+    if what == "kernel":
+        items = [{"poly": format_polynomial(g)} for g in canon.enumerate_kernel(p, n)]
+    else:
+        items = [f.to_json_dict() for f in canon.enumerate_unit_valued_forms(p, n)]
+    target = tmp_path / "listing.json"
+    for verb, limits in (("enumerate", (None, 0, 3, -1)), ("export", (None,))):
+        for limit in limits:
+            argv = [verb, "--what", what, "--p", str(p), "--n", str(n)]
+            argv += [] if limit is None else ["--limit", str(limit)]
+            want = _listing_document(argv, items, n=n, p=p)
             assert run(capsys, *argv) == (0, want, "")
             assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
             assert target.read_text(encoding="utf-8") == want
@@ -780,6 +928,14 @@ def test_streamed_listing_is_the_dumped_document(capsys, tmp_path, desc, what):
      "multiplication table: 1024 exceeds cap 1000"),
     (("export", "--what", "group", "--ring", "zm:6", "--table"),
      "multiplication table: 9216 exceeds cap 1000"),
+    (("enumerate", "--what", "kernel", "--p", "3", "--n", "3", "--limit", "0"),
+     "kernel enumeration: 19683 exceeds cap 1000"),
+    (("export", "--what", "kernel", "--p", "3", "--n", "3", "--format", "csv"),
+     "kernel enumeration: 19683 exceeds cap 1000"),
+    (("enumerate", "--what", "uvpf-forms", "--p", "2", "--n", "4", "--limit", "3"),
+     "unit-valued form enumeration: 16384 exceeds cap 1000"),
+    (("export", "--what", "uvpf-forms", "--p", "2", "--n", "4"),
+     "unit-valued form enumeration: 16384 exceeds cap 1000"),
 ])
 def test_capped_listing_writes_nothing(capsys, monkeypatch, tmp_path, argv, err):
     # a refused listing writes no byte to stdout, and leaves the --out file
@@ -817,6 +973,56 @@ def test_limited_field_listing_builds_only_the_kept_pairs(capsys, monkeypatch, a
     listing = (gr.stabilizer_pairs if "stabilizer" in argv else gr.dual_pairs)(
         make_ring(argv[-1]))[0]
     assert read == list(itertools.islice(listing, 3))
+
+
+@pytest.mark.parametrize("argv,limit", [
+    (("--what", "kernel", "--p", "5", "--n", "2"), 3),
+    (("--what", "uvpf-forms", "--p", "2", "--n", "5"), 1),
+])
+def test_limited_form_listing_builds_only_the_kept_items(capsys, monkeypatch, argv, limit):
+    # 9,765,625 kernel polynomials mod 25 and 4,194,304 forms mod 32: only
+    # the kept items are built, and the first, taken early to check the cap;
+    # the spy ends a run that builds more
+    built = []
+
+    def spy(real):
+        def counting(*args):
+            built.append(args)
+            if len(built) > limit + 1:
+                raise AssertionError("an item past the limit was built")
+            return real(*args)
+        return counting
+
+    if "kernel" in argv:
+        monkeypatch.setattr(canon, "_falling_combination", spy(canon._falling_combination))
+        first = [{"poly": format_polynomial(g)}
+                 for g in itertools.islice(canon.enumerate_kernel(5, 2), limit)]
+    else:
+        form = canon.UnitValuedCanonicalForm
+        monkeypatch.setattr(form, "__init__", spy(form.__init__))
+        first = [f.to_json_dict()
+                 for f in itertools.islice(canon.enumerate_unit_valued_forms(2, 5), limit)]
+    del built[:]
+    code, out, _ = run(capsys, "enumerate", *argv, "--limit", str(limit))
+    assert code == 0 and len(built) <= limit + 1
+    assert json.loads(out)["items"] == first
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("--what", "kernel", "--p", "2", "--n", "1"), "kernel basis needs n >= 2"),
+    (("--what", "kernel", "--p", "4", "--n", "2"), "4 is not prime"),
+    (("--what", "uvpf-forms", "--p", "6", "--n", "2"), "6 is not prime"),
+    (("--what", "uvpf-forms", "--p", "2", "--n", "0"), "need n >= 1"),
+])
+def test_form_listing_input_errors_write_nothing(capsys, tmp_path, argv, err):
+    # the enumerations check their arguments as they start, before the
+    # listing's first byte
+    kept = tmp_path / "kept.json"
+    for verb in ("enumerate", "export"):
+        assert run(capsys, verb, *argv) == (1, "", f"error: {err}\n")
+        kept.write_text("before\n", encoding="utf-8")
+        assert run(capsys, verb, *argv, "--out", str(kept)) == (1, "", f"error: {err}\n")
+        assert kept.read_text(encoding="utf-8") == "before\n"
 
 
 def _count_witnesses(monkeypatch):
@@ -1919,3 +2125,60 @@ def test_importing_the_cli_loads_no_heavy_stdlib_module():
     loaded = set(out.split())
     assert "ringfunc.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}
+
+
+# ---------------------------------------------------------------------------
+# the whole grammar: any command answers or refuses with a documented code
+
+_RINGS = st.one_of(
+    st.sampled_from(["zm:4", "zm:6", "zm:8", "zm:9", "zm:12", "zpn:2,2", "zpn:2,3", "zpn:3,2",
+                     "fq:2", "fq:3", "fq:4", "fq:5", "fq:7", "fq:8", "dual:zm:4", "dual:fq:3"]),
+    st.builds("zm:{}".format, st.integers(-1, 40)),
+    st.builds("zpn:{},{}".format, st.integers(-1, 8), st.integers(-1, 3)),
+    st.builds("fq:{}".format, st.integers(-1, 40)),
+    st.sampled_from(["", "zm:", "zm:x", "zpn:2", "fq:2,2", "nope:3", "dual:dual:fq:2"]),
+)
+_POLYS = st.one_of(
+    st.text(alphabet="0123456789x+-*^()", max_size=12),
+    st.lists(st.sampled_from(["x", "2", "3", "12", "+", "-", "*", "^2", "^7", "^99999999", "(",
+                              ")", "x^3", "(x+1)"]), max_size=5)
+    .map("".join).filter(lambda text: len(text) <= 12),
+)
+
+
+def _flags(draw, *flags):
+    return [flag for flag in flags if draw(st.booleans())]
+
+
+@st.composite
+def _commands(draw):
+    verb = draw(st.sampled_from(["test", "count", "canonical", "enumerate", "export"]))
+    ring, poly = ["--ring", draw(_RINGS)], ["--poly=" + draw(_POLYS)]
+    pn = ["--p", str(draw(st.integers(-1, 8))), "--n", str(draw(st.integers(-1, 5)))]
+    if verb == "test":
+        prop = draw(st.sampled_from(["null", "unit-valued", "perm", "perm-dual"]))
+        return [verb, *ring, *poly, "--prop", prop, *_flags(draw, "--oracle")]
+    if verb == "count":
+        what = draw(st.sampled_from(["polyfun", "uvpf", "kernel", "beta"]))
+        return [verb, "--what", what, *pn, *_flags(draw, "--brute-force")]
+    if verb == "canonical":
+        return [verb, *ring, *poly, *_flags(draw, "--unit-valued", "--json")]
+    what = draw(st.sampled_from(["group", "stabilizer", "uvpf-forms", "kernel"]))
+    argv = [verb, "--what", what, *ring, *pn, *_flags(draw, "--dual")]
+    if verb == "enumerate":
+        return argv + ["--limit", "3"]
+    return argv + ["--format", draw(st.sampled_from(["json", "csv"]))] + _flags(draw, "--table")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_commands())
+def test_every_command_answers_or_refuses(argv):
+    # exit 0, 1, 3 or 4, or argparse's SystemExit(1); any other exception
+    # escaping main is a crash
+    with mock.patch.dict(os.environ, {CAP_ENV_VAR: "1000"}), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = "usage" if exc.code == 1 else exc.code
+    assert code in (0, 1, 3, 4, "usage"), argv

@@ -434,6 +434,20 @@ def test_parse_refuses_a_degree_past_the_cap_before_building_it(monkeypatch, tex
     assert built == []
 
 
+@pytest.mark.parametrize("text", ["2^501", "(2)^501", "(-3x + 1)^501", "x(2)^501"])
+def test_parse_refuses_a_number_power_past_the_cap_before_computing_it(monkeypatch, text):
+    # c^k has at most k times the bits of c: 2^1000 parses exactly, and at
+    # RINGFUNC_CAP=1000 so do 2^500 and (2)^500, but a power whose bound
+    # passes 1000 bits is refused before it is computed
+    assert parse("2^1000").coeffs == (2**1000,)
+    monkeypatch.setenv(CAP_ENV_VAR, "1000")
+    assert parse("2^500").coeffs == parse("(2)^500").coeffs == (2**500,)
+    assert parse("(-3x + 1)^500").coeffs[-1] == 3**500
+    monkeypatch.setattr(poly, "_pow", lambda *args: pytest.fail("_pow was called"))
+    with pytest.raises(SizeCapError, match="^bits of a number's power: 1002 exceeds cap 1000$"):
+        parse(text)
+
+
 _WS = st.sampled_from(["", " ", "  ", "\t", " \n"])
 
 
