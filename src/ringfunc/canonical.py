@@ -19,13 +19,14 @@ of the (x)_j.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from bisect import bisect_left
+from functools import lru_cache, partial
 from math import comb
 from operator import itemgetter
 
 from .funcspace import _zpn, induce
 from .poly import Polynomial, X
-from .rings import check_cap, is_prime, pack, slot_bytes, unpack
+from .rings import check_cap, is_prime, pack, printable, printable_power, slot_bytes, unpack
 
 
 def vp_factorial(p: int, j: int) -> int:
@@ -42,15 +43,13 @@ def vp_factorial(p: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def beta(p: int, n: int) -> int:
-    """Least k with p^n | k!; the degree cutoff for functions mod p^n."""
+    """Least k with p^n | k!; the degree cutoff for functions mod p^n.  By
+    bisection: v_p(k!) never decreases as k grows, and v_p((p n)!) >= n."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("need n >= 1")
-    k = 1
-    while vp_factorial(p, k) < n:
-        k += 1
-    return k
+    return bisect_left(range(p * n), n, key=partial(vp_factorial, p))
 
 
 @lru_cache(maxsize=None)
@@ -104,8 +103,10 @@ def kernel_basis(p: int, n: int) -> list[tuple[int, int]]:
 
 
 def kernel_count(p: int, n: int) -> int:
-    """Number of kernel coefficient vectors: p to the number of basis pairs."""
-    return p ** len(kernel_basis(p, n))
+    """Number of kernel coefficient vectors, p^beta(p, n) (printable_power)."""
+    if n < 2:
+        raise ValueError("kernel basis needs n >= 2")
+    return printable_power(p, beta(p, n))
 
 
 def enumerate_kernel(p: int, n: int, cap: int | None = None):
@@ -305,15 +306,16 @@ def enumerate_canonical_forms(p: int, n: int, cap: int | None = None):
 
 
 def count_polynomial_functions(p: int, n: int) -> int:
-    """Number of functions on Z_{p^n} induced by polynomials, in closed form."""
+    """Number of functions on Z_{p^n} induced by polynomials (printable_power)."""
     beta(p, n)  # validates arguments
-    return p ** sum(beta(p, k) for k in range(1, n + 1))
+    return printable_power(p, sum(beta(p, k) for k in range(1, n + 1)))
 
 
 def count_unit_valued_functions(p: int, n: int) -> int:
-    """Number of unit-valued polynomial functions on Z_{p^n}, in closed form."""
+    """Number of unit-valued polynomial functions on Z_{p^n} (printable_power)."""
     beta(p, n)
-    return (p - 1) ** p * p ** sum(beta(p, k) for k in range(2, n + 1))
+    top = printable_power(p, sum(beta(p, k) for k in range(2, n + 1)))
+    return printable(printable_power(p - 1, p) * top)
 
 
 def uv_table_index(values, p: int) -> int:

@@ -34,6 +34,7 @@ from .rings import (
     SizeCapError,
     check_cap,
     make_ring,
+    printable,
 )
 
 _LARGE = 1 << 62
@@ -55,16 +56,6 @@ def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
         fh.write(text + "\n")
-
-
-def _printable(count: int) -> int:
-    """count, refused if it has more digits than Python converts to text
-    (sys.get_int_max_str_digits from 3.10.7 on, 0 for no limit): that
-    conversion is quadratic, so --allow-large does not lift its limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and count >= 10**limit:
-        raise SizeCapError(f"count: more than {limit} digits, Python's limit for printing an int")
-    return count
 
 
 def _cap(args) -> int | None:
@@ -186,7 +177,7 @@ def cmd_count(args) -> int:
         if n < 2:
             raise ValueError("kernel counts need n >= 2")
         formula = canon.kernel_count(p, n)
-    doc = {"formula": _printable(formula), "n": n, "p": p, "what": what}
+    doc = {"formula": printable(formula), "n": n, "p": p, "what": what}
     if args.brute_force:
         if what == "beta":
             # the least k with p^n | k!, by search rather than Legendre's formula
@@ -320,7 +311,7 @@ def _form_listing(args, cap):
         found = canon.enumerate_unit_valued_forms(p, n, cap=cap)
         header, item = ("index", "s", "polynomial"), canon.UnitValuedCanonicalForm.to_json_dict
         fields = lambda f: (f.s, format_polynomial(f.to_polynomial()))
-    doc = {"count": _printable(count), "n": n, "p": p, "what": args.what}
+    doc = {"count": printable(count), "n": n, "p": p, "what": args.what}
     found = chain([next(found)], found)
     texts = lambda keep: (_json_dumps(item(x)) for x in islice(found, len(range(count)[keep])))
     return doc, texts, chain([header], ((i, *fields(x)) for i, x in enumerate(found)))

@@ -34,8 +34,9 @@ is given: both build a Schreier-Sims chain (_Chain).  The embedding is
 proved from a few dual permutations whose tables, built from the same
 preimages of their pairs, must be their pair forms, and whose chain must
 reach the dual group's known order; the product's axioms come from that
-chain over F_q and from the product's factors over Z/m.  A listed pool is a
-group iff its chain has its size.
+chain over F_q and from the product's factors over Z/p^e; over other Z/m
+they are joined from the prime-power factors' (Chinese remainder theorem).
+A listed pool is a group iff its chain has its size.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .funcspace import (
     ring_polynomial,
 )
 from .poly import Polynomial
-from .rings import Ring, check_cap
+from .rings import ModularRing, Ring, check_cap, is_prime
 
 
 class DualPermutation:
@@ -683,6 +684,24 @@ def _dual_table(base: Ring, g: Polynomial) -> tuple[int, ...]:
     return tuple([u * nb + v for u, v in zip(U, V)])
 
 
+def _crt_lemma(base: Ring, factors: list[Ring]) -> bool:
+    """Whether a -> (a mod q) over the factors Z/q is a bijection from Z/m
+    taking its add and mul tables onto theirs: Z/m is their product ring."""
+    idx, qs = range(base.size), [ring.size for ring in factors]
+    return len(set(zip(*([a % q for a in idx] for q in qs)))) == base.size and all(
+        [[v % q for v in row] for row in t] == [[ft[a % q][b % q] for b in idx] for a in idx]
+        for ring, q in zip(factors, qs)
+        for t, ft in zip(base.index_op_tables(), ring.index_op_tables()))
+
+
+def _joined(reports, lemma: bool, **fixed):
+    """The report on a direct product from its factors': counts multiply, a
+    verdict holds iff it does on every factor and lemma holds, fixed given."""
+    cls = type(reports[0])
+    return cls(*(fixed[f] if f in fixed else lemma and all(col) if isinstance(col[0], bool)
+                 else prod(col) for f, col in zip(cls._fields, zip(*reports))))
+
+
 def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     """Check that reading off base pairs embeds the dual permutations into
     the semidirect product, by Schreier-Sims from a few of them.
@@ -698,7 +717,7 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     q! (q - 1)^q, S is _field_generators with Hermite witnesses
     (hermite_preimage), the 2q basis evaluations prove the image onto
     (image_mode "basis:<2q>"), and the product is the chain's group, closed
-    iff it has that order.  Over Z/m the order counts the module's pairs
+    iff it has that order.  Over Z/p^e the order counts the module's pairs
     (image_mode "module"), those over G = id the stabilizer, S is each
     walked (_walk) pair that does not sift, until the order is reached, and
     the product's axioms come from its factors (_product_axioms); the image
@@ -707,7 +726,25 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     order at most the product's holds at most 2 n^2 k table entries,
     n = |R|^2 and n^k at least that order, capped as "stabilizer chain"
     before any generator is built.
+
+    Over Z/m with two or more primes dividing m, each group here is the
+    direct product of those over the prime-power factors Z/q (Chinese
+    remainder theorem).  Each factor is verified as above, its caps first,
+    then the lemma (_crt_lemma) on Z/m's tables, 2 |R|^2 entries capped as
+    "operation tables", and the reports are joined (_joined), all modes but
+    associativity_mode ("composition") reading "crt".
     """
+    if isinstance(base, ModularRing) and base.prime_power is None:
+        m = base.m  # Z/q for q the largest power of each prime p | m
+        qs = [gcd(m, p ** m.bit_length()) for p in range(2, m) if m % p == 0 and is_prime(p)]
+        factors = list(map(ModularRing, qs))
+        reports = [verify_embedding(ring, cap=cap) for ring in factors]
+        check_cap(2 * m * m, cap, "operation tables")  # the lemma's, built next
+        lemma = _crt_lemma(base, factors)
+        axioms = _joined([r.product_axioms for r in reports], lemma,
+                         associativity_mode="composition", abelian_mode="crt")
+        return _joined(reports, lemma, base=base.descriptor, homomorphism_mode="crt",
+                       image_mode="crt", over_field=False, product_axioms=axioms)
     nb, n = base.size, base.size ** 2
     if base.is_field:
         perm_count, unit_count = factorial(nb), (nb - 1) ** nb

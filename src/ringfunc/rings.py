@@ -61,7 +61,36 @@ def resolve_cap(cap: int | None) -> int:
 def check_cap(count: int, cap: int | None, what: str) -> None:
     limit = resolve_cap(cap)
     if count > limit:
-        raise SizeCapError(f"{what}: {count} exceeds cap {limit}")
+        raise SizeCapError(f"{what}: {shown(count)} exceeds cap {limit}")
+
+
+def shown(count: int) -> str:
+    """count in decimal or, past Python's digit limit, "at least 10^k" from
+    its bit length (0.3010299956 < log10 2): refusing never fails to print."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 10^{(count.bit_length() - 1) * 3010299956 // 10**10}"
+
+
+def printable(count: int) -> int:
+    """count, refused if it has more digits than Python converts to text
+    (sys.get_int_max_str_digits from 3.10.7 on, 0 for no limit): that
+    conversion is quadratic, so --allow-large does not lift its limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # below 2^(3 limit) = 8^limit a count is printable, with no 10^limit taken
+    if limit and count.bit_length() > 3 * limit and count >= 10**limit:
+        raise SizeCapError(f"count: more than {limit} digits, Python's limit for printing an int")
+    return count
+
+
+def printable_power(base: int, exponent: int) -> int:
+    """printable(base^exponent), base >= 1, refused before the power when
+    exponent log10(base) passes the limit by more than rounding could err."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and exponent * math.log10(base) > limit + 1:
+        printable(10**limit)  # refused, as the power would be
+    return printable(base**exponent)
 
 
 def is_prime(n: int) -> bool:
@@ -264,7 +293,7 @@ class ModularRing(Ring):
             raise ValueError(f"modulus must be at least 2, got {m}")
         cap = DEFAULT_RING_SIZE_CAP if size_cap is None else size_cap
         if m > cap:
-            raise SizeCapError(f"ring of size {m} exceeds size cap {cap}")
+            raise SizeCapError(f"ring of size {shown(m)} exceeds size cap {cap}")
         self.m = m
         self.size = m
         self.elements = tuple(range(m))
@@ -473,7 +502,7 @@ class FiniteField(Ring):
         q = p ** m
         cap = DEFAULT_RING_SIZE_CAP if size_cap is None else size_cap
         if q > cap:
-            raise SizeCapError(f"ring of size {q} exceeds size cap {cap}")
+            raise SizeCapError(f"ring of size {shown(q)} exceeds size cap {cap}")
         self.p = p
         self.extension_degree = m
         self.size = q

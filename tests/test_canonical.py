@@ -61,6 +61,29 @@ def test_degree_cutoff_values():
     assert beta(5, 2) == 10
 
 
+def test_degree_cutoff_bisection_matches_the_linear_search():
+    # the least k with v_p(k!) >= n, found by stepping k up from 1
+    for p in (2, 3, 5, 7):
+        for n in range(1, 61):
+            k = 1
+            while vp_factorial(p, k) < n:
+                k += 1
+            assert beta(p, n) == k
+
+
+def test_degree_cutoff_takes_logarithmically_many_sums(monkeypatch):
+    # a linear search would take about 10^9 sums here
+    calls = []
+
+    def counted(p, k):
+        calls.append(k)
+        assert len(calls) <= 64, "too many Legendre sums"
+        return vp_factorial(p, k)
+
+    monkeypatch.setattr(canonical, "vp_factorial", counted)
+    assert beta.__wrapped__(1_000_003, 1000) == 1_000_003_000
+
+
 def test_degree_cutoff_is_the_least_factorial_with_enough_valuation():
     for p in (2, 3, 5):
         for n in range(1, 5):

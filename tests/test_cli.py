@@ -224,6 +224,27 @@ def test_a_count_past_pythons_digit_limit_is_refused(capsys, argv, formula):
         assert (code, err) == (0, "") and json.loads(out)["formula"] == formula()
 
 
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="the messages below are those of Python's default limit")
+@pytest.mark.parametrize("argv,code,expected", [
+    # rings of 2^20000 and 3^20000 elements: the refusal once failed on
+    # printing the size (exit 1)
+    (("test", "--ring", "zpn:2,20000", "--prop", "null", "--poly", "x"), 3,
+     "error: ring of size at least 10^6020 exceeds size cap 65536\n"),
+    (("count", "--what", "beta", "--p", "3", "--n", "20000", "--brute-force"), 3,
+     "error: ring of size at least 10^9542 exceeds size cap 65536\n"),
+    # beta by bisection; the counts' digits from their exponents, before
+    # the powers are taken (these ran past 8 s at first)
+    (("count", "--what", "beta", "--p", "1000003", "--n", "1000"), 0,
+     '{"formula": 1000003000, "n": 1000, "p": 1000003, "what": "beta"}\n'),
+    (("count", "--what", "polyfun", "--p", "2", "--n", "10000"), 3, DIGITS_REFUSED),
+    (("count", "--what", "polyfun", "--p", "1000003", "--n", "1000"), 3, DIGITS_REFUSED),
+])
+def test_huge_counts_answer_or_refuse(capsys, argv, code, expected):
+    got = run(capsys, *argv)
+    assert got == ((code, expected, "") if code == 0 else (code, "", expected))
+
+
 # ---------------------------------------------------------------------------
 # canonical: falling-factorial forms in text and JSON
 
@@ -1912,6 +1933,27 @@ def test_verify_groups_passes_over_z6(capsys):
     }
 
 
+@pytest.mark.parametrize("ring,digest", [
+    # the rings of the benchmark's groups-verify workload, as first pinned
+    ("fq:2", "146ae359dddd44be0a38d5cb3fc14435526ab3e316c2a7816287dfd6205ee78d"),
+    ("fq:3", "5fcecfa488221efa1c6eff9bb85d02a6fca9cf79f59d59a9e10fa9fe18030dc2"),
+    ("zpn:2,2", "d36233cb2d8a1ccc40f0faa19cf38d040808ce9f94c9c5cf3436566cd7c117ff"),
+    ("fq:4", "8fa62e8685832223007155687aa4a639139d722a1c51acd11040ef5b23681817"),
+    ("zm:6", "7971905b168760af61ac35b5e0386af90e0cfc8a2139714312248c73a9fa06ec"),
+    # verified on their prime-power factors (Chinese remainder theorem);
+    # zm:14 was once refused at "polynomial enumeration: 105413504"
+    ("zm:14", "7146bda89d7c9db42d9d0a242440820bbfef5ed823415296e47f555a09df167d"),
+    ("zm:15", "f35a5f5a87e53e3191e843794692fdaee8043d9d6ffcbb5ca000012496bb44dd"),
+    ("zm:18", "56028ef3f11a38f97b4f0d1a137fd6a18418bba2b923b2c42da5288cf943de54"),
+    ("zm:20", "a4f97137dcb7dccc1fd2f1e5632ccb02f741456be46b9301ffc1fd877d8f4d3b"),
+    ("zm:21", "bbf108dfbc3e3420003c441eefd65ef4cf94a9344a4f01b13a3aad37f1cd69c1"),
+    ("zm:30", "e3eca7740a6ec263f3ea9536d02d915d054e219987b5253d19d79f5a1613766a"),
+])
+def test_verify_groups_json_is_pinned(capsys, ring, digest):
+    code, out, err = run(capsys, "verify", "--suite", "groups", "--ring", ring, "--json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+
+
 @pytest.mark.parametrize("ring, changes", [
     ("fq:3", {"surjective": False, "stabilizer_size": 4}),  # a field not onto
     ("zm:6", {"surjective": False}),  # not onto, yet the stabilizer is full
@@ -1941,8 +1983,10 @@ def test_verify_groups_fails_a_corrupted_hermite_basis(capsys, monkeypatch):
 
 @pytest.mark.parametrize("desc,closures", [
     ("fq:3", 1), ("fq:4", 1),
+    # one chain for each field factor of Z/6 = F_2 x F_3
+    ("zm:6", 2),
     # the embedding's chain, and one of the product from its factors
-    ("zm:6", 2), ("zpn:2,2", 2),
+    ("zpn:2,2", 2),
 ])
 def test_verify_groups_closes_each_group_once(capsys, monkeypatch, desc, closures):
     # over a field the embedding's chain decides the product's axioms too,

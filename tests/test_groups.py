@@ -440,7 +440,7 @@ def _most_python_calls(fn, *args):
     return out, max(calls.values())
 
 
-@pytest.mark.parametrize("desc", ["fq:4", "zm:12"])
+@pytest.mark.parametrize("desc", ["fq:4", "zpn:2,3"])
 def test_closure_and_law_make_no_python_call_per_product(desc):
     # the oracle's products by a generator are one batch over the pool's
     # columns: its closure runs Python code at most once per element.  The
@@ -661,7 +661,8 @@ def _oracle_embedding(base):
         image_in_ambient=image_in_ambient,
         surjective=proved and image_in_ambient and len(image) == ambient_size,
         factorization_ok=proved and len(image) == stabilizer_size * len(perm_tables),
-        image_mode=f"basis:{2 * nb}" if base.is_field else "module",
+        image_mode=f"basis:{2 * nb}" if base.is_field
+        else "crt" if getattr(base, "prime_power", 0) is None else "module",
         over_field=base.is_field,
         product_axioms=_oracle_axioms_report(perms, gens, closed) if whole
         else _oracle_axioms(semidirect_group(base)),
@@ -1491,7 +1492,7 @@ def test_stabilizer_listing_matches_the_sweep(desc):
     assert [(st.table, st.witness) for st in sts] == [(t, w) for t, _, w in expected]
 
 
-@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zm:6"])
+@pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2", "zpn:2,3"])
 def test_witnesses_are_attached_by_the_enumeration_only(desc, monkeypatch):
     # verify_embedding builds no element, and a witness only for each of its
     # generators, whose table _dual_table evaluates once
@@ -1724,10 +1725,11 @@ def test_embedding_report_over_fields():
     assert (rep4.perm_count, rep4.unit_table_count, rep4.stabilizer_size) == (24, 81, 81)
 
     # the image over a field is proved by the 2q Hermite basis evaluations
-    # and over Z/m listed from the pair module
+    # and over Z/p^e listed from the pair module; over Z/6 = F_2 x F_3 it
+    # is joined from the factors' by the Chinese remainder theorem
     assert [rep.image_mode for rep in (rep2, rep3, rep4)] == ["basis:4", "basis:6", "basis:8"]
-    for desc in ("zpn:2,2", "zm:6"):
-        assert verify_embedding(make_ring(desc)).image_mode == "module"
+    assert verify_embedding(make_ring("zpn:2,2")).image_mode == "module"
+    assert verify_embedding(make_ring("zm:6")).image_mode == "crt"
 
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4"])
@@ -1852,7 +1854,7 @@ def _closure_order(tables):
 
 
 @pytest.mark.parametrize("desc,copies", [
-    ("fq:3", 1), ("zm:6", 1), ("zpn:2,2", 1), ("zm:12", 1),
+    ("fq:3", 1), ("zm:9", 1), ("zpn:2,2", 1), ("zpn:2,3", 1),
     # each unit table listed 3 times: |P| |U| = 384 passes 16^2, the dual
     # group's order 32 does not
     ("zpn:2,2", 3),
@@ -1964,6 +1966,111 @@ def test_embedding_decides_the_product_axioms_when_the_image_is_the_product(desc
     assert got.passed
 
 
+# Z/m with two or more primes dividing m, verified on its prime-power factors
+# and joined by the Chinese remainder theorem
+
+CRT_ORDERS = {
+    "zm:14": 2_821_754_880, "zm:15": 5_898_240, "zm:18": 1_889_568,
+    "zm:20": 3_932_160, "zm:21": 67_722_117_120, "zm:30": 11_796_480,
+}
+
+
+@pytest.mark.parametrize("desc", sorted(CRT_ORDERS))
+def test_crt_embedding_orders_are_the_products_of_the_factors(desc):
+    # zm:18 = Z/2 x Z/9 takes Z/9 through the module path, the rest are
+    # products of fields
+    base = make_ring(desc)
+    rep = verify_embedding(base)
+    qs = [gcd(base.size, p ** base.size) for p in (2, 3, 5, 7) if base.size % p == 0]
+    factors = [verify_embedding(make_ring(f"zm:{q}")) for q in qs]
+    assert rep.passed and rep.image_consistent and rep.product_axioms.passed
+    assert rep.dual_perm_count == CRT_ORDERS[desc] == prod(r.dual_perm_count for r in factors)
+    assert rep.ambient_size == prod(r.ambient_size for r in factors)
+    assert rep.surjective == all(r.surjective for r in factors)
+    modes = (rep.image_mode, rep.homomorphism_mode, rep.product_axioms.abelian_mode)
+    assert modes == ("crt", "crt", "crt")
+    assert rep.product_axioms.associativity_mode == "composition"
+
+
+def test_crt_embedding_over_z10_keeps_the_module_path_report():
+    # the report the module path gave on zm:10 before Z/m was split, its
+    # modes aside
+    rep = verify_embedding(make_ring("zm:10"))
+    assert rep._replace(homomorphism_mode="", image_mode="", product_axioms=None) == (
+        groups.EmbeddingReport("zm:10", 245760, 245760, 245760, 240, 1024, 1024, True, True,
+                               "", True, True, True, "", False, None))
+    assert rep.product_axioms == groups.GroupAxiomsReport(
+        245760, True, True, True, True, "composition", False, "crt")
+
+
+@pytest.mark.parametrize("where", ["composite", "factor"])
+@pytest.mark.parametrize("op", [0, 1])
+def test_crt_embedding_fails_a_corrupted_lemma(monkeypatch, where, op):
+    # one entry of the add (op 0) or mul (op 1) table of Z/6, or of its
+    # factor F_3 after that factor's own report, off by one: the factors
+    # pass, the lemma does not, and no verdict holds without it
+    base = make_ring("zm:6")
+    real = groups._crt_lemma
+
+    def corrupted(ring, factors):
+        target = ring if where == "composite" else factors[-1]
+        tables = [[row[:] for row in t] for t in target.index_op_tables()]
+        tables[op][2][1] = (tables[op][2][1] + 1) % target.size
+        target._tables["ops"] = tuple(tables)
+        return real(ring, factors)
+
+    monkeypatch.setattr(groups, "_crt_lemma", corrupted)
+    rep = verify_embedding(base)
+    monkeypatch.undo()
+    assert all(verify_embedding(make_ring(d)).passed for d in ("zm:2", "zm:3"))
+    assert (rep.dual_perm_count, rep.image_size, rep.ambient_size) == (96, 96, 96)
+    assert not any([rep.injective, rep.homomorphism_ok, rep.image_in_ambient,
+                    rep.surjective, rep.factorization_ok])
+    assert not rep.passed and not rep.product_axioms.passed
+
+
+def test_crt_lemma_needs_a_bijection():
+    # reduction mod 2 takes the tables of Z/4 onto those of F_2, but Z/4 is
+    # not F_2 x F_2; Z/6 is F_2 x F_3
+    two = make_ring("zm:2")
+    assert not groups._crt_lemma(make_ring("zm:4"), [two, two])
+    assert groups._crt_lemma(make_ring("zm:6"), [two, make_ring("zm:3")])
+
+
+@pytest.mark.parametrize("desc,size", [("zm:6", 3), ("zm:12", 4), ("zm:12", 3)])
+def test_crt_embedding_fails_with_a_failing_factor(monkeypatch, desc, size):
+    # the entries (0, 0) and (0, 2) swapped in every table _dual_table builds
+    # over the factor of that size: the pairs, read off the row b = 1, and
+    # the chain are unchanged, so only that factor's law fails, and with it
+    # the composite's
+    real = groups._dual_table
+
+    def faulty(ring, g):
+        values = list(real(ring, g))
+        if ring.size == size:
+            values[0], values[2] = values[2], values[0]
+        return tuple(values)
+
+    monkeypatch.setattr(groups, "_dual_table", faulty)
+    rep = verify_embedding(make_ring(desc))
+    assert rep.injective and rep.image_in_ambient
+    assert not rep.homomorphism_ok and not rep.passed
+
+
+@pytest.mark.parametrize("desc,message", [
+    # Z/48 = Z/16 x F_3: Z/16's enumeration is refused first
+    ("zm:48", "polynomial enumeration: 16777216 exceeds cap 10000000"),
+    # Z/2520 = Z/8 x Z/9 x F_5 x F_7: every factor passes, and the lemma's
+    # two tables of 2520^2 entries are refused before they are built
+    ("zm:2520", "operation tables: 12700800 exceeds cap 10000000"),
+])
+def test_crt_embedding_refuses_before_the_lemma_builds_its_tables(desc, message):
+    base = make_ring(desc)
+    with pytest.raises(SizeCapError, match=f"^{message}$"):
+        verify_embedding(base, cap=10_000_000)
+    assert "ops" not in base._tables
+
+
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4", "zpn:2,2", "zm:6", "zm:12"])
 def test_dual_listing_counts_its_rows_before_listing_them(monkeypatch, desc):
     # the embedding takes the dual group's order, its chain's target, from
@@ -1988,7 +2095,7 @@ def _patch_pair_elements(monkeypatch, base, fault):
     "corrupted" swaps the images of (0, 0) and (0, b), b neither 0 nor 1, in
     the last element; "conjugated" conjugates every element by the swap of
     the dual elements (0, 1) and (2, 1) (zpn:2,2); "perm" and "unit" append
-    an element whose G, or whose F, no polynomial induces (zm:6)."""
+    an element whose G, or whose F, no polynomial induces (over Z/p^e)."""
     real = groups.pair_elements
     if fault == "corrupted":
         b = next(i for i in range(1, base.size) if i != base.index(base.one))
@@ -2034,7 +2141,7 @@ def _patch_generators(monkeypatch, base, fault):
     of every table _dual_table builds, and "conjugated" conjugates each by
     the swap of the dual elements (0, 1) and (2, 1) (zpn:2,2): the pair read
     off the row b = 1 is unchanged.  "perm" and "unit" walk a foreign pair
-    (_foreign_pair) first, among the lifts over Z/m (zm:6)."""
+    (_foreign_pair) first, among the lifts over Z/p^e."""
     if fault in ("corrupted", "conjugated"):
         real = groups._dual_table
         b = next(i for i in range(1, base.size) if i != base.index(base.one))
@@ -2091,13 +2198,13 @@ def test_embedding_report_rejects_a_conjugated_enumeration(monkeypatch):
 
 @pytest.mark.parametrize("part", ["perm", "unit", "subgroup"])
 def test_embedding_report_rejects_a_pair_outside_the_product(monkeypatch, part):
-    # over Z_6 only 12 of 720 bijections and 8 of 64 unit-valued tables are
-    # induced: a factor listing with a foreign G or a foreign F makes a
-    # product that is not closed, so the image is not shown to lie in it,
-    # though the read-off stays injective (a foreign G lifts to no pair of
-    # the module).  With the constant 1 as the only unit table the product
-    # is closed, and the generators' F lie outside it
-    base = make_ring("zm:6")
+    # over Z_8 only 128 of 40320 bijections and 256 of 65536 unit-valued
+    # tables are induced: a factor listing with a foreign G or a foreign F
+    # makes a product that is not closed, so the image is not shown to lie
+    # in it, though the read-off stays injective (a foreign G lifts to no
+    # pair of the module).  With the constant 1 as the only unit table the
+    # product is closed, and the generators' F lie outside it
+    base = make_ring("zpn:2,3")
     G, F = _foreign_pair(base, "unit" if part == "subgroup" else part)
     real = groups.semidirect_factors
 
@@ -2137,9 +2244,9 @@ def _oracle_law(base, perms):
 
 
 @pytest.mark.parametrize("desc,fault", [
-    ("fq:2", None), ("fq:3", None), ("fq:4", None), ("zpn:2,2", None), ("zm:6", None),
+    ("fq:2", None), ("fq:3", None), ("fq:4", None), ("zpn:2,2", None),
     ("fq:3", "corrupted"), ("zpn:2,2", "corrupted"), ("zpn:2,2", "conjugated"),
-    ("zm:6", "perm"), ("zm:6", "unit"),
+    ("zpn:2,2", "perm"),
 ])
 def test_embedding_law_matches_the_per_product_oracle(monkeypatch, desc, fault):
     # the same fault, in the elements the per-product law closes and in the
@@ -2162,6 +2269,20 @@ def test_embedding_law_matches_the_per_product_oracle(monkeypatch, desc, fault):
     # a foreign generator takes the image out of the product; a faulty table
     # of a generator in it does not
     assert rep.image_in_ambient == (fault not in ("perm", "unit"))
+
+
+@pytest.mark.parametrize("fault", ["unit"])
+def test_embedding_law_fails_a_foreign_generator(monkeypatch, fault):
+    # a generator whose F no polynomial induces: its table from the module's
+    # preimage is not its pair form, and it lies outside the product.  Over
+    # Z/4 every unit table is induced, so this needs Z/8, whose 8,192 dual
+    # permutations are past the per-product oracle (the "perm" fault is
+    # there on zpn:2,2)
+    base = make_ring("zpn:2,3")
+    _patch_generators(monkeypatch, base, fault)
+    rep = verify_embedding(base)
+    assert rep.homomorphism_mode.startswith("schreier-sims:")
+    assert not rep.homomorphism_ok and not rep.image_in_ambient and not rep.passed
 
 
 def test_embedding_report_of_a_short_chain(monkeypatch):

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+import sys
 from functools import lru_cache
 from unittest import mock
 
@@ -283,6 +285,35 @@ def test_construction_size_caps():
     with pytest.raises(SizeCapError):
         make_ring("dual:zm:300")
     assert make_ring("dual:zm:300", size_cap=1 << 17).size == 90000
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize("base,exponent,offset", [
+    (10, 700, 0), (10, 700, -1), (2, 3000, 0), (3, 2000, 0), (7, 1000, 1)])
+def test_a_count_past_the_digit_limit_is_shown_by_a_lower_bound(base, exponent, offset):
+    # refusing such a count once failed on converting it to text; the bound
+    # 10^k <= count is within two digits of the count's
+    count = base**exponent + offset
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        text = rings.shown(count)
+        with pytest.raises(SizeCapError, match=f"^{re.escape(f'enumeration: {text} exceeds cap 5')}$"):
+            rings.check_cap(count, 5, "enumeration")
+    finally:
+        sys.set_int_max_str_digits(old)
+    k = int(text.removeprefix("at least 10^"))
+    assert 10**k <= count and k >= len(str(count)) - 2
+    assert rings.shown(12345) == "12345"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no digit limit")
+def test_a_power_past_the_digit_limit_is_refused_before_it_is_taken():
+    # 1000003^(5 10^11) would take about 10^12 bytes
+    with pytest.raises(SizeCapError, match="^count: more than [0-9]+ digits"):
+        rings.printable_power(1_000_003, 5 * 10**11)
+    assert rings.printable_power(7, 3) == 343
 
 
 def test_enumeration_cap_environment_override(monkeypatch):
