@@ -31,23 +31,23 @@ pair built as it is read (Listing), over Z/m from the pair module
 
 verify_embedding lists no group, and verify_group_axioms sifts the pool it
 is given: both build a Schreier-Sims chain (_Chain).  The embedding is
-proved from a few dual permutations whose tables, built from the same
-preimages of their pairs, must be their pair forms, and whose chain must
-reach the dual group's known order; the product's axioms come from that
-chain over F_q and from the product's factors over Z/p^e; over other Z/m
-they are joined from the prime-power factors' (Chinese remainder theorem).
-A listed pool is a group iff its chain has its size.
+proved from a few dual permutations whose tables, built from their
+witnesses, must be their pair forms, and whose chain must reach the dual
+group's order, known in closed form over F_q and Z/p^e; the same chain,
+extended by unit-valued pairs (id, [u]), reaches the product's.  Over other
+Z/m the reports are joined from the prime-power factors' (Chinese remainder
+theorem).  A listed pool is a group iff its chain has its size.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, count, permutations, product, repeat
 from math import factorial, gcd, prod
 from operator import add, getitem, itemgetter
 from typing import NamedTuple
 
+from .canonical import count_polynomial_functions, count_unit_valued_functions
 from .dual import DualRing, dual_ring
 from .funcspace import (
     FunctionTable,
@@ -58,7 +58,6 @@ from .funcspace import (
     induced_index_tables,
     least_member,
     pair_module,
-    ring_polynomial,
 )
 from .poly import Polynomial
 from .rings import ModularRing, Ring, check_cap, is_prime
@@ -273,12 +272,12 @@ def _pair_parts(base: Ring, *, times: int, cap: int | None, what: str):
     coefficient part of the member beginning with the pair, reduced from
     x^(D-1) down (least_member), the reduction by the rows of G kept for
     each G.  Each h in H is sum c_j row_j, rows m .. 2m-1, for one choice of
-    c_j in range(m // pivot_j) (the Howell property), so times |H| is capped
-    as what before H is built.  (Over F_q, H is every table, and f is the
+    c_j in range(m // pivot_j) (_null_count), so times |H| is capped as
+    what before H is built.  (Over F_q, H is every table, and f is the
     Hermite form, hermite_preimage.)
     """
     module, nb = pair_module(base), base.size
-    check_cap(times * prod(nb // module[j][j] for j in range(nb, 2 * nb)), cap, what)
+    check_cap(times * _null_count(module, nb), cap, what)
     add_t, mask = base.index_op_tables()[0], base.unit_index_mask()
     H = [(0,) * nb]
     for j, row in enumerate(module[nb:2 * nb], nb):
@@ -307,6 +306,13 @@ def _pair_parts(base: Ring, *, times: int, cap: int | None, what: str):
         return member(G, F)[2 * nb:][::-1]
 
     return over, unit_coset, preimage
+
+
+def _null_count(module, nb: int) -> int:
+    """|H|, H the [g'] of the null g over Z/m, m = nb: each h in H is
+    sum c_j row_j over the pair module's rows m .. 2m-1, for one choice of
+    c_j in range(m // pivot_j) (the Howell property)."""
+    return prod(nb // module[j][j] for j in range(nb, 2 * nb))
 
 
 def dual_pairs(base: Ring, *, cap: int | None = None):
@@ -427,31 +433,6 @@ def enumerate_stabilizer(base: Ring, *, cap: int | None = None) -> list[DualPerm
         index_polynomial(base, null_part(F)) + x for _, F in pairs])
 
 
-def null_polynomials(
-    base: Ring, degree_bound: int | None = None, *, cap: int | None = None
-) -> list[Polynomial]:
-    """Polynomials of degree < bound inducing the zero function on the base.
-
-    The default bound is the dual degree bound, deep enough that the listed
-    polynomials realize every derivative table a null polynomial can have.
-    Every null candidate is listed, not one per table, in the order of
-    pair_table_sweep.  A null f has f(0) = c0 = 0, so only the vectors with
-    constant term zero are evaluated.  The cap counts every candidate,
-    |base|^D.
-    """
-    D = dual_degree_bound(base) if degree_bound is None else degree_bound
-    if D <= 0:
-        return [ring_polynomial(base, ())]
-    check_cap(base.size ** D, cap, "pair sweep")
-    els, zero = base.elements, base.zero
-    out = []
-    for vec in product(els, repeat=D - 1):
-        coeffs = (zero,) + vec[::-1]
-        if all(v == zero for v in base.horner(coeffs, els)):
-            out.append(ring_polynomial(base, coeffs))
-    return out
-
-
 def _inverse(t) -> tuple[int, ...]:
     # a permutation table sorts the positions into its inverse
     return tuple(sorted(range(len(t)), key=t.__getitem__))
@@ -517,7 +498,7 @@ def _generated(tables, n: int) -> tuple[_Chain, list]:
     """The chain of the group the tables generate, and the tables it was
     extended by: each sifts once, walked (_walk) so that a few generate."""
     group = _Chain(n)
-    return group, [t for _, t in _walk([((), tables)]) if group.extend(t)]
+    return group, [t for t in _walk(tables) if group.extend(t)]
 
 
 class GroupAxiomsReport(NamedTuple):
@@ -575,29 +556,6 @@ def verify_group_axioms(elements) -> GroupAxiomsReport:
     has_identity = closed or group.ident in pool
     inverses_ok = closed or has_identity and all(_inverse(t) in pool for t in tables)
     return _axioms_report(len(els), closed, has_identity, inverses_ok, gens)
-
-
-def _product_axioms(base: Ring, perms, units) -> GroupAxiomsReport:
-    """verify_group_axioms of the semidirect product of the listed factors,
-    from |perms| + |units| sifts (_generated).  (G, F) = (G, 1) (id, F), so
-    the pairs (G, 1) and (id, F) generate a group holding the product, and
-    lying in it iff it holds the identity pair: the product is closed iff
-    that group has its order.  If it is not, (G, F)^-1 = (G^-1,
-    (F o G^-1)^-1) is looked up in the factors."""
-    nb, one = base.size, base.index(base.one)
-    ident, ones = tuple(range(nb)), (one,) * nb
-    pairs = [(G, ones) for G in perms] + [(ident, F) for F in units]
-    group, gens = _generated(list(pair_tables(base, pairs)), nb * nb)
-    pset, uset = set(perms), set(units)
-    has_identity = ident in pset and ones in uset
-    closed = group.order == len(pset) * len(uset)
-    inv = [row.index(one) if one in row else 0 for row in base.index_op_tables()[1]]
-    inverses_ok = closed or has_identity and all(
-        (G_inv := _inverse(G)) in pset
-        and all(tuple(inv[F[a]] for a in G_inv) in uset for F in units)
-        for G in perms
-    )
-    return _axioms_report(len(perms) * len(units), closed, has_identity, inverses_ok, gens)
 
 
 class EmbeddingReport(NamedTuple):
@@ -658,17 +616,49 @@ def _field_generators(base: Ring) -> list[tuple]:
     return [((1, 0) + ident[2:], ones), (ident[1:] + (0,), ones), (ident, (g,) + ones[1:])]
 
 
-def _walk(lists):
-    """Each (key, item) of the lists (key, items) once, the k-th the item
-    at k * step mod n of n in listed order, step the first of r, r + 1,
-    r - 1, ... coprime to n, r nearest 0.618 n, so the first few spread."""
-    ends = list(accumulate(len(items) for _, items in lists))
-    n = ends[-1]
+def _stride(n: int) -> int:
+    """The first of r, r + 1, r - 1, ... coprime to n, r nearest 0.618 n:
+    k * step mod n, k < n, visits every place once, the first few spread."""
     r = round(0.618 * n)
-    step = next(k for d in range(n + 1) for k in (r + d, r - d) if 0 < k <= n and gcd(k, n) == 1)
-    for p in range(0, n * step, step):
-        key, items = lists[j := bisect_right(ends, p % n)]
-        yield key, items[p % n - ends[j]]
+    return next(k for d in count() for k in (r + d, r - d) if 0 < k <= n and gcd(k, n) == 1)
+
+
+def _walk(items):
+    """Each item once, the k-th at k * step mod n (_stride)."""
+    step = _stride(n := len(items))
+    return (items[k * step % n] for k in range(n))
+
+
+def _vectors(nb: int, D: int):
+    """The coefficient index vectors of degree < D over nb elements, constant
+    term first, the k-th the digits of k * step mod nb^D (_stride), on plain
+    ints: nb^D passes sys.maxsize on Z/25, where a range has no len()."""
+    n, weights = nb**D, [nb**i for i in range(D)]
+    step = _stride(n)
+    return ([k * step % n // w % nb for w in weights] for k in range(n))
+
+
+def _base_pair(base: Ring, vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """([f], [f']) over Z/m as index tables, f the index vector vec."""
+    ev = base.evaluate_everywhere
+    return tuple(ev(vec)), tuple(ev([k * c for k, c in enumerate(vec)][1:]))
+
+
+def _dual_candidates(base: Ring, vectors):
+    """(G, F, f) for each f of the vectors over Z/m with [f] = G a bijection
+    and [f'] = F unit-valued, so permuting R[al]: f is its own witness."""
+    nb, mask, ev = base.size, base.unit_index_mask(), base.evaluate_everywhere
+    for vec in vectors:
+        if len(set(ev(vec))) == nb:
+            G, F = _base_pair(base, vec)
+            if all(map(mask.__getitem__, F)):
+                yield G, F, vec
+
+
+def _unit_candidates(base: Ring, vectors):
+    """[u] for each u of the vectors over Z/m that is unit-valued."""
+    mask, tables = base.unit_index_mask(), map(tuple, map(base.evaluate_everywhere, vectors))
+    return (U for U in tables if all(map(mask.__getitem__, U)))
 
 
 def _dual_table(base: Ring, g: Polynomial) -> tuple[int, ...]:
@@ -709,23 +699,30 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     The pair-form permutations of R[al] make a group, on which the read-off
     is an isomorphism onto the twisted product.  The chain (_Chain) is built
     on the pair forms of generators S, so its order is the image's size:
-    the read-off is injective iff that is the dual group's known order.
-    Each generator's table, by Horner in R[al] (_dual_table) from the
-    preimage of its pair, the listings' witness, must be its pair form: then
-    S are dual permutations, and with the order reached the law holds on the
-    group they generate (mode "schreier-sims:<|S|>").  Over F_q the order is
-    q! (q - 1)^q, S is _field_generators with Hermite witnesses
-    (hermite_preimage), the 2q basis evaluations prove the image onto
-    (image_mode "basis:<2q>"), and the product is the chain's group, closed
-    iff it has that order.  Over Z/p^e the order counts the module's pairs
-    (image_mode "module"), those over G = id the stabilizer, S is each
-    walked (_walk) pair that does not sift, until the order is reached, and
-    the product's axioms come from its factors (_product_axioms); the image
-    lies in it when it is closed and holds S.  The image is onto iff it has
-    the product's order, which must factor as |Stab| |P(R)|.  A chain of
-    order at most the product's holds at most 2 n^2 k table entries,
-    n = |R|^2 and n^k at least that order, capped as "stabilizer chain"
-    before any generator is built.
+    the read-off is injective iff that is the dual group's order.  Each
+    generator's table, by Horner in R[al] (_dual_table) from its witness,
+    must be its pair form: then S are dual permutations, and with the order
+    reached the law holds on the group they generate (mode
+    "schreier-sims:<|S|>").  The same chain, extended by (id, [u]) for
+    unit-valued u, shows the product closed iff it reaches |P| |F^x| with
+    every generator in the product, which holds the identity ([x], [1])
+    and, finite, each inverse.  The image is onto iff it has that order.
+
+    Over F_q, |P| = q!, |F^x| = (q - 1)^q and the stabilizer is F^x: S is
+    _field_generators with Hermite witnesses (hermite_preimage), the 2q
+    basis evaluations prove every pair induced (image_mode "basis:<2q>"),
+    and S alone generates the product.  Over Z/p^e, e >= 2, nothing is
+    listed: |P| = |F| p! (p - 1)^p / p^(2p) (the local criterion; |F|,
+    Kempner), |F^x| is the paper's count, and the stabilizer H (image_mode
+    "module") has the pair module's Howell count (_null_count).  The dual
+    group has order |P| |H| when each F_G + H, F_G a permutation's
+    derivative, is unit-valued: proved when H's spanning rows are divisible
+    by p.  S and the u are walked vectors below the dual degree bound
+    (_vectors), each its own witness, whose pair on the base must be its
+    pair for it to lie in the product.  A chain of order at most the
+    product's holds at most 2 n^2 k table entries, n = |R|^2 and n^k at
+    least that order, capped as "stabilizer chain" before the module or
+    any generator is built.
 
     Over Z/m with two or more primes dividing m, each group here is the
     direct product of those over the prime-power factors Z/q (Chinese
@@ -745,60 +742,62 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
                          associativity_mode="composition", abelian_mode="crt")
         return _joined(reports, lemma, base=base.descriptor, homomorphism_mode="crt",
                        image_mode="crt", over_field=False, product_axioms=axioms)
-    nb, n = base.size, base.size ** 2
-    if base.is_field:
+    nb, n, field = base.size, base.size ** 2, base.is_field
+    if field:
         perm_count, unit_count = factorial(nb), (nb - 1) ** nb
-        order, stabilizer_size = perm_count * unit_count, unit_count
-        image_mode, candidates = f"basis:{2 * nb}", _field_generators(base)
     else:
-        perms, units = semidirect_factors(base, cap=cap)
-        over, _, preimage = _pair_parts(base, times=len(perms), cap=cap, what="dual pairs")
-        lifts = [(G, over(G)) for G in perms]
-        perm_count, unit_count = len(perms), len(units)
-        order = sum(len(units) for _, units in lifts)
-        stabilizer_size = len(dict(lifts).get(tuple(range(nb)), ()))
-        candidates, image_mode = _walk(lifts), "module"
+        p, e = base.prime_power
+        perm_count = count_polynomial_functions(p, e) * factorial(p) * (p - 1) ** p // p ** (2 * p)
+        unit_count = count_unit_valued_functions(p, e)
     ambient_size = perm_count * unit_count
     check_cap(2 * n * n * next(k for k in count(1) if n ** k >= ambient_size), cap,
               "stabilizer chain")
-    proved = True
-    if base.is_field:
+    if field:
         # one basis for the witnesses and the proof that the image is onto
         basis = hermite_basis(base)
         preimage, proved = hermite_preimage(base, basis), _hermite_basis_evaluates(base, basis)
-    group, gens, tables_ok = _Chain(n), [], True
-    for G, F in candidates:
+        stabilizer_size, image_mode, units = unit_count, f"basis:{2 * nb}", ()
+        candidates = ((G, F, preimage(G, F)) for G, F in _field_generators(base))
+    else:
+        module = pair_module(base)
+        D = len(module) - 2 * nb  # its columns past the pair: dual_degree_bound
+        stabilizer_size, image_mode = _null_count(module, nb), "module"
+        proved = all(w % p == 0 for row in module[nb:2 * nb] for w in row[nb:2 * nb])
+        candidates = _dual_candidates(base, _vectors(nb, D))
+        units = _unit_candidates(base, _vectors(nb, D))
+    order = perm_count * stabilizer_size
+    group, gens, tables_ok, in_product = _Chain(n), [], True, True
+    for G, F, vec in candidates:
         [table] = pair_tables(base, [(G, F)])
         if group.extend(table):
-            gens.append((G, F, table))
-            witness = index_polynomial(base, preimage(G, F))
-            tables_ok = _dual_table(base, witness) == table and tables_ok
+            gens.append(table)
+            tables_ok = _dual_table(base, index_polynomial(base, vec)) == table and tables_ok
+            in_product = (field or _base_pair(base, vec) == (G, F)) and in_product
             if group.order >= order:
                 break
-    injective = group.order == order
-    if base.is_field:
-        # the factors are every bijection and every unit-valued table, so the
-        # product holds the identity pair and each (G^-1, (F o G^-1)^-1)
-        axioms = _axioms_report(order, injective, True, True, [t for _, _, t in gens])
-        in_product = True
-    else:
-        axioms, pset, uset = _product_axioms(base, perms, units), set(perms), set(units)
-        in_product = axioms.closed and all(G in pset and F in uset for G, F, _ in gens)
+    image_size, image_gens, ident = group.order, len(gens), tuple(range(nb))
+    for U in units if image_size < ambient_size else ():
+        [table] = pair_tables(base, [(ident, U)])
+        if group.extend(table):
+            gens.append(table)
+            if group.order >= ambient_size:
+                break
+    closed = in_product and group.order == ambient_size
     return EmbeddingReport(
         base=base.descriptor,
         dual_perm_count=order,
-        image_size=group.order,
+        image_size=image_size,
         ambient_size=ambient_size,
         perm_count=perm_count,
         unit_table_count=unit_count,
         stabilizer_size=stabilizer_size,
-        injective=injective,
-        homomorphism_ok=tables_ok and injective,
-        homomorphism_mode=f"schreier-sims:{len(gens)}",
+        injective=image_size == order,
+        homomorphism_ok=tables_ok and image_size == order,
+        homomorphism_mode=f"schreier-sims:{image_gens}",
         image_in_ambient=in_product,
-        surjective=proved and in_product and group.order == ambient_size,
-        factorization_ok=proved and group.order == stabilizer_size * perm_count,
+        surjective=proved and in_product and image_size == ambient_size,
+        factorization_ok=proved and image_size == stabilizer_size * perm_count,
         image_mode=image_mode,
-        over_field=base.is_field,
-        product_axioms=axioms,
+        over_field=field,
+        product_axioms=_axioms_report(ambient_size, closed, True, True, gens),
     )

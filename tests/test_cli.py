@@ -1177,13 +1177,25 @@ def test_module_listings_reach_the_orders_of_the_sweep(capsys, argv, count):
     # the order 1,410,877,440, and the run's stdout is pinned by sha256
     (("verify", "--suite", "groups", "--ring", "fq:7"),
      "888d0680bc89e7bd2701000ac0ba509e11fdc4913d852d0220c5da1996d8938c"),
-    # P(Z/16) is enumerated below the null degree bound 6: 16^6 candidates
+    # once refused at the enumeration of P(Z/16), 16^6 candidates; now the
+    # orders come in closed form, and the stdout is that of --allow-large
+    # with the listing
     (("verify", "--suite", "groups", "--ring", "zm:16"),
-     "error: polynomial enumeration: 16777216 exceeds cap 10000000\n"),
+     "8753df902f0eacb55e05afa7f5d5dfdc24d5f6c6ff666488257544d452c0d77a"),
     # the smallest field whose chain may hold more than the cap: n = 23^2
     # points, 2 n^2 k entries, n^k at least 23! 22^23 for k = 20
     (("verify", "--suite", "groups", "--ring", "fq:23"),
      "error: stabilizer chain: 11193640 exceeds cap 10000000\n"),
+    # n = 32^2 points, n^k at least |P| |F^x| = 2^43 for k = 5
+    (("verify", "--suite", "groups", "--ring", "zm:32"),
+     "error: stabilizer chain: 10485760 exceeds cap 10000000\n"),
+    # once refused at the enumeration of P(R) (zm:48 at its factor Z/16)
+    (("verify", "--suite", "groups", "--ring", "zm:25"),
+     "a7c4ab657873df5412273306755d2c202a1d63a06d391900f1e39e40369e1b92"),
+    (("verify", "--suite", "groups", "--ring", "zm:27"),
+     "1fe04f49c7f81dd54ef6176a6cad521eaaf2828e5d8dc3d27e446397ec77bb6c"),
+    (("verify", "--suite", "groups", "--ring", "zm:48"),
+     "3114f9c3b1ec5b2ab5be5c9bd181e7071f7018c72377b1f975f272d148b186c0"),
 ])
 def test_group_refusals_are_pinned(capsys, argv, expected):
     # a refusal pins its stderr, a run that now passes its stdout's sha256
@@ -1985,14 +1997,14 @@ def test_verify_groups_fails_a_corrupted_hermite_basis(capsys, monkeypatch):
     ("fq:3", 1), ("fq:4", 1),
     # one chain for each field factor of Z/6 = F_2 x F_3
     ("zm:6", 2),
-    # the embedding's chain, and one of the product from its factors
-    ("zpn:2,2", 2),
+    # the embedding's chain, extended to the product
+    ("zpn:2,2", 1),
 ])
 def test_verify_groups_closes_each_group_once(capsys, monkeypatch, desc, closures):
-    # over a field the embedding's chain decides the product's axioms too,
-    # and over Z/m one more chain decides them from the factors; no group is
-    # listed: neither the product, nor the dual group's rows, nor elements
-    # beyond the generators'
+    # the embedding's chain decides the product's axioms too, over Z/p^e
+    # extended by unit-valued pairs; no group is listed: neither the
+    # product, nor the dual group's rows, nor elements beyond the
+    # generators'
     chains = []
     real_chain, real_elements = gr._Chain, gr.pair_elements
 

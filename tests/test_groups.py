@@ -26,7 +26,6 @@ from ringfunc.groups import (
     dual_degree_bound,
     enumerate_dual_permutations,
     enumerate_stabilizer,
-    null_polynomials,
     pair_table_sweep,
     precompose_units,
     semidirect_group,
@@ -669,6 +668,57 @@ def _oracle_embedding(base):
     )
 
 
+def _listed_embedding(base, cap=None):
+    """The report over Z/p^e from the listings, as verify_embedding once
+    made it: F(R) listed (semidirect_factors) and each G lifted to its pairs
+    by the pair module (_pair_parts), whose count is the dual group's order
+    and those over id the stabilizer's; a chain from the pairs walked
+    G-major at the golden stride, each new generator's table built from
+    its least preimage; and the product's axioms from sifting (G, 1) and
+    (id, F) for every listed G and F, the image in the product iff that is
+    closed and holds the generators."""
+    nb, n, one = base.size, base.size ** 2, base.index(base.one)
+    ident, ones = tuple(range(nb)), (one,) * nb
+    perms, units = groups.semidirect_factors(base, cap=cap)
+    over, _, preimage = groups._pair_parts(base, times=len(perms), cap=cap, what="dual pairs")
+    lifts = [(G, over(G)) for G in perms]
+    ends = list(itertools.accumulate(len(Fs) for _, Fs in lifts))
+    order, group, gens, tables_ok = ends[-1], groups._Chain(n), [], True
+    step = groups._stride(order)
+    for k in range(order):
+        G, Fs = lifts[j := bisect_right(ends, k * step % order)]
+        F = Fs[k * step % order - ends[j]]  # from the end of the G's pairs
+        [table] = groups.pair_tables(base, [(G, F)])
+        if group.extend(table):
+            gens.append((G, F))
+            witness = funcspace.index_polynomial(base, preimage(G, F))
+            tables_ok = groups._dual_table(base, witness) == table and tables_ok
+            if group.order >= order:
+                break
+    pset, uset, ambient = set(perms), set(units), len(perms) * len(units)
+    product, pgens = groups._generated(list(groups.pair_tables(
+        base, [(G, ones) for G in perms] + [(ident, F) for F in units])), n)
+    closed, has_identity = product.order == ambient, ident in pset and ones in uset
+    inverses = (_inverse_pair(base, G, F) for G in perms for F in units)
+    inverses_ok = closed or has_identity and all(G in pset and F in uset for G, F in inverses)
+    in_product = closed and all(G in pset and F in uset for G, F in gens)
+    stabilizer_size = len(over(ident))
+    return groups.EmbeddingReport(
+        base.descriptor, order, group.order, ambient, len(perms), len(units), stabilizer_size,
+        group.order == order, tables_ok and group.order == order, f"schreier-sims:{len(gens)}",
+        in_product, in_product and group.order == ambient,
+        group.order == stabilizer_size * len(perms), "module", False,
+        groups._axioms_report(ambient, closed, has_identity, inverses_ok, pgens))
+
+
+def _inverse_pair(base, G, F):
+    """(G, F)^-1 = (G^-1, (F o G^-1)^-1) in the twisted product."""
+    one = base.index(base.one)
+    inv = [row.index(one) if one in row else 0 for row in base.index_op_tables()[1]]
+    G_inv = tuple(sorted(range(base.size), key=G.__getitem__))
+    return G_inv, tuple(inv[F[a]] for a in G_inv)
+
+
 def _without_modes(report):
     """The report's fields as a dict, the modes and the nested report's
     modes left out."""
@@ -985,13 +1035,6 @@ def test_pair_sweep_below_degree_one_yields_the_zero_candidate(D):
     assert list(pair_table_sweep(z4, D, cap=1)) == [(zero, zero, ())]
 
 
-def test_null_polynomials_cap_every_candidate():
-    z4 = make_ring("zpn:2,2")
-    with pytest.raises(SizeCapError, match="pair sweep: 64 exceeds cap 63"):
-        null_polynomials(z4, 3, cap=63)
-    assert [f.coeffs for f in null_polynomials(z4, 3, cap=64)] == [(), (0, 2, 2)]
-
-
 def derivative_stages(ring, degree_bound, domain, points, scale=None):
     """The stages of reference_sweep.monomial_stages with the derivative
     columns the sweep oracles key on: each term [c x^d] followed by s d c a^(d-1) at each
@@ -1265,17 +1308,6 @@ def test_pair_sums_check_the_cap_before_any_work():
     assert len(dict(_pair_sums(z4, 3, cap=64))) == 16
 
 
-@pytest.mark.parametrize("desc", ORACLE_RINGS)
-def test_null_polynomials_match_a_per_candidate_filter(desc):
-    base = make_ring(desc)
-    for D in range(4):
-        expected = [
-            _poly(base, c) for c in _candidates(base, D)
-            if induce(_poly(base, c), base).is_zero()
-        ]
-        assert null_polynomials(base, D) == expected
-
-
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "zm:6"])
 def test_enumerations_match_a_per_candidate_filter(desc):
     # the filters on every candidate of the per-candidate oracle
@@ -1284,12 +1316,11 @@ def test_enumerations_match_a_per_candidate_filter(desc):
     add_t = base.index_op_tables()[0]
     one = base.index(base.one)
     zero_tab = (base.index(base.zero),) * base.size
-    pairs, units, nulls = {}, {}, []
+    pairs, units = {}, {}
     for ftab, dtab, coeffs in pair_table_sweep(base, dual_degree_bound(base)):
         if len(set(ftab)) == base.size and all(mask[i] for i in dtab):
             pairs.setdefault((ftab, dtab), coeffs)
         if ftab == zero_tab:
-            nulls.append(_poly(base, coeffs))
             unit = tuple(add_t[one][i] for i in dtab)
             if all(mask[i] for i in unit):
                 units.setdefault(unit, coeffs)
@@ -1302,7 +1333,6 @@ def test_enumerations_match_a_per_candidate_filter(desc):
     assert [(st.base_pair()[1], st.witness - X) for st in stab] == sorted(
         (u, _poly(base, c)) for u, c in units.items()
     )
-    assert null_polynomials(base) == nulls
 
 
 def _oracle_table(base, G, F):
@@ -1609,21 +1639,6 @@ def test_dual_permutation_enumeration(desc, count):
         assert _dp_from_poly(base, dp.witness) == dp
 
 
-def test_null_polynomials_of_the_four_element_ring():
-    z4 = make_ring("zpn:2,2")
-    nulls = null_polynomials(z4)
-    assert {f.coeffs for f in nulls} == {(), (0, 2, 2), (0, 0, 2, 2), (0, 2, 0, 2)}
-    assert null_polynomials(z4, 4) == nulls
-    for f in nulls:
-        assert induce(f, z4).is_zero()
-
-
-def test_null_polynomials_of_the_two_element_field():
-    f2 = make_ring("fq:2")
-    nulls = null_polynomials(f2)
-    assert {f.coeffs for f in nulls} == {(), (0, 1, 1), (0, 0, 1, 1), (0, 1, 0, 1)}
-
-
 # ---------------------------------------------------------------------------
 # the stabilizer of the base points
 
@@ -1855,32 +1870,30 @@ def _closure_order(tables):
 
 @pytest.mark.parametrize("desc,copies", [
     ("fq:3", 1), ("zm:9", 1), ("zpn:2,2", 1), ("zpn:2,3", 1),
-    # each unit table listed 3 times: |P| |U| = 384 passes 16^2, the dual
-    # group's order 32 does not
+    # the unit-valued count taken 3 times: |P| |U| = 384 passes 16^2, the
+    # dual group's order 32 does not
     ("zpn:2,2", 3),
 ])
 def test_chain_cap_takes_k_from_the_product_order(monkeypatch, desc, copies):
-    # the embedding's chain and, over Z/m, the product's have order at most
-    # |P| |U|, so the cap on their transversals, 2 n^2 k entries, takes k
-    # from it, n^k >= |P| |U|; each chain built keeps within the bound
+    # the embedding's chain, extended to the product, has order at most
+    # |P| |U|, so the cap on its transversals, 2 n^2 k entries, takes k
+    # from it, n^k >= |P| |U|; the one chain built keeps within the bound
     base = make_ring(desc)
     n, counts, chains = base.size ** 2, [], []
-    real_cap, real_factors, real_chain = groups.check_cap, groups.semidirect_factors, groups._Chain
+    real_cap, real_count, real_chain = (
+        groups.check_cap, groups.count_unit_valued_functions, groups._Chain)
 
     def spy_cap(count, cap, what):
         counts.append((what, count))
         return real_cap(count, cap, what)
-
-    def factors(ring, *, cap=None):
-        perms, units = real_factors(ring, cap=cap)
-        return perms, units * copies
 
     def spy_chain(size):
         chains.append(real_chain(size))
         return chains[-1]
 
     monkeypatch.setattr(groups, "check_cap", spy_cap)
-    monkeypatch.setattr(groups, "semidirect_factors", factors)
+    monkeypatch.setattr(groups, "count_unit_valued_functions",
+                        lambda p, e: copies * real_count(p, e))
     monkeypatch.setattr(groups, "_Chain", spy_chain)
     rep = verify_embedding(base)
     k = next(k for k in itertools.count(1) if n ** k >= rep.ambient_size)
@@ -1889,7 +1902,7 @@ def test_chain_cap_takes_k_from_the_product_order(monkeypatch, desc, copies):
     if copies > 1:
         # a k taken from the dual group's order would be smaller
         assert n ** (k - 1) >= rep.dual_perm_count
-    assert len(chains) == 1 + (not base.is_field)
+    assert len(chains) == 1
     assert all(2 * n * sum(len(u) for _, _, u, _ in c.levels) <= 2 * n * n * k for c in chains)
 
 
@@ -1926,6 +1939,65 @@ def test_embedding_report_matches_the_listing_oracle(desc):
         assert got._replace(abelian_mode="") == want._replace(abelian_mode="")
 
 
+@pytest.mark.parametrize("desc", ["zpn:2,2", "zpn:2,3", "zpn:3,2", "zm:16", "zm:48"])
+def test_prime_power_embedding_lists_no_function(monkeypatch, desc):
+    # from closed forms and walked generators: with the listing of F(R),
+    # the lifts and the module's reduction made to fail, the report is the
+    # listing path's, modes aside (zm:16's lists 16^6 candidates, past the
+    # default cap); zm:48 = Z/16 x F_3 is joined from its factors
+    base = make_ring(desc)
+    want = None if desc == "zm:48" else _listed_embedding(base, cap=10**8)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("listed")
+
+    for name in ("induced_index_tables", "semidirect_factors", "_pair_parts", "least_member"):
+        monkeypatch.setattr(groups, name, fail)
+    rep = verify_embedding(base)
+    assert rep.passed and rep.product_axioms.passed
+    if want is None:
+        assert rep.dual_perm_count == CRT_ORDERS[desc]
+    else:
+        assert _without_modes(rep) == _without_modes(want)
+
+
+@pytest.mark.parametrize("desc,message", [
+    ("zm:32", "stabilizer chain: 10485760 exceeds cap 10000000"),
+    ("zpn:5,5", "stabilizer chain: 2861022949218750 exceeds cap 10000000"),
+])
+def test_prime_power_chain_cap_comes_before_the_pair_module(monkeypatch, desc, message):
+    # the chain's bound is taken from |P| |F^x| in closed form, so a refused
+    # ring never builds its pair module
+    def fail(*args, **kwargs):
+        raise AssertionError("pair module built")
+
+    monkeypatch.setattr(groups, "pair_module", fail)
+    with pytest.raises(SizeCapError, match=f"^{message}$"):
+        verify_embedding(make_ring(desc), cap=10_000_000)
+
+
+@pytest.mark.parametrize("desc", ["zpn:2,2", "zpn:2,3", "zpn:3,2"])
+def test_embedding_report_fails_an_h_row_not_divisible_by_p(monkeypatch, desc):
+    # one entry of H's first spanning row, past its pivot, set to 1: the
+    # counts and the chain are unchanged, but a coset F_G + H is no longer
+    # shown unit-valued, so the image is shown neither onto nor to factor
+    base = make_ring(desc)
+    real = groups.pair_module
+
+    def faulty(ring):
+        rows = real(ring)
+        rows[ring.size][ring.size + 1] = 1
+        return rows
+
+    monkeypatch.setattr(groups, "pair_module", faulty)
+    rep = verify_embedding(base)
+    monkeypatch.undo()
+    good = verify_embedding(base)
+    assert good.passed and rep == good._replace(surjective=False, factorization_ok=False)
+    assert rep.injective and rep.homomorphism_ok and rep.image_in_ambient
+    assert not rep.surjective and not rep.factorization_ok and not rep.passed
+
+
 @pytest.mark.parametrize("desc", ["zpn:2,2", "zm:6"])
 def test_module_witnesses_reduce_each_permutation_once(desc, monkeypatch):
     # every pair over one G shares least_member's reduction by the rows of
@@ -1952,9 +2024,10 @@ def test_module_witnesses_reduce_each_permutation_once(desc, monkeypatch):
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "zpn:2,2", "zm:6"])
 def test_embedding_decides_the_product_axioms_when_the_image_is_the_product(desc):
     # over a field the dual permutations are the product's elements, so the
-    # embedding's chain gives its axioms; over Z/m the factors do, whether
-    # the image is the product (zm:6, 96 = 96) or not (zpn:2,2, 32 < 128).
-    # Each agrees with the closure of the listed product
+    # embedding's chain gives its axioms; over Z/p^e that chain extended by
+    # unit-valued pairs does, and zm:6 joins its factors' (96 = 96, the
+    # image the product; zpn:2,2, 32 < 128, not).  Each agrees with the
+    # closure of the listed product
     base = make_ring(desc)
     rep = verify_embedding(base)
     product = semidirect_group(base)
@@ -1972,13 +2045,14 @@ def test_embedding_decides_the_product_axioms_when_the_image_is_the_product(desc
 CRT_ORDERS = {
     "zm:14": 2_821_754_880, "zm:15": 5_898_240, "zm:18": 1_889_568,
     "zm:20": 3_932_160, "zm:21": 67_722_117_120, "zm:30": 11_796_480,
+    "zm:48": 100_663_296,
 }
 
 
 @pytest.mark.parametrize("desc", sorted(CRT_ORDERS))
 def test_crt_embedding_orders_are_the_products_of_the_factors(desc):
-    # zm:18 = Z/2 x Z/9 takes Z/9 through the module path, the rest are
-    # products of fields
+    # zm:18 = Z/2 x Z/9 and zm:48 = Z/16 x Z/3 take Z/9 and Z/16 through
+    # the module path, the rest are products of fields
     base = make_ring(desc)
     rep = verify_embedding(base)
     qs = [gcd(base.size, p ** base.size) for p in (2, 3, 5, 7) if base.size % p == 0]
@@ -2058,8 +2132,8 @@ def test_crt_embedding_fails_with_a_failing_factor(monkeypatch, desc, size):
 
 
 @pytest.mark.parametrize("desc,message", [
-    # Z/48 = Z/16 x F_3: Z/16's enumeration is refused first
-    ("zm:48", "polynomial enumeration: 16777216 exceeds cap 10000000"),
+    # Z/96 = Z/32 x F_3: Z/32's chain is refused first
+    ("zm:96", "stabilizer chain: 10485760 exceeds cap 10000000"),
     # Z/2520 = Z/8 x Z/9 x F_5 x F_7: every factor passes, and the lemma's
     # two tables of 2520^2 entries are refused before they are built
     ("zm:2520", "operation tables: 12700800 exceeds cap 10000000"),
@@ -2141,7 +2215,8 @@ def _patch_generators(monkeypatch, base, fault):
     of every table _dual_table builds, and "conjugated" conjugates each by
     the swap of the dual elements (0, 1) and (2, 1) (zpn:2,2): the pair read
     off the row b = 1 is unchanged.  "perm" and "unit" walk a foreign pair
-    (_foreign_pair) first, among the lifts over Z/p^e."""
+    (_foreign_pair) first among the candidates over Z/p^e, with the witness
+    x: no polynomial induces it."""
     if fault in ("corrupted", "conjugated"):
         real = groups._dual_table
         b = next(i for i in range(1, base.size) if i != base.index(base.one))
@@ -2157,11 +2232,10 @@ def _patch_generators(monkeypatch, base, fault):
 
         monkeypatch.setattr(groups, "_dual_table", faulty)
     else:
-        extra = _foreign_pair(base, fault)
-        real = groups._walk
-        # _walk also orders the pools of _generated, whose key is ()
-        monkeypatch.setattr(groups, "_walk", lambda lists: itertools.chain(
-            [extra] if lists[0][0] else [], real(lists)))
+        extra = (*_foreign_pair(base, fault), [0, 1])
+        real = groups._dual_candidates
+        monkeypatch.setattr(groups, "_dual_candidates", lambda ring, vectors: itertools.chain(
+            [extra], real(ring, vectors)))
 
 
 @pytest.mark.parametrize("desc", ["fq:3", "zpn:2,2"])
@@ -2199,28 +2273,22 @@ def test_embedding_report_rejects_a_conjugated_enumeration(monkeypatch):
 @pytest.mark.parametrize("part", ["perm", "unit", "subgroup"])
 def test_embedding_report_rejects_a_pair_outside_the_product(monkeypatch, part):
     # over Z_8 only 128 of 40320 bijections and 256 of 65536 unit-valued
-    # tables are induced: a factor listing with a foreign G or a foreign F
-    # makes a product that is not closed, so the image is not shown to lie
-    # in it, though the read-off stays injective (a foreign G lifts to no
-    # pair of the module).  With the constant 1 as the only unit table the
-    # product is closed, and the generators' F lie outside it
+    # tables are induced: a walked generator with a foreign G or a foreign F
+    # lies outside the product, as its witness's pair on the base shows, so
+    # neither the image is shown to lie in the product nor the product
+    # closed, and the chain passes the dual group's order.  With the
+    # constant 1 as the only unit-valued u walked, the chain stops at that
+    # order: the embedding passes, and the product is not shown closed
     base = make_ring("zpn:2,3")
-    G, F = _foreign_pair(base, "unit" if part == "subgroup" else part)
-    real = groups.semidirect_factors
-
-    def faulty(ring, *, cap=None):
-        perms, units = real(ring, cap=cap)
-        if part == "subgroup":
-            return perms, [(ring.index(ring.one),) * ring.size]
-        return (perms + [G], units) if part == "perm" else (perms, units + [F])
-
-    monkeypatch.setattr(groups, "semidirect_factors", faulty)
+    if part == "subgroup":
+        ones = (base.index(base.one),) * base.size
+        monkeypatch.setattr(groups, "_unit_candidates", lambda ring, vectors: iter([ones]))
+    else:
+        _patch_generators(monkeypatch, base, part)
     rep = verify_embedding(base)
-    assert rep.product_axioms.closed == (part == "subgroup")
-    assert rep.injective
-    assert not rep.image_in_ambient
+    assert not rep.product_axioms.closed and not rep.product_axioms.passed
+    assert rep.injective == rep.image_in_ambient == rep.passed == (part == "subgroup")
     assert not rep.surjective
-    assert not rep.passed
 
 
 def _oracle_law(base, perms):
@@ -2246,19 +2314,20 @@ def _oracle_law(base, perms):
 @pytest.mark.parametrize("desc,fault", [
     ("fq:2", None), ("fq:3", None), ("fq:4", None), ("zpn:2,2", None),
     ("fq:3", "corrupted"), ("zpn:2,2", "corrupted"), ("zpn:2,2", "conjugated"),
-    ("zpn:2,2", "perm"),
+    ("zpn:2,2", "perm"), ("zpn:2,3", None), ("zpn:2,3", "unit"),
 ])
 def test_embedding_law_matches_the_per_product_oracle(monkeypatch, desc, fault):
     # the same fault, in the elements the per-product law closes and in the
     # generators the chain is built from, fails the law in both; brute force
-    # over all |G|^2 products agrees, bar fq:4 (1944^2 products)
+    # over all |G|^2 products agrees, bar fq:4 and zpn:2,3 (1944^2 and
+    # 8192^2 products)
     base = make_ring(desc)
     if fault is not None:
         _patch_pair_elements(monkeypatch, base, fault)
     dps = enumerate_dual_permutations(base)
     gens, closed, laws = _oracle_law(base, dps)
     assert [g.table for g in _generate(dps)[0]] == [g.table for g in gens]
-    if desc != "fq:4":
+    if desc not in ("fq:4", "zpn:2,3"):
         assert (closed and all(laws)) == _brute_homomorphism(base, dps)
     monkeypatch.undo()
     if fault is not None:
@@ -2273,11 +2342,10 @@ def test_embedding_law_matches_the_per_product_oracle(monkeypatch, desc, fault):
 
 @pytest.mark.parametrize("fault", ["unit"])
 def test_embedding_law_fails_a_foreign_generator(monkeypatch, fault):
-    # a generator whose F no polynomial induces: its table from the module's
-    # preimage is not its pair form, and it lies outside the product.  Over
-    # Z/4 every unit table is induced, so this needs Z/8, whose 8,192 dual
-    # permutations are past the per-product oracle (the "perm" fault is
-    # there on zpn:2,2)
+    # a generator whose F no polynomial induces: its witness's table is not
+    # its pair form, and it lies outside the product.  Over Z/4 every unit
+    # table is induced, so this needs Z/8 (the per-product oracle checks it
+    # there too, and the "perm" fault on zpn:2,2)
     base = make_ring("zpn:2,3")
     _patch_generators(monkeypatch, base, fault)
     rep = verify_embedding(base)

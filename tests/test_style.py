@@ -1,5 +1,6 @@
 """Source layout: line length and trailing whitespace in the package, no
-function that nothing uses, and no parameter that its function never reads."""
+function that nothing uses, no parameter that its function never reads, and
+an __all__ that matches the package's imports."""
 
 import ast
 import re
@@ -86,3 +87,21 @@ def test_every_parameter_is_read():
             }
             unread += [f"{path.name}:{node.lineno}: {name}({p})" for p in params if p not in read]
     assert not unread, "\n".join(unread)
+
+
+def test_all_is_exactly_the_public_imports_of_the_package():
+    # __all__ names each public name __init__ imports, once, and nothing
+    # else, and each resolves: a removed export leaves no stale entry
+    import ringfunc
+
+    init = next(path for path in SOURCES if path.name == "__init__.py")
+    imported = [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+    assert sorted(ringfunc.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    assert all(hasattr(ringfunc, name) for name in ringfunc.__all__)
