@@ -262,10 +262,31 @@ def index_polynomial(ring: Ring, vec) -> Polynomial:
     return ring_polynomial(ring, map(ring.elements.__getitem__, vec))
 
 
+def hermite_preimage(base: Ring):
+    """The function (G, F) -> the index vector, 2q coefficients, constant
+    term first, of the only g of degree < 2q over F_q with [g] = G and
+    [g'] = F, G and F index tuples: A_G + B_F, A_G = sum_a G(a) H_a and
+    B_F = sum_a F(a) K_a (hermite_basis, built on the first call).  A_G
+    plus B_F below the point h = q // 2 is kept for G and F there, and B_F
+    from h on for F there, so the items of a listing share them: the
+    stabilizer's (q - 1)^q null parts have at most 2 (q - 1)^(q - h)."""
+    add_t, h = base.index_op_tables()[0], base.size // 2
+    built = lru_cache(maxsize=None)(lambda: hermite_basis(base))
+
+    @lru_cache(maxsize=None)
+    def part(i, table, a=0):
+        # the sum of table(k) times basis i (H, then K) at the points k from a
+        return hermite_sum(base, built()[i][a:a + len(table)], table)
+
+    low = lru_cache(maxsize=None)(  # as the rows of add_t at its coefficients
+        lambda G, F: [add_t[add_t[u][v]] for u, v in zip(part(0, G), part(1, F))])
+    return lambda G, F: list(map(getitem, low(G, F[:h]), part(1, F[h:], h)))
+
+
 def realize_pair(G: FunctionTable, F: FunctionTable) -> Polynomial:
     """The polynomial g over a field with [g] = G and [g'] = F of degree
-    <= 2q-1, the Hermite form sum_a G(a) H_a + F(a) K_a that the group
-    listings read too (groups.hermite_preimage)."""
+    <= 2q-1, the Hermite form sum_a G(a) H_a + F(a) K_a (hermite_preimage)
+    that the group listings and the embedding's witnesses read too."""
     ring = G.ring
     G._require_same_ring(F)
     if not ring.is_field:
@@ -274,8 +295,6 @@ def realize_pair(G: FunctionTable, F: FunctionTable) -> Polynomial:
         raise ValueError("first table must be a bijection")
     if not F.is_unit_valued():
         raise ValueError("second table must be unit-valued")
-    from .groups import hermite_preimage  # groups imports this module
-
     pair = (tuple(map(ring.index, t.values)) for t in (G, F))
     g = index_polynomial(ring, hermite_preimage(ring)(*pair))
     if induce(g, ring) != G or induce(g.derive(), ring) != F:

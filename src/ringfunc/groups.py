@@ -33,7 +33,8 @@ verify_embedding lists no group, and verify_group_axioms sifts the pool it
 is given: both build a Schreier-Sims chain (_Chain).  The embedding is
 proved from a few dual permutations whose tables, built from their
 witnesses, must be their pair forms, and whose chain must reach the dual
-group's order, known in closed form over F_q and Z/p^e; the same chain,
+group's order, known in closed form over F_q and Z/p^e: every verdict,
+onto and the factorization too, is read off that order.  The same chain,
 extended by unit-valued pairs (id, [u]), reaches the product's.  Over other
 Z/m the reports are joined from the prime-power factors' (Chinese remainder
 theorem).  A listed pool is a group iff its chain has its size.
@@ -52,15 +53,14 @@ from .dual import DualRing, dual_ring
 from .funcspace import (
     FunctionTable,
     dual_degree_bound,
-    hermite_basis,
-    hermite_sum,
+    hermite_preimage,
     index_polynomial,
     induced_index_tables,
     least_member,
     pair_module,
 )
 from .poly import Polynomial
-from .rings import ModularRing, Ring, check_cap, is_prime
+from .rings import ModularRing, Ring, check_cap, is_prime, resolve_cap
 
 
 class DualPermutation:
@@ -238,28 +238,6 @@ def pair_table_sweep(base: Ring, degree_bound: int, *, cap: int | None = None):
             tuple(map(base.index, base.horner(dcoeffs, els))),
             coeffs,
         )
-
-
-def hermite_preimage(base: Ring, basis=None):
-    """The function (G, F) -> the index vector, 2q coefficients, constant
-    term first, of the only g of degree < 2q over F_q with [g] = G and
-    [g'] = F, G and F index tuples: A_G + B_F, A_G = sum_a G(a) H_a and
-    B_F = sum_a F(a) K_a (the given basis, or hermite_basis built on the
-    first call).  A_G plus B_F below the point h = q // 2 is kept for G and
-    F there, and B_F from h on for F there, so the items of a listing share
-    them: the stabilizer's (q - 1)^q null parts have at most
-    2 (q - 1)^(q - h)."""
-    add_t, h = base.index_op_tables()[0], base.size // 2
-    built = lru_cache(maxsize=None)(lambda: basis or hermite_basis(base))
-
-    @lru_cache(maxsize=None)
-    def part(i, table, a=0):
-        # the sum of table(k) times basis i (H, then K) at the points k from a
-        return hermite_sum(base, built()[i][a:a + len(table)], table)
-
-    low = lru_cache(maxsize=None)(  # as the rows of add_t at its coefficients
-        lambda G, F: [add_t[add_t[u][v]] for u, v in zip(part(0, G), part(1, F))])
-    return lambda G, F: list(map(getitem, low(G, F[:h]), part(1, F[h:], h)))
 
 
 def _pair_parts(base: Ring, *, times: int, cap: int | None, what: str):
@@ -589,20 +567,6 @@ class EmbeddingReport(NamedTuple):
         return (self.surjective or not self.over_field) and self.surjective == full
 
 
-def _hermite_basis_evaluates(base: Ring, basis) -> bool:
-    """Whether [H_a] = [K_a'] = e_a and [H_a'] = [K_a] = 0 for every a of the
-    basis (H, K), by Horner on the coefficients and the formal derivative: the
-    rows ([v], [v']) of H_0 .. H_q-1, K_0 .. K_q-1 make the identity, so
-    f -> ([f], [f']) is onto every pair."""
-    els, n = base.elements, 2 * base.size
-    scales = [base.from_int(k) for k in range(1, n)]
-    H, K = basis
-    return [
-        base.horner(c, els) + base.horner(list(map(base.mul, scales, c[1:])), els)
-        for c in ([els[i] for i in vec] for vec in H + K)
-    ] == [[base.one if i == j else base.zero for i in range(n)] for j in range(n)]
-
-
 def _field_generators(base: Ring) -> list[tuple]:
     """(tau, 1), (sigma, 1) and (id, g at 0 and 1 elsewhere) over F_q: the
     transposition tau and the q-cycle sigma of the element indices generate
@@ -629,13 +593,17 @@ def _walk(items):
     return (items[k * step % n] for k in range(n))
 
 
-def _vectors(nb: int, D: int):
+def _vectors(nb: int, D: int, cap: int | None):
     """The coefficient index vectors of degree < D over nb elements, constant
     term first, the k-th the digits of k * step mod nb^D (_stride), on plain
-    ints: nb^D passes sys.maxsize on Z/25, where a range has no len()."""
+    ints: nb^D passes sys.maxsize on Z/25, where a range has no len().  A
+    walk that reads past the cap's number of vectors is refused as
+    "generator walk"."""
     n, weights = nb**D, [nb**i for i in range(D)]
     step = _stride(n)
-    return ([k * step % n // w % nb for w in weights] for k in range(n))
+    for k in range(min(n, resolve_cap(cap))):
+        yield [k * step % n // w % nb for w in weights]
+    check_cap(n, cap, "generator walk")
 
 
 def _base_pair(base: Ring, vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -646,13 +614,14 @@ def _base_pair(base: Ring, vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _dual_candidates(base: Ring, vectors):
     """(G, F, f) for each f of the vectors over Z/m with [f] = G a bijection
-    and [f'] = F unit-valued, so permuting R[al]: f is its own witness."""
+    and [f'] = F unit-valued, so permuting R[al]: f is its own witness.
+    [f'] is evaluated only where [f] is a bijection."""
     nb, mask, ev = base.size, base.unit_index_mask(), base.evaluate_everywhere
     for vec in vectors:
-        if len(set(ev(vec))) == nb:
-            G, F = _base_pair(base, vec)
+        if len(set(G := ev(vec))) == nb:
+            F = tuple(ev([k * c for k, c in enumerate(vec)][1:]))
             if all(map(mask.__getitem__, F)):
-                yield G, F, vec
+                yield tuple(G), F, vec
 
 
 def _unit_candidates(base: Ring, vectors):
@@ -703,26 +672,29 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     generator's table, by Horner in R[al] (_dual_table) from its witness,
     must be its pair form: then S are dual permutations, and with the order
     reached the law holds on the group they generate (mode
-    "schreier-sims:<|S|>").  The same chain, extended by (id, [u]) for
-    unit-valued u, shows the product closed iff it reaches |P| |F^x| with
-    every generator in the product, which holds the identity ([x], [1])
-    and, finite, each inverse.  The image is onto iff it has that order.
+    "schreier-sims:<|S|>").  The chain's group then lies in the dual
+    group, so every verdict rests on its order: reached, the image is the
+    whole dual group, which factors as stabilizer times P, and it is onto
+    iff it lies in the product and has the product's order.  The same
+    chain, extended by (id, [u]) for unit-valued u, shows the product
+    closed iff it reaches |P| |F^x| with every generator in the product,
+    which holds the identity ([x], [1]) and, finite, each inverse.
 
-    Over F_q, |P| = q!, |F^x| = (q - 1)^q and the stabilizer is F^x: S is
-    _field_generators with Hermite witnesses (hermite_preimage), the 2q
-    basis evaluations prove every pair induced (image_mode "basis:<2q>"),
-    and S alone generates the product.  Over Z/p^e, e >= 2, nothing is
-    listed: |P| = |F| p! (p - 1)^p / p^(2p) (the local criterion; |F|,
-    Kempner), |F^x| is the paper's count, and the stabilizer H (image_mode
-    "module") has the pair module's Howell count (_null_count).  The dual
-    group has order |P| |H| when each F_G + H, F_G a permutation's
-    derivative, is unit-valued: proved when H's spanning rows are divisible
-    by p.  S and the u are walked vectors below the dual degree bound
-    (_vectors), each its own witness, whose pair on the base must be its
-    pair for it to lie in the product.  A chain of order at most the
-    product's holds at most 2 n^2 k table entries, n = |R|^2 and n^k at
-    least that order, capped as "stabilizer chain" before the module or
-    any generator is built.
+    Over F_q, |P| = q!, and the stabilizer is F^x, of order (q - 1)^q
+    (image_mode "closed form"): S is _field_generators with Hermite
+    witnesses (hermite_preimage), and S alone generates the product.  Over
+    Z/p^e, e >= 2, nothing is listed: |P| = |F| p! (p - 1)^p / p^(2p) (the
+    local criterion; |F|, Kempner), |F^x| is the paper's count, and the
+    stabilizer H (image_mode "module") has the pair module's Howell count
+    (_null_count).  The dual group lies in the |P| |H| pairs (G, F_G + h),
+    so a chain that reaches |P| |H| makes each of them a dual permutation.
+    S and the u are walked vectors below the dual degree bound (_vectors),
+    each its own witness, whose pair on the base must be its pair for it to
+    lie in the product; a walk past the cap's number of vectors is refused
+    as "generator walk".  A chain of order at most the product's holds at
+    most 2 n^2 k table entries, n = |R|^2 and n^k at least that order,
+    capped as "stabilizer chain" before the module or any generator is
+    built.
 
     Over Z/m with two or more primes dividing m, each group here is the
     direct product of those over the prime-power factors Z/q (Chinese
@@ -753,18 +725,15 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     check_cap(2 * n * n * next(k for k in count(1) if n ** k >= ambient_size), cap,
               "stabilizer chain")
     if field:
-        # one basis for the witnesses and the proof that the image is onto
-        basis = hermite_basis(base)
-        preimage, proved = hermite_preimage(base, basis), _hermite_basis_evaluates(base, basis)
-        stabilizer_size, image_mode, units = unit_count, f"basis:{2 * nb}", ()
+        stabilizer_size, image_mode, units = unit_count, "closed form", ()
+        preimage = hermite_preimage(base)
         candidates = ((G, F, preimage(G, F)) for G, F in _field_generators(base))
     else:
         module = pair_module(base)
         D = len(module) - 2 * nb  # its columns past the pair: dual_degree_bound
         stabilizer_size, image_mode = _null_count(module, nb), "module"
-        proved = all(w % p == 0 for row in module[nb:2 * nb] for w in row[nb:2 * nb])
-        candidates = _dual_candidates(base, _vectors(nb, D))
-        units = _unit_candidates(base, _vectors(nb, D))
+        candidates = _dual_candidates(base, _vectors(nb, D, cap))
+        units = _unit_candidates(base, _vectors(nb, D, cap))
     order = perm_count * stabilizer_size
     group, gens, tables_ok, in_product = _Chain(n), [], True, True
     for G, F, vec in candidates:
@@ -783,6 +752,7 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
             if group.order >= ambient_size:
                 break
     closed = in_product and group.order == ambient_size
+    homomorphism_ok = tables_ok and image_size == order
     return EmbeddingReport(
         base=base.descriptor,
         dual_perm_count=order,
@@ -792,11 +762,11 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
         unit_table_count=unit_count,
         stabilizer_size=stabilizer_size,
         injective=image_size == order,
-        homomorphism_ok=tables_ok and image_size == order,
+        homomorphism_ok=homomorphism_ok,
         homomorphism_mode=f"schreier-sims:{image_gens}",
         image_in_ambient=in_product,
-        surjective=proved and in_product and image_size == ambient_size,
-        factorization_ok=proved and image_size == stabilizer_size * perm_count,
+        surjective=homomorphism_ok and in_product and image_size == ambient_size,
+        factorization_ok=homomorphism_ok and image_size == stabilizer_size * perm_count,
         image_mode=image_mode,
         over_field=field,
         product_axioms=_axioms_report(ambient_size, closed, True, True, gens),

@@ -340,6 +340,8 @@ def _pow(base: list[int], k: int) -> list[int]:
 
 # c^k has at most k times the bits of c
 _POWER_BITS = "bits of a number's power"
+# each coefficient of (sum b_i x^i)^k is at most (sum |b_i|)^k
+_POWER_COEFFICIENT_BITS = "bits of a power's coefficients"
 
 
 class _ListParser:
@@ -427,6 +429,9 @@ class _ListParser:
                     self.check_size((len(base) - 1) * k)
                     if base:  # its top coefficient is raised to the k-th power
                         self.check_size(base[-1].bit_length() * k, _POWER_BITS)
+                    if any(base[:-1]):  # and (len - 1) k + 1 coefficients with it
+                        bits = ((len(base) - 1) * k + 1) * k * sum(map(abs, base)).bit_length()
+                        self.check_size(bits, _POWER_COEFFICIENT_BITS)
                     base = _pow(base, k)
                 if product is not None:
                     self.check_size(len(product) + len(base) - 2)
@@ -464,7 +469,9 @@ def parse(text: str) -> Polynomial:
     enumeration cap and the text's length raises SizeCapError before any
     coefficient list that long is built, and so does a power c^k of a
     number, or of a factor's top coefficient c, whose bound of k times the
-    bits of c passes both.
+    bits of c passes both.  A power of a factor that is not a monomial is
+    refused likewise when its coefficient count times k times the bits of
+    sum |b_i|, a bound on each coefficient's bits, passes both.
     """
     ps = _ListParser(text)
     coeffs = ps.expr()

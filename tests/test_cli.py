@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from math import factorial, gcd
 from operator import eq, getitem
@@ -85,6 +86,17 @@ def test_test_refuses_a_number_power_past_the_cap(capsys, monkeypatch, text):
     argv = ("test", "--ring", "zm:4", "--prop", "null", "--poly", text)
     err = "error: bits of a number's power: 200000000 exceeds cap 10000000\n"
     assert run(capsys, *argv) == (3, "", err)
+
+
+def test_canonical_refuses_a_power_of_long_coefficients_at_once(capsys, monkeypatch):
+    # (x+1)^100000 once ran past 10 s building binomials of 100,000 bits
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    monkeypatch.setattr("ringfunc.poly._pow", lambda *args: pytest.fail("_pow was called"))
+    start = time.perf_counter()
+    argv = ("canonical", "--ring", "zpn:2,3", "--poly", "(x+1)^100000")
+    err = "error: bits of a power's coefficients: 20000200000 exceeds cap 10000000\n"
+    assert run(capsys, *argv) == (3, "", err)
+    assert time.perf_counter() - start < 1
 
 
 def test_oracle_output_is_byte_stable(capsys):
@@ -1088,8 +1100,8 @@ def test_limited_field_listing_builds_only_the_kept_witnesses(capsys, monkeypatc
         calls.append(args)
         return real(*args)
 
-    real = gr.hermite_sum
-    monkeypatch.setattr(gr, "hermite_sum", counting)
+    real = fs.hermite_sum
+    monkeypatch.setattr(fs, "hermite_sum", counting)
     code, out, _ = run(capsys, "enumerate", "--what", *what, "--ring", "fq:5", "--limit", "5")
     assert (code, len(json.loads(out)["items"])) == (0, 5)
     assert len(calls) <= 2 * 5
@@ -1127,7 +1139,9 @@ def test_field_table_refusal_lists_nothing(capsys, monkeypatch, what, cap, err):
 
     if cap:
         monkeypatch.setenv(CAP_ENV_VAR, cap)
-    for name in ("hermite_basis", "hermite_sum", "semidirect_factors", "pair_tables"):
+    for name in ("hermite_basis", "hermite_sum"):
+        monkeypatch.setattr(fs, name, no_build)
+    for name in ("semidirect_factors", "pair_tables"):
         monkeypatch.setattr(gr, name, no_build)
     for fmt in (("--table",), ("--format", "csv")):
         assert run(capsys, "export", "--what", *what, "--ring", "fq:5", *fmt) == (
@@ -1216,7 +1230,7 @@ def test_verify_groups_refuses_before_building_the_product(capsys, monkeypatch):
     monkeypatch.setattr(gr, "pair_elements", refuse)
     monkeypatch.setattr(gr, "pair_tables", refuse)
     monkeypatch.setattr(gr, "_Chain", refuse)
-    monkeypatch.setattr(gr, "hermite_basis", refuse)
+    monkeypatch.setattr(fs, "hermite_basis", refuse)
     code, out, err = run(capsys, "verify", "--suite", "groups", "--ring", "fq:23")
     assert (code, out) == (3, "")
     assert err == "error: stabilizer chain: 11193640 exceeds cap 10000000\n"

@@ -624,18 +624,17 @@ def _oracle_embedding(base):
     """The embedding report from the listing: every pair of dual_pairs as
     an element, closed by _generate, the law pair(d * s) = pair(d) * pair(s)
     compared for every d and generator s on columns, membership in the
-    product on the pairs decoded from the row b = 1 of each table, and the
+    product and onto (the image is the product) on the pairs decoded from
+    the row b = 1 of each table, and the
     product's axioms from the same closure when the image is the product,
     else from the listed product."""
     nb, i1 = base.size, base.index(base.one)
     pairs = groups.dual_pairs(base)[0]
-    proved = not base.is_field or groups._hermite_basis_evaluates(
-        base, groups.hermite_basis(base))
     perms = groups.pair_elements(dual_ring(base), pairs)
     cols = list(zip(*[dp.table for dp in perms]))
     image = {_decoded(row, nb) for row in zip(*cols[i1::nb])}
     perm_tables, unit_tables = semidirect_pairs(base)
-    image_in_ambient = image <= set(itertools.product(perm_tables, unit_tables))
+    ambient = set(itertools.product(perm_tables, unit_tables))
     stabilizer_size = sum(G == tuple(range(nb)) for G, _ in image)
     mul_t = base.index_op_tables()[1]
     scale = [[w - w % nb + mul_t[w % nb][f] for w in range(nb * nb)] for f in range(nb)]
@@ -645,7 +644,7 @@ def _oracle_embedding(base):
         for s in gens for v in s.table[i1::nb]
     )
     ambient_size = len(perm_tables) * len(unit_tables)
-    whole = len(image) == len(perms) and image_in_ambient and len(image) == ambient_size
+    whole = len(image) == len(perms) and image == ambient
     return groups.EmbeddingReport(
         base=base.descriptor,
         dual_perm_count=len(perms),
@@ -657,10 +656,10 @@ def _oracle_embedding(base):
         injective=len(image) == len(perms),
         homomorphism_ok=law_ok and closed,
         homomorphism_mode=f"generators:{len(gens)}",
-        image_in_ambient=image_in_ambient,
-        surjective=proved and image_in_ambient and len(image) == ambient_size,
-        factorization_ok=proved and len(image) == stabilizer_size * len(perm_tables),
-        image_mode=f"basis:{2 * nb}" if base.is_field
+        image_in_ambient=image <= ambient,
+        surjective=image == ambient,
+        factorization_ok=len(image) == stabilizer_size * len(perm_tables),
+        image_mode="closed form" if base.is_field
         else "crt" if getattr(base, "prime_power", 0) is None else "module",
         over_field=base.is_field,
         product_axioms=_oracle_axioms_report(perms, gens, closed) if whole
@@ -1739,10 +1738,10 @@ def test_embedding_report_over_fields():
     assert (rep4.dual_perm_count, rep4.image_size, rep4.ambient_size) == (1944, 1944, 1944)
     assert (rep4.perm_count, rep4.unit_table_count, rep4.stabilizer_size) == (24, 81, 81)
 
-    # the image over a field is proved by the 2q Hermite basis evaluations
-    # and over Z/p^e listed from the pair module; over Z/6 = F_2 x F_3 it
+    # the stabilizer's order is (q - 1)^q in closed form over a field and
+    # the pair module's count over Z/p^e; over Z/6 = F_2 x F_3 the report
     # is joined from the factors' by the Chinese remainder theorem
-    assert [rep.image_mode for rep in (rep2, rep3, rep4)] == ["basis:4", "basis:6", "basis:8"]
+    assert [rep.image_mode for rep in (rep2, rep3, rep4)] == ["closed form"] * 3
     assert verify_embedding(make_ring("zpn:2,2")).image_mode == "module"
     assert verify_embedding(make_ring("zm:6")).image_mode == "crt"
 
@@ -1765,17 +1764,17 @@ def test_field_embedding_does_not_sweep(monkeypatch, desc):
 
 
 def corrupt_hermite_basis(monkeypatch):
-    """Make groups.hermite_basis return K_1 with its top coefficient moved to
+    """Make funcspace.hermite_basis return K_1 with its top coefficient moved to
     the next element index: K_1 then differs by c * x^(2q - 1), c nonzero,
     whose values are those of c * x, so [K_1] is no longer zero."""
-    real = groups.hermite_basis
+    real = funcspace.hermite_basis
 
     def corrupted(ring):
         H, K = real(ring)
         K[1] = K[1][:-1] + [(K[1][-1] + 1) % ring.size]
         return H, K
 
-    monkeypatch.setattr(groups, "hermite_basis", corrupted)
+    monkeypatch.setattr(funcspace, "hermite_basis", corrupted)
 
 
 def test_embedding_report_fails_a_corrupted_hermite_basis(monkeypatch):
@@ -1790,10 +1789,10 @@ def test_embedding_report_fails_a_corrupted_hermite_basis(monkeypatch):
 
 @pytest.mark.parametrize("desc", ["fq:2", "fq:3", "fq:4"])
 def test_embedding_over_a_field_builds_the_hermite_basis_once(monkeypatch, desc):
-    # the witnesses and the proof that the image is onto share one basis
+    # the three generators' witnesses share one basis
     built = []
-    real = groups.hermite_basis
-    monkeypatch.setattr(groups, "hermite_basis", lambda ring: built.append(ring) or real(ring))
+    real = funcspace.hermite_basis
+    monkeypatch.setattr(funcspace, "hermite_basis", lambda ring: built.append(ring) or real(ring))
     assert verify_embedding(make_ring(desc)).passed
     assert len(built) == 1
 
@@ -1976,26 +1975,62 @@ def test_prime_power_chain_cap_comes_before_the_pair_module(monkeypatch, desc, m
         verify_embedding(make_ring(desc), cap=10_000_000)
 
 
-@pytest.mark.parametrize("desc", ["zpn:2,2", "zpn:2,3", "zpn:3,2"])
-def test_embedding_report_fails_an_h_row_not_divisible_by_p(monkeypatch, desc):
-    # one entry of H's first spanning row, past its pivot, set to 1: the
-    # counts and the chain are unchanged, but a coset F_G + H is no longer
-    # shown unit-valued, so the image is shown neither onto nor to factor
-    base = make_ring(desc)
+def _corrupt_pair_module(monkeypatch, column):
+    """Make groups.pair_module set the entry of H's first spanning row (row
+    m) at the column to 1: past its pivot (column m + 1) or at it (m)."""
     real = groups.pair_module
 
     def faulty(ring):
         rows = real(ring)
-        rows[ring.size][ring.size + 1] = 1
+        rows[ring.size][ring.size + column] = 1
         return rows
 
     monkeypatch.setattr(groups, "pair_module", faulty)
-    rep = verify_embedding(base)
-    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("desc", ["zpn:2,2", "zpn:2,3", "zpn:3,2"])
+def test_embedding_report_ignores_an_h_row_entry_past_its_pivot(monkeypatch, desc):
+    # the report reads the module's pivots (|H|) and width (D) only, and
+    # every verdict rests on the chain reaching |P| |H|: an entry of H's
+    # first spanning row past its pivot, set to 1, changes nothing
+    base = make_ring(desc)
     good = verify_embedding(base)
-    assert good.passed and rep == good._replace(surjective=False, factorization_ok=False)
-    assert rep.injective and rep.homomorphism_ok and rep.image_in_ambient
-    assert not rep.surjective and not rep.factorization_ok and not rep.passed
+    _corrupt_pair_module(monkeypatch, 1)
+    assert good.passed and verify_embedding(base) == good
+
+
+@pytest.mark.parametrize("desc", ["zpn:2,3", "zpn:3,2"])
+def test_embedding_refuses_the_walk_when_a_pivot_enlarges_h(monkeypatch, desc):
+    # H's first pivot, p, set to 1 makes |H| p times too large: no chain
+    # of dual permutations reaches |P| |H|, and the walk for generators is
+    # refused after the cap's number of vectors, not after |R|^D of them
+    base = make_ring(desc)
+    _corrupt_pair_module(monkeypatch, 0)
+    vectors = base.size ** funcspace.dual_degree_bound(base)
+    with pytest.raises(SizeCapError, match=f"^generator walk: {vectors} exceeds cap 60000$"):
+        verify_embedding(base, cap=60_000)
+
+
+@pytest.mark.parametrize("desc", ["zpn:2,3", "zpn:3,2"])
+def test_embedding_refuses_the_walk_when_the_closed_form_is_wrong(monkeypatch, desc):
+    # |P| doubled: the chain cannot reach the order, and the walk stops at
+    # the cap (60,000 of zpn:2,3's 8^8 and zpn:3,2's 9^9 vectors)
+    base = make_ring(desc)
+    real = groups.count_polynomial_functions
+    monkeypatch.setattr(groups, "count_polynomial_functions", lambda p, e: 2 * real(p, e))
+    with pytest.raises(SizeCapError, match="^generator walk: "):
+        verify_embedding(base, cap=60_000)
+
+
+def test_embedding_walk_under_the_cap_ends_in_a_failing_report(monkeypatch):
+    # zpn:2,2 has 4^4 vectors, fewer than its chain's cap admits: with |P|
+    # doubled the whole walk ends, and the report fails
+    real = groups.count_polynomial_functions
+    monkeypatch.setattr(groups, "count_polynomial_functions", lambda p, e: 2 * real(p, e))
+    rep = verify_embedding(make_ring("zpn:2,2"), cap=1024)
+    assert rep.image_size == 32 and rep.dual_perm_count == 64
+    assert not rep.injective and not rep.homomorphism_ok and not rep.passed
+    assert not rep.surjective and not rep.factorization_ok
 
 
 @pytest.mark.parametrize("desc", ["zpn:2,2", "zm:6"])
@@ -2244,12 +2279,13 @@ def test_embedding_report_rejects_a_corrupted_enumeration(monkeypatch, desc):
     # tables _dual_table builds from the generators' witnesses: the pairs
     # read off the (a, 1) entries, and the chain on the pair forms, are
     # unchanged, so only the comparison of each table with its pair form,
-    # the homomorphism law's premise, can notice
+    # the homomorphism law's premise, can notice; the factorization rests
+    # on the chain's group being the dual group, so it falls with the law
     base = make_ring(desc)
     _patch_generators(monkeypatch, base, "corrupted")
     rep = verify_embedding(base)
-    assert rep.injective and rep.image_in_ambient and rep.factorization_ok
-    assert not rep.homomorphism_ok
+    assert rep.injective and rep.image_in_ambient
+    assert not rep.homomorphism_ok and not rep.factorization_ok
     assert not rep.passed
 
 

@@ -438,14 +438,30 @@ def test_parse_refuses_a_degree_past_the_cap_before_building_it(monkeypatch, tex
 def test_parse_refuses_a_number_power_past_the_cap_before_computing_it(monkeypatch, text):
     # c^k has at most k times the bits of c: 2^1000 parses exactly, and at
     # RINGFUNC_CAP=1000 so do 2^500 and (2)^500, but a power whose bound
-    # passes 1000 bits is refused before it is computed
+    # passes 1000 bits is refused before it is computed; (-3x + 1)^500 has
+    # 501 coefficients, past that cap together, so it parses under the
+    # default cap
     assert parse("2^1000").coeffs == (2**1000,)
+    assert parse("(-3x + 1)^500").coeffs[-1] == 3**500
     monkeypatch.setenv(CAP_ENV_VAR, "1000")
     assert parse("2^500").coeffs == parse("(2)^500").coeffs == (2**500,)
-    assert parse("(-3x + 1)^500").coeffs[-1] == 3**500
     monkeypatch.setattr(poly, "_pow", lambda *args: pytest.fail("_pow was called"))
     with pytest.raises(SizeCapError, match="^bits of a number's power: 1002 exceeds cap 1000$"):
         parse(text)
+
+
+def test_parse_refuses_a_power_whose_coefficients_pass_the_cap(monkeypatch):
+    # (x + 1)^100000 has degree 100,000 and top coefficient 1, both under
+    # the default cap, but its 100,001 binomials run to 100,000 bits: k
+    # times the bits of 1 + 1 bounds each, and the count times that bound
+    # is refused before _pow runs; the monomials still parse
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    monkeypatch.setattr(poly, "_pow", lambda *args: pytest.fail("_pow was called"))
+    message = "^bits of a power's coefficients: 20000200000 exceeds cap 10000000$"
+    with pytest.raises(SizeCapError, match=message):
+        parse("(x+1)^100000")
+    monkeypatch.undo()
+    assert parse("x^100000").coeffs == parse("(x)^100000").coeffs == (0,) * 100000 + (1,)
 
 
 _WS = st.sampled_from(["", " ", "  ", "\t", " \n"])

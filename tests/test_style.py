@@ -105,3 +105,29 @@ def test_all_is_exactly_the_public_imports_of_the_package():
     assert sorted(ringfunc.__all__) == sorted(imported)
     assert len(set(imported)) == len(imported)
     assert all(hasattr(ringfunc, name) for name in ringfunc.__all__)
+
+
+def _package_imports(tree):
+    # every module an AST imports, in function bodies too, relative imports
+    # resolved in the package; "from m import n" counts m and m.n
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["ringfunc" if node.level else "", node.module]))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_the_cli_and_the_package_import_groups():
+    # groups sits on top of the library: the modules below it never reach
+    # up into it, not even from inside a function
+    importers = [
+        path.name
+        for path in SOURCES
+        if path.name not in ("cli.py", "__init__.py")
+        and "ringfunc.groups" in _package_imports(ast.parse(path.read_text()))
+    ]
+    assert importers == []
