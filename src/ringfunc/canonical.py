@@ -10,10 +10,12 @@ A form's digits are read off the function's table on Z_{p^n} by Newton
 forward differences (_table_digits), so a polynomial is evaluated once and
 never expanded over the falling factorials; falling_factorial_coefficients,
 the exact expansion by synthetic division, is kept as the tests' oracle.
-Both sums run on packed rows (rings.pack), one big-integer multiply-add per
+Every sum runs on packed rows (rings.pack), one big-integer multiply-add per
 term: the differences sum each table value times its row of signed
-binomials, and combinations of falling factorials sum the coefficient rows
-of the (x)_j.
+binomials, combinations of falling factorials sum the coefficient rows of
+the (x)_j, and the leading term of a unit-valued form sums its unit table
+mod p times the rows of the Lagrange basis mod p.  The rows are cached per
+p or (p, n), never per input.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from functools import lru_cache, partial
-from math import comb
+from math import comb, factorial, prod
 from operator import itemgetter
 
-from .funcspace import _zpn, induce
+from .funcspace import _merge, _zpn, induce
 from .poly import Polynomial, X
 from .rings import check_cap, is_prime, pack, printable, printable_power, slot_bytes, unpack
 
@@ -220,16 +222,18 @@ class CanonicalForm:
         return {"p": self.p, "n": self.n, "terms": [list(t) for t in self.terms]}
 
 
-def _digit_terms(p: int, j: int, c: int) -> list[tuple[int, int, int]]:
-    """Base-p digits of the reduced coefficient c of (x)_j, as (i, j, a) terms."""
+def _digit_terms(p: int, coeffs) -> tuple[tuple[int, int, int], ...]:
+    """Base-p digits of the reduced coefficients c_j of (x)_j, j = 0, 1, ...,
+    as (i, j, a) terms sorted by (j, i), in one loop over them all."""
     out = []
-    i = 0
-    while c:
-        c, a = divmod(c, p)
-        if a:
-            out.append((i, j, a))
-        i += 1
-    return out
+    for j, c in enumerate(coeffs):
+        i = 0
+        while c:
+            c, a = divmod(c, p)
+            if a:
+                out.append((i, j, a))
+            i += 1
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -270,15 +274,13 @@ def _table_digits(values, p: int, n: int) -> tuple[tuple[int, int, int], ...]:
     sum: each value, reduced mod p^n, times its row of _difference_rows.
     With v = v_p(j!) < n, the difference mod p^n is divisible by p^v, and
     b_j mod p^(n - v), the coefficient the form keeps, is that quotient
-    times the inverse of j! / p^v; it is split into base-p digits."""
+    times the inverse of j! / p^v; all of them are split into base-p digits
+    at once (_digit_terms)."""
     m, scales = p**n, _newton_scales(p, n)
     count = min(len(values), len(scales))
     nb, rows = _difference_rows(p, n, count)
     diffs = unpack(sum([v % m * row for v, row in zip(values, rows)]), count, nb)
-    out = []
-    for j, (d, (pv, w, radix)) in enumerate(zip(diffs, scales)):
-        out += _digit_terms(p, j, d % m // pv * w % radix)
-    return tuple(out)
+    return _digit_terms(p, [d % m // pv * w % radix for d, (pv, w, radix) in zip(diffs, scales)])
 
 
 def canonicalize(f: Polynomial, p: int, n: int) -> CanonicalForm:
@@ -301,8 +303,7 @@ def enumerate_canonical_forms(p: int, n: int, cap: int | None = None):
     check_cap(count_polynomial_functions(p, n), cap, "canonical form enumeration")
     radices = [p ** (n - vp_factorial(p, j)) for j in range(beta(p, n))]
     for digits in itertools.product(*map(range, radices)):
-        terms = [t for j, c in enumerate(digits) for t in _digit_terms(p, j, c)]
-        yield CanonicalForm(p, n, tuple(terms))
+        yield CanonicalForm(p, n, _digit_terms(p, digits))
 
 
 def count_polynomial_functions(p: int, n: int) -> int:
@@ -316,6 +317,33 @@ def count_unit_valued_functions(p: int, n: int) -> int:
     beta(p, n)
     top = printable_power(p, sum(beta(p, k) for k in range(2, n + 1)))
     return printable(printable_power(p - 1, p) * top)
+
+
+def count_null_derivatives(p: int, n: int) -> int:
+    """|H|, H the functions [g'] on Z_{p^n} of the polynomials g with
+    [g] = 0 there: the stabilizer's order in the dual group of Z_{p^n}.
+
+    g is null iff p^(n - v_p(k!)) divides its coefficient b_k of (x)_k, and
+    reducing g by the monic (x)_beta^2, beta = beta(p, n), which is null
+    with its derivative, keeps [g']; so H is spanned by the
+    [p^max(0, n - v_p(k!)) (x)_k'] for k < 2 beta, and k < p gives 0.  A
+    polynomial function is fixed by its forward differences
+    Delta^i f(0), i < beta, and those of (x)_k' are
+    (-1)^(k - i - 1) k! / (k - i) for i < k, so |H| is the order of their
+    span mod p^n, read off its triangular basis (funcspace._merge) as the
+    product of p^n / pivot.  For n < p that is p^(n p), with no module:
+    Taylor's formula at x + p makes every [g'] zero mod p^(n - 1), which
+    leaves p^beta functions, and the generators for k = i + p, i < beta,
+    are triangular with pivots of order p."""
+    b, m = beta(p, n), p**n
+    if n < p:
+        return p ** b
+    rows = [[m * (i == j) for i in range(b)] for j in range(b)]
+    for k in range(p, 2 * b):
+        scale = p ** max(0, n - vp_factorial(p, k)) * factorial(k)
+        _merge(rows, [(-1) ** (k - i - 1) * scale // (k - i) % m for i in range(min(k, b))]
+               + [0] * (b - k), m)
+    return prod(m // rows[j][j] for j in range(b))
 
 
 def uv_table_index(values, p: int) -> int:
@@ -344,14 +372,42 @@ def uv_table_from_index(s: int, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _lagrange_rows(p: int) -> tuple[int, tuple[int, ...]]:
+    """(nb, rows): row a holds the coefficients of the Lagrange basis
+    polynomial L_a = 1 - (x - a)^(p - 1) mod p, constant term first:
+    1 - a^(p - 1), then -a^(p - 1 - k) for k = 1 .. p - 1 (0^0 = 1), as
+    C(p - 1, k) = (-1)^k mod p.  Each is packed at nb bytes a slot, and a
+    slot of nb bytes holds a sum of p products below p^2."""
+    nb = slot_bytes(p * (p - 1) ** 2)
+    rows = ([(1 - pow(a, p - 1, p)) % p] + [-pow(a, p - 1 - k, p) % p for k in range(1, p)]
+            for a in range(p))
+    return nb, tuple(pack(row, nb) for row in rows)
+
+
+def _leading_term(table, p: int) -> list[int]:
+    """The coefficients, constant term first and no trailing zeros, of the
+    polynomial of degree below p with coefficients in [0, p) whose values
+    at 0 .. p - 1 are the table's, each in [0, p): sum_a T(a) L_a mod p,
+    one packed multiply-add over _lagrange_rows.  An interpolant of degree
+    below p over F_p is unique, so it is the canonical form mod p of every
+    polynomial that induces the table."""
+    nb, rows = _lagrange_rows(p)
+    coeffs = [c % p for c in unpack(sum([v * row for v, row in zip(table, rows)]), p, nb)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
 def leading_representative(p: int, s: int) -> Polynomial:
     """Canonical integer polynomial inducing the s-th unit table T mod p.
 
-    This is the canonical form mod p of any interpolant of T: the sum of
-    b_j (x)_j over j < p, reduced mod p, its digits read off T itself by
-    Newton's forward differences (_table_digits).
+    This is the canonical form mod p of any interpolant of T, written out:
+    the unique polynomial of degree below p with coefficients in [0, p)
+    inducing T, summed from T's values and the packed Lagrange rows of p
+    (_leading_term).
     """
-    return _falling_combination(p, 1, _table_digits(uv_table_from_index(s, p), p, 1))
+    return Polynomial(_leading_term(uv_table_from_index(s, p), p))
 
 
 class UnitValuedCanonicalForm:
@@ -419,7 +475,9 @@ def canonicalize_unit_valued(f: Polynomial, p: int, n: int) -> UnitValuedCanonic
 
     The table of [f] on Z_{p^n} decides that f is unit-valued, and its first
     p values mod p are the unit table that fixes the leading index s and
-    the leading representative h.  The deficit f - h is null mod p, so its
+    the leading representative h, summed straight from that table and the
+    packed Lagrange rows of p (_leading_term), with no pass through s.  The
+    deficit f - h is null mod p, so its
     canonical form mod p^n has no term of depth i + v_p(j!) = 0; a term of
     depth k - 1 goes to layer k.
 
@@ -443,10 +501,10 @@ def canonicalize_unit_valued(f: Polynomial, p: int, n: int) -> UnitValuedCanonic
     table = induce(f, ring)
     if not table.is_unit_valued():
         raise ValueError(f"polynomial is not unit-valued mod {p}^{n}")
-    s = uv_table_index([v % p for v in table.values[:p]], p)
-    h = leading_representative(p, s)
-    count = min(beta(p, n), max(len(f.coeffs), len(h.coeffs)))
-    deficit = map(int.__sub__, table.values[:count], ring.horner(h.coeffs, range(count)))
+    unit = [v % p for v in table.values[:p]]
+    s, h = uv_table_index(unit, p), _leading_term(unit, p)
+    count = min(beta(p, n), max(len(f.coeffs), len(h)))
+    deficit = map(int.__sub__, table.values[:count], ring.horner(h, range(count)))
     layers = [[] for _ in range(n - 1)]
     for i, j, a in _table_digits(list(deficit), p, n):
         depth = i + vp_factorial(p, j)
@@ -457,7 +515,7 @@ def canonicalize_unit_valued(f: Polynomial, p: int, n: int) -> UnitValuedCanonic
         p, n, s, tuple((k, tuple(terms)) for k, terms in enumerate(layers, 2))
     )
     terms = (t for layer in layers for t in layer)
-    if induce(_falling_combination(p, n, terms, h.coeffs), ring) != table:
+    if induce(_falling_combination(p, n, terms, h), ring) != table:
         raise RuntimeError("layered form failed re-induction check")
     return form
 

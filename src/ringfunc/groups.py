@@ -48,7 +48,11 @@ from math import factorial, gcd, prod
 from operator import add, getitem, itemgetter
 from typing import NamedTuple
 
-from .canonical import count_polynomial_functions, count_unit_valued_functions
+from .canonical import (
+    count_null_derivatives,
+    count_polynomial_functions,
+    count_unit_valued_functions,
+)
 from .dual import DualRing, dual_ring
 from .funcspace import (
     FunctionTable,
@@ -60,7 +64,7 @@ from .funcspace import (
     pair_module,
 )
 from .poly import Polynomial
-from .rings import ModularRing, Ring, check_cap, is_prime, resolve_cap
+from .rings import ModularRing, Ring, check_cap, resolve_cap
 
 
 class DualPermutation:
@@ -250,12 +254,14 @@ def _pair_parts(base: Ring, *, times: int, cap: int | None, what: str):
     coefficient part of the member beginning with the pair, reduced from
     x^(D-1) down (least_member), the reduction by the rows of G kept for
     each G.  Each h in H is sum c_j row_j, rows m .. 2m-1, for one choice of
-    c_j in range(m // pivot_j) (_null_count), so times |H| is capped as
-    what before H is built.  (Over F_q, H is every table, and f is the
-    Hermite form, hermite_preimage.)
+    c_j in range(m // pivot_j) (the Howell property).  times |H| is capped
+    as what before the module, H or the ring's operation tables are built,
+    |H| taken from m alone (_null_derivative_count).  (Over F_q, H is every
+    table, and f is the Hermite form, hermite_preimage.)
     """
-    module, nb = pair_module(base), base.size
-    check_cap(times * _null_count(module, nb), cap, what)
+    nb = base.size
+    check_cap(times * _null_derivative_count(nb), cap, what)
+    module = pair_module(base)
     add_t, mask = base.index_op_tables()[0], base.unit_index_mask()
     H = [(0,) * nb]
     for j, row in enumerate(module[nb:2 * nb], nb):
@@ -286,10 +292,34 @@ def _pair_parts(base: Ring, *, times: int, cap: int | None, what: str):
     return over, unit_coset, preimage
 
 
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime p dividing m, p^e exactly dividing m, by
+    trial division, p ascending."""
+    out, p = [], 2
+    while m > 1:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out
+
+
+def _null_derivative_count(m: int) -> int:
+    """|H|, H the [g'] of the null g over Z/m, with no module: the product
+    of canonical.count_null_derivatives over the prime powers p^e exactly
+    dividing m, as a polynomial function on Z/m is one on each Z/p^e
+    (Chinese remainder theorem)."""
+    return prod(count_null_derivatives(p, e) for p, e in _prime_powers(m))
+
+
 def _null_count(module, nb: int) -> int:
     """|H|, H the [g'] of the null g over Z/m, m = nb: each h in H is
     sum c_j row_j over the pair module's rows m .. 2m-1, for one choice of
-    c_j in range(m // pivot_j) (the Howell property)."""
+    c_j in range(m // pivot_j) (the Howell property).  verify_embedding
+    reads it off the module it has built; a listing caps |H| before any
+    module, from m alone (_null_derivative_count)."""
     return prod(nb // module[j][j] for j in range(nb, 2 * nb))
 
 
@@ -373,9 +403,7 @@ def stabilizer_pairs(base: Ring, *, cap: int | None = None):
     over the units, each built when read (Listing); over Z/m capped at |H|
     (_pair_parts).
     """
-    nb, add_t = base.size, base.index_op_tables()[0]
-    less_one, zero = add_t[base.index(base.neg(base.one))], (base.index(base.zero),) * nb
-    ident = tuple(range(nb))
+    nb, ident = base.size, tuple(range(base.size))
     if base.is_field:
         field_group_order(base, "stabilizer", cap=cap)
         digits = list(compress(ident, base.unit_index_mask()))
@@ -384,6 +412,8 @@ def stabilizer_pairs(base: Ring, *, cap: int | None = None):
     else:
         _, unit_coset, preimage = _pair_parts(base, times=1, cap=cap, what="stabilizer")
         pairs = [(ident, F) for F in sorted(unit_coset((base.index(base.one),) * nb))]
+    less_one = base.index_op_tables()[0][base.index(base.neg(base.one))]
+    zero = (base.index(base.zero),) * nb
     return pairs, lambda F: preimage(zero, tuple(map(less_one.__getitem__, F)))
 
 
@@ -705,8 +735,7 @@ def verify_embedding(base: Ring, *, cap: int | None = None) -> EmbeddingReport:
     """
     if isinstance(base, ModularRing) and base.prime_power is None:
         m = base.m  # Z/q for q the largest power of each prime p | m
-        qs = [gcd(m, p ** m.bit_length()) for p in range(2, m) if m % p == 0 and is_prime(p)]
-        factors = list(map(ModularRing, qs))
+        factors = [ModularRing(p**e) for p, e in _prime_powers(m)]
         reports = [verify_embedding(ring, cap=cap) for ring in factors]
         check_cap(2 * m * m, cap, "operation tables")  # the lemma's, built next
         lemma = _crt_lemma(base, factors)

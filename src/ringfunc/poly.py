@@ -11,6 +11,7 @@ p^(n-1) and mod p^n, which the canonical-form machinery relies on.
 
 from __future__ import annotations
 
+from math import ceil, log2
 from operator import getitem
 from typing import Any, Iterable
 
@@ -342,6 +343,8 @@ def _pow(base: list[int], k: int) -> list[int]:
 _POWER_BITS = "bits of a number's power"
 # each coefficient of (sum b_i x^i)^k is at most (sum |b_i|)^k
 _POWER_COEFFICIENT_BITS = "bits of a power's coefficients"
+# each coefficient of a product is at most the product of its factors' sum |b_i|
+_PRODUCT_COEFFICIENT_BITS = "bits of a product's coefficients"
 
 
 class _ListParser:
@@ -410,8 +413,14 @@ class _ListParser:
 
     def term(self) -> tuple[int, int, list[int] | None]:
         """(c, d, product): the term is c*x^d times product, None if the term
-        has no parenthesised factor."""
-        c, d, product = 1, 0, None
+        has no parenthesised factor.  Each factor base^k is kept as it is
+        read, its coefficient count and the bits of S^k, S = sum |b_i|,
+        added to the product's bounds, which are checked from the second
+        factor on; the powers are taken and multiplied out (_product) only
+        once the whole term has been read.  S^k has floor(k log2 S) + 1
+        bits, bounded by ceil(k log2 S) + 1 with nothing built: the float's
+        rounding error is far below one bit at any size the caps admit."""
+        c, d, factors, count, bits = 1, 0, [], 1, 0
         while True:
             pos, tok = self.toks[self.i]
             if tok == "x":
@@ -425,30 +434,47 @@ class _ListParser:
                     raise ParseError("expected ')'", pos)
                 self.i += 1
                 k = self.power()
+                total = sum(map(abs, base))
                 if k != 1:
                     self.check_size((len(base) - 1) * k)
                     if base:  # its top coefficient is raised to the k-th power
                         self.check_size(base[-1].bit_length() * k, _POWER_BITS)
                     if any(base[:-1]):  # and (len - 1) k + 1 coefficients with it
-                        bits = ((len(base) - 1) * k + 1) * k * sum(map(abs, base)).bit_length()
-                        self.check_size(bits, _POWER_COEFFICIENT_BITS)
-                    base = _pow(base, k)
-                if product is not None:
-                    self.check_size(len(product) + len(base) - 2)
-                product = base if product is None else _mul(product, base)
+                        size = ((len(base) - 1) * k + 1) * k * total.bit_length()
+                        self.check_size(size, _POWER_COEFFICIENT_BITS)
+                # base^k has size coefficients, each of at most the bits of S^k
+                size = 1 if not k else (len(base) - 1) * k + 1 if base else 0
+                count = count + size - 1 if count and size else 0
+                bits += ceil(k * log2(total)) + 1 if total else 1
+                if factors:
+                    self.check_size(count - 1)
+                    self.check_size(count * bits, _PRODUCT_COEFFICIENT_BITS)
+                factors.append((base, k))
             elif tok[:1].isdigit():
                 self.i += 1
+                b = int(tok)  # a non-decimal digit is refused before its power
                 k = self.power()
                 if k != 1:
-                    self.check_size(int(tok).bit_length() * k, _POWER_BITS)
-                c *= int(tok) ** k
+                    self.check_size(b.bit_length() * k, _POWER_BITS)
+                    b **= k
+                c *= b
             else:
                 raise ParseError("expected a coefficient, x or (", pos)
             tok = self.toks[self.i][1]
             if tok == "*":
                 self.i += 1
             elif tok != "x" and tok != "(" and not tok[:1].isdigit():
-                return c, d, product
+                return c, d, _product(factors) if factors else None
+
+
+def _product(factors) -> list[int]:
+    """The product of base^k over the (base, k) factors, in order."""
+    out = None
+    for base, k in factors:
+        if k != 1:
+            base = _pow(base, k)
+        out = base if out is None else _mul(out, base)
+    return out
 
 
 def parse(text: str) -> Polynomial:
@@ -471,7 +497,10 @@ def parse(text: str) -> Polynomial:
     number, or of a factor's top coefficient c, whose bound of k times the
     bits of c passes both.  A power of a factor that is not a monomial is
     refused likewise when its coefficient count times k times the bits of
-    sum |b_i|, a bound on each coefficient's bits, passes both.
+    sum |b_i|, a bound on each coefficient's bits, passes both, and so is a
+    product of parenthesised factors b^k when its coefficient count times
+    the sum over its factors of the bits of (sum |b_i|)^k does, before any
+    factor is multiplied out.
     """
     ps = _ListParser(text)
     coeffs = ps.expr()

@@ -22,6 +22,7 @@ from ringfunc import canonical as canon
 from ringfunc import cli
 from ringfunc import funcspace as fs
 from ringfunc import groups as gr
+from ringfunc import poly
 from ringfunc.cli import main
 from ringfunc.dual import DualRing, dual_ring, eval_dual, horner_dual
 from ringfunc.poly import Polynomial, format_polynomial, index_formatter
@@ -96,6 +97,40 @@ def test_canonical_refuses_a_power_of_long_coefficients_at_once(capsys, monkeypa
     argv = ("canonical", "--ring", "zpn:2,3", "--poly", "(x+1)^100000")
     err = "error: bits of a power's coefficients: 20000200000 exceeds cap 10000000\n"
     assert run(capsys, *argv) == (3, "", err)
+    assert time.perf_counter() - start < 1
+
+
+def test_canonical_refuses_a_product_of_long_powers_at_once(capsys, monkeypatch):
+    # (x+1)^2000 (x+1)^2000 (x+1)^2000 once ran past 30 s multiplying the
+    # powers out; the product of the first two is refused before any power
+    # is taken
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    for name in ("_pow", "_mul"):
+        monkeypatch.setattr(poly, name, lambda *args: pytest.fail("a power or product was built"))
+    start = time.perf_counter()
+    argv = ("canonical", "--ring", "zpn:2,3", "--poly", "(x+1)^2000(x+1)^2000(x+1)^2000")
+    err = "error: bits of a product's coefficients: 16012002 exceeds cap 10000000\n"
+    assert run(capsys, *argv) == (3, "", err)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("desc,order", [
+    ("zpn:5,5", 95367431640625), ("zpn:7,5", 378818692265664781682717625943)])
+def test_stabilizer_refuses_before_building_the_pair_module(capsys, monkeypatch, desc, order):
+    # zpn:5,5 once took 8.6 s and 494 MB to reach the stabilizer's cap, after
+    # the pair module and the ring's operation tables were built, and
+    # zpn:7,5 ran past 60 s; |H| now comes from m alone, before either
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair module or operation tables built")
+
+    monkeypatch.setattr(gr, "pair_module", refuse)
+    monkeypatch.setattr(fs, "dual_degree_bound", refuse)
+    monkeypatch.setattr(PrimePowerRing, "index_op_tables", refuse)
+    start = time.perf_counter()
+    argv = ("enumerate", "--what", "stabilizer", "--ring", desc, "--limit", "3")
+    assert run(capsys, *argv) == (3, "", f"error: stabilizer: {order} exceeds cap 10000000\n")
     assert time.perf_counter() - start < 1
 
 

@@ -34,7 +34,7 @@ from ringfunc.groups import (
     verify_group_axioms,
 )
 from ringfunc.poly import Polynomial, X, format_polynomial, parse
-from ringfunc.rings import SizeCapError, check_cap, make_ring
+from ringfunc.rings import SizeCapError, check_cap, is_prime, make_ring
 import reference_sweep
 
 
@@ -1231,6 +1231,18 @@ def test_split_dual_sweep_checks_the_cap_before_any_work(monkeypatch):
         sweep_dual_criterion(make_ring("fq:4"), cap=63)
     monkeypatch.undo()
     assert sweep_dual_criterion(make_ring("zm:6"), cap=216) is True
+
+
+@pytest.mark.parametrize("m", list(range(2, 65)) + [81, 121, 125, 128, 243, 343])
+def test_null_derivative_count_is_the_pair_modules_howell_count(m):
+    # |H| from m alone against the module's pivots: Z/m by its prime-power
+    # factors, p^n for n >= p from the small module on beta(p, n)
+    # differences, and n < p (25, 49, 121, 125, 343) from p^(n p)
+    base = make_ring(f"zm:{m}")
+    assert groups._null_derivative_count(m) == groups._null_count(funcspace.pair_module(base), m)
+    assert groups._prime_powers(m) == [
+        (p, e) for p in range(2, m + 1) if m % p == 0 and is_prime(p)
+        for e in [next(e for e in range(m) if m % p ** (e + 1))]]
 
 
 def test_module_listings_check_their_caps_before_any_work(monkeypatch):

@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ringfunc import poly
 from ringfunc.funcspace import index_polynomial, induce
@@ -300,6 +300,22 @@ def test_parse_reports_a_non_decimal_digit_as_the_scanner_did():
     assert parse("3٣").coeffs == (33,)  # an Arabic-Indic three
 
 
+# ASCII terms and operators, a non-decimal digit (²), a decimal one that is
+# not ASCII (٣, Arabic-Indic three), and whitespace, \x1c included
+_PIECES = ["x", "0", "1", "2", "7", "+", "-", "*", "^", "(", ")", "(x+1)", "x^2", "3x",
+           "²", "٣", " ", "\x1c", "\t"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=14).map("".join))
+def test_parse_matches_the_product_oracle_on_drawn_text(text):
+    # the same coefficients, or the same exception type, message and
+    # position; numbers of two decimal digits or more are skipped, which
+    # keeps every exponent to one digit for the oracle's list products
+    assume(not re.search(r"\d\s*\d", text))
+    assert _outcome(parse, text) == _outcome(_oracle_parse, text), text
+
+
 class _ProductParser:
     """The parser's oracle: recursive descent that builds every term as a
     list product, factor by factor, through poly._mul and poly._pow."""
@@ -462,6 +478,41 @@ def test_parse_refuses_a_power_whose_coefficients_pass_the_cap(monkeypatch):
         parse("(x+1)^100000")
     monkeypatch.undo()
     assert parse("x^100000").coeffs == parse("(x)^100000").coeffs == (0,) * 100000 + (1,)
+
+
+def test_parse_refuses_a_product_whose_coefficients_pass_the_cap(monkeypatch):
+    # each (x + 1)^2000 passes the power bound, but their product's 4,001
+    # coefficients each run to 2001 + 2001 bits, 16,012,002 in all, which is
+    # refused before they are multiplied; (x + 1)^1400 (x + 1)^1400, 2801
+    # times 2802, stays under the default cap.  The powers come from lists
+    # made beforehand, so _mul is called only for the product
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    power = {k: poly._pow([1, 1], k) for k in (1400, 2000)}
+    monkeypatch.setattr(poly, "_pow", lambda base, k: list(power[k]))
+    multiplied = []
+    monkeypatch.setattr(poly, "_mul", lambda a, b: multiplied.append((len(a), len(b))) or [1])
+    assert parse("(x+1)^1400(x+1)^1400").coeffs == (1,)
+    assert multiplied == [(1401, 1401)]
+    message = "^bits of a product's coefficients: 16012002 exceeds cap 10000000$"
+    with pytest.raises(SizeCapError, match=message):
+        parse("(x+1)^2000(x+1)^2000")
+    assert multiplied == [(1401, 1401)]
+
+
+@pytest.mark.parametrize("a,k", [(1, 64), (2, 100), (6, 333), (254, 41), (10**6, 17)])
+def test_the_product_bound_counts_each_power_at_its_bits_or_one_more(monkeypatch, a, k):
+    # S^k, S = 1 + a, is counted at ceil(k log2 S) + 1 bits: never fewer
+    # than its own, at most one more, and exactly its own for S = 2^j.  The
+    # cap admits each power, so the product of two is what is refused
+    S = 1 + a
+    count, power_size = 2 * k + 1, (k + 1) * k * S.bit_length()
+    monkeypatch.setenv(CAP_ENV_VAR, str(power_size))
+    with pytest.raises(SizeCapError, match="^bits of a product's coefficients") as refused:
+        parse(f"(x+{a})^{k}(x+{a})^{k}")
+    size = int(re.search(r": (\d+) exceeds", str(refused.value)).group(1))
+    assert size % (2 * count) == 0
+    extra = size // (2 * count) - (S**k).bit_length()
+    assert extra == 0 if S & (S - 1) == 0 else extra in (0, 1)
 
 
 _WS = st.sampled_from(["", " ", "  ", "\t", " \n"])

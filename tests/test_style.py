@@ -131,3 +131,20 @@ def test_only_the_cli_and_the_package_import_groups():
         and "ringfunc.groups" in _package_imports(ast.parse(path.read_text()))
     ]
     assert importers == []
+
+
+def test_the_readme_lists_every_standard_library_module_the_package_imports():
+    # the README's sentence names each top-level module imported anywhere
+    # in the package, function bodies included, and no other; __future__ is
+    # a compiler directive, not a module the package loads
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = re.search(r"imports only these standard-library modules:(.*?)\. ", readme, re.S)
+    listed = set(re.findall(r"`(\w+)`", sentence.group(1)))
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert sorted(imported - {"__future__"}) == sorted(listed)
